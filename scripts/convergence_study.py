@@ -7,6 +7,10 @@ relative deviation of the diagonal entries, and at the end fits the
 log-log decay exponent.  The neglected fast-oscillation terms are first
 order in 1/t in general; at the symmetric default point the first-order
 piece cancels and the fit comes out near -2.
+
+The exact matrix costs O(n log n) in the node count n > 4t with no loop
+over t, so the default ladder doubles from t = 25 to t = 25600 and runs
+in seconds; the deviations there reach about 1e-9.
 """
 import argparse
 
@@ -21,7 +25,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--theta", type=float, default=0.7853981633974483)
     ap.add_argument("--alpha", type=float, default=0.0)
-    ap.add_argument("--t-list", default="25,50,100,200,400,800")
+    ap.add_argument("--t-list", default="25,50,100,200,400,800,1600,3200,"
+                                        "6400,12800,25600")
     ap.add_argument("--out", default="convergence.csv")
     ns = ap.parse_args()
 

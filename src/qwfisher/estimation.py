@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import derivative_state
-from .walk import CoinParams, WalkerState, coin_matrix, evolve, spinors_at
-from .quadrature import dft_exact_nodes, uniform_k_grid
+from .walk import (CoinParams, SU2Powers, WalkerState, coin_matrix, evolve,
+                   k_grid_size, spinors_at, window_from_uniform)
+from .quadrature import uniform_k_grid
 
 MASS_THRESHOLD = 1e-12
 
@@ -191,47 +192,22 @@ class LikelihoodTable:
     init_origin: int
 
 
-def _chebyshev_power_spinors(phi0, coins, phases, t):
-    """phi_t = u^t phi0 for a batch of coins at all nodes, closed form in t.
-
-    u = diag(e^{-ik}, e^{ik}) C has real trace 2 cos(k - alpha) cos theta,
-    so u^t = sin(t w)/sin w * u - sin((t-1) w)/sin w * 1 with
-    cos w = trace/2.  Valid while sin w stays away from 0, which the
-    caller guarantees by its grid box.
-    """
-    # row scaling implements diag(e^{-ik}, e^{ik}) C; phases is (n, 2)
-    u = phases[None, :, :, None] * coins[:, None, :, :]   # (g, n, 2, 2)
-    tr_half = 0.5 * np.einsum("gnaa->gn", u).real
-    cw = np.clip(tr_half, -1.0, 1.0)
-    w = np.arccos(cw)
-    sw = np.sin(w)
-    if np.min(sw) < 1e-6:
-        raise ValueError("grid touches a degenerate quasi-energy; "
-                         "shrink the box or step explicitly")
-    a = np.sin(t * w) / sw
-    b = -np.sin((t - 1) * w) / sw
-    uphi = np.einsum("gnab,nb->gna", u, phi0)
-    return a[:, :, None] * uphi + b[:, :, None] * phi0[None, :, :]
-
-
 def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
                           grid: GridSpec | None = None,
                           chunk: int = 2048) -> LikelihoodTable:
     """Tabulate p(x | theta, alpha) over the grid at fixed beta = p_true.beta.
 
     One-time cost shared by every record fitted against the same model;
-    evolution is done spectrally per momentum node so the cost does not
-    grow with t.
+    u^t comes in closed form per momentum node (:class:`SU2Powers`), so
+    t enters only through the window width.
     """
     grid = grid or GridSpec()
     thetas, alphas = grid.axes()
     width = init.n_sites + 2 * int(t)
-    n = dft_exact_nodes(2 * width)
-    nodes, _ = uniform_k_grid(n)
+    nodes, _ = uniform_k_grid(k_grid_size(width))
     phi0 = spinors_at(init, nodes)
     phases = np.column_stack([np.exp(-1j * nodes), np.exp(1j * nodes)])
     origin = init.origin - int(t)
-    offsets = (origin + np.arange(width)) % n
     tt, aa = np.meshgrid(thetas, alphas, indexing="ij")
     pairs = np.column_stack([tt.ravel(), aa.ravel()])
     out = np.empty((pairs.shape[0], width))
@@ -245,10 +221,14 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
         coins[:, 0, 1] = eb * st
         coins[:, 1, 0] = -st / eb
         coins[:, 1, 1] = ct / ea
-        phi_t = _chebyshev_power_spinors(phi0, coins, phases, int(t))
-        amps = np.fft.ifft(phi_t, axis=1)                  # (g, n, 2)
-        probs = np.sum(np.abs(amps) ** 2, axis=2)
-        out[sl] = probs[:, offsets]
+        # row scaling implements diag(e^{-ik}, e^{ik}) C at every node
+        powers = SU2Powers.of(phases[None, :, :, None] * coins[:, None, :, :])
+        if np.min(powers.sin_omega) < 1e-6:
+            raise ValueError("grid touches a degenerate quasi-energy; "
+                             "shrink the box or step explicitly")
+        amps = window_from_uniform(powers.apply_power(phi0, int(t)),
+                                   origin, width)
+        out[sl] = np.sum(np.abs(amps) ** 2, axis=2)
     probs = out.reshape(grid.n_theta, grid.n_alpha, width)
     return LikelihoodTable(grid=grid, beta=p_true.beta, t=int(t),
                            sites=origin + np.arange(width), probs=probs,

@@ -1,18 +1,26 @@
 """Exact finite-time information matrices from derivative states.
 
 This route never touches the asymptotic formulas: parameter derivatives
-of the evolved state are accumulated step by step in momentum space,
+of the evolved state come from the generator sums in momentum space,
 
     d_mu |psi_t> = G_mu(t) |psi_t>,   G_mu(t) = sum_{m=1..t} u^m O_mu u^{-m},
 
-with O_mu = C^dag d_mu C, via the recurrence G <- u (O_mu + G) u^dag.
+with O_mu = C^dag d_mu C.  Conjugation by u(k) = cos w - i sin w n.sigma
+turns Pauli vectors by 2w about n, so with O_mu = v.sigma the sum is a
+geometric series with the closed form
+
+    g(t) = t (n.v) n + [sin tw cos (t+1)w / sin w] v_perp
+                     + [sin tw sin (t+1)w / sin w] n x v,
+
+and u^t follows from the Chebyshev identity (see :class:`SU2Powers`).
 Zone integrals become plain node averages on a uniform grid that is
 fine enough for the discrete orthogonality to make them exact (every
-integrand is a trigonometric polynomial of bounded degree).
+integrand is a trigonometric polynomial of bounded degree), and the
+position-space derivative state is one inverse FFT away.
 
-Everything here is O(t * n_nodes) with 2x2 blocks, so t of a few
-hundred is cheap; it serves as the independent check of the analytic
-module and as the exact-score engine for estimation.
+The cost is O(n log n) in the node count n > 4t, with no loop over t;
+the route is the independent check of the analytic module and the
+exact-score engine for estimation.
 """
 from __future__ import annotations
 
@@ -21,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qfim import QFIMatrix
-from .quadrature import dft_exact_nodes, uniform_k_grid
-from .walk import (PARAM_NAMES, CoinParams, WalkerState, build_coin,
-                   dcoin_matrix, evolve, spinors_at, u_k)
+from .quadrature import uniform_k_grid
+from .walk import (PARAM_NAMES, CoinParams, SU2Powers, WalkerState,
+                   build_coin, dcoin_matrix, evolve, k_grid_size, spinors_at,
+                   u_k, window_from_uniform)
 
 
 @dataclass(frozen=True)
@@ -53,35 +62,19 @@ def coin_generators(p: CoinParams) -> np.ndarray:
     return np.einsum("ba,mbc->mac", c.conj(), dcoin_matrix(p))
 
 
-def _grid_for(init: WalkerState, t: int, n_nodes: int | None) -> np.ndarray:
-    final_width = init.n_sites + 2 * int(t)
-    if n_nodes is None:
-        n_nodes = dft_exact_nodes(2 * final_width)
-    if n_nodes < 2 * final_width:
-        raise ValueError(
-            f"{n_nodes} nodes cannot integrate window {final_width} exactly; "
-            f"need at least {2 * final_width}")
-    nodes, _ = uniform_k_grid(n_nodes)
-    return nodes
-
-
-def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int,
+def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx,
                             n_nodes: int | None = None):
-    """Evolved k-spinors and accumulated generators on a uniform grid.
+    """Evolved k-spinors and their derivatives on a uniform grid.
 
-    Returns (nodes, phi_t, G) with phi_t of shape (n, 2) and G of shape
-    (3, n, 2, 2); d_mu phi_t = G[mu] @ phi_t node by node.
+    Returns (phi_t, dphi) with phi_t of shape (n, 2) and dphi of shape
+    (len(idx), n, 2), dphi[i] = G_mu(t) phi_t for mu = PARAM_NAMES[idx[i]].
     """
-    nodes = _grid_for(init, t, n_nodes)
-    u = u_k(p, nodes)
-    uc = u.conj()
-    o = coin_generators(p)
-    phi = spinors_at(init, nodes)
-    g = np.zeros((3, nodes.size, 2, 2), dtype=complex)
-    for _ in range(int(t)):
-        g = np.einsum("nab,mnbc,ndc->mnad", u, g + o[:, None, :, :], uc)
-        phi = np.einsum("nab,nb->na", u, phi)
-    return nodes, phi, g
+    t = int(t)
+    nodes, _ = uniform_k_grid(k_grid_size(init.n_sites + 2 * t, n_nodes))
+    powers = SU2Powers.of(u_k(p, nodes))
+    phi = powers.apply_power(spinors_at(init, nodes), t)
+    g = powers.generator_sums(coin_generators(p)[idx], t)
+    return phi, np.einsum("mnab,nb->mna", g, phi)
 
 
 def derivative_state(init: WalkerState, p: CoinParams, t: int, mu: str,
@@ -89,20 +82,17 @@ def derivative_state(init: WalkerState, p: CoinParams, t: int, mu: str,
                      n_nodes: int | None = None) -> AmplitudeWindow:
     """Position-space d_mu |psi_t>.
 
-    method "sum" uses the exact generator accumulation; "finite_diff"
+    method "sum" uses the closed-form generator sum; "finite_diff"
     central-differences two full evolutions with step ``h`` and exists
     to cross-check the sum route.
     """
     if mu not in PARAM_NAMES:
         raise ValueError(f"unknown parameter {mu!r}; choose from {PARAM_NAMES}")
     if method == "sum":
-        nodes, phi, g = _evolve_with_generators(init, p, t, n_nodes)
-        dphi = np.einsum("nab,nb->na", g[PARAM_NAMES.index(mu)], phi)
+        _, dphi = _evolve_with_generators(init, p, t, [PARAM_NAMES.index(mu)],
+                                          n_nodes)
         origin = init.origin - int(t)
-        width = init.n_sites + 2 * int(t)
-        x = origin + np.arange(width)
-        phases = np.exp(1j * np.outer(x, nodes))
-        amps = phases @ dphi / nodes.size
+        amps = window_from_uniform(dphi[0], origin, init.n_sites + 2 * int(t))
         return AmplitudeWindow(origin=origin, amps=amps)
     if method == "finite_diff":
         plus = evolve(init, p.replace(**{mu: getattr(p, mu) + h}), t)
@@ -115,9 +105,8 @@ def derivative_state(init: WalkerState, p: CoinParams, t: int, mu: str,
 def _gram(init: WalkerState, p: CoinParams, t: int, idx,
           n_nodes: int | None = None):
     """Zone-averaged Gram data: G[u,v] = <d_u psi|d_v psi>, v[u] = <psi|d_u psi>."""
-    nodes, phi, g = _evolve_with_generators(init, p, t, n_nodes)
-    dphi = np.einsum("mnab,nb->mna", g[idx], phi)
-    n = nodes.size
+    phi, dphi = _evolve_with_generators(init, p, t, idx, n_nodes)
+    n = phi.shape[0]
     m = len(idx)
     gram = np.zeros((m, m), dtype=complex)
     for a in range(m):

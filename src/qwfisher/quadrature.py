@@ -79,6 +79,7 @@ def adaptive_mean_over_bz(f, rel_tol: float = 1e-9, n0: int = 64,
     """
     n = int(n0)
     prev = None
+    err = None
     while n <= max_nodes:
         cur = mean_over_bz(f, *gauss_k_grid(n))
         if prev is not None:
@@ -88,6 +89,10 @@ def adaptive_mean_over_bz(f, rel_tol: float = 1e-9, n0: int = 64,
                 return cur, n
         prev = cur
         n *= 2
+    if err is None:
+        raise QuadratureError(
+            f"a budget of {max_nodes} nodes from n0={n0} allows no second "
+            "estimate to check convergence against")
     raise QuadratureError(
         f"no convergence to rel_tol={rel_tol} within {max_nodes} nodes "
         f"(last change {err:.3e})")

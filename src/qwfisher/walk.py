@@ -7,8 +7,10 @@ spinor at site ``origin + i``.
 
 Momentum-space picture: with spinor(k) = sum_x c_x e^{-ikx}, one step is
 multiplication by u(k) = diag(e^{-ik}, e^{ik}) @ C, so evolution
-factorises over k.  Both pictures are implemented and kept numerically
-interchangeable.
+factorises over k.  u(k) is in SU(2), so u(k)^t and the generator sums
+behind every parameter derivative have closed forms in t
+(:class:`SU2Powers`).  Both pictures are implemented and kept
+numerically interchangeable.
 """
 from __future__ import annotations
 
@@ -350,6 +352,40 @@ def spinors_at(s: WalkerState, k_nodes: np.ndarray) -> np.ndarray:
     return phases @ s.amps
 
 
+def k_grid_size(width: int, n_nodes: int | None = None) -> int:
+    """Uniform-grid node count for a window of ``width`` sites.
+
+    Products of two such spinors are trigonometric polynomials of degree
+    up to 2 * width, so fewer nodes alias; an AliasingError says how
+    many are needed.  The default picks the smallest adequate power of
+    two.
+    """
+    if n_nodes is None:
+        return dft_exact_nodes(2 * width)
+    if n_nodes < 2 * width:
+        raise AliasingError(
+            f"{n_nodes} nodes alias a window of {width} sites; "
+            f"need at least {2 * width}")
+    return int(n_nodes)
+
+
+def window_from_uniform(spinors: np.ndarray, origin: int,
+                        width: int) -> np.ndarray:
+    """Site amplitudes origin .. origin + width - 1 from uniform-grid spinors.
+
+    On the nodes k_j = -pi + 2 pi j / n the zone integral is
+
+        c_x = (1/n) sum_j spinor(k_j) e^{i k_j x}
+            = e^{-i pi x} ifft(spinor)[x mod n],
+
+    one FFT along the node axis (axis -2) for any leading batch shape.
+    """
+    n = spinors.shape[-2]
+    x = origin + np.arange(width)
+    sign = np.where(x % 2, -1.0, 1.0)[:, None]
+    return np.fft.ifft(spinors, axis=-2)[..., x % n, :] * sign
+
+
 def to_k_space(s: WalkerState, n_nodes: int | None = None) -> KSpinorGrid:
     """Sample the state on a uniform k-grid.
 
@@ -357,17 +393,10 @@ def to_k_space(s: WalkerState, n_nodes: int | None = None) -> KSpinorGrid:
     otherwise an AliasingError explains the required count.  The default
     picks the smallest adequate power of two.
     """
-    width = s.n_sites
-    if n_nodes is None:
-        n_nodes = dft_exact_nodes(2 * width)
-    if n_nodes < 2 * width:
-        raise AliasingError(
-            f"{n_nodes} nodes cannot faithfully represent a window of "
-            f"{width} sites; need at least {2 * width}")
-    nodes, weights = uniform_k_grid(n_nodes)
+    nodes, weights = uniform_k_grid(k_grid_size(s.n_sites, n_nodes))
     return KSpinorGrid(nodes=nodes, weights=weights,
                        spinors=spinors_at(s, nodes),
-                       origin=s.origin, n_sites=width,
+                       origin=s.origin, n_sites=s.n_sites,
                        steps_elapsed=s.steps_elapsed)
 
 
@@ -380,28 +409,109 @@ def from_k_space(g: KSpinorGrid) -> WalkerState:
                        steps_elapsed=g.steps_elapsed)
 
 
+@dataclass(frozen=True)
+class SU2Powers:
+    """Closed forms in t for a stack of SU(2) matrices u(k).
+
+    Write u = cos(om) - i sin(om) n.sigma.  Then
+
+        u^t = [sin(t om) / sin(om)] u - [sin((t-1) om) / sin(om)] 1,
+
+    and conjugation by u turns the Pauli vector of a traceless matrix by
+    2 om about n, so for O = v.sigma the generator sum
+    G(t) = sum_{m=1..t} u^m O u^{-m} is g(t).sigma with
+
+        g(t) = t (n.v) n + [sin(t om) cos((t+1) om) / sin(om)] v_perp
+                         + [sin(t om) sin((t+1) om) / sin(om)] n x v.
+
+    Both cost O(1) per matrix whatever t is.  They need sin(om) > 0; for
+    a walk coin sin(om) >= |sin theta| at every momentum.
+
+    The angle is kept folded into [0, pi/2]: u = sign * (cos(om) - i
+    w.sigma) with w = sin(om) n, om = atan2(|w|, |tr u| / 2) and
+    sign = +-1.  Near om = pi an unfolded angle carries an absolute
+    rounding error that is large against sin(om); the folded one stays
+    accurate to relative rounding.  Conjugation does not see the sign,
+    and u^t picks up sign^t.
+    """
+
+    u: np.ndarray           # (..., 2, 2)
+    sign: np.ndarray        # (...,), +-1 with sign * tr u >= 0
+    w: np.ndarray           # (..., 3), sin(om) n of sign * u
+    sin_omega: np.ndarray   # (...,), |w|
+    omega: np.ndarray       # (...,), folded angle om in [0, pi/2]
+
+    @classmethod
+    def of(cls, u) -> "SU2Powers":
+        """Read w = sin(om) n off the Pauli components of u."""
+        u = np.asarray(u, dtype=complex)
+        c = 0.5 * (u[..., 0, 0] + u[..., 1, 1]).real
+        sign = np.where(c < 0.0, -1.0, 1.0)
+        w = np.empty(c.shape + (3,))
+        w[..., 0] = -(u[..., 0, 1] + u[..., 1, 0]).imag
+        w[..., 1] = (u[..., 1, 0] - u[..., 0, 1]).real
+        w[..., 2] = (u[..., 1, 1] - u[..., 0, 0]).imag
+        w *= 0.5 * sign[..., None]
+        s = np.sqrt(np.einsum("...i,...i->...", w, w))
+        # atan2 keeps small angles accurate; arccos of the half trace
+        # would lose half the digits there
+        return cls(u=u, sign=sign, w=w, sin_omega=s,
+                   omega=np.arctan2(s, np.abs(c)))
+
+    def apply_power(self, phi: np.ndarray, t: int) -> np.ndarray:
+        """u^t phi for spinors phi (..., 2) broadcasting against the stack."""
+        t = int(t)
+        # sign^(t+1) on the u term and sign^t on the identity term
+        sign_a, sign_b = (1.0, self.sign) if t % 2 else (self.sign, 1.0)
+        a = sign_a * np.sin(t * self.omega) / self.sin_omega
+        b = sign_b * np.sin((t - 1) * self.omega) / self.sin_omega
+        u, p0, p1 = self.u, phi[..., 0], phi[..., 1]
+        out = np.empty(np.broadcast_shapes(a.shape, p0.shape) + (2,),
+                       dtype=complex)
+        out[..., 0] = a * (u[..., 0, 0] * p0 + u[..., 0, 1] * p1) - b * p0
+        out[..., 1] = a * (u[..., 1, 0] * p0 + u[..., 1, 1] * p1) - b * p1
+        return out
+
+    def generator_sums(self, o: np.ndarray, t: int) -> np.ndarray:
+        """G(t) for traceless generators o (m, 2, 2), shape (m, ..., 2, 2)."""
+        t = int(t)
+        o = np.asarray(o, dtype=complex)
+        # Pauli vector of each generator, broadcast against the stack
+        v = 0.5 * np.stack([o[:, 0, 1] + o[:, 1, 0],
+                            1j * (o[:, 0, 1] - o[:, 1, 0]),
+                            o[:, 0, 0] - o[:, 1, 1]], axis=-1)
+        v = v.reshape((v.shape[0],) + (1,) * (self.w.ndim - 1) + (3,))
+        n_hat = self.w / self.sin_omega[..., None]
+        st = np.sin(t * self.omega) / self.sin_omega
+        c_perp = (st * np.cos((t + 1) * self.omega))[..., None]
+        c_cross = (st * np.sin((t + 1) * self.omega))[..., None]
+        along = np.sum(n_hat * v, axis=-1, keepdims=True)
+        g = (c_perp * v + (t - c_perp) * along * n_hat
+             + c_cross * np.cross(n_hat, v))
+        out = np.empty(g.shape[:-1] + (2, 2), dtype=complex)
+        out[..., 0, 0] = g[..., 2]
+        out[..., 0, 1] = g[..., 0] - 1j * g[..., 1]
+        out[..., 1, 0] = g[..., 0] + 1j * g[..., 1]
+        out[..., 1, 1] = -g[..., 2]
+        return out
+
+
 def evolve_k(s: WalkerState, p: CoinParams, t: int,
              n_nodes: int | None = None) -> WalkerState:
-    """t steps through the momentum picture; equals :func:`evolve` exactly.
+    """t steps through the momentum picture; equals :func:`evolve` to rounding.
 
-    The node count must cover the final window (2 * (width + 2t)); the
-    default again rounds up to a power of two.
+    u(k)^t comes in closed form from :class:`SU2Powers` and one inverse
+    FFT returns to sites, so the cost is O(n log n) in the node count n
+    with no loop over t.  n must cover the final window (2 * (width +
+    2t)); the default again rounds up to a power of two.
     """
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")
-    final_width = s.n_sites + 2 * int(t)
-    if n_nodes is None:
-        n_nodes = dft_exact_nodes(2 * final_width)
-    if n_nodes < 2 * final_width:
-        raise AliasingError(
-            f"{n_nodes} nodes alias a final window of {final_width} sites; "
-            f"need at least {2 * final_width}")
-    g = to_k_space(s, n_nodes)
-    u = u_k(p, g.nodes)
-    spin = g.spinors
-    for _ in range(int(t)):
-        spin = np.einsum("kij,kj->ki", u, spin)
-    g2 = KSpinorGrid(nodes=g.nodes, weights=g.weights, spinors=spin,
-                     origin=s.origin - int(t), n_sites=final_width,
-                     steps_elapsed=s.steps_elapsed + int(t))
-    return from_k_space(g2)
+    t = int(t)
+    width = s.n_sites + 2 * t
+    nodes, _ = uniform_k_grid(k_grid_size(width, n_nodes))
+    phi = SU2Powers.of(u_k(p, nodes)).apply_power(spinors_at(s, nodes), t)
+    origin = s.origin - t
+    return WalkerState(origin=origin,
+                       amps=window_from_uniform(phi, origin, width),
+                       steps_elapsed=s.steps_elapsed + t)

@@ -96,3 +96,36 @@ def random_spinor(rng):
     z = rng.normal(size=4)
     chi = z[:2] + 1j * z[2:]
     return chi / np.linalg.norm(chi)
+
+
+def dcoin_dense(theta, alpha, beta):
+    """Entry-by-entry d(coin)/d(theta, alpha, beta) of :func:`coin_dense`."""
+    ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
+    ct, st = np.cos(theta), np.sin(theta)
+    return np.array([
+        [[-ea * st, eb * ct], [-ct / eb, -st / ea]],
+        [[1j * ea * ct, 0.0], [0.0, -1j * ct / ea]],
+        [[0.0, 1j * eb * st], [1j * st / eb, 0.0]],
+    ])
+
+
+def recurrence_powers_and_generators(theta, alpha, beta, k, phi0, t):
+    """Step-by-step u(k)^t phi0 and G_mu(t) = sum_{m=1..t} u^m O_mu u^-m.
+
+    Runs phi <- u phi and G <- u (O + G) u^dag t times at every momentum
+    in ``k``, with u(k) = diag(e^{-ik}, e^{ik}) C and O_mu = C^dag d_mu C
+    built from the dense coin.  Returns phi_t (n, 2) and G (3, n, 2, 2).
+    """
+    k = np.asarray(k, dtype=float)
+    c = coin_dense(theta, alpha, beta)
+    o = np.einsum("ba,mbc->mac", c.conj(), dcoin_dense(theta, alpha, beta))
+    u = np.zeros((k.size, 2, 2), dtype=complex)
+    u[:, 0, :] = np.exp(-1j * k)[:, None] * c[0]
+    u[:, 1, :] = np.exp(1j * k)[:, None] * c[1]
+    uh = np.conj(np.swapaxes(u, 1, 2))
+    phi = np.asarray(phi0, dtype=complex)
+    g = np.zeros((3, k.size, 2, 2), dtype=complex)
+    for _ in range(t):
+        g = u @ (g + o[:, None]) @ uh
+        phi = np.einsum("nab,nb->na", u, phi)
+    return phi, g

@@ -47,3 +47,11 @@ def test_dft_exact_nodes_covers_degree():
     assert dft_exact_nodes(7) == 8
     assert dft_exact_nodes(8) == 16
     assert dft_exact_nodes(100) == 128
+
+
+@pytest.mark.parametrize("max_nodes", [64, 100])
+def test_adaptive_mean_single_evaluation_budget_raises(max_nodes):
+    # room for the n0 estimate only: nothing to compare it against
+    with pytest.raises(QuadratureError):
+        adaptive_mean_over_bz(lambda k: np.cos(k) ** 2, n0=64,
+                              max_nodes=max_nodes)
