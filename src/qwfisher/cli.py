@@ -23,6 +23,7 @@ imports here live inside the command functions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -231,6 +232,16 @@ def _echo_comment(echo) -> list:
     ]
 
 
+@contextlib.contextmanager
+def _output_errors():
+    """A write that the file system refuses becomes a ConfigError (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def _write_report(path, echo, body: dict) -> None:
     from ._io import SCHEMA_VERSION, write_json
     from . import __version__
@@ -238,16 +249,18 @@ def _write_report(path, echo, body: dict) -> None:
                "qwfisher_version": __version__,
                "config": echo}
     payload.update(body)
-    write_json(path, payload)
+    with _output_errors():
+        write_json(path, payload)
 
 
 def _write_table(prefix, stem, table, echo) -> list:
     csv_path = f"{prefix}_{stem}.csv"
     json_path = f"{prefix}_{stem}.json"
-    table.to_csv(csv_path, comments=_echo_comment(echo))
     from . import __version__
-    table.to_json(json_path, extra_meta={"config": echo,
-                                         "qwfisher_version": __version__})
+    with _output_errors():
+        table.to_csv(csv_path, comments=_echo_comment(echo))
+        table.to_json(json_path, extra_meta={"config": echo,
+                                             "qwfisher_version": __version__})
     return [csv_path, json_path]
 
 
@@ -397,7 +410,8 @@ def cmd_qfim(ns, echo) -> int:
 
     prefix = _prefix(ns, "qfim")
     csv_path = f"{prefix}_report.csv"
-    _StrColumnTable(cols).to_csv(csv_path, comments=_echo_comment(echo))
+    with _output_errors():
+        _StrColumnTable(cols).to_csv(csv_path, comments=_echo_comment(echo))
     body = {
         "params": list(params),
         "routes": {route: {
@@ -564,7 +578,8 @@ def cmd_case(ns, echo) -> int:
     prefix = _prefix(ns, f"case_{ns.which}")
     cols = _matrix_rows(labels, ("f_physical", f_phys.entries))
     csv_path = f"{prefix}_report.csv"
-    _StrColumnTable(cols).to_csv(csv_path, comments=_echo_comment(echo))
+    with _output_errors():
+        _StrColumnTable(cols).to_csv(csv_path, comments=_echo_comment(echo))
     json_path = f"{prefix}_report.json"
     _write_report(json_path, echo, body)
 

@@ -3,9 +3,9 @@
 The measurement is position-only (coin traced out).  Sampling is
 multinomial with a counter-based generator so every record is a pure
 function of (seed, config).  The likelihood over a (theta, alpha) grid
-is evaluated from a shared probability table; fits refine the grid
-argmax by Fisher scoring with exact scores from the derivative-state
-engine.
+is evaluated from a shared log-probability table; fits refine the grid
+argmax by Fisher scoring with exact scores, each from one run of the
+closed-form engine.
 """
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import derivative_state
-from .walk import (CoinParams, SU2Powers, WalkerState, coin_matrix, evolve,
-                   k_grid_size, spinors_at, window_from_uniform)
+from .oracle import _evolve_with_generators
+from .walk import (PARAM_NAMES, CoinParams, SU2Powers, WalkerState,
+                   coin_matrix, k_grid_size, window_from_uniform)
 from .quadrature import uniform_k_grid
 
 MASS_THRESHOLD = 1e-12
@@ -126,28 +126,37 @@ def sample(dist: PositionDistribution, shots: int, seed: int,
 # classical information
 
 
-def _prob_derivatives(p: CoinParams, init: WalkerState, t: int, params,
-                      method: str = "sum"):
-    """(sites, probs, dprobs) with dp_mu(x) = 2 Re conj(amp) d_mu amp."""
-    psi = evolve(init, p, t)
-    dprobs = []
+def _prob_derivatives(p: CoinParams, init: WalkerState, t: int, params):
+    """(sites, probs, dprobs) with dp_mu(x) = 2 Re conj(amp) d_mu amp.
+
+    One engine run gives the evolved k-spinor and its derivatives, and
+    one inverse FFT takes all of them to sites.
+    """
     for mu in params:
-        d = derivative_state(init, p, t, mu, method=method)
-        if d.origin != psi.origin or d.amps.shape != psi.amps.shape:
-            raise RuntimeError("derivative window misaligned with the state")
-        dprobs.append(2.0 * np.sum((psi.amps.conj() * d.amps).real, axis=1))
-    return psi.sites, np.sum(np.abs(psi.amps) ** 2, axis=1), np.array(dprobs)
+        if mu not in PARAM_NAMES:
+            raise ValueError(f"unknown parameter {mu!r}; "
+                             f"choose from {PARAM_NAMES}")
+    t = int(t)
+    phi, dphi = _evolve_with_generators(
+        init, p, t, [PARAM_NAMES.index(mu) for mu in params])
+    origin = init.origin - t
+    amps = window_from_uniform(np.concatenate([phi[None], dphi]), origin,
+                               init.n_sites + 2 * t)
+    psi, dpsi = amps[0], amps[1:]
+    dprobs = 2.0 * np.einsum("xc,mxc->mx", psi.conj(), dpsi).real
+    return (origin + np.arange(psi.shape[0]),
+            np.sum(np.abs(psi) ** 2, axis=1), dprobs)
 
 
 def classical_fi(p: CoinParams, init: WalkerState, t: int,
-                 params=("theta", "alpha"), method: str = "sum") -> np.ndarray:
+                 params=("theta", "alpha")) -> np.ndarray:
     """Fisher information of the position outcome, I_uv = sum dp dp / p.
 
     Bins with mass below 1e-12 are excluded.  For special inputs the
     alpha sensitivity of the marginal can vanish; the zero rows are
     reported as computed.
     """
-    _, probs, dprobs = _prob_derivatives(p, init, t, params, method)
+    _, probs, dprobs = _prob_derivatives(p, init, t, params)
     mask = probs > MASS_THRESHOLD
     w = dprobs[:, mask] / np.sqrt(probs[mask])
     return w @ w.T
@@ -188,51 +197,88 @@ class LikelihoodTable:
     t: int
     sites: np.ndarray
     probs: np.ndarray            # (n_theta, n_alpha, n_sites)
+    logp: np.ndarray             # log(max(probs, 1e-300))
     init_amps: np.ndarray
     init_origin: int
 
 
+# complex entries per chunk of amplitude rows: 2**20 of them is 16 MB
+_CHUNK_ENTRIES = 1 << 20
+
+
 def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
-                          grid: GridSpec | None = None,
-                          chunk: int = 2048) -> LikelihoodTable:
+                          grid: GridSpec | None = None) -> LikelihoodTable:
     """Tabulate p(x | theta, alpha) over the grid at fixed beta = p_true.beta.
 
-    One-time cost shared by every record fitted against the same model;
-    u^t comes in closed form per momentum node (:class:`SU2Powers`), so
-    t enters only through the window width.
+    One-time cost shared by every record fitted against the same model.
+    The coin factorises as C(theta, alpha, beta) = D(a1) R(theta) D(a2)
+    with D(a) = diag(e^{ia}, e^{-ia}), a1 = (alpha + beta)/2,
+    a2 = (alpha - beta)/2 and R(theta) = [[cos, sin], [-sin, cos]].
+    Coin phases commute with the shift S, and S D(alpha) = G S G^-1 with
+    G = e^{i alpha x}, so
+
+        W^t = D(-a2) G (S R(theta))^t G^-1 D(a2).
+
+    The phases on the left do not change p(x), hence
+
+        p(x | theta, alpha) = sum_c |[(S R(theta))^t psi_alpha](x, c)|^2,
+        psi_alpha(y, c) = e^{-i alpha y} e^{+-i a2} psi_0(y, c).
+
+    So (S R(theta))^t runs once per theta, in closed form per momentum
+    node (:class:`SU2Powers`) on the 2 n0 unit inputs |y, c> of the
+    input window, with one inverse FFT; alpha then enters as one complex
+    matmul of those columns with the phased input.  The cost is
+    O(n_theta * n_nodes * n0) for the powers plus the
+    (n_theta * 2 width, 2 n0) x (2 n0, n_alpha) product, and t enters
+    only through the window width.
     """
     grid = grid or GridSpec()
     thetas, alphas = grid.axes()
-    width = init.n_sites + 2 * int(t)
+    t = int(t)
+    width = init.n_sites + 2 * t
     nodes, _ = uniform_k_grid(k_grid_size(width))
-    phi0 = spinors_at(init, nodes)
+    # sin^2 om = 1 - cos^2 theta cos^2 (k - alpha) on every cell and node,
+    # smallest at the largest cos^2 theta and cos^2 (k - alpha)
+    sin2_k = np.min(np.sin(nodes[:, None] - alphas[None, :]) ** 2)
+    sin2_omega = np.sin(thetas) ** 2 + np.cos(thetas) ** 2 * sin2_k
+    if np.sqrt(np.min(sin2_omega)) < 1e-6:
+        raise ValueError("grid touches a degenerate quasi-energy; "
+                         "shrink the box or step explicitly")
+
+    # (S R(theta))^t on the unit inputs, all thetas: (n_theta, 2 n0, 2 width);
+    # row scaling gives u(k) = diag(e^{-ik}, e^{ik}) R(theta) at every node
     phases = np.column_stack([np.exp(-1j * nodes), np.exp(1j * nodes)])
-    origin = init.origin - int(t)
-    tt, aa = np.meshgrid(thetas, alphas, indexing="ij")
-    pairs = np.column_stack([tt.ravel(), aa.ravel()])
-    out = np.empty((pairs.shape[0], width))
-    for lo in range(0, pairs.shape[0], chunk):
-        sl = slice(lo, min(lo + chunk, pairs.shape[0]))
-        th, al = pairs[sl, 0], pairs[sl, 1]
-        coins = np.empty((th.size, 2, 2), dtype=complex)
-        ct, st = np.cos(th), np.sin(th)
-        ea, eb = np.exp(1j * al), np.exp(1j * p_true.beta)
-        coins[:, 0, 0] = ea * ct
-        coins[:, 0, 1] = eb * st
-        coins[:, 1, 0] = -st / eb
-        coins[:, 1, 1] = ct / ea
-        # row scaling implements diag(e^{-ik}, e^{ik}) C at every node
-        powers = SU2Powers.of(phases[None, :, :, None] * coins[:, None, :, :])
-        if np.min(powers.sin_omega) < 1e-6:
-            raise ValueError("grid touches a degenerate quasi-energy; "
-                             "shrink the box or step explicitly")
-        amps = window_from_uniform(powers.apply_power(phi0, int(t)),
-                                   origin, width)
-        out[sl] = np.sum(np.abs(amps) ** 2, axis=2)
-    probs = out.reshape(grid.n_theta, grid.n_alpha, width)
-    return LikelihoodTable(grid=grid, beta=p_true.beta, t=int(t),
+    powers = SU2Powers.of(phases[None, None, :, :, None]
+                          * coin_matrix(thetas, 0.0, 0.0)[:, None, None])
+    n0 = init.n_sites
+    # spinor of |y, c> is e^{-iky} e_c: (n0, 2, n_nodes, 2)
+    unit = (np.exp(-1j * np.outer(init.sites, nodes))[:, None, :, None]
+            * np.eye(2)[:, None, :])
+    origin = init.origin - t
+    columns = window_from_uniform(
+        powers.apply_power(unit.reshape(2 * n0, nodes.size, 2), t),
+        origin, width).reshape(thetas.size, 2 * n0, 2 * width)
+
+    # psi_alpha on the unit inputs: (n_alpha, 2 n0)
+    a2 = 0.5 * (alphas - p_true.beta)
+    mix = (np.exp(-1j * np.outer(alphas, init.sites))[:, :, None]
+           * np.exp(1j * np.outer(a2, [1.0, -1.0]))[:, None, :]
+           * init.amps[None]).reshape(alphas.size, 2 * n0)
+
+    probs = np.empty((thetas.size, alphas.size, width))
+    step = max(1, _CHUNK_ENTRIES // (alphas.size * 2 * width))
+    for lo in range(0, thetas.size, step):
+        sl = slice(lo, lo + step)
+        # re and im of both coin components: 4 floats per site
+        amps = np.matmul(mix, columns[sl]).view(float)
+        amps = amps.reshape(amps.shape[0], alphas.size, width, 4)
+        probs[sl] = np.einsum("...i,...i->...", amps, amps)
+    logp = np.maximum(probs, 1e-300)
+    np.log(logp, out=logp)
+    return LikelihoodTable(grid=grid, beta=p_true.beta, t=t,
                            sites=origin + np.arange(width), probs=probs,
-                           init_amps=init.amps.copy(), init_origin=init.origin)
+                           logp=logp, init_amps=init.amps.copy(),
+                           init_origin=init.origin)
 
 
 def _connected_from_argmax(mask: np.ndarray, start) -> np.ndarray:
@@ -300,10 +346,7 @@ def mle_fit(rec: MeasurementRecord, init: WalkerState | None = None,
     if rec.t != table.t:
         raise ValueError(f"record t={rec.t} disagrees with the table t={table.t}")
     counts = rec.count_vector(table.sites)
-    observed = counts > 0
-    with np.errstate(divide="ignore"):
-        logp = np.log(np.clip(table.probs[:, :, observed], 1e-300, None))
-    loglik = logp @ counts[observed]
+    loglik = table.logp @ counts
     flat_idx = int(np.argmax(loglik))
     it, ia = np.unravel_index(flat_idx, loglik.shape)
     thetas, alphas = table.grid.axes()

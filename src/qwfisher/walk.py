@@ -68,16 +68,20 @@ class CoinParams:
 PARAM_NAMES = ("theta", "alpha", "beta")
 
 
-def coin_matrix(theta: float, alpha: float, beta: float) -> np.ndarray:
+def coin_matrix(theta, alpha, beta) -> np.ndarray:
     """Raw coin matrix; no domain validation.
 
     [[ e^{i alpha} cos(theta),  e^{i beta} sin(theta)],
      [-e^{-i beta} sin(theta),  e^{-i alpha} cos(theta)]]
+
+    An array of angles gives a (..., 2, 2) stack.  theta may be an array
+    on its own; alpha and beta are then scalars or of theta's shape.
     """
     ct, st = np.cos(theta), np.sin(theta)
     ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
-    return np.array([[ea * ct, eb * st],
-                     [-st / eb, ct / ea]], dtype=complex)
+    m = np.array([[ea * ct, eb * st],
+                  [-st / eb, ct / ea]], dtype=complex)
+    return np.transpose(m, (*range(2, m.ndim), 0, 1))
 
 
 def build_coin(p: CoinParams) -> np.ndarray:
@@ -424,8 +428,10 @@ class SU2Powers:
         g(t) = t (n.v) n + [sin(t om) cos((t+1) om) / sin(om)] v_perp
                          + [sin(t om) sin((t+1) om) / sin(om)] n x v.
 
-    Both cost O(1) per matrix whatever t is.  They need sin(om) > 0; for
-    a walk coin sin(om) >= |sin theta| at every momentum.
+    Both cost O(1) per matrix whatever t is.  For a walk coin
+    sin(om) >= |sin theta| at every momentum.  At u = +-1 (w = 0) |w| is
+    raised to the smallest normal float, so the ratios take their limits
+    sin(m om) / sin(om) -> m there and G(t) = t O.
 
     The angle is kept folded into [0, pi/2]: u = sign * (cos(om) - i
     w.sigma) with w = sin(om) n, om = atan2(|w|, |tr u| / 2) and
@@ -438,7 +444,7 @@ class SU2Powers:
     u: np.ndarray           # (..., 2, 2)
     sign: np.ndarray        # (...,), +-1 with sign * tr u >= 0
     w: np.ndarray           # (..., 3), sin(om) n of sign * u
-    sin_omega: np.ndarray   # (...,), |w|
+    sin_omega: np.ndarray   # (...,), |w|, at least the smallest normal
     omega: np.ndarray       # (...,), folded angle om in [0, pi/2]
 
     @classmethod
@@ -452,7 +458,8 @@ class SU2Powers:
         w[..., 1] = (u[..., 1, 0] - u[..., 0, 1]).real
         w[..., 2] = (u[..., 1, 1] - u[..., 0, 0]).imag
         w *= 0.5 * sign[..., None]
-        s = np.sqrt(np.einsum("...i,...i->...", w, w))
+        s = np.maximum(np.sqrt(np.einsum("...i,...i->...", w, w)),
+                       np.finfo(float).tiny)
         # atan2 keeps small angles accurate; arccos of the half trace
         # would lose half the digits there
         return cls(u=u, sign=sign, w=w, sin_omega=s,

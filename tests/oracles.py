@@ -129,3 +129,22 @@ def recurrence_powers_and_generators(theta, alpha, beta, k, phi0, t):
         g = u @ (g + o[:, None]) @ uh
         phi = np.einsum("nab,nb->na", u, phi)
     return phi, g
+
+
+def three_run_prob_derivatives(init, p, t, params):
+    """Position probabilities and their derivatives from separate runs.
+
+    The state comes from the position-space ``evolve`` and each d_mu psi
+    from its own ``derivative_state`` call, so the fused single-run
+    score of the estimator is checked against independently evolved
+    states.  Returns (sites, probs, dprobs) like ``_prob_derivatives``.
+    """
+    from qwfisher import derivative_state, evolve
+
+    psi = evolve(init, p, t)
+    dprobs = []
+    for mu in params:
+        d = derivative_state(init, p, t, mu)
+        assert d.origin == psi.origin and d.amps.shape == psi.amps.shape
+        dprobs.append(2.0 * np.sum((psi.amps.conj() * d.amps).real, axis=1))
+    return psi.sites, np.sum(np.abs(psi.amps) ** 2, axis=1), np.array(dprobs)

@@ -89,12 +89,16 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     (["qfim", "--params", "theta,zeta"], 2),
     (["case", "magnetic"], 2),                             # missing --b2
     (["estimate", "--init", "sideways:1"], 2),
+    (["evolve", "--t", "5", "--out", "missing_dir/x"], 2),   # unwritable
+    (["estimate", "--t", "5", "--shots", "10", "--grid-n", "8",
+      "--out", "missing_dir/x"], 2),
 ])
 def test_exit_codes(workdir, capsys, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err
     expected = {4: "model error", 3: "numerical error", 2: "config error"}
     assert expected[code] in err
+    assert "Traceback" not in err
 
 
 def test_thread_cap_validation(workdir, capsys, monkeypatch):

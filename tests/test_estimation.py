@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from qwfisher import (CoinParams, GridSpec, MeasurementRecord, classical_fi,
-                      evolve, initial_entangled, initial_gamma,
+from qwfisher import (CoinParams, GridSpec, MeasurementRecord, WalkerState,
+                      classical_fi, evolve, initial_entangled, initial_gamma,
                       initial_localized, make_likelihood_table, mle_fit,
                       philox_rng, position_distribution, qfim_exact, sample)
-from qwfisher.estimation import PositionDistribution, _connected_from_argmax
+from qwfisher.estimation import (PositionDistribution, _connected_from_argmax,
+                                 _prob_derivatives)
+
+from oracles import three_run_prob_derivatives
 
 
 def integer_counts(dist, shots):
@@ -133,6 +136,18 @@ class TestClassicalFisher:
                 - classical_fi(p, init, t)
             assert np.linalg.eigvalsh(gap).min() >= -1e-8
 
+    @pytest.mark.parametrize("t", [1, 7, 50])
+    def test_one_run_score_matches_three_runs(self, t):
+        p = CoinParams(0.85, 0.6, -0.3)
+        init = initial_entangled(-3, 2)
+        params = ("theta", "alpha", "beta")
+        sites, probs, dprobs = _prob_derivatives(p, init, t, params)
+        ref_sites, ref_probs, ref_dprobs = three_run_prob_derivatives(
+            init, p, t, params)
+        assert np.array_equal(sites, ref_sites)
+        assert np.abs(probs - ref_probs).max() <= 1e-12
+        assert np.abs(dprobs - ref_dprobs).max() <= 1e-12
+
     def test_flat_alpha_direction_reported_as_zero(self):
         p = CoinParams(math.pi / 4, 0.3, 0.0)
         fi = classical_fi(p, initial_entangled(0, 1), 25)
@@ -141,22 +156,53 @@ class TestClassicalFisher:
 
 
 class TestLikelihoodTable:
-    def test_matches_direct_evolution_at_grid_points(self):
-        init = initial_gamma(0.9)
-        p_true = CoinParams(0.7, 0.2, 0.4)
-        grid = GridSpec(theta_min=0.5, theta_max=0.9, alpha_min=-0.2,
-                        alpha_max=0.6, n_theta=3, n_alpha=5)
-        table = make_likelihood_table(init, p_true, 12, grid)
+    @pytest.mark.parametrize("init,p_true,t,box", [
+        (initial_gamma(0.9), CoinParams(0.7, 0.2, 0.4), 12,
+         (0.5, 0.9, -0.2, 0.6)),
+        (initial_entangled(-3, 2), CoinParams(0.7, 0.2, 0.4), 12,
+         (0.5, 0.9, -0.2, 0.6)),
+        (initial_localized(4, spinor=np.array([0.6, 0.8j])),
+         CoinParams(0.7, 0.2, -1.1), 12, (0.5, 0.9, -0.2, 0.6)),
+        (initial_gamma(0.4), CoinParams(0.7, 0.2, 2.3), 9,
+         (0.3, 1.4, -2.5, 2.6)),
+        (WalkerState(origin=-2, amps=np.array(
+            [[0.5, 0.1j], [0.0, -0.4 + 0.3j], [0.2 - 0.6j, 0.3]])),
+         CoinParams(0.6, -0.3, 0.8), 15,
+         (0.4, 1.2, -1.0, 1.3)),
+        # alpha stays off the momentum nodes, so theta ~ 0 is accepted
+        (initial_gamma(0.9), CoinParams(0.7, 0.2, 0.4), 200,
+         (1e-9, 0.9, -0.21, 0.6)),
+    ], ids=["gamma", "entangled", "localized-complex", "wide-alpha-beta",
+            "spread-superposition", "tiny-theta-t200"])
+    def test_matches_direct_evolution_at_grid_points(self, init, p_true, t,
+                                                     box):
+        grid = GridSpec(theta_min=box[0], theta_max=box[1],
+                        alpha_min=box[2], alpha_max=box[3], n_theta=3,
+                        n_alpha=5)
+        table = make_likelihood_table(init, p_true, t, grid)
         thetas, alphas = grid.axes()
-        for it in (0, 1, 2):
-            for ia in (0, 2, 4):
+        lookup = {int(x): i for i, x in enumerate(table.sites)}
+        for it in range(3):
+            for ia in range(5):
                 pd = position_distribution(evolve(
-                    init, CoinParams(thetas[it], alphas[ia], p_true.beta), 12))
+                    init, CoinParams(thetas[it], alphas[ia], p_true.beta), t))
                 direct = np.zeros(table.sites.size)
-                lookup = {int(x): i for i, x in enumerate(table.sites)}
                 for x, pr in zip(pd.sites, pd.probs):
                     direct[lookup[int(x)]] = pr
                 assert np.abs(table.probs[it, ia] - direct).max() <= 1e-10
+
+    def test_theta_zero_row_is_a_pure_shift(self):
+        # sin(theta) = 0 makes u(k) = +-1 at k = 0, -pi; the closed form
+        # then takes its limit instead of dividing by zero
+        init = initial_gamma(0.9)
+        grid = GridSpec(theta_min=0.0, theta_max=0.9, alpha_min=-0.21,
+                        alpha_max=0.6, n_theta=3, n_alpha=5)
+        table = make_likelihood_table(init, CoinParams(0.7, 0.2, 0.4), 20,
+                                      grid)
+        shifted = np.zeros(table.sites.size)
+        shifted[table.sites == 20] = 0.5       # coin 0 hops right t times
+        shifted[table.sites == -20] = 0.5      # coin 1 hops left
+        assert np.abs(table.probs[0] - shifted).max() <= 1e-12
 
     def test_degenerate_grid_rejected(self):
         # the box has to reach a flat quasi-energy: theta ~ 0 with alpha
@@ -222,6 +268,20 @@ class TestMLE:
                                   seed=rec.seed)
         with pytest.raises(ValueError, match="disagrees"):
             mle_fit(other, table=table)
+
+    def test_stored_log_table_gives_the_loglik(self):
+        p_true = CoinParams(0.7, 0.1, 0.0)
+        init = initial_gamma(0.5)
+        table = make_likelihood_table(
+            init, p_true, 10, GridSpec(theta_min=0.5, theta_max=0.9,
+                                       n_theta=4, n_alpha=4))
+        rec = sample(position_distribution(evolve(init, p_true, 10)), 1000,
+                     seed=1)
+        counts = rec.count_vector(table.sites)
+        observed = counts > 0
+        fresh = np.log(table.probs[:, :, observed]) @ counts[observed]
+        assert np.abs(table.logp @ counts - fresh).max() \
+            <= 1e-12 * np.abs(fresh).max()
 
     def test_needs_table_or_state(self):
         rec = MeasurementRecord(t=2, shots=1, counts={0: 1}, seed=0)
