@@ -14,9 +14,9 @@ import importlib
 
 from . import errors
 from .errors import (AliasingError, ChargeUnidentifiable, ConfigError,
-                     DegenerateK, DegenerateWalk, IncompatibleModel,
-                     NoConvergence, OutOfWindow, QuadratureError, QwfError,
-                     SingularFisher, SingularJacobian)
+                     DegenerateWalk, IncompatibleModel, NoConvergence,
+                     OutOfWindow, QuadratureError, QwfError, SingularFisher,
+                     SingularJacobian)
 
 __version__ = "0.1.0"
 
@@ -32,28 +32,23 @@ _EXPORTS = {
                    "MeasurementRecord", "PositionDistribution",
                    "classical_fi", "make_likelihood_table", "mle_fit",
                    "philox_rng", "position_distribution", "sample"],
-    "oracle": ["AmplitudeWindow", "coin_generators", "derivative_state",
-               "qfim_exact", "uhlmann_exact"],
-    "qfim": ["QFIMatrix", "beta_null_check", "o_vector", "qfim_first_term",
+    "oracle": ["AmplitudeWindow", "derivative_state", "qfim_exact",
+               "uhlmann_exact"],
+    "qfim": ["QFIMatrix", "beta_null_check", "qfim_first_term",
              "qfim_localized", "qfim_max_diag", "qfim_theorem1",
              "single_param_qfi", "uhlmann_analytic"],
-    "superop": ["Bloch4", "SpectralData", "Superop4", "from_bloch",
-                "projector_A1", "spectral", "superop_matrix", "to_bloch"],
-    "walk": ["CoinBlochState", "CoinParams", "KSpinorGrid", "WalkerState",
-             "build_coin", "coin_matrix", "evolve", "evolve_k",
-             "from_k_space", "initial_entangled", "initial_gamma",
-             "initial_localized", "make_initial", "step", "to_k_space",
-             "u_k"],
+    "walk": ["CoinBlochState", "CoinParams", "WalkerState", "build_coin",
+             "coin_matrix", "evolve", "evolve_k", "initial_entangled",
+             "initial_gamma", "initial_localized", "make_initial", "u_k"],
 }
 
 _ATTR_TO_MODULE = {name: mod for mod, names in _EXPORTS.items()
                    for name in names}
 
 __all__ = sorted(_ATTR_TO_MODULE) + [
-    "AliasingError", "ChargeUnidentifiable", "ConfigError", "DegenerateK",
-    "DegenerateWalk", "IncompatibleModel", "NoConvergence", "OutOfWindow",
-    "QuadratureError", "QwfError", "SingularFisher", "SingularJacobian",
-    "errors",
+    "AliasingError", "ChargeUnidentifiable", "ConfigError", "DegenerateWalk",
+    "IncompatibleModel", "NoConvergence", "OutOfWindow", "QuadratureError",
+    "QwfError", "SingularFisher", "SingularJacobian", "errors",
 ]
 
 

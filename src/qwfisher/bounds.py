@@ -57,15 +57,12 @@ def _fisher_block(f) -> tuple[np.ndarray, tuple]:
     return arr, ("theta", "alpha")[:arr.shape[0]]
 
 
-def _inverse_2x2(f: np.ndarray, labels) -> np.ndarray:
-    """Adjugate inverse with a relative-determinant singularity gate."""
-    if f.shape == (1, 1):
-        if abs(f[0, 0]) <= REL_DET_FLOOR:
-            raise SingularFisher(f"information for {labels[0]!r} vanishes",
-                                 parameter=labels[0])
-        return np.array([[1.0 / f[0, 0]]])
-    if f.shape != (2, 2):
-        raise ValueError(f"bounds are defined on 1x1 or 2x2 blocks, got {f.shape}")
+def _det_2x2(f: np.ndarray, labels) -> float:
+    """Determinant of a 2x2 block behind a relative-determinant singularity gate.
+
+    The SingularFisher raised names the smaller diagonal entry as the
+    flat direction.
+    """
     det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
     scale = max(float(np.max(np.abs(f))), 1e-300)
     if det <= REL_DET_FLOOR * scale ** 2:
@@ -73,6 +70,19 @@ def _inverse_2x2(f: np.ndarray, labels) -> np.ndarray:
         raise SingularFisher(
             f"information matrix is singular (det/scale^2 = {det / scale**2:.3e}); "
             f"flat direction {flat!r}", parameter=flat)
+    return det
+
+
+def _inverse_2x2(f: np.ndarray, labels) -> np.ndarray:
+    """Adjugate inverse of a 1x1 or 2x2 block, refusing singular ones."""
+    if f.shape == (1, 1):
+        if abs(f[0, 0]) <= REL_DET_FLOOR:
+            raise SingularFisher(f"information for {labels[0]!r} vanishes",
+                                 parameter=labels[0])
+        return np.array([[1.0 / f[0, 0]]])
+    if f.shape != (2, 2):
+        raise ValueError(f"bounds are defined on 1x1 or 2x2 blocks, got {f.shape}")
+    det = _det_2x2(f, labels)
     return np.array([[f[1, 1], -f[0, 1]], [-f[1, 0], f[0, 0]]]) / det
 
 
@@ -116,13 +126,7 @@ def incompatibility_R(f, d) -> float:
         raise ValueError(f"curvature shape {dmat.shape} does not match {mat.shape}")
     if mat.shape == (1, 1):
         return 0.0
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    scale = max(float(np.max(np.abs(mat))), 1e-300)
-    if det <= REL_DET_FLOOR * scale ** 2:
-        flat = labels[int(mat[1, 1] <= mat[0, 0])]
-        raise SingularFisher("information matrix is singular in R evaluation",
-                             parameter=flat)
-    r = abs(dmat[0, 1]) / np.sqrt(det)
+    r = abs(dmat[0, 1]) / np.sqrt(_det_2x2(mat, labels))
     if 1.0 < r < 1.0 + 1e-9:
         return 1.0
     return float(r)

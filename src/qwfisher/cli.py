@@ -28,10 +28,9 @@ import json
 import os
 import sys
 
-from .errors import (ChargeUnidentifiable, ConfigError, DegenerateK,
-                     DegenerateWalk, IncompatibleModel, NoConvergence,
-                     OutOfWindow, QuadratureError, SingularFisher,
-                     SingularJacobian)
+from .errors import (ChargeUnidentifiable, ConfigError, DegenerateWalk,
+                     IncompatibleModel, NoConvergence, OutOfWindow,
+                     QuadratureError, SingularFisher, SingularJacobian)
 
 _UNSET = object()
 
@@ -337,15 +336,10 @@ def _route_column(route: str) -> str:
     return "f_" + route.replace("-", "_")
 
 
-def _bloch_of_spinor(chi):
-    import numpy as np
-    from .superop import PAULI
-    return np.real(np.einsum("a,iab,b->i", chi.conj(), PAULI[1:], chi))
-
-
 def _qfim_by_route(route, p, init, t, params, ns):
     from .oracle import qfim_exact, uhlmann_exact
-    from .qfim import qfim_localized, qfim_theorem1, uhlmann_analytic
+    from .qfim import (QFIMatrix, _rho_bloch, qfim_localized, qfim_theorem1,
+                       uhlmann_analytic)
 
     if route == "analytic":
         f = qfim_theorem1(p, init, t, params=params, rel_tol=ns.rel_tol,
@@ -358,9 +352,8 @@ def _qfim_by_route(route, p, init, t, params, ns):
         if init.n_sites != 1:
             raise ConfigError("the localized closed form needs a single-site "
                               "input; use --init localized:X")
-        r = _bloch_of_spinor(init.amps[0])
+        r = _rho_bloch(init.amps[0])[1:]
         f = qfim_localized(p.theta, p.alpha - p.beta, r, t)
-        from .qfim import QFIMatrix
         relabeled = QFIMatrix(entries=f.entries, labels=("theta", "alpha"),
                               t=t, asymptotic=True)
         return relabeled, uhlmann_analytic(p, init, t, params=params)
@@ -756,7 +749,7 @@ def main(argv=None) -> int:
         echo = ns._cmd.resolve(ns)
         return ns._cmd.func(ns, echo)
     except (SingularFisher, IncompatibleModel, ChargeUnidentifiable,
-            SingularJacobian, DegenerateWalk, DegenerateK, OutOfWindow) as exc:
+            SingularJacobian, DegenerateWalk, OutOfWindow) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 4
     except (QuadratureError, NoConvergence) as exc:

@@ -35,10 +35,6 @@ class NoConvergence(QwfError):
         self.iterations = iterations
 
 
-class DegenerateK(QwfError):
-    """Spectral decomposition requested at a quasi-degenerate momentum."""
-
-
 class DegenerateWalk(QwfError):
     """Coin angles sit at a degenerate point (sin theta = 0)."""
 

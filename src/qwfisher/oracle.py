@@ -5,9 +5,10 @@ of the evolved state come from the generator sums in momentum space,
 
     d_mu |psi_t> = G_mu(t) |psi_t>,   G_mu(t) = sum_{m=1..t} u^m O_mu u^{-m},
 
-with O_mu = C^dag d_mu C.  Conjugation by u(k) = cos w - i sin w n.sigma
-turns Pauli vectors by 2w about n, so with O_mu = v.sigma the sum is a
-geometric series with the closed form
+with O_mu = C^dag d_mu C = (i/2) w_mu.sigma (w_mu real, from
+:func:`walk.generator_spatial`).  Conjugation by u(k) = cos w - i sin w
+n.sigma turns Pauli vectors by 2w about n, so with O_mu = v.sigma,
+v = (i/2) w_mu, the sum is a geometric series with the closed form
 
     g(t) = t (n.v) n + [sin tw cos (t+1)w / sin w] v_perp
                      + [sin tw sin (t+1)w / sin w] n x v,
@@ -31,8 +32,8 @@ import numpy as np
 from .qfim import QFIMatrix
 from .quadrature import uniform_k_grid
 from .walk import (PARAM_NAMES, CoinParams, SU2Powers, WalkerState,
-                   build_coin, dcoin_matrix, evolve, k_grid_size, spinors_at,
-                   u_k, window_from_uniform)
+                   generator_spatial, k_grid_size, spinors_at, u_k,
+                   window_from_uniform)
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,6 @@ class AmplitudeWindow:
         return self.origin + np.arange(self.amps.shape[0])
 
 
-def coin_generators(p: CoinParams) -> np.ndarray:
-    """O_mu = C^dag dC/dmu for mu = (theta, alpha, beta), shape (3, 2, 2).
-
-    Momentum independent: the shift phases commute out of u^dag d_mu u.
-    """
-    c = build_coin(p)
-    return np.einsum("ba,mbc->mac", c.conj(), dcoin_matrix(p))
-
-
 def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx,
                             n_nodes: int | None = None):
     """Evolved k-spinors and their derivatives on a uniform grid.
@@ -73,38 +65,30 @@ def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx,
     nodes, _ = uniform_k_grid(k_grid_size(init.n_sites + 2 * t, n_nodes))
     powers = SU2Powers.of(u_k(p, nodes))
     phi = powers.apply_power(spinors_at(init, nodes), t)
-    g = powers.generator_sums(coin_generators(p)[idx], t)
+    g = powers.generator_sums(0.5j * generator_spatial(p)[idx], t)
     return phi, np.einsum("mnab,nb->mna", g, phi)
 
 
 def derivative_state(init: WalkerState, p: CoinParams, t: int, mu: str,
-                     method: str = "sum", h: float = 1e-6,
                      n_nodes: int | None = None) -> AmplitudeWindow:
-    """Position-space d_mu |psi_t>.
-
-    method "sum" uses the closed-form generator sum; "finite_diff"
-    central-differences two full evolutions with step ``h`` and exists
-    to cross-check the sum route.
-    """
+    """Position-space d_mu |psi_t> from the closed-form generator sum."""
     if mu not in PARAM_NAMES:
         raise ValueError(f"unknown parameter {mu!r}; choose from {PARAM_NAMES}")
-    if method == "sum":
-        _, dphi = _evolve_with_generators(init, p, t, [PARAM_NAMES.index(mu)],
-                                          n_nodes)
-        origin = init.origin - int(t)
-        amps = window_from_uniform(dphi[0], origin, init.n_sites + 2 * int(t))
-        return AmplitudeWindow(origin=origin, amps=amps)
-    if method == "finite_diff":
-        plus = evolve(init, p.replace(**{mu: getattr(p, mu) + h}), t)
-        minus = evolve(init, p.replace(**{mu: getattr(p, mu) - h}), t)
-        return AmplitudeWindow(origin=plus.origin,
-                               amps=(plus.amps - minus.amps) / (2.0 * h))
-    raise ValueError(f"unknown method {method!r}; use 'sum' or 'finite_diff'")
+    _, dphi = _evolve_with_generators(init, p, t, [PARAM_NAMES.index(mu)],
+                                      n_nodes)
+    origin = init.origin - int(t)
+    amps = window_from_uniform(dphi[0], origin, init.n_sites + 2 * int(t))
+    return AmplitudeWindow(origin=origin, amps=amps)
 
 
-def _gram(init: WalkerState, p: CoinParams, t: int, idx,
-          n_nodes: int | None = None):
-    """Zone-averaged Gram data: G[u,v] = <d_u psi|d_v psi>, v[u] = <psi|d_u psi>."""
+def _gram(init: WalkerState, p: CoinParams, t: int, params,
+          n_nodes: int | None = None) -> np.ndarray:
+    """4 (<d_u psi|d_v psi> - <d_u psi|psi><psi|d_v psi>) as a complex matrix.
+
+    Its real part is the information matrix and its imaginary part the
+    mixed-derivative curvature.
+    """
+    idx = [PARAM_NAMES.index(l) for l in params]
     phi, dphi = _evolve_with_generators(init, p, t, idx, n_nodes)
     n = phi.shape[0]
     m = len(idx)
@@ -115,55 +99,23 @@ def _gram(init: WalkerState, p: CoinParams, t: int, idx,
             if b != a:
                 gram[b, a] = np.conj(gram[a, b])
     overlap = np.einsum("na,mna->m", phi.conj(), dphi) / n
-    return gram, overlap
-
-
-def _gram_finite_diff(init: WalkerState, p: CoinParams, t: int, idx,
-                      h: float = 1e-6):
-    ds = [derivative_state(init, p, t, PARAM_NAMES[i], method="finite_diff", h=h)
-          for i in idx]
-    psi = evolve(init, p, t)
-    m = len(idx)
-    gram = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(a, m):
-            gram[a, b] = np.vdot(ds[a].amps, ds[b].amps)
-            if b != a:
-                gram[b, a] = np.conj(gram[a, b])
-    overlap = np.array([np.vdot(psi.amps, d.amps) for d in ds])
-    return gram, overlap
+    return 4.0 * (gram - np.outer(np.conj(overlap), overlap))
 
 
 def qfim_exact(init: WalkerState, p: CoinParams, t: int,
-               params=PARAM_NAMES, method: str = "sum",
-               n_nodes: int | None = None) -> QFIMatrix:
+               params=PARAM_NAMES, n_nodes: int | None = None) -> QFIMatrix:
     """Finite-t information matrix 4 Re(<d_u|d_v> - <d_u|psi><psi|d_v>)."""
-    idx = [PARAM_NAMES.index(l) for l in params]
-    if method == "sum":
-        gram, v = _gram(init, p, t, idx, n_nodes)
-    elif method == "finite_diff":
-        gram, v = _gram_finite_diff(init, p, t, idx)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    f = 4.0 * (gram - np.outer(np.conj(v), v)).real
-    return QFIMatrix(entries=f, labels=tuple(params), t=int(t), asymptotic=False)
+    return QFIMatrix(entries=_gram(init, p, t, params, n_nodes).real,
+                     labels=tuple(params), t=int(t), asymptotic=False)
 
 
 def uhlmann_exact(init: WalkerState, p: CoinParams, t: int,
-                  params=PARAM_NAMES, method: str = "sum",
-                  n_nodes: int | None = None) -> QFIMatrix:
+                  params=PARAM_NAMES, n_nodes: int | None = None) -> QFIMatrix:
     """Finite-t mixed-derivative curvature 4 Im(<d_u|d_v> - <d_u|psi><psi|d_v>).
 
     Decays like 1/t on the walk models here; the asymptotic route
     reports an exact zero instead.
     """
-    idx = [PARAM_NAMES.index(l) for l in params]
-    if method == "sum":
-        gram, v = _gram(init, p, t, idx, n_nodes)
-    elif method == "finite_diff":
-        gram, v = _gram_finite_diff(init, p, t, idx)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    d = 4.0 * (gram - np.outer(np.conj(v), v)).imag
-    return QFIMatrix(entries=d, labels=tuple(params), t=int(t),
-                     antisymmetric=True, asymptotic=False)
+    return QFIMatrix(entries=_gram(init, p, t, params, n_nodes).imag,
+                     labels=tuple(params), t=int(t), antisymmetric=True,
+                     asymptotic=False)

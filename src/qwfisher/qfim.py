@@ -8,7 +8,8 @@ between stationary projectors:
                - [(1/2pi) Int dk (O_u | A1_k | rho0(k))]
                * [(1/2pi) Int dk (rho0(k) | A1_k | O_v)]
 
-with O_u = C^dag dC/du (momentum independent) and rho0(k) the
+with O_u = C^dag dC/du = (i/2) w_u.sigma (momentum independent, w_u
+from :func:`walk.generator_spatial`) and rho0(k) the
 unnormalised Pauli 4-vector of the initial k-spinor, whose norm o0(k)
 is constant (=1) for the usual single-site and odd-separation inputs.
 Since A1 is rank 2 with spatial part u u^T / sin^2 w, every bracket
@@ -18,14 +19,13 @@ identically in this limit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
 from .quadrature import adaptive_mean_over_bz, gauss_k_grid, mean_over_bz, uniform_k_grid
-from .superop import Bloch4, a1_grid, invariant_vector, sin2_omega
-from .walk import PARAM_NAMES, CoinParams, WalkerState, spinors_at
+from .walk import (PARAM_NAMES, CoinParams, WalkerState, generator_spatial,
+                   spinors_at)
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -92,37 +92,53 @@ class QFIMatrix:
 
 
 # ---------------------------------------------------------------------------
-# coin generators in the Pauli basis
+# quasi-energy axis and stationary projector
+#
+# Conjugation by u(k) acts on Pauli 4-vectors o_i = Tr(O sigma_i),
+# sigma = (1, sx, sy, sz), as a rotation of the spatial part by 2w about
+# the axis u(k) / sin w.  Its unit-eigenvalue subspace carries everything
+# that survives long times.
 
 
-def generator_spatial(p: CoinParams) -> np.ndarray:
-    """Real spatial vectors w_u with |O_u) = i (0, w_u), rows (theta, alpha, beta).
+def cos_omega(p: CoinParams, k):
+    """cos of the quasi-energy: cos w = cos(k - alpha) cos theta."""
+    return np.cos(np.asarray(k, dtype=float) - p.alpha) * np.cos(p.theta)
 
-    With phi = alpha - beta:
-        w_theta = 2 (-sin phi, cos phi, 0)
-        w_alpha = (cos phi sin 2th, sin phi sin 2th,  2 cos^2 th)
-        w_beta  = (cos phi sin 2th, sin phi sin 2th, -2 sin^2 th)
+
+def sin2_omega(p: CoinParams, k):
+    return 1.0 - cos_omega(p, k) ** 2
+
+
+def invariant_vector(p: CoinParams, k):
+    """Spatial direction u(k) spanning the moving part of the fixed subspace.
+
+    u = (sin(k-beta) sin th, -cos(k-beta) sin th, sin(k-alpha) cos th);
+    its squared length is sin^2 w = 1 - cos^2 th cos^2(k-alpha), bounded
+    below by sin^2 th.  Returned with shape k + (3,).
     """
-    phi = p.alpha - p.beta
-    sp, cp = np.sin(phi), np.cos(phi)
-    s2t = np.sin(2 * p.theta)
-    return np.array([
-        [-2.0 * sp, 2.0 * cp, 0.0],
-        [cp * s2t, sp * s2t, 2.0 * np.cos(p.theta) ** 2],
-        [cp * s2t, sp * s2t, -2.0 * np.sin(p.theta) ** 2],
-    ])
+    k = np.asarray(k, dtype=float)
+    st, ct = np.sin(p.theta), np.cos(p.theta)
+    out = np.empty(k.shape + (3,))
+    out[..., 0] = np.sin(k - p.beta) * st
+    out[..., 1] = -np.cos(k - p.beta) * st
+    out[..., 2] = np.sin(k - p.alpha) * ct
+    return out
 
 
-def o_vector(p: CoinParams, mu: str) -> Bloch4:
-    """Generator O_mu = u_k^dag d_mu u_k as a Pauli 4-vector.
+def a1_grid(p: CoinParams, k: np.ndarray) -> np.ndarray:
+    """Stationary projectors over momenta, shape k + (4, 4).
 
-    Momentum independent: the shift phases carry no coin parameter, so
-    O_mu = C^dag d_mu C.  Always traceless and antihermitian.
+    Closed form: identity on the trace component plus u u^T / sin^2 w on
+    the spatial block; rank 2, trace 2, well defined at every momentum
+    once sin theta != 0.
     """
-    if mu not in PARAM_NAMES:
-        raise ValueError(f"unknown parameter {mu!r}; choose from {PARAM_NAMES}")
-    w = generator_spatial(p)[PARAM_NAMES.index(mu)]
-    return Bloch4(c=1j * np.concatenate(([0.0], w)), kind="antihermitian")
+    k = np.asarray(k, dtype=float)
+    u = invariant_vector(p, k)
+    m = np.zeros(k.shape + (4, 4))
+    m[..., 0, 0] = 1.0
+    m[..., 1:, 1:] = (u[..., :, None] * u[..., None, :]
+                      / sin2_omega(p, k)[..., None, None])
+    return m
 
 
 def beta_null_check(p: CoinParams, n_nodes: int = 512) -> float:
@@ -141,17 +157,24 @@ def beta_null_check(p: CoinParams, n_nodes: int = 512) -> float:
 # the zone integrals
 
 
-def _rho_bloch(init: WalkerState, k: np.ndarray) -> np.ndarray:
-    """Unnormalised Pauli 4-vector of the initial k-spinor, shape (n, 4)."""
-    phi = spinors_at(init, k)
-    a, b = phi[:, 0], phi[:, 1]
-    out = np.empty((k.size, 4))
-    out[:, 0] = np.abs(a) ** 2 + np.abs(b) ** 2
+def _rho_bloch(phi: np.ndarray) -> np.ndarray:
+    """Unnormalised Pauli 4-vector phi^dag sigma_i phi of spinors (..., 2)."""
+    a, b = phi[..., 0], phi[..., 1]
+    out = np.empty(phi.shape[:-1] + (4,))
+    out[..., 0] = np.abs(a) ** 2 + np.abs(b) ** 2
     cross = a * np.conj(b)
-    out[:, 1] = 2.0 * cross.real
-    out[:, 2] = -2.0 * cross.imag
-    out[:, 3] = np.abs(a) ** 2 - np.abs(b) ** 2
+    out[..., 1] = 2.0 * cross.real
+    out[..., 2] = -2.0 * cross.imag
+    out[..., 3] = np.abs(a) ** 2 - np.abs(b) ** 2
     return out
+
+
+def _overlaps(p: CoinParams, w: np.ndarray, k):
+    """(u, sin^2 w, a) at momenta k with a[:, mu] = (u . w_mu) / sin w."""
+    k = np.asarray(k, dtype=float)
+    u = invariant_vector(p, k)
+    s2 = sin2_omega(p, k)
+    return u, s2, (u @ w.T) / np.sqrt(s2)[:, None]
 
 
 def _integrands(p: CoinParams, init, idx: np.ndarray):
@@ -166,11 +189,8 @@ def _integrands(p: CoinParams, init, idx: np.ndarray):
     iu = np.triu_indices(m)
 
     def f(k):
-        k = np.asarray(k, dtype=float)
-        u = invariant_vector(p, k)
-        s2 = sin2_omega(p, k)
-        a = (u @ w.T) / np.sqrt(s2)[:, None]        # (n, m): (u.w_mu)/sin w
-        rho = _rho_bloch(init, k)
+        u, s2, a = _overlaps(p, w, k)
+        rho = _rho_bloch(spinors_at(init, k))
         first = a[:, iu[0]] * a[:, iu[1]] * rho[:, :1]
         b = np.einsum("ni,ni->n", u, rho[:, 1:]) / s2
         state = a * (b * np.sqrt(s2))[:, None]
@@ -219,10 +239,7 @@ def qfim_first_term(p: CoinParams, params=("theta", "alpha"),
     iu = np.triu_indices(m)
 
     def f(k):
-        k = np.asarray(k, dtype=float)
-        u = invariant_vector(p, k)
-        s2 = sin2_omega(p, k)
-        a = (u @ w.T) / np.sqrt(s2)[:, None]
+        a = _overlaps(p, w, k)[2]
         return a[:, iu[0]] * a[:, iu[1]]
 
     vals, _ = adaptive_mean_over_bz(f, rel_tol=rel_tol)

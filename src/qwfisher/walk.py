@@ -8,9 +8,11 @@ spinor at site ``origin + i``.
 Momentum-space picture: with spinor(k) = sum_x c_x e^{-ikx}, one step is
 multiplication by u(k) = diag(e^{-ik}, e^{ik}) @ C, so evolution
 factorises over k.  u(k) is in SU(2), so u(k)^t and the generator sums
-behind every parameter derivative have closed forms in t
-(:class:`SU2Powers`).  Both pictures are implemented and kept
-numerically interchangeable.
+G_mu(t) = sum_{m=1..t} u^m O_mu u^-m behind every parameter derivative
+have closed forms in t (:class:`SU2Powers`), where the coin generators
+O_mu = C^dag d_mu C = (i/2) w_mu.sigma come as the real Pauli vectors
+w_mu of :func:`generator_spatial`.  Both pictures are implemented and
+kept numerically interchangeable.
 """
 from __future__ import annotations
 
@@ -89,17 +91,23 @@ def build_coin(p: CoinParams) -> np.ndarray:
     return coin_matrix(p.theta, p.alpha, p.beta)
 
 
-def dcoin_matrix(p: CoinParams) -> np.ndarray:
-    """Stack of coin derivatives d C / d(theta, alpha, beta), shape (3, 2, 2)."""
-    ct, st = np.cos(p.theta), np.sin(p.theta)
-    ea, eb = np.exp(1j * p.alpha), np.exp(1j * p.beta)
-    d_theta = np.array([[-ea * st, eb * ct],
-                        [-ct / eb, -st / ea]])
-    d_alpha = np.array([[1j * ea * ct, 0.0],
-                        [0.0, -1j * ct / ea]])
-    d_beta = np.array([[0.0, 1j * eb * st],
-                       [1j * st / eb, 0.0]])
-    return np.array([d_theta, d_alpha, d_beta])
+def generator_spatial(p: CoinParams) -> np.ndarray:
+    """Pauli vectors w_mu of the coin generators, rows (theta, alpha, beta).
+
+    O_mu = C^dag dC/dmu = (i/2) w_mu.sigma, momentum independent since
+    the shift phases commute out of u^dag d_mu u.  With phi = alpha - beta:
+        w_theta = 2 (-sin phi, cos phi, 0)
+        w_alpha = (cos phi sin 2th, sin phi sin 2th,  2 cos^2 th)
+        w_beta  = (cos phi sin 2th, sin phi sin 2th, -2 sin^2 th)
+    """
+    phi = p.alpha - p.beta
+    sp, cp = np.sin(phi), np.cos(phi)
+    s2t = np.sin(2 * p.theta)
+    return np.array([
+        [-2.0 * sp, 2.0 * cp, 0.0],
+        [cp * s2t, sp * s2t, 2.0 * np.cos(p.theta) ** 2],
+        [cp * s2t, sp * s2t, -2.0 * np.sin(p.theta) ** 2],
+    ])
 
 
 def shift_phases(k) -> np.ndarray:
@@ -179,17 +187,6 @@ class WalkerState:
         return WalkerState(origin=int(d["origin"]),
                            amps=flat.reshape(-1, 2),
                            steps_elapsed=int(d["steps_elapsed"]))
-
-
-def step(s: WalkerState, p: CoinParams) -> WalkerState:
-    """One coin-then-shift step; the window grows by one site on each side."""
-    rotated = s.amps @ build_coin(p).T
-    n = s.amps.shape[0]
-    out = np.zeros((n + 2, 2), dtype=complex)
-    out[2:, 0] = rotated[:, 0]      # coin 0 hops to x + 1
-    out[:-2, 1] = rotated[:, 1]     # coin 1 hops to x - 1
-    return WalkerState(origin=s.origin - 1, amps=out,
-                       steps_elapsed=s.steps_elapsed + 1)
 
 
 def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:
@@ -319,36 +316,6 @@ def make_initial(kind: str, **kw) -> WalkerState:
 # momentum-space picture
 
 
-@dataclass(frozen=True)
-class KSpinorGrid:
-    """Sampled k-spinors plus the window metadata needed to invert exactly."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    spinors: np.ndarray
-    origin: int
-    n_sites: int
-    steps_elapsed: int = 0
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        spinors = np.ascontiguousarray(self.spinors, dtype=complex)
-        if spinors.shape != (nodes.size, 2):
-            raise ValueError(
-                f"spinors shape {spinors.shape} does not match {nodes.size} nodes")
-        if abs(weights.sum() - TWO_PI) > 1e-9:
-            raise ValueError("weights must sum to 2 pi")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "spinors", spinors)
-
-    def norm_integral(self) -> float:
-        """(1/2pi) * integral ||spinor(k)||^2 dk, should be 1."""
-        dens = np.sum(np.abs(self.spinors) ** 2, axis=1)
-        return float(np.dot(self.weights, dens) / TWO_PI)
-
-
 def spinors_at(s: WalkerState, k_nodes: np.ndarray) -> np.ndarray:
     """Evaluate spinor(k) = sum_x c_x e^{-ikx} at arbitrary momenta, (n, 2)."""
     k = np.asarray(k_nodes, dtype=float)
@@ -388,29 +355,6 @@ def window_from_uniform(spinors: np.ndarray, origin: int,
     x = origin + np.arange(width)
     sign = np.where(x % 2, -1.0, 1.0)[:, None]
     return np.fft.ifft(spinors, axis=-2)[..., x % n, :] * sign
-
-
-def to_k_space(s: WalkerState, n_nodes: int | None = None) -> KSpinorGrid:
-    """Sample the state on a uniform k-grid.
-
-    The grid must oversample the support: n_nodes >= 2 * window width,
-    otherwise an AliasingError explains the required count.  The default
-    picks the smallest adequate power of two.
-    """
-    nodes, weights = uniform_k_grid(k_grid_size(s.n_sites, n_nodes))
-    return KSpinorGrid(nodes=nodes, weights=weights,
-                       spinors=spinors_at(s, nodes),
-                       origin=s.origin, n_sites=s.n_sites,
-                       steps_elapsed=s.steps_elapsed)
-
-
-def from_k_space(g: KSpinorGrid) -> WalkerState:
-    """Invert the zone integral c_x = (1/2pi) * integral e^{ikx} spinor(k) dk."""
-    x = g.origin + np.arange(g.n_sites)
-    phases = np.exp(1j * np.outer(x, g.nodes)) * g.weights
-    amps = (phases @ g.spinors) / TWO_PI
-    return WalkerState(origin=g.origin, amps=amps,
-                       steps_elapsed=g.steps_elapsed)
 
 
 @dataclass(frozen=True)
@@ -479,14 +423,13 @@ class SU2Powers:
         out[..., 1] = a * (u[..., 1, 0] * p0 + u[..., 1, 1] * p1) - b * p1
         return out
 
-    def generator_sums(self, o: np.ndarray, t: int) -> np.ndarray:
-        """G(t) for traceless generators o (m, 2, 2), shape (m, ..., 2, 2)."""
+    def generator_sums(self, v: np.ndarray, t: int) -> np.ndarray:
+        """G(t) for generators O = v.sigma given by Pauli vectors v (m, 3).
+
+        Returns the matrices G(t), shape (m, ..., 2, 2).
+        """
         t = int(t)
-        o = np.asarray(o, dtype=complex)
-        # Pauli vector of each generator, broadcast against the stack
-        v = 0.5 * np.stack([o[:, 0, 1] + o[:, 1, 0],
-                            1j * (o[:, 0, 1] - o[:, 1, 0]),
-                            o[:, 0, 0] - o[:, 1, 1]], axis=-1)
+        v = np.asarray(v, dtype=complex)
         v = v.reshape((v.shape[0],) + (1,) * (self.w.ndim - 1) + (3,))
         n_hat = self.w / self.sin_omega[..., None]
         st = np.sin(t * self.omega) / self.sin_omega

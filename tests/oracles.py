@@ -34,6 +34,36 @@ def coin_dense(theta, alpha, beta):
     ])
 
 
+def u_dense(theta, alpha, beta, k):
+    """One-step u(k) = diag(e^{-ik}, e^{ik}) C per momentum, (len(k), 2, 2)."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    c = coin_dense(theta, alpha, beta)
+    u = np.zeros((k.size, 2, 2), dtype=complex)
+    u[:, 0, :] = np.exp(-1j * k)[:, None] * c[0]
+    u[:, 1, :] = np.exp(1j * k)[:, None] * c[1]
+    return u
+
+
+PAULI = np.array([
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, -1.0j], [1.0j, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+])
+
+
+def pauli_conjugation_dense(theta, alpha, beta, k):
+    """Conjugation O -> u O u^dag on Pauli 4-vectors, one (4, 4) map per k.
+
+    M_ij = (1/2) Tr(sigma_i u sigma_j u^dag) with sigma = (1, sx, sy, sz)
+    and u(k) = diag(e^{-ik}, e^{ik}) C written out from the dense coin.
+    Returns the real part, shape (len(k), 4, 4).
+    """
+    u = u_dense(theta, alpha, beta, k)
+    m = 0.5 * np.einsum("iab,nbc,jcd,nad->nij", PAULI, u, PAULI, u.conj())
+    return m.real
+
+
 def dense_walk_matrix(theta, alpha, beta, radius):
     """One-step unitary on sites -radius..radius as an explicit matrix.
 
@@ -119,9 +149,7 @@ def recurrence_powers_and_generators(theta, alpha, beta, k, phi0, t):
     k = np.asarray(k, dtype=float)
     c = coin_dense(theta, alpha, beta)
     o = np.einsum("ba,mbc->mac", c.conj(), dcoin_dense(theta, alpha, beta))
-    u = np.zeros((k.size, 2, 2), dtype=complex)
-    u[:, 0, :] = np.exp(-1j * k)[:, None] * c[0]
-    u[:, 1, :] = np.exp(1j * k)[:, None] * c[1]
+    u = u_dense(theta, alpha, beta, k)
     uh = np.conj(np.swapaxes(u, 1, 2))
     phi = np.asarray(phi0, dtype=complex)
     g = np.zeros((3, k.size, 2, 2), dtype=complex)

@@ -21,11 +21,12 @@ from qwfisher import (CoinParams, GridSpec, beta_null_check, classical_fi,
 from qwfisher.cases import (DiracParams, MagneticField, coin_from_dirac,
                             coin_from_magnetic, dirac_first_order,
                             dirac_from_coin, magnetic_from_coin)
+from qwfisher.qfim import a1_grid
 from qwfisher.quadrature import uniform_k_grid
-from qwfisher.superop import _spatial_block, a1_grid
 
 from oracles import (G_QUARTER_PI, G_THREE_EIGHTHS_PI, GOLDEN_COMMON,
-                     GOLDEN_THETA, random_coin_angles, random_spinor)
+                     GOLDEN_THETA, pauli_conjugation_dense, random_coin_angles,
+                     random_spinor)
 
 QUARTER_PI = math.pi / 4
 
@@ -77,9 +78,7 @@ def test_criterion_03_projector_algebra():
     for th, al, be in random_coin_angles(rng, 100):
         p = CoinParams(th, al, be)
         a1 = a1_grid(p, nodes)
-        m4 = np.zeros((nodes.size, 4, 4))
-        m4[:, 0, 0] = 1.0
-        m4[:, 1:, 1:] = _spatial_block(p, nodes)
+        m4 = pauli_conjugation_dense(p.theta, p.alpha, p.beta, nodes)
         worst_idem = max(worst_idem, float(np.abs(a1 @ a1 - a1).max()))
         worst_abs = max(worst_abs, float(np.abs(m4 @ a1 - a1).max()))
         tr = np.einsum("nii->n", a1)

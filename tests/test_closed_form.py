@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from qwfisher import (AliasingError, CoinParams, ConfigError, evolve, evolve_k,
                       initial_entangled, initial_gamma, initial_localized,
                       qfim_exact)
-from qwfisher.oracle import coin_generators
-from qwfisher.walk import SU2Powers, spinors_at, u_k
+from qwfisher.walk import SU2Powers, generator_spatial, spinors_at, u_k
 
 from oracles import random_spinor, recurrence_powers_and_generators
 
@@ -45,7 +44,7 @@ def test_closed_form_matches_recurrence(theta, alpha, beta, t, kind, seed):
         p.theta, p.alpha, p.beta, k, phi0, t)
     powers = SU2Powers.of(u_k(p, k))
     phi = powers.apply_power(phi0, t)
-    g = powers.generator_sums(coin_generators(p), t)
+    g = powers.generator_sums(0.5j * generator_spatial(p), t)
     assert np.abs(phi - phi_ref).max() <= 1e-11 * np.abs(phi_ref).max()
     assert np.abs(g - g_ref).max() <= 1e-11 * np.abs(g_ref).max()
 

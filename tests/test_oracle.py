@@ -7,8 +7,7 @@ import pytest
 from qwfisher import (CoinParams, derivative_state, initial_entangled,
                       initial_gamma, initial_localized, qfim_exact,
                       uhlmann_exact)
-from qwfisher.oracle import coin_generators
-from qwfisher.walk import build_coin, evolve
+from qwfisher.walk import evolve
 
 from oracles import dense_amps_at, dense_evolve, random_spinor
 
@@ -40,18 +39,6 @@ def coin_dict(p):
     return {"theta": p.theta, "alpha": p.alpha, "beta": p.beta}
 
 
-def test_generators_are_antihermitian_and_match_coin_derivative():
-    p = CoinParams(0.8, -0.4, 1.1)
-    gens = coin_generators(p)
-    c = build_coin(p)
-    h = 1e-6
-    for i, mu in enumerate(("theta", "alpha", "beta")):
-        assert np.abs(gens[i] + gens[i].conj().T).max() <= 1e-12
-        dc = (build_coin(p.replace(**{mu: getattr(p, mu) + h}))
-              - build_coin(p.replace(**{mu: getattr(p, mu) - h}))) / (2 * h)
-        assert np.abs(gens[i] - c.conj().T @ dc).max() <= 1e-8
-
-
 def test_one_step_theta_derivative_by_hand():
     # d/dtheta of the single step: only the coin depends on theta
     th, al, be = 0.7, 0.2, -0.9
@@ -68,26 +55,18 @@ def test_one_step_theta_derivative_by_hand():
     assert d.amps[idx[-1], 1] == pytest.approx(rotated[1], abs=1e-12)
 
 
-@pytest.mark.parametrize("mu", ["theta", "alpha", "beta"])
-def test_sum_method_agrees_with_finite_difference(mu):
-    p = CoinParams(1.05, 0.6, -0.35)
-    init = initial_gamma(0.9)
-    t = 20
-    a = derivative_state(init, p, t, mu, method="sum")
-    b = derivative_state(init, p, t, mu, method="finite_diff", h=1e-5)
-    assert a.sites[0] == b.sites[0]
-    assert np.abs(a.amps - b.amps).max() <= 1e-6
-
-
-def test_sum_method_against_dense_differentiation():
-    p = CoinParams(0.85, 0.3, 0.5)
-    init = initial_entangled(0, 1)
-    t = 9
-    for mu in ("theta", "alpha"):
+@pytest.mark.parametrize("init, p, t, mus, h, gate", [
+    (initial_entangled(0, 1), CoinParams(0.85, 0.3, 0.5), 9,
+     ("theta", "alpha"), 1e-6, 1e-7),
+    (initial_gamma(0.9), CoinParams(1.05, 0.6, -0.35), 20,
+     ("theta", "alpha", "beta"), 1e-5, 1e-6),
+], ids=["entangled", "gamma"])
+def test_sum_method_against_dense_differentiation(init, p, t, mus, h, gate):
+    for mu in mus:
         d = derivative_state(init, p, t, mu)
-        sites, dense = fd_state(init, p, t, mu, 1e-6)
+        sites, dense = fd_state(init, p, t, mu, h)
         assert np.abs(d.amps
-                      - dense_amps_at(sites, dense, d.sites)).max() <= 1e-7
+                      - dense_amps_at(sites, dense, d.sites)).max() <= gate
 
 
 def test_state_derivative_overlap_is_imaginary():

@@ -1,61 +1,112 @@
-"""Asymptotic information matrix: generator vectors, quadrature, closed forms."""
+"""Asymptotic information matrix: generators, projector, quadrature, closed forms."""
 import math
 
 import numpy as np
 import pytest
 
 from qwfisher import (CoinParams, QFIMatrix, beta_null_check, initial_entangled,
-                      initial_gamma, initial_localized, o_vector,
-                      qfim_localized, qfim_max_diag, qfim_theorem1,
-                      single_param_qfi, uhlmann_analytic)
-from qwfisher.qfim import qfim_first_term
-from qwfisher.superop import to_bloch
-from qwfisher.walk import u_k
+                      initial_gamma, initial_localized, qfim_localized,
+                      qfim_max_diag, qfim_theorem1, single_param_qfi,
+                      uhlmann_analytic)
+from qwfisher.qfim import a1_grid, cos_omega, invariant_vector, qfim_first_term
+from qwfisher.walk import generator_spatial, u_k
 
 from oracles import (F_AA_QUARTER_PI, F_TT_QUARTER_PI, GOLDEN_COMMON,
-                     GOLDEN_THETA, PREF_RY0_QUARTER_PI, PREF_RY1_QUARTER_PI,
+                     GOLDEN_THETA, PAULI, PREF_RY0_QUARTER_PI,
+                     PREF_RY1_QUARTER_PI, pauli_conjugation_dense,
                      random_spinor)
 
 QUARTER = math.pi / 4
 
 
 # ---------------------------------------------------------------------------
-# generator 4-vectors
+# generator Pauli vectors
 
 
 def test_theta_generator_components():
     p = CoinParams(0.8, 0.5, 0.1)
     phi = 0.5 - 0.1
-    b = o_vector(p, "theta")
-    expected = 2j * np.array([0.0, -math.sin(phi), math.cos(phi), 0.0])
-    assert np.abs(b.c - expected).max() <= 1e-14
-    assert b.kind == "antihermitian"
+    expected = 2 * np.array([-math.sin(phi), math.cos(phi), 0.0])
+    assert np.abs(generator_spatial(p)[0] - expected).max() <= 1e-14
 
 
 def test_beta_generator_components():
     p = CoinParams(0.8, 0.5, 0.1)
     phi, s2 = 0.4, math.sin(1.6)
-    expected = 1j * np.array([0.0, math.cos(phi) * s2, math.sin(phi) * s2,
-                              -2 * math.sin(0.8) ** 2])
-    assert np.abs(o_vector(p, "beta").c - expected).max() <= 1e-14
+    expected = np.array([math.cos(phi) * s2, math.sin(phi) * s2,
+                         -2 * math.sin(0.8) ** 2])
+    assert np.abs(generator_spatial(p)[2] - expected).max() <= 1e-14
 
 
 @pytest.mark.parametrize("mu", ["theta", "alpha", "beta"])
 def test_generator_matches_finite_difference_of_uk(mu):
-    # O_mu = u_k^dag d_mu u_k is momentum independent; check at several k
+    # O_mu = u_k^dag d_mu u_k = (i/2) w_mu.sigma is momentum independent
     p = CoinParams(1.1, -0.7, 0.3)
+    w = generator_spatial(p)[("theta", "alpha", "beta").index(mu)]
+    o = 0.5j * np.einsum("i,iab->ab", w, PAULI[1:])
     h = 1e-6
     up = p.replace(**{mu: getattr(p, mu) + h})
     dn = p.replace(**{mu: getattr(p, mu) - h})
     for k in (-2.0, 0.0, 1.3):
         du = (u_k(up, k) - u_k(dn, k)) / (2 * h)
-        direct = to_bloch(u_k(p, k).conj().T @ du, kind="general")
-        assert np.abs(direct.c - o_vector(p, mu).c).max() <= 1e-8
+        assert np.abs(u_k(p, k).conj().T @ du - o).max() <= 1e-8
 
 
-def test_o_vector_rejects_unknown_parameter():
-    with pytest.raises((KeyError, ValueError)):
-        o_vector(CoinParams(0.5, 0, 0), "gamma")
+# ---------------------------------------------------------------------------
+# quasi-energy axis and stationary projector, against the dense
+# conjugation map M_ij = (1/2) Tr(sigma_i u sigma_j u^dag)
+
+
+def test_half_pi_mixing_is_in_plane():
+    # cos(theta) = 0: the invariant axis is purely equatorial and the
+    # z-direction flips sign every step
+    p = CoinParams(math.pi / 2, 0.4, -0.7)
+    k = 0.9
+    s = pauli_conjugation_dense(p.theta, p.alpha, p.beta, k)[0, 1:, 1:]
+    u = invariant_vector(p, k)
+    assert abs(u[2]) <= 1e-15
+    assert np.abs(s @ u - u).max() <= 1e-12
+    assert s[2, 2] == pytest.approx(-1.0)
+    assert abs(cos_omega(p, k)) <= 1e-15
+
+
+def test_map_eigenvalues_follow_cos_omega():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        p = CoinParams(rng.uniform(0.2, 1.4), rng.uniform(-3, 3),
+                       rng.uniform(-3, 3))
+        k = rng.uniform(-math.pi, math.pi)
+        m = pauli_conjugation_dense(p.theta, p.alpha, p.beta, k)[0]
+        omega = math.acos(cos_omega(p, k))
+        evs = np.sort_complex(np.linalg.eigvals(m))
+        expected = np.sort_complex(np.array(
+            [1.0, 1.0, np.exp(2j * omega), np.exp(-2j * omega)]))
+        assert np.abs(evs - expected).max() <= 1e-10
+
+
+def test_projector_properties_on_grid():
+    p = CoinParams(0.9, 0.3, -1.1)
+    ks = np.linspace(-math.pi, math.pi, 512, endpoint=False)[::31]
+    a1 = a1_grid(p, ks)
+    at = pauli_conjugation_dense(p.theta, p.alpha, p.beta, ks)
+    assert np.abs(a1 @ a1 - a1).max() <= 1e-12
+    assert np.abs(at @ a1 - a1).max() <= 1e-12
+    assert np.abs(a1 @ at - a1).max() <= 1e-12
+    assert np.abs(np.einsum("nii->n", a1) - 2.0).max() <= 1e-12
+
+
+def test_projector_is_the_kernel_projector():
+    # a1_grid is the orthogonal projector onto ker(M - 1), found by SVD
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        p = CoinParams(rng.uniform(0.2, 1.4), rng.uniform(-3, 3),
+                       rng.uniform(-3, 3))
+        k = rng.uniform(-math.pi, math.pi)
+        m = pauli_conjugation_dense(p.theta, p.alpha, p.beta, k)[0]
+        _, sv, vh = np.linalg.svd(m - np.eye(4))
+        assert sv[2] <= 1e-12 < sv[1]
+        kernel = vh[2:].T
+        assert np.abs(a1_grid(p, k) - kernel @ kernel.T).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from qwfisher import (AliasingError, CoinBlochState, CoinParams, DegenerateWalk,
                       WalkerState, build_coin, coin_matrix, evolve, evolve_k,
-                      from_k_space, initial_entangled, initial_gamma,
-                      initial_localized, make_initial, step, to_k_space, u_k)
+                      initial_entangled, initial_gamma, initial_localized,
+                      make_initial, u_k)
 from qwfisher.walk import spinors_at
 
 from oracles import coin_dense, dense_amps_at, dense_evolve
@@ -91,7 +91,7 @@ def test_replace_rebuilds_with_validation():
 
 def test_one_step_amplitudes_from_coin_zero_start():
     p = CoinParams(0.9, 0.3, -1.1)
-    s = step(initial_localized(0), p)
+    s = evolve(initial_localized(0), p, 1)
     # coin 0 output lands on x=1, coin 1 output on x=-1
     idx = {x: i for i, x in enumerate(s.sites)}
     assert s.amps[idx[1], 0] == pytest.approx(np.exp(0.3j) * math.cos(0.9))
@@ -239,16 +239,6 @@ def test_entangled_k_spinor_closed_form():
     assert np.abs((np.abs(sp) ** 2).sum(axis=1) - 1.0).max() <= 1e-14
 
 
-def test_k_space_round_trip_after_evolution():
-    p = CoinParams(0.9, -0.2, 0.5)
-    s = evolve(initial_gamma(1.3), p, 32)
-    g = to_k_space(s, 256)
-    assert abs(g.norm_integral() - 1.0) <= 1e-12
-    back = from_k_space(g)
-    assert back.origin == s.origin
-    assert np.abs(back.amps - s.amps).max() <= 1e-10
-
-
 def test_k_space_evolution_equals_position_evolution():
     p = CoinParams(1.2, 0.7, -0.9)
     for t in (1, 7, 64):
@@ -259,9 +249,6 @@ def test_k_space_evolution_equals_position_evolution():
 
 
 def test_aliasing_rejected_with_diagnostic():
-    s = evolve(initial_localized(0), CoinParams(0.7, 0, 0), 20)
-    with pytest.raises(AliasingError):
-        to_k_space(s, 32)
     with pytest.raises(AliasingError):
         evolve_k(initial_localized(0), CoinParams(0.7, 0, 0), 20, n_nodes=32)
 
