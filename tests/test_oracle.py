@@ -55,18 +55,26 @@ def test_one_step_theta_derivative_by_hand():
     assert d.amps[idx[-1], 1] == pytest.approx(rotated[1], abs=1e-12)
 
 
-@pytest.mark.parametrize("init, p, t, mus, h, gate", [
-    (initial_entangled(0, 1), CoinParams(0.85, 0.3, 0.5), 9,
-     ("theta", "alpha"), 1e-6, 1e-7),
-    (initial_gamma(0.9), CoinParams(1.05, 0.6, -0.35), 20,
-     ("theta", "alpha", "beta"), 1e-5, 1e-6),
-], ids=["entangled", "gamma"])
-def test_sum_method_against_dense_differentiation(init, p, t, mus, h, gate):
-    for mu in mus:
+@pytest.mark.parametrize("mu", ["theta", "alpha", "beta"])
+def test_sum_method_agrees_with_finite_difference(mu):
+    p = CoinParams(1.05, 0.6, -0.35)
+    init = initial_gamma(0.9)
+    t = 20
+    d = derivative_state(init, p, t, mu)
+    sites, dense = fd_state(init, p, t, mu, 1e-5)
+    assert np.abs(d.amps
+                  - dense_amps_at(sites, dense, d.sites)).max() <= 1e-6
+
+
+def test_sum_method_against_dense_differentiation():
+    p = CoinParams(0.85, 0.3, 0.5)
+    init = initial_entangled(0, 1)
+    t = 9
+    for mu in ("theta", "alpha"):
         d = derivative_state(init, p, t, mu)
-        sites, dense = fd_state(init, p, t, mu, h)
+        sites, dense = fd_state(init, p, t, mu, 1e-6)
         assert np.abs(d.amps
-                      - dense_amps_at(sites, dense, d.sites)).max() <= gate
+                      - dense_amps_at(sites, dense, d.sites)).max() <= 1e-7
 
 
 def test_state_derivative_overlap_is_imaginary():

@@ -1,4 +1,4 @@
-"""Asymptotic information matrix: generators, projector, quadrature, closed forms."""
+"""Asymptotic information matrix: generator vectors, quadrature, closed forms."""
 import math
 
 import numpy as np
@@ -8,13 +8,12 @@ from qwfisher import (CoinParams, QFIMatrix, beta_null_check, initial_entangled,
                       initial_gamma, initial_localized, qfim_localized,
                       qfim_max_diag, qfim_theorem1, single_param_qfi,
                       uhlmann_analytic)
-from qwfisher.qfim import a1_grid, cos_omega, invariant_vector, qfim_first_term
+from qwfisher.qfim import qfim_first_term
 from qwfisher.walk import generator_spatial, u_k
 
 from oracles import (F_AA_QUARTER_PI, F_TT_QUARTER_PI, GOLDEN_COMMON,
                      GOLDEN_THETA, PAULI, PREF_RY0_QUARTER_PI,
-                     PREF_RY1_QUARTER_PI, pauli_conjugation_dense,
-                     random_spinor)
+                     PREF_RY1_QUARTER_PI, random_spinor)
 
 QUARTER = math.pi / 4
 
@@ -50,63 +49,6 @@ def test_generator_matches_finite_difference_of_uk(mu):
     for k in (-2.0, 0.0, 1.3):
         du = (u_k(up, k) - u_k(dn, k)) / (2 * h)
         assert np.abs(u_k(p, k).conj().T @ du - o).max() <= 1e-8
-
-
-# ---------------------------------------------------------------------------
-# quasi-energy axis and stationary projector, against the dense
-# conjugation map M_ij = (1/2) Tr(sigma_i u sigma_j u^dag)
-
-
-def test_half_pi_mixing_is_in_plane():
-    # cos(theta) = 0: the invariant axis is purely equatorial and the
-    # z-direction flips sign every step
-    p = CoinParams(math.pi / 2, 0.4, -0.7)
-    k = 0.9
-    s = pauli_conjugation_dense(p.theta, p.alpha, p.beta, k)[0, 1:, 1:]
-    u = invariant_vector(p, k)
-    assert abs(u[2]) <= 1e-15
-    assert np.abs(s @ u - u).max() <= 1e-12
-    assert s[2, 2] == pytest.approx(-1.0)
-    assert abs(cos_omega(p, k)) <= 1e-15
-
-
-def test_map_eigenvalues_follow_cos_omega():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        p = CoinParams(rng.uniform(0.2, 1.4), rng.uniform(-3, 3),
-                       rng.uniform(-3, 3))
-        k = rng.uniform(-math.pi, math.pi)
-        m = pauli_conjugation_dense(p.theta, p.alpha, p.beta, k)[0]
-        omega = math.acos(cos_omega(p, k))
-        evs = np.sort_complex(np.linalg.eigvals(m))
-        expected = np.sort_complex(np.array(
-            [1.0, 1.0, np.exp(2j * omega), np.exp(-2j * omega)]))
-        assert np.abs(evs - expected).max() <= 1e-10
-
-
-def test_projector_properties_on_grid():
-    p = CoinParams(0.9, 0.3, -1.1)
-    ks = np.linspace(-math.pi, math.pi, 512, endpoint=False)[::31]
-    a1 = a1_grid(p, ks)
-    at = pauli_conjugation_dense(p.theta, p.alpha, p.beta, ks)
-    assert np.abs(a1 @ a1 - a1).max() <= 1e-12
-    assert np.abs(at @ a1 - a1).max() <= 1e-12
-    assert np.abs(a1 @ at - a1).max() <= 1e-12
-    assert np.abs(np.einsum("nii->n", a1) - 2.0).max() <= 1e-12
-
-
-def test_projector_is_the_kernel_projector():
-    # a1_grid is the orthogonal projector onto ker(M - 1), found by SVD
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        p = CoinParams(rng.uniform(0.2, 1.4), rng.uniform(-3, 3),
-                       rng.uniform(-3, 3))
-        k = rng.uniform(-math.pi, math.pi)
-        m = pauli_conjugation_dense(p.theta, p.alpha, p.beta, k)[0]
-        _, sv, vh = np.linalg.svd(m - np.eye(4))
-        assert sv[2] <= 1e-12 < sv[1]
-        kernel = vh[2:].T
-        assert np.abs(a1_grid(p, k) - kernel @ kernel.T).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------

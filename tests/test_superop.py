@@ -1,111 +1,28 @@
-"""Pauli 4-vector algebra and the fixed-momentum conjugation map."""
+"""The one-step conjugation superoperator: quasi-energy axis and projector.
+
+The reference is the dense Pauli conjugation map
+M_ij = (1/2) Tr(sigma_i u sigma_j u^dag) from tests/oracles.py; the code
+under test is the closed form in qwfisher.qfim.
+"""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qwfisher import (Bloch4, CoinParams, DegenerateK, from_bloch,
-                      projector_A1, spectral, superop_matrix, to_bloch, u_k)
-from qwfisher.superop import (anticommutator_trace, commutator_trace,
-                              cos_omega, hs_inner, invariant_vector,
-                              pair_trace, triple_trace)
+from qwfisher import CoinParams
+from qwfisher.qfim import a1_grid, cos_omega, invariant_vector
+
+from oracles import pauli_conjugation_dense
 
 
-def random_op(rng):
-    z = rng.normal(size=(2, 2, 2))
-    return z[0] + 1j * z[1]
+def dense_map(p, k):
+    return pauli_conjugation_dense(p.theta, p.alpha, p.beta, k)
 
 
-def random_hermitian(rng):
-    m = random_op(rng)
-    return m + m.conj().T
-
-
-# ---------------------------------------------------------------------------
-# 4-vector encoding
-
-
-def test_identity_components():
-    b = to_bloch(np.eye(2))
-    assert np.allclose(b.c, [2, 0, 0, 0])
-    assert b.kind == "hermitian"
-
-
-def test_sigma_z_components():
-    b = to_bloch(np.diag([1.0, -1.0]))
-    assert np.allclose(b.c, [0, 0, 0, 2])
-
-
-def test_round_trip_exact():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        m = random_op(rng)
-        assert np.abs(from_bloch(to_bloch(m)) - m).max() <= 1e-15
-
-
-def test_hermiticity_tags():
-    rng = np.random.default_rng(1)
-    h = random_hermitian(rng)
-    assert to_bloch(h).kind == "hermitian"
-    assert to_bloch(1j * h).kind == "antihermitian"
-    with pytest.raises(ValueError):
-        Bloch4(np.array([1.0, 0, 0, 1j]), kind="hermitian")
-    with pytest.raises(ValueError):
-        Bloch4(np.array([1.0j, 0, 0, 1.0]), kind="antihermitian")
-    with pytest.raises(ValueError):
-        Bloch4(np.zeros(4), kind="mystery")
-
-
-def test_trace_identities_against_dense_products():
-    # pairwise and triple trace formulas vs literal matrix products
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        a, b, c = (random_op(rng) for _ in range(3))
-        ba, bb, bc = to_bloch(a), to_bloch(b), to_bloch(c)
-        assert pair_trace(ba, bb) == pytest.approx(np.trace(a @ b), abs=1e-12)
-        assert hs_inner(ba, bb) == pytest.approx(np.trace(a.conj().T @ b),
-                                                 abs=1e-12)
-        assert triple_trace(ba, bb, bc) == pytest.approx(
-            np.trace(a @ b @ c), abs=1e-12)
-        assert commutator_trace(ba, bb, bc) == pytest.approx(
-            np.trace(a @ (b @ c - c @ b)), abs=1e-12)
-        assert anticommutator_trace(ba, bb, bc) == pytest.approx(
-            np.trace(a @ (b @ c + c @ b)), abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# conjugation superoperator
-
-
-def conjugation_oracle(p, k, op):
-    u = u_k(p, k)
-    return u @ op @ u.conj().T
-
-
-def test_superop_matches_direct_conjugation():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        p = CoinParams(rng.uniform(0.1, 1.47), rng.uniform(-3, 3),
-                       rng.uniform(-3, 3))
-        k = rng.uniform(-math.pi, math.pi)
-        s = superop_matrix(p, k)
-        op = random_op(rng)
-        lhs = s(to_bloch(op)).c
-        rhs = to_bloch(conjugation_oracle(p, k, op)).c
-        assert np.abs(lhs - rhs).max() <= 1e-12
-
-
-@settings(max_examples=60)
-@given(theta=st.floats(0.05, math.pi - 0.05), alpha=st.floats(-3, 3),
-       beta=st.floats(-3, 3), k=st.floats(-math.pi, math.pi))
-def test_spatial_block_is_orthogonal(theta, alpha, beta, k):
-    s = superop_matrix(CoinParams(theta, alpha, beta), k)
-    r = s.spatial
-    assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-12
-    assert np.abs(s.m[0] - [1, 0, 0, 0]).max() == 0.0
-    assert np.abs(s.m[:, 0] - [1, 0, 0, 0]).max() == 0.0
+def random_point(rng):
+    p = CoinParams(rng.uniform(0.2, 1.4), rng.uniform(-3, 3),
+                   rng.uniform(-3, 3))
+    return p, rng.uniform(-math.pi, math.pi)
 
 
 def test_half_pi_mixing_is_in_plane():
@@ -113,7 +30,7 @@ def test_half_pi_mixing_is_in_plane():
     # z-direction flips sign every step
     p = CoinParams(math.pi / 2, 0.4, -0.7)
     k = 0.9
-    s = superop_matrix(p, k).spatial
+    s = dense_map(p, k)[0, 1:, 1:]
     u = invariant_vector(p, k)
     assert abs(u[2]) <= 1e-15
     assert np.abs(s @ u - u).max() <= 1e-12
@@ -122,71 +39,69 @@ def test_half_pi_mixing_is_in_plane():
 
 
 def test_spectral_eigenvalues_and_vectors():
+    # eigenvalues (1, 1, e^{+-2iw}) with cos w from cos_omega; the fixed
+    # eigenvectors are the trace direction and (0, u / |u|)
     rng = np.random.default_rng(4)
     for _ in range(50):
-        p = CoinParams(rng.uniform(0.2, 1.4), rng.uniform(-3, 3),
-                       rng.uniform(-3, 3))
-        k = rng.uniform(-math.pi, math.pi)
-        sd = spectral(p, k)
-        m = superop_matrix(p, k).m
-        assert sd.omega == pytest.approx(
-            math.acos(math.cos(k - p.alpha) * math.cos(p.theta)))
+        p, k = random_point(rng)
+        m = dense_map(p, k)[0]
+        omega = math.acos(cos_omega(p, k))
         evs = np.sort_complex(np.linalg.eigvals(m))
         expected = np.sort_complex(np.array(
-            [1.0, 1.0, np.exp(2j * sd.omega), np.exp(-2j * sd.omega)]))
+            [1.0, 1.0, np.exp(2j * omega), np.exp(-2j * omega)]))
         assert np.abs(evs - expected).max() <= 1e-10
-        for lam in (sd.lam1, sd.lam2):
-            assert np.linalg.norm(lam) == pytest.approx(1.0, abs=1e-12)
+        u = invariant_vector(p, k)
+        assert np.linalg.norm(u) == pytest.approx(math.sin(omega), abs=1e-12)
+        lam1 = np.array([1.0, 0.0, 0.0, 0.0])
+        lam2 = np.concatenate([[0.0], u / np.linalg.norm(u)])
+        for lam in (lam1, lam2):
             assert np.abs(m @ lam - lam).max() <= 1e-12
-        assert abs(np.dot(sd.lam1, sd.lam2)) <= 1e-12
 
 
 def test_omega_at_half_pi_mixing():
+    # theta = pi/2 gives w = pi/2 at every momentum: the rotating pair
+    # of eigenvalues sits at e^{+-i pi} = -1
     p = CoinParams(math.pi / 2, 0.0, 0.0)
-    for k in np.linspace(-3, 3, 7):
-        assert spectral(p, k).omega == pytest.approx(math.pi / 2)
-
-
-def test_degenerate_node_detection():
-    p = CoinParams(1e-5, 0.0, 0.0)
-    with pytest.raises(DegenerateK):
-        spectral(p, 0.0)   # cos omega = cos(theta) within 1e-9 of 1
-    # away from the stalled momentum the decomposition is fine
-    sd = spectral(p, 1.0)
-    assert 0.0 < sd.omega < math.pi
+    ks = np.linspace(-3, 3, 7)
+    omega = np.arccos(cos_omega(p, ks))
+    assert np.abs(omega - math.pi / 2).max() <= 1e-12
+    for m in dense_map(p, ks):
+        evs = np.sort(np.linalg.eigvals(m).real)
+        assert np.abs(evs - [-1.0, -1.0, 1.0, 1.0]).max() <= 1e-10
 
 
 def test_projector_properties_on_grid():
     p = CoinParams(0.9, 0.3, -1.1)
-    ks = np.linspace(-math.pi, math.pi, 512, endpoint=False)
-    for k in ks[::31]:
-        a1 = projector_A1(p, k).m
-        at = superop_matrix(p, k).m
-        assert np.abs(a1 @ a1 - a1).max() <= 1e-12
-        assert np.abs(at @ a1 - a1).max() <= 1e-12
-        assert np.abs(a1 @ at - a1).max() <= 1e-12
-        assert np.trace(a1) == pytest.approx(2.0, abs=1e-12)
+    ks = np.linspace(-math.pi, math.pi, 512, endpoint=False)[::31]
+    a1 = a1_grid(p, ks)
+    at = dense_map(p, ks)
+    assert np.abs(a1 @ a1 - a1).max() <= 1e-12
+    assert np.abs(at @ a1 - a1).max() <= 1e-12
+    assert np.abs(a1 @ at - a1).max() <= 1e-12
+    assert np.abs(np.einsum("nii->n", a1) - 2.0).max() <= 1e-12
 
 
 def test_projector_equals_eigenvector_sum():
+    # the right singular vectors of M - 1 with zero singular value are an
+    # orthonormal basis of the eigenvalue-1 space; a1_grid is the sum of
+    # their outer products, the orthogonal projector onto ker(M - 1)
     rng = np.random.default_rng(5)
     for _ in range(30):
-        p = CoinParams(rng.uniform(0.2, 1.4), rng.uniform(-3, 3),
-                       rng.uniform(-3, 3))
-        k = rng.uniform(-math.pi, math.pi)
-        sd = spectral(p, k)
-        outer = np.outer(sd.lam1, sd.lam1) + np.outer(sd.lam2, sd.lam2)
-        assert np.abs(projector_A1(p, k).m - outer).max() <= 1e-10
+        p, k = random_point(rng)
+        m = dense_map(p, k)[0]
+        _, sv, vh = np.linalg.svd(m - np.eye(4))
+        assert sv[2] <= 1e-12 < sv[1]
+        kernel = vh[2:].T
+        assert np.abs(m @ kernel - kernel).max() <= 1e-12
+        assert np.abs(a1_grid(p, k) - kernel @ kernel.T).max() <= 1e-10
 
 
 def test_projector_annihilates_rotating_eigenvectors():
     rng = np.random.default_rng(6)
     for _ in range(30):
-        p = CoinParams(rng.uniform(0.2, 1.4), rng.uniform(-3, 3),
-                       rng.uniform(-3, 3))
-        k = rng.uniform(-math.pi, math.pi)
-        m = superop_matrix(p, k).m
-        a1 = projector_A1(p, k).m
+        p, k = random_point(rng)
+        m = dense_map(p, k)[0]
+        a1 = a1_grid(p, k)
         evals, evecs = np.linalg.eig(m)
         rotating = np.abs(evals - 1.0) > 1e-6
         assert rotating.sum() == 2
