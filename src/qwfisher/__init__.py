@@ -39,7 +39,7 @@ _EXPORTS = {
              "single_param_qfi", "uhlmann_analytic"],
     "walk": ["CoinBlochState", "CoinParams", "WalkerState", "build_coin",
              "coin_matrix", "evolve", "evolve_k", "initial_entangled",
-             "initial_gamma", "initial_localized", "make_initial", "u_k"],
+             "initial_gamma", "initial_localized", "make_initial"],
 }
 
 _ATTR_TO_MODULE = {name: mod for mod, names in _EXPORTS.items()

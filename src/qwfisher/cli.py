@@ -337,7 +337,7 @@ def _route_column(route: str) -> str:
 
 
 def _qfim_by_route(route, p, init, t, params, ns):
-    from .oracle import qfim_exact, uhlmann_exact
+    from .oracle import _exact_matrices
     from .qfim import (QFIMatrix, _rho_bloch, qfim_localized, qfim_theorem1,
                        uhlmann_analytic)
 
@@ -358,8 +358,7 @@ def _qfim_by_route(route, p, init, t, params, ns):
                               t=t, asymptotic=True)
         return relabeled, uhlmann_analytic(p, init, t, params=params)
     if route == "oracle":
-        f = qfim_exact(init, p, t, params=params)
-        return f, uhlmann_exact(init, p, t, params=params)
+        return _exact_matrices(init, p, t, params=params)
     raise ConfigError(f"unknown route {route!r}; choose from {_ROUTES}")
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .oracle import _evolve_with_generators
 from .walk import (PARAM_NAMES, CoinParams, SU2Powers, WalkerState,
-                   coin_matrix, k_grid_size, window_from_uniform)
+                   k_grid_size, quasi_energy_axis, window_from_uniform)
 from .quadrature import uniform_k_grid
 
 MASS_THRESHOLD = 1e-12
@@ -40,9 +40,9 @@ class PositionDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if sites.shape != probs.shape or probs.ndim != 1:
             raise ValueError("sites and probs must be matching 1D arrays")
-        if probs.min() < -1e-15:
+        if not probs.min() >= -1e-15:              # NaN fails too
             raise ValueError(f"negative probability {probs.min()!r}")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if not abs(probs.sum() - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "probs", probs)
@@ -246,10 +246,9 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
                          "shrink the box or step explicitly")
 
     # (S R(theta))^t on the unit inputs, all thetas: (n_theta, 2 n0, 2 width);
-    # row scaling gives u(k) = diag(e^{-ik}, e^{ik}) R(theta) at every node
-    phases = np.column_stack([np.exp(-1j * nodes), np.exp(1j * nodes)])
-    powers = SU2Powers.of(phases[None, None, :, :, None]
-                          * coin_matrix(thetas, 0.0, 0.0)[:, None, None])
+    # S(k) R(theta) is the walk's u(k) at alpha = beta = 0
+    powers = SU2Powers.of(
+        *quasi_energy_axis(thetas[:, None, None], 0.0, 0.0, nodes))
     n0 = init.n_sites
     # spinor of |y, c> is e^{-iky} e_c: (n0, 2, n_nodes, 2)
     unit = (np.exp(-1j * np.outer(init.sites, nodes))[:, None, :, None]
@@ -320,10 +319,8 @@ def _score_and_info(rec_counts, init, params_point, t, params=("theta", "alpha")
     return score, info, sites, probs
 
 
-def mle_fit(rec: MeasurementRecord, init: WalkerState | None = None,
-            t: int | None = None, grid: GridSpec | None = None,
-            table: LikelihoodTable | None = None, refine: bool = True,
-            max_refine: int = 12) -> MLEResult:
+def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
+            refine: bool = True, max_refine: int = 12) -> MLEResult:
     """Maximum-likelihood (theta, alpha) from position counts.
 
     Grid search over a shared probability table, a connectivity
@@ -332,17 +329,9 @@ def mle_fit(rec: MeasurementRecord, init: WalkerState | None = None,
     refinement with exact scores.  The covariance estimate is the
     inverse observed information at the fit; a direction the data carry
     no information about (the position marginal can be exactly flat in
-    alpha for some inputs) gets an infinite diagonal entry.
+    alpha for some inputs) gets an infinite diagonal entry.  ``table``
+    comes from :func:`make_likelihood_table` at the record's t.
     """
-    if table is None:
-        if init is None:
-            raise ValueError("need either a likelihood table or an initial state")
-        if rec.params_true is None:
-            raise ValueError("without a table, params_true is needed to pin beta")
-        table = make_likelihood_table(init, rec.params_true,
-                                      rec.t if t is None else int(t), grid)
-    if t is not None and int(t) != table.t:
-        raise ValueError(f"t={t} disagrees with the table's t={table.t}")
     if rec.t != table.t:
         raise ValueError(f"record t={rec.t} disagrees with the table t={table.t}")
     counts = rec.count_vector(table.sites)

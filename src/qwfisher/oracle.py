@@ -7,8 +7,11 @@ of the evolved state come from the generator sums in momentum space,
 
 with O_mu = C^dag d_mu C = (i/2) w_mu.sigma (w_mu real, from
 :func:`walk.generator_spatial`).  Conjugation by u(k) = cos w - i sin w
-n.sigma turns Pauli vectors by 2w about n, so with O_mu = v.sigma,
-v = (i/2) w_mu, the sum is a geometric series with the closed form
+n.sigma, whose cos w and sin w n come from
+:func:`walk.quasi_energy_axis` (the axis the asymptotic route's
+projector also reads), turns Pauli vectors by 2w about n, so with
+O_mu = v.sigma, v = (i/2) w_mu, the sum is a geometric series with the
+closed form
 
     g(t) = t (n.v) n + [sin tw cos (t+1)w / sin w] v_perp
                      + [sin tw sin (t+1)w / sin w] n x v,
@@ -32,8 +35,8 @@ import numpy as np
 from .qfim import QFIMatrix
 from .quadrature import uniform_k_grid
 from .walk import (PARAM_NAMES, CoinParams, SU2Powers, WalkerState,
-                   generator_spatial, k_grid_size, spinors_at, u_k,
-                   window_from_uniform)
+                   generator_spatial, k_grid_size, quasi_energy_axis,
+                   spinors_at, window_from_uniform)
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,8 @@ def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx,
     """
     t = int(t)
     nodes, _ = uniform_k_grid(k_grid_size(init.n_sites + 2 * t, n_nodes))
-    powers = SU2Powers.of(u_k(p, nodes))
+    powers = SU2Powers.of(
+        *quasi_energy_axis(p.theta, p.alpha, p.beta, nodes))
     phi = powers.apply_power(spinors_at(init, nodes), t)
     g = powers.generator_sums(0.5j * generator_spatial(p)[idx], t)
     return phi, np.einsum("mnab,nb->mna", g, phi)
@@ -102,11 +106,22 @@ def _gram(init: WalkerState, p: CoinParams, t: int, params,
     return 4.0 * (gram - np.outer(np.conj(overlap), overlap))
 
 
+def _exact_matrices(init: WalkerState, p: CoinParams, t: int,
+                    params=PARAM_NAMES, n_nodes: int | None = None):
+    """(information matrix, curvature) from the real and imaginary parts
+    of one complex Gram, so one engine run serves both."""
+    gram = _gram(init, p, t, params, n_nodes)
+    labels = tuple(params)
+    return (QFIMatrix(entries=gram.real, labels=labels, t=int(t),
+                      asymptotic=False),
+            QFIMatrix(entries=gram.imag, labels=labels, t=int(t),
+                      antisymmetric=True, asymptotic=False))
+
+
 def qfim_exact(init: WalkerState, p: CoinParams, t: int,
                params=PARAM_NAMES, n_nodes: int | None = None) -> QFIMatrix:
     """Finite-t information matrix 4 Re(<d_u|d_v> - <d_u|psi><psi|d_v>)."""
-    return QFIMatrix(entries=_gram(init, p, t, params, n_nodes).real,
-                     labels=tuple(params), t=int(t), asymptotic=False)
+    return _exact_matrices(init, p, t, params, n_nodes)[0]
 
 
 def uhlmann_exact(init: WalkerState, p: CoinParams, t: int,
@@ -116,6 +131,4 @@ def uhlmann_exact(init: WalkerState, p: CoinParams, t: int,
     Decays like 1/t on the walk models here; the asymptotic route
     reports an exact zero instead.
     """
-    return QFIMatrix(entries=_gram(init, p, t, params, n_nodes).imag,
-                     labels=tuple(params), t=int(t), antisymmetric=True,
-                     asymptotic=False)
+    return _exact_matrices(init, p, t, params, n_nodes)[1]

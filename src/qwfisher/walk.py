@@ -7,12 +7,16 @@ spinor at site ``origin + i``.
 
 Momentum-space picture: with spinor(k) = sum_x c_x e^{-ikx}, one step is
 multiplication by u(k) = diag(e^{-ik}, e^{ik}) @ C, so evolution
-factorises over k.  u(k) is in SU(2), so u(k)^t and the generator sums
-G_mu(t) = sum_{m=1..t} u^m O_mu u^-m behind every parameter derivative
-have closed forms in t (:class:`SU2Powers`), where the coin generators
-O_mu = C^dag d_mu C = (i/2) w_mu.sigma come as the real Pauli vectors
-w_mu of :func:`generator_spatial`.  Both pictures are implemented and
-kept numerically interchangeable.
+factorises over k.  u(k) is in SU(2): u(k) = cos(om) - i w.sigma, and
+:func:`quasi_energy_axis` is the one place that computes cos(om) and
+w = sin(om) n.  The finite-t engine (:class:`SU2Powers`) builds
+u(k)^t and the generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m
+behind every parameter derivative from them in closed form, and the
+asymptotic route in :mod:`qwfisher.qfim` reads the same axis for its
+stationary projector.  The coin generators O_mu = C^dag d_mu C =
+(i/2) w_mu.sigma come as the real Pauli vectors w_mu of
+:func:`generator_spatial`.  Both pictures are implemented and kept
+numerically interchangeable.
 """
 from __future__ import annotations
 
@@ -70,20 +74,16 @@ class CoinParams:
 PARAM_NAMES = ("theta", "alpha", "beta")
 
 
-def coin_matrix(theta, alpha, beta) -> np.ndarray:
+def coin_matrix(theta: float, alpha: float, beta: float) -> np.ndarray:
     """Raw coin matrix; no domain validation.
 
     [[ e^{i alpha} cos(theta),  e^{i beta} sin(theta)],
      [-e^{-i beta} sin(theta),  e^{-i alpha} cos(theta)]]
-
-    An array of angles gives a (..., 2, 2) stack.  theta may be an array
-    on its own; alpha and beta are then scalars or of theta's shape.
     """
     ct, st = np.cos(theta), np.sin(theta)
     ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
-    m = np.array([[ea * ct, eb * st],
-                  [-st / eb, ct / ea]], dtype=complex)
-    return np.transpose(m, (*range(2, m.ndim), 0, 1))
+    return np.array([[ea * ct, eb * st],
+                     [-st / eb, ct / ea]], dtype=complex)
 
 
 def build_coin(p: CoinParams) -> np.ndarray:
@@ -110,22 +110,28 @@ def generator_spatial(p: CoinParams) -> np.ndarray:
     ])
 
 
-def shift_phases(k) -> np.ndarray:
-    """diag(e^{-ik}, e^{ik}) for scalar or array k; array input gives (n, 2, 2)."""
-    k = np.asarray(k, dtype=float)
-    out = np.zeros(k.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(-1j * k)
-    out[..., 1, 1] = np.exp(1j * k)
-    return out
+def quasi_energy_axis(theta, alpha, beta, k):
+    """Quasi-energy axis of the one-step unitary u(k) = diag(e^{-ik}, e^{ik}) C.
 
+    u(k) = cos(om) - i w.sigma with
 
-def u_k(p: CoinParams, k) -> np.ndarray:
-    """Single-step momentum-space unitary diag(e^{-ik}, e^{ik}) @ C.
+        cos(om) = cos(k - alpha) cos(theta),
+        w = (sin(k - beta) sin(theta), -cos(k - beta) sin(theta),
+             sin(k - alpha) cos(theta)),
 
-    Scalar ``k`` gives a (2, 2) matrix, an array of momenta an (n, 2, 2)
-    stack.
+    |w| = sin(om) >= |sin(theta)|.  Raw angles with no domain
+    validation; theta and alpha broadcast against k, and beta must fit
+    the shape they give together.  Returns (cos(om), w), w with a
+    trailing axis of 3.
     """
-    return shift_phases(k) @ build_coin(p)
+    k = np.asarray(k, dtype=float)
+    st, ct = np.sin(theta), np.cos(theta)
+    cos_omega = np.cos(k - alpha) * ct
+    w = np.empty(cos_omega.shape + (3,))
+    w[..., 0] = np.sin(k - beta) * st
+    w[..., 1] = -np.cos(k - beta) * st
+    w[..., 2] = np.sin(k - alpha) * ct
+    return cos_omega, w
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +156,7 @@ class WalkerState:
             raise ValueError(f"amps must have shape (n, 2), got {a.shape}")
         object.__setattr__(self, "amps", a)
         nrm = np.linalg.norm(a)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:          # NaN fails too
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_TOL}")
 
     @property
@@ -221,7 +227,7 @@ class CoinBlochState:
         r = np.asarray(self.r, dtype=float)
         if r.shape != (3,):
             raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
-        if np.linalg.norm(r) > 1.0 + 1e-12:
+        if not np.linalg.norm(r) <= 1.0 + 1e-12:     # NaN fails too
             raise ValueError(f"Bloch vector length {np.linalg.norm(r)} exceeds 1")
         object.__setattr__(self, "r", r)
 
@@ -258,7 +264,7 @@ def initial_localized(x0: int = 0, spinor=None, bloch: CoinBlochState | None = N
         if chi.shape != (2,):
             raise ValueError(f"spinor must have shape (2,), got {chi.shape}")
         nrm = np.linalg.norm(chi)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:          # NaN fails too
             raise ValueError(f"spinor norm {nrm!r} deviates from 1")
     else:
         chi = np.array([1.0, 0.0], dtype=complex)
@@ -378,49 +384,48 @@ class SU2Powers:
     sin(m om) / sin(om) -> m there and G(t) = t O.
 
     The angle is kept folded into [0, pi/2]: u = sign * (cos(om) - i
-    w.sigma) with w = sin(om) n, om = atan2(|w|, |tr u| / 2) and
-    sign = +-1.  Near om = pi an unfolded angle carries an absolute
+    w.sigma) with cos(om) >= 0, w = sin(om) n, om = atan2(|w|, cos(om))
+    and sign = +-1.  Near om = pi an unfolded angle carries an absolute
     rounding error that is large against sin(om); the folded one stays
     accurate to relative rounding.  Conjugation does not see the sign,
     and u^t picks up sign^t.
     """
 
-    u: np.ndarray           # (..., 2, 2)
-    sign: np.ndarray        # (...,), +-1 with sign * tr u >= 0
+    sign: np.ndarray        # (...,), +-1, the sign of cos(om) of u
+    cos_omega: np.ndarray   # (...,), cos(om) of sign * u, >= 0
     w: np.ndarray           # (..., 3), sin(om) n of sign * u
     sin_omega: np.ndarray   # (...,), |w|, at least the smallest normal
     omega: np.ndarray       # (...,), folded angle om in [0, pi/2]
 
     @classmethod
-    def of(cls, u) -> "SU2Powers":
-        """Read w = sin(om) n off the Pauli components of u."""
-        u = np.asarray(u, dtype=complex)
-        c = 0.5 * (u[..., 0, 0] + u[..., 1, 1]).real
+    def of(cls, cos_omega, w) -> "SU2Powers":
+        """Fold u = cos(om) - i w.sigma, as :func:`quasi_energy_axis` gives it."""
+        c = np.asarray(cos_omega, dtype=float)
         sign = np.where(c < 0.0, -1.0, 1.0)
-        w = np.empty(c.shape + (3,))
-        w[..., 0] = -(u[..., 0, 1] + u[..., 1, 0]).imag
-        w[..., 1] = (u[..., 1, 0] - u[..., 0, 1]).real
-        w[..., 2] = (u[..., 1, 1] - u[..., 0, 0]).imag
-        w *= 0.5 * sign[..., None]
+        w = w * sign[..., None]
         s = np.maximum(np.sqrt(np.einsum("...i,...i->...", w, w)),
                        np.finfo(float).tiny)
-        # atan2 keeps small angles accurate; arccos of the half trace
-        # would lose half the digits there
-        return cls(u=u, sign=sign, w=w, sin_omega=s,
-                   omega=np.arctan2(s, np.abs(c)))
+        c = np.abs(c)
+        # atan2 keeps small angles accurate; arccos of cos(om) would
+        # lose half the digits there
+        return cls(sign=sign, cos_omega=c, w=w, sin_omega=s,
+                   omega=np.arctan2(s, c))
 
     def apply_power(self, phi: np.ndarray, t: int) -> np.ndarray:
         """u^t phi for spinors phi (..., 2) broadcasting against the stack."""
         t = int(t)
-        # sign^(t+1) on the u term and sign^t on the identity term
-        sign_a, sign_b = (1.0, self.sign) if t % 2 else (self.sign, 1.0)
-        a = sign_a * np.sin(t * self.omega) / self.sin_omega
-        b = sign_b * np.sin((t - 1) * self.omega) / self.sin_omega
-        u, p0, p1 = self.u, phi[..., 0], phi[..., 1]
+        # u^t = sign^t (sign u)^t with sign u = cos(om) - i w.sigma
+        sign_t = self.sign if t % 2 else 1.0
+        a = sign_t * np.sin(t * self.omega) / self.sin_omega
+        b = sign_t * np.sin((t - 1) * self.omega) / self.sin_omega
+        c, w = self.cos_omega, self.w
+        p0, p1 = phi[..., 0], phi[..., 1]
         out = np.empty(np.broadcast_shapes(a.shape, p0.shape) + (2,),
                        dtype=complex)
-        out[..., 0] = a * (u[..., 0, 0] * p0 + u[..., 0, 1] * p1) - b * p0
-        out[..., 1] = a * (u[..., 1, 0] * p0 + u[..., 1, 1] * p1) - b * p1
+        out[..., 0] = a * ((c - 1j * w[..., 2]) * p0
+                           - (w[..., 1] + 1j * w[..., 0]) * p1) - b * p0
+        out[..., 1] = a * ((w[..., 1] - 1j * w[..., 0]) * p0
+                           + (c + 1j * w[..., 2]) * p1) - b * p1
         return out
 
     def generator_sums(self, v: np.ndarray, t: int) -> np.ndarray:
@@ -460,7 +465,8 @@ def evolve_k(s: WalkerState, p: CoinParams, t: int,
     t = int(t)
     width = s.n_sites + 2 * t
     nodes, _ = uniform_k_grid(k_grid_size(width, n_nodes))
-    phi = SU2Powers.of(u_k(p, nodes)).apply_power(spinors_at(s, nodes), t)
+    axis = quasi_energy_axis(p.theta, p.alpha, p.beta, nodes)
+    phi = SU2Powers.of(*axis).apply_power(spinors_at(s, nodes), t)
     origin = s.origin - t
     return WalkerState(origin=origin,
                        amps=window_from_uniform(phi, origin, width),

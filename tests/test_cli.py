@@ -92,6 +92,9 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     (["evolve", "--t", "5", "--out", "missing_dir/x"], 2),   # unwritable
     (["estimate", "--t", "5", "--shots", "10", "--grid-n", "8",
       "--out", "missing_dir/x"], 2),
+    (["evolve", "--t", "3", "--init", "gamma:nan"], 2),    # NaN inputs
+    (["evolve", "--t", "3", "--spinor", "nan,0"], 2),
+    (["evolve", "--t", "3", "--bloch", "nan,0,0"], 2),
 ])
 def test_exit_codes(workdir, capsys, argv, code):
     assert main(argv) == code

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from qwfisher import (AliasingError, CoinParams, ConfigError, evolve, evolve_k,
                       initial_entangled, initial_gamma, initial_localized,
                       qfim_exact)
-from qwfisher.walk import SU2Powers, generator_spatial, spinors_at, u_k
+from qwfisher.walk import (SU2Powers, generator_spatial, quasi_energy_axis,
+                           spinors_at)
 
 from oracles import random_spinor, recurrence_powers_and_generators
 
@@ -42,7 +43,7 @@ def test_closed_form_matches_recurrence(theta, alpha, beta, t, kind, seed):
     phi0 = spinors_at(_initial(kind, np.random.default_rng(seed)), k)
     phi_ref, g_ref = recurrence_powers_and_generators(
         p.theta, p.alpha, p.beta, k, phi0, t)
-    powers = SU2Powers.of(u_k(p, k))
+    powers = SU2Powers.of(*quasi_energy_axis(p.theta, p.alpha, p.beta, k))
     phi = powers.apply_power(phi0, t)
     g = powers.generator_sums(0.5j * generator_spatial(p), t)
     assert np.abs(phi - phi_ref).max() <= 1e-11 * np.abs(phi_ref).max()

@@ -262,8 +262,6 @@ class TestMLE:
         table = make_likelihood_table(
             init, p_true, 10, GridSpec(theta_min=0.5, theta_max=0.9,
                                        n_theta=4, n_alpha=4))
-        with pytest.raises(ValueError, match="disagrees"):
-            mle_fit(rec, table=table, t=12)
         other = MeasurementRecord(t=9, shots=rec.shots, counts=rec.counts,
                                   seed=rec.seed)
         with pytest.raises(ValueError, match="disagrees"):
@@ -282,13 +280,6 @@ class TestMLE:
         fresh = np.log(table.probs[:, :, observed]) @ counts[observed]
         assert np.abs(table.logp @ counts - fresh).max() \
             <= 1e-12 * np.abs(fresh).max()
-
-    def test_needs_table_or_state(self):
-        rec = MeasurementRecord(t=2, shots=1, counts={0: 1}, seed=0)
-        with pytest.raises(ValueError, match="table"):
-            mle_fit(rec)
-        with pytest.raises(ValueError, match="params_true"):
-            mle_fit(rec, init=initial_gamma(0.2))
 
     def test_connectivity_diagnostic(self):
         mask = np.zeros((6, 6), dtype=bool)

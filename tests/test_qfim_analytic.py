@@ -9,11 +9,11 @@ from qwfisher import (CoinParams, QFIMatrix, beta_null_check, initial_entangled,
                       qfim_max_diag, qfim_theorem1, single_param_qfi,
                       uhlmann_analytic)
 from qwfisher.qfim import qfim_first_term
-from qwfisher.walk import generator_spatial, u_k
+from qwfisher.walk import generator_spatial
 
 from oracles import (F_AA_QUARTER_PI, F_TT_QUARTER_PI, GOLDEN_COMMON,
                      GOLDEN_THETA, PAULI, PREF_RY0_QUARTER_PI,
-                     PREF_RY1_QUARTER_PI, random_spinor)
+                     PREF_RY1_QUARTER_PI, random_spinor, u_dense)
 
 QUARTER = math.pi / 4
 
@@ -39,16 +39,19 @@ def test_beta_generator_components():
 
 @pytest.mark.parametrize("mu", ["theta", "alpha", "beta"])
 def test_generator_matches_finite_difference_of_uk(mu):
-    # O_mu = u_k^dag d_mu u_k = (i/2) w_mu.sigma is momentum independent
+    # O_mu = u^dag d_mu u = (i/2) w_mu.sigma is momentum independent
     p = CoinParams(1.1, -0.7, 0.3)
     w = generator_spatial(p)[("theta", "alpha", "beta").index(mu)]
     o = 0.5j * np.einsum("i,iab->ab", w, PAULI[1:])
     h = 1e-6
     up = p.replace(**{mu: getattr(p, mu) + h})
     dn = p.replace(**{mu: getattr(p, mu) - h})
-    for k in (-2.0, 0.0, 1.3):
-        du = (u_k(up, k) - u_k(dn, k)) / (2 * h)
-        assert np.abs(u_k(p, k).conj().T @ du - o).max() <= 1e-8
+    ks = [-2.0, 0.0, 1.3]
+    u = u_dense(p.theta, p.alpha, p.beta, ks)
+    du = (u_dense(up.theta, up.alpha, up.beta, ks)
+          - u_dense(dn.theta, dn.alpha, dn.beta, ks)) / (2 * h)
+    for one, d_one in zip(u, du):
+        assert np.abs(one.conj().T @ d_one - o).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The reference is the dense Pauli conjugation map
 M_ij = (1/2) Tr(sigma_i u sigma_j u^dag) from tests/oracles.py; the code
-under test is the closed form in qwfisher.qfim.
+under test is the quasi-energy axis in qwfisher.walk and the projector
+built from it in qwfisher.qfim.
 """
 import math
 
@@ -10,13 +11,22 @@ import numpy as np
 import pytest
 
 from qwfisher import CoinParams
-from qwfisher.qfim import a1_grid, cos_omega, invariant_vector
+from qwfisher.qfim import a1_grid
+from qwfisher.walk import quasi_energy_axis
 
 from oracles import pauli_conjugation_dense
 
 
 def dense_map(p, k):
     return pauli_conjugation_dense(p.theta, p.alpha, p.beta, k)
+
+
+def cos_omega(p, k):
+    return quasi_energy_axis(p.theta, p.alpha, p.beta, k)[0]
+
+
+def invariant_vector(p, k):
+    return quasi_energy_axis(p.theta, p.alpha, p.beta, k)[1]
 
 
 def random_point(rng):
@@ -39,7 +49,7 @@ def test_half_pi_mixing_is_in_plane():
 
 
 def test_spectral_eigenvalues_and_vectors():
-    # eigenvalues (1, 1, e^{+-2iw}) with cos w from cos_omega; the fixed
+    # eigenvalues (1, 1, e^{+-2iw}) with cos w from the axis; the fixed
     # eigenvectors are the trace direction and (0, u / |u|)
     rng = np.random.default_rng(4)
     for _ in range(50):

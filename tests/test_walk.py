@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from qwfisher import (AliasingError, CoinBlochState, CoinParams, DegenerateWalk,
                       WalkerState, build_coin, coin_matrix, evolve, evolve_k,
                       initial_entangled, initial_gamma, initial_localized,
-                      make_initial, u_k)
-from qwfisher.walk import spinors_at
+                      make_initial)
+from qwfisher.walk import quasi_energy_axis, spinors_at
 
-from oracles import coin_dense, dense_amps_at, dense_evolve
+from oracles import PAULI, coin_dense, dense_amps_at, dense_evolve
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 mixing = st.floats(0.05, math.pi - 0.05)
@@ -206,18 +206,33 @@ def test_state_json_round_trip():
 
 
 def test_uk_defining_relation():
+    # cos(om) - i w.sigma is the one-step unitary diag(e^{-ik}, e^{ik}) C
     p = CoinParams(math.pi / 4, 0.1, 0.9)
-    k = math.pi / 3
-    expected = np.diag([np.exp(-1j * k), np.exp(1j * k)]) @ build_coin(p)
-    assert np.allclose(u_k(p, k), expected, atol=1e-15)
-    assert np.allclose(u_k(p, 0.0), build_coin(p), atol=1e-15)
+    for k in (math.pi / 3, 0.0):
+        c, w = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
+        u = c * np.eye(2) - 1j * np.einsum("i,iab->ab", w, PAULI[1:])
+        expected = np.diag([np.exp(-1j * k), np.exp(1j * k)]) @ build_coin(p)
+        assert np.allclose(u, expected, atol=1e-15)
 
 
 @given(theta=mixing, k=st.floats(-math.pi, math.pi))
 def test_uk_unitary_unit_determinant(theta, k):
-    m = u_k(CoinParams(theta, 0.3, 0.3), k)
-    assert np.abs(m @ m.conj().T - np.eye(2)).max() <= 1e-14
-    assert abs(np.linalg.det(m) - 1.0) <= 1e-13
+    # for real cos(om) and w, u u^dag = det u = cos^2(om) + |w|^2
+    c, w = quasi_energy_axis(theta, 0.3, 0.3, k)
+    assert abs(c ** 2 + w @ w - 1.0) <= 1e-14
+
+
+def test_axis_theta_array_matches_scalar_calls():
+    # the likelihood table runs a column of thetas, theta = 0 included,
+    # against the momentum nodes in one call
+    thetas = np.array([0.0, 0.3, math.pi / 2])
+    k = np.linspace(-math.pi, math.pi, 9)
+    c, w = quasi_energy_axis(thetas[:, None], 0.0, 0.0, k)
+    assert c.shape == (3, 9) and w.shape == (3, 9, 3)
+    for i, theta in enumerate(thetas):
+        c_i, w_i = quasi_energy_axis(theta, 0.0, 0.0, k)
+        assert np.abs(c[i] - c_i).max() <= 1e-15
+        assert np.abs(w[i] - w_i).max() <= 1e-15
 
 
 def test_localized_k_spinor_phase():
