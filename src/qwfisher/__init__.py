@@ -13,9 +13,9 @@ from __future__ import annotations
 import importlib
 
 from . import errors
-from .errors import (AliasingError, ChargeUnidentifiable, ConfigError,
-                     DegenerateWalk, IncompatibleModel, NoConvergence,
-                     OutOfWindow, QuadratureError, QwfError, SingularFisher,
+from .errors import (ChargeUnidentifiable, ConfigError, DegenerateWalk,
+                     IncompatibleModel, NoConvergence, OutOfWindow,
+                     QuadratureError, QwfError, SingularFisher,
                      SingularJacobian)
 
 __version__ = "0.1.0"
@@ -38,15 +38,15 @@ _EXPORTS = {
              "qfim_localized", "qfim_max_diag", "qfim_theorem1",
              "single_param_qfi", "uhlmann_analytic"],
     "walk": ["CoinBlochState", "CoinParams", "WalkerState", "build_coin",
-             "coin_matrix", "evolve", "evolve_k", "initial_entangled",
-             "initial_gamma", "initial_localized", "make_initial"],
+             "coin_matrix", "evolve", "initial_entangled", "initial_gamma",
+             "initial_localized", "make_initial"],
 }
 
 _ATTR_TO_MODULE = {name: mod for mod, names in _EXPORTS.items()
                    for name in names}
 
 __all__ = sorted(_ATTR_TO_MODULE) + [
-    "AliasingError", "ChargeUnidentifiable", "ConfigError", "DegenerateWalk",
+    "ChargeUnidentifiable", "ConfigError", "DegenerateWalk",
     "IncompatibleModel", "NoConvergence", "OutOfWindow", "QuadratureError",
     "QwfError", "SingularFisher", "SingularJacobian", "errors",
 ]

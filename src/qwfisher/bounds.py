@@ -101,16 +101,22 @@ def g_of_theta(theta: float) -> float:
     """Closed-form C^H t^2 for the optimal entangled input.
 
     (sin th + cos^2 th) / (4 sin th (1 - sin th)); diverges at
-    theta = pi/2 where the alpha information dies.
+    theta = pi/2 where the alpha information dies.  1 - sin th is taken
+    as cos^2 th / (1 + sin th), which does not cancel near pi/2.
     """
-    s = np.sin(theta)
-    # the 1e-12 floor matches the coin degeneracy gate: float pi lands at
-    # sin(theta) ~ 1.2e-16, not exactly zero
-    if not 1e-12 < s < 1.0:
+    s, c = np.sin(theta), np.cos(theta)
+    # the 1e-12 floors match the coin degeneracy gate: float pi lands at
+    # sin(theta) ~ 1.2e-16 and float pi/2 at cos(theta) ~ 6.1e-17, not
+    # exactly zero
+    if not s > 1e-12:
         raise SingularFisher(
-            f"closed form needs sin(theta) in (0, 1), got theta={theta!r}",
-            parameter="alpha" if s >= 1.0 else "theta")
-    return float((s + np.cos(theta) ** 2) / (4.0 * s * (1.0 - s)))
+            f"closed form needs sin(theta) > 0, got theta={theta!r}",
+            parameter="theta")
+    if not abs(c) >= 1e-12:
+        raise SingularFisher(
+            f"closed form needs cos(theta) != 0, got theta={theta!r}",
+            parameter="alpha")
+    return float((s + c ** 2) * (1.0 + s) / (4.0 * s * c ** 2))
 
 
 def incompatibility_R(f, d) -> float:

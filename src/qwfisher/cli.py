@@ -30,7 +30,7 @@ import sys
 
 from .errors import (ChargeUnidentifiable, ConfigError, DegenerateWalk,
                      IncompatibleModel, NoConvergence, OutOfWindow,
-                     QuadratureError, SingularFisher, SingularJacobian)
+                     SingularFisher, SingularJacobian)
 
 _UNSET = object()
 
@@ -336,14 +336,13 @@ def _route_column(route: str) -> str:
     return "f_" + route.replace("-", "_")
 
 
-def _qfim_by_route(route, p, init, t, params, ns):
+def _qfim_by_route(route, p, init, t, params):
     from .oracle import _exact_matrices
     from .qfim import (QFIMatrix, _rho_bloch, qfim_localized, qfim_theorem1,
                        uhlmann_analytic)
 
     if route == "analytic":
-        f = qfim_theorem1(p, init, t, params=params, rel_tol=ns.rel_tol,
-                          n_nodes=ns.n_nodes)
+        f = qfim_theorem1(p, init, t, params=params)
         return f, uhlmann_analytic(p, init, t, params=params)
     if route == "localized-closed-form":
         if params != ("theta", "alpha"):
@@ -379,7 +378,7 @@ def cmd_qfim(ns, echo) -> int:
 
     results = {}
     for route in routes:
-        results[route] = _qfim_by_route(route, p, init, t, params, ns)
+        results[route] = _qfim_by_route(route, p, init, t, params)
 
     ref_route = routes[0]
     ref = results[ref_route][0].entries
@@ -439,7 +438,7 @@ def cmd_bounds(ns, echo) -> int:
     t = _check_t(ns.t)
     init = _parse_init(ns)
     params = ("theta", "alpha")
-    f, d = _qfim_by_route(ns.route, p, init, t, params, ns)
+    f, d = _qfim_by_route(ns.route, p, init, t, params)
 
     w = None
     if ns.weight:
@@ -541,8 +540,7 @@ def cmd_case(ns, echo) -> int:
         labels = ("m", "q")
         truth = (dp.m, dp.q)
 
-    f_coin = qfim_theorem1(p, init, t, params=("theta", "alpha"),
-                           rel_tol=ns.rel_tol, n_nodes=ns.n_nodes)
+    f_coin = qfim_theorem1(p, init, t, params=("theta", "alpha"))
     f_phys = pullback_qfim(f_coin, jac, labels)
     cs = symmetric_bound(f_phys)
 
@@ -678,10 +676,6 @@ def build_parser():
            help="comma list from: " + ", ".join(_ROUTES))
     qf.add("params", default="theta,alpha",
            help="comma list of coin parameters")
-    qf.add("rel-tol", type=float, default=1e-9,
-           help="adaptive quadrature relative tolerance")
-    qf.add("n-nodes", type=int, default=None,
-           help="fixed quadrature node count (overrides adaptivity)")
     qf.add("out", default=None, help="output file prefix")
 
     bd = _Cmd(sub, "bounds", "scalar precision bounds from the QFIm",
@@ -693,8 +687,6 @@ def build_parser():
            help="how to compute the matrices")
     bd.add("weight", default=None, metavar="W00,W01,W11",
            help="weight matrix entries (default identity)")
-    bd.add("rel-tol", type=float, default=1e-9)
-    bd.add("n-nodes", type=int, default=None)
     bd.add("eps-compat", type=float, default=1e-6,
            help="compatibility threshold ||D|| <= eps ||F||")
     bd.add("strict", type=bool, default=False,
@@ -721,8 +713,6 @@ def build_parser():
     cs.add("eps", type=float, default=None, help="lattice spacing")
     _add_init_flags(cs, default="entangled:0,1")
     cs.add("t", type=int, default=100, help="number of steps")
-    cs.add("rel-tol", type=float, default=1e-9)
-    cs.add("n-nodes", type=int, default=None)
     cs.add("out", default=None, help="output file prefix")
 
     es = _Cmd(sub, "estimate", "sample counts and fit (theta, alpha)",
@@ -751,7 +741,7 @@ def main(argv=None) -> int:
             SingularJacobian, DegenerateWalk, OutOfWindow) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 4
-    except (QuadratureError, NoConvergence) as exc:
+    except NoConvergence as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:

@@ -15,10 +15,6 @@ class ConfigError(QwfError):
     """Invalid run configuration (bad flag value, malformed config file)."""
 
 
-class AliasingError(ConfigError):
-    """k-grid too coarse for the position-space support it must represent."""
-
-
 class QuadratureError(QwfError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 

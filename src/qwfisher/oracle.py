@@ -57,15 +57,14 @@ class AmplitudeWindow:
         return self.origin + np.arange(self.amps.shape[0])
 
 
-def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx,
-                            n_nodes: int | None = None):
+def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx):
     """Evolved k-spinors and their derivatives on a uniform grid.
 
     Returns (phi_t, dphi) with phi_t of shape (n, 2) and dphi of shape
     (len(idx), n, 2), dphi[i] = G_mu(t) phi_t for mu = PARAM_NAMES[idx[i]].
     """
     t = int(t)
-    nodes, _ = uniform_k_grid(k_grid_size(init.n_sites + 2 * t, n_nodes))
+    nodes, _ = uniform_k_grid(k_grid_size(init.n_sites + 2 * t))
     powers = SU2Powers.of(
         *quasi_energy_axis(p.theta, p.alpha, p.beta, nodes))
     phi = powers.apply_power(spinors_at(init, nodes), t)
@@ -73,27 +72,25 @@ def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx,
     return phi, np.einsum("mnab,nb->mna", g, phi)
 
 
-def derivative_state(init: WalkerState, p: CoinParams, t: int, mu: str,
-                     n_nodes: int | None = None) -> AmplitudeWindow:
+def derivative_state(init: WalkerState, p: CoinParams, t: int,
+                     mu: str) -> AmplitudeWindow:
     """Position-space d_mu |psi_t> from the closed-form generator sum."""
     if mu not in PARAM_NAMES:
         raise ValueError(f"unknown parameter {mu!r}; choose from {PARAM_NAMES}")
-    _, dphi = _evolve_with_generators(init, p, t, [PARAM_NAMES.index(mu)],
-                                      n_nodes)
+    _, dphi = _evolve_with_generators(init, p, t, [PARAM_NAMES.index(mu)])
     origin = init.origin - int(t)
     amps = window_from_uniform(dphi[0], origin, init.n_sites + 2 * int(t))
     return AmplitudeWindow(origin=origin, amps=amps)
 
 
-def _gram(init: WalkerState, p: CoinParams, t: int, params,
-          n_nodes: int | None = None) -> np.ndarray:
+def _gram(init: WalkerState, p: CoinParams, t: int, params) -> np.ndarray:
     """4 (<d_u psi|d_v psi> - <d_u psi|psi><psi|d_v psi>) as a complex matrix.
 
     Its real part is the information matrix and its imaginary part the
     mixed-derivative curvature.
     """
     idx = [PARAM_NAMES.index(l) for l in params]
-    phi, dphi = _evolve_with_generators(init, p, t, idx, n_nodes)
+    phi, dphi = _evolve_with_generators(init, p, t, idx)
     n = phi.shape[0]
     m = len(idx)
     gram = np.zeros((m, m), dtype=complex)
@@ -107,10 +104,10 @@ def _gram(init: WalkerState, p: CoinParams, t: int, params,
 
 
 def _exact_matrices(init: WalkerState, p: CoinParams, t: int,
-                    params=PARAM_NAMES, n_nodes: int | None = None):
+                    params=PARAM_NAMES):
     """(information matrix, curvature) from the real and imaginary parts
     of one complex Gram, so one engine run serves both."""
-    gram = _gram(init, p, t, params, n_nodes)
+    gram = _gram(init, p, t, params)
     labels = tuple(params)
     return (QFIMatrix(entries=gram.real, labels=labels, t=int(t),
                       asymptotic=False),
@@ -119,16 +116,16 @@ def _exact_matrices(init: WalkerState, p: CoinParams, t: int,
 
 
 def qfim_exact(init: WalkerState, p: CoinParams, t: int,
-               params=PARAM_NAMES, n_nodes: int | None = None) -> QFIMatrix:
+               params=PARAM_NAMES) -> QFIMatrix:
     """Finite-t information matrix 4 Re(<d_u|d_v> - <d_u|psi><psi|d_v>)."""
-    return _exact_matrices(init, p, t, params, n_nodes)[0]
+    return _exact_matrices(init, p, t, params)[0]
 
 
 def uhlmann_exact(init: WalkerState, p: CoinParams, t: int,
-                  params=PARAM_NAMES, n_nodes: int | None = None) -> QFIMatrix:
+                  params=PARAM_NAMES) -> QFIMatrix:
     """Finite-t mixed-derivative curvature 4 Im(<d_u|d_v> - <d_u|psi><psi|d_v>).
 
     Decays like 1/t on the walk models here; the asymptotic route
     reports an exact zero instead.
     """
-    return _exact_matrices(init, p, t, params, n_nodes)[1]
+    return _exact_matrices(init, p, t, params)[1]

@@ -9,15 +9,24 @@ between stationary projectors:
                * [(1/2pi) Int dk (rho0(k) | A1_k | O_v)]
 
 with O_u = C^dag dC/du = (i/2) w_u.sigma (momentum independent, w_u
-from :func:`walk.generator_spatial`) and rho0(k) the
+from :func:`walk.generator_spatial`) and rho0(k) = (o0, r) the
 unnormalised Pauli 4-vector of the initial k-spinor, whose norm o0(k)
 is constant (=1) for the usual single-site and odd-separation inputs.
-Since A1 is rank 2 with spatial part u u^T / sin^2 w, every bracket
-reduces to scalar products with u(k), which is how the integrands are
-evaluated here.  cos w and the axis u(k) come from
-:func:`walk.quasi_energy_axis`, the same function the finite-t engine
-uses; this module keeps the projector and the zone integrals.  The
-mixed-derivative (Uhlmann) curvature vanishes identically in this limit.
+A1 is rank 2 with spatial part u u^T / sin^2 w, u(k) the quasi-energy
+axis of :func:`walk.quasi_energy_axis` (the axis the finite-t engine
+reads too), so every integrand is N(k) / sin^2 w with
+
+    N_uv = (u.w_u)(u.w_v) o0(k),    N_u = (u.w_u)(u.r(k)),
+    sin^2 w = 1 - cos^2 theta cos^2(k - alpha).
+
+N is a trigonometric polynomial of degree at most 1 + (input width),
+so its Fourier coefficients c_j come exactly from one FFT on a small
+uniform grid, and the zone mean of e^{ijx} / sin^2 w (x = k - alpha)
+is rho^{|j|/2} / s for even j and 0 for odd j, with s = |sin theta|
+and rho = cos^2 theta / (1 + s)^2.  The zone integrals are therefore
+exact up to roundoff at every mixing angle, with no tolerance and no
+node count.  The mixed-derivative (Uhlmann) curvature vanishes
+identically in this limit.
 """
 from __future__ import annotations
 
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_mean_over_bz, gauss_k_grid, mean_over_bz, uniform_k_grid
+from .quadrature import TWO_PI, dft_exact_nodes, uniform_k_grid
 from .walk import (PARAM_NAMES, CoinParams, WalkerState, generator_spatial,
                    initial_localized, quasi_energy_axis, spinors_at)
 
@@ -62,14 +71,14 @@ class QFIMatrix:
         scale = max(1.0, float(np.max(np.abs(scaled))) if e.size else 1.0)
         if self.antisymmetric:
             defect = np.max(np.abs(scaled + scaled.T))
-            if defect > SYM_TOL * scale:
+            if not defect <= SYM_TOL * scale:       # NaN fails too
                 raise ValueError(f"antisymmetry defect {defect:.3e} beyond tolerance")
         else:
             defect = np.max(np.abs(scaled - scaled.T))
-            if defect > SYM_TOL * scale:
+            if not defect <= SYM_TOL * scale:
                 raise ValueError(f"symmetry defect {defect:.3e} beyond tolerance")
             lo = float(np.min(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))))
-            if lo < -PSD_TOL * scale:
+            if not lo >= -PSD_TOL * scale:
                 raise ValueError(f"matrix not positive semidefinite: min eig {lo:.3e}")
         object.__setattr__(self, "entries", e)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -118,13 +127,13 @@ def a1_grid(p: CoinParams, k: np.ndarray) -> np.ndarray:
     return m
 
 
-def beta_null_check(p: CoinParams, n_nodes: int = 512) -> float:
-    """max_k || A1_k |O_beta) || on a uniform grid; exactly zero in theory.
+def beta_null_check(p: CoinParams) -> float:
+    """max_k || A1_k |O_beta) || on a 512-node uniform grid; zero in theory.
 
     The spatial direction u(k) is orthogonal to w_beta at every momentum,
     so this is a pure roundoff diagnostic.
     """
-    nodes, _ = uniform_k_grid(n_nodes)
+    nodes, _ = uniform_k_grid(512)
     a1 = a1_grid(p, nodes)
     ob = np.concatenate(([0.0], generator_spatial(p)[2]))
     return float(np.max(np.linalg.norm(a1 @ ob, axis=-1)))
@@ -146,77 +155,76 @@ def _rho_bloch(phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integrands(p: CoinParams, init, idx: np.ndarray):
-    """Callable k -> stacked integrand values for the selected parameters.
+def _mean_over_sin2(num: np.ndarray, theta: float) -> np.ndarray:
+    """Zone means of N(x) / (1 - cos^2 theta cos^2 x) from samples of N.
 
-    Layout per node: the upper triangle of the state-independent matrix
-    (o0-weighted) followed by the state-dependent scalars, one per
-    parameter.  With u the quasi-energy axis, a_mu = (u . w_mu) / sin w.
+    ``num`` holds N at x_j = 2 pi j / n along axis 0, n even and more
+    than twice the degree of N.  The mean sum_{even j} c_j rho^{|j|/2} / s
+    is taken as
+
+        [N(0) + N(pi)] / (2 s) - (2 / (1 + s)) sum_{even j} c_j sum_{i<|j|/2} rho^i,
+
+    using rho^m = 1 - (1 - rho) sum_{i<m} rho^i and
+    sum_{even j} c_j = [N(0) + N(pi)] / 2, so no two terms of size 1/s
+    cancel as s -> 0.
     """
-    w = generator_spatial(p)[idx]
-    m = len(idx)
+    n = num.shape[0]
+    s = abs(np.sin(theta))
+    rho = np.cos(theta) ** 2 / (1.0 + s) ** 2
+    # c_j + c_-j for j = 2, 4, ... below the Nyquist index (N is real)
+    c = np.fft.rfft(num, axis=0)[2:n // 2:2].real * (2.0 / n)
+    partial = np.cumsum(rho ** np.arange(c.shape[0]))
+    return ((num[0] + num[n // 2]) / (2.0 * s)
+            - (2.0 / (1.0 + s)) * (partial @ c))
+
+
+def _zone_means(p: CoinParams, init: WalkerState, params):
+    """Zone means of N / sin^2 w for the selected parameters, per step squared.
+
+    Returns the symmetric state-independent matrix (the N_uv means) and
+    the vector of state-dependent scalars (the N_u means).
+    """
+    w = generator_spatial(p)[[PARAM_NAMES.index(l) for l in params]]
+    m = len(params)
     iu = np.triu_indices(m)
-
-    def f(k):
-        c, u = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
-        # sin^2 w = 1 - cos^2 w in c's memory: a second array here made
-        # f 16-40% slower at 16k nodes
-        s2 = np.subtract(1.0, np.square(c, out=c), out=c)
-        a = (u @ w.T) / np.sqrt(s2)[:, None]
-        rho = _rho_bloch(spinors_at(init, k))
-        first = a[:, iu[0]] * a[:, iu[1]] * rho[:, :1]
-        b = np.einsum("ni,ni->n", u, rho[:, 1:]) / s2
-        state = a * (b * np.sqrt(s2))[:, None]
-        return np.concatenate([first, state], axis=1)
-
-    return f, iu, m
-
-
-def _zone_means(p: CoinParams, init: WalkerState, params, rel_tol: float,
-                n_nodes: int | None):
-    """Zone means of :func:`_integrands`, per step squared.
-
-    Returns the symmetric state-independent matrix and the vector of
-    state-dependent scalars; quadrature as in :func:`qfim_theorem1`.
-    """
-    idx = np.array([PARAM_NAMES.index(l) for l in params])
-    f, iu, m = _integrands(p, init, idx)
-    if n_nodes is None:
-        vals, _ = adaptive_mean_over_bz(f, rel_tol=rel_tol)
-    else:
-        vals = mean_over_bz(f, *gauss_k_grid(n_nodes))
-    n_first = iu[0].size
+    # N has degree <= 1 + n_sites; the grid starts at x = k - alpha = 0
+    n = dft_exact_nodes(2 * (2 + init.n_sites))
+    k = p.alpha + TWO_PI * np.arange(n) / n
+    _, u = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
+    rho = _rho_bloch(spinors_at(init, k))
+    a = u @ w.T
+    num = np.concatenate(
+        [a[:, iu[0]] * a[:, iu[1]] * rho[:, :1],
+         a * np.einsum("ni,ni->n", u, rho[:, 1:])[:, None]], axis=1)
+    vals = _mean_over_sin2(num, p.theta)
     first = np.zeros((m, m))
-    first[iu] = vals[:n_first]
-    return first + first.T - np.diag(np.diag(first)), vals[n_first:]
+    first[iu] = vals[:iu[0].size]
+    return first + first.T - np.diag(np.diag(first)), vals[iu[0].size:]
 
 
 def qfim_theorem1(p: CoinParams, init: WalkerState, t: int,
-                  params=("theta", "alpha"), rel_tol: float = 1e-9,
-                  n_nodes: int | None = None) -> QFIMatrix:
+                  params=("theta", "alpha")) -> QFIMatrix:
     """Asymptotic information matrix at step count t from the zone integrals.
 
     params may be ("theta", "alpha") or the full triple; the beta row of
     the full matrix comes out at machine zero because the stationary
-    projector annihilates O_beta.  With ``n_nodes`` unset the quadrature
-    doubles Gauss-Legendre nodes until the integrals settle to
-    ``rel_tol``; a fixed node count skips the adaptation.
+    projector annihilates O_beta.  The integrals are exact (see the
+    module docstring), so there is nothing to tune.
     """
-    first, y = _zone_means(p, init, params, rel_tol, n_nodes)
+    first, y = _zone_means(p, init, params)
     per_t2 = first - np.outer(y, y)
     return QFIMatrix(entries=per_t2 * float(t) ** 2, labels=tuple(params),
                      t=int(t), asymptotic=True)
 
 
-def qfim_first_term(p: CoinParams, params=("theta", "alpha"),
-                    rel_tol: float = 1e-9) -> np.ndarray:
+def qfim_first_term(p: CoinParams, params=("theta", "alpha")) -> np.ndarray:
     """State-independent part of the asymptotic matrix, per step squared.
 
     Equals the full coefficient whenever the state-dependent integrals
     vanish; its diagonal is what the optimal-input closed forms quote.
     """
     # coin |0> at the origin has the k-spinor (1, 0): o0 = 1 at every node
-    return _zone_means(p, initial_localized(), params, rel_tol, None)[0]
+    return _zone_means(p, initial_localized(), params)[0]
 
 
 def uhlmann_analytic(p: CoinParams, init: WalkerState, t: int,
@@ -248,11 +256,13 @@ def qfim_max_diag(theta: float, t: int) -> tuple[float, float]:
 
     The theta optimum is reached by equatorial coin states orthogonal to
     the coin plane and the alpha optimum by the complementary family;
-    cross terms vanish at the optima.
+    cross terms vanish at the optima.  1 - s is taken as
+    cos^2 th / (1+s), which does not cancel near theta = pi/2.
     """
     s = _require_positive_sin(theta)
     tt = float(t) ** 2
-    return 4.0 * tt * s / (1.0 + s), 4.0 * tt * (1.0 - s)
+    c2 = float(np.cos(theta)) ** 2
+    return 4.0 * tt * s / (1.0 + s), 4.0 * tt * c2 / (1.0 + s)
 
 
 def qfim_localized(theta: float, phi: float, r, t: int) -> QFIMatrix:
@@ -267,13 +277,14 @@ def qfim_localized(theta: float, phi: float, r, t: int) -> QFIMatrix:
 
     The cross term is written in its everywhere-regular form; it equals
     the -4 t^2 (1-s) (n.r)(n x r)_z / (cos th (1+s)) variant away from
-    theta = pi/2 since (1-s)/cos th = cos th/(1+s).
+    theta = pi/2 since (1-s)/cos th = cos th/(1+s).  F_pp likewise takes
+    1 - s as cos^2 th / (1+s), which does not cancel near theta = pi/2.
     """
     s = _require_positive_sin(theta)
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"coin Bloch vector must have shape (3,), got {r.shape}")
-    if np.linalg.norm(r) > 1.0 + 1e-12:
+    if not np.linalg.norm(r) <= 1.0 + 1e-12:     # NaN fails too
         raise ValueError("coin Bloch vector length exceeds 1")
     ct = np.cos(theta)
     n = np.array([s * np.cos(phi), s * np.sin(phi), ct])
@@ -281,7 +292,7 @@ def qfim_localized(theta: float, phi: float, r, t: int) -> QFIMatrix:
     ncross = float(n[0] * r[1] - n[1] * r[0])
     tt = float(t) ** 2
     f_tt = 4.0 * tt / (1.0 + s) * (s - ncross ** 2 / (1.0 + s))
-    f_pp = 4.0 * tt * (1.0 - s) * (1.0 - ndotr ** 2 / (1.0 + s))
+    f_pp = 4.0 * tt * ct ** 2 / (1.0 + s) * (1.0 - ndotr ** 2 / (1.0 + s))
     f_tp = -4.0 * tt * ct * ndotr * ncross / (1.0 + s) ** 2
     return QFIMatrix(entries=np.array([[f_tt, f_tp], [f_tp, f_pp]]),
                      labels=("theta", "phi"), t=int(t), asymptotic=True)
@@ -294,7 +305,7 @@ def single_param_qfi(theta: float, r_y: float, t: int) -> float:
     circle r_y = 0 and minimal at the poles r_y = +-1, with ratio 1 + s.
     """
     s = _require_positive_sin(theta)
-    if abs(r_y) > 1.0 + 1e-12:
+    if not abs(r_y) <= 1.0 + 1e-12:              # NaN fails too
         raise ValueError(f"|r_y| must not exceed 1, got {r_y!r}")
     return float(4.0 * float(t) ** 2 * s * (1.0 + s * (1.0 - r_y ** 2))
                  / (1.0 + s) ** 2)

@@ -1,10 +1,16 @@
 """Quadrature over the Brillouin zone [-pi, pi).
 
-Two flavours are used in the package.  Uniform grids integrate
-trigonometric polynomials exactly (discrete orthogonality), which is what
-the finite-time oracle relies on.  Gauss-Legendre panels with node
-doubling serve the asymptotic integrands, which are smooth but not
-polynomial in e^{ik}.
+The package integrates on uniform grids only: they integrate
+trigonometric polynomials exactly (discrete orthogonality), which is
+what the finite-time engine and the exact zone integrals of
+:mod:`qwfisher.qfim` rely on (:func:`uniform_k_grid`,
+:func:`dft_exact_nodes`).
+
+Gauss-Legendre panels with node doubling (:func:`gauss_k_grid`,
+:func:`adaptive_mean_over_bz`) are called by no pipeline code.  They
+stay as the independent reference the tests check the exact zone
+integrals against, and the benchmark tracer wraps
+``adaptive_mean_over_bz`` by name.
 """
 from __future__ import annotations
 

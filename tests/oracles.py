@@ -159,17 +159,40 @@ def recurrence_powers_and_generators(theta, alpha, beta, k, phi0, t):
     return phi, g
 
 
+def evolve_steps(s, p, t):
+    """t steps of the walk in the position picture, one step at a time.
+
+    The position-space reference for the package's ``evolve``: each
+    step applies the dense coin and then moves coin 0 to x+1 and coin 1
+    to x-1, growing the window by two sites.  Returns a WalkerState.
+    """
+    from qwfisher import WalkerState
+
+    c_t = coin_dense(p.theta, p.alpha, p.beta).T
+    origin, amps = s.origin, s.amps
+    for _ in range(int(t)):
+        rotated = amps @ c_t
+        nxt = np.zeros((rotated.shape[0] + 2, 2), dtype=complex)
+        nxt[2:, 0] = rotated[:, 0]
+        nxt[:-2, 1] = rotated[:, 1]
+        origin -= 1
+        amps = nxt
+    return WalkerState(origin=origin, amps=amps,
+                       steps_elapsed=s.steps_elapsed + int(t))
+
+
 def three_run_prob_derivatives(init, p, t, params):
     """Position probabilities and their derivatives from separate runs.
 
-    The state comes from the position-space ``evolve`` and each d_mu psi
-    from its own ``derivative_state`` call, so the fused single-run
-    score of the estimator is checked against independently evolved
-    states.  Returns (sites, probs, dprobs) like ``_prob_derivatives``.
+    The state comes from the position-space :func:`evolve_steps` and
+    each d_mu psi from its own ``derivative_state`` call, so the fused
+    single-run score of the estimator is checked against independently
+    evolved states.  Returns (sites, probs, dprobs) like
+    ``_prob_derivatives``.
     """
-    from qwfisher import derivative_state, evolve
+    from qwfisher import derivative_state
 
-    psi = evolve(init, p, t)
+    psi = evolve_steps(init, p, t)
     dprobs = []
     for mu in params:
         d = derivative_state(init, p, t, mu)

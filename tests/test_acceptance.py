@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qwfisher import (CoinParams, GridSpec, beta_null_check, classical_fi,
-                      evolve, evolve_k, g_of_theta, incompatibility_R,
+                      evolve, g_of_theta, incompatibility_R,
                       initial_entangled, initial_gamma, initial_localized,
                       make_likelihood_table, mle_fit, position_distribution,
                       qfim_exact, qfim_first_term, qfim_localized,
@@ -25,8 +25,8 @@ from qwfisher.qfim import a1_grid
 from qwfisher.quadrature import uniform_k_grid
 
 from oracles import (G_QUARTER_PI, G_THREE_EIGHTHS_PI, GOLDEN_COMMON,
-                     GOLDEN_THETA, pauli_conjugation_dense, random_coin_angles,
-                     random_spinor)
+                     GOLDEN_THETA, evolve_steps, pauli_conjugation_dense,
+                     random_coin_angles, random_spinor)
 
 QUARTER_PI = math.pi / 4
 
@@ -65,7 +65,7 @@ def test_criterion_02_phase_row_is_null():
     rng = np.random.default_rng(2)
     worst = 0.0
     for th, al, be in random_coin_angles(rng, 100):
-        worst = max(worst, beta_null_check(CoinParams(th, al, be), 512))
+        worst = max(worst, beta_null_check(CoinParams(th, al, be)))
     report(2, worst <= 1e-12,
            f"max stationary-projection residual {worst:.2e} "
            "over 100 random coins")
@@ -199,8 +199,8 @@ def test_criterion_10_evolution_correctness():
     init = initial_gamma(1.3)
     worst = 0.0
     for t in range(1, 65):
-        a = evolve(init, p, t)
-        b = evolve_k(init, p, t)
+        a = evolve_steps(init, p, t)
+        b = evolve(init, p, t)
         worst = max(worst, float(np.abs(a.amps - b.amps).max()))
     long = evolve(initial_entangled(0, 1), CoinParams(QUARTER_PI, 0.0, 0.0),
                   10**4)

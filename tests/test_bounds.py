@@ -88,6 +88,15 @@ class TestGOfTheta:
         with pytest.raises(SingularFisher):
             g_of_theta(theta)
 
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8])
+    def test_no_cancellation_near_half_pi(self, delta):
+        theta = math.pi / 2 - delta
+        s = math.sin(theta)
+        # 1 - sin(theta) = 2 sin^2(d/2) with d = pi/2 - theta = asin(cos theta)
+        one_minus_s = 2.0 * math.sin(0.5 * math.asin(math.cos(theta))) ** 2
+        expected = (s + math.cos(theta) ** 2) / (4.0 * s * one_minus_s)
+        assert abs(g_of_theta(theta) / expected - 1.0) <= 1e-12
+
     def test_matches_symmetric_bound_of_fixture(self):
         # trace bound of the asymptotic entangled-input matrix, times t^2
         theta = 1.1

@@ -95,13 +95,29 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     (["evolve", "--t", "3", "--init", "gamma:nan"], 2),    # NaN inputs
     (["evolve", "--t", "3", "--spinor", "nan,0"], 2),
     (["evolve", "--t", "3", "--bloch", "nan,0,0"], 2),
+    (["qfim", "--theta", "1e-4", "--alpha", "0.3", "--t", "100"], 0),  # tiny s
 ])
 def test_exit_codes(workdir, capsys, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err
-    expected = {4: "model error", 3: "numerical error", 2: "config error"}
+    expected = {0: "", 4: "model error", 3: "numerical error",
+                2: "config error"}
     assert expected[code] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["qfim"], ["bounds"],
+                                     ["case", "magnetic", "--b2", "1"]])
+@pytest.mark.parametrize("flag", ["--rel-tol=1e-9", "--n-nodes=64"])
+def test_quadrature_flags_are_gone(workdir, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag])
+    assert exc.value.code == 2
+    key = flag[2:].split("=")[0]
+    cfg = workdir / "old.cfg"
+    cfg.write_text(key + " = 1\n")
+    assert main(command + ["--config", str(cfg)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_thread_cap_validation(workdir, capsys, monkeypatch):

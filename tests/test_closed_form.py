@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwfisher import (AliasingError, CoinParams, ConfigError, evolve, evolve_k,
-                      initial_entangled, initial_gamma, initial_localized,
-                      qfim_exact)
+from qwfisher import (CoinParams, evolve, initial_entangled, initial_gamma,
+                      initial_localized)
 from qwfisher.walk import (SU2Powers, generator_spatial, quasi_energy_axis,
                            spinors_at)
 
-from oracles import random_spinor, recurrence_powers_and_generators
+from oracles import (evolve_steps, random_spinor,
+                     recurrence_powers_and_generators)
 
 THETA_MIN, THETA_MAX = 1e-6, math.pi / 2 - 1e-9
 thetas = st.one_of(st.sampled_from([THETA_MIN, THETA_MAX]),
@@ -53,8 +53,8 @@ def test_closed_form_matches_recurrence(theta, alpha, beta, t, kind, seed):
 def test_evolve_k_matches_evolve_at_large_t():
     p = CoinParams(0.9, 0.35, -1.2)
     init = initial_gamma(0.6)
-    a = evolve(init, p, 4096)
-    b = evolve_k(init, p, 4096)
+    a = evolve_steps(init, p, 4096)
+    b = evolve(init, p, 4096)
     assert b.origin == a.origin and b.amps.shape == a.amps.shape
     assert np.abs(b.amps - a.amps).max() <= 1e-10
 
@@ -64,14 +64,7 @@ def test_evolve_k_odd_width_negative_origin(t):
     # width 6 from origin -3: pins the x mod n rows and the e^{-i pi x} sign
     init = initial_entangled(-3, 2)
     p = CoinParams(1.1, -0.7, 0.25)
-    a = evolve(init, p, t)
-    b = evolve_k(init, p, t)
+    a = evolve_steps(init, p, t)
+    b = evolve(init, p, t)
     assert b.origin == a.origin == -3 - t
     assert np.abs(b.amps - a.amps).max() <= 1e-12
-
-
-def test_oracle_grid_too_small_is_an_aliasing_config_error():
-    p = CoinParams(math.pi / 4, 0.0, 0.0)
-    with pytest.raises(AliasingError) as info:
-        qfim_exact(initial_entangled(0, 1), p, 10, n_nodes=8)
-    assert isinstance(info.value, ConfigError)

@@ -1,15 +1,18 @@
-"""Asymptotic information matrix: generator vectors, quadrature, closed forms."""
+"""Asymptotic information matrix: generator vectors, zone integrals, closed forms."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qwfisher import (CoinParams, QFIMatrix, beta_null_check, initial_entangled,
-                      initial_gamma, initial_localized, qfim_localized,
-                      qfim_max_diag, qfim_theorem1, single_param_qfi,
-                      uhlmann_analytic)
-from qwfisher.qfim import qfim_first_term
-from qwfisher.walk import generator_spatial
+from qwfisher import (CoinParams, QFIMatrix, WalkerState, beta_null_check,
+                      initial_entangled, initial_gamma, initial_localized,
+                      qfim_localized, qfim_max_diag, qfim_theorem1,
+                      single_param_qfi, uhlmann_analytic)
+from qwfisher.qfim import a1_grid, qfim_first_term
+from qwfisher.quadrature import adaptive_mean_over_bz
+from qwfisher.walk import generator_spatial, spinors_at
 
 from oracles import (F_AA_QUARTER_PI, F_TT_QUARTER_PI, GOLDEN_COMMON,
                      GOLDEN_THETA, PAULI, PREF_RY0_QUARTER_PI,
@@ -138,7 +141,96 @@ def test_first_term_off_diagonal_vanishes():
 
 
 # ---------------------------------------------------------------------------
+# exact zone integrals
+
+
+def _projector_reference(p, init):
+    """Per-t^2 matrix over the full triple from the projector-form integrands.
+
+    o0 (O_u|A1|O_v) and (O_u|A1|rho0) are built from ``a1_grid`` and the
+    input's Pauli 4-vector at each momentum and averaged over the zone by
+    adaptive Gauss-Legendre doubling at rel_tol = 1e-12.
+    """
+    o = np.zeros((3, 4))
+    o[:, 1:] = generator_spatial(p)
+    iu = np.triu_indices(3)
+
+    def f(k):
+        phi = spinors_at(init, k)
+        rho0 = np.einsum("na,iab,nb->ni", phi.conj(), PAULI, phi).real
+        oa = np.einsum("mi,nij->nmj", o, a1_grid(p, k))
+        first = np.einsum("nmj,lj->nml", oa, o)[:, iu[0], iu[1]] * rho0[:, :1]
+        return np.concatenate([first, np.einsum("nmj,nj->nm", oa, rho0)],
+                              axis=1)
+
+    vals, _ = adaptive_mean_over_bz(f, rel_tol=1e-12, max_nodes=1 << 18)
+    first = np.zeros((3, 3))
+    first[iu] = vals[:6]
+    first = first + first.T - np.diag(np.diag(first))
+    return first - np.outer(vals[6:], vals[6:])
+
+
+EDGE = 1e-3
+mixing_angles = st.one_of(st.floats(EDGE, math.pi - EDGE),
+                          st.floats(-math.pi + EDGE, -EDGE))
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=mixing_angles, alpha=st.floats(-math.pi, math.pi),
+       beta=st.floats(-math.pi, math.pi), n_sites=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+@example(theta=EDGE, alpha=0.3, beta=-1.2, n_sites=9, seed=0)
+@example(theta=math.pi - EDGE, alpha=-2.9, beta=0.4, n_sites=4, seed=1)
+@example(theta=-EDGE, alpha=1.7, beta=2.2, n_sites=1, seed=2)
+@example(theta=2.0, alpha=-0.6, beta=0.0, n_sites=6, seed=3)
+def test_exact_route_matches_adaptive_projector_quadrature(theta, alpha, beta,
+                                                           n_sites, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n_sites, 2)) + 1j * rng.normal(size=(n_sites, 2))
+    init = WalkerState(origin=int(rng.integers(-4, 5)),
+                       amps=z / np.linalg.norm(z))
+    p = CoinParams(theta, alpha, beta)
+    ref = _projector_reference(p, init)
+    f = qfim_theorem1(p, init, t=1, params=("theta", "alpha", "beta")).per_t2
+    assert np.abs(f - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("theta", [1e-4, 1e-6, 1e-9, 1e-12])
+def test_exact_route_diagonal_below_the_reference_range(theta):
+    # closer to sin(theta) = 0 than Gauss doubling reaches: check each
+    # diagonal entry against the entangled and single-site closed forms
+    s = math.sin(theta)
+    gamma = 0.9
+    r = np.array([math.cos(gamma), math.sin(gamma), 0.0])
+    for alpha, beta in ((0.3, 0.0), (-2.1, 1.4)):
+        p = CoinParams(theta, alpha, beta)
+        pair = qfim_theorem1(p, initial_entangled(0, 1), t=1).per_t2
+        single = qfim_theorem1(p, initial_gamma(gamma), t=1).per_t2
+        local = qfim_localized(theta, alpha - beta, r, 1).entries
+        for got, want in ((pair[0, 0], 4 * s / (1 + s)),
+                          (pair[1, 1], 4 * (1 - s)),
+                          (single[0, 0], local[0, 0]),
+                          (single[1, 1], local[1, 1])):
+            assert abs(got / want - 1.0) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
 # localized closed forms
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-8])
+def test_closed_forms_do_not_cancel_near_half_pi(delta):
+    theta = math.pi / 2 - delta
+    s = math.sin(theta)
+    # 1 - sin(theta) = 2 sin^2(d/2) with d = pi/2 - theta = asin(cos theta)
+    one_minus_s = 2.0 * math.sin(0.5 * math.asin(math.cos(theta))) ** 2
+    f_aa = qfim_max_diag(theta, 1)[1]
+    assert abs(f_aa / (4 * one_minus_s) - 1.0) <= 1e-12
+    r = np.array([0.6, 0.0, 0.8])
+    ndotr = s * r[0] + math.cos(theta) * r[2]
+    f_pp = qfim_localized(theta, 0.0, r, 1).entries[1, 1]
+    assert abs(f_pp / (4 * one_minus_s * (1 - ndotr ** 2 / (1 + s)))
+               - 1.0) <= 1e-12
 
 
 def test_localized_matches_quadrature_on_random_draws():
@@ -246,9 +338,26 @@ def test_qfimatrix_validation():
     with pytest.raises(ValueError):
         QFIMatrix(entries=np.array([[1.0, 2.0], [2.0, 1.0]]),
                   labels=("theta", "alpha"), t=1)   # not PSD
+    with pytest.raises(ValueError):
+        QFIMatrix(entries=np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                  labels=("theta", "alpha"), t=1)
+    with pytest.raises(ValueError):
+        QFIMatrix(entries=np.array([[0.0, np.nan], [np.nan, 0.0]]),
+                  labels=("theta", "alpha"), t=1, antisymmetric=True)
     f = QFIMatrix(entries=np.array([[4.0, 0.0], [0.0, 1.0]]),
                   labels=("theta", "alpha"), t=2)
     assert np.allclose(f.per_t2, [[1.0, 0.0], [0.0, 0.25]])
+
+
+def test_closed_form_inputs_validated():
+    with pytest.raises(ValueError):
+        qfim_localized(0.7, 0.1, [0.0, 0.8, 0.8], 10)    # longer than 1
+    with pytest.raises(ValueError):
+        qfim_localized(0.7, 0.1, [np.nan, 0.0, 0.0], 10)
+    with pytest.raises(ValueError):
+        single_param_qfi(0.7, 1.5, 10)
+    with pytest.raises(ValueError):
+        single_param_qfi(0.7, np.nan, 10)
 
 
 def test_uhlmann_analytic_is_exactly_zero():

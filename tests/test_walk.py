@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwfisher import (AliasingError, CoinBlochState, CoinParams, DegenerateWalk,
-                      WalkerState, build_coin, coin_matrix, evolve, evolve_k,
-                      initial_entangled, initial_gamma, initial_localized,
-                      make_initial)
+from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, WalkerState,
+                      build_coin, coin_matrix, evolve, initial_entangled,
+                      initial_gamma, initial_localized, make_initial)
 from qwfisher.walk import quasi_energy_axis, spinors_at
 
-from oracles import PAULI, coin_dense, dense_amps_at, dense_evolve
+from oracles import PAULI, coin_dense, dense_amps_at, dense_evolve, evolve_steps
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 mixing = st.floats(0.05, math.pi - 0.05)
@@ -257,15 +256,10 @@ def test_entangled_k_spinor_closed_form():
 def test_k_space_evolution_equals_position_evolution():
     p = CoinParams(1.2, 0.7, -0.9)
     for t in (1, 7, 64):
-        a = evolve(initial_entangled(0, 1), p, t)
-        b = evolve_k(initial_entangled(0, 1), p, t)
+        a = evolve_steps(initial_entangled(0, 1), p, t)
+        b = evolve(initial_entangled(0, 1), p, t)
         assert b.origin == a.origin
         assert np.abs(b.amps - a.amps).max() <= 1e-10
-
-
-def test_aliasing_rejected_with_diagnostic():
-    with pytest.raises(AliasingError):
-        evolve_k(initial_localized(0), CoinParams(0.7, 0, 0), 20, n_nodes=32)
 
 
 def test_walker_state_rejects_unnormalized():
