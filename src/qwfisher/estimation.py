@@ -202,10 +202,6 @@ class LikelihoodTable:
     init_origin: int
 
 
-# complex entries per chunk of amplitude rows: 2**20 of them is 16 MB
-_CHUNK_ENTRIES = 1 << 20
-
-
 def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
                           grid: GridSpec | None = None) -> LikelihoodTable:
     """Tabulate p(x | theta, alpha) over the grid at fixed beta = p_true.beta.
@@ -222,15 +218,28 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     The phases on the left do not change p(x), hence
 
         p(x | theta, alpha) = sum_c |[(S R(theta))^t psi_alpha](x, c)|^2,
-        psi_alpha(y, c) = e^{-i alpha y} e^{+-i a2} psi_0(y, c).
+        psi_alpha(y, c) = psi_0(y, c) e^{-+i beta/2} e^{-i alpha (y -+ 1/2)}
 
-    So (S R(theta))^t runs once per theta, in closed form per momentum
-    node (:class:`SU2Powers`) on the 2 n0 unit inputs |y, c> of the
-    input window, with one inverse FFT; alpha then enters as one complex
-    matmul of those columns with the phased input.  The cost is
-    O(n_theta * n_nodes * n0) for the powers plus the
-    (n_theta * 2 width, 2 n0) x (2 n0, n_alpha) product, and t enters
-    only through the window width.
+    (upper signs for c = 0).  Up to the global e^{i alpha/2}, alpha
+    multiplies the entry (y, c) by e^{-i alpha f} with the integer
+    frequency f = y + c.  Grouping the nonzero input entries by f into
+    chi_f (with their beta phases) and writing
+    Phi_f = (S R(theta))^t chi_f,
+
+        p(x | theta, alpha) = sum_{|d| <= n0} B_d(theta, x) e^{i alpha d},
+        B_d = sum_{f' - f = d} sum_c conj(Phi_f'(x, c)) Phi_f(x, c),
+
+    with B_{-d} = conj(B_d): a real trigonometric polynomial in alpha,
+    p = B_0 + sum_{d > 0} [2 cos(alpha d) Re B_d - 2 sin(alpha d) Im B_d].
+    (S R(theta))^t runs once per theta in closed form per momentum node
+    (:class:`SU2Powers`) on the F <= n0 + 1 group spinors, with one
+    inverse FFT; B takes F^2 coin-summed products, and the table is one
+    real batched product of the (n_alpha, 1 + 2D) cos/sin matrix with
+    B (n_theta, 1 + 2D, width) over the D positive frequencies d that
+    occur.  The cost is O(n_theta * n_nodes * F) for the powers,
+    O(n_theta * F^2 * width) for B and O(n_theta * n_alpha * width * D)
+    for the product; t enters only through the window width, and no
+    complex array of the table's size is formed.
     """
     grid = grid or GridSpec()
     thetas, alphas = grid.axes()
@@ -245,33 +254,44 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
         raise ValueError("grid touches a degenerate quasi-energy; "
                          "shrink the box or step explicitly")
 
-    # (S R(theta))^t on the unit inputs, all thetas: (n_theta, 2 n0, 2 width);
-    # S(k) R(theta) is the walk's u(k) at alpha = beta = 0
+    # group f holds coin 0 of site f and coin 1 of site f - 1, beta
+    # phased; f - origin = row + coin runs over 0..n0
+    amps = init.amps * np.exp(-0.5j * p_true.beta * np.array([1.0, -1.0]))
+    rows, coins = np.nonzero(amps)
+    present = np.zeros(init.n_sites + 1, dtype=bool)
+    present[rows + coins] = True
+    offsets = np.flatnonzero(present)
+    chi = np.zeros((offsets.size, 2), dtype=complex)
+    chi[np.searchsorted(offsets, rows + coins), coins] = amps[rows, coins]
+    # chi_f(k) = sum_c chi[f, c] e^{-ik(f - c)} e_c: (F, n_nodes, 2)
+    freqs = init.origin + offsets
+    spinors = chi[:, None, :] * np.exp(
+        -1j * nodes[:, None] * (freqs[:, None, None] - np.arange(2)))
+
+    # Phi_f for all thetas: (n_theta, F, width, 2); S(k) R(theta) is the
+    # walk's u(k) at alpha = beta = 0
     powers = SU2Powers.of(
         *quasi_energy_axis(thetas[:, None, None], 0.0, 0.0, nodes))
-    n0 = init.n_sites
-    # spinor of |y, c> is e^{-iky} e_c: (n0, 2, n_nodes, 2)
-    unit = (np.exp(-1j * np.outer(init.sites, nodes))[:, None, :, None]
-            * np.eye(2)[:, None, :])
     origin = init.origin - t
-    columns = window_from_uniform(
-        powers.apply_power(unit.reshape(2 * n0, nodes.size, 2), t),
-        origin, width).reshape(thetas.size, 2 * n0, 2 * width)
+    phis = window_from_uniform(powers.apply_power(spinors, t), origin, width)
 
-    # psi_alpha on the unit inputs: (n_alpha, 2 n0)
-    a2 = 0.5 * (alphas - p_true.beta)
-    mix = (np.exp(-1j * np.outer(alphas, init.sites))[:, :, None]
-           * np.exp(1j * np.outer(a2, [1.0, -1.0]))[:, None, :]
-           * init.amps[None]).reshape(alphas.size, 2 * n0)
-
-    probs = np.empty((thetas.size, alphas.size, width))
-    step = max(1, _CHUNK_ENTRIES // (alphas.size * 2 * width))
-    for lo in range(0, thetas.size, step):
-        sl = slice(lo, lo + step)
-        # re and im of both coin components: 4 floats per site
-        amps = np.matmul(mix, columns[sl]).view(float)
-        amps = amps.reshape(amps.shape[0], alphas.size, width, 4)
-        probs[sl] = np.einsum("...i,...i->...", amps, amps)
+    # B_d for d = 0 and each positive difference d = f' - f that occurs
+    diffs = offsets[:, None] - offsets[None, :]
+    occurs = np.zeros(init.n_sites + 1, dtype=bool)
+    occurs[diffs[diffs > 0]] = True
+    ds = np.flatnonzero(occurs)
+    b = np.zeros((thetas.size, 1 + 2 * ds.size, width))
+    b[:, 0] = np.sum(phis.real ** 2 + phis.imag ** 2, axis=(1, 3))
+    for f1, f in zip(*np.nonzero(diffs > 0)):
+        prod = np.sum(phis[:, f1].conj() * phis[:, f], axis=-1)
+        j = 1 + np.searchsorted(ds, diffs[f1, f])
+        b[:, j] += prod.real
+        b[:, j + ds.size] += prod.imag
+    phase = np.outer(alphas, ds)
+    trig = np.concatenate([np.ones((alphas.size, 1)), 2.0 * np.cos(phase),
+                           -2.0 * np.sin(phase)], axis=1)
+    probs = np.matmul(trig, b)
+    np.maximum(probs, 0.0, out=probs)
     logp = np.maximum(probs, 1e-300)
     np.log(logp, out=logp)
     return LikelihoodTable(grid=grid, beta=p_true.beta, t=t,
@@ -281,19 +301,27 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
 
 
 def _connected_from_argmax(mask: np.ndarray, start) -> np.ndarray:
-    """Cells of ``mask`` reachable 4-connectedly from ``start``."""
+    """Cells of ``mask`` reachable 4-connectedly from ``start``.
+
+    A stack flood fill over the set of mask cells: each cell is taken
+    out of the set when it is reached, so the work is O(mask).
+    """
     reached = np.zeros_like(mask)
-    reached[start] = mask[start]
-    while True:
-        grown = reached.copy()
-        grown[1:, :] |= reached[:-1, :]
-        grown[:-1, :] |= reached[1:, :]
-        grown[:, 1:] |= reached[:, :-1]
-        grown[:, :-1] |= reached[:, 1:]
-        grown &= mask
-        if np.array_equal(grown, reached):
-            return reached
-        reached = grown
+    unvisited = set(zip(*(ix.tolist() for ix in np.nonzero(mask))))
+    start = (int(start[0]), int(start[1]))
+    if start not in unvisited:
+        return reached
+    unvisited.remove(start)
+    stack, cells = [start], [start]
+    while stack:
+        i, j = stack.pop()
+        for cell in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if cell in unvisited:
+                unvisited.remove(cell)
+                stack.append(cell)
+                cells.append(cell)
+    reached[tuple(np.array(cells).T)] = True
+    return reached
 
 
 @dataclass(frozen=True)

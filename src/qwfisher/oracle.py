@@ -17,6 +17,8 @@ closed form
                      + [sin tw sin (t+1)w / sin w] n x v,
 
 and u^t follows from the Chebyshev identity (see :class:`SU2Powers`).
+G_mu(t) |psi_t> is formed from the components of g(t) and the spinor
+directly, with no 2 x 2 matrix per node.
 Zone integrals become plain node averages on a uniform grid that is
 fine enough for the discrete orthogonality to make them exact (every
 integrand is a trigonometric polynomial of bounded degree), and the
@@ -68,8 +70,8 @@ def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx):
     powers = SU2Powers.of(
         *quasi_energy_axis(p.theta, p.alpha, p.beta, nodes))
     phi = powers.apply_power(spinors_at(init, nodes), t)
-    g = powers.generator_sums(0.5j * generator_spatial(p)[idx], t)
-    return phi, np.einsum("mnab,nb->mna", g, phi)
+    return phi, powers.generator_sums(0.5j * generator_spatial(p)[idx], t,
+                                      phi)
 
 
 def derivative_state(init: WalkerState, p: CoinParams, t: int,

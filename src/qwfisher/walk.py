@@ -9,9 +9,9 @@ Momentum-space picture: with spinor(k) = sum_x c_x e^{-ikx}, one step is
 multiplication by u(k) = diag(e^{-ik}, e^{ik}) @ C, so evolution
 factorises over k.  u(k) is in SU(2): u(k) = cos(om) - i w.sigma, and
 :func:`quasi_energy_axis` is the one place that computes cos(om) and
-w = sin(om) n.  The finite-t engine (:class:`SU2Powers`) builds
+w = sin(om) n.  The finite-t engine (:class:`SU2Powers`) applies
 u(k)^t and the generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m
-behind every parameter derivative from them in closed form, and the
+behind every parameter derivative to spinors in closed form, and the
 asymptotic route in :mod:`qwfisher.qfim` reads the same axis for its
 stationary projector.  The coin generators O_mu = C^dag d_mu C =
 (i/2) w_mu.sigma come as the real Pauli vectors w_mu of
@@ -354,7 +354,9 @@ class SU2Powers:
         g(t) = t (n.v) n + [sin(t om) cos((t+1) om) / sin(om)] v_perp
                          + [sin(t om) sin((t+1) om) / sin(om)] n x v.
 
-    Both cost O(1) per matrix whatever t is.  For a walk coin
+    Both cost O(1) per matrix whatever t is, and both act on spinors
+    straight from these coefficients, with no 2 x 2 matrix formed
+    (:meth:`apply_power`, :meth:`generator_sums`).  For a walk coin
     sin(om) >= |sin theta| at every momentum.  At u = +-1 (w = 0) |w| is
     raised to the smallest normal float, so the ratios take their limits
     sin(m om) / sin(om) -> m there and G(t) = t O.
@@ -404,26 +406,34 @@ class SU2Powers:
                            + (c + 1j * w[..., 2]) * p1) - b * p1
         return out
 
-    def generator_sums(self, v: np.ndarray, t: int) -> np.ndarray:
-        """G(t) for generators O = v.sigma given by Pauli vectors v (m, 3).
+    def generator_sums(self, v: np.ndarray, t: int,
+                       phi: np.ndarray) -> np.ndarray:
+        """G(t) phi for generators O = v.sigma given by Pauli vectors v (m, 3).
 
-        Returns the matrices G(t), shape (m, ..., 2, 2).
+        phi (..., 2) broadcasts against the stack like in
+        :meth:`apply_power`; the result has shape (m, ..., 2).  The
+        components of g(t) act on phi directly, G phi =
+        (g_z phi_0 + (g_x - i g_y) phi_1, (g_x + i g_y) phi_0 - g_z phi_1),
+        so no 2 x 2 matrix is formed.
         """
         t = int(t)
-        v = np.asarray(v, dtype=complex)
-        v = v.reshape((v.shape[0],) + (1,) * (self.w.ndim - 1) + (3,))
+        v = np.asarray(v)
+        v = v.reshape(v.shape[:1] + (1,) * (self.w.ndim - 1) + (3,))
+        vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
         n_hat = self.w / self.sin_omega[..., None]
+        nx, ny, nz = n_hat[..., 0], n_hat[..., 1], n_hat[..., 2]
         st = np.sin(t * self.omega) / self.sin_omega
-        c_perp = (st * np.cos((t + 1) * self.omega))[..., None]
-        c_cross = (st * np.sin((t + 1) * self.omega))[..., None]
-        along = np.sum(n_hat * v, axis=-1, keepdims=True)
-        g = (c_perp * v + (t - c_perp) * along * n_hat
-             + c_cross * np.cross(n_hat, v))
-        out = np.empty(g.shape[:-1] + (2, 2), dtype=complex)
-        out[..., 0, 0] = g[..., 2]
-        out[..., 0, 1] = g[..., 0] - 1j * g[..., 1]
-        out[..., 1, 0] = g[..., 0] + 1j * g[..., 1]
-        out[..., 1, 1] = -g[..., 2]
+        c_perp = st * np.cos((t + 1) * self.omega)
+        c_cross = st * np.sin((t + 1) * self.omega)
+        along = (t - c_perp) * (nx * vx + ny * vy + nz * vz)
+        gx = c_perp * vx + along * nx + c_cross * (ny * vz - nz * vy)
+        gy = c_perp * vy + along * ny + c_cross * (nz * vx - nx * vz)
+        gz = c_perp * vz + along * nz + c_cross * (nx * vy - ny * vx)
+        p0, p1 = phi[..., 0], phi[..., 1]
+        out = np.empty(np.broadcast_shapes(gz.shape, p0.shape) + (2,),
+                       dtype=complex)
+        out[..., 0] = gz * p0 + (gx - 1j * gy) * p1
+        out[..., 1] = (gx + 1j * gy) * p0 - gz * p1
         return out
 
 
@@ -449,6 +459,12 @@ def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:
         # coin 1 off the two rightmost: exact zeros, not FFT rounding
         amps[:2, 0] = 0.0
         amps[-2:, 1] = 0.0
+        # a step moves every site by +-1 and grows the window by one site
+        # at each end, so amplitude stays on rows of its input row's
+        # parity: an input on one parity leaves the other exactly empty
+        rows = np.flatnonzero(np.any(s.amps != 0.0, axis=1))
+        if np.all(rows % 2 == rows[0] % 2):
+            amps[1 - rows[0] % 2::2] = 0.0
     return WalkerState(origin=origin, amps=amps,
                        steps_elapsed=s.steps_elapsed + t)
 

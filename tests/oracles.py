@@ -199,3 +199,24 @@ def three_run_prob_derivatives(init, p, t, params):
         assert d.origin == psi.origin and d.amps.shape == psi.amps.shape
         dprobs.append(2.0 * np.sum((psi.amps.conj() * d.amps).real, axis=1))
     return psi.sites, np.sum(np.abs(psi.amps) ** 2, axis=1), np.array(dprobs)
+
+
+def dilation_connected(mask, start):
+    """Cells of ``mask`` reachable 4-connectedly from ``start``.
+
+    Grows the reached set by one 4-neighbour dilation of the whole grid
+    per pass until it stops changing: the reference for the package's
+    flood fill.
+    """
+    reached = np.zeros_like(mask)
+    reached[start] = mask[start]
+    while True:
+        grown = reached.copy()
+        grown[1:, :] |= reached[:-1, :]
+        grown[:-1, :] |= reached[1:, :]
+        grown[:, 1:] |= reached[:, :-1]
+        grown[:, :-1] |= reached[:, 1:]
+        grown &= mask
+        if np.array_equal(grown, reached):
+            return reached
+        reached = grown

@@ -45,9 +45,15 @@ def test_closed_form_matches_recurrence(theta, alpha, beta, t, kind, seed):
         p.theta, p.alpha, p.beta, k, phi0, t)
     powers = SU2Powers.of(*quasi_energy_axis(p.theta, p.alpha, p.beta, k))
     phi = powers.apply_power(phi0, t)
-    g = powers.generator_sums(0.5j * generator_spatial(p), t)
+    v = 0.5j * generator_spatial(p)
+    # G(t) column by column, from its action on the unit spinors
+    g = np.stack([powers.generator_sums(v, t, e) for e in np.eye(2)],
+                 axis=-1)
     assert np.abs(phi - phi_ref).max() <= 1e-11 * np.abs(phi_ref).max()
     assert np.abs(g - g_ref).max() <= 1e-11 * np.abs(g_ref).max()
+    g_phi = np.einsum("mnab,nb->mna", g_ref, phi_ref)
+    assert np.abs(powers.generator_sums(v, t, phi_ref) - g_phi).max() \
+        <= 1e-11 * np.abs(g_phi).max()
 
 
 def test_evolve_k_matches_evolve_at_large_t():

@@ -1,8 +1,11 @@
 """Sampling, classical information and the likelihood-grid MLE."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwfisher import (CoinParams, GridSpec, MeasurementRecord, WalkerState,
                       classical_fi, evolve, initial_entangled, initial_gamma,
@@ -11,7 +14,15 @@ from qwfisher import (CoinParams, GridSpec, MeasurementRecord, WalkerState,
 from qwfisher.estimation import (PositionDistribution, _connected_from_argmax,
                                  _prob_derivatives)
 
-from oracles import three_run_prob_derivatives
+from oracles import (dilation_connected, evolve_steps,
+                     three_run_prob_derivatives)
+
+
+def random_amps(n_sites, seed):
+    """A normalised random (n_sites, 2) amplitude window."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(n_sites, 2)) + 1j * rng.normal(size=(n_sites, 2))
+    return amps / np.linalg.norm(amps)
 
 
 def integer_counts(dist, shots):
@@ -204,6 +215,43 @@ class TestLikelihoodTable:
         shifted[table.sites == -20] = 0.5      # coin 1 hops left
         assert np.abs(table.probs[0] - shifted).max() <= 1e-12
 
+    @pytest.mark.parametrize("init,p_true", [
+        (initial_entangled(0, 1), CoinParams(math.pi / 4, 0.0, 0.0)),
+        (initial_gamma(0.6), CoinParams(math.pi / 4, 0.3, 0.4)),
+        (WalkerState(origin=-4, amps=random_amps(9, seed=5)),
+         CoinParams(0.7, 0.2, -0.9)),
+    ], ids=["entangled", "gamma", "random-9-sites"])
+    def test_relative_accuracy_against_step_loop(self, init, p_true):
+        # log p reads the tails, so the gate is relative wherever p is
+        # not negligible
+        t = 50
+        grid = GridSpec(n_theta=4, n_alpha=6)
+        table = make_likelihood_table(init, p_true, t, grid)
+        assert np.all(table.probs >= 0.0)
+        thetas, alphas = grid.axes()
+        for it, th in enumerate(thetas):
+            for ia, al in enumerate(alphas):
+                ref = evolve_steps(init, CoinParams(th, al, p_true.beta), t)
+                assert np.array_equal(ref.sites, table.sites)
+                p_ref = np.sum(np.abs(ref.amps) ** 2, axis=1)
+                big = p_ref >= 1e-8
+                rel = np.abs(table.probs[it, ia, big] - p_ref[big]) \
+                    / p_ref[big]
+                assert rel.max() <= 1e-10
+
+    def test_default_table_memory_is_its_two_arrays(self):
+        # the table keeps probs and logp; building it may add only
+        # working arrays much smaller than either
+        init = initial_entangled(0, 1)
+        tracemalloc.start()
+        try:
+            table = make_likelihood_table(
+                init, CoinParams(math.pi / 4, 0.0, 0.0), 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table.probs.nbytes + 16 * 2**20
+
     def test_degenerate_grid_rejected(self):
         # the box has to reach a flat quasi-energy: theta ~ 0 with alpha
         # sitting exactly on a momentum node (k = 0 here)
@@ -293,3 +341,53 @@ class TestMLE:
         bridge[1:5, 1] = True
         bridge[4, 1:5] = True
         assert _connected_from_argmax(bridge, (0, 0)).sum() == bridge.sum()
+
+
+def spiral_mask(n):
+    """A one-cell-wide square spiral corridor on an n x n grid.
+
+    The path through it is about n^2 / 2 cells long, so a search that
+    grows by one neighbour ring per pass needs that many passes.
+    """
+    mask = np.zeros((n, n), dtype=bool)
+    moves = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    lengths = [n - 1, n - 1] + [m for m in range(n - 1, 0, -2)
+                                 for _ in range(2)][1:]
+    i = j = 0
+    mask[0, 0] = True
+    for k, length in enumerate(lengths):
+        di, dj = moves[k % 4]
+        for _ in range(length):
+            i, j = i + di, j + dj
+            mask[i, j] = True
+    return mask
+
+
+class TestFloodFill:
+    @settings(max_examples=150, deadline=None)
+    @given(n_rows=st.integers(1, 40), n_cols=st.integers(1, 40),
+           density=st.floats(0.2, 0.9), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dilation_reference(self, n_rows, n_cols, density, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n_rows, n_cols)) < density
+        start = (int(rng.integers(n_rows)), int(rng.integers(n_cols)))
+        mask[start] = True
+        assert np.array_equal(_connected_from_argmax(mask, start),
+                              dilation_connected(mask, start))
+
+    def test_flat_alpha_ridge(self):
+        # a likelihood flat in alpha puts a whole grid row within 2 units
+        mask = np.zeros((200, 200), dtype=bool)
+        mask[117] = True
+        reached = _connected_from_argmax(mask, (117, 40))
+        assert reached.sum() == 200
+        assert np.array_equal(reached, dilation_connected(mask, (117, 40)))
+
+    def test_spiral(self):
+        # the corridor is connected end to end; cut, it stops at the cut
+        mask = spiral_mask(41)
+        reached = _connected_from_argmax(mask, (0, 0))
+        assert np.array_equal(reached, mask)
+        assert np.array_equal(reached, dilation_connected(mask, (0, 0)))
+        mask[0, 20] = False
+        assert _connected_from_argmax(mask, (0, 0)).sum() == 20

@@ -137,6 +137,30 @@ def test_light_cone_is_exact():
     assert abs(s.amps[0, 1]) == pytest.approx(math.sin(0.8) * math.cos(0.8) ** (t - 1))
 
 
+@pytest.mark.parametrize("init,t", [
+    (initial_localized(0), 1000),
+    (WalkerState(origin=-3, amps=np.array(
+        [[0.6, 0.0], [0.0, 0.0], [0.0, 0.8j]])), 15),
+], ids=["localized-t1000", "two-odd-sites-t15"])
+def test_unreachable_parity_is_exact_zero(init, t):
+    p = CoinParams(0.9, 0.35, -1.2)
+    a = evolve_steps(init, p, t)
+    b = evolve(init, p, t)
+    reachable = (b.sites - init.origin - t) % 2 == 0
+    assert np.all(b.amps[~reachable] == 0.0)
+    assert np.abs(b.amps - a.amps).max() <= 1e-12
+
+
+def test_mixed_parity_input_fills_both_parities():
+    p = CoinParams(0.9, 0.35, -1.2)
+    a = evolve_steps(initial_entangled(0, 1), p, 40)
+    b = evolve(initial_entangled(0, 1), p, 40)
+    mass = np.sum(np.abs(b.amps) ** 2, axis=1)
+    assert mass[b.sites % 2 == 0].sum() > 0.1
+    assert mass[b.sites % 2 == 1].sum() > 0.1
+    assert np.abs(b.amps - a.amps).max() <= 1e-12
+
+
 def test_symmetric_distribution_for_unbiased_coin_start():
     # coin (|0> + i|1>)/sqrt(2) gives a left-right symmetric walk at theta=pi/4
     init = initial_localized(0, spinor=np.array([1.0, 1.0j]) / math.sqrt(2))
