@@ -164,6 +164,9 @@ def holevo_compatible(f, w: WeightMatrix | None = None, d=None,
     is not available in closed form here and IncompatibleModel is raised
     carrying the sandwich.
     """
+    if not (0.0 <= eps < np.inf):                  # NaN fails too
+        raise ValueError(f"compatibility threshold must be finite and "
+                         f">= 0, got {eps!r}")
     mat, _ = _fisher_block(f)
     dmat = np.zeros_like(mat) if d is None else (
         d.entries if isinstance(d, QFIMatrix) else np.asarray(d, dtype=float))

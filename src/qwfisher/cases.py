@@ -354,7 +354,10 @@ def _t_grid(t_max: int) -> np.ndarray:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if t_max <= 256:
         return np.arange(1, t_max + 1)
-    return np.unique(np.round(np.geomspace(1, t_max, 256)).astype(int))
+    # rounding a geometric sequence keeps it non-decreasing, so the
+    # repeats sit next to each other
+    ts = np.round(np.geomspace(1, t_max, 256)).astype(int)
+    return ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
 
 
 def sweep_fig1(theta: float, t_max: int) -> dict:

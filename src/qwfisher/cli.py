@@ -171,7 +171,8 @@ def _add_init_flags(cmd, default="localized:0"):
 def _parse_init(ns):
     import numpy as np
 
-    from .walk import CoinBlochState, initial_localized, make_initial
+    from .walk import (CoinBlochState, initial_entangled, initial_gamma,
+                       initial_localized)
 
     text = str(ns.init).strip()
     kind, _, rest = text.partition(":")
@@ -192,12 +193,12 @@ def _parse_init(ns):
             if bloch:
                 kw["bloch"] = CoinBlochState(
                     np.array([float(x) for x in str(bloch).split(",")]))
-            return make_initial(kind, **kw)
+            return initial_localized(**kw)
         if kind == "entangled":
             x1, x2 = (int(x) for x in rest.split(",")) if rest else (0, 1)
-            return make_initial(kind, x1=x1, x2=x2)
+            return initial_entangled(x1, x2)
         if kind == "gamma":
-            return make_initial(kind, gamma=float(rest) if rest else 0.0)
+            return initial_gamma(float(rest) if rest else 0.0)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -369,6 +370,8 @@ def cmd_qfim(ns, echo) -> int:
     t = _check_t(ns.t)
     init = _parse_init(ns)
     params = tuple(s.strip() for s in str(ns.params).split(",") if s.strip())
+    if not params:
+        raise ConfigError("no parameters requested")
     for name in params:
         if name not in ("theta", "alpha", "beta"):
             raise ConfigError(f"unknown parameter {name!r}")
@@ -488,23 +491,20 @@ def cmd_sweep(ns, echo) -> int:
 
     prefix = _prefix(ns, "sweep")
     t_max = _check_t(ns.t_max)
-    files = []
     if ns.which == "fig1":
         out = sweep_fig1(ns.theta, t_max)
-        files += _write_table(prefix, "curves", out["curves"], echo)
-        files += _write_table(prefix, "inset", out["inset"], echo)
-    elif ns.which == "fig2":
-        thetas = [float(x) for x in str(ns.theta_list).split(",") if x.strip()]
+    else:  # fig2
+        try:
+            thetas = [float(x) for x in str(ns.theta_list).split(",")
+                      if x.strip()]
+        except ValueError:
+            raise ConfigError(f"--theta-list expects comma-separated angles, "
+                              f"got {ns.theta_list!r}")
         if not thetas:
             raise ConfigError("--theta-list is empty")
         out = sweep_fig2(thetas, t_max)
-        files += _write_table(prefix, "curves", out["curves"], echo)
-        files += _write_table(prefix, "inset", out["inset"], echo)
-    else:  # prefactor-insets
-        fig1 = sweep_fig1(ns.theta, 1)
-        fig2 = sweep_fig2([ns.theta], 1)
-        files += _write_table(prefix, "prefactor", fig1["inset"], echo)
-        files += _write_table(prefix, "holevo_g", fig2["inset"], echo)
+    files = (_write_table(prefix, "curves", out["curves"], echo)
+             + _write_table(prefix, "inset", out["inset"], echo))
     print("wrote " + ", ".join(files))
     return 0
 
@@ -607,7 +607,7 @@ def cmd_estimate(ns, echo) -> int:
 
     grid = GridSpec(n_theta=int(ns.grid_n), n_alpha=int(ns.grid_n))
     table = make_likelihood_table(init, p_true, t, grid)
-    result = mle_fit(rec, table=table, refine=not ns.no_refine)
+    result = mle_fit(rec, table=table)
 
     prefix = _prefix(ns, "estimate")
     from ._io import DataTable
@@ -619,23 +619,30 @@ def cmd_estimate(ns, echo) -> int:
     _write_report(f"{prefix}_record.json", echo,
                   {"record": rec.to_json_dict()})
     err = np.sqrt(np.clip(np.diag(result.cov), 0.0, None))
+    alpha_known = bool(np.isfinite(err[1]))
+    # a likelihood flat in alpha picks its alpha by rounding: quote none
+    alpha_hat = result.alpha if alpha_known else None
     _write_report(f"{prefix}_result.json", echo, {
-        "theta_hat": result.theta, "alpha_hat": result.alpha,
+        "theta_hat": result.theta, "alpha_hat": alpha_hat,
         "stderr_theta": float(err[0]), "stderr_alpha": float(err[1]),
         "identified": {"theta": bool(np.isfinite(err[0])),
-                       "alpha": bool(np.isfinite(err[1]))},
+                       "alpha": alpha_known},
         "cov": result.cov, "loglik": result.loglik,
         "multimodal": result.multimodal, "converged": result.converged,
         "iterations": result.iterations,
         "grid_argmax": {"theta": result.grid_theta,
-                        "alpha": result.grid_alpha},
+                        "alpha": result.grid_alpha if alpha_known else None},
         "truth": {"theta": p_true.theta, "alpha": p_true.alpha}})
     files += [f"{prefix}_record.json", f"{prefix}_result.json"]
 
     print(f"theta_hat = {result.theta:.12g} +/- {err[0]:.3g} "
           f"(true {p_true.theta:.12g})")
-    print(f"alpha_hat = {result.alpha:.12g} +/- {err[1]:.3g} "
-          f"(true {p_true.alpha:.12g})")
+    if alpha_known:
+        print(f"alpha_hat = {alpha_hat:.12g} +/- {err[1]:.3g} "
+              f"(true {p_true.alpha:.12g})")
+    else:
+        print(f"alpha_hat = unidentified (+/- inf) "
+              f"(true {p_true.alpha:.12g})")
     flags = []
     if result.multimodal:
         flags.append("multimodal")
@@ -694,9 +701,9 @@ def build_parser():
     bd.add("out", default=None, help="output file prefix")
 
     sw = _Cmd(sub, "sweep", "figure-data tables", cmd_sweep)
-    sw.add_positional("which", ["fig1", "fig2", "prefactor-insets"])
+    sw.add_positional("which", ["fig1", "fig2"])
     sw.add("theta", type=float, default=quarter_pi,
-           help="coin angle for fig1 / the insets")
+           help="coin angle for fig1")
     sw.add("theta-list", default="0.7853981633974483,1.1780972450961724",
            help="comma list of angles for fig2")
     sw.add("t-max", type=int, default=100, help="largest step count")
@@ -723,8 +730,6 @@ def build_parser():
     es.add("shots", type=int, default=100000, help="measurement repetitions")
     es.add("seed", type=int, default=0, help="RNG seed")
     es.add("grid-n", type=int, default=200, help="grid points per axis")
-    es.add("no-refine", type=bool, default=False,
-           help="skip Fisher-scoring refinement")
     es.add("out", default=None, help="output file prefix")
 
     return parser

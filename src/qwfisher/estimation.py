@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import _evolve_with_generators
-from .walk import (PARAM_NAMES, CoinParams, SU2Powers, WalkerState,
-                   k_grid_size, quasi_energy_axis, window_from_uniform)
+from .walk import (CoinParams, SU2Powers, WalkerState, k_grid_size,
+                   quasi_energy_axis, window_from_uniform)
 from .quadrature import uniform_k_grid
 
 MASS_THRESHOLD = 1e-12
@@ -126,19 +126,15 @@ def sample(dist: PositionDistribution, shots: int, seed: int,
 # classical information
 
 
-def _prob_derivatives(p: CoinParams, init: WalkerState, t: int, params):
+def _prob_derivatives(p: CoinParams, init: WalkerState, t: int):
     """(sites, probs, dprobs) with dp_mu(x) = 2 Re conj(amp) d_mu amp.
 
-    One engine run gives the evolved k-spinor and its derivatives, and
-    one inverse FFT takes all of them to sites.
+    mu runs over (theta, alpha); beta is held fixed.  One engine run
+    gives the evolved k-spinor and its derivatives, and one inverse FFT
+    takes all of them to sites.
     """
-    for mu in params:
-        if mu not in PARAM_NAMES:
-            raise ValueError(f"unknown parameter {mu!r}; "
-                             f"choose from {PARAM_NAMES}")
     t = int(t)
-    phi, dphi = _evolve_with_generators(
-        init, p, t, [PARAM_NAMES.index(mu) for mu in params])
+    phi, dphi = _evolve_with_generators(init, p, t, [0, 1])  # theta, alpha
     origin = init.origin - t
     amps = window_from_uniform(np.concatenate([phi[None], dphi]), origin,
                                init.n_sites + 2 * t)
@@ -148,18 +144,22 @@ def _prob_derivatives(p: CoinParams, init: WalkerState, t: int, params):
             np.sum(np.abs(psi) ** 2, axis=1), dprobs)
 
 
-def classical_fi(p: CoinParams, init: WalkerState, t: int,
-                 params=("theta", "alpha")) -> np.ndarray:
-    """Fisher information of the position outcome, I_uv = sum dp dp / p.
-
-    Bins with mass below 1e-12 are excluded.  For special inputs the
-    alpha sensitivity of the marginal can vanish; the zero rows are
-    reported as computed.
-    """
-    _, probs, dprobs = _prob_derivatives(p, init, t, params)
+def _information(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
+    """Per-shot information sum_x dp dp^T / p over bins above the mass floor."""
     mask = probs > MASS_THRESHOLD
     w = dprobs[:, mask] / np.sqrt(probs[mask])
     return w @ w.T
+
+
+def classical_fi(p: CoinParams, init: WalkerState, t: int) -> np.ndarray:
+    """Fisher information of the position outcome in (theta, alpha).
+
+    I_uv = sum dp_u dp_v / p, with bins of mass below 1e-12 excluded.
+    For special inputs the alpha sensitivity of the marginal can vanish;
+    the zero rows are reported as computed.
+    """
+    _, probs, dprobs = _prob_derivatives(p, init, t)
+    return _information(probs, dprobs)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +198,7 @@ class LikelihoodTable:
     sites: np.ndarray
     probs: np.ndarray            # (n_theta, n_alpha, n_sites)
     logp: np.ndarray             # log(max(probs, 1e-300))
-    init_amps: np.ndarray
-    init_origin: int
+    init: WalkerState
 
 
 def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
@@ -245,7 +244,7 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     thetas, alphas = grid.axes()
     t = int(t)
     width = init.n_sites + 2 * t
-    nodes, _ = uniform_k_grid(k_grid_size(width))
+    nodes = uniform_k_grid(k_grid_size(width))
     # sin^2 om = 1 - cos^2 theta cos^2 (k - alpha) on every cell and node,
     # smallest at the largest cos^2 theta and cos^2 (k - alpha)
     sin2_k = np.min(np.sin(nodes[:, None] - alphas[None, :]) ** 2)
@@ -296,8 +295,7 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     np.log(logp, out=logp)
     return LikelihoodTable(grid=grid, beta=p_true.beta, t=t,
                            sites=origin + np.arange(width), probs=probs,
-                           logp=logp, init_amps=init.amps.copy(),
-                           init_origin=init.origin)
+                           logp=logp, init=init)
 
 
 def _connected_from_argmax(mask: np.ndarray, start) -> np.ndarray:
@@ -337,28 +335,27 @@ class MLEResult:
     grid_alpha: float
 
 
-def _score_and_info(rec_counts, init, params_point, t, params=("theta", "alpha")):
-    sites, probs, dprobs = _prob_derivatives(params_point, init, t, params)
+def _score(counts: np.ndarray, probs: np.ndarray,
+           dprobs: np.ndarray) -> np.ndarray:
+    """Log-likelihood gradient sum_x n_x dp(x) / p(x) over bins above the floor."""
     mask = probs > MASS_THRESHOLD
     pm = probs[mask]
-    score = np.array([np.sum(rec_counts[mask] * d[mask] / pm) for d in dprobs])
-    w = dprobs[:, mask] / np.sqrt(pm)
-    info = w @ w.T          # per shot
-    return score, info, sites, probs
+    return np.array([np.sum(counts[mask] * d[mask] / pm) for d in dprobs])
 
 
 def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
-            refine: bool = True, max_refine: int = 12) -> MLEResult:
+            max_refine: int = 12) -> MLEResult:
     """Maximum-likelihood (theta, alpha) from position counts.
 
     Grid search over a shared probability table, a connectivity
     diagnostic for secondary modes (cells within 2 log-likelihood units
-    of the maximum that do not touch the main one), then Fisher-scoring
-    refinement with exact scores.  The covariance estimate is the
-    inverse observed information at the fit; a direction the data carry
-    no information about (the position marginal can be exactly flat in
-    alpha for some inputs) gets an infinite diagonal entry.  ``table``
-    comes from :func:`make_likelihood_table` at the record's t.
+    of the maximum that do not touch the main one), then at most
+    ``max_refine`` Fisher-scoring steps with exact scores.  The
+    covariance estimate is the inverse observed information at the fit;
+    a direction the data carry no information about (the position
+    marginal can be exactly flat in alpha for some inputs) gets an
+    infinite diagonal entry.  ``table`` comes from
+    :func:`make_likelihood_table` at the record's t.
     """
     if rec.t != table.t:
         raise ValueError(f"record t={rec.t} disagrees with the table t={table.t}")
@@ -372,22 +369,25 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     reached = _connected_from_argmax(mask, (it, ia))
     multimodal = bool(mask.sum() - reached.sum() > 0)
 
-    init_state = WalkerState(origin=table.init_origin, amps=table.init_amps)
     x = np.array([th_hat, al_hat])
-    converged = not refine
+    converged = False
     iters = 0
-    if refine:
-        for iters in range(1, max_refine + 1):
-            pt = CoinParams(theta=x[0], alpha=x[1], beta=table.beta)
-            score, info, _, _ = _score_and_info(counts, init_state, pt, table.t)
-            step = np.linalg.pinv(info * rec.shots, rcond=1e-10, hermitian=True) \
-                @ score
-            x = np.clip(x + step,
-                        [table.grid.theta_min, table.grid.alpha_min],
-                        [table.grid.theta_max, table.grid.alpha_max])
-            if np.max(np.abs(step)) < 1e-9:
-                converged = True
-                break
+    for iters in range(1, max_refine + 1):
+        pt = CoinParams(theta=x[0], alpha=x[1], beta=table.beta)
+        _, probs, dprobs = _prob_derivatives(pt, table.init, table.t)
+        info = _information(probs, dprobs) * rec.shots
+        step = np.linalg.pinv(info, rcond=1e-10, hermitian=True) \
+            @ _score(counts, probs, dprobs)
+        x = np.clip(x + step,
+                    [table.grid.theta_min, table.grid.alpha_min],
+                    [table.grid.theta_max, table.grid.alpha_max])
+        if np.max(np.abs(step)) < 1e-9:
+            converged = True
+            break
+
+    def score_at(q: CoinParams) -> np.ndarray:
+        _, probs, dprobs = _prob_derivatives(q, table.init, table.t)
+        return _score(counts, probs, dprobs)
 
     pt = CoinParams(theta=x[0], alpha=x[1], beta=table.beta)
     h = 1e-5
@@ -395,9 +395,7 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     for j, mu in enumerate(("theta", "alpha")):
         up = pt.replace(**{mu: getattr(pt, mu) + h})
         dn = pt.replace(**{mu: getattr(pt, mu) - h})
-        s_up, _, _, _ = _score_and_info(counts, init_state, up, table.t)
-        s_dn, _, _, _ = _score_and_info(counts, init_state, dn, table.t)
-        hess[:, j] = (s_up - s_dn) / (2.0 * h)
+        hess[:, j] = (score_at(up) - score_at(dn)) / (2.0 * h)
     hess = 0.5 * (hess + hess.T)
     evals, evecs = np.linalg.eigh(-hess)
     good = evals > 1e-10 * max(float(evals.max(initial=0.0)), 1.0)
@@ -408,7 +406,7 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     null_weight = (evecs[:, ~good] ** 2).sum(axis=1)
     cov[np.diag_indices_from(cov)] = np.where(null_weight > 0.5, np.inf,
                                               np.diag(cov))
-    _, _, _, probs_fit = _score_and_info(counts, init_state, pt, table.t)
+    _, probs_fit, _ = _prob_derivatives(pt, table.init, table.t)
     mask_fit = probs_fit > MASS_THRESHOLD
     ll_fit = float(np.sum(counts[mask_fit] * np.log(probs_fit[mask_fit]))) \
         if np.all(counts[~mask_fit] == 0) else -np.inf

@@ -66,7 +66,7 @@ def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx):
     (len(idx), n, 2), dphi[i] = G_mu(t) phi_t for mu = PARAM_NAMES[idx[i]].
     """
     t = int(t)
-    nodes, _ = uniform_k_grid(k_grid_size(init.n_sites + 2 * t))
+    nodes = uniform_k_grid(k_grid_size(init.n_sites + 2 * t))
     powers = SU2Powers.of(
         *quasi_energy_axis(p.theta, p.alpha, p.beta, nodes))
     phi = powers.apply_power(spinors_at(init, nodes), t)

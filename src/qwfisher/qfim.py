@@ -34,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import TWO_PI, dft_exact_nodes, uniform_k_grid
+from .quadrature import TWO_PI, uniform_k_grid
 from .walk import (PARAM_NAMES, CoinParams, WalkerState, generator_spatial,
-                   initial_localized, quasi_energy_axis, spinors_at)
+                   initial_localized, k_grid_size, quasi_energy_axis,
+                   spinors_at)
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -133,7 +134,7 @@ def beta_null_check(p: CoinParams) -> float:
     The spatial direction u(k) is orthogonal to w_beta at every momentum,
     so this is a pure roundoff diagnostic.
     """
-    nodes, _ = uniform_k_grid(512)
+    nodes = uniform_k_grid(512)
     a1 = a1_grid(p, nodes)
     ob = np.concatenate(([0.0], generator_spatial(p)[2]))
     return float(np.max(np.linalg.norm(a1 @ ob, axis=-1)))
@@ -187,8 +188,9 @@ def _zone_means(p: CoinParams, init: WalkerState, params):
     w = generator_spatial(p)[[PARAM_NAMES.index(l) for l in params]]
     m = len(params)
     iu = np.triu_indices(m)
-    # N has degree <= 1 + n_sites; the grid starts at x = k - alpha = 0
-    n = dft_exact_nodes(2 * (2 + init.n_sites))
+    # N has degree <= 1 + n_sites, and the grid needs more than twice
+    # that many nodes; it starts at x = k - alpha = 0
+    n = k_grid_size(2 + init.n_sites)
     k = p.alpha + TWO_PI * np.arange(n) / n
     _, u = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
     rho = _rho_bloch(spinors_at(init, k))

@@ -3,8 +3,8 @@
 The package integrates on uniform grids only: they integrate
 trigonometric polynomials exactly (discrete orthogonality), which is
 what the finite-time engine and the exact zone integrals of
-:mod:`qwfisher.qfim` rely on (:func:`uniform_k_grid`,
-:func:`dft_exact_nodes`).
+:mod:`qwfisher.qfim` rely on (:func:`uniform_k_grid`, with the node
+count of :func:`qwfisher.walk.k_grid_size`).
 
 Gauss-Legendre panels with node doubling (:func:`gauss_k_grid`,
 :func:`adaptive_mean_over_bz`) are called by no pipeline code.  They
@@ -23,13 +23,14 @@ from .errors import QuadratureError
 TWO_PI = 2.0 * np.pi
 
 
-def uniform_k_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform momentum grid of ``n`` nodes with equal weights summing to 2 pi."""
+def uniform_k_grid(n: int) -> np.ndarray:
+    """Uniform momentum nodes k_j = -pi + 2 pi j / n, j = 0 .. n - 1.
+
+    The weights are all 2 pi / n, so a zone mean is the node average.
+    """
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
-    nodes = -np.pi + TWO_PI * np.arange(n) / n
-    weights = np.full(n, TWO_PI / n)
-    return nodes, weights
+    return -np.pi + TWO_PI * np.arange(n) / n
 
 
 PANEL_ORDER = 64
@@ -102,15 +103,3 @@ def adaptive_mean_over_bz(f, rel_tol: float = 1e-9, n0: int = 64,
     raise QuadratureError(
         f"no convergence to rel_tol={rel_tol} within {max_nodes} nodes "
         f"(last change {err:.3e})")
-
-
-def dft_exact_nodes(degree: int) -> int:
-    """Smallest power of two exceeding ``degree`` distinct frequencies.
-
-    A uniform grid with this many nodes integrates any trigonometric
-    polynomial of degree <= ``degree`` exactly.
-    """
-    n = 1
-    while n <= degree:
-        n *= 2
-    return n

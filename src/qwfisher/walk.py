@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWalk
-from .quadrature import TWO_PI, dft_exact_nodes, uniform_k_grid
+from .quadrature import TWO_PI, uniform_k_grid
 
 NORM_TOL = 1e-12
 
@@ -85,11 +85,6 @@ def coin_matrix(theta: float, alpha: float, beta: float) -> np.ndarray:
     ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
     return np.array([[ea * ct, eb * st],
                      [-st / eb, ct / ea]], dtype=complex)
-
-
-def build_coin(p: CoinParams) -> np.ndarray:
-    """Coin matrix for validated parameters."""
-    return coin_matrix(p.theta, p.alpha, p.beta)
 
 
 def generator_spatial(p: CoinParams) -> np.ndarray:
@@ -286,21 +281,6 @@ def initial_entangled(x1: int = 0, x2: int = 1) -> WalkerState:
     return WalkerState(origin=lo, amps=amps)
 
 
-def make_initial(kind: str, **kw) -> WalkerState:
-    """Dispatcher for the three named input families.
-
-    kind = "localized" (x0, spinor | bloch), "entangled" (x1, x2) or
-    "gamma" (gamma).
-    """
-    builders = {"localized": initial_localized,
-                "entangled": initial_entangled,
-                "gamma": initial_gamma}
-    if kind not in builders:
-        raise ValueError(f"unknown initial-state kind {kind!r}; "
-                         f"choose from {sorted(builders)}")
-    return builders[kind](**kw)
-
-
 # ---------------------------------------------------------------------------
 # momentum-space picture
 
@@ -319,7 +299,10 @@ def k_grid_size(width: int) -> int:
     up to 2 * width; the smallest power of two above that integrates
     them exactly.
     """
-    return dft_exact_nodes(2 * width)
+    n = 1
+    while n <= 2 * width:
+        n *= 2
+    return n
 
 
 def window_from_uniform(spinors: np.ndarray, origin: int,
@@ -449,7 +432,7 @@ def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:
         raise ValueError(f"step count must be nonnegative, got {t}")
     t = int(t)
     width = s.n_sites + 2 * t
-    nodes, _ = uniform_k_grid(k_grid_size(width))
+    nodes = uniform_k_grid(k_grid_size(width))
     axis = quasi_energy_axis(p.theta, p.alpha, p.beta, nodes)
     phi = SU2Powers.of(*axis).apply_power(spinors_at(s, nodes), t)
     origin = s.origin - t

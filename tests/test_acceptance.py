@@ -73,7 +73,7 @@ def test_criterion_02_phase_row_is_null():
 
 def test_criterion_03_projector_algebra():
     rng = np.random.default_rng(3)
-    nodes, _ = uniform_k_grid(512)
+    nodes = uniform_k_grid(512)
     worst_idem = worst_abs = worst_tr = 0.0
     for th, al, be in random_coin_angles(rng, 100):
         p = CoinParams(th, al, be)

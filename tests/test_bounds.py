@@ -171,6 +171,14 @@ class TestSandwichAndHolevo:
         with pytest.raises(IncompatibleModel, match="bracketed"):
             holevo_compatible(f, d=d)
 
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, math.inf])
+    def test_bad_eps_rejected(self, eps):
+        # R = 0.25 here; a threshold every comparison passes or fails
+        # must not certify the model compatible
+        d = np.array([[0.0, 0.25], [-0.25, 0.0]])
+        with pytest.raises(ValueError, match="threshold"):
+            holevo_compatible(np.eye(2), d=d, eps=eps)
+
     def test_eps_override(self):
         f = np.eye(2)
         d = np.array([[0.0, 1e-4], [-1e-4, 0.0]])

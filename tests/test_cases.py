@@ -1,6 +1,10 @@
 """Physical encodings: magnetic field and Dirac walk, their inverses,
 Jacobians, and the sweep drivers."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from qwfisher import (ChargeUnidentifiable, CoinParams, DegenerateWalk,
                       g_of_theta, initial_entangled, magnetic_from_coin,
                       magnetic_jacobian, pullback_qfim, qfim_theorem1,
                       sweep_fig1, sweep_fig2)
-from qwfisher.walk import build_coin
+from qwfisher.walk import coin_matrix
 
 SIGMA = [np.eye(2),
          np.array([[0, 1], [1, 0]], dtype=complex),
@@ -33,7 +37,7 @@ class TestMagnetic:
         for b2, b3 in [(-0.6, 0.0), (0.5, 0.8), (-0.3, -1.2), (1.0, 0.2)]:
             p = coin_from_magnetic(MagneticField(b2=b2, b3=b3))
             assert p.beta == 0.0
-            got = build_coin(p)
+            got = coin_matrix(p.theta, p.alpha, p.beta)
             assert np.abs(got - rotation_matrix(b2, b3)).max() <= 1e-12
 
     def test_in_plane_field_gives_pure_mixing(self):
@@ -260,6 +264,21 @@ class TestSweeps:
         assert ts[0] == 1 and ts[-1] == 5000
         assert len(ts) <= 256
         assert np.all(np.diff(ts) > 0)
+
+    def test_large_t_grid_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma on its first call in a process,
+        # which costs a sweep more than the deduplication itself
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        code = ("import sys\n"
+                "from qwfisher import sweep_fig2\n"
+                "sweep_fig2([0.7], 1000)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
     def test_t_max_validation(self):
         with pytest.raises(ValueError, match="t_max"):

@@ -1,9 +1,14 @@
 """End-to-end CLI checks, run in process against temp directories."""
+import contextlib
+import io
 import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwfisher.cli import main
 
@@ -96,6 +101,7 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     (["evolve", "--t", "3", "--spinor", "nan,0"], 2),
     (["evolve", "--t", "3", "--bloch", "nan,0,0"], 2),
     (["qfim", "--theta", "1e-4", "--alpha", "0.3", "--t", "100"], 0),  # tiny s
+    (["bounds", "--eps-compat", "nan"], 2),                # certifies nothing
 ])
 def test_exit_codes(workdir, capsys, argv, code):
     assert main(argv) == code
@@ -118,6 +124,23 @@ def test_quadrature_flags_are_gone(workdir, capsys, command, flag):
     cfg.write_text(key + " = 1\n")
     assert main(command + ["--config", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_removed_options_are_gone(workdir, capsys):
+    estimate = ["estimate", "--t", "5", "--shots", "10", "--grid-n", "8"]
+    for argv in (estimate + ["--no-refine"], ["sweep", "prefactor-insets"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    cfg = workdir / "old.cfg"
+    cfg.write_text("no_refine = 1\n")
+    assert main(estimate + ["--config", str(cfg)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_empty_parameter_list_is_named(workdir, capsys):
+    assert main(["qfim", "--params", ","]) == 2
+    assert "no parameters requested" in capsys.readouterr().err
 
 
 def test_thread_cap_validation(workdir, capsys, monkeypatch):
@@ -165,6 +188,16 @@ def test_bounds_compatible_fixture(workdir, capsys):
     assert len(rows) == 1
 
 
+def test_bounds_weight_scalarizes_the_reported_matrix(workdir):
+    assert main(["bounds", "--t", "40", "--weight", "2,0.5,1"]) == 0
+    report = read_json(workdir / "qwf_bounds_bounds_report.json")
+    f = np.array(report["fisher"])
+    w = np.array([[2.0, 0.5], [0.5, 1.0]])
+    expected = float(np.trace(np.linalg.inv(f) @ w))
+    assert report["symmetric"] == pytest.approx(expected, rel=1e-12)
+    assert report["config"]["weight"] == "2,0.5,1"
+
+
 def test_bounds_incompatible_note_and_strict(workdir, capsys):
     args = ["bounds", "--route", "oracle", "--init", "gamma:0.9",
             "--theta", "0.8", "--alpha", "0.3", "--t", "30"]
@@ -179,10 +212,19 @@ def test_bounds_incompatible_note_and_strict(workdir, capsys):
 def test_sweep_file_sets(workdir):
     assert main(["sweep", "fig1", "--t-max", "20"]) == 0
     assert main(["sweep", "fig2", "--t-max", "20"]) == 0
-    assert main(["sweep", "prefactor-insets"]) == 0
-    for name in ("qwf_sweep_curves.csv", "qwf_sweep_inset.csv",
-                 "qwf_sweep_prefactor.csv", "qwf_sweep_holevo_g.csv"):
+    for name in ("qwf_sweep_curves.csv", "qwf_sweep_inset.csv"):
         assert (workdir / name).exists()
+
+
+def test_sweep_fig2_theta_list(workdir, capsys):
+    assert main(["sweep", "fig2", "--t-max", "5",
+                 "--theta-list", "0.5, 1.0,"]) == 0
+    cols = read_json(workdir / "qwf_sweep_curves.json")["columns"]
+    assert cols["theta"] == [0.5] * 5 + [1.0] * 5
+    assert cols["t"] == [1, 2, 3, 4, 5] * 2
+    assert main(["sweep", "fig2", "--theta-list", " , "]) == 2
+    assert main(["sweep", "fig2", "--theta-list", "0.5,pi/4"]) == 2
+    assert "--theta-list expects" in capsys.readouterr().err
 
 
 def test_case_magnetic_report(workdir, capsys):
@@ -206,6 +248,18 @@ def test_case_dirac_first_order(workdir):
     assert body["round_trip"]["m"]["abs_err"] <= 1e-10
 
 
+def test_case_dirac_ax_alias(workdir):
+    args = ["case", "dirac", "--m", "1.2", "--q", "0.7", "--eps", "0.01",
+            "--t", "50"]
+    assert main(args + ["--Ax", "0.8", "--out", "alias"]) == 0
+    assert main(args + ["--ax", "0.8", "--out", "plain"]) == 0
+    alias = read_json(workdir / "alias_report.json")
+    plain = read_json(workdir / "plain_report.json")
+    assert alias["config"]["ax"] == 0.8
+    assert alias["coin"] == plain["coin"]
+    assert alias["fisher_physical"] == plain["fisher_physical"]
+
+
 def test_estimate_deterministic_and_honest(workdir, capsys):
     args = ["estimate", "--t", "30", "--shots", "5000", "--seed", "7",
             "--grid-n", "60"]
@@ -213,6 +267,7 @@ def test_estimate_deterministic_and_honest(workdir, capsys):
     first = (workdir / "qwf_estimate_result.json").read_bytes()
     out1 = capsys.readouterr().out
     assert "+/- inf" in out1          # flat alpha direction, said plainly
+    assert "alpha_hat = unidentified (+/- inf)" in out1
     assert main(args) == 0
     assert (workdir / "qwf_estimate_result.json").read_bytes() == first
     result = read_json(workdir / "qwf_estimate_result.json")
@@ -220,11 +275,109 @@ def test_estimate_deterministic_and_honest(workdir, capsys):
     assert result["identified"]["theta"] is True
     assert result["identified"]["alpha"] is False
     assert result["stderr_alpha"] is None     # inf maps to null in JSON
+    # the grid picks a flat alpha by rounding: no number is quoted
+    assert result["alpha_hat"] is None
+    assert result["grid_argmax"]["alpha"] is None
     rec = read_json(workdir / "qwf_estimate_record.json")
     assert sum(rec["record"]["counts"].values()) == 5000
+
+
+def test_estimate_identified_alpha_keeps_its_number(workdir, capsys):
+    assert main(["estimate", "--init", "gamma:0.6", "--alpha", "0.3",
+                 "--beta", "0.4", "--t", "30", "--shots", "5000",
+                 "--seed", "7", "--grid-n", "60"]) == 0
+    out = capsys.readouterr().out
+    assert "unidentified" not in out
+    result = read_json(workdir / "qwf_estimate_result.json")
+    assert result["identified"]["alpha"] is True
+    assert abs(result["alpha_hat"] - 0.3) < 5 * result["stderr_alpha"]
+    assert isinstance(result["grid_argmax"]["alpha"], float)
+    assert f"alpha_hat = {result['alpha_hat']:.12g} +/- " in out
 
 
 def test_out_prefix_respected(workdir):
     assert main(["evolve", "--t", "5", "--out", "runA"]) == 0
     assert (workdir / "runA_distribution.csv").exists()
     assert not (workdir / "qwf_evolve_distribution.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any flag values end in a typed exit code, never a traceback
+
+_SPECIAL = ["nan", "inf", "-inf", "-1", "0", "1e-300"]
+_floats = st.one_of(st.floats(-4.0, 4.0).map(repr), st.sampled_from(_SPECIAL))
+# digit-free junk keeps drawn windows small: a random
+# "entangled:0,99999999" would allocate gigabytes before any check
+_junk = st.text(alphabet="abgilmnortyz:,.-+ ()j", max_size=10)
+_small = st.integers(-3, 4).map(str)
+_inits = st.one_of(
+    _junk,
+    st.builds(lambda k, a: f"{k}:{a}",
+              st.sampled_from(["localized", "entangled", "gamma", "Gamma",
+                               "thermal", ""]),
+              st.one_of(_small, _floats, _junk,
+                        st.lists(_small, max_size=3).map(",".join))))
+_lists = lambda words: st.one_of(
+    _junk, st.lists(st.sampled_from(words), max_size=4).map(",".join))
+_FLAGS = {
+    "theta": _floats, "alpha": _floats, "beta": _floats,
+    "init": _inits, "spinor": st.one_of(_junk, st.lists(
+        _floats, max_size=3).map(",".join)),
+    "bloch": st.one_of(_junk, st.lists(_floats, max_size=4).map(",".join)),
+    "t": st.integers(-2, 12).map(str),
+    "routes": _lists(["analytic", "oracle", "localized-closed-form", "x"]),
+    "params": _lists(["theta", "alpha", "beta", "", "zeta"]),
+    "route": st.sampled_from(["analytic", "oracle", "exact"]),
+    "weight": st.one_of(_junk, st.lists(_floats, max_size=4).map(",".join)),
+    "eps-compat": _floats,
+    "theta-list": st.one_of(_junk, st.lists(_floats, max_size=3).map(
+        ",".join)),
+    "t-max": st.integers(-1, 30).map(str),
+    "b2": _floats, "b3": _floats, "m": _floats, "q": _floats, "ax": _floats,
+    "eps": _floats,
+    "shots": st.integers(-1, 50).map(str),
+    "seed": st.integers(-2, 5).map(str),
+    "grid-n": st.integers(-1, 6).map(str),
+}
+_COMMANDS = {
+    ("evolve",): ["theta", "alpha", "beta", "init", "spinor", "bloch", "t"],
+    ("qfim",): ["theta", "alpha", "beta", "init", "t", "routes", "params"],
+    ("bounds",): ["theta", "alpha", "beta", "init", "t", "route", "weight",
+                  "eps-compat"],
+    ("sweep", "fig1"): ["theta", "t-max"],
+    ("sweep", "fig2"): ["theta-list", "t-max"],
+    ("case", "magnetic"): ["b2", "b3", "init", "t"],
+    ("case", "dirac"): ["m", "q", "ax", "eps", "init", "t"],
+    ("estimate",): ["theta", "alpha", "beta", "init", "t", "shots", "seed",
+                    "grid-n"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = list(command)
+    for flag in _COMMANDS[command]:
+        value = draw(st.none() | _FLAGS[flag])
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    if command[0] in ("qfim", "bounds", "case", "estimate") \
+            and not any(a.startswith("--t=") for a in argv):
+        argv.append("--t=8")            # keep the default t = 100 cheap
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore:separation")      # even entangled pairs
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_fuzz_main_exits_typed(tmp_path_factory, argv):
+    work = tmp_path_factory.mktemp("fuzz")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--out", str(work / "run")])
+        except SystemExit as exc:       # argparse rejects a value
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -151,10 +151,9 @@ class TestClassicalFisher:
     def test_one_run_score_matches_three_runs(self, t):
         p = CoinParams(0.85, 0.6, -0.3)
         init = initial_entangled(-3, 2)
-        params = ("theta", "alpha", "beta")
-        sites, probs, dprobs = _prob_derivatives(p, init, t, params)
+        sites, probs, dprobs = _prob_derivatives(p, init, t)
         ref_sites, ref_probs, ref_dprobs = three_run_prob_derivatives(
-            init, p, t, params)
+            init, p, t, ("theta", "alpha"))
         assert np.array_equal(sites, ref_sites)
         assert np.abs(probs - ref_probs).max() <= 1e-12
         assert np.abs(dprobs - ref_dprobs).max() <= 1e-12

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from qwfisher.errors import QuadratureError
-from qwfisher.quadrature import (adaptive_mean_over_bz, dft_exact_nodes,
-                                 gauss_k_grid, mean_over_bz, uniform_k_grid)
+from qwfisher.quadrature import (adaptive_mean_over_bz, gauss_k_grid,
+                                 mean_over_bz, uniform_k_grid)
+from qwfisher.walk import k_grid_size
 
 
 def test_uniform_grid_integrates_trig_polynomials_exactly():
-    nodes, weights = uniform_k_grid(16)
-    assert weights.sum() == pytest.approx(2 * math.pi, abs=1e-12)
+    nodes = uniform_k_grid(16)
+    assert np.allclose(np.diff(nodes), 2 * math.pi / 16, atol=1e-15)
+    assert nodes[0] == -math.pi
+    weights = np.full(16, 2 * math.pi / 16)
     # e^{ink} averages to delta_{n0} exactly for |n| < grid size
     for n in range(-7, 8):
         val = mean_over_bz(lambda k: np.exp(1j * n * k), nodes, weights)
@@ -21,7 +24,8 @@ def test_uniform_grid_integrates_trig_polynomials_exactly():
 def test_gauss_grid_matches_uniform_on_smooth_integrand():
     f = lambda k: 1.0 / (1.0 - 0.5 * np.cos(k) ** 2)
     gn, gw = gauss_k_grid(64)
-    un, uw = uniform_k_grid(256)
+    un = uniform_k_grid(256)
+    uw = np.full(256, 2 * math.pi / 256)
     a = mean_over_bz(f, gn, gw)
     b = mean_over_bz(f, un, uw)
     # closed form: mean of 1/(1 - c cos^2) over the zone is 1/sqrt(1-c)
@@ -44,9 +48,10 @@ def test_adaptive_mean_raises_when_budget_exhausted():
 
 
 def test_dft_exact_nodes_covers_degree():
-    assert dft_exact_nodes(7) == 8
-    assert dft_exact_nodes(8) == 16
-    assert dft_exact_nodes(100) == 128
+    # a window of w sites needs the smallest power of two above degree 2w
+    assert k_grid_size(3) == 8
+    assert k_grid_size(4) == 16
+    assert k_grid_size(50) == 128
 
 
 @pytest.mark.parametrize("max_nodes", [64, 100])

@@ -26,13 +26,3 @@ def test_convergence_study_runs(tmp_path):
     m = re.search(r"decay exponent ([-+]?\d+\.\d+)", res.stdout)
     assert m is not None, res.stdout
     assert float(m.group(1)) < 0.0
-
-
-def test_figure_data_runs(tmp_path):
-    out_dir = tmp_path / "figure_data"
-    res = run_script("figure_data.py", "--t-max", "50", "--out-dir",
-                     str(out_dir), cwd=tmp_path)
-    assert res.returncode == 0, res.stderr
-    for name in ("fig1_curves.csv", "fig1_inset.csv", "fig2_curves.csv",
-                 "fig2_inset.csv"):
-        assert (out_dir / name).stat().st_size > 0

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, WalkerState,
-                      build_coin, coin_matrix, evolve, initial_entangled,
-                      initial_gamma, initial_localized, make_initial)
+                      coin_matrix, evolve, initial_entangled, initial_gamma,
+                      initial_localized)
 from qwfisher.walk import quasi_energy_axis, spinors_at
 
 from oracles import PAULI, coin_dense, dense_amps_at, dense_evolve, evolve_steps
@@ -32,7 +32,8 @@ def test_raw_coin_at_half_pi_is_pure_swap():
 
 def test_build_coin_matches_entrywise_construction():
     p = CoinParams(theta=0.7, alpha=-2.0, beta=0.4)
-    assert np.allclose(build_coin(p), coin_dense(0.7, -2.0, 0.4), atol=1e-15)
+    assert np.allclose(coin_matrix(p.theta, p.alpha, p.beta),
+                       coin_dense(0.7, -2.0, 0.4), atol=1e-15)
 
 
 def test_coin_unitarity_bulk():
@@ -41,14 +42,15 @@ def test_coin_unitarity_bulk():
         th = rng.uniform(-math.pi, math.pi)
         if abs(math.sin(th)) < 1e-3:
             continue
-        c = build_coin(CoinParams(th, rng.uniform(-9, 9), rng.uniform(-9, 9)))
+        p = CoinParams(th, rng.uniform(-9, 9), rng.uniform(-9, 9))
+        c = coin_matrix(p.theta, p.alpha, p.beta)
         assert np.abs(c @ c.conj().T - np.eye(2)).max() <= 1e-14
 
 
 @given(theta=mixing, alpha=angles, beta=angles)
 def test_coin_unitary_and_special(theta, alpha, beta):
     p = CoinParams(theta, alpha, beta)
-    c = build_coin(p)
+    c = coin_matrix(p.theta, p.alpha, p.beta)
     assert np.abs(c @ c.conj().T - np.eye(2)).max() <= 1e-14
     assert abs(np.linalg.det(c) - 1.0) <= 1e-13
 
@@ -67,7 +69,8 @@ def test_param_canonicalization_is_idempotent(theta, alpha, beta):
 def test_phase_wrapping_leaves_coin_unchanged(theta, alpha, beta, na, nb):
     p = CoinParams(theta, alpha, beta)
     q = CoinParams(theta, alpha + 2 * math.pi * na, beta + 2 * math.pi * nb)
-    assert np.allclose(build_coin(p), build_coin(q), atol=1e-12)
+    assert np.allclose(coin_matrix(p.theta, p.alpha, p.beta),
+                       coin_matrix(q.theta, q.alpha, q.beta), atol=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi, -math.pi, 2 * math.pi])
@@ -206,14 +209,9 @@ def test_localized_spinor_validation():
     with pytest.raises(ValueError):
         initial_localized(0, spinor=np.array([1.0, 0.0]),
                           bloch=CoinBlochState(np.array([0.0, 0.0, 1.0])))
-    s = make_initial("localized", x0=3, bloch=CoinBlochState(np.array([1.0, 0, 0])))
+    s = initial_localized(3, bloch=CoinBlochState(np.array([1.0, 0, 0])))
     assert s.origin == 3
     assert np.allclose(np.abs(s.amps[0]), [1 / math.sqrt(2)] * 2)
-
-
-def test_make_initial_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        make_initial("thermal")
 
 
 def test_state_json_round_trip():
@@ -234,7 +232,8 @@ def test_uk_defining_relation():
     for k in (math.pi / 3, 0.0):
         c, w = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
         u = c * np.eye(2) - 1j * np.einsum("i,iab->ab", w, PAULI[1:])
-        expected = np.diag([np.exp(-1j * k), np.exp(1j * k)]) @ build_coin(p)
+        expected = np.diag([np.exp(-1j * k), np.exp(1j * k)]) \
+            @ coin_matrix(p.theta, p.alpha, p.beta)
         assert np.allclose(u, expected, atol=1e-15)
 
 
