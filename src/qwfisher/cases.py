@@ -367,6 +367,7 @@ def sweep_fig1(theta: float, t_max: int) -> dict:
     ratio, "inset": prefactor curves f_r(theta) over the open interval
     (0, pi/2)}.
     """
+    CoinParams(theta, 0.0, 0.0)      # the coin's NaN and sin(theta) = 0 gates
     ts = _t_grid(t_max)
     f0 = np.array([single_param_qfi(theta, 0.0, int(t)) for t in ts])
     f1 = np.array([single_param_qfi(theta, 1.0, int(t)) for t in ts])
@@ -387,6 +388,7 @@ def sweep_fig2(theta_list, t_max: int) -> dict:
     ts = _t_grid(t_max)
     th_col, t_col, ch_col = [], [], []
     for th in theta_list:
+        CoinParams(float(th), 0.0, 0.0)  # as in sweep_fig1
         g = g_of_theta(float(th))
         for t in ts:
             th_col.append(float(th))

@@ -752,6 +752,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("config error: not enough memory for this configuration; "
+              "shrink the input window, t or --grid-n", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ closed-form engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .walk import (CoinParams, SU2Powers, WalkerState, k_grid_size,
 from .quadrature import uniform_k_grid
 
 MASS_THRESHOLD = 1e-12
+# table entries per block of theta rows in make_likelihood_table (1 MiB)
+_BLOCK_ENTRIES = 2 ** 17
 
 
 def philox_rng(seed: int, *stream) -> np.random.Generator:
@@ -190,20 +193,35 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class LikelihoodTable:
-    """Position probabilities over a (theta, alpha) grid, shots-independent."""
+    """Log position probabilities over a (theta, alpha) grid, shots-independent.
+
+    ``logp`` (n_theta, n_alpha, n_sites) is log(max(p, 1e-300)) and the
+    only full-size array kept.  p itself stays as its two factors,
+    p = max(trig @ B, 0) with the cos/sin matrix ``trig`` (n_alpha,
+    1 + 2D) and ``B`` (n_theta, 1 + 2D, n_sites) of
+    :func:`make_likelihood_table`; :attr:`probs` forms it on first use.
+    """
 
     grid: GridSpec
     beta: float
     t: int
     sites: np.ndarray
-    probs: np.ndarray            # (n_theta, n_alpha, n_sites)
-    logp: np.ndarray             # log(max(probs, 1e-300))
+    logp: np.ndarray
+    trig: np.ndarray
+    B: np.ndarray
     init: WalkerState
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """max(trig @ B, 0), (n_theta, n_alpha, n_sites); formed once."""
+        probs = np.matmul(self.trig, self.B)
+        np.maximum(probs, 0.0, out=probs)
+        return probs
 
 
 def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
                           grid: GridSpec | None = None) -> LikelihoodTable:
-    """Tabulate p(x | theta, alpha) over the grid at fixed beta = p_true.beta.
+    """Tabulate log p(x | theta, alpha) over the grid at fixed beta = p_true.beta.
 
     One-time cost shared by every record fitted against the same model.
     The coin factorises as C(theta, alpha, beta) = D(a1) R(theta) D(a2)
@@ -232,13 +250,20 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     p = B_0 + sum_{d > 0} [2 cos(alpha d) Re B_d - 2 sin(alpha d) Im B_d].
     (S R(theta))^t runs once per theta in closed form per momentum node
     (:class:`SU2Powers`) on the F <= n0 + 1 group spinors, with one
-    inverse FFT; B takes F^2 coin-summed products, and the table is one
-    real batched product of the (n_alpha, 1 + 2D) cos/sin matrix with
-    B (n_theta, 1 + 2D, width) over the D positive frequencies d that
-    occur.  The cost is O(n_theta * n_nodes * F) for the powers,
-    O(n_theta * F^2 * width) for B and O(n_theta * n_alpha * width * D)
-    for the product; t enters only through the window width, and no
-    complex array of the table's size is formed.
+    inverse FFT; B takes F^2 coin-summed products, and p is the real
+    product of the (n_alpha, 1 + 2D) cos/sin matrix with B (n_theta,
+    1 + 2D, width) over the D positive frequencies d that occur.  The
+    cost is O(n_theta * n_nodes * F) for the powers, O(n_theta * F^2 *
+    width) for B and O(n_theta * n_alpha * width * D) for the product;
+    t enters only through the window width.
+
+    Only the last step is table-sized.  It runs over blocks of theta
+    rows of about ``_BLOCK_ENTRIES`` entries, so a block stays in cache:
+    the product is written straight into ``logp``, then floored and
+    logged in place.  No p array and no complex array of the table's
+    size is formed; the peak is ``logp`` plus the engine's
+    O(n_theta * F * n_nodes) arrays.  The table keeps ``logp`` and the
+    two factors, from which :attr:`LikelihoodTable.probs` rebuilds p.
     """
     grid = grid or GridSpec()
     thetas, alphas = grid.axes()
@@ -273,6 +298,9 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
         *quasi_energy_axis(thetas[:, None, None], 0.0, 0.0, nodes))
     origin = init.origin - t
     phis = window_from_uniform(powers.apply_power(spinors, t), origin, width)
+    # the peak is logp plus whatever is alive while it is written, so
+    # the engine arrays go as soon as they are used
+    del powers
 
     # B_d for d = 0 and each positive difference d = f' - f that occurs
     diffs = offsets[:, None] - offsets[None, :]
@@ -286,16 +314,23 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
         j = 1 + np.searchsorted(ds, diffs[f1, f])
         b[:, j] += prod.real
         b[:, j + ds.size] += prod.imag
+    del phis
     phase = np.outer(alphas, ds)
     trig = np.concatenate([np.ones((alphas.size, 1)), 2.0 * np.cos(phase),
                            -2.0 * np.sin(phase)], axis=1)
-    probs = np.matmul(trig, b)
-    np.maximum(probs, 0.0, out=probs)
-    logp = np.maximum(probs, 1e-300)
-    np.log(logp, out=logp)
+
+    # log(max(p, 1e-300)) block by block in place; max(max(p, 0), 1e-300)
+    # is max(p, 1e-300), so the floor at 0 that probs applies is implied
+    logp = np.empty((thetas.size, alphas.size, width))
+    per_block = max(1, _BLOCK_ENTRIES // (alphas.size * width))
+    for lo in range(0, thetas.size, per_block):
+        block = logp[lo:lo + per_block]
+        np.matmul(trig, b[lo:lo + per_block], out=block)
+        np.maximum(block, 1e-300, out=block)
+        np.log(block, out=block)
     return LikelihoodTable(grid=grid, beta=p_true.beta, t=t,
-                           sites=origin + np.arange(width), probs=probs,
-                           logp=logp, init=init)
+                           sites=origin + np.arange(width), logp=logp,
+                           trig=trig, B=b, init=init)
 
 
 def _connected_from_argmax(mask: np.ndarray, start) -> np.ndarray:

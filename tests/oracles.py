@@ -220,3 +220,15 @@ def dilation_connected(mask, start):
         if np.array_equal(grown, reached):
             return reached
         reached = grown
+
+
+def table_probs(trig, b):
+    """p = max(trig @ B, 0) over the whole grid in one product.
+
+    The formula the likelihood table's probabilities were first stored
+    from; the package now writes log p block by block from the same
+    two factors and forms p only on demand.
+    """
+    probs = np.matmul(trig, b)
+    np.maximum(probs, 0.0, out=probs)
+    return probs

@@ -19,6 +19,14 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _always_overcommits():
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as fh:
+            return fh.read().strip() == "1"
+    except OSError:
+        return False
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -102,6 +110,17 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     (["evolve", "--t", "3", "--bloch", "nan,0,0"], 2),
     (["qfim", "--theta", "1e-4", "--alpha", "0.3", "--t", "100"], 0),  # tiny s
     (["bounds", "--eps-compat", "nan"], 2),                # certifies nothing
+    (["sweep", "fig1", "--theta", "nan"], 2),              # sweep angles pass
+    (["sweep", "fig1", "--theta", "0"], 4),                # the coin's gates
+    (["sweep", "fig2", "--theta-list", "0.5,nan"], 2),
+    (["sweep", "fig2", "--theta-list", "0"], 4),
+    (["sweep", "fig2", "--theta-list", "1.5707963267948966"], 4),  # F singular
+    # the dense phase matrix of a 200,002-site window asks for about
+    # 0.8 TB at once, which the allocator refuses straight away
+    pytest.param(["evolve", "--t", "1", "--init", "entangled:0,200001"], 2,
+                 marks=pytest.mark.skipif(
+                     _always_overcommits(), reason="the kernel would grant "
+                     "the request and fill it page by page")),
 ])
 def test_exit_codes(workdir, capsys, argv, code):
     assert main(argv) == code

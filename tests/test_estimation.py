@@ -11,10 +11,10 @@ from qwfisher import (CoinParams, GridSpec, MeasurementRecord, WalkerState,
                       classical_fi, evolve, initial_entangled, initial_gamma,
                       initial_localized, make_likelihood_table, mle_fit,
                       philox_rng, position_distribution, qfim_exact, sample)
-from qwfisher.estimation import (PositionDistribution, _connected_from_argmax,
-                                 _prob_derivatives)
+from qwfisher.estimation import (_BLOCK_ENTRIES, PositionDistribution,
+                                 _connected_from_argmax, _prob_derivatives)
 
-from oracles import (dilation_connected, evolve_steps,
+from oracles import (dilation_connected, evolve_steps, table_probs,
                      three_run_prob_derivatives)
 
 
@@ -23,6 +23,22 @@ def random_amps(n_sites, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=(n_sites, 2)) + 1j * rng.normal(size=(n_sites, 2))
     return amps / np.linalg.norm(amps)
+
+
+def assert_rows_match_direct_evolution(table, init, p_true, t):
+    """Every (theta, alpha) cell of p and of exp(logp) against its own evolution."""
+    thetas, alphas = table.grid.axes()
+    lookup = {int(x): i for i, x in enumerate(table.sites)}
+    from_log = np.exp(table.logp)
+    for it, th in enumerate(thetas):
+        for ia, al in enumerate(alphas):
+            pd = position_distribution(evolve(
+                init, CoinParams(th, al, p_true.beta), t))
+            direct = np.zeros(table.sites.size)
+            for x, pr in zip(pd.sites, pd.probs):
+                direct[lookup[int(x)]] = pr
+            assert np.abs(table.probs[it, ia] - direct).max() <= 1e-10
+            assert np.abs(from_log[it, ia] - direct).max() <= 1e-10
 
 
 def integer_counts(dist, shots):
@@ -189,17 +205,35 @@ class TestLikelihoodTable:
         grid = GridSpec(theta_min=box[0], theta_max=box[1],
                         alpha_min=box[2], alpha_max=box[3], n_theta=3,
                         n_alpha=5)
+        assert_rows_match_direct_evolution(
+            make_likelihood_table(init, p_true, t, grid), init, p_true, t)
+
+    def test_rows_across_theta_blocks_match_direct_evolution(self):
+        # the other direct-evolution grids fit in one block of theta
+        # rows; this one spans three, and the last one is partial
+        init, p_true, t, n_alpha = initial_gamma(0.9), \
+            CoinParams(0.7, 0.2, 0.4), 500, 64
+        per_block = _BLOCK_ENTRIES // (n_alpha * (init.n_sites + 2 * t))
+        assert per_block >= 2
+        grid = GridSpec(theta_min=0.5, theta_max=0.9, alpha_min=-0.2,
+                        alpha_max=0.6, n_theta=2 * per_block + 1,
+                        n_alpha=n_alpha)
         table = make_likelihood_table(init, p_true, t, grid)
-        thetas, alphas = grid.axes()
-        lookup = {int(x): i for i, x in enumerate(table.sites)}
-        for it in range(3):
-            for ia in range(5):
-                pd = position_distribution(evolve(
-                    init, CoinParams(thetas[it], alphas[ia], p_true.beta), t))
-                direct = np.zeros(table.sites.size)
-                for x, pr in zip(pd.sites, pd.probs):
-                    direct[lookup[int(x)]] = pr
-                assert np.abs(table.probs[it, ia] - direct).max() <= 1e-10
+        assert_rows_match_direct_evolution(table, init, p_true, t)
+
+    @pytest.mark.parametrize("init,p_true,t,grid", [
+        (initial_entangled(0, 1), CoinParams(math.pi / 4, 0.0, 0.0), 50,
+         GridSpec()),
+        (WalkerState(origin=-4, amps=random_amps(9, seed=5)),
+         CoinParams(0.7, 0.2, -0.9), 30, GridSpec(n_theta=37, n_alpha=23)),
+    ], ids=["default", "random-9-sites"])
+    def test_probs_and_logp_are_bitwise_the_whole_grid_formula(
+            self, init, p_true, t, grid):
+        table = make_likelihood_table(init, p_true, t, grid)
+        probs = table_probs(table.trig, table.B)
+        assert np.array_equal(table.probs, probs)
+        assert table.probs is table.probs           # formed once
+        assert np.array_equal(table.logp, np.log(np.maximum(probs, 1e-300)))
 
     def test_theta_zero_row_is_a_pure_shift(self):
         # sin(theta) = 0 makes u(k) = +-1 at k = 0, -pi; the closed form
@@ -238,9 +272,9 @@ class TestLikelihoodTable:
                     / p_ref[big]
                 assert rel.max() <= 1e-10
 
-    def test_default_table_memory_is_its_two_arrays(self):
-        # the table keeps probs and logp; building it may add only
-        # working arrays much smaller than either
+    def test_default_table_memory_is_its_log_array(self):
+        # the table keeps logp and two small factors; building it may
+        # add only working arrays much smaller than logp
         init = initial_entangled(0, 1)
         tracemalloc.start()
         try:
@@ -249,7 +283,7 @@ class TestLikelihoodTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * table.probs.nbytes + 16 * 2**20
+        assert peak <= table.logp.nbytes + 16 * 2**20
 
     def test_degenerate_grid_rejected(self):
         # the box has to reach a flat quasi-energy: theta ~ 0 with alpha
