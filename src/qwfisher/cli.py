@@ -632,7 +632,13 @@ def cmd_estimate(ns, echo) -> int:
         "iterations": result.iterations,
         "grid_argmax": {"theta": result.grid_theta,
                         "alpha": result.grid_alpha if alpha_known else None},
-        "truth": {"theta": p_true.theta, "alpha": p_true.alpha}})
+        "truth": {"theta": p_true.theta, "alpha": p_true.alpha},
+        "diagnostics": {
+            "grid": {"n_theta": grid.n_theta, "n_alpha": grid.n_alpha},
+            "newton_steps": result.iterations - result.scoring_steps,
+            "scoring_steps": result.scoring_steps,
+            "last_step": result.last_step,
+            "score_norm": result.score_norm}})
     files += [f"{prefix}_record.json", f"{prefix}_result.json"]
 
     print(f"theta_hat = {result.theta:.12g} +/- {err[0]:.3g} "
@@ -648,6 +654,16 @@ def cmd_estimate(ns, echo) -> int:
         flags.append("multimodal")
     if not result.converged:
         flags.append("not converged")
+    # the fit is clipped to the grid box, so an edge estimate is exact
+    edge = [name for name, value, lo, hi in (
+        ("theta_hat", result.theta, grid.theta_min, grid.theta_max),
+        ("alpha_hat", alpha_hat, grid.alpha_min, grid.alpha_max))
+        if value in (lo, hi)]
+    if edge:
+        flags.append(" and ".join(edge) + " on the grid-box edge")
+    if not (grid.theta_min <= p_true.theta <= grid.theta_max
+            and grid.alpha_min <= p_true.alpha <= grid.alpha_max):
+        flags.append("true (theta, alpha) outside the grid box")
     if flags:
         print("warning: " + ", ".join(flags))
     print("wrote " + ", ".join(files))

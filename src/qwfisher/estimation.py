@@ -4,8 +4,10 @@ The measurement is position-only (coin traced out).  Sampling is
 multinomial with a counter-based generator so every record is a pure
 function of (seed, config).  The likelihood over a (theta, alpha) grid
 is evaluated from a shared log-probability table; fits refine the grid
-argmax by Fisher scoring with exact scores, each from one run of the
-closed-form engine.
+argmax by Newton steps on the exact observed information, with Fisher
+scoring as the fall back.  One run of the closed-form engine gives p,
+its first and its second derivatives in (theta, alpha), and the table,
+the fits and the classical Fisher information all read that one model.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .oracle import _evolve_with_generators
 from .walk import (CoinParams, SU2Powers, WalkerState, k_grid_size,
                    quasi_energy_axis, window_from_uniform)
 from .quadrature import uniform_k_grid
@@ -126,25 +127,114 @@ def sample(dist: PositionDistribution, shots: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# classical information
+# the position model with its derivatives, and classical information
+
+
+def _frequency_groups(init: WalkerState, beta: float, nodes: np.ndarray):
+    """The input's alpha-frequency groups: (f (F,), k-spinors chi_f (F, n, 2)).
+
+    Group f holds coin 0 of site f and coin 1 of site f - 1, beta
+    phased, so alpha multiplies it by e^{-i alpha f} (up to a global
+    phase).  See :func:`make_likelihood_table`.
+    """
+    amps = init.amps * np.exp(-0.5j * beta * np.array([1.0, -1.0]))
+    rows, coins = np.nonzero(amps)
+    present = np.zeros(init.n_sites + 1, dtype=bool)
+    present[rows + coins] = True
+    offsets = np.flatnonzero(present)
+    chi = np.zeros((offsets.size, 2), dtype=complex)
+    chi[np.searchsorted(offsets, rows + coins), coins] = amps[rows, coins]
+    # chi_f(k) = sum_c chi[f, c] e^{-ik(f - c)} e_c
+    freqs = init.origin + offsets
+    return freqs, chi[:, None, :] * np.exp(
+        -1j * nodes[:, None] * (freqs[:, None, None] - np.arange(2)))
+
+
+def _su2_apply(cos_omega, w, phi) -> np.ndarray:
+    """(cos(om) - i w.sigma) phi for spinors phi (..., 2), no 2 x 2 matrix.
+
+    The one-step action inside :meth:`SU2Powers.apply_power`, without
+    its power coefficients.
+    """
+    p0, p1 = phi[..., 0], phi[..., 1]
+    out = np.empty(phi.shape, dtype=complex)
+    out[..., 0] = (cos_omega - 1j * w[..., 2]) * p0 \
+        - (w[..., 1] + 1j * w[..., 0]) * p1
+    out[..., 1] = (w[..., 1] - 1j * w[..., 0]) * p0 \
+        + (cos_omega + 1j * w[..., 2]) * p1
+    return out
 
 
 def _prob_derivatives(p: CoinParams, init: WalkerState, t: int):
-    """(sites, probs, dprobs) with dp_mu(x) = 2 Re conj(amp) d_mu amp.
+    """(sites, probs, dprobs, d2probs): p(x) and its exact derivatives.
 
-    mu runs over (theta, alpha); beta is held fixed.  One engine run
-    gives the evolved k-spinor and its derivatives, and one inverse FFT
-    takes all of them to sites.
+    dprobs (2, width) holds d_theta p, d_alpha p and d2probs (3, width)
+    the second derivatives (theta theta, theta alpha, alpha alpha), at
+    fixed beta, from one engine run on the frequency groups of
+    :func:`make_likelihood_table`.  With Phi = (S R(theta))^t chi_alpha
+    and chi_alpha = sum_f e^{-i alpha f} chi_f:
+
+    * alpha derivatives are exact: d_alpha chi_alpha = sum_f (-i f)
+      e^{-i alpha f} chi_f and d2_alpha multiplies by -f^2 instead;
+    * theta derivatives come from u^t = a_t u - a_{t-1} with a_n =
+      sin(n om) / sin(om), u = S R(theta).  d_theta u is u at theta +
+      pi/2 and d2_theta u = -u, d_om a_n = (n cos(n om) - cos(om) a_n) /
+      sin(om), d2_om a_n = (1 - n^2) a_n - 2 cos(om) d_om a_n / sin(om),
+      and cos(om) = cos k cos theta gives d_theta om = -d_theta cos(om) /
+      sin(om) and d2_theta om = cos(om) (1 - (d_theta om)^2) / sin(om),
+      all on the folded angle and clamped |w| of :class:`SU2Powers`.
+
+    One inverse FFT takes the six spinor arrays to sites; there
+    d_mu p = 2 Re conj(psi) d_mu psi and d_mu d_nu p = 2 Re
+    [conj(d_mu psi) d_nu psi + conj(psi) d_mu d_nu psi].  As theta -> 0
+    the relative rounding of the theta derivatives grows like
+    eps / sin(theta), and like eps / sin(theta)^2 for the second.
     """
     t = int(t)
-    phi, dphi = _evolve_with_generators(init, p, t, [0, 1])  # theta, alpha
+    width = init.n_sites + 2 * t
+    nodes = uniform_k_grid(k_grid_size(width))
+    freqs, spinors = _frequency_groups(init, p.beta, nodes)
+    phase = np.exp(-1j * p.alpha * freqs)
+    # chi, d_alpha chi, d2_alpha chi: (3, n, 2)
+    chis = np.tensordot(np.array([phase, -1j * freqs * phase,
+                                  -(freqs ** 2) * phase]), spinors, axes=1)
+
+    powers = SU2Powers.of(*quasi_energy_axis(p.theta, 0.0, 0.0, nodes))
+    sign, c, s, om = (powers.sign, powers.cos_omega, powers.sin_omega,
+                      powers.omega)
+    dc, dw = quasi_energy_axis(p.theta + 0.5 * np.pi, 0.0, 0.0, nodes)
+    dc, dw = sign * dc, sign[:, None] * dw       # in the folded frame
+    om_1 = -dc / s
+    om_2 = c * (1.0 - om_1 ** 2) / s
+    sign_t = sign if t % 2 else 1.0
+    coef = []
+    for n in (t, t - 1):
+        a = np.sin(n * om) / s
+        a_om = (n * np.cos(n * om) - c * a) / s
+        a_omom = (1.0 - n * n) * a - 2.0 * c * a_om / s
+        coef.append((sign_t * np.array(
+            [a, a_om * om_1, a_omom * om_1 ** 2 + a_om * om_2]))[..., None])
+    (a, a1, a2), (b, b1, b2) = coef
+    u_chis = _su2_apply(c, powers.w, chis)
+    du_chis = _su2_apply(dc, dw, chis[:2])
+    phis = np.empty((6,) + chis.shape[1:], dtype=complex)
+    phis[0] = a * u_chis[0] - b * chis[0]
+    phis[1] = a1 * u_chis[0] + a * du_chis[0] - b1 * chis[0]
+    phis[2] = a * u_chis[1] - b * chis[1]
+    phis[3] = (a2 - a) * u_chis[0] + 2.0 * a1 * du_chis[0] - b2 * chis[0]
+    phis[4] = a1 * u_chis[1] + a * du_chis[1] - b1 * chis[1]
+    phis[5] = a * u_chis[2] - b * chis[2]
+
     origin = init.origin - t
-    amps = window_from_uniform(np.concatenate([phi[None], dphi]), origin,
-                               init.n_sites + 2 * t)
-    psi, dpsi = amps[0], amps[1:]
-    dprobs = 2.0 * np.einsum("xc,mxc->mx", psi.conj(), dpsi).real
-    return (origin + np.arange(psi.shape[0]),
-            np.sum(np.abs(psi) ** 2, axis=1), dprobs)
+    # psi, d_theta, d_alpha, d2_theta, d_theta d_alpha, d2_alpha
+    amps = window_from_uniform(phis, origin, width)
+    psi = amps[0]
+    dprobs = 2.0 * np.einsum("xc,mxc->mx", psi.conj(), amps[1:3]).real
+    d2probs = 2.0 * (np.einsum("mxc,mxc->mx", amps[[1, 1, 2]].conj(),
+                               amps[[1, 2, 2]])
+                     + np.einsum("xc,mxc->mx", psi.conj(), amps[3:])).real
+    return (origin + np.arange(width), np.sum(psi.real ** 2 + psi.imag ** 2,
+                                              axis=1), dprobs, d2probs)
 
 
 def _information(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -161,7 +251,7 @@ def classical_fi(p: CoinParams, init: WalkerState, t: int) -> np.ndarray:
     For special inputs the alpha sensitivity of the marginal can vanish;
     the zero rows are reported as computed.
     """
-    _, probs, dprobs = _prob_derivatives(p, init, t)
+    _, probs, dprobs, _ = _prob_derivatives(p, init, t)
     return _information(probs, dprobs)
 
 
@@ -278,19 +368,8 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
         raise ValueError("grid touches a degenerate quasi-energy; "
                          "shrink the box or step explicitly")
 
-    # group f holds coin 0 of site f and coin 1 of site f - 1, beta
-    # phased; f - origin = row + coin runs over 0..n0
-    amps = init.amps * np.exp(-0.5j * p_true.beta * np.array([1.0, -1.0]))
-    rows, coins = np.nonzero(amps)
-    present = np.zeros(init.n_sites + 1, dtype=bool)
-    present[rows + coins] = True
-    offsets = np.flatnonzero(present)
-    chi = np.zeros((offsets.size, 2), dtype=complex)
-    chi[np.searchsorted(offsets, rows + coins), coins] = amps[rows, coins]
-    # chi_f(k) = sum_c chi[f, c] e^{-ik(f - c)} e_c: (F, n_nodes, 2)
-    freqs = init.origin + offsets
-    spinors = chi[:, None, :] * np.exp(
-        -1j * nodes[:, None] * (freqs[:, None, None] - np.arange(2)))
+    # chi_f(k): (F, n_nodes, 2)
+    freqs, spinors = _frequency_groups(init, p_true.beta, nodes)
 
     # Phi_f for all thetas: (n_theta, F, width, 2); S(k) R(theta) is the
     # walk's u(k) at alpha = beta = 0
@@ -303,7 +382,7 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     del powers
 
     # B_d for d = 0 and each positive difference d = f' - f that occurs
-    diffs = offsets[:, None] - offsets[None, :]
+    diffs = freqs[:, None] - freqs[None, :]
     occurs = np.zeros(init.n_sites + 1, dtype=bool)
     occurs[diffs[diffs > 0]] = True
     ds = np.flatnonzero(occurs)
@@ -359,6 +438,14 @@ def _connected_from_argmax(mask: np.ndarray, start) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MLEResult:
+    """A fit and how it got there.
+
+    ``scoring_steps`` counts the ``iterations`` that fell back from
+    Newton to Fisher scoring, ``last_step`` is the largest component of
+    the last step taken (inf if none was) and ``score_norm`` the norm of
+    the log-likelihood gradient at the returned point.
+    """
+
     theta: float
     alpha: float
     cov: np.ndarray
@@ -368,14 +455,25 @@ class MLEResult:
     iterations: int
     grid_theta: float
     grid_alpha: float
+    scoring_steps: int
+    last_step: float
+    score_norm: float
 
 
-def _score(counts: np.ndarray, probs: np.ndarray,
-           dprobs: np.ndarray) -> np.ndarray:
-    """Log-likelihood gradient sum_x n_x dp(x) / p(x) over bins above the floor."""
-    mask = probs > MASS_THRESHOLD
-    pm = probs[mask]
-    return np.array([np.sum(counts[mask] * d[mask] / pm) for d in dprobs])
+def _parabolic_vertex(axis: np.ndarray, values: np.ndarray, i: int) -> float:
+    """Vertex of the parabola through ``values`` at i - 1, i, i + 1.
+
+    ``axis[i]`` itself at an edge of the axis or where the three values
+    do not curve down.  At an argmax i the vertex lies within half a
+    grid step of it.
+    """
+    if 0 < i < axis.size - 1:
+        lo, mid, hi = values[i - 1], values[i], values[i + 1]
+        curvature = lo - 2.0 * mid + hi
+        if curvature < 0.0:
+            return float(axis[i] + 0.5 * (axis[i + 1] - axis[i])
+                         * (lo - hi) / curvature)
+    return float(axis[i])
 
 
 def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
@@ -385,12 +483,21 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     Grid search over a shared probability table, a connectivity
     diagnostic for secondary modes (cells within 2 log-likelihood units
     of the maximum that do not touch the main one), then at most
-    ``max_refine`` Fisher-scoring steps with exact scores.  The
-    covariance estimate is the inverse observed information at the fit;
-    a direction the data carry no information about (the position
-    marginal can be exactly flat in alpha for some inputs) gets an
-    infinite diagonal entry.  ``table`` comes from
-    :func:`make_likelihood_table` at the record's t.
+    ``max_refine`` Newton steps from the parabolic vertex of the grid
+    log-likelihood through the argmax and its neighbours on each axis.
+    Each step takes one engine run for the score and the observed
+    information J = sum_x n_x [dp dp^T / p^2 - d2p / p] with exact
+    second derivatives; where J is not positive definite off its
+    information-free directions the step falls back to Fisher scoring.
+    A step longer than one grid cell on either axis is shortened to
+    one, so the fit stays with the grid maximum even where the
+    likelihood wiggles on the scale of a cell (few shots).  The fit
+    stops when no component of a step exceeds 1e-9, and one more run at
+    the returned point gives the covariance estimate (the inverse of J
+    there) and the log-likelihood.  A direction the data carry no
+    information about (the position marginal can be exactly flat in
+    alpha for some inputs) gets an infinite diagonal entry.  ``table``
+    comes from :func:`make_likelihood_table` at the record's t.
     """
     if rec.t != table.t:
         raise ValueError(f"record t={rec.t} disagrees with the table t={table.t}")
@@ -404,47 +511,54 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     reached = _connected_from_argmax(mask, (it, ia))
     multimodal = bool(mask.sum() - reached.sum() > 0)
 
-    x = np.array([th_hat, al_hat])
+    box = table.grid
+    lower = [box.theta_min, box.alpha_min]
+    upper = [box.theta_max, box.alpha_max]
+    cell = np.array([thetas[1] - thetas[0], alphas[1] - alphas[0]])
+    x = np.array([_parabolic_vertex(thetas, loglik[:, ia], it),
+                  _parabolic_vertex(alphas, loglik[it], ia)])
     converged = False
-    iters = 0
-    for iters in range(1, max_refine + 1):
+    iters = scoring_steps = 0
+    last_step = np.inf
+    while True:
         pt = CoinParams(theta=x[0], alpha=x[1], beta=table.beta)
-        _, probs, dprobs = _prob_derivatives(pt, table.init, table.t)
-        info = _information(probs, dprobs) * rec.shots
-        step = np.linalg.pinv(info, rcond=1e-10, hermitian=True) \
-            @ _score(counts, probs, dprobs)
-        x = np.clip(x + step,
-                    [table.grid.theta_min, table.grid.alpha_min],
-                    [table.grid.theta_max, table.grid.alpha_max])
-        if np.max(np.abs(step)) < 1e-9:
-            converged = True
+        _, probs, dprobs, d2probs = _prob_derivatives(pt, table.init, table.t)
+        live = probs > MASS_THRESHOLD
+        n = counts[live]
+        g = dprobs[:, live] / probs[live]
+        score = g @ n
+        h = (d2probs[:, live] / probs[live]) @ n
+        observed = (g * n) @ g.T - np.array([[h[0], h[1]], [h[1], h[2]]])
+        evals, evecs = np.linalg.eigh(observed)
+        tol = 1e-10 * max(float(evals.max(initial=0.0)), 1.0)
+        good = evals > tol
+        # inverse of J off its information-free directions
+        j_inv = (evecs * np.where(good, 1.0 / np.where(good, evals, 1.0),
+                                  0.0)) @ evecs.T
+        if converged or iters == max_refine:
             break
+        iters += 1
+        if evals.min() >= -tol:
+            step = j_inv @ score
+        else:
+            scoring_steps += 1
+            info = _information(probs, dprobs) * rec.shots
+            step = np.linalg.pinv(info, rcond=1e-10, hermitian=True) @ score
+        step = step / max(1.0, float(np.max(np.abs(step) / cell)))
+        x = np.clip(x + step, lower, upper)
+        last_step = float(np.max(np.abs(step)))
+        converged = last_step < 1e-9
 
-    def score_at(q: CoinParams) -> np.ndarray:
-        _, probs, dprobs = _prob_derivatives(q, table.init, table.t)
-        return _score(counts, probs, dprobs)
-
-    pt = CoinParams(theta=x[0], alpha=x[1], beta=table.beta)
-    h = 1e-5
-    hess = np.zeros((2, 2))
-    for j, mu in enumerate(("theta", "alpha")):
-        up = pt.replace(**{mu: getattr(pt, mu) + h})
-        dn = pt.replace(**{mu: getattr(pt, mu) - h})
-        hess[:, j] = (score_at(up) - score_at(dn)) / (2.0 * h)
-    hess = 0.5 * (hess + hess.T)
-    evals, evecs = np.linalg.eigh(-hess)
-    good = evals > 1e-10 * max(float(evals.max(initial=0.0)), 1.0)
-    inv = np.where(good, 1.0 / np.where(good, evals, 1.0), 0.0)
-    cov = (evecs * inv) @ evecs.T
     # a parameter living mostly in a zero-information direction has no
     # finite variance; report inf there instead of the pinv zero
+    cov = j_inv
     null_weight = (evecs[:, ~good] ** 2).sum(axis=1)
     cov[np.diag_indices_from(cov)] = np.where(null_weight > 0.5, np.inf,
                                               np.diag(cov))
-    _, probs_fit, _ = _prob_derivatives(pt, table.init, table.t)
-    mask_fit = probs_fit > MASS_THRESHOLD
-    ll_fit = float(np.sum(counts[mask_fit] * np.log(probs_fit[mask_fit]))) \
-        if np.all(counts[~mask_fit] == 0) else -np.inf
+    ll_fit = float(np.sum(n * np.log(probs[live]))) \
+        if np.all(counts[~live] == 0) else -np.inf
     return MLEResult(theta=float(x[0]), alpha=float(x[1]), cov=cov,
                      loglik=ll_fit, multimodal=multimodal, converged=converged,
-                     iterations=iters, grid_theta=th_hat, grid_alpha=al_hat)
+                     iterations=iters, grid_theta=th_hat, grid_alpha=al_hat,
+                     scoring_steps=scoring_steps, last_step=last_step,
+                     score_norm=float(np.linalg.norm(score)))

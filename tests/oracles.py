@@ -201,6 +201,29 @@ def three_run_prob_derivatives(init, p, t, params):
     return psi.sites, np.sum(np.abs(psi.amps) ** 2, axis=1), np.array(dprobs)
 
 
+def fd_loglik_hessian(counts, init, p, t, h=1e-5):
+    """Central-difference Hessian of the log-likelihood in (theta, alpha).
+
+    The score sum_x n_x dp(x) / p(x) over bins above 1e-12 is taken at
+    theta +- h and alpha +- h from :func:`three_run_prob_derivatives`
+    and differenced, then symmetrised.  The estimator's covariance was
+    once the inverse of this matrix (negated); it is now the reference
+    for the exact observed information.
+    """
+    def score(q):
+        _, probs, dprobs = three_run_prob_derivatives(init, q, t,
+                                                      ("theta", "alpha"))
+        live = probs > 1e-12
+        return (dprobs[:, live] / probs[live]) @ counts[live]
+
+    hess = np.zeros((2, 2))
+    for j, mu in enumerate(("theta", "alpha")):
+        up = p.replace(**{mu: getattr(p, mu) + h})
+        dn = p.replace(**{mu: getattr(p, mu) - h})
+        hess[:, j] = (score(up) - score(dn)) / (2.0 * h)
+    return 0.5 * (hess + hess.T)
+
+
 def dilation_connected(mask, start):
     """Cells of ``mask`` reachable 4-connectedly from ``start``.
 

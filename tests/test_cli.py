@@ -301,6 +301,29 @@ def test_estimate_deterministic_and_honest(workdir, capsys):
     assert sum(rec["record"]["counts"].values()) == 5000
 
 
+def test_estimate_diagnostics_and_box_warnings(workdir, capsys):
+    assert main(["estimate", "--t", "30", "--shots", "5000", "--seed", "7",
+                 "--grid-n", "60"]) == 0
+    out = capsys.readouterr().out
+    assert "grid-box edge" not in out and "outside the grid box" not in out
+    result = read_json(workdir / "qwf_estimate_result.json")
+    diag = result["diagnostics"]
+    assert diag["grid"] == {"n_theta": 60, "n_alpha": 60}
+    assert diag["newton_steps"] + diag["scoring_steps"] \
+        == result["iterations"]
+    assert result["converged"] and diag["last_step"] < 1e-9
+    assert 0.0 <= diag["score_norm"] < 1e-3
+    # the true theta lies above the box's theta_max = 1.47, and the fit,
+    # clipped to the box, stops on that edge
+    assert main(["estimate", "--theta", "1.52", "--t", "10", "--shots",
+                 "2000", "--grid-n", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "theta_hat on the grid-box edge" in out
+    assert "true (theta, alpha) outside the grid box" in out
+    assert read_json(workdir / "qwf_estimate_result.json")["theta_hat"] \
+        == 1.47
+
+
 def test_estimate_identified_alpha_keeps_its_number(workdir, capsys):
     assert main(["estimate", "--init", "gamma:0.6", "--alpha", "0.3",
                  "--beta", "0.4", "--t", "30", "--shots", "5000",

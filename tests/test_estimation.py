@@ -11,11 +11,13 @@ from qwfisher import (CoinParams, GridSpec, MeasurementRecord, WalkerState,
                       classical_fi, evolve, initial_entangled, initial_gamma,
                       initial_localized, make_likelihood_table, mle_fit,
                       philox_rng, position_distribution, qfim_exact, sample)
-from qwfisher.estimation import (_BLOCK_ENTRIES, PositionDistribution,
-                                 _connected_from_argmax, _prob_derivatives)
+from qwfisher.estimation import (_BLOCK_ENTRIES, MASS_THRESHOLD,
+                                 PositionDistribution, _connected_from_argmax,
+                                 _prob_derivatives)
+from qwfisher.walk import SU2Powers
 
-from oracles import (dilation_connected, evolve_steps, table_probs,
-                     three_run_prob_derivatives)
+from oracles import (dilation_connected, evolve_steps, fd_loglik_hessian,
+                     table_probs, three_run_prob_derivatives)
 
 
 def random_amps(n_sites, seed):
@@ -167,12 +169,33 @@ class TestClassicalFisher:
     def test_one_run_score_matches_three_runs(self, t):
         p = CoinParams(0.85, 0.6, -0.3)
         init = initial_entangled(-3, 2)
-        sites, probs, dprobs = _prob_derivatives(p, init, t)
+        sites, probs, dprobs, _ = _prob_derivatives(p, init, t)
         ref_sites, ref_probs, ref_dprobs = three_run_prob_derivatives(
             init, p, t, ("theta", "alpha"))
         assert np.array_equal(sites, ref_sites)
         assert np.abs(probs - ref_probs).max() <= 1e-12
         assert np.abs(dprobs - ref_dprobs).max() <= 1e-12
+
+    @pytest.mark.parametrize("init", [
+        initial_entangled(0, 1), initial_gamma(0.6), initial_entangled(-2, 3),
+    ], ids=["entangled-0-1", "gamma", "entangled-m2-3"])
+    def test_exact_second_derivatives_match_central_differences(self, init):
+        # central differences of the independently evolved first
+        # derivatives; h^2 truncation stays far below the gate
+        p = CoinParams(0.7, 0.3, 0.4)
+        t, h = 20, 1e-5
+        sites, _, _, d2probs = _prob_derivatives(p, init, t)
+        fd = {}
+        for mu in ("theta", "alpha"):
+            up, dn = (three_run_prob_derivatives(
+                init, p.replace(**{mu: getattr(p, mu) + s}), t,
+                ("theta", "alpha")) for s in (h, -h))
+            assert np.array_equal(up[0], sites)
+            fd[mu] = (up[2] - dn[2]) / (2.0 * h)
+        ref = np.array([fd["theta"][0],
+                        0.5 * (fd["theta"][1] + fd["alpha"][0]),
+                        fd["alpha"][1]])
+        assert np.abs(d2probs - ref).max() <= 1e-6 * np.abs(ref).max()
 
     def test_flat_alpha_direction_reported_as_zero(self):
         p = CoinParams(math.pi / 4, 0.3, 0.0)
@@ -335,6 +358,74 @@ class TestMLE:
         assert np.isfinite(res.cov[0, 0])
         assert math.isinf(res.cov[1, 1])
 
+    def test_newton_fit_sits_at_the_likelihood_maximum(self):
+        # a plain Newton reference run from the grid argmax until its
+        # step is below 1e-15: the fit, stopped at steps below 1e-9,
+        # lies within 1e-12 of it
+        p_true = CoinParams(0.72, 0.18, 0.4)
+        init = initial_gamma(0.6)
+        t = 25
+        rec = sample(position_distribution(evolve(init, p_true, t)),
+                     100_000, seed=11)
+        res = self.make_fit(rec, init, p_true, t)
+        assert res.converged
+        counts = rec.count_vector(init.origin - t
+                                  + np.arange(init.n_sites + 2 * t))
+        x = np.array([res.grid_theta, res.grid_alpha])
+        for _ in range(30):
+            _, probs, d1, d2 = _prob_derivatives(
+                CoinParams(x[0], x[1], p_true.beta), init, t)
+            live = probs > MASS_THRESHOLD
+            n = counts[live]
+            g = d1[:, live] / probs[live]
+            h = (d2[:, live] / probs[live]) @ n
+            observed = (g * n) @ g.T - np.array([[h[0], h[1]], [h[1], h[2]]])
+            step = np.linalg.solve(observed, g @ n)
+            x = x + step
+            if np.max(np.abs(step)) < 1e-15:
+                break
+        else:
+            pytest.fail("the reference Newton run did not settle")
+        assert abs(res.theta - x[0]) <= 1e-12
+        assert abs(res.alpha - x[1]) <= 1e-12
+
+    @pytest.mark.parametrize("init,p_true", [
+        (initial_gamma(0.6), CoinParams(0.72, 0.18, 0.4)),
+        (initial_entangled(0, 1), CoinParams(math.pi / 4, 0.2, 0.0)),
+    ], ids=["identified", "flat-alpha"])
+    def test_covariance_matches_finite_difference_hessian(self, init,
+                                                          p_true):
+        t = 25
+        rec = sample(position_distribution(evolve(init, p_true, t)),
+                     200_000, seed=3)
+        res = self.make_fit(rec, init, p_true, t)
+        counts = rec.count_vector(init.origin - t
+                                  + np.arange(init.n_sites + 2 * t))
+        hess = fd_loglik_hessian(
+            counts, init, CoinParams(res.theta, res.alpha, p_true.beta), t)
+        if math.isinf(res.cov[1, 1]):
+            # no alpha information: only the theta variance is finite
+            assert res.cov[0, 0] == pytest.approx(-1.0 / hess[0, 0],
+                                                  rel=1e-6)
+        else:
+            ref = np.linalg.inv(-hess)
+            assert np.abs(res.cov - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    def test_count_on_an_unreachable_site_gives_minus_inf_loglik(self):
+        # a walker started on site 0 is on even sites after an even t,
+        # so a count on site 1 has zero model mass at every (theta, alpha)
+        p_true = CoinParams(0.72, 0.18, 0.4)
+        init = initial_gamma(0.6)
+        t = 10
+        rec = sample(position_distribution(evolve(init, p_true, t)), 1000,
+                     seed=2)
+        assert 1 not in rec.counts
+        bad = MeasurementRecord(t=t, shots=1001, counts={**rec.counts, 1: 1},
+                                seed=2)
+        res = self.make_fit(bad, init, p_true, t)
+        assert res.loglik == -math.inf
+        assert math.isfinite(res.theta) and 0.4 <= res.theta <= 1.1
+
     def test_t_mismatch_rejected(self):
         p_true = CoinParams(0.7, 0.1, 0.0)
         init = initial_gamma(0.5)
@@ -374,6 +465,63 @@ class TestMLE:
         bridge[1:5, 1] = True
         bridge[4, 1:5] = True
         assert _connected_from_argmax(bridge, (0, 0)).sum() == bridge.sum()
+
+
+@pytest.fixture(scope="module")
+def closure_point():
+    """The estimation-closure point: (pi/4, 0, 0), entangled(0, 1), t = 50,
+    default grid; returns the table and the true distribution."""
+    p, init, t = CoinParams(math.pi / 4, 0.0, 0.0), initial_entangled(0, 1), 50
+    return (make_likelihood_table(init, p, t),
+            position_distribution(evolve(init, p, t)))
+
+
+class TestNewtonFit:
+    def test_slow_scoring_record_converges_within_budget(self,
+                                                         closure_point):
+        # Fisher scoring alone takes all 12 steps on this record and
+        # stops short of the 1e-9 tolerance
+        table, dist = closure_point
+        rec = sample(dist, 1000, 1684432014, stream=(1000,))
+        res = mle_fit(rec, table=table)
+        assert res.converged
+        assert res.iterations <= 12
+
+    @pytest.mark.parametrize("shots,seed", [(30, 67), (100, 199)])
+    def test_few_shot_fit_stays_with_the_grid_maximum(self, closure_point,
+                                                      shots, seed):
+        # the log-likelihood wiggles on the scale of a grid cell here;
+        # uncapped Newton steps walked off to maxima 1.8 (30 shots) and
+        # 30 (100 shots) units below the grid's best cell
+        table, dist = closure_point
+        rec = sample(dist, shots, seed, stream=(shots,))
+        res = mle_fit(rec, table=table)
+        thetas = table.grid.axes()[0]
+        assert res.converged
+        assert res.loglik >= np.max(table.logp @ rec.count_vector(
+            table.sites)) - 1e-9
+        assert abs(res.theta - res.grid_theta) <= thetas[1] - thetas[0]
+
+    def test_indefinite_observed_information_falls_back_to_scoring(
+            self, closure_point):
+        table, dist = closure_point
+        res = mle_fit(sample(dist, 30, 67, stream=(30,)), table=table)
+        assert res.scoring_steps >= 1
+        assert res.converged and res.score_norm < 1e-6
+
+    def test_one_engine_run_per_step_and_one_at_the_fit(self, closure_point,
+                                                         monkeypatch):
+        table, dist = closure_point
+        runs = []
+        engine = SU2Powers.of
+        monkeypatch.setattr(SU2Powers, "of", classmethod(
+            lambda cls, *args: runs.append(1) or engine(*args)))
+        for seed in range(6):
+            runs.clear()
+            res = mle_fit(sample(dist, 1000, seed, stream=(1000,)),
+                          table=table)
+            assert res.converged
+            assert 0 < len(runs) <= res.iterations + 1
 
 
 def spiral_mask(n):

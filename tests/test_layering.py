@@ -12,8 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qwfisher"
 
 ALLOWED = {
-    ("estimation", "oracle", "_evolve_with_generators"):
-        "the exact scores run on the oracle's engine call",
     ("cli", "oracle", "_exact_matrices"):
         "one engine run gives both matrices of the oracle route",
     ("cli", "qfim", "_rho_bloch"):
