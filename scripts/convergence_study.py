@@ -18,7 +18,7 @@ import numpy as np
 
 from qwfisher import CoinParams, initial_entangled, qfim_theorem1
 from qwfisher._io import DataTable
-from qwfisher.oracle import _exact_matrices
+from qwfisher.oracle import exact_matrices
 
 
 def main() -> int:
@@ -37,7 +37,7 @@ def main() -> int:
     ts = [int(x) for x in ns.t_list.split(",") if x.strip()]
     rows = {"t": [], "dev_mixing": [], "dev_phase": [], "curvature_norm": []}
     for t in ts:
-        f, d = _exact_matrices(init, p, t, params=("theta", "alpha"))
+        f, d = exact_matrices(init, p, t, params=("theta", "alpha"))
         rows["t"].append(t)
         rows["dev_mixing"].append(abs(f.per_t2[0, 0] / asym[0, 0] - 1.0))
         rows["dev_phase"].append(abs(f.per_t2[1, 1] / asym[1, 1] - 1.0))

@@ -32,8 +32,8 @@ _EXPORTS = {
                    "MeasurementRecord", "PositionDistribution",
                    "classical_fi", "make_likelihood_table", "mle_fit",
                    "philox_rng", "position_distribution", "sample"],
-    "oracle": ["AmplitudeWindow", "derivative_state", "qfim_exact",
-               "uhlmann_exact"],
+    "oracle": ["AmplitudeWindow", "derivative_state", "exact_matrices",
+               "qfim_exact", "uhlmann_exact"],
     "qfim": ["QFIMatrix", "beta_null_check", "qfim_first_term",
              "qfim_localized", "qfim_max_diag", "qfim_theorem1",
              "single_param_qfi", "uhlmann_analytic"],

@@ -34,6 +34,13 @@ from .errors import (ChargeUnidentifiable, ConfigError, DegenerateWalk,
 
 _UNSET = object()
 
+# Widest input window ``--init`` may span, in sites.  The engine holds a
+# dense (nodes x sites) phase matrix of the input, so memory grows with
+# the square of the width: at t = 1 ``qwf qfim`` peaks (ru_maxrss) at
+# 168 MB for 1,024 sites, 560 MB for 2,048 and 1,048 MB for 4,001
+# (2-core Xeon, numpy 2.4).  The paper's inputs span one or two sites.
+MAX_INPUT_SITES = 1024
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -196,6 +203,11 @@ def _parse_init(ns):
             return initial_localized(**kw)
         if kind == "entangled":
             x1, x2 = (int(x) for x in rest.split(",")) if rest else (0, 1)
+            if abs(x1 - x2) + 1 > MAX_INPUT_SITES:
+                raise ConfigError(
+                    f"entangled:{x1},{x2} spans {abs(x1 - x2) + 1} sites; "
+                    f"inputs are capped at MAX_INPUT_SITES = "
+                    f"{MAX_INPUT_SITES} sites")
             return initial_entangled(x1, x2)
         if kind == "gamma":
             return initial_gamma(float(rest) if rest else 0.0)
@@ -338,9 +350,10 @@ def _route_column(route: str) -> str:
 
 
 def _qfim_by_route(route, p, init, t, params):
-    from .oracle import _exact_matrices
-    from .qfim import (QFIMatrix, _rho_bloch, qfim_localized, qfim_theorem1,
+    from .oracle import exact_matrices
+    from .qfim import (QFIMatrix, qfim_localized, qfim_theorem1,
                        uhlmann_analytic)
+    from .walk import rho_bloch
 
     if route == "analytic":
         f = qfim_theorem1(p, init, t, params=params)
@@ -352,13 +365,13 @@ def _qfim_by_route(route, p, init, t, params):
         if init.n_sites != 1:
             raise ConfigError("the localized closed form needs a single-site "
                               "input; use --init localized:X")
-        r = _rho_bloch(init.amps[0])[1:]
+        r = rho_bloch(init.amps[0])[1:]
         f = qfim_localized(p.theta, p.alpha - p.beta, r, t)
         relabeled = QFIMatrix(entries=f.entries, labels=("theta", "alpha"),
                               t=t, asymptotic=True)
         return relabeled, uhlmann_analytic(p, init, t, params=params)
     if route == "oracle":
-        return _exact_matrices(init, p, t, params=params)
+        return exact_matrices(init, p, t, params=params)
     raise ConfigError(f"unknown route {route!r}; choose from {_ROUTES}")
 
 
@@ -638,7 +651,8 @@ def cmd_estimate(ns, echo) -> int:
             "newton_steps": result.iterations - result.scoring_steps,
             "scoring_steps": result.scoring_steps,
             "last_step": result.last_step,
-            "score_norm": result.score_norm}})
+            "score_norm": result.score_norm,
+            "on_edge": list(result.on_edge)}})
     files += [f"{prefix}_record.json", f"{prefix}_result.json"]
 
     print(f"theta_hat = {result.theta:.12g} +/- {err[0]:.3g} "

@@ -16,11 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .walk import (CoinParams, SU2Powers, WalkerState, k_grid_size,
-                   quasi_energy_axis, window_from_uniform)
-from .quadrature import uniform_k_grid
+from .walk import CoinParams, SiteWindow, WalkerState, theta_jet
 
 MASS_THRESHOLD = 1e-12
+# a fit has converged when no component of its step exceeds this
+STEP_TOL = 1e-9
 # table entries per block of theta rows in make_likelihood_table (1 MiB)
 _BLOCK_ENTRIES = 2 ** 17
 
@@ -150,91 +150,36 @@ def _frequency_groups(init: WalkerState, beta: float, nodes: np.ndarray):
         -1j * nodes[:, None] * (freqs[:, None, None] - np.arange(2)))
 
 
-def _su2_apply(cos_omega, w, phi) -> np.ndarray:
-    """(cos(om) - i w.sigma) phi for spinors phi (..., 2), no 2 x 2 matrix.
-
-    The one-step action inside :meth:`SU2Powers.apply_power`, without
-    its power coefficients.
-    """
-    p0, p1 = phi[..., 0], phi[..., 1]
-    out = np.empty(phi.shape, dtype=complex)
-    out[..., 0] = (cos_omega - 1j * w[..., 2]) * p0 \
-        - (w[..., 1] + 1j * w[..., 0]) * p1
-    out[..., 1] = (w[..., 1] - 1j * w[..., 0]) * p0 \
-        + (cos_omega + 1j * w[..., 2]) * p1
-    return out
-
-
 def _prob_derivatives(p: CoinParams, init: WalkerState, t: int):
     """(sites, probs, dprobs, d2probs): p(x) and its exact derivatives.
 
     dprobs (2, width) holds d_theta p, d_alpha p and d2probs (3, width)
     the second derivatives (theta theta, theta alpha, alpha alpha), at
     fixed beta, from one engine run on the frequency groups of
-    :func:`make_likelihood_table`.  With Phi = (S R(theta))^t chi_alpha
-    and chi_alpha = sum_f e^{-i alpha f} chi_f:
-
-    * alpha derivatives are exact: d_alpha chi_alpha = sum_f (-i f)
-      e^{-i alpha f} chi_f and d2_alpha multiplies by -f^2 instead;
-    * theta derivatives come from u^t = a_t u - a_{t-1} with a_n =
-      sin(n om) / sin(om), u = S R(theta).  d_theta u is u at theta +
-      pi/2 and d2_theta u = -u, d_om a_n = (n cos(n om) - cos(om) a_n) /
-      sin(om), d2_om a_n = (1 - n^2) a_n - 2 cos(om) d_om a_n / sin(om),
-      and cos(om) = cos k cos theta gives d_theta om = -d_theta cos(om) /
-      sin(om) and d2_theta om = cos(om) (1 - (d_theta om)^2) / sin(om),
-      all on the folded angle and clamped |w| of :class:`SU2Powers`.
-
-    One inverse FFT takes the six spinor arrays to sites; there
-    d_mu p = 2 Re conj(psi) d_mu psi and d_mu d_nu p = 2 Re
-    [conj(d_mu psi) d_nu psi + conj(psi) d_mu d_nu psi].  As theta -> 0
-    the relative rounding of the theta derivatives grows like
-    eps / sin(theta), and like eps / sin(theta)^2 for the second.
+    :func:`make_likelihood_table`.  alpha multiplies group f by
+    e^{-i alpha f}, so d_alpha multiplies it by -i f and d2_alpha by
+    -f^2; :func:`walk.theta_jet` gives the theta derivatives of (S
+    R(theta))^t on those three spinors.  One inverse FFT takes the six
+    spinor arrays to sites, where d_mu p = 2 Re conj(psi) d_mu psi and
+    d_mu d_nu p = 2 Re [conj(d_mu psi) d_nu psi + conj(psi) d_mu d_nu psi].
     """
     t = int(t)
-    width = init.n_sites + 2 * t
-    nodes = uniform_k_grid(k_grid_size(width))
-    freqs, spinors = _frequency_groups(init, p.beta, nodes)
+    window = SiteWindow.after(init, t)
+    freqs, spinors = _frequency_groups(init, p.beta, window.nodes)
     phase = np.exp(-1j * p.alpha * freqs)
     # chi, d_alpha chi, d2_alpha chi: (3, n, 2)
     chis = np.tensordot(np.array([phase, -1j * freqs * phase,
                                   -(freqs ** 2) * phase]), spinors, axes=1)
-
-    powers = SU2Powers.of(*quasi_energy_axis(p.theta, 0.0, 0.0, nodes))
-    sign, c, s, om = (powers.sign, powers.cos_omega, powers.sin_omega,
-                      powers.omega)
-    dc, dw = quasi_energy_axis(p.theta + 0.5 * np.pi, 0.0, 0.0, nodes)
-    dc, dw = sign * dc, sign[:, None] * dw       # in the folded frame
-    om_1 = -dc / s
-    om_2 = c * (1.0 - om_1 ** 2) / s
-    sign_t = sign if t % 2 else 1.0
-    coef = []
-    for n in (t, t - 1):
-        a = np.sin(n * om) / s
-        a_om = (n * np.cos(n * om) - c * a) / s
-        a_omom = (1.0 - n * n) * a - 2.0 * c * a_om / s
-        coef.append((sign_t * np.array(
-            [a, a_om * om_1, a_omom * om_1 ** 2 + a_om * om_2]))[..., None])
-    (a, a1, a2), (b, b1, b2) = coef
-    u_chis = _su2_apply(c, powers.w, chis)
-    du_chis = _su2_apply(dc, dw, chis[:2])
-    phis = np.empty((6,) + chis.shape[1:], dtype=complex)
-    phis[0] = a * u_chis[0] - b * chis[0]
-    phis[1] = a1 * u_chis[0] + a * du_chis[0] - b1 * chis[0]
-    phis[2] = a * u_chis[1] - b * chis[1]
-    phis[3] = (a2 - a) * u_chis[0] + 2.0 * a1 * du_chis[0] - b2 * chis[0]
-    phis[4] = a1 * u_chis[1] + a * du_chis[1] - b1 * chis[1]
-    phis[5] = a * u_chis[2] - b * chis[2]
-
-    origin = init.origin - t
+    jet = theta_jet(p.theta, window.nodes, chis, t, order=2)
     # psi, d_theta, d_alpha, d2_theta, d_theta d_alpha, d2_alpha
-    amps = window_from_uniform(phis, origin, width)
+    amps = window.to_sites(jet[[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]])
     psi = amps[0]
     dprobs = 2.0 * np.einsum("xc,mxc->mx", psi.conj(), amps[1:3]).real
     d2probs = 2.0 * (np.einsum("mxc,mxc->mx", amps[[1, 1, 2]].conj(),
                                amps[[1, 2, 2]])
                      + np.einsum("xc,mxc->mx", psi.conj(), amps[3:])).real
-    return (origin + np.arange(width), np.sum(psi.real ** 2 + psi.imag ** 2,
-                                              axis=1), dprobs, d2probs)
+    return (window.sites, np.sum(psi.real ** 2 + psi.imag ** 2, axis=1),
+            dprobs, d2probs)
 
 
 def _information(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -339,13 +284,13 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     with B_{-d} = conj(B_d): a real trigonometric polynomial in alpha,
     p = B_0 + sum_{d > 0} [2 cos(alpha d) Re B_d - 2 sin(alpha d) Im B_d].
     (S R(theta))^t runs once per theta in closed form per momentum node
-    (:class:`SU2Powers`) on the F <= n0 + 1 group spinors, with one
-    inverse FFT; B takes F^2 coin-summed products, and p is the real
-    product of the (n_alpha, 1 + 2D) cos/sin matrix with B (n_theta,
-    1 + 2D, width) over the D positive frequencies d that occur.  The
-    cost is O(n_theta * n_nodes * F) for the powers, O(n_theta * F^2 *
-    width) for B and O(n_theta * n_alpha * width * D) for the product;
-    t enters only through the window width.
+    (:func:`walk.theta_jet` at order 0) on the F <= n0 + 1 group
+    spinors, with one inverse FFT; B takes F^2 coin-summed products,
+    and p is the real product of the (n_alpha, 1 + 2D) cos/sin matrix
+    with B (n_theta, 1 + 2D, width) over the D positive frequencies d
+    that occur.  The cost is O(n_theta * n_nodes * F) for the powers,
+    O(n_theta * F^2 * width) for B and O(n_theta * n_alpha * width * D)
+    for the product; t enters only through the window width.
 
     Only the last step is table-sized.  It runs over blocks of theta
     rows of about ``_BLOCK_ENTRIES`` entries, so a block stays in cache:
@@ -358,35 +303,29 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     grid = grid or GridSpec()
     thetas, alphas = grid.axes()
     t = int(t)
-    width = init.n_sites + 2 * t
-    nodes = uniform_k_grid(k_grid_size(width))
+    window = SiteWindow.after(init, t)
     # sin^2 om = 1 - cos^2 theta cos^2 (k - alpha) on every cell and node,
     # smallest at the largest cos^2 theta and cos^2 (k - alpha)
-    sin2_k = np.min(np.sin(nodes[:, None] - alphas[None, :]) ** 2)
+    sin2_k = np.min(np.sin(window.nodes[:, None] - alphas[None, :]) ** 2)
     sin2_omega = np.sin(thetas) ** 2 + np.cos(thetas) ** 2 * sin2_k
     if np.sqrt(np.min(sin2_omega)) < 1e-6:
         raise ValueError("grid touches a degenerate quasi-energy; "
                          "shrink the box or step explicitly")
 
     # chi_f(k): (F, n_nodes, 2)
-    freqs, spinors = _frequency_groups(init, p_true.beta, nodes)
-
-    # Phi_f for all thetas: (n_theta, F, width, 2); S(k) R(theta) is the
-    # walk's u(k) at alpha = beta = 0
-    powers = SU2Powers.of(
-        *quasi_energy_axis(thetas[:, None, None], 0.0, 0.0, nodes))
-    origin = init.origin - t
-    phis = window_from_uniform(powers.apply_power(spinors, t), origin, width)
-    # the peak is logp plus whatever is alive while it is written, so
-    # the engine arrays go as soon as they are used
-    del powers
+    freqs, spinors = _frequency_groups(init, p_true.beta, window.nodes)
+    # Phi_f for all thetas: (n_theta, F, width, 2); the engine's arrays
+    # go as soon as they are used, since the peak is logp plus whatever
+    # is alive while it is written
+    phis = window.to_sites(
+        theta_jet(thetas[:, None, None], window.nodes, spinors, t)[0])
 
     # B_d for d = 0 and each positive difference d = f' - f that occurs
     diffs = freqs[:, None] - freqs[None, :]
     occurs = np.zeros(init.n_sites + 1, dtype=bool)
     occurs[diffs[diffs > 0]] = True
     ds = np.flatnonzero(occurs)
-    b = np.zeros((thetas.size, 1 + 2 * ds.size, width))
+    b = np.zeros((thetas.size, 1 + 2 * ds.size, window.width))
     b[:, 0] = np.sum(phis.real ** 2 + phis.imag ** 2, axis=(1, 3))
     for f1, f in zip(*np.nonzero(diffs > 0)):
         prod = np.sum(phis[:, f1].conj() * phis[:, f], axis=-1)
@@ -400,15 +339,15 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
 
     # log(max(p, 1e-300)) block by block in place; max(max(p, 0), 1e-300)
     # is max(p, 1e-300), so the floor at 0 that probs applies is implied
-    logp = np.empty((thetas.size, alphas.size, width))
-    per_block = max(1, _BLOCK_ENTRIES // (alphas.size * width))
+    logp = np.empty((thetas.size, alphas.size, window.width))
+    per_block = max(1, _BLOCK_ENTRIES // logp[0].size)
     for lo in range(0, thetas.size, per_block):
         block = logp[lo:lo + per_block]
         np.matmul(trig, b[lo:lo + per_block], out=block)
         np.maximum(block, 1e-300, out=block)
         np.log(block, out=block)
     return LikelihoodTable(grid=grid, beta=p_true.beta, t=t,
-                           sites=origin + np.arange(width), logp=logp,
+                           sites=window.sites, logp=logp,
                            trig=trig, B=b, init=init)
 
 
@@ -443,7 +382,9 @@ class MLEResult:
     ``scoring_steps`` counts the ``iterations`` that fell back from
     Newton to Fisher scoring, ``last_step`` is the largest component of
     the last step taken (inf if none was) and ``score_norm`` the norm of
-    the log-likelihood gradient at the returned point.
+    the log-likelihood gradient at the returned point.  ``on_edge``
+    names the parameters the last step held on an edge of the grid box
+    because their step pointed out of it.
     """
 
     theta: float
@@ -458,6 +399,7 @@ class MLEResult:
     scoring_steps: int
     last_step: float
     score_norm: float
+    on_edge: tuple
 
 
 def _parabolic_vertex(axis: np.ndarray, values: np.ndarray, i: int) -> float:
@@ -476,6 +418,23 @@ def _parabolic_vertex(axis: np.ndarray, values: np.ndarray, i: int) -> float:
     return float(axis[i])
 
 
+def _step_on(free: np.ndarray, curvature: np.ndarray,
+             score: np.ndarray) -> np.ndarray:
+    """Solve curvature @ step = score on the ``free`` coordinates alone.
+
+    The other coordinates get a zero step.  Directions of the free block
+    with curvature at or below 1e-10 of the full matrix's largest
+    eigenvalue (at least 1e-10) carry no information and get no step.
+    """
+    tol = 1e-10 * max(float(np.linalg.eigvalsh(curvature).max()), 1.0)
+    evals, evecs = np.linalg.eigh(curvature[np.ix_(free, free)])
+    good = evals > tol
+    step = np.zeros(score.size)
+    step[free] = (evecs * np.where(good, 1.0 / np.where(good, evals, 1.0),
+                                   0.0)) @ (evecs.T @ score[free])
+    return step
+
+
 def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
             max_refine: int = 12) -> MLEResult:
     """Maximum-likelihood (theta, alpha) from position counts.
@@ -492,7 +451,11 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     A step longer than one grid cell on either axis is shortened to
     one, so the fit stays with the grid maximum even where the
     likelihood wiggles on the scale of a cell (few shots).  The fit
-    stops when no component of a step exceeds 1e-9, and one more run at
+    stops when no component of a step reaches ``STEP_TOL`` = 1e-9.  It
+    is clipped to the grid box: a coordinate on an edge of the box whose
+    step points out of it by ``STEP_TOL`` or more is held there
+    (``on_edge``), and the step is retaken on the other coordinate
+    alone, so a fit pinned by the box converges too.  One more run at
     the returned point gives the covariance estimate (the inverse of J
     there) and the log-likelihood.  A direction the data carry no
     information about (the position marginal can be exactly flat in
@@ -520,6 +483,7 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     converged = False
     iters = scoring_steps = 0
     last_step = np.inf
+    held = np.zeros(2, dtype=bool)
     while True:
         pt = CoinParams(theta=x[0], alpha=x[1], beta=table.beta)
         _, probs, dprobs, d2probs = _prob_derivatives(pt, table.init, table.t)
@@ -540,14 +504,23 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
         iters += 1
         if evals.min() >= -tol:
             step = j_inv @ score
+            curvature = observed
         else:
             scoring_steps += 1
-            info = _information(probs, dprobs) * rec.shots
-            step = np.linalg.pinv(info, rcond=1e-10, hermitian=True) @ score
+            curvature = _information(probs, dprobs) * rec.shots
+            step = np.linalg.pinv(curvature, rcond=1e-10,
+                                  hermitian=True) @ score
+        # a coordinate on the box edge whose step points out of the box
+        # by the tolerance or more stays there, and the step is retaken
+        # on the others
+        outward = np.where(x <= lower, -step, np.where(x >= upper, step, 0.0))
+        held = outward >= STEP_TOL
+        if held.any():
+            step = _step_on(~held, curvature, score)
         step = step / max(1.0, float(np.max(np.abs(step) / cell)))
         x = np.clip(x + step, lower, upper)
         last_step = float(np.max(np.abs(step)))
-        converged = last_step < 1e-9
+        converged = last_step < STEP_TOL
 
     # a parameter living mostly in a zero-information direction has no
     # finite variance; report inf there instead of the pinv zero
@@ -561,4 +534,6 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
                      loglik=ll_fit, multimodal=multimodal, converged=converged,
                      iterations=iters, grid_theta=th_hat, grid_alpha=al_hat,
                      scoring_steps=scoring_steps, last_step=last_step,
-                     score_norm=float(np.linalg.norm(score)))
+                     score_norm=float(np.linalg.norm(score)),
+                     on_edge=tuple(name for name, h in
+                                   zip(("theta", "alpha"), held) if h))

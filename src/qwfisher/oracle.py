@@ -6,27 +6,14 @@ of the evolved state come from the generator sums in momentum space,
     d_mu |psi_t> = G_mu(t) |psi_t>,   G_mu(t) = sum_{m=1..t} u^m O_mu u^{-m},
 
 with O_mu = C^dag d_mu C = (i/2) w_mu.sigma (w_mu real, from
-:func:`walk.generator_spatial`).  Conjugation by u(k) = cos w - i sin w
-n.sigma, whose cos w and sin w n come from
-:func:`walk.quasi_energy_axis` (the axis the asymptotic route's
-projector also reads), turns Pauli vectors by 2w about n, so with
-O_mu = v.sigma, v = (i/2) w_mu, the sum is a geometric series with the
-closed form
-
-    g(t) = t (n.v) n + [sin tw cos (t+1)w / sin w] v_perp
-                     + [sin tw sin (t+1)w / sin w] n x v,
-
-and u^t follows from the Chebyshev identity (see :class:`SU2Powers`).
-G_mu(t) |psi_t> is formed from the components of g(t) and the spinor
-directly, with no 2 x 2 matrix per node.
-Zone integrals become plain node averages on a uniform grid that is
-fine enough for the discrete orthogonality to make them exact (every
-integrand is a trigonometric polynomial of bounded degree), and the
-position-space derivative state is one inverse FFT away.
-
-The cost is O(n log n) in the node count n > 4t, with no loop over t;
-the route is the independent check of the analytic module and the
-exact-score engine for estimation.
+:func:`walk.generator_spatial`).  :func:`walk.evolve_spinors` gives the
+evolved k-spinors on their window's nodes and the closed-form powers
+whose generator sums act on them; this module adds which generators and
+the Gram matrix of the derivative states.  Zone integrals are node
+averages, exact on that grid, and the position-space derivative state
+is the window's inverse FFT away.  The cost is O(n log n) in the node
+count n > 4t, with no loop over t; the route is the independent
+finite-t check of the asymptotic module.
 """
 from __future__ import annotations
 
@@ -35,10 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qfim import QFIMatrix
-from .quadrature import uniform_k_grid
-from .walk import (PARAM_NAMES, CoinParams, SU2Powers, WalkerState,
-                   generator_spatial, k_grid_size, quasi_energy_axis,
-                   spinors_at, window_from_uniform)
+from .walk import (PARAM_NAMES, CoinParams, WalkerState, evolve_spinors,
+                   generator_spatial)
 
 
 @dataclass(frozen=True)
@@ -60,18 +45,11 @@ class AmplitudeWindow:
 
 
 def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx):
-    """Evolved k-spinors and their derivatives on a uniform grid.
-
-    Returns (phi_t, dphi) with phi_t of shape (n, 2) and dphi of shape
-    (len(idx), n, 2), dphi[i] = G_mu(t) phi_t for mu = PARAM_NAMES[idx[i]].
-    """
-    t = int(t)
-    nodes = uniform_k_grid(k_grid_size(init.n_sites + 2 * t))
-    powers = SU2Powers.of(
-        *quasi_energy_axis(p.theta, p.alpha, p.beta, nodes))
-    phi = powers.apply_power(spinors_at(init, nodes), t)
-    return phi, powers.generator_sums(0.5j * generator_spatial(p)[idx], t,
-                                      phi)
+    """(window, phi_t (n, 2), dphi (len(idx), n, 2)) on the window's
+    nodes, dphi[i] = G_mu(t) phi_t for mu = PARAM_NAMES[idx[i]]."""
+    window, powers, phi = evolve_spinors(init, p, t)
+    return window, phi, powers.generator_sums(
+        0.5j * generator_spatial(p)[idx], t, phi)
 
 
 def derivative_state(init: WalkerState, p: CoinParams, t: int,
@@ -79,10 +57,10 @@ def derivative_state(init: WalkerState, p: CoinParams, t: int,
     """Position-space d_mu |psi_t> from the closed-form generator sum."""
     if mu not in PARAM_NAMES:
         raise ValueError(f"unknown parameter {mu!r}; choose from {PARAM_NAMES}")
-    _, dphi = _evolve_with_generators(init, p, t, [PARAM_NAMES.index(mu)])
-    origin = init.origin - int(t)
-    amps = window_from_uniform(dphi[0], origin, init.n_sites + 2 * int(t))
-    return AmplitudeWindow(origin=origin, amps=amps)
+    window, _, dphi = _evolve_with_generators(init, p, t,
+                                              [PARAM_NAMES.index(mu)])
+    return AmplitudeWindow(origin=window.origin,
+                           amps=window.to_sites(dphi[0]))
 
 
 def _gram(init: WalkerState, p: CoinParams, t: int, params) -> np.ndarray:
@@ -92,7 +70,7 @@ def _gram(init: WalkerState, p: CoinParams, t: int, params) -> np.ndarray:
     mixed-derivative curvature.
     """
     idx = [PARAM_NAMES.index(l) for l in params]
-    phi, dphi = _evolve_with_generators(init, p, t, idx)
+    _, phi, dphi = _evolve_with_generators(init, p, t, idx)
     n = phi.shape[0]
     m = len(idx)
     gram = np.zeros((m, m), dtype=complex)
@@ -105,8 +83,8 @@ def _gram(init: WalkerState, p: CoinParams, t: int, params) -> np.ndarray:
     return 4.0 * (gram - np.outer(np.conj(overlap), overlap))
 
 
-def _exact_matrices(init: WalkerState, p: CoinParams, t: int,
-                    params=PARAM_NAMES):
+def exact_matrices(init: WalkerState, p: CoinParams, t: int,
+                   params=PARAM_NAMES):
     """(information matrix, curvature) from the real and imaginary parts
     of one complex Gram, so one engine run serves both."""
     gram = _gram(init, p, t, params)
@@ -120,7 +98,7 @@ def _exact_matrices(init: WalkerState, p: CoinParams, t: int,
 def qfim_exact(init: WalkerState, p: CoinParams, t: int,
                params=PARAM_NAMES) -> QFIMatrix:
     """Finite-t information matrix 4 Re(<d_u|d_v> - <d_u|psi><psi|d_v>)."""
-    return _exact_matrices(init, p, t, params)[0]
+    return exact_matrices(init, p, t, params)[0]
 
 
 def uhlmann_exact(init: WalkerState, p: CoinParams, t: int,
@@ -130,4 +108,4 @@ def uhlmann_exact(init: WalkerState, p: CoinParams, t: int,
     Decays like 1/t on the walk models here; the asymptotic route
     reports an exact zero instead.
     """
-    return _exact_matrices(init, p, t, params)[1]
+    return exact_matrices(init, p, t, params)[1]

@@ -34,10 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import TWO_PI, uniform_k_grid
-from .walk import (PARAM_NAMES, CoinParams, WalkerState, generator_spatial,
-                   initial_localized, k_grid_size, quasi_energy_axis,
-                   spinors_at)
+from .walk import (PARAM_NAMES, TWO_PI, CoinParams, WalkerState,
+                   generator_spatial, initial_localized, k_grid_size,
+                   quasi_energy_axis, rho_bloch, spinors_at, uniform_k_grid)
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -144,18 +143,6 @@ def beta_null_check(p: CoinParams) -> float:
 # the zone integrals
 
 
-def _rho_bloch(phi: np.ndarray) -> np.ndarray:
-    """Unnormalised Pauli 4-vector phi^dag sigma_i phi of spinors (..., 2)."""
-    a, b = phi[..., 0], phi[..., 1]
-    out = np.empty(phi.shape[:-1] + (4,))
-    out[..., 0] = np.abs(a) ** 2 + np.abs(b) ** 2
-    cross = a * np.conj(b)
-    out[..., 1] = 2.0 * cross.real
-    out[..., 2] = -2.0 * cross.imag
-    out[..., 3] = np.abs(a) ** 2 - np.abs(b) ** 2
-    return out
-
-
 def _mean_over_sin2(num: np.ndarray, theta: float) -> np.ndarray:
     """Zone means of N(x) / (1 - cos^2 theta cos^2 x) from samples of N.
 
@@ -193,7 +180,7 @@ def _zone_means(p: CoinParams, init: WalkerState, params):
     n = k_grid_size(2 + init.n_sites)
     k = p.alpha + TWO_PI * np.arange(n) / n
     _, u = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
-    rho = _rho_bloch(spinors_at(init, k))
+    rho = rho_bloch(spinors_at(init, k))
     a = u @ w.T
     num = np.concatenate(
         [a[:, iu[0]] * a[:, iu[1]] * rho[:, :1],

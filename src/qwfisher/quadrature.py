@@ -1,16 +1,11 @@
-"""Quadrature over the Brillouin zone [-pi, pi).
+"""Gauss-Legendre reference quadrature over the Brillouin zone [-pi, pi).
 
-The package integrates on uniform grids only: they integrate
-trigonometric polynomials exactly (discrete orthogonality), which is
-what the finite-time engine and the exact zone integrals of
-:mod:`qwfisher.qfim` rely on (:func:`uniform_k_grid`, with the node
-count of :func:`qwfisher.walk.k_grid_size`).
-
-Gauss-Legendre panels with node doubling (:func:`gauss_k_grid`,
-:func:`adaptive_mean_over_bz`) are called by no pipeline code.  They
-stay as the independent reference the tests check the exact zone
-integrals against, and the benchmark tracer wraps
-``adaptive_mean_over_bz`` by name.
+No pipeline module imports this one: the package integrates exactly on
+the uniform grids of :mod:`qwfisher.walk`.  The Gauss-Legendre panels
+with node doubling here (:func:`gauss_k_grid`,
+:func:`adaptive_mean_over_bz`) are the independent reference the tests
+check those exact zone integrals against, and the benchmark tracer
+wraps ``adaptive_mean_over_bz`` by name.
 """
 from __future__ import annotations
 
@@ -19,19 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError
-
-TWO_PI = 2.0 * np.pi
-
-
-def uniform_k_grid(n: int) -> np.ndarray:
-    """Uniform momentum nodes k_j = -pi + 2 pi j / n, j = 0 .. n - 1.
-
-    The weights are all 2 pi / n, so a zone mean is the node average.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one node, got {n}")
-    return -np.pi + TWO_PI * np.arange(n) / n
-
+from .walk import TWO_PI
 
 PANEL_ORDER = 64
 

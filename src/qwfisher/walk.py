@@ -1,4 +1,4 @@
-"""Coined discrete-time walk on the integer line.
+"""Coined discrete-time walk on the integer line, and its one engine.
 
 A step applies a U(2) coin to the internal qubit and then shifts coin
 component 0 to x+1 and component 1 to x-1.  States are stored densely on
@@ -6,18 +6,20 @@ the light cone: an (n, 2) complex amplitude array whose row i is the
 spinor at site ``origin + i``.
 
 Momentum-space picture: with spinor(k) = sum_x c_x e^{-ikx}, one step is
-multiplication by u(k) = diag(e^{-ik}, e^{ik}) @ C, so evolution
-factorises over k.  u(k) is in SU(2): u(k) = cos(om) - i w.sigma, and
-:func:`quasi_energy_axis` is the one place that computes cos(om) and
-w = sin(om) n.  The finite-t engine (:class:`SU2Powers`) applies
-u(k)^t and the generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m
-behind every parameter derivative to spinors in closed form, and the
-asymptotic route in :mod:`qwfisher.qfim` reads the same axis for its
-stationary projector.  The coin generators O_mu = C^dag d_mu C =
-(i/2) w_mu.sigma come as the real Pauli vectors w_mu of
-:func:`generator_spatial`.  :func:`evolve` runs on that engine: the
-input goes to momentum space, takes u(k)^t and comes back with one
-inverse FFT, with no loop over steps.
+multiplication by u(k) = diag(e^{-ik}, e^{ik}) @ C = cos(om) - i w.sigma
+in SU(2), and :func:`quasi_energy_axis` is the one place that computes
+cos(om) and w = sin(om) n; the asymptotic route in :mod:`qwfisher.qfim`
+reads it too.  Every rule of the finite-t engine lives here, and the
+oracle and the estimator ask for evolved spinors instead of re-deriving
+them: the uniform grid and its size (:func:`uniform_k_grid`,
+:func:`k_grid_size`), the site window t steps from an input with its
+inverse FFT (:class:`SiteWindow`), and the SU(2) closed forms for u^t
+and the generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m
+(:class:`SU2Powers`, run on an input by :func:`evolve_spinors`; u^t and
+its theta derivatives for the estimator's family by :func:`theta_jet`).
+The coin generators O_mu = C^dag d_mu C = (i/2) w_mu.sigma come as the
+real Pauli vectors w_mu of :func:`generator_spatial`.  :func:`evolve`
+takes u(k)^t and one inverse FFT, with no loop over steps.
 """
 from __future__ import annotations
 
@@ -28,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWalk
-from .quadrature import TWO_PI, uniform_k_grid
 
 NORM_TOL = 1e-12
+TWO_PI = 2.0 * np.pi
 
 
 def _wrap_angle(a: float) -> float:
@@ -292,6 +294,28 @@ def spinors_at(s: WalkerState, k_nodes: np.ndarray) -> np.ndarray:
     return phases @ s.amps
 
 
+def rho_bloch(phi: np.ndarray) -> np.ndarray:
+    """Unnormalised Pauli 4-vector phi^dag sigma_i phi of spinors (..., 2)."""
+    a, b = phi[..., 0], phi[..., 1]
+    out = np.empty(phi.shape[:-1] + (4,))
+    out[..., 0] = np.abs(a) ** 2 + np.abs(b) ** 2
+    cross = a * np.conj(b)
+    out[..., 1] = 2.0 * cross.real
+    out[..., 2] = -2.0 * cross.imag
+    out[..., 3] = np.abs(a) ** 2 - np.abs(b) ** 2
+    return out
+
+
+def uniform_k_grid(n: int) -> np.ndarray:
+    """Uniform momentum nodes k_j = -pi + 2 pi j / n, j = 0 .. n - 1.
+
+    The weights are all 2 pi / n, so a zone mean is the node average.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one node, got {n}")
+    return -np.pi + TWO_PI * np.arange(n) / n
+
+
 def k_grid_size(width: int) -> int:
     """Uniform-grid node count for a window of ``width`` sites.
 
@@ -305,21 +329,43 @@ def k_grid_size(width: int) -> int:
     return n
 
 
-def window_from_uniform(spinors: np.ndarray, origin: int,
-                        width: int) -> np.ndarray:
-    """Site amplitudes origin .. origin + width - 1 from uniform-grid spinors.
+@dataclass(frozen=True)
+class SiteWindow:
+    """The site window t steps from an input and the nodes resolving it.
 
-    On the nodes k_j = -pi + 2 pi j / n the zone integral is
-
-        c_x = (1/n) sum_j spinor(k_j) e^{i k_j x}
-            = e^{-i pi x} ifft(spinor)[x mod n],
-
-    one FFT along the node axis (axis -2) for any leading batch shape.
+    :meth:`after` is the one rule: a step moves amplitude one site either
+    way, so the input's window grows by t sites at each end.
     """
-    n = spinors.shape[-2]
-    x = origin + np.arange(width)
-    sign = np.where(x % 2, -1.0, 1.0)[:, None]
-    return np.fft.ifft(spinors, axis=-2)[..., x % n, :] * sign
+
+    origin: int
+    width: int
+    nodes: np.ndarray
+
+    @classmethod
+    def after(cls, init: WalkerState, t: int) -> "SiteWindow":
+        t = int(t)
+        width = init.n_sites + 2 * t
+        return cls(origin=init.origin - t, width=width,
+                   nodes=uniform_k_grid(k_grid_size(width)))
+
+    @property
+    def sites(self) -> np.ndarray:
+        return self.origin + np.arange(self.width)
+
+    def to_sites(self, spinors: np.ndarray) -> np.ndarray:
+        """Site amplitudes on the window from spinors on its nodes.
+
+        On the nodes k_j = -pi + 2 pi j / n the zone integral is
+
+            c_x = (1/n) sum_j spinor(k_j) e^{i k_j x}
+                = e^{-i pi x} ifft(spinor)[x mod n],
+
+        one FFT along the node axis (axis -2) for any leading batch shape.
+        """
+        x = self.sites
+        sign = np.where(x % 2, -1.0, 1.0)[:, None]
+        return np.fft.ifft(spinors, axis=-2)[..., x % self.nodes.size, :] \
+            * sign
 
 
 @dataclass(frozen=True)
@@ -420,23 +466,82 @@ class SU2Powers:
         return out
 
 
+def evolve_spinors(init: WalkerState, p: CoinParams, t: int):
+    """(window, powers, phi): :meth:`SiteWindow.after`, the
+    :class:`SU2Powers` of u(k) on its nodes and the evolved k-spinors
+    phi = u(k)^t spinor(k), (n_nodes, 2)."""
+    window = SiteWindow.after(init, t)
+    nodes = window.nodes
+    powers = SU2Powers.of(*quasi_energy_axis(p.theta, p.alpha, p.beta, nodes))
+    return window, powers, powers.apply_power(spinors_at(init, nodes), t)
+
+
+def _pauli_step(cos_omega, w, phi) -> np.ndarray:
+    """(cos(om) - i w.sigma) phi for spinors phi (..., 2), no 2 x 2 matrix."""
+    p0, p1 = phi[..., 0], phi[..., 1]
+    return np.stack([(cos_omega - 1j * w[..., 2]) * p0
+                     - (w[..., 1] + 1j * w[..., 0]) * p1,
+                     (w[..., 1] - 1j * w[..., 0]) * p0
+                     + (cos_omega + 1j * w[..., 2]) * p1], axis=-1)
+
+
+def theta_jet(theta, nodes: np.ndarray, chi: np.ndarray, t: int,
+              order: int = 0) -> np.ndarray:
+    """d^j/dtheta^j [u(k)^t chi] for j = 0 .. order, u(k) = S(k) R(theta).
+
+    S(k) R(theta) is the walk's u(k) at alpha = beta = 0; ``theta``
+    broadcasts against ``nodes`` and that against the spinors ``chi``
+    (..., n_nodes, 2), and the derivatives stack on a new leading axis.
+    Order 0 is :meth:`SU2Powers.apply_power`.  Orders 1 and 2
+    differentiate u^t = a_t u - a_{t-1}, a_n = sin(n om) / sin(om), on
+    the folded angle and clamped |w| of :class:`SU2Powers`: d_theta u is
+    u at theta + pi/2, d2_theta u = -u, d_om a_n = (n cos(n om) - cos(om)
+    a_n) / sin(om), d2_om a_n = (1 - n^2) a_n - 2 cos(om) d_om a_n /
+    sin(om), d_theta om = -d_theta cos(om) / sin(om) and d2_theta om =
+    cos(om) (1 - (d_theta om)^2) / sin(om).  As theta -> 0 their
+    relative rounding grows like eps / sin(theta)^order.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    t = int(t)
+    powers = SU2Powers.of(*quasi_energy_axis(theta, 0.0, 0.0, nodes))
+    if order == 0:
+        return powers.apply_power(chi, t)[None]
+    sign, c, s, om = (powers.sign, powers.cos_omega, powers.sin_omega,
+                      powers.omega)
+    dc, dw = quasi_energy_axis(theta + 0.5 * np.pi, 0.0, 0.0, nodes)
+    dc, dw = sign * dc, sign[..., None] * dw     # in the folded frame
+    om_1 = -dc / s
+    om_2 = c * (1.0 - om_1 ** 2) / s
+    sign_t = sign if t % 2 else 1.0
+    coef = []
+    for n in (t, t - 1):
+        a = np.sin(n * om) / s
+        a_om = (n * np.cos(n * om) - c * a) / s
+        a_omom = (1.0 - n * n) * a - 2.0 * c * a_om / s
+        coef.append((sign_t * np.array(
+            [a, a_om * om_1, a_omom * om_1 ** 2 + a_om * om_2]))[..., None])
+    (a, a1, a2), (b, b1, b2) = coef
+    u_chi = _pauli_step(c, powers.w, chi)
+    du_chi = _pauli_step(dc, dw, chi)
+    jet = [a * u_chi - b * chi, a1 * u_chi + a * du_chi - b1 * chi,
+           (a2 - a) * u_chi + 2.0 * a1 * du_chi - b2 * chi]
+    return np.stack(jet[:order + 1])
+
+
 def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:
     """t steps of the walk, through the momentum picture.
 
     u(k)^t comes in closed form from :class:`SU2Powers` and one inverse
     FFT returns to sites, so the cost is O(n log n) in the node count
-    n = :func:`k_grid_size` of the final window (width + 2t sites), with
-    no loop over t.
+    n of :meth:`SiteWindow.after` (width + 2t sites), with no loop over
+    t.
     """
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")
     t = int(t)
-    width = s.n_sites + 2 * t
-    nodes = uniform_k_grid(k_grid_size(width))
-    axis = quasi_energy_axis(p.theta, p.alpha, p.beta, nodes)
-    phi = SU2Powers.of(*axis).apply_power(spinors_at(s, nodes), t)
-    origin = s.origin - t
-    amps = window_from_uniform(phi, origin, width)
+    window, _, phi = evolve_spinors(s, p, t)
+    amps = window.to_sites(phi)
     if t:
         # the last shift leaves coin 0 off the two leftmost sites and
         # coin 1 off the two rightmost: exact zeros, not FFT rounding
@@ -448,7 +553,7 @@ def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:
         rows = np.flatnonzero(np.any(s.amps != 0.0, axis=1))
         if np.all(rows % 2 == rows[0] % 2):
             amps[1 - rows[0] % 2::2] = 0.0
-    return WalkerState(origin=origin, amps=amps,
+    return WalkerState(origin=window.origin, amps=amps,
                        steps_elapsed=s.steps_elapsed + t)
 
 

@@ -19,14 +19,6 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
-def _always_overcommits():
-    try:
-        with open("/proc/sys/vm/overcommit_memory") as fh:
-            return fh.read().strip() == "1"
-    except OSError:
-        return False
-
-
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -115,12 +107,8 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     (["sweep", "fig2", "--theta-list", "0.5,nan"], 2),
     (["sweep", "fig2", "--theta-list", "0"], 4),
     (["sweep", "fig2", "--theta-list", "1.5707963267948966"], 4),  # F singular
-    # the dense phase matrix of a 200,002-site window asks for about
-    # 0.8 TB at once, which the allocator refuses straight away
-    pytest.param(["evolve", "--t", "1", "--init", "entangled:0,200001"], 2,
-                 marks=pytest.mark.skipif(
-                     _always_overcommits(), reason="the kernel would grant "
-                     "the request and fill it page by page")),
+    # a 200,002-site window is refused before anything is allocated
+    (["evolve", "--t", "1", "--init", "entangled:0,200001"], 2),
 ])
 def test_exit_codes(workdir, capsys, argv, code):
     assert main(argv) == code
@@ -129,6 +117,14 @@ def test_exit_codes(workdir, capsys, argv, code):
                 2: "config error"}
     assert expected[code] in err
     assert "Traceback" not in err
+
+
+def test_input_window_cap_is_named(workdir, capsys):
+    assert main(["evolve", "--t", "1", "--init", "entangled:0,200001"]) == 2
+    assert "MAX_INPUT_SITES = 1024" in capsys.readouterr().err
+    # the widest allowed input runs; one site more is refused
+    assert main(["evolve", "--t", "1", "--init", "entangled:5,1028"]) == 0
+    assert main(["evolve", "--t", "1", "--init", "entangled:1029,5"]) == 2
 
 
 @pytest.mark.parametrize("command", [["qfim"], ["bounds"],
@@ -324,6 +320,24 @@ def test_estimate_diagnostics_and_box_warnings(workdir, capsys):
         == 1.47
 
 
+def test_estimate_edge_fit_converges_on_the_edge(workdir, capsys):
+    # the score points out of the box at theta_max: theta is held on the
+    # edge and the step on alpha alone converges
+    assert main(["estimate", "--theta", "1.52", "--t", "10", "--shots",
+                 "2000", "--grid-n", "20"]) == 0
+    assert "not converged" not in capsys.readouterr().out
+    result = read_json(workdir / "qwf_estimate_result.json")
+    assert result["converged"] and result["theta_hat"] == 1.47
+    assert result["diagnostics"]["on_edge"] == ["theta"]
+    assert result["diagnostics"]["last_step"] < 1e-9
+    assert result["iterations"] < 12
+    # an interior fit holds nothing
+    assert main(["estimate", "--t", "30", "--shots", "5000", "--seed", "7",
+                 "--grid-n", "60"]) == 0
+    assert read_json(workdir / "qwf_estimate_result.json")[
+        "diagnostics"]["on_edge"] == []
+
+
 def test_estimate_identified_alpha_keeps_its_number(workdir, capsys):
     assert main(["estimate", "--init", "gamma:0.6", "--alpha", "0.3",
                  "--beta", "0.4", "--t", "30", "--shots", "5000",
@@ -397,23 +411,35 @@ _COMMANDS = {
 
 @st.composite
 def _argv(draw):
+    """(argv, config lines): each drawn flag goes on the command line or
+    into a ``--config`` file."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    argv = list(command)
+    argv, config = list(command), []
     for flag in _COMMANDS[command]:
         value = draw(st.none() | _FLAGS[flag])
-        if value is not None:
+        if value is None:
+            continue
+        if draw(st.booleans()):
+            config.append(f"{flag} = {value}")
+        else:
             argv.append(f"--{flag}={value}")
     if command[0] in ("qfim", "bounds", "case", "estimate") \
-            and not any(a.startswith("--t=") for a in argv):
+            and not any(a.startswith("--t=") or a.startswith("t = ")
+                        for a in argv + config):
         argv.append("--t=8")            # keep the default t = 100 cheap
-    return argv
+    return argv, config
 
 
 @pytest.mark.filterwarnings("ignore:separation")      # even entangled pairs
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(argv=_argv())
-def test_fuzz_main_exits_typed(tmp_path_factory, argv):
+@given(drawn=_argv())
+def test_fuzz_main_exits_typed(tmp_path_factory, drawn):
+    argv, config = drawn
     work = tmp_path_factory.mktemp("fuzz")
+    if config:
+        cfg = work / "run.cfg"
+        cfg.write_text("".join(line + "\n" for line in config))
+        argv = argv + ["--config", str(cfg)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):

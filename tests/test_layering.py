@@ -1,9 +1,16 @@
-"""A ratchet on private reach-ins between package modules.
+"""Ratchets on the package's layering.
 
 A module that imports an ``_``-prefixed name from another package
 module couples itself to that module's internals.  The ones that exist
 are listed below with their reason; any other fails here, and so does a
 listed one that is gone, so the list only shrinks.
+
+The finite-t engine's rules (the uniform grid, its size for a window,
+the site window after t steps and the SU(2) closed forms) live in
+``walk`` alone, and ``quadrature`` is a test reference no pipeline
+module imports.  The engine-boundary ratchet below holds every other
+module in the package and in ``scripts/`` to that, with its exemptions
+listed by module, function and name.
 """
 import ast
 from pathlib import Path
@@ -12,14 +19,21 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qwfisher"
 
 ALLOWED = {
-    ("cli", "oracle", "_exact_matrices"):
-        "one engine run gives both matrices of the oracle route",
-    ("cli", "qfim", "_rho_bloch"):
-        "the localized route needs the input's Bloch vector",
     ("cli", "_io", "_format_cell"):
         "the string-column CSV writer formats numbers like DataTable",
-    ("convergence_study", "oracle", "_exact_matrices"):
-        "one engine run per t gives both matrices",
+}
+
+ENGINE_NAMES = {"SU2Powers", "uniform_k_grid", "k_grid_size"}
+# calling the class itself states the window rule again; SiteWindow.after
+# is the one place that states it
+WINDOW_CLASS = "SiteWindow"
+ENGINE_EXEMPT = {
+    ("qfim", "_zone_means", "k_grid_size"):
+        "the asymptotic zone mean samples a numerator of degree "
+        "1 + n_sites, not an evolved window",
+    ("qfim", "beta_null_check", "uniform_k_grid"):
+        "a fixed 512-node diagnostic grid for the stationary projector, "
+        "not an evolved window",
 }
 
 
@@ -55,3 +69,100 @@ def test_no_new_private_reach_ins():
 def test_allow_list_has_no_stale_entries():
     stale = set(ALLOWED) - _all_private_imports()
     assert not stale, f"listed reach-ins that no longer exist: {sorted(stale)}"
+
+
+def _imports_quadrature(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name == "qwfisher.quadrature" for a in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    source = node.module or ""
+    if node.level == 0:
+        if source == "qwfisher":
+            source = ""
+        elif source.startswith("qwfisher."):
+            source = source.split(".", 1)[1]
+        else:
+            return False
+    return source == "quadrature" or (
+        source == "" and any(a.name == "quadrature" for a in node.names))
+
+
+class _EngineRefs(ast.NodeVisitor):
+    """(function, name) for every engine reference outside ``walk``.
+
+    The function is the dotted enclosing def, ``<module>`` at top level
+    and ``<import>`` for a name brought in by an import.
+    """
+
+    def __init__(self):
+        self.scope = []
+        self.hits = []
+
+    def _hit(self, name, scope=None):
+        self.hits.append((scope or ".".join(self.scope) or "<module>", name))
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id in ENGINE_NAMES:
+            self._hit(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr in ENGINE_NAMES:
+            self._hit(node.attr)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name == WINDOW_CLASS:
+            self._hit(WINDOW_CLASS + "()")
+        self.generic_visit(node)
+
+    def visit_Import(self, node):
+        if _imports_quadrature(node):
+            self._hit("qwfisher.quadrature", "<import>")
+
+    def visit_ImportFrom(self, node):
+        if _imports_quadrature(node):
+            self._hit("qwfisher.quadrature", "<import>")
+        for alias in node.names:
+            if alias.name in ENGINE_NAMES:
+                self._hit(alias.name, "<import>")
+
+
+def _engine_refs():
+    """(module, function, name) for every engine reference outside walk."""
+    files = [path for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "walk"]
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    hits = set()
+    for path in files:
+        refs = _EngineRefs()
+        refs.visit(ast.parse(path.read_text(), filename=str(path)))
+        hits |= {(path.stem, scope, name) for scope, name in refs.hits}
+    return hits
+
+
+def _exempt(hit) -> bool:
+    module, scope, name = hit
+    if scope == "<import>":
+        return any((module, name) == (m, n) for m, _, n in ENGINE_EXEMPT)
+    return hit in ENGINE_EXEMPT
+
+
+def test_engine_rules_stay_in_walk():
+    outside = sorted(hit for hit in _engine_refs() if not _exempt(hit))
+    assert not outside, f"engine rules used outside walk: {outside}"
+
+
+def test_engine_exemptions_have_no_stale_entries():
+    stale = set(ENGINE_EXEMPT) - _engine_refs()
+    assert not stale, f"listed engine exemptions that no longer exist: " \
+        f"{sorted(stale)}"

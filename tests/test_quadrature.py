@@ -6,8 +6,8 @@ import pytest
 
 from qwfisher.errors import QuadratureError
 from qwfisher.quadrature import (adaptive_mean_over_bz, gauss_k_grid,
-                                 mean_over_bz, uniform_k_grid)
-from qwfisher.walk import k_grid_size
+                                 mean_over_bz)
+from qwfisher.walk import k_grid_size, uniform_k_grid
 
 
 def test_uniform_grid_integrates_trig_polynomials_exactly():

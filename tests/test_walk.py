@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, WalkerState,
                       coin_matrix, evolve, initial_entangled, initial_gamma,
                       initial_localized)
-from qwfisher.walk import quasi_energy_axis, spinors_at
+from qwfisher.walk import (SiteWindow, SU2Powers, quasi_energy_axis,
+                           spinors_at, theta_jet, uniform_k_grid)
 
 from oracles import PAULI, coin_dense, dense_amps_at, dense_evolve, evolve_steps
 
@@ -283,6 +284,44 @@ def test_k_space_evolution_equals_position_evolution():
         b = evolve(initial_entangled(0, 1), p, t)
         assert b.origin == a.origin
         assert np.abs(b.amps - a.amps).max() <= 1e-10
+
+
+def test_site_window_grows_by_t_and_returns_spinors_to_sites():
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    init = WalkerState(origin=-3, amps=amps / np.linalg.norm(amps))
+    window = SiteWindow.after(init, 4)
+    assert (window.origin, window.width) == (-7, 13)
+    assert np.array_equal(window.sites, np.arange(-7, 6))
+    assert window.nodes.size == 32         # smallest power of two above 26
+    # the input's own k-spinors come back as the input, zero-padded by t
+    back = window.to_sites(spinors_at(init, window.nodes))
+    assert np.abs(back[4:9] - init.amps).max() <= 1e-14
+    assert np.abs(back[[0, 1, 2, 3, 9, 10, 11, 12]]).max() <= 1e-14
+
+
+def test_theta_jet_against_powers_and_differences():
+    rng = np.random.default_rng(12)
+    nodes = uniform_k_grid(64)
+    chi = rng.normal(size=(3, 64, 2)) + 1j * rng.normal(size=(3, 64, 2))
+    theta, t, h = 0.7, 9, 1e-4
+
+    def power(th):
+        axis = quasi_energy_axis(th, 0.0, 0.0, nodes)
+        return SU2Powers.of(*axis).apply_power(chi, t)
+
+    jet = theta_jet(theta, nodes, chi, t, order=2)
+    assert jet.shape == (3, 3, 64, 2)
+    assert np.array_equal(theta_jet(theta, nodes, chi, t)[0], power(theta))
+    assert np.array_equal(theta_jet(theta, nodes, chi, t, order=1), jet[:2])
+    assert np.abs(jet[0] - power(theta)).max() <= 1e-13
+    lo, mid, hi = power(theta - h), power(theta), power(theta + h)
+    d1 = (hi - lo) / (2 * h)
+    d2 = (hi - 2 * mid + lo) / h ** 2
+    assert np.abs(jet[1] - d1).max() <= 1e-6 * np.abs(d1).max()
+    assert np.abs(jet[2] - d2).max() <= 1e-4 * np.abs(d2).max()
+    with pytest.raises(ValueError):
+        theta_jet(theta, nodes, chi, t, order=3)
 
 
 def test_walker_state_rejects_unnormalized():
