@@ -37,9 +37,8 @@ _EXPORTS = {
     "qfim": ["QFIMatrix", "beta_null_check", "qfim_first_term",
              "qfim_localized", "qfim_max_diag", "qfim_theorem1",
              "single_param_qfi", "uhlmann_analytic"],
-    "walk": ["CoinBlochState", "CoinParams", "WalkerState", "coin_matrix",
-             "evolve", "initial_entangled", "initial_gamma",
-             "initial_localized"],
+    "walk": ["CoinBlochState", "CoinParams", "WalkerState", "evolve",
+             "initial_entangled", "initial_gamma", "initial_localized"],
 }
 
 _ATTR_TO_MODULE = {name: mod for mod, names in _EXPORTS.items()

@@ -1,6 +1,8 @@
 """Deterministic table/JSON output helpers shared by sweeps and the CLI.
 
-CSV: '.' decimal, 17 significant digits, header row naming columns.
+CSV: :func:`write_csv` is the one CSV writer; every table the package
+writes goes through it.  '.' decimal, 17 significant digits, string
+cells verbatim, header row naming columns.
 JSON: sorted keys, repr-shortest floats, schema version embedded.  No
 timestamps anywhere so identical configs reproduce bytes.
 """
@@ -16,9 +18,22 @@ SCHEMA_VERSION = 1
 
 
 def _format_cell(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return "%d" % x
     return "%.17g" % float(x)
+
+
+def write_csv(path, columns: dict, comments=()) -> None:
+    """Write '# '-prefixed comment lines, a header naming the columns,
+    then one row per entry of the equal-length columns."""
+    lines = ["# " + c for c in comments]
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(_format_cell, row))
+                 for row in zip(*columns.values()))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass
@@ -38,14 +53,7 @@ class DataTable:
         return len(next(iter(self.columns.values()))) if self.columns else 0
 
     def to_csv(self, path, comments=()) -> None:
-        names = list(self.columns)
-        cols = [np.asarray(self.columns[n]) for n in names]
-        lines = ["# " + c for c in comments]
-        lines.append(",".join(names))
-        for i in range(self.n_rows):
-            lines.append(",".join(_format_cell(c[i]) for c in cols))
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, self.columns, comments)
 
     def to_json(self, path, extra_meta: dict | None = None) -> None:
         payload = {

@@ -1,19 +1,19 @@
 """Physical case studies: coin encodings of external parameters.
 
-Two exact mappings are implemented.  A transverse magnetic field
-(0, b2, b3) acting for unit time on the coin gives
+Both cases are one map.  A transverse magnetic field (0, b2, b3) acting
+for unit time on the coin gives the coin exp(-i (b2 sigma_y + b3 sigma_z)):
 
     sin theta = -(sin B / B) b2,  tan alpha = -(tan B / B) b3,  beta = 0,
 
-and one Trotter step of the 1D Dirac equation with mass m, charge q and
-vector potential A_x at step eps gives
-
-    sin theta = -(m/W) sin(eps W),  tan alpha = -(q A_x/W) tan(eps W),
-    beta = pi/2,  W = sqrt(q^2 A_x^2 + m^2).
-
-Both are inverted by Newton iteration inside their principal windows
-(B < pi/2, eps W < pi/2), and the analytic Jacobians feed the pullback
-of the coin-space information matrix onto the physical parameters.
+with B = |b| < pi/2.  One Trotter step of the 1D Dirac equation with
+mass m, charge q and vector potential A_x at step eps is
+exp(-i eps (m sigma_x + q A_x sigma_z)): the field coin at
+(b2, b3) = eps (m, q A_x), turned from sigma_y to sigma_x by
+beta = pi/2, inside the window eps W < pi/2, W = sqrt(m^2 + q^2 A_x^2).
+So the Dirac angles, Jacobian and Newton inverse are the field ones
+with the field rescaled by (eps, eps A_x), and the analytic Jacobians
+feed the pullback of the coin-space information matrix onto the
+physical parameters.
 """
 from __future__ import annotations
 
@@ -44,20 +44,32 @@ def _tanc(x: float) -> float:
     return 1.0 if x == 0.0 else math.tan(x) / x
 
 
+# Taylor coefficients in x^2 of the two slope kernels below; the series
+# have no cancellation, and these term counts truncate below rounding
+# for |x| <= pi/2, the windows of both case maps.
+_W_SINC_SERIES = tuple((-1) ** n * 2 * n / math.factorial(2 * n + 1)
+                       for n in range(1, 12))
+_W_TANC_SERIES = tuple((-1) ** (n + 1) * 2 ** (2 * n + 1)
+                       / math.factorial(2 * n + 1) for n in range(1, 15))
+
+
+def _even_series(coeffs, x: float) -> float:
+    """sum_n coeffs[n] x^(2n) by Horner's rule in x^2."""
+    x2, acc = x * x, 0.0
+    for c in reversed(coeffs):
+        acc = acc * x2 + c
+    return acc
+
+
 def _w_sinc(x: float) -> float:
-    """(x cos x - sin x)/x^3: the sinc slope kernel, series-guarded."""
-    if abs(x) < 1e-3:
-        x2 = x * x
-        return -1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0
-    return (x * math.cos(x) - math.sin(x)) / x ** 3
+    """(x cos x - sin x)/x^3: the sinc slope kernel, by its series."""
+    return _even_series(_W_SINC_SERIES, x)
 
 
 def _w_tanc(x: float) -> float:
-    """(x sec^2 x - tan x)/x^3, series-guarded near 0."""
-    if abs(x) < 1e-3:
-        x2 = x * x
-        return 2.0 / 3.0 + 8.0 * x2 / 15.0
-    return (x / math.cos(x) ** 2 - math.tan(x)) / x ** 3
+    """(x sec^2 x - tan x)/x^3 = (2x - sin 2x)/(2 x^3 cos^2 x), the
+    numerator by its series."""
+    return _even_series(_W_TANC_SERIES, x) / (2.0 * math.cos(x) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +141,9 @@ def magnetic_jacobian(f: MagneticField) -> np.ndarray:
 def _window_scale_root(sin_t: float, tan_a: float) -> float:
     """Root of sin_t^2/sin^2 x + tan_a^2/tan^2 x = 1 on (0, pi/2).
 
-    Both case maps reduce to this scalar equation for their window scale
-    (B or eps*Omega): the left side is strictly decreasing, so bisection
-    is unconditional.  Requires sin_t != 0.
+    The field map reduces to this scalar equation for B: the left side
+    is strictly decreasing, so bisection is unconditional.  Requires
+    sin_t != 0.
     """
     h = math.hypot(sin_t, tan_a)
     lo, hi = min(0.5 * h, math.pi / 4), math.pi / 2 - 1e-15
@@ -152,28 +164,38 @@ def _window_scale_root(sin_t: float, tan_a: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _newton_invert(target: tuple[float, float], x0: np.ndarray, angles_of,
-                   jacobian_of, window_of) -> tuple[np.ndarray, dict]:
-    """Damped 2D Newton polish for angle residuals, shared by both case maps."""
-    x = np.asarray(x0, dtype=float)
+def _field_from_angles(theta: float, alpha: float,
+                       col_scale=(1.0, 1.0)) -> tuple[np.ndarray, dict]:
+    """Damped 2D Newton inverse of the field map on the principal branch.
+
+    Returns the field (b2, b3) and an info dict with iteration count,
+    final residual and the condition number of the Jacobian with its
+    columns scaled by ``col_scale``: the Jacobian of a case whose
+    parameters are the field components divided by those factors.
+    Newton is affine-invariant, so that case's iterates are these ones,
+    rescaled.
+    """
+    if not (abs(theta) < WINDOW and abs(alpha) < WINDOW):
+        raise OutOfWindow("principal branch needs |theta|, |alpha| < pi/2")
+    st, ta = math.sin(theta), math.tan(alpha)
+    b_guess = _window_scale_root(st, ta)
+    x = np.array([-st / _sinc(b_guess), -ta / _tanc(b_guess)])
     residual = np.inf
-    jac = None
     for it in range(NEWTON_MAX_ITER):
-        th, al = angles_of(*x)
-        r = np.array([th - target[0], al - target[1]])
+        th, al = _magnetic_angles(*x)
+        r = np.array([th - theta, al - alpha])
         residual = float(np.max(np.abs(r)))
+        jac = _magnetic_jacobian_raw(*x)
         if residual <= NEWTON_TOL:
-            jac = jacobian_of(*x)
             return x, {"iterations": it, "residual": residual,
-                       "jacobian_cond": float(np.linalg.cond(jac))}
-        jac = jacobian_of(*x)
+                       "jacobian_cond": float(np.linalg.cond(jac * col_scale))}
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         if abs(det) < 1e-300:
             raise SingularJacobian(
                 f"map Jacobian singular at {tuple(x)} during inversion")
         delta = np.linalg.solve(jac, r)
         scale = 1.0
-        while window_of(*(x - scale * delta)) >= WINDOW - 1e-12:
+        while math.hypot(*(x - scale * delta)) >= WINDOW - 1e-12:
             scale *= 0.5
             if scale < 1e-12:
                 raise NoConvergence(
@@ -196,14 +218,7 @@ def magnetic_from_coin(p: CoinParams, full_output: bool = False):
     if abs(p.beta) > 1e-12:
         raise OutOfWindow(f"beta = {p.beta!r} is not in the image of the "
                           "field encoding (needs beta = 0)")
-    if not (abs(p.theta) < WINDOW and abs(p.alpha) < WINDOW):
-        raise OutOfWindow("principal branch needs |theta|, |alpha| < pi/2")
-    st, ta = math.sin(p.theta), math.tan(p.alpha)
-    b_guess = _window_scale_root(st, ta)
-    x0 = np.array([-st / _sinc(b_guess), -ta / _tanc(b_guess)])
-    x, info = _newton_invert((p.theta, p.alpha), x0, _magnetic_angles,
-                             _magnetic_jacobian_raw,
-                             lambda b2, b3: math.hypot(b2, b3))
+    x, info = _field_from_angles(p.theta, p.alpha)
     f = MagneticField(b2=float(x[0]), b3=float(x[1]))
     return (f, info) if full_output else f
 
@@ -237,23 +252,12 @@ class DiracParams:
         return math.hypot(self.m, self.q * self.a_x)
 
 
-def _dirac_angles(m: float, q: float, a_x: float, eps: float) -> tuple[float, float]:
-    w = math.hypot(m, q * a_x)
-    if w == 0.0:
-        return 0.0, 0.0
-    ew = eps * w
-    sin_theta = -(m / w) * math.sin(ew)
-    theta = math.asin(max(-1.0, min(1.0, sin_theta)))
-    alpha = math.atan(-(q * a_x / w) * math.tan(ew))
-    return theta, alpha
-
-
 def coin_from_dirac(d: DiracParams) -> CoinParams:
     """Coin parameters of one Trotter step; beta = pi/2 exactly.
 
     The massless point is refused: sin(theta) = 0 there and the walk
     degenerates to pure phase accumulation with alpha = -atan(tan(eps W))
-    * sign(q); estimation of (m, q) needs the mass to mix the coin.
+    * sign(q A_x); estimation of (m, q) needs the mass to mix the coin.
     """
     if d.a_x == 0.0:
         raise ChargeUnidentifiable(
@@ -261,36 +265,19 @@ def coin_from_dirac(d: DiracParams) -> CoinParams:
     if d.omega == 0.0:
         raise DegenerateWalk("m = q = 0 gives the identity coin")
     if d.m == 0.0:
-        alpha = math.atan(-(d.q * d.a_x / d.omega) * math.tan(d.eps * d.omega))
+        alpha = math.atan(-math.copysign(math.tan(d.eps * d.omega),
+                                         d.q * d.a_x))
         raise DegenerateWalk(
             f"m = 0 gives sin(theta) = 0 (degenerate walk); the phase "
             f"alpha = {alpha!r} still encodes the charge exactly")
-    theta, alpha = _dirac_angles(d.m, d.q, d.a_x, d.eps)
+    theta, alpha = _magnetic_angles(d.eps * d.m, d.eps * d.q * d.a_x)
     return CoinParams(theta=theta, alpha=alpha, beta=math.pi / 2)
-
-
-def _dirac_jacobian_raw(m: float, q: float, a_x: float, eps: float) -> np.ndarray:
-    w = math.hypot(m, q * a_x)
-    if w == 0.0:
-        raise SingularJacobian("Jacobian undefined at m = q = 0")
-    ew = eps * w
-    s, c, t = math.sin(ew), math.cos(ew), math.tan(ew)
-    p_, q_ = m / w, q * a_x / w
-    w_m, w_q = m / w, q * a_x * a_x / w
-    p_m, p_q = (q * a_x) ** 2 / w ** 3, -m * q * a_x ** 2 / w ** 3
-    q_m, q_q = -q * a_x * m / w ** 3, a_x * m * m / w ** 3
-    den_t = math.sqrt(max(1e-300, 1.0 - (p_ * s) ** 2))
-    den_a = 1.0 + (q_ * t) ** 2
-    d_theta = [-(p_m * s + p_ * c * eps * w_m) / den_t,
-               -(p_q * s + p_ * c * eps * w_q) / den_t]
-    d_alpha = [-(q_m * t + q_ * eps * w_m / c ** 2) / den_a,
-               -(q_q * t + q_ * eps * w_q / c ** 2) / den_a]
-    return np.array([d_theta, d_alpha])
 
 
 def dirac_jacobian(d: DiracParams) -> np.ndarray:
     """d(theta, alpha)/d(m, q) at the given point."""
-    return _dirac_jacobian_raw(d.m, d.q, d.a_x, d.eps)
+    jac = _magnetic_jacobian_raw(d.eps * d.m, d.eps * d.q * d.a_x)
+    return jac * (d.eps, d.eps * d.a_x)
 
 
 def dirac_first_order(p: CoinParams, a_x: float, eps: float) -> tuple[float, float]:
@@ -302,7 +289,10 @@ def dirac_first_order(p: CoinParams, a_x: float, eps: float) -> tuple[float, flo
 
 def dirac_from_coin(p: CoinParams, a_x: float, eps: float,
                     full_output: bool = False):
-    """Newton inverse of the Dirac encoding at fixed (A_x, eps) -> (m, q)."""
+    """Newton inverse of the Dirac encoding at fixed (A_x, eps) -> (m, q).
+
+    Inverts the field map and divides the field by (eps, eps A_x).
+    """
     if a_x == 0.0:
         raise ChargeUnidentifiable("A_x = 0: charge not identifiable")
     if eps <= 0.0:
@@ -310,19 +300,9 @@ def dirac_from_coin(p: CoinParams, a_x: float, eps: float,
     if abs(p.beta - math.pi / 2) > 1e-12:
         raise OutOfWindow(f"beta = {p.beta!r} is not in the image of the "
                           "Dirac encoding (needs beta = pi/2)")
-    if not (abs(p.theta) < WINDOW and abs(p.alpha) < WINDOW):
-        raise OutOfWindow("principal branch needs |theta|, |alpha| < pi/2")
-    st, ta = math.sin(p.theta), math.tan(p.alpha)
-    ew = _window_scale_root(st, ta)          # eps * Omega of the source point
-    w = ew / eps
-    m0 = -st * w / math.sin(ew)
-    q0 = -ta * w / (a_x * math.tan(ew))
-    x, info = _newton_invert(
-        (p.theta, p.alpha), np.array([m0, q0]),
-        lambda m, q: _dirac_angles(m, q, a_x, eps),
-        lambda m, q: _dirac_jacobian_raw(m, q, a_x, eps),
-        lambda m, q: eps * math.hypot(m, q * a_x))
-    mq = (float(x[0]), float(x[1]))
+    scale = (eps, eps * a_x)
+    x, info = _field_from_angles(p.theta, p.alpha, col_scale=scale)
+    mq = (float(x[0] / scale[0]), float(x[1] / scale[1]))
     return (mq, info) if full_output else mq
 
 

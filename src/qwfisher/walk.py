@@ -49,8 +49,7 @@ class CoinParams:
 
     sin(theta) = 0 is rejected: the walk then never mixes the coin
     components and every construction downstream (projector norms,
-    Fisher blocks) degenerates.  Use :func:`coin_matrix` directly if you
-    need the raw matrix at such a point.
+    Fisher blocks) degenerates.
     """
 
     theta: float
@@ -75,18 +74,6 @@ class CoinParams:
 
 
 PARAM_NAMES = ("theta", "alpha", "beta")
-
-
-def coin_matrix(theta: float, alpha: float, beta: float) -> np.ndarray:
-    """Raw coin matrix; no domain validation.
-
-    [[ e^{i alpha} cos(theta),  e^{i beta} sin(theta)],
-     [-e^{-i beta} sin(theta),  e^{-i alpha} cos(theta)]]
-    """
-    ct, st = np.cos(theta), np.sin(theta)
-    ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
-    return np.array([[ea * ct, eb * st],
-                     [-st / eb, ct / ea]], dtype=complex)
 
 
 def generator_spatial(p: CoinParams) -> np.ndarray:

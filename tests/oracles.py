@@ -5,6 +5,9 @@ explicit matrix elements and deliberately share no code with the
 package internals they are used to check.  Scalar constants were
 frozen from separate high-precision evaluations of the closed forms.
 """
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 
 # (sin t + cos^2 t) / (4 sin t (1 - sin t)) at pi/4 and 3 pi/8
@@ -32,6 +35,35 @@ def coin_dense(theta, alpha, beta):
         [-np.exp(-1j * beta) * np.sin(theta),
          np.exp(-1j * alpha) * np.cos(theta)],
     ])
+
+
+def _even_series_exact(x2, term, n_terms=40):
+    """sum_{n < n_terms} term(n) x2^n in exact rationals."""
+    return sum(term(n) * x2 ** n for n in range(n_terms))
+
+
+def w_sinc_series(x):
+    """(x cos x - sin x)/x^3 = sum_{n>=1} (-1)^n 2n x^(2n-2) / (2n+1)!.
+
+    The alternating series is summed in exact rationals at the float x,
+    far past rounding for |x| <= 2, and rounded once at the end.
+    """
+    return float(_even_series_exact(
+        Fraction(x) ** 2,
+        lambda n: Fraction((-1) ** (n + 1) * 2 * (n + 1), factorial(2 * n + 3))))
+
+
+def w_tanc_series(x):
+    """(x sec^2 x - tan x)/x^3 = (2x - sin 2x) / (2 x^3 cos^2 x).
+
+    2x - sin 2x = sum_{n>=1} (-1)^(n+1) (2x)^(2n+1) / (2n+1)! and cos x
+    are both summed as alternating series in exact rationals.
+    """
+    x2 = Fraction(x) ** 2
+    num = _even_series_exact(     # (2x - sin 2x)/x^3
+        x2, lambda n: Fraction((-1) ** n * 2 ** (2 * n + 3), factorial(2 * n + 3)))
+    cos = _even_series_exact(x2, lambda n: Fraction((-1) ** n, factorial(2 * n)))
+    return float(num / (2 * cos * cos))
 
 
 def u_dense(theta, alpha, beta, k):

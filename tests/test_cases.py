@@ -16,7 +16,9 @@ from qwfisher import (ChargeUnidentifiable, CoinParams, DegenerateWalk,
                       g_of_theta, initial_entangled, magnetic_from_coin,
                       magnetic_jacobian, pullback_qfim, qfim_theorem1,
                       sweep_fig1, sweep_fig2)
-from qwfisher.walk import coin_matrix
+from qwfisher.cases import _w_sinc, _w_tanc
+
+from oracles import coin_dense, w_sinc_series, w_tanc_series
 
 SIGMA = [np.eye(2),
          np.array([[0, 1], [1, 0]], dtype=complex),
@@ -37,7 +39,7 @@ class TestMagnetic:
         for b2, b3 in [(-0.6, 0.0), (0.5, 0.8), (-0.3, -1.2), (1.0, 0.2)]:
             p = coin_from_magnetic(MagneticField(b2=b2, b3=b3))
             assert p.beta == 0.0
-            got = coin_matrix(p.theta, p.alpha, p.beta)
+            got = coin_dense(p.theta, p.alpha, p.beta)
             assert np.abs(got - rotation_matrix(b2, b3)).max() <= 1e-12
 
     def test_in_plane_field_gives_pure_mixing(self):
@@ -99,6 +101,18 @@ class TestMagnetic:
         assert np.abs(jac + np.eye(2)).max() <= 1e-15
 
 
+@pytest.mark.parametrize("kernel,reference", [(_w_sinc, w_sinc_series),
+                                              (_w_tanc, w_tanc_series)])
+def test_slope_kernels_are_accurate_to_rounding(kernel, reference):
+    # both case Jacobians read these kernels; the old closed forms lost
+    # up to 1e-10 relative just above their series cutover at 1e-3
+    xs = np.concatenate([np.geomspace(1e-8, 1.5, 61),
+                         [0.999e-3, 1e-3, 1.0001e-3, 1e-2]])
+    for x in xs:
+        ref = reference(float(x))
+        assert abs(kernel(float(x)) - ref) <= 1e-15 * abs(ref), x
+
+
 class TestDirac:
     def test_coin_angles_and_phase_convention(self):
         d = DiracParams(m=1.0, q=0.5, a_x=1.0, eps=0.2)
@@ -109,6 +123,18 @@ class TestDirac:
             -(d.m / w) * math.sin(d.eps * w), abs=1e-14)
         assert math.tan(p.alpha) == pytest.approx(
             -(d.q * d.a_x / w) * math.tan(d.eps * w), abs=1e-14)
+
+    def test_dirac_coin_is_the_trotter_step_exactly(self):
+        # one Trotter step exp(-i eps (m sigma_x + q A_x sigma_z)),
+        # written out via the half-angle identity
+        for m, q, a_x, eps in [(1.0, 1.0, 1.0, 0.01), (-0.7, 2.0, -0.3, 0.2),
+                               (0.4, -1.5, 0.8, 0.5), (-1.2, -0.6, -2.0, 0.3)]:
+            p = coin_from_dirac(DiracParams(m=m, q=q, a_x=a_x, eps=eps))
+            w = math.hypot(m, q * a_x)
+            h = (m * SIGMA[1] + q * a_x * SIGMA[3]) / w
+            step = math.cos(eps * w) * SIGMA[0] - 1j * math.sin(eps * w) * h
+            got = coin_dense(p.theta, p.alpha, p.beta)
+            assert np.abs(got - step).max() <= 1e-12
 
     def test_zero_potential_hides_the_charge(self):
         with pytest.raises(ChargeUnidentifiable):

@@ -109,6 +109,13 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     (["sweep", "fig2", "--theta-list", "1.5707963267948966"], 4),  # F singular
     # a 200,002-site window is refused before anything is allocated
     (["evolve", "--t", "1", "--init", "entangled:0,200001"], 2),
+    # sites far from the origin: no overflow, no misleading norm error
+    (["evolve", "--t", "1", "--init", "localized:99999999999999999999"], 2),
+    (["evolve", "--t", "1", "--init", "localized:4611686018427387904"], 2),
+    (["evolve", "--t", "1", "--init", "localized:9999"], 0),
+    (["evolve", "--t", "1", "--init", "localized:10001"], 2),
+    (["evolve", "--t", "1", "--init", "entangled:-9999,-9998"], 0),
+    (["evolve", "--t", "1", "--init", "entangled:-10001,-10000"], 2),
 ])
 def test_exit_codes(workdir, capsys, argv, code):
     assert main(argv) == code
@@ -125,6 +132,12 @@ def test_input_window_cap_is_named(workdir, capsys):
     # the widest allowed input runs; one site more is refused
     assert main(["evolve", "--t", "1", "--init", "entangled:5,1028"]) == 0
     assert main(["evolve", "--t", "1", "--init", "entangled:1029,5"]) == 2
+
+
+def test_site_position_bound_is_named(workdir, capsys):
+    assert main(["evolve", "--t", "1", "--init", "localized:-10001"]) == 2
+    assert "MAX_SITE_POSITION = 10000" in capsys.readouterr().err
+    assert main(["evolve", "--t", "1", "--init", "localized:-10000"]) == 0
 
 
 @pytest.mark.parametrize("command", [["qfim"], ["bounds"],

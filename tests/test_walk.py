@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, WalkerState,
-                      coin_matrix, evolve, initial_entangled, initial_gamma,
+                      evolve, initial_entangled, initial_gamma,
                       initial_localized)
 from qwfisher.walk import (SiteWindow, SU2Powers, quasi_energy_axis,
                            spinors_at, theta_jet, uniform_k_grid)
@@ -23,18 +23,12 @@ mixing = st.floats(0.05, math.pi - 0.05)
 
 
 def test_raw_coin_at_zero_is_identity():
-    assert np.allclose(coin_matrix(0.0, 0.0, 0.0), np.eye(2), atol=1e-15)
+    assert np.allclose(coin_dense(0.0, 0.0, 0.0), np.eye(2), atol=1e-15)
 
 
 def test_raw_coin_at_half_pi_is_pure_swap():
     expected = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.allclose(coin_matrix(math.pi / 2, 0.0, 0.0), expected, atol=1e-15)
-
-
-def test_build_coin_matches_entrywise_construction():
-    p = CoinParams(theta=0.7, alpha=-2.0, beta=0.4)
-    assert np.allclose(coin_matrix(p.theta, p.alpha, p.beta),
-                       coin_dense(0.7, -2.0, 0.4), atol=1e-15)
+    assert np.allclose(coin_dense(math.pi / 2, 0.0, 0.0), expected, atol=1e-15)
 
 
 def test_coin_unitarity_bulk():
@@ -44,14 +38,14 @@ def test_coin_unitarity_bulk():
         if abs(math.sin(th)) < 1e-3:
             continue
         p = CoinParams(th, rng.uniform(-9, 9), rng.uniform(-9, 9))
-        c = coin_matrix(p.theta, p.alpha, p.beta)
+        c = coin_dense(p.theta, p.alpha, p.beta)
         assert np.abs(c @ c.conj().T - np.eye(2)).max() <= 1e-14
 
 
 @given(theta=mixing, alpha=angles, beta=angles)
 def test_coin_unitary_and_special(theta, alpha, beta):
     p = CoinParams(theta, alpha, beta)
-    c = coin_matrix(p.theta, p.alpha, p.beta)
+    c = coin_dense(p.theta, p.alpha, p.beta)
     assert np.abs(c @ c.conj().T - np.eye(2)).max() <= 1e-14
     assert abs(np.linalg.det(c) - 1.0) <= 1e-13
 
@@ -70,8 +64,8 @@ def test_param_canonicalization_is_idempotent(theta, alpha, beta):
 def test_phase_wrapping_leaves_coin_unchanged(theta, alpha, beta, na, nb):
     p = CoinParams(theta, alpha, beta)
     q = CoinParams(theta, alpha + 2 * math.pi * na, beta + 2 * math.pi * nb)
-    assert np.allclose(coin_matrix(p.theta, p.alpha, p.beta),
-                       coin_matrix(q.theta, q.alpha, q.beta), atol=1e-12)
+    assert np.allclose(coin_dense(p.theta, p.alpha, p.beta),
+                       coin_dense(q.theta, q.alpha, q.beta), atol=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi, -math.pi, 2 * math.pi])
@@ -234,7 +228,7 @@ def test_uk_defining_relation():
         c, w = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
         u = c * np.eye(2) - 1j * np.einsum("i,iab->ab", w, PAULI[1:])
         expected = np.diag([np.exp(-1j * k), np.exp(1j * k)]) \
-            @ coin_matrix(p.theta, p.alpha, p.beta)
+            @ coin_dense(p.theta, p.alpha, p.beta)
         assert np.allclose(u, expected, atol=1e-15)
 
 
