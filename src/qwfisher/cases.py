@@ -10,10 +10,11 @@ mass m, charge q and vector potential A_x at step eps is
 exp(-i eps (m sigma_x + q A_x sigma_z)): the field coin at
 (b2, b3) = eps (m, q A_x), turned from sigma_y to sigma_x by
 beta = pi/2, inside the window eps W < pi/2, W = sqrt(m^2 + q^2 A_x^2).
-So the Dirac angles, Jacobian and Newton inverse are the field ones
-with the field rescaled by (eps, eps A_x), and the analytic Jacobians
-feed the pullback of the coin-space information matrix onto the
-physical parameters.
+So the Dirac angles, Jacobian and inverse are the field ones with the
+field rescaled by (eps, eps A_x).  The inverse is closed form, as the
+coin's trace fixes the field size: cos B = cos theta cos alpha.  The
+analytic Jacobians feed the pullback of the coin-space information
+matrix onto the physical parameters.
 """
 from __future__ import annotations
 
@@ -30,8 +31,7 @@ from .qfim import QFIMatrix, single_param_qfi
 from .walk import CoinParams
 
 WINDOW = math.pi / 2
-NEWTON_TOL = 1e-13
-NEWTON_MAX_ITER = 100
+ROUND_TRIP_TOL = 1e-13
 
 
 def _sinc(x: float) -> float:
@@ -97,8 +97,9 @@ class MagneticField:
 
 def _magnetic_angles(b2: float, b3: float) -> tuple[float, float]:
     B = math.hypot(b2, b3)
-    sin_theta = -_sinc(B) * b2
-    theta = math.asin(max(-1.0, min(1.0, sin_theta)))
+    u = _sinc(B)
+    # cos theta = hypot(cos B, b3 sinc B) does not cancel as theta -> pi/2
+    theta = math.atan2(-u * b2, math.hypot(math.cos(B), u * b3))
     alpha = math.atan(-_tanc(B) * b3)
     return theta, alpha
 
@@ -121,7 +122,7 @@ def _magnetic_jacobian_raw(b2: float, b3: float) -> np.ndarray:
     B = math.hypot(b2, b3)
     u, v = _sinc(B), _tanc(B)
     wu, wv = _w_sinc(B), _w_tanc(B)
-    den_t = math.sqrt(max(1e-300, 1.0 - (u * b2) ** 2))
+    den_t = math.hypot(math.cos(B), u * b3)         # cos theta
     den_a = 1.0 + (v * b3) ** 2
     return np.array([
         [-(u + b2 * b2 * wu) / den_t, -(b2 * b3 * wu) / den_t],
@@ -138,82 +139,41 @@ def magnetic_jacobian(f: MagneticField) -> np.ndarray:
     return _magnetic_jacobian_raw(f.b2, f.b3)
 
 
-def _window_scale_root(sin_t: float, tan_a: float) -> float:
-    """Root of sin_t^2/sin^2 x + tan_a^2/tan^2 x = 1 on (0, pi/2).
-
-    The field map reduces to this scalar equation for B: the left side
-    is strictly decreasing, so bisection is unconditional.  Requires
-    sin_t != 0.
-    """
-    h = math.hypot(sin_t, tan_a)
-    lo, hi = min(0.5 * h, math.pi / 4), math.pi / 2 - 1e-15
-
-    def g(x):
-        return (sin_t / math.sin(x)) ** 2 + (tan_a / math.tan(x)) ** 2 - 1.0
-
-    if g(lo) <= 0.0:       # guess already past the root; widen downward
-        lo = 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _field_from_angles(theta: float, alpha: float,
                        col_scale=(1.0, 1.0)) -> tuple[np.ndarray, dict]:
-    """Damped 2D Newton inverse of the field map on the principal branch.
+    """Closed-form inverse of the field map on the principal branch.
 
-    Returns the field (b2, b3) and an info dict with iteration count,
-    final residual and the condition number of the Jacobian with its
-    columns scaled by ``col_scale``: the Jacobian of a case whose
-    parameters are the field components divided by those factors.
-    Newton is affine-invariant, so that case's iterates are these ones,
-    rescaled.
+    cos B = cos theta cos alpha, so (b2, b3) = -(B / sin B) (sin theta,
+    cos theta sin alpha).  The info dict holds ``residual``, the angle
+    miss of the field run back through the forward map (over
+    ``ROUND_TRIP_TOL`` raises :class:`NoConvergence`), ``iterations`` = 0
+    and the condition number of the Jacobian with its columns scaled by
+    ``col_scale``: that of a case whose parameters are the field divided
+    by those factors.
     """
     if not (abs(theta) < WINDOW and abs(alpha) < WINDOW):
         raise OutOfWindow("principal branch needs |theta|, |alpha| < pi/2")
-    st, ta = math.sin(theta), math.tan(alpha)
-    b_guess = _window_scale_root(st, ta)
-    x = np.array([-st / _sinc(b_guess), -ta / _tanc(b_guess)])
-    residual = np.inf
-    for it in range(NEWTON_MAX_ITER):
-        th, al = _magnetic_angles(*x)
-        r = np.array([th - theta, al - alpha])
-        residual = float(np.max(np.abs(r)))
-        jac = _magnetic_jacobian_raw(*x)
-        if residual <= NEWTON_TOL:
-            return x, {"iterations": it, "residual": residual,
-                       "jacobian_cond": float(np.linalg.cond(jac * col_scale))}
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(det) < 1e-300:
-            raise SingularJacobian(
-                f"map Jacobian singular at {tuple(x)} during inversion")
-        delta = np.linalg.solve(jac, r)
-        scale = 1.0
-        while math.hypot(*(x - scale * delta)) >= WINDOW - 1e-12:
-            scale *= 0.5
-            if scale < 1e-12:
-                raise NoConvergence(
-                    "step collapsed against the invertibility window",
-                    residual=residual, iterations=it)
-        x = x - scale * delta
-    raise NoConvergence(
-        f"no convergence after {NEWTON_MAX_ITER} iterations "
-        f"(residual {residual:.3e})", residual=residual,
-        iterations=NEWTON_MAX_ITER)
+    cos_t = math.cos(theta)
+    sines = np.array([math.sin(theta), cos_t * math.sin(alpha)])
+    sin_b = math.hypot(*sines)
+    B = math.atan2(sin_b, cos_t * math.cos(alpha))
+    x = -(B / sin_b if sin_b else 1.0) * sines
+    th, al = _magnetic_angles(*x)
+    residual = max(abs(th - theta), abs(al - alpha))
+    if not residual <= ROUND_TRIP_TOL:
+        raise NoConvergence(f"round trip misses the coin angles by "
+                            f"{residual:.3e}", residual=residual)
+    jac = _magnetic_jacobian_raw(*x) * col_scale
+    return x, {"iterations": 0, "residual": residual,
+               "jacobian_cond": float(np.linalg.cond(jac))}
 
 
 def magnetic_from_coin(p: CoinParams, full_output: bool = False):
     """Invert the field encoding; requires beta = 0 and principal-branch angles.
 
-    Newton iteration on the angle residuals; ``full_output`` adds an info
-    dict with iteration count, final residual and the Jacobian condition
-    number (which blows up toward the window boundary).
+    Closed form through cos B = cos theta cos alpha; ``full_output`` adds
+    an info dict with the round-trip residual, ``iterations`` = 0 and the
+    Jacobian condition number (which blows up toward the window boundary).
     """
     if abs(p.beta) > 1e-12:
         raise OutOfWindow(f"beta = {p.beta!r} is not in the image of the "
@@ -280,27 +240,36 @@ def dirac_jacobian(d: DiracParams) -> np.ndarray:
     return jac * (d.eps, d.eps * d.a_x)
 
 
-def dirac_first_order(p: CoinParams, a_x: float, eps: float) -> tuple[float, float]:
-    """Small-eps linearized inverse (m, q) ~ (-sin theta/eps, -tan alpha/(A_x eps))."""
-    if a_x == 0.0:
-        raise ChargeUnidentifiable("A_x = 0: charge not identifiable")
-    return -math.sin(p.theta) / eps, -math.tan(p.alpha) / (a_x * eps)
-
-
-def dirac_from_coin(p: CoinParams, a_x: float, eps: float,
-                    full_output: bool = False):
-    """Newton inverse of the Dirac encoding at fixed (A_x, eps) -> (m, q).
-
-    Inverts the field map and divides the field by (eps, eps A_x).
-    """
+def _dirac_scale(a_x: float, eps: float) -> tuple[float, float]:
+    """(eps, eps A_x), the field per unit (m, q), after the gates both
+    Dirac inverses share."""
+    if not (math.isfinite(a_x) and math.isfinite(eps)):
+        raise ValueError(f"A_x and eps must be finite, got {a_x!r}, {eps!r}")
     if a_x == 0.0:
         raise ChargeUnidentifiable("A_x = 0: charge not identifiable")
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
+    if not 0.0 < abs(eps * a_x) < math.inf:
+        raise ValueError(f"eps * A_x = {eps * a_x!r} leaves the float range")
+    return eps, eps * a_x
+
+
+def dirac_first_order(p: CoinParams, a_x: float, eps: float) -> tuple[float, float]:
+    """Small-eps linearized inverse (m, q) ~ (-sin theta/eps, -tan alpha/(A_x eps))."""
+    scale = _dirac_scale(a_x, eps)
+    return -math.sin(p.theta) / scale[0], -math.tan(p.alpha) / scale[1]
+
+
+def dirac_from_coin(p: CoinParams, a_x: float, eps: float,
+                    full_output: bool = False):
+    """Inverse of the Dirac encoding at fixed (A_x, eps) -> (m, q).
+
+    Inverts the field map (closed form) and divides by (eps, eps A_x).
+    """
+    scale = _dirac_scale(a_x, eps)
     if abs(p.beta - math.pi / 2) > 1e-12:
         raise OutOfWindow(f"beta = {p.beta!r} is not in the image of the "
                           "Dirac encoding (needs beta = pi/2)")
-    scale = (eps, eps * a_x)
     x, info = _field_from_angles(p.theta, p.alpha, col_scale=scale)
     mq = (float(x[0] / scale[0]), float(x[1] / scale[1]))
     return (mq, info) if full_output else mq

@@ -13,8 +13,9 @@ passed with ``--config``; explicit command-line flags win on conflict.
 Outputs are CSV/JSON with the resolved configuration embedded, no
 timestamps, so a config reproduces its files byte for byte.
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical
-non-convergence, 4 model-level failure.
+Exit codes: 0 success, 2 configuration problem, 3 a numerical result
+that failed its own accuracy check (today only the case round trip),
+4 model-level failure.
 
 The environment variable QWF_THREADS caps BLAS/OpenMP parallelism; it
 is applied before numpy is first imported, which is why the heavy

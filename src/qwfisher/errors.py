@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: configuration problems exit
-with 2, numerical non-convergence with 3, and model-level failures
-(singular information, unidentifiable parameters, degenerate dynamics)
-with 4.
+with 2, a numerical result that failed its own accuracy check with 3,
+and model-level failures (singular information, unidentifiable
+parameters, degenerate dynamics) with 4.
 """
 
 
@@ -20,15 +20,16 @@ class QuadratureError(QwfError):
 
 
 class NoConvergence(QwfError):
-    """Iterative solve exhausted its iteration budget.
+    """A numerical result failed its own accuracy check.
 
-    Carries the last residual so callers can report how close it got.
+    Today only the case inverses raise it, when the field run back
+    through the coin map misses the coin angles by more than
+    ``cases.ROUND_TRIP_TOL``.  Carries that residual.
     """
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 class DegenerateWalk(QwfError):

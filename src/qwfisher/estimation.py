@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .walk import CoinParams, SiteWindow, WalkerState, theta_jet
+from .walk import (CoinParams, SiteWindow, WalkerState, parity_empty_rows,
+                   theta_jet)
 
 MASS_THRESHOLD = 1e-12
 # a fit has converged when no component of its step exceeds this
@@ -333,6 +334,7 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
         b[:, j] += prod.real
         b[:, j + ds.size] += prod.imag
     del phis
+    b[..., parity_empty_rows(init)] = 0.0    # p = 0 exactly, logp the floor
     phase = np.outer(alphas, ds)
     trig = np.concatenate([np.ones((alphas.size, 1)), 2.0 * np.cos(phase),
                            -2.0 * np.sin(phase)], axis=1)

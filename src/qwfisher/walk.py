@@ -453,6 +453,20 @@ class SU2Powers:
         return out
 
 
+def parity_empty_rows(init: WalkerState) -> slice:
+    """Rows of the window :meth:`SiteWindow.after` ``init`` that the walk
+    leaves exactly empty, at any t.
+
+    A step moves every site by +-1 and grows the window by one site at
+    each end, so amplitude stays on rows of its input row's parity: an
+    input on one parity leaves the other exactly empty.
+    """
+    rows = np.flatnonzero(np.any(init.amps != 0.0, axis=1))
+    if np.all(rows % 2 == rows[0] % 2):
+        return slice(1 - rows[0] % 2, None, 2)
+    return slice(0)
+
+
 def evolve_spinors(init: WalkerState, p: CoinParams, t: int):
     """(window, powers, phi): :meth:`SiteWindow.after`, the
     :class:`SU2Powers` of u(k) on its nodes and the evolved k-spinors
@@ -534,12 +548,7 @@ def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:
         # coin 1 off the two rightmost: exact zeros, not FFT rounding
         amps[:2, 0] = 0.0
         amps[-2:, 1] = 0.0
-        # a step moves every site by +-1 and grows the window by one site
-        # at each end, so amplitude stays on rows of its input row's
-        # parity: an input on one parity leaves the other exactly empty
-        rows = np.flatnonzero(np.any(s.amps != 0.0, axis=1))
-        if np.all(rows % 2 == rows[0] % 2):
-            amps[1 - rows[0] % 2::2] = 0.0
+        amps[parity_empty_rows(s)] = 0.0
     return WalkerState(origin=window.origin, amps=amps,
                        steps_elapsed=s.steps_elapsed + t)
 

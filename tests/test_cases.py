@@ -20,6 +20,17 @@ from qwfisher.cases import _w_sinc, _w_tanc
 
 from oracles import coin_dense, w_sinc_series, w_tanc_series
 
+# edge rings: fields at |b| = pi/2 - 10^-k, 64 directions each, all
+# with |b2| >= 1e-3
+EDGE_KS = range(1, 13)
+
+
+def edge_ring(k):
+    B = math.pi / 2 - 10.0 ** -k
+    phis = 2.0 * math.pi * (np.arange(64) + 0.5) / 64
+    return B * -np.sin(phis), B * np.cos(phis)
+
+
 SIGMA = [np.eye(2),
          np.array([[0, 1], [1, 0]], dtype=complex),
          np.array([[0, -1j], [1j, 0]]),
@@ -73,6 +84,16 @@ class TestMagnetic:
             assert info["iterations"] <= 8
             assert info["jacobian_cond"] >= 1.0
             n_done += 1
+
+    @pytest.mark.parametrize("k", EDGE_KS)
+    def test_round_trip_holds_up_to_the_window_edge(self, k):
+        for b2, b3 in zip(*edge_ring(k)):
+            f = MagneticField(b2=b2, b3=b3)
+            back, info = magnetic_from_coin(coin_from_magnetic(f),
+                                            full_output=True)
+            assert abs(back.b2 - b2) <= 1e-15, (b2, b3)
+            assert abs(back.b3 - b3) <= 1e-15, (b2, b3)
+            assert info["residual"] <= 1e-13
 
     def test_inverse_rejects_wrong_phase_structure(self):
         with pytest.raises(OutOfWindow, match="beta"):
@@ -179,6 +200,28 @@ class TestDirac:
             assert q_hat == pytest.approx(q, abs=1e-10)
             assert info["residual"] <= 1e-13
             n_done += 1
+
+    @pytest.mark.parametrize("k", EDGE_KS)
+    def test_round_trip_holds_up_to_the_window_edge(self, k):
+        eps, a_x = 0.1, 0.7
+        for b2, b3 in zip(*edge_ring(k)):
+            m, q = b2 / eps, b3 / (eps * a_x)
+            p = coin_from_dirac(DiracParams(m=m, q=q, a_x=a_x, eps=eps))
+            (m_hat, q_hat), info = dirac_from_coin(p, a_x, eps,
+                                                   full_output=True)
+            scale = max(abs(m), abs(q))
+            assert abs(m_hat - m) <= 1e-15 * scale, (m, q)
+            assert abs(q_hat - q) <= 1e-15 * scale, (m, q)
+            assert info["residual"] <= 1e-13
+
+    @pytest.mark.parametrize("inverse", [dirac_first_order, dirac_from_coin])
+    @pytest.mark.parametrize("a_x,eps", [
+        (math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1), (-math.inf, 0.1),
+        (1.0, math.inf), (1.0, -math.inf), (1.0, 0.0), (1.0, -0.1),
+        (1e-200, 1e-200), (1e200, 1e200)])
+    def test_inverses_refuse_bad_potential_and_step(self, inverse, a_x, eps):
+        with pytest.raises(ValueError):
+            inverse(CoinParams(0.3, 0.1, math.pi / 2), a_x, eps)
 
     def test_inverse_rejects_wrong_phase_structure(self):
         with pytest.raises(OutOfWindow, match="beta"):

@@ -116,6 +116,9 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     (["evolve", "--t", "1", "--init", "localized:10001"], 2),
     (["evolve", "--t", "1", "--init", "entangled:-9999,-9998"], 0),
     (["evolve", "--t", "1", "--init", "entangled:-10001,-10000"], 2),
+    # |b| = pi/2 - 1e-8: the closed-form inverse holds at the window edge
+    (["case", "magnetic", "--b2", "-0.95838930278208434", "--b3",
+      "1.2445445002768214"], 0),
 ])
 def test_exit_codes(workdir, capsys, argv, code):
     assert main(argv) == code
@@ -375,6 +378,10 @@ def test_out_prefix_respected(workdir):
 
 _SPECIAL = ["nan", "inf", "-inf", "-1", "0", "1e-300"]
 _floats = st.one_of(st.floats(-4.0, 4.0).map(repr), st.sampled_from(_SPECIAL))
+# case values within 10^-k of the encodings' pi/2 window edge
+_edge_floats = st.one_of(_floats, st.sampled_from(
+    [repr(s * (math.pi / 2 - 10.0 ** -k)) for s in (1, -1)
+     for k in range(1, 13)]))
 # digit-free junk keeps drawn windows small: a random
 # "entangled:0,99999999" would allocate gigabytes before any check
 _junk = st.text(alphabet="abgilmnortyz:,.-+ ()j", max_size=10)
@@ -402,8 +409,8 @@ _FLAGS = {
     "theta-list": st.one_of(_junk, st.lists(_floats, max_size=3).map(
         ",".join)),
     "t-max": st.integers(-1, 30).map(str),
-    "b2": _floats, "b3": _floats, "m": _floats, "q": _floats, "ax": _floats,
-    "eps": _floats,
+    "b2": _edge_floats, "b3": _edge_floats, "m": _edge_floats, "q": _floats,
+    "ax": _floats, "eps": _edge_floats,
     "shots": st.integers(-1, 50).map(str),
     "seed": st.integers(-2, 5).map(str),
     "grid-n": st.integers(-1, 6).map(str),

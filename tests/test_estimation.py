@@ -258,6 +258,19 @@ class TestLikelihoodTable:
         assert table.probs is table.probs           # formed once
         assert np.array_equal(table.logp, np.log(np.maximum(probs, 1e-300)))
 
+    def test_unreachable_sites_hold_the_floor_exactly(self):
+        # an input on one parity leaves the other exactly empty, so p is
+        # 0 there rather than rounding and log p is the floor itself
+        t = 30
+        table = make_likelihood_table(initial_localized(0),
+                                      CoinParams(0.7, 0.2, 0.0), t,
+                                      GridSpec(n_theta=7, n_alpha=5))
+        odd = table.sites % 2 == 1
+        assert odd.sum() == t
+        assert np.all(table.probs[..., odd] == 0.0)
+        assert np.all(table.logp[..., odd] == math.log(1e-300))
+        assert np.all(table.probs[..., ~odd] > 0.0)
+
     def test_theta_zero_row_is_a_pure_shift(self):
         # sin(theta) = 0 makes u(k) = +-1 at k = 0, -pi; the closed form
         # then takes its limit instead of dividing by zero
