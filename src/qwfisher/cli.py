@@ -651,7 +651,8 @@ def cmd_estimate(ns, echo) -> int:
                         "alpha": result.grid_alpha if alpha_known else None},
         "truth": {"theta": p_true.theta, "alpha": p_true.alpha},
         "diagnostics": {
-            "grid": {"n_theta": grid.n_theta, "n_alpha": grid.n_alpha},
+            "grid": {"n_theta": grid.n_theta, "n_alpha": grid.n_alpha,
+                     "rows_evaluated": result.rows_evaluated},
             "newton_steps": result.iterations - result.scoring_steps,
             "scoring_steps": result.scoring_steps,
             "last_step": result.last_step,

@@ -3,11 +3,13 @@
 The measurement is position-only (coin traced out).  Sampling is
 multinomial with a counter-based generator so every record is a pure
 function of (seed, config).  The likelihood over a (theta, alpha) grid
-is evaluated from a shared log-probability table; fits refine the grid
-argmax by Newton steps on the exact observed information, with Fisher
-scoring as the fall back.  One run of the closed-form engine gives p,
-its first and its second derivatives in (theta, alpha), and the table,
-the fits and the classical Fisher information all read that one model.
+is evaluated per record from a shared table of trigonometric
+coefficients, only on the theta rows whose upper bound can reach the
+maximum; fits refine the grid argmax by
+Newton steps on the exact observed information, with Fisher scoring as
+the fall back.  One run of the closed-form engine gives p, its first
+and its second derivatives in (theta, alpha), and the table, the fits
+and the classical Fisher information all read that one model.
 """
 from __future__ import annotations
 
@@ -22,8 +24,12 @@ from .walk import (CoinParams, SiteWindow, WalkerState, parity_empty_rows,
 MASS_THRESHOLD = 1e-12
 # a fit has converged when no component of its step exceeds this
 STEP_TOL = 1e-9
-# table entries per block of theta rows in make_likelihood_table (1 MiB)
-_BLOCK_ENTRIES = 2 ** 17
+# cells within this many log-likelihood units of the grid maximum count
+# as near it (the mode check)
+_NEAR_MAX = 2.0
+# largest block of theta rows the grid stage forms at once, in cells of
+# (alpha, site) (1 MiB), so no block comes near the grid's full size
+_BLOCK_CELLS = 2 ** 17
 
 
 def philox_rng(seed: int, *stream) -> np.random.Generator:
@@ -151,6 +157,35 @@ def _frequency_groups(init: WalkerState, beta: float, nodes: np.ndarray):
         -1j * nodes[:, None] * (freqs[:, None, None] - np.arange(2)))
 
 
+def _engine_inputs(init: WalkerState, beta: float, t: int):
+    """(window, freqs, spinors): what the model's engine runs need at
+    fixed (init, beta, t), the window :meth:`SiteWindow.after` and the
+    frequency groups of :func:`_frequency_groups` on its nodes."""
+    window = SiteWindow.after(init, t)
+    return (window, *_frequency_groups(init, beta, window.nodes))
+
+
+def _derivatives(theta: float, alpha: float, t: int, window: SiteWindow,
+                 freqs: np.ndarray, spinors: np.ndarray):
+    """(sites, probs, dprobs, d2probs) at (theta, alpha) from the engine
+    inputs of :func:`_engine_inputs`; see :func:`_prob_derivatives`."""
+    t = int(t)
+    phase = np.exp(-1j * alpha * freqs)
+    # chi, d_alpha chi, d2_alpha chi: (3, n, 2)
+    chis = np.tensordot(np.array([phase, -1j * freqs * phase,
+                                  -(freqs ** 2) * phase]), spinors, axes=1)
+    jet = theta_jet(theta, window.nodes, chis, t, order=2)
+    # psi, d_theta, d_alpha, d2_theta, d_theta d_alpha, d2_alpha
+    amps = window.to_sites(jet[[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]])
+    psi = amps[0]
+    dprobs = 2.0 * np.einsum("xc,mxc->mx", psi.conj(), amps[1:3]).real
+    d2probs = 2.0 * (np.einsum("mxc,mxc->mx", amps[[1, 1, 2]].conj(),
+                               amps[[1, 2, 2]])
+                     + np.einsum("xc,mxc->mx", psi.conj(), amps[3:])).real
+    return (window.sites, np.sum(psi.real ** 2 + psi.imag ** 2, axis=1),
+            dprobs, d2probs)
+
+
 def _prob_derivatives(p: CoinParams, init: WalkerState, t: int):
     """(sites, probs, dprobs, d2probs): p(x) and its exact derivatives.
 
@@ -164,23 +199,8 @@ def _prob_derivatives(p: CoinParams, init: WalkerState, t: int):
     spinor arrays to sites, where d_mu p = 2 Re conj(psi) d_mu psi and
     d_mu d_nu p = 2 Re [conj(d_mu psi) d_nu psi + conj(psi) d_mu d_nu psi].
     """
-    t = int(t)
-    window = SiteWindow.after(init, t)
-    freqs, spinors = _frequency_groups(init, p.beta, window.nodes)
-    phase = np.exp(-1j * p.alpha * freqs)
-    # chi, d_alpha chi, d2_alpha chi: (3, n, 2)
-    chis = np.tensordot(np.array([phase, -1j * freqs * phase,
-                                  -(freqs ** 2) * phase]), spinors, axes=1)
-    jet = theta_jet(p.theta, window.nodes, chis, t, order=2)
-    # psi, d_theta, d_alpha, d2_theta, d_theta d_alpha, d2_alpha
-    amps = window.to_sites(jet[[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]])
-    psi = amps[0]
-    dprobs = 2.0 * np.einsum("xc,mxc->mx", psi.conj(), amps[1:3]).real
-    d2probs = 2.0 * (np.einsum("mxc,mxc->mx", amps[[1, 1, 2]].conj(),
-                               amps[[1, 2, 2]])
-                     + np.einsum("xc,mxc->mx", psi.conj(), amps[3:])).real
-    return (window.sites, np.sum(psi.real ** 2 + psi.imag ** 2, axis=1),
-            dprobs, d2probs)
+    return _derivatives(p.theta, p.alpha, t,
+                        *_engine_inputs(init, p.beta, t))
 
 
 def _information(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -229,23 +249,27 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class LikelihoodTable:
-    """Log position probabilities over a (theta, alpha) grid, shots-independent.
+    """The (theta, alpha) position model on a grid, shots-independent.
 
-    ``logp`` (n_theta, n_alpha, n_sites) is log(max(p, 1e-300)) and the
-    only full-size array kept.  p itself stays as its two factors,
-    p = max(trig @ B, 0) with the cos/sin matrix ``trig`` (n_alpha,
-    1 + 2D) and ``B`` (n_theta, 1 + 2D, n_sites) of
-    :func:`make_likelihood_table`; :attr:`probs` forms it on first use.
+    p = max(trig @ B, 0) as its two factors: the cos/sin matrix ``trig``
+    (n_alpha, 1 + 2D) and ``B`` (n_theta, 1 + 2D, n_sites) of
+    :func:`make_likelihood_table`.  No array of the grid's full size is
+    kept: :func:`mle_fit` forms log p per record on the theta rows it
+    needs, and :attr:`probs` forms p on first use.
+    ``engine`` holds the inputs of the fits' engine runs at the table's
+    fixed (init, beta, t), from :func:`_engine_inputs`.
     """
 
     grid: GridSpec
     beta: float
     t: int
-    sites: np.ndarray
-    logp: np.ndarray
     trig: np.ndarray
     B: np.ndarray
-    init: WalkerState
+    engine: tuple
+
+    @property
+    def sites(self) -> np.ndarray:
+        return self.engine[0].sites
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -257,7 +281,8 @@ class LikelihoodTable:
 
 def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
                           grid: GridSpec | None = None) -> LikelihoodTable:
-    """Tabulate log p(x | theta, alpha) over the grid at fixed beta = p_true.beta.
+    """Tabulate p(x | theta, alpha) over the grid at fixed beta = p_true.beta
+    as the factors of a trigonometric polynomial in alpha.
 
     One-time cost shared by every record fitted against the same model.
     The coin factorises as C(theta, alpha, beta) = D(a1) R(theta) D(a2)
@@ -289,22 +314,21 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     spinors, with one inverse FFT; B takes F^2 coin-summed products,
     and p is the real product of the (n_alpha, 1 + 2D) cos/sin matrix
     with B (n_theta, 1 + 2D, width) over the D positive frequencies d
-    that occur.  The cost is O(n_theta * n_nodes * F) for the powers,
-    O(n_theta * F^2 * width) for B and O(n_theta * n_alpha * width * D)
-    for the product; t enters only through the window width.
+    that occur.  The cost is O(n_theta * n_nodes * F) for the powers
+    and O(n_theta * F^2 * width) for B; t enters only through the
+    window width.  The product itself, O(n_alpha * D) per theta row and
+    site, is left to the fits, which need it on few rows and sites.
 
-    Only the last step is table-sized.  It runs over blocks of theta
-    rows of about ``_BLOCK_ENTRIES`` entries, so a block stays in cache:
-    the product is written straight into ``logp``, then floored and
-    logged in place.  No p array and no complex array of the table's
-    size is formed; the peak is ``logp`` plus the engine's
-    O(n_theta * F * n_nodes) arrays.  The table keeps ``logp`` and the
-    two factors, from which :attr:`LikelihoodTable.probs` rebuilds p.
+    The table keeps the two factors and the engine inputs, nothing of
+    the grid's full size; the peak is the engine's O(n_theta * F *
+    n_nodes) arrays.  Each fit forms its own log-likelihood from them
+    (:func:`_grid_loglik`).
     """
     grid = grid or GridSpec()
     thetas, alphas = grid.axes()
     t = int(t)
-    window = SiteWindow.after(init, t)
+    engine = _engine_inputs(init, p_true.beta, t)
+    window, freqs, spinors = engine
     # sin^2 om = 1 - cos^2 theta cos^2 (k - alpha) on every cell and node,
     # smallest at the largest cos^2 theta and cos^2 (k - alpha)
     sin2_k = np.min(np.sin(window.nodes[:, None] - alphas[None, :]) ** 2)
@@ -313,11 +337,8 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
         raise ValueError("grid touches a degenerate quasi-energy; "
                          "shrink the box or step explicitly")
 
-    # chi_f(k): (F, n_nodes, 2)
-    freqs, spinors = _frequency_groups(init, p_true.beta, window.nodes)
     # Phi_f for all thetas: (n_theta, F, width, 2); the engine's arrays
-    # go as soon as they are used, since the peak is logp plus whatever
-    # is alive while it is written
+    # go as soon as they are used, since they set the peak
     phis = window.to_sites(
         theta_jet(thetas[:, None, None], window.nodes, spinors, t)[0])
 
@@ -334,23 +355,68 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
         b[:, j] += prod.real
         b[:, j + ds.size] += prod.imag
     del phis
-    b[..., parity_empty_rows(init)] = 0.0    # p = 0 exactly, logp the floor
+    b[..., parity_empty_rows(init)] = 0.0    # p = 0 exactly, log p the floor
     phase = np.outer(alphas, ds)
     trig = np.concatenate([np.ones((alphas.size, 1)), 2.0 * np.cos(phase),
                            -2.0 * np.sin(phase)], axis=1)
+    return LikelihoodTable(grid=grid, beta=p_true.beta, t=t, trig=trig,
+                           B=b, engine=engine)
 
-    # log(max(p, 1e-300)) block by block in place; max(max(p, 0), 1e-300)
-    # is max(p, 1e-300), so the floor at 0 that probs applies is implied
-    logp = np.empty((thetas.size, alphas.size, window.width))
-    per_block = max(1, _BLOCK_ENTRIES // logp[0].size)
-    for lo in range(0, thetas.size, per_block):
-        block = logp[lo:lo + per_block]
-        np.matmul(trig, b[lo:lo + per_block], out=block)
+
+def _grid_loglik(table: LikelihoodTable, counts: np.ndarray):
+    """(loglik (n_theta, n_alpha), rows evaluated) for one count vector.
+
+    loglik = log max(p, 1e-300) @ counts on the theta rows that can hold
+    a cell within ``_NEAR_MAX`` of the grid maximum, each row formed
+    from the two factors on its own; every other row is -inf.  Since
+    |2 Re(e^{i alpha d} B_d)| <= 2 |B_d|, each row is bounded above by
+
+        U(theta) = sum_x n_x log max(B_0 + 2 sum_d |B_d|, 1e-300),
+
+    a sum over the counted sites alone.  Rows are evaluated in blocks of
+    doubling size (up to ``_BLOCK_CELLS``) in order of falling U, until
+    the next U, plus a rounding margin of 1e-9 of the sums' scale
+    (shots + |max|), lies more than ``_NEAR_MAX`` below the running
+    maximum: no later row can then reach the mask of :func:`mle_fit`,
+    so its argmax, mask and flood fill are those of the full grid.  The
+    rows next to the argmax row are evaluated as well, for the
+    parabolic start.
+    """
+    seen = counts > 0
+    n = counts[seen]
+    b = table.B[:, :, seen]
+    n_d = (b.shape[1] - 1) // 2
+    bound = b[:, 0] + 2.0 * np.hypot(b[:, 1:1 + n_d],
+                                     b[:, 1 + n_d:]).sum(axis=1)
+    upper = np.log(np.maximum(bound, 1e-300)) @ n
+    order = np.argsort(-upper, kind="stable")
+    loglik = np.full((b.shape[0], table.trig.shape[0]), -np.inf)
+    done = np.zeros(b.shape[0], dtype=bool)
+
+    def evaluate(rows):
+        # whole rows, counted sites or not: the same cells, to the last
+        # bit, as the product over the whole grid
+        block = np.matmul(table.trig, table.B[rows])
         np.maximum(block, 1e-300, out=block)
         np.log(block, out=block)
-    return LikelihoodTable(grid=grid, beta=p_true.beta, t=t,
-                           sites=window.sites, logp=logp,
-                           trig=trig, B=b, init=init)
+        loglik[rows] = block @ counts
+        done[rows] = True
+
+    largest = max(1, _BLOCK_CELLS // table.trig.shape[0] // table.B.shape[2])
+    lo, size, best = 0, 1, -np.inf
+    while lo < order.size:
+        rows = order[lo:lo + size]
+        evaluate(rows)
+        lo += size
+        size = min(2 * size, largest)
+        best = max(best, float(loglik[rows].max()))
+        margin = 1e-9 * (float(n.sum()) + abs(best))
+        if lo < order.size and upper[order[lo]] + margin < best - _NEAR_MAX:
+            break
+    it = int(np.argmax(loglik)) // loglik.shape[1]
+    near = np.arange(max(it - 1, 0), min(it + 2, b.shape[0]))
+    evaluate(near[~done[near]])
+    return loglik, int(done.sum())
 
 
 def _connected_from_argmax(mask: np.ndarray, start) -> np.ndarray:
@@ -386,7 +452,8 @@ class MLEResult:
     the last step taken (inf if none was) and ``score_norm`` the norm of
     the log-likelihood gradient at the returned point.  ``on_edge``
     names the parameters the last step held on an edge of the grid box
-    because their step pointed out of it.
+    because their step pointed out of it.  ``rows_evaluated`` counts the
+    theta rows of the grid the grid stage formed (:func:`_grid_loglik`).
     """
 
     theta: float
@@ -402,6 +469,7 @@ class MLEResult:
     last_step: float
     score_norm: float
     on_edge: tuple
+    rows_evaluated: int
 
 
 def _parabolic_vertex(axis: np.ndarray, values: np.ndarray, i: int) -> float:
@@ -441,7 +509,8 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
             max_refine: int = 12) -> MLEResult:
     """Maximum-likelihood (theta, alpha) from position counts.
 
-    Grid search over a shared probability table, a connectivity
+    Grid search over the shared table (:func:`_grid_loglik`, which forms
+    only the theta rows that can reach the maximum), a connectivity
     diagnostic for secondary modes (cells within 2 log-likelihood units
     of the maximum that do not touch the main one), then at most
     ``max_refine`` Newton steps from the parabolic vertex of the grid
@@ -467,12 +536,12 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     if rec.t != table.t:
         raise ValueError(f"record t={rec.t} disagrees with the table t={table.t}")
     counts = rec.count_vector(table.sites)
-    loglik = table.logp @ counts
+    loglik, rows_evaluated = _grid_loglik(table, counts)
     flat_idx = int(np.argmax(loglik))
     it, ia = np.unravel_index(flat_idx, loglik.shape)
     thetas, alphas = table.grid.axes()
     th_hat, al_hat = float(thetas[it]), float(alphas[ia])
-    mask = loglik >= loglik[it, ia] - 2.0
+    mask = loglik >= loglik[it, ia] - _NEAR_MAX
     reached = _connected_from_argmax(mask, (it, ia))
     multimodal = bool(mask.sum() - reached.sum() > 0)
 
@@ -487,8 +556,8 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     last_step = np.inf
     held = np.zeros(2, dtype=bool)
     while True:
-        pt = CoinParams(theta=x[0], alpha=x[1], beta=table.beta)
-        _, probs, dprobs, d2probs = _prob_derivatives(pt, table.init, table.t)
+        _, probs, dprobs, d2probs = _derivatives(x[0], x[1], table.t,
+                                                 *table.engine)
         live = probs > MASS_THRESHOLD
         n = counts[live]
         g = dprobs[:, live] / probs[live]
@@ -538,4 +607,5 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
                      scoring_steps=scoring_steps, last_step=last_step,
                      score_norm=float(np.linalg.norm(score)),
                      on_edge=tuple(name for name, h in
-                                   zip(("theta", "alpha"), held) if h))
+                                   zip(("theta", "alpha"), held) if h),
+                     rows_evaluated=rows_evaluated)

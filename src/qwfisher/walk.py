@@ -244,7 +244,10 @@ def initial_gamma(gamma: float) -> WalkerState:
     Coin Bloch vector (cos gamma, sin gamma, 0): the equatorial family
     used throughout the localized-input closed forms.
     """
-    chi = np.array([1.0, np.exp(1j * float(gamma))]) / np.sqrt(2.0)
+    gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
+    chi = np.array([1.0, np.exp(1j * gamma)]) / np.sqrt(2.0)
     return WalkerState(origin=0, amps=chi[None, :])
 
 

@@ -270,6 +270,41 @@ def test_case_magnetic_report(workdir, capsys):
     assert len(rows) == 4
 
 
+def test_non_finite_gamma_is_named(workdir, capsys):
+    # gamma is checked before e^{i gamma} is formed: no numpy warning and
+    # no norm error downstream
+    assert main(["evolve", "--t", "3", "--init", "gamma:inf"]) == 2
+    err = capsys.readouterr().err
+    assert "gamma must be finite, got inf" in err
+    assert "norm" not in err
+
+
+@pytest.mark.parametrize("k", [1, 6, 12])
+def test_case_round_trips_at_the_window_edge(workdir, capsys, k):
+    # fields at |B| = pi/2 - 10^-k through qwf.main, in both encodings,
+    # recovered within the property tests' tolerances
+    big = math.pi / 2 - 10.0 ** -k
+    eps, a_x = 0.1, 0.7
+    for phi in (0.3, 1.0, 2.5):
+        b2, b3 = -big * math.sin(phi), big * math.cos(phi)
+        assert main(["case", "magnetic", "--b2", repr(b2), "--b3", repr(b3),
+                     "--t", "50"]) == 0
+        trip = read_json(workdir / "qwf_case_magnetic_report.json")[
+            "round_trip"]
+        assert trip["b2"]["abs_err"] <= 1e-15
+        assert trip["b3"]["abs_err"] <= 1e-15
+        m, q = b2 / eps, b3 / (eps * a_x)
+        assert main(["case", "dirac", "--m", repr(m), "--q", repr(q),
+                     "--ax", repr(a_x), "--eps", repr(eps),
+                     "--t", "50"]) == 0
+        trip = read_json(workdir / "qwf_case_dirac_report.json")[
+            "round_trip"]
+        scale = max(abs(m), abs(q))
+        assert trip["m"]["abs_err"] <= 1e-15 * scale
+        assert trip["q"]["abs_err"] <= 1e-15 * scale
+    assert "error" not in capsys.readouterr().err
+
+
 def test_case_dirac_first_order(workdir):
     assert main(["case", "dirac", "--m", "1.2", "--q", "0.7", "--ax", "1.0",
                  "--eps", "0.01", "--t", "50"]) == 0
@@ -320,7 +355,8 @@ def test_estimate_diagnostics_and_box_warnings(workdir, capsys):
     assert "grid-box edge" not in out and "outside the grid box" not in out
     result = read_json(workdir / "qwf_estimate_result.json")
     diag = result["diagnostics"]
-    assert diag["grid"] == {"n_theta": 60, "n_alpha": 60}
+    assert diag["grid"] == {"n_theta": 60, "n_alpha": 60,
+                            "rows_evaluated": 4}
     assert diag["newton_steps"] + diag["scoring_steps"] \
         == result["iterations"]
     assert result["converged"] and diag["last_step"] < 1e-9

@@ -11,8 +11,8 @@ from qwfisher import (CoinParams, GridSpec, MeasurementRecord, WalkerState,
                       classical_fi, evolve, initial_entangled, initial_gamma,
                       initial_localized, make_likelihood_table, mle_fit,
                       philox_rng, position_distribution, qfim_exact, sample)
-from qwfisher.estimation import (_BLOCK_ENTRIES, MASS_THRESHOLD,
-                                 PositionDistribution, _connected_from_argmax,
+from qwfisher.estimation import (MASS_THRESHOLD, PositionDistribution,
+                                 _connected_from_argmax, _grid_loglik,
                                  _prob_derivatives)
 from qwfisher.walk import SU2Powers
 
@@ -27,20 +27,36 @@ def random_amps(n_sites, seed):
     return amps / np.linalg.norm(amps)
 
 
-def assert_rows_match_direct_evolution(table, init, p_true, t):
-    """Every (theta, alpha) cell of p and of exp(logp) against its own evolution."""
+def direct_probs(table, init, p_true, t):
+    """p over the table's grid and sites, one evolution per cell."""
     thetas, alphas = table.grid.axes()
     lookup = {int(x): i for i, x in enumerate(table.sites)}
-    from_log = np.exp(table.logp)
+    direct = np.zeros((thetas.size, alphas.size, table.sites.size))
     for it, th in enumerate(thetas):
         for ia, al in enumerate(alphas):
             pd = position_distribution(evolve(
                 init, CoinParams(th, al, p_true.beta), t))
-            direct = np.zeros(table.sites.size)
             for x, pr in zip(pd.sites, pd.probs):
-                direct[lookup[int(x)]] = pr
-            assert np.abs(table.probs[it, ia] - direct).max() <= 1e-10
-            assert np.abs(from_log[it, ia] - direct).max() <= 1e-10
+                direct[it, ia, lookup[int(x)]] = pr
+    return direct
+
+
+def assert_rows_match_direct_evolution(table, init, p_true, t):
+    """Every (theta, alpha) cell of p, and of exp of the grid stage's log
+    p for a one-count record on each site, against its own evolution.
+
+    A row the grid stage skips for a one-count record must hold no cell
+    within e^-2 of that site's largest p on the grid.
+    """
+    direct = direct_probs(table, init, p_true, t)
+    assert np.abs(table.probs - direct).max() <= 1e-10
+    for x in range(table.sites.size):
+        loglik, _ = _grid_loglik(table, np.eye(table.sites.size)[x])
+        done = np.isfinite(loglik[:, 0])
+        assert np.abs(np.exp(loglik[done]) - direct[done, :, x]).max() \
+            <= 1e-10
+        assert np.all(direct[~done, :, x]
+                      <= math.exp(-2.0) * direct[..., x].max() + 1e-10)
 
 
 def integer_counts(dist, shots):
@@ -231,18 +247,28 @@ class TestLikelihoodTable:
         assert_rows_match_direct_evolution(
             make_likelihood_table(init, p_true, t, grid), init, p_true, t)
 
-    def test_rows_across_theta_blocks_match_direct_evolution(self):
-        # the other direct-evolution grids fit in one block of theta
-        # rows; this one spans three, and the last one is partial
-        init, p_true, t, n_alpha = initial_gamma(0.9), \
-            CoinParams(0.7, 0.2, 0.4), 500, 64
-        per_block = _BLOCK_ENTRIES // (n_alpha * (init.n_sites + 2 * t))
-        assert per_block >= 2
-        grid = GridSpec(theta_min=0.5, theta_max=0.9, alpha_min=-0.2,
-                        alpha_max=0.6, n_theta=2 * per_block + 1,
-                        n_alpha=n_alpha)
-        table = make_likelihood_table(init, p_true, t, grid)
-        assert_rows_match_direct_evolution(table, init, p_true, t)
+    def test_multimodal_record_rows_match_direct_evolution(self):
+        # a 100-shot record with two modes: the grid stage forms 15 of
+        # the 41 theta rows, over four blocks, and each formed row is
+        # the record's log-likelihood from its own evolutions
+        init, p_true, t = initial_gamma(0.6), CoinParams(0.5, 0.3, 0.4), 8
+        table = make_likelihood_table(init, p_true, t,
+                                      GridSpec(n_theta=41, n_alpha=33))
+        rec = sample(position_distribution(evolve(init, p_true, t)), 100,
+                     seed=2)
+        res = mle_fit(rec, table=table)
+        assert res.multimodal
+        assert res.rows_evaluated == 15
+        counts = rec.count_vector(table.sites)
+        loglik, rows = _grid_loglik(table, counts)
+        done = np.isfinite(loglik[:, 0])
+        assert rows == done.sum() == res.rows_evaluated
+        seen = counts > 0
+        direct = np.log(direct_probs(table, init, p_true, t)[..., seen]) \
+            @ counts[seen]
+        assert np.abs(loglik[done] - direct[done]).max() \
+            <= 1e-10 * np.abs(direct).max()
+        assert direct[~done].max() < direct.max() - 2.0
 
     @pytest.mark.parametrize("init,p_true,t,grid", [
         (initial_entangled(0, 1), CoinParams(math.pi / 4, 0.0, 0.0), 50,
@@ -252,11 +278,19 @@ class TestLikelihoodTable:
     ], ids=["default", "random-9-sites"])
     def test_probs_and_logp_are_bitwise_the_whole_grid_formula(
             self, init, p_true, t, grid):
+        # the grid stage forms its rows one block at a time; each formed
+        # cell is the whole-grid log-likelihood to the last bit
         table = make_likelihood_table(init, p_true, t, grid)
         probs = table_probs(table.trig, table.B)
         assert np.array_equal(table.probs, probs)
         assert table.probs is table.probs           # formed once
-        assert np.array_equal(table.logp, np.log(np.maximum(probs, 1e-300)))
+        logp = np.log(np.maximum(probs, 1e-300))
+        dist = position_distribution(evolve(init, p_true, t))
+        for shots in (10, 1000, 100_000):
+            counts = sample(dist, shots, seed=4).count_vector(table.sites)
+            loglik, _ = _grid_loglik(table, counts)
+            done = np.isfinite(loglik[:, 0])
+            assert np.array_equal(loglik[done], (logp @ counts)[done])
 
     def test_unreachable_sites_hold_the_floor_exactly(self):
         # an input on one parity leaves the other exactly empty, so p is
@@ -268,8 +302,13 @@ class TestLikelihoodTable:
         odd = table.sites % 2 == 1
         assert odd.sum() == t
         assert np.all(table.probs[..., odd] == 0.0)
-        assert np.all(table.logp[..., odd] == math.log(1e-300))
         assert np.all(table.probs[..., ~odd] > 0.0)
+        # one count on an odd site: every row is bounded by the floor and
+        # reaches it, so the grid stage forms all of them
+        for x in np.flatnonzero(odd):
+            loglik, rows = _grid_loglik(table, np.eye(table.sites.size)[x])
+            assert rows == 7
+            assert np.all(loglik == math.log(1e-300))
 
     def test_theta_zero_row_is_a_pure_shift(self):
         # sin(theta) = 0 makes u(k) = +-1 at k = 0, -pi; the closed form
@@ -308,18 +347,37 @@ class TestLikelihoodTable:
                     / p_ref[big]
                 assert rel.max() <= 1e-10
 
-    def test_default_table_memory_is_its_log_array(self):
-        # the table keeps logp and two small factors; building it may
-        # add only working arrays much smaller than logp
+    def test_default_table_build_peak_is_small(self):
+        # the table keeps two small factors and the engine inputs; no
+        # array of the grid's full size (31 MiB here) is formed
         init = initial_entangled(0, 1)
         tracemalloc.start()
         try:
-            table = make_likelihood_table(
-                init, CoinParams(math.pi / 4, 0.0, 0.0), 50)
+            make_likelihood_table(init, CoinParams(math.pi / 4, 0.0, 0.0), 50)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= table.logp.nbytes + 16 * 2**20
+        assert peak <= 16 * 2**20
+
+    def test_grid_stage_forms_rows_in_bounded_blocks(self):
+        # the bound prunes little for this input, so the grid stage forms
+        # many rows; its blocks stay within 1 MiB (3 rows here) instead
+        # of doubling towards the grid's full size (33 MB)
+        init = WalkerState(origin=-4, amps=random_amps(9, seed=5))
+        p_true, t = CoinParams(0.7, 0.2, -0.9), 100
+        table = make_likelihood_table(init, p_true, t,
+                                      GridSpec(n_theta=100, n_alpha=200))
+        rec = sample(position_distribution(evolve(init, p_true, t)), 1000,
+                     seed=1)
+        counts = rec.count_vector(table.sites)
+        tracemalloc.start()
+        try:
+            _, rows = _grid_loglik(table, counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows >= 30
+        assert peak <= table.B.nbytes + 2 * 2**20
 
     def test_degenerate_grid_rejected(self):
         # the box has to reach a flat quasi-energy: theta ~ 0 with alpha
@@ -335,6 +393,53 @@ class TestLikelihoodTable:
             GridSpec(theta_min=1.0, theta_max=0.5)
         with pytest.raises(ValueError, match="2 points"):
             GridSpec(n_theta=1)
+
+
+PRUNING_INPUTS = {
+    "localized": (initial_localized(0, spinor=np.array([0.6, 0.8j])),
+                  CoinParams(0.7, 0.2, -1.1)),
+    "gamma": (initial_gamma(0.6), CoinParams(math.pi / 4, 0.3, 0.4)),
+    "entangled": (initial_entangled(0, 1),
+                  CoinParams(math.pi / 4, 0.0, 0.0)),
+    "random-9-sites": (WalkerState(origin=-4, amps=random_amps(9, seed=5)),
+                       CoinParams(0.7, 0.2, -0.9)),
+}
+
+
+@pytest.mark.parametrize("name", PRUNING_INPUTS)
+def test_pruned_grid_is_the_full_grid_near_its_maximum(name):
+    # the grid stage skips theta rows by an upper bound; near the maximum
+    # it must see what log(max(probs, 1e-300)) @ counts over the whole
+    # grid sees, at every shot level
+    init, p_true = PRUNING_INPUTS[name]
+    t = 20
+    table = make_likelihood_table(init, p_true, t,
+                                  GridSpec(n_theta=60, n_alpha=40))
+    logp = np.log(np.maximum(table.probs, 1e-300))
+    dist = position_distribution(evolve(init, p_true, t))
+    skipped = 0
+    for shots in (10, 100, 1000, 10_000, 100_000):
+        for seed in range(3):
+            rec = sample(dist, shots, seed, stream=(shots,))
+            counts = rec.count_vector(table.sites)
+            full = logp @ counts
+            loglik, rows = _grid_loglik(table, counts)
+            done = np.isfinite(loglik[:, 0])
+            assert rows == done.sum()
+            skipped += np.count_nonzero(~done)
+            assert np.abs(loglik[done] - full[done]).max() \
+                <= 1e-12 * np.abs(full[done]).max()
+            top = full.max()
+            assert np.all(full[~done] < top - 2.0)
+            start = np.unravel_index(np.argmax(full), full.shape)
+            assert np.argmax(loglik) == np.argmax(full)
+            mask = full >= top - 2.0
+            assert np.array_equal(loglik >= loglik.max() - 2.0, mask)
+            res = mle_fit(rec, table=table)
+            assert res.rows_evaluated == rows
+            assert res.multimodal == bool(
+                mask.sum() > _connected_from_argmax(mask, start).sum())
+    assert skipped > 0
 
 
 class TestMLE:
@@ -452,7 +557,7 @@ class TestMLE:
         with pytest.raises(ValueError, match="disagrees"):
             mle_fit(other, table=table)
 
-    def test_stored_log_table_gives_the_loglik(self):
+    def test_grid_loglik_is_the_log_of_the_table_probs(self):
         p_true = CoinParams(0.7, 0.1, 0.0)
         init = initial_gamma(0.5)
         table = make_likelihood_table(
@@ -463,8 +568,12 @@ class TestMLE:
         counts = rec.count_vector(table.sites)
         observed = counts > 0
         fresh = np.log(table.probs[:, :, observed]) @ counts[observed]
-        assert np.abs(table.logp @ counts - fresh).max() \
+        loglik, rows = _grid_loglik(table, counts)
+        done = np.isfinite(loglik[:, 0])
+        assert rows == done.sum() >= 3
+        assert np.abs(loglik[done] - fresh[done]).max() \
             <= 1e-12 * np.abs(fresh).max()
+        assert fresh[~done].max(initial=-np.inf) < fresh.max() - 2.0
 
     def test_connectivity_diagnostic(self):
         mask = np.zeros((6, 6), dtype=bool)
@@ -511,8 +620,8 @@ class TestNewtonFit:
         res = mle_fit(rec, table=table)
         thetas = table.grid.axes()[0]
         assert res.converged
-        assert res.loglik >= np.max(table.logp @ rec.count_vector(
-            table.sites)) - 1e-9
+        assert res.loglik >= np.max(np.log(np.maximum(table.probs, 1e-300))
+                                    @ rec.count_vector(table.sites)) - 1e-9
         assert abs(res.theta - res.grid_theta) <= thetas[1] - thetas[0]
 
     def test_indefinite_observed_information_falls_back_to_scoring(

@@ -198,6 +198,13 @@ def test_gamma_state_bloch_vector():
     assert np.allclose(r, [math.cos(g), math.sin(g), 0.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("g", [math.inf, -math.inf, math.nan])
+def test_gamma_state_rejects_non_finite_gamma(g):
+    # named before e^{i gamma} is formed, so numpy never warns
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        initial_gamma(g)
+
+
 def test_localized_spinor_validation():
     with pytest.raises(ValueError):
         initial_localized(0, spinor=np.array([1.0, 1.0]))
