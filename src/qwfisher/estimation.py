@@ -13,6 +13,8 @@ and the classical Fisher information all read that one model.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +32,10 @@ _NEAR_MAX = 2.0
 # largest block of theta rows the grid stage forms at once, in cells of
 # (alpha, site) (1 MiB), so no block comes near the grid's full size
 _BLOCK_CELLS = 2 ** 17
+# node-spinors the table build runs the engine on at once: it takes
+# blocks of max(1, _BLOCK_SPINORS // (F * n_nodes)) theta rows, so its
+# temporaries stay near 2**14 spinors (512 KiB per array) at any t
+_BLOCK_SPINORS = 2 ** 14
 
 
 def philox_rng(seed: int, *stream) -> np.random.Generator:
@@ -255,9 +261,13 @@ class LikelihoodTable:
     (n_alpha, 1 + 2D) and ``B`` (n_theta, 1 + 2D, n_sites) of
     :func:`make_likelihood_table`.  No array of the grid's full size is
     kept: :func:`mle_fit` forms log p per record on the theta rows it
-    needs, and :attr:`probs` forms p on first use.
-    ``engine`` holds the inputs of the fits' engine runs at the table's
-    fixed (init, beta, t), from :func:`_engine_inputs`.
+    needs, and :attr:`probs` forms p on first use.  ``log_bound``
+    (n_theta, n_sites) is log max(B_0 + 2 sum_d |B_d|, 1e-300), the
+    per-site upper bound on log p over alpha that :func:`_grid_loglik`
+    prunes theta rows by.  ``engine`` holds the inputs of the fits'
+    engine runs at the table's fixed (init, beta, t), from
+    :func:`_engine_inputs`.  Building it peaks at B plus one block of
+    theta rows of the engine (see :func:`make_likelihood_table`).
     """
 
     grid: GridSpec
@@ -265,6 +275,7 @@ class LikelihoodTable:
     t: int
     trig: np.ndarray
     B: np.ndarray
+    log_bound: np.ndarray
     engine: tuple
 
     @property
@@ -319,48 +330,66 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     window width.  The product itself, O(n_alpha * D) per theta row and
     site, is left to the fits, which need it on few rows and sites.
 
-    The table keeps the two factors and the engine inputs, nothing of
-    the grid's full size; the peak is the engine's O(n_theta * F *
-    n_nodes) arrays.  Each fit forms its own log-likelihood from them
-    (:func:`_grid_loglik`).
+    The engine, the FFT and the products run on blocks of theta rows,
+    max(1, ``_BLOCK_SPINORS`` // (F * n_nodes)) at a time (32 rows for
+    the entangled input at t = 50, 2 at t = 1000), and each block writes
+    its rows of B and of the row bound ``log_bound`` in place.  Every
+    row takes the same FFT and elementwise products whatever the block
+    height, so B does not depend on it to the last bit, and the build
+    peaks at B plus one block's O(_BLOCK_SPINORS) arrays.  The table
+    keeps the two factors, the bound and the engine inputs, nothing of
+    the grid's full size.  Each fit forms its own log-likelihood from
+    them (:func:`_grid_loglik`).
+
+    The theta box must keep |sin theta| >= 1e-12, the gate of
+    :class:`walk.CoinParams`: the fits can reach any theta of the box,
+    and at sin theta = 0 the coin does not mix.
     """
     grid = grid or GridSpec()
+    lo, hi = grid.theta_min, grid.theta_max
+    # |sin theta| on the box is 0 at a multiple of pi inside it and else
+    # smallest at an end; below the CoinParams gate the coin does not mix
+    if (math.ceil(lo / math.pi) * math.pi <= hi
+            or min(abs(math.sin(lo)), abs(math.sin(hi))) < 1e-12):
+        raise ValueError("grid touches a degenerate quasi-energy; "
+                         "shrink the box or step explicitly")
     thetas, alphas = grid.axes()
     t = int(t)
     engine = _engine_inputs(init, p_true.beta, t)
     window, freqs, spinors = engine
-    # sin^2 om = 1 - cos^2 theta cos^2 (k - alpha) on every cell and node,
-    # smallest at the largest cos^2 theta and cos^2 (k - alpha)
-    sin2_k = np.min(np.sin(window.nodes[:, None] - alphas[None, :]) ** 2)
-    sin2_omega = np.sin(thetas) ** 2 + np.cos(thetas) ** 2 * sin2_k
-    if np.sqrt(np.min(sin2_omega)) < 1e-6:
-        raise ValueError("grid touches a degenerate quasi-energy; "
-                         "shrink the box or step explicitly")
-
-    # Phi_f for all thetas: (n_theta, F, width, 2); the engine's arrays
-    # go as soon as they are used, since they set the peak
-    phis = window.to_sites(
-        theta_jet(thetas[:, None, None], window.nodes, spinors, t)[0])
 
     # B_d for d = 0 and each positive difference d = f' - f that occurs
     diffs = freqs[:, None] - freqs[None, :]
     occurs = np.zeros(init.n_sites + 1, dtype=bool)
     occurs[diffs[diffs > 0]] = True
     ds = np.flatnonzero(occurs)
-    b = np.zeros((thetas.size, 1 + 2 * ds.size, window.width))
-    b[:, 0] = np.sum(phis.real ** 2 + phis.imag ** 2, axis=(1, 3))
-    for f1, f in zip(*np.nonzero(diffs > 0)):
-        prod = np.sum(phis[:, f1].conj() * phis[:, f], axis=-1)
-        j = 1 + np.searchsorted(ds, diffs[f1, f])
-        b[:, j] += prod.real
-        b[:, j + ds.size] += prod.imag
-    del phis
-    b[..., parity_empty_rows(init)] = 0.0    # p = 0 exactly, log p the floor
+    n_d = ds.size
+    pairs = [(f1, f, 1 + np.searchsorted(ds, diffs[f1, f]))
+             for f1, f in zip(*np.nonzero(diffs > 0))]
+    b = np.zeros((thetas.size, 1 + 2 * n_d, window.width))
+    log_bound = np.empty((thetas.size, window.width))
+    empty = parity_empty_rows(init)
+    height = max(1, _BLOCK_SPINORS // (freqs.size * window.nodes.size))
+    for start in range(0, thetas.size, height):
+        rows = slice(start, start + height)
+        # Phi_f on this block's thetas: (rows, F, width, 2)
+        phis = window.to_sites(theta_jet(thetas[rows, None, None],
+                                         window.nodes, spinors, t)[0])
+        block = b[rows]
+        block[:, 0] = np.sum(phis.real ** 2 + phis.imag ** 2, axis=(1, 3))
+        for f1, f, j in pairs:
+            prod = np.sum(phis[:, f1].conj() * phis[:, f], axis=-1)
+            block[:, j] += prod.real
+            block[:, j + n_d] += prod.imag
+        block[..., empty] = 0.0         # p = 0 exactly, log p the floor
+        bound = block[:, 0] + 2.0 * np.hypot(block[:, 1:1 + n_d],
+                                             block[:, 1 + n_d:]).sum(axis=1)
+        log_bound[rows] = np.log(np.maximum(bound, 1e-300))
     phase = np.outer(alphas, ds)
     trig = np.concatenate([np.ones((alphas.size, 1)), 2.0 * np.cos(phase),
                            -2.0 * np.sin(phase)], axis=1)
     return LikelihoodTable(grid=grid, beta=p_true.beta, t=t, trig=trig,
-                           B=b, engine=engine)
+                           B=b, log_bound=log_bound, engine=engine)
 
 
 def _grid_loglik(table: LikelihoodTable, counts: np.ndarray):
@@ -373,25 +402,22 @@ def _grid_loglik(table: LikelihoodTable, counts: np.ndarray):
 
         U(theta) = sum_x n_x log max(B_0 + 2 sum_d |B_d|, 1e-300),
 
-    a sum over the counted sites alone.  Rows are evaluated in blocks of
-    doubling size (up to ``_BLOCK_CELLS``) in order of falling U, until
-    the next U, plus a rounding margin of 1e-9 of the sums' scale
-    (shots + |max|), lies more than ``_NEAR_MAX`` below the running
-    maximum: no later row can then reach the mask of :func:`mle_fit`,
-    so its argmax, mask and flood fill are those of the full grid.  The
-    rows next to the argmax row are evaluated as well, for the
-    parabolic start.
+    a sum of the table's ``log_bound`` over the counted sites alone.
+    Rows are evaluated in blocks of doubling size (up to
+    ``_BLOCK_CELLS``) in order of falling U, until the next U, plus a
+    rounding margin of 1e-9 of the sums' scale (shots + |max|), lies
+    more than ``_NEAR_MAX`` below the running maximum: no later row can
+    then reach the mask of :func:`mle_fit`, so its argmax, mask and
+    flood fill are those of the full grid.  The rows next to the argmax
+    row are evaluated as well, for the parabolic start.
     """
     seen = counts > 0
     n = counts[seen]
-    b = table.B[:, :, seen]
-    n_d = (b.shape[1] - 1) // 2
-    bound = b[:, 0] + 2.0 * np.hypot(b[:, 1:1 + n_d],
-                                     b[:, 1 + n_d:]).sum(axis=1)
-    upper = np.log(np.maximum(bound, 1e-300)) @ n
+    upper = table.log_bound[:, seen] @ n
     order = np.argsort(-upper, kind="stable")
-    loglik = np.full((b.shape[0], table.trig.shape[0]), -np.inf)
-    done = np.zeros(b.shape[0], dtype=bool)
+    n_theta = table.B.shape[0]
+    loglik = np.full((n_theta, table.trig.shape[0]), -np.inf)
+    done = np.zeros(n_theta, dtype=bool)
 
     def evaluate(rows):
         # whole rows, counted sites or not: the same cells, to the last
@@ -414,7 +440,7 @@ def _grid_loglik(table: LikelihoodTable, counts: np.ndarray):
         if lo < order.size and upper[order[lo]] + margin < best - _NEAR_MAX:
             break
     it = int(np.argmax(loglik)) // loglik.shape[1]
-    near = np.arange(max(it - 1, 0), min(it + 2, b.shape[0]))
+    near = np.arange(max(it - 1, 0), min(it + 2, n_theta))
     evaluate(near[~done[near]])
     return loglik, int(done.sum())
 
@@ -422,24 +448,44 @@ def _grid_loglik(table: LikelihoodTable, counts: np.ndarray):
 def _connected_from_argmax(mask: np.ndarray, start) -> np.ndarray:
     """Cells of ``mask`` reachable 4-connectedly from ``start``.
 
-    A stack flood fill over the set of mask cells: each cell is taken
-    out of the set when it is reached, so the work is O(mask).
+    A flood fill over the runs of consecutive mask cells in each row: a
+    run reaches the runs of the rows next to it that share a column
+    with it, found by bisection, so the work is O(cells) in numpy to
+    find the runs and O(runs log runs) in Python to connect them.
     """
     reached = np.zeros_like(mask)
-    unvisited = set(zip(*(ix.tolist() for ix in np.nonzero(mask))))
-    start = (int(start[0]), int(start[1]))
-    if start not in unvisited:
+    i0, j0 = int(start[0]), int(start[1])
+    if not mask[i0, j0]:
         return reached
-    unvisited.remove(start)
-    stack, cells = [start], [start]
+    n_rows, n_cols = mask.shape
+    # each row framed by empty cells, so no run crosses into the next
+    framed = np.zeros((n_rows, n_cols + 2), dtype=bool)
+    framed[:, 1:-1] = mask
+    cells = framed.ravel()
+    # run r covers columns run_lo[r] .. run_hi[r] - 1 of row run_row[r];
+    # row i holds runs first[i] .. first[i + 1] - 1, left to right
+    run_row, run_lo = np.divmod(
+        np.flatnonzero(cells[1:] & ~cells[:-1]), n_cols + 2)
+    run_hi = (np.flatnonzero(cells[:-1] & ~cells[1:]) % (n_cols + 2)).tolist()
+    first = np.searchsorted(run_row, np.arange(n_rows + 1)).tolist()
+    run_row, run_lo = run_row.tolist(), run_lo.tolist()
+    r0 = bisect_right(run_lo, j0, first[i0], first[i0 + 1]) - 1
+    linked = {r0}
+    stack = [r0]
     while stack:
-        i, j = stack.pop()
-        for cell in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if cell in unvisited:
-                unvisited.remove(cell)
-                stack.append(cell)
-                cells.append(cell)
-    reached[tuple(np.array(cells).T)] = True
+        r = stack.pop()
+        i, lo, hi = run_row[r], run_lo[r], run_hi[r]
+        for k in (i - 1, i + 1):
+            if not 0 <= k < n_rows:
+                continue
+            # the runs of row k with run_hi > lo and run_lo < hi
+            for q in range(bisect_right(run_hi, lo, first[k], first[k + 1]),
+                           bisect_left(run_lo, hi, first[k], first[k + 1])):
+                if q not in linked:
+                    linked.add(q)
+                    stack.append(q)
+    for r in linked:
+        reached[run_row[r], run_lo[r]:run_hi[r]] = True
     return reached
 
 

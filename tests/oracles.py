@@ -287,3 +287,34 @@ def table_probs(trig, b):
     probs = np.matmul(trig, b)
     np.maximum(probs, 0.0, out=probs)
     return probs
+
+
+def whole_grid_table_b(init, beta, t, thetas):
+    """B of the likelihood table, with the engine run on all theta rows
+    at once.
+
+    The build ``make_likelihood_table`` started from: one engine run,
+    one inverse FFT and the F^2 coin-summed products over the whole
+    (n_theta, F, n_nodes) stack.  The package runs the same steps on
+    blocks of theta rows, which must give this B to the last bit.
+    """
+    from qwfisher.estimation import _engine_inputs
+    from qwfisher.walk import parity_empty_rows, theta_jet
+
+    window, freqs, spinors = _engine_inputs(init, beta, t)
+    thetas = np.asarray(thetas, dtype=float)
+    phis = window.to_sites(
+        theta_jet(thetas[:, None, None], window.nodes, spinors, t)[0])
+    diffs = freqs[:, None] - freqs[None, :]
+    occurs = np.zeros(init.n_sites + 1, dtype=bool)
+    occurs[diffs[diffs > 0]] = True
+    ds = np.flatnonzero(occurs)
+    b = np.zeros((thetas.size, 1 + 2 * ds.size, window.width))
+    b[:, 0] = np.sum(phis.real ** 2 + phis.imag ** 2, axis=(1, 3))
+    for f1, f in zip(*np.nonzero(diffs > 0)):
+        prod = np.sum(phis[:, f1].conj() * phis[:, f], axis=-1)
+        j = 1 + np.searchsorted(ds, diffs[f1, f])
+        b[:, j] += prod.real
+        b[:, j + ds.size] += prod.imag
+    b[..., parity_empty_rows(init)] = 0.0
+    return b

@@ -11,13 +11,15 @@ from qwfisher import (CoinParams, GridSpec, MeasurementRecord, WalkerState,
                       classical_fi, evolve, initial_entangled, initial_gamma,
                       initial_localized, make_likelihood_table, mle_fit,
                       philox_rng, position_distribution, qfim_exact, sample)
+from qwfisher import estimation
 from qwfisher.estimation import (MASS_THRESHOLD, PositionDistribution,
                                  _connected_from_argmax, _grid_loglik,
                                  _prob_derivatives)
-from qwfisher.walk import SU2Powers
+from qwfisher.walk import SiteWindow, SU2Powers, spinors_at, theta_jet
 
 from oracles import (dilation_connected, evolve_steps, fd_loglik_hessian,
-                     table_probs, three_run_prob_derivatives)
+                     table_probs, three_run_prob_derivatives,
+                     whole_grid_table_b)
 
 
 def random_amps(n_sites, seed):
@@ -234,7 +236,7 @@ class TestLikelihoodTable:
             [[0.5, 0.1j], [0.0, -0.4 + 0.3j], [0.2 - 0.6j, 0.3]])),
          CoinParams(0.6, -0.3, 0.8), 15,
          (0.4, 1.2, -1.0, 1.3)),
-        # alpha stays off the momentum nodes, so theta ~ 0 is accepted
+        # theta ~ 0 with sin theta above the coin gate is accepted
         (initial_gamma(0.9), CoinParams(0.7, 0.2, 0.4), 200,
          (1e-9, 0.9, -0.21, 0.6)),
     ], ids=["gamma", "entangled", "localized-complex", "wide-alpha-beta",
@@ -312,28 +314,34 @@ class TestLikelihoodTable:
 
     def test_theta_zero_row_is_a_pure_shift(self):
         # sin(theta) = 0 makes u(k) = +-1 at k = 0, -pi; the closed form
-        # then takes its limit instead of dividing by zero
-        init = initial_gamma(0.9)
-        grid = GridSpec(theta_min=0.0, theta_max=0.9, alpha_min=-0.21,
-                        alpha_max=0.6, n_theta=3, n_alpha=5)
-        table = make_likelihood_table(init, CoinParams(0.7, 0.2, 0.4), 20,
-                                      grid)
-        shifted = np.zeros(table.sites.size)
-        shifted[table.sites == 20] = 0.5       # coin 0 hops right t times
-        shifted[table.sites == -20] = 0.5      # coin 1 hops left
-        assert np.abs(table.probs[0] - shifted).max() <= 1e-12
+        # then takes its limit instead of dividing by zero (the table
+        # refuses such a box, the engine it runs does not)
+        init, t = initial_gamma(0.9), 20
+        window = SiteWindow.after(init, t)
+        phi = theta_jet(0.0, window.nodes, spinors_at(init, window.nodes),
+                        t)[0]
+        probs = np.sum(np.abs(window.to_sites(phi)) ** 2, axis=1)
+        shifted = np.zeros(window.width)
+        shifted[window.sites == 20] = 0.5      # coin 0 hops right t times
+        shifted[window.sites == -20] = 0.5     # coin 1 hops left
+        assert np.abs(probs - shifted).max() <= 1e-12
 
-    @pytest.mark.parametrize("init,p_true", [
-        (initial_entangled(0, 1), CoinParams(math.pi / 4, 0.0, 0.0)),
-        (initial_gamma(0.6), CoinParams(math.pi / 4, 0.3, 0.4)),
+    @pytest.mark.parametrize("init,p_true,t,grid", [
+        (initial_entangled(0, 1), CoinParams(math.pi / 4, 0.0, 0.0), 50,
+         GridSpec(n_theta=4, n_alpha=6)),
+        (initial_gamma(0.6), CoinParams(math.pi / 4, 0.3, 0.4), 50,
+         GridSpec(n_theta=4, n_alpha=6)),
         (WalkerState(origin=-4, amps=random_amps(9, seed=5)),
-         CoinParams(0.7, 0.2, -0.9)),
-    ], ids=["entangled", "gamma", "random-9-sites"])
-    def test_relative_accuracy_against_step_loop(self, init, p_true):
+         CoinParams(0.7, 0.2, -0.9), 50, GridSpec(n_theta=4, n_alpha=6)),
+        # theta ~ 0 with alpha on a momentum node: the coin still mixes
+        (initial_gamma(0.3), CoinParams(0.3, 0.0, 0.0), 8,
+         GridSpec(theta_min=1e-9, theta_max=0.5, alpha_min=-0.5,
+                  alpha_max=0.5, n_theta=4, n_alpha=5)),
+    ], ids=["entangled", "gamma", "random-9-sites", "theta-near-zero"])
+    def test_relative_accuracy_against_step_loop(self, init, p_true, t,
+                                                 grid):
         # log p reads the tails, so the gate is relative wherever p is
         # not negligible
-        t = 50
-        grid = GridSpec(n_theta=4, n_alpha=6)
         table = make_likelihood_table(init, p_true, t, grid)
         assert np.all(table.probs >= 0.0)
         thetas, alphas = grid.axes()
@@ -347,9 +355,33 @@ class TestLikelihoodTable:
                     / p_ref[big]
                 assert rel.max() <= 1e-10
 
+    @pytest.mark.parametrize("one_row", [False, True],
+                             ids=["default-block", "one-row-blocks"])
+    @pytest.mark.parametrize("init,p_true,t", [
+        (initial_entangled(0, 1), CoinParams(math.pi / 4, 0.0, 0.0), 50),
+        (initial_gamma(0.6), CoinParams(math.pi / 4, 0.3, 0.4), 50),
+        (WalkerState(origin=-4, amps=random_amps(9, seed=5)),
+         CoinParams(0.7, 0.2, -0.9), 50),
+    ], ids=["entangled", "gamma", "random-9-sites"])
+    def test_blocked_build_is_bitwise_the_whole_grid_build(
+            self, init, p_true, t, one_row, monkeypatch):
+        # 45 theta rows are not a multiple of the default block heights
+        # here (32 rows for the two-group inputs, 6 for the ten-group one)
+        if one_row:
+            monkeypatch.setattr(estimation, "_BLOCK_SPINORS", 1)
+        grid = GridSpec(n_theta=45, n_alpha=7)
+        table = make_likelihood_table(init, p_true, t, grid)
+        b = whole_grid_table_b(init, p_true.beta, t, grid.axes()[0])
+        assert np.array_equal(table.B, b)
+        n_d = (b.shape[1] - 1) // 2
+        bound = b[:, 0] + 2.0 * np.hypot(b[:, 1:1 + n_d],
+                                         b[:, 1 + n_d:]).sum(axis=1)
+        assert np.array_equal(table.log_bound,
+                              np.log(np.maximum(bound, 1e-300)))
+
     def test_default_table_build_peak_is_small(self):
-        # the table keeps two small factors and the engine inputs; no
-        # array of the grid's full size (31 MiB here) is formed
+        # the engine runs on blocks of theta rows; on the whole grid at
+        # once its arrays took 11 MiB here
         init = initial_entangled(0, 1)
         tracemalloc.start()
         try:
@@ -357,7 +389,20 @@ class TestLikelihoodTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= 5 * 2**20
+
+    def test_long_walk_table_build_peaks_at_b_plus_one_block(self):
+        # at t = 300 the engine's arrays over the whole grid took 85 MiB;
+        # a block of theta rows and the row bound stay within 6 MiB
+        init = initial_entangled(0, 1)
+        tracemalloc.start()
+        try:
+            table = make_likelihood_table(
+                init, CoinParams(math.pi / 4, 0.0, 0.0), 300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.B.nbytes + 6 * 2**20
 
     def test_grid_stage_forms_rows_in_bounded_blocks(self):
         # the bound prunes little for this input, so the grid stage forms
@@ -380,13 +425,17 @@ class TestLikelihoodTable:
         assert peak <= table.B.nbytes + 2 * 2**20
 
     def test_degenerate_grid_rejected(self):
-        # the box has to reach a flat quasi-energy: theta ~ 0 with alpha
-        # sitting exactly on a momentum node (k = 0 here)
-        grid = GridSpec(theta_min=1e-9, theta_max=0.5, alpha_min=-0.5,
-                        alpha_max=0.5, n_theta=4, n_alpha=5)
-        with pytest.raises(ValueError, match="degenerate"):
-            make_likelihood_table(initial_gamma(0.3), CoinParams(0.3, 0.0, 0.0),
-                                  8, grid)
+        # a box reaching sin theta = 0 (a multiple of pi inside it, or an
+        # end below the coin gate) is refused whatever its alpha nodes
+        for theta_min, theta_max, n_alpha in [
+                (0.0, 0.3, 200), (0.0, 0.3, 201), (-0.2, 0.3, 200),
+                (1e-13, 0.3, 201), (3.0, 3.2, 200)]:
+            grid = GridSpec(theta_min=theta_min, theta_max=theta_max,
+                            n_theta=30, n_alpha=n_alpha)
+            with pytest.raises(ValueError, match="degenerate"):
+                make_likelihood_table(initial_entangled(0, 1),
+                                      CoinParams(math.pi / 4, 0.0, 0.0), 20,
+                                      grid)
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError, match="empty"):
