@@ -28,19 +28,13 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 
 from .errors import (ChargeUnidentifiable, ConfigError, DegenerateWalk,
                      IncompatibleModel, NoConvergence, OutOfWindow,
                      SingularFisher, SingularJacobian)
 
 _UNSET = object()
-
-# Widest input window ``--init`` may span, in sites.  The engine holds a
-# dense (nodes x sites) phase matrix of the input, so memory grows with
-# the square of the width: at t = 1 ``qwf qfim`` peaks (ru_maxrss) at
-# 168 MB for 1,024 sites, 560 MB for 2,048 and 1,048 MB for 4,001
-# (2-core Xeon, numpy 2.4).  The paper's inputs span one or two sites.
-MAX_INPUT_SITES = 1024
 
 # Largest |x| of a site that ``--init`` may name.  The engine's phases
 # e^{-ikx} lose digits in proportion to |x|: at t = 100 and
@@ -218,11 +212,6 @@ def _parse_init(ns):
             return initial_localized(**kw)
         if kind == "entangled":
             x1, x2 = (int(x) for x in rest.split(",")) if rest else (0, 1)
-            if abs(x1 - x2) + 1 > MAX_INPUT_SITES:
-                raise ConfigError(
-                    f"entangled:{x1},{x2} spans {abs(x1 - x2) + 1} sites; "
-                    f"inputs are capped at MAX_INPUT_SITES = "
-                    f"{MAX_INPUT_SITES} sites")
             return initial_entangled(_site(x1), _site(x2))
         if kind == "gamma":
             return initial_gamma(float(rest) if rest else 0.0)
@@ -771,26 +760,30 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    try:
-        _apply_thread_cap()
-        parser = build_parser()
-        ns = parser.parse_args(argv)
-        echo = ns._cmd.resolve(ns)
-        return ns._cmd.func(ns, echo)
-    except (SingularFisher, IncompatibleModel, ChargeUnidentifiable,
-            SingularJacobian, DegenerateWalk, OutOfWindow) as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return 4
-    except NoConvergence as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:
-        print("config error: not enough memory for this configuration; "
-              "shrink the input window, t or --grid-n", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # a warning is one line on stderr, with no category or source line
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            _apply_thread_cap()
+            parser = build_parser()
+            ns = parser.parse_args(argv)
+            echo = ns._cmd.resolve(ns)
+            return ns._cmd.func(ns, echo)
+        except (SingularFisher, IncompatibleModel, ChargeUnidentifiable,
+                SingularJacobian, DegenerateWalk, OutOfWindow) as exc:
+            print(f"model error: {exc}", file=sys.stderr)
+            return 4
+        except NoConvergence as exc:
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return 3
+        except (ConfigError, ValueError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError:
+            print("config error: not enough memory for this configuration; "
+                  "shrink the input window, t or --grid-n", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -156,6 +157,11 @@ class WalkerState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Rows of ``amps`` with a nonzero amplitude, ascending."""
+        return np.flatnonzero(np.any(self.amps != 0.0, axis=1))
+
     def to_json_dict(self) -> dict:
         """JSON layout: origin, steps_elapsed, amps as [re, im] pairs.
 
@@ -263,7 +269,7 @@ def initial_entangled(x1: int = 0, x2: int = 1) -> WalkerState:
         raise ValueError("entangled input needs two distinct sites")
     if (x1 - x2) % 2 == 0:
         warnings.warn(
-            f"separation {x1 - x2} is even: the k-spinor norm varies over "
+            f"separation {abs(x1 - x2)} is even: the k-spinor norm varies over "
             "the zone and the asymptotic formulas apply in their weighted form",
             stacklevel=2)
     lo, hi = min(x1, x2), max(x1, x2)
@@ -278,10 +284,12 @@ def initial_entangled(x1: int = 0, x2: int = 1) -> WalkerState:
 
 
 def spinors_at(s: WalkerState, k_nodes: np.ndarray) -> np.ndarray:
-    """Evaluate spinor(k) = sum_x c_x e^{-ikx} at arbitrary momenta, (n, 2)."""
+    """spinor(k) = sum_x c_x e^{-ikx} at arbitrary momenta, (n, 2), summed
+    over the nonzero rows (:attr:`WalkerState.support`) alone: the one
+    place the input's phases are formed, O(n) per row whatever the span."""
     k = np.asarray(k_nodes, dtype=float)
-    phases = np.exp(-1j * np.outer(k, s.sites))
-    return phases @ s.amps
+    rows = s.support
+    return np.exp(-1j * np.outer(k, s.origin + rows)) @ s.amps[rows]
 
 
 def rho_bloch(phi: np.ndarray) -> np.ndarray:
@@ -358,6 +366,15 @@ class SiteWindow:
             * sign
 
 
+def _pauli_step(cos_omega, w, phi) -> np.ndarray:
+    """(cos(om) - i w.sigma) phi for spinors phi (..., 2), no 2 x 2 matrix."""
+    p0, p1 = phi[..., 0], phi[..., 1]
+    return np.stack([(cos_omega - 1j * w[..., 2]) * p0
+                     - (w[..., 1] + 1j * w[..., 0]) * p1,
+                     (w[..., 1] - 1j * w[..., 0]) * p0
+                     + (cos_omega + 1j * w[..., 2]) * p1], axis=-1)
+
+
 @dataclass(frozen=True)
 class SU2Powers:
     """Closed forms in t for a stack of SU(2) matrices u(k).
@@ -415,14 +432,9 @@ class SU2Powers:
         sign_t = self.sign if t % 2 else 1.0
         a = sign_t * np.sin(t * self.omega) / self.sin_omega
         b = sign_t * np.sin((t - 1) * self.omega) / self.sin_omega
-        c, w = self.cos_omega, self.w
-        p0, p1 = phi[..., 0], phi[..., 1]
-        out = np.empty(np.broadcast_shapes(a.shape, p0.shape) + (2,),
-                       dtype=complex)
-        out[..., 0] = a * ((c - 1j * w[..., 2]) * p0
-                           - (w[..., 1] + 1j * w[..., 0]) * p1) - b * p0
-        out[..., 1] = a * ((w[..., 1] - 1j * w[..., 0]) * p0
-                           + (c + 1j * w[..., 2]) * p1) - b * p1
+        out = _pauli_step(self.cos_omega, self.w, phi)
+        out *= a[..., None]
+        out -= b[..., None] * phi
         return out
 
     def generator_sums(self, v: np.ndarray, t: int,
@@ -464,7 +476,7 @@ def parity_empty_rows(init: WalkerState) -> slice:
     each end, so amplitude stays on rows of its input row's parity: an
     input on one parity leaves the other exactly empty.
     """
-    rows = np.flatnonzero(np.any(init.amps != 0.0, axis=1))
+    rows = init.support
     if np.all(rows % 2 == rows[0] % 2):
         return slice(1 - rows[0] % 2, None, 2)
     return slice(0)
@@ -478,15 +490,6 @@ def evolve_spinors(init: WalkerState, p: CoinParams, t: int):
     nodes = window.nodes
     powers = SU2Powers.of(*quasi_energy_axis(p.theta, p.alpha, p.beta, nodes))
     return window, powers, powers.apply_power(spinors_at(init, nodes), t)
-
-
-def _pauli_step(cos_omega, w, phi) -> np.ndarray:
-    """(cos(om) - i w.sigma) phi for spinors phi (..., 2), no 2 x 2 matrix."""
-    p0, p1 = phi[..., 0], phi[..., 1]
-    return np.stack([(cos_omega - 1j * w[..., 2]) * p0
-                     - (w[..., 1] + 1j * w[..., 0]) * p1,
-                     (w[..., 1] - 1j * w[..., 0]) * p0
-                     + (cos_omega + 1j * w[..., 2]) * p1], axis=-1)
 
 
 def theta_jet(theta, nodes: np.ndarray, chi: np.ndarray, t: int,

@@ -5,10 +5,16 @@ explicit matrix elements and deliberately share no code with the
 package internals they are used to check.  Scalar constants were
 frozen from separate high-precision evaluations of the closed forms.
 """
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (sin t + cos^2 t) / (4 sin t (1 - sin t)) at pi/4 and 3 pi/8
 G_QUARTER_PI = 1.4571067811865472
@@ -64,6 +70,16 @@ def w_tanc_series(x):
         x2, lambda n: Fraction((-1) ** n * 2 ** (2 * n + 3), factorial(2 * n + 3)))
     cos = _even_series_exact(x2, lambda n: Fraction((-1) ** n, factorial(2 * n)))
     return float(num / (2 * cos * cos))
+
+
+def spinors_dense(s, k):
+    """spinor(k) = sum_x c_x e^{-ikx} over every site of the input window.
+
+    One dense (len(k), n_sites) phase matrix, zero rows included: the
+    formula the package's support-sized ``spinors_at`` must reproduce.
+    """
+    k = np.asarray(k, dtype=float)
+    return np.exp(-1j * np.outer(k, s.sites)) @ s.amps
 
 
 def u_dense(theta, alpha, beta, k):
@@ -318,3 +334,36 @@ def whole_grid_table_b(init, beta, t, thetas):
         b[:, j + ds.size] += prod.imag
     b[..., parity_empty_rows(init)] = 0.0
     return b
+
+
+# Run from a bare interpreter: a child's ru_maxrss counts the memory of
+# the process it was spawned from, so the CLI must not be spawned from
+# the test process itself.
+_RSS_PROBE = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "qwfisher.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def cli_peak_rss(argv, cwd):
+    """Run ``python -m qwfisher.cli`` on ``argv`` in a child process.
+
+    Returns (exit code, the child's own peak resident set in MiB, its
+    standard error).  ``os.wait4`` reports that one child's
+    ``ru_maxrss``; ``RUSAGE_CHILDREN`` would give the largest over every
+    child waited for.  Fork and exec carry the spawning process's
+    resident set into the child's peak, so the CLI is spawned from a
+    stdlib-only interpreter (about 10 MB), not from the caller.  The
+    CLI runs with ``QWF_THREADS=1``, one BLAS thread, as the README's
+    memory figures were measured.
+    """
+    env = dict(os.environ, QWF_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run([sys.executable, "-c", _RSS_PROBE, *argv],
+                           cwd=cwd, env=env, capture_output=True, text=True)
+    code, kib = probe.stdout.split()
+    return int(code), int(kib) / 1024.0, probe.stderr      # KiB on Linux

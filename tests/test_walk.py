@@ -1,5 +1,6 @@
 """Walk core: coin algebra, stepping, initial states, k-space picture."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, WalkerState,
 from qwfisher.walk import (SiteWindow, SU2Powers, quasi_energy_axis,
                            spinors_at, theta_jet, uniform_k_grid)
 
-from oracles import PAULI, coin_dense, dense_amps_at, dense_evolve, evolve_steps
+from oracles import (PAULI, coin_dense, dense_amps_at, dense_evolve,
+                     evolve_steps, spinors_dense)
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 mixing = st.floats(0.05, math.pi - 0.05)
@@ -182,8 +184,10 @@ def test_entangled_pair_state_layout():
 
 
 def test_entangled_even_separation_warns():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="separation 2 is even"):
         initial_entangled(0, 2)
+    with pytest.warns(UserWarning, match="separation 2 is even"):
+        initial_entangled(2, 0)
     with pytest.raises(ValueError):
         initial_entangled(3, 3)
 
@@ -276,6 +280,38 @@ def test_entangled_k_spinor_closed_form():
     assert np.abs(sp - expected).max() <= 1e-14
     # unit norm at every k, so the zone average is exactly 1
     assert np.abs((np.abs(sp) ** 2).sum(axis=1) - 1.0).max() <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), span=st.integers(1, 2000),
+       inner=st.integers(0, 4), origin=st.integers(-10_000, 8_000))
+def test_spinors_at_matches_the_dense_sum(seed, span, inner, origin):
+    # a sparse input: its two end rows and a few inside, each with one or
+    # both coin components
+    rng = np.random.default_rng(seed)
+    rows = np.unique(np.r_[0, span - 1, rng.integers(0, span, inner)])
+    amps = np.zeros((span, 2), dtype=complex)
+    amps[rows] = (rng.normal(size=(rows.size, 2))
+                  + 1j * rng.normal(size=(rows.size, 2)))
+    amps[rows, rng.integers(0, 2, rows.size)] *= rng.integers(0, 2, rows.size)
+    init = WalkerState(origin=origin, amps=amps / np.linalg.norm(amps))
+    assert np.array_equal(init.support,
+                          np.flatnonzero(np.abs(init.amps).sum(axis=1)))
+    k = rng.uniform(-math.pi, math.pi, 64)
+    assert np.abs(spinors_at(init, k) - spinors_dense(init, k)).max() <= 1e-14
+
+
+def test_spinors_at_memory_is_sized_by_the_support():
+    # the dense (nodes x sites) phase matrix of this input traced 128 MiB
+    init = initial_entangled(0, 1023)
+    nodes = SiteWindow.after(init, 1).nodes
+    tracemalloc.start()
+    try:
+        spinors_at(init, nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 def test_k_space_evolution_equals_position_evolution():
