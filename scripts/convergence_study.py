@@ -8,8 +8,8 @@ log-log decay exponent.  The neglected fast-oscillation terms are first
 order in 1/t in general; at the symmetric default point the first-order
 piece cancels and the fit comes out near -2.
 
-The exact matrix costs O(n log n) in the node count n > 4t with no loop
-over t, so the default ladder doubles from t = 25 to t = 25600 and runs
+The exact matrix costs O(n log n) in the node count n >= 2 + 2t with no
+loop over t, so the default ladder doubles from t = 25 to t = 25600 and runs
 in seconds; the deviations there reach about 1e-9.
 """
 import argparse

@@ -33,8 +33,9 @@ _NEAR_MAX = 2.0
 # (alpha, site) (1 MiB), so no block comes near the grid's full size
 _BLOCK_CELLS = 2 ** 17
 # node-spinors the table build runs the engine on at once: it takes
-# blocks of max(1, _BLOCK_SPINORS // (F * n_nodes)) theta rows, so its
-# temporaries stay near 2**14 spinors (512 KiB per array) at any t
+# blocks of max(1, _BLOCK_SPINORS // (F * n_nodes)) theta rows, and the
+# window's n_nodes is at least its width, so its temporaries on nodes
+# or sites stay within 2**14 spinors (512 KiB per array) at any t
 _BLOCK_SPINORS = 2 ** 14
 
 
@@ -331,8 +332,8 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     site, is left to the fits, which need it on few rows and sites.
 
     The engine, the FFT and the products run on blocks of theta rows,
-    max(1, ``_BLOCK_SPINORS`` // (F * n_nodes)) at a time (32 rows for
-    the entangled input at t = 50, 2 at t = 1000), and each block writes
+    max(1, ``_BLOCK_SPINORS`` // (F * n_nodes)) at a time (64 rows for
+    the entangled input at t = 50, 4 at t = 1000), and each block writes
     its rows of B and of the row bound ``log_bound`` in place.  Every
     row takes the same FFT and elementwise products whatever the block
     height, so B does not depend on it to the last bit, and the build

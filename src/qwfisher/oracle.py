@@ -12,8 +12,8 @@ whose generator sums act on them; this module adds which generators and
 the Gram matrix of the derivative states.  Zone integrals are node
 averages, exact on that grid, and the position-space derivative state
 is the window's inverse FFT away.  The cost is O(n log n) in the node
-count n > 4t, with no loop over t; the route is the independent
-finite-t check of the asymptotic module.
+count n >= n0 + 2t of an n0-site input, with no loop over t; the route
+is the independent finite-t check of the asymptotic module.
 """
 from __future__ import annotations
 

@@ -175,9 +175,10 @@ def _zone_means(p: CoinParams, init: WalkerState, params):
     w = generator_spatial(p)[[PARAM_NAMES.index(l) for l in params]]
     m = len(params)
     iu = np.triu_indices(m)
-    # N has degree <= 1 + n_sites, and the grid needs more than twice
-    # that many nodes; it starts at x = k - alpha = 0
-    n = k_grid_size(2 + init.n_sites)
+    # N has degree <= 1 + n_sites, and rfft needs more than twice that
+    # many nodes; the grid takes more than twice 2 + n_sites, one degree
+    # to spare, and starts at x = k - alpha = 0
+    n = k_grid_size(2 * (2 + init.n_sites) + 1)
     k = p.alpha + TWO_PI * np.arange(n) / n
     _, u = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
     rho = rho_bloch(spinors_at(init, k))

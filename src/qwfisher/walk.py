@@ -314,15 +314,18 @@ def uniform_k_grid(n: int) -> np.ndarray:
     return -np.pi + TWO_PI * np.arange(n) / n
 
 
-def k_grid_size(width: int) -> int:
-    """Uniform-grid node count for a window of ``width`` sites.
+def k_grid_size(n_min: int) -> int:
+    """The smallest power of two >= ``n_min``, a uniform-grid node count.
 
-    Products of two such spinors are trigonometric polynomials of degree
-    up to 2 * width; the smallest power of two above that integrates
-    them exactly.
+    Each caller states its exactness condition.  A window of w sites
+    needs n >= w: the residues x mod n are then distinct, the inverse
+    DFT returns each c_x and the node mean of conj(a(k)) b(k) is the
+    site sum of conj(a_x) b_x (every lag |y - x| < w <= n).  The
+    ``rfft`` coefficients of a trigonometric polynomial of degree d
+    need n > 2d.
     """
     n = 1
-    while n <= 2 * width:
+    while n < n_min:
         n *= 2
     return n
 
@@ -332,7 +335,9 @@ class SiteWindow:
     """The site window t steps from an input and the nodes resolving it.
 
     :meth:`after` is the one rule: a step moves amplitude one site either
-    way, so the input's window grows by t sites at each end.
+    way, so the input's window grows by t sites at each end, and its
+    nodes are the :func:`k_grid_size` of the window width, where the
+    inverse DFT and node-mean inner products are exact.
     """
 
     origin: int
@@ -541,8 +546,8 @@ def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:
 
     u(k)^t comes in closed form from :class:`SU2Powers` and one inverse
     FFT returns to sites, so the cost is O(n log n) in the node count
-    n of :meth:`SiteWindow.after` (width + 2t sites), with no loop over
-    t.
+    n of :meth:`SiteWindow.after`, the smallest power of two >= n0 + 2t
+    for an input of n0 sites, with no loop over t.
     """
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")

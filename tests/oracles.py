@@ -207,6 +207,30 @@ def recurrence_powers_and_generators(theta, alpha, beta, k, phi0, t):
     return phi, g
 
 
+def on_doubled_nodes(fn, *args):
+    """``fn(*args)`` with every window of ``SiteWindow.after`` on twice
+    its node count.
+
+    The same sites and origin, sampled by a grid of 2n nodes: the
+    reference the package's own node count n must reproduce wherever it
+    is exact.
+    """
+    from qwfisher.walk import SiteWindow, uniform_k_grid
+
+    rule = SiteWindow.__dict__["after"]
+
+    def doubled(cls, init, t):
+        w = rule.__func__(cls, init, t)
+        return cls(origin=w.origin, width=w.width,
+                   nodes=uniform_k_grid(2 * w.nodes.size))
+
+    SiteWindow.after = classmethod(doubled)
+    try:
+        return fn(*args)
+    finally:
+        SiteWindow.after = rule
+
+
 def evolve_steps(s, p, t):
     """t steps of the walk in the position picture, one step at a time.
 

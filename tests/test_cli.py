@@ -142,7 +142,7 @@ def test_widest_input_window_runs(workdir, capsys):
 
 
 @pytest.mark.parametrize("argv,limit_mb", [
-    # the widest input: 61 MB measured, 160 MB when span 1,024 was the cap
+    # the widest input: 47 MB measured, 160 MB when span 1,024 was the cap
     (["qfim", "--routes", "analytic,oracle", "--init",
       "entangled:-10000,9999", "--t", "1"], 90),
     # the README estimate config, documented at 40 MB

@@ -362,11 +362,13 @@ class TestLikelihoodTable:
         (initial_gamma(0.6), CoinParams(math.pi / 4, 0.3, 0.4), 50),
         (WalkerState(origin=-4, amps=random_amps(9, seed=5)),
          CoinParams(0.7, 0.2, -0.9), 50),
-    ], ids=["entangled", "gamma", "random-9-sites"])
+        (initial_entangled(0, 1), CoinParams(math.pi / 4, 0.0, 0.0), 300),
+    ], ids=["entangled", "gamma", "random-9-sites", "entangled-t300"])
     def test_blocked_build_is_bitwise_the_whole_grid_build(
             self, init, p_true, t, one_row, monkeypatch):
-        # 45 theta rows are not a multiple of the default block heights
-        # here (32 rows for the two-group inputs, 6 for the ten-group one)
+        # the default block heights here are 64 rows for the two-group
+        # inputs at t = 50 (one block of all 45 rows), 12 for the
+        # ten-group one and 8 at t = 300; 45 is a multiple of neither
         if one_row:
             monkeypatch.setattr(estimation, "_BLOCK_SPINORS", 1)
         grid = GridSpec(n_theta=45, n_alpha=7)

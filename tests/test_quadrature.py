@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from qwfisher import qfim
 from qwfisher.errors import QuadratureError
 from qwfisher.quadrature import (adaptive_mean_over_bz, gauss_k_grid,
                                  mean_over_bz)
-from qwfisher.walk import k_grid_size, uniform_k_grid
+from qwfisher.walk import (CoinParams, initial_entangled, initial_localized,
+                           k_grid_size, uniform_k_grid)
 
 
 def test_uniform_grid_integrates_trig_polynomials_exactly():
@@ -47,11 +49,44 @@ def test_adaptive_mean_raises_when_budget_exhausted():
         adaptive_mean_over_bz(f, rel_tol=1e-12, n0=8, max_nodes=64)
 
 
-def test_dft_exact_nodes_covers_degree():
-    # a window of w sites needs the smallest power of two above degree 2w
-    assert k_grid_size(3) == 8
-    assert k_grid_size(4) == 16
-    assert k_grid_size(50) == 128
+def test_dft_exact_nodes_covers_degree(monkeypatch):
+    # the smallest power of two >= n_min
+    assert [k_grid_size(n) for n in (1, 2, 3, 4, 5, 13, 50, 128, 129)] \
+        == [1, 2, 4, 4, 8, 16, 64, 128, 256]
+    rng = np.random.default_rng(7)
+    # a window of w sites needs n >= w: the inverse DFT returns every
+    # amplitude and the node mean of conj(a) b is the site sum
+    for w in (1, 3, 4, 5, 13):
+        k = uniform_k_grid(k_grid_size(w))
+        a, b = rng.normal(size=(2, w)) + 1j * rng.normal(size=(2, w))
+        phases = np.exp(-1j * np.outer(k, np.arange(w)))
+        back = phases.conj().T @ (phases @ a) / k.size
+        assert np.abs(back - a).max() <= 1e-14
+        mean = np.vdot(phases @ a, phases @ b) / k.size
+        assert abs(mean - np.vdot(a, b)) <= 1e-13
+    # the coefficients of a real degree-d polynomial, read by rfft, need
+    # n > 2d
+    for d in (1, 3, 4):
+        n = k_grid_size(2 * d + 1)
+        c = rng.normal(size=d + 1)
+        x = 2 * math.pi * np.arange(n) / n
+        samples = np.cos(np.outer(x, np.arange(d + 1))) @ c
+        coef = np.fft.rfft(samples).real * (2.0 / n)
+        coef[0] /= 2.0
+        assert np.abs(coef[:d + 1] - c).max() <= 1e-14
+    # the zone means read a numerator of degree 1 + n_sites on 8 nodes
+    # for one input site and 16 for two
+    sizes = []
+
+    def spy(n_min):
+        sizes.append(k_grid_size(n_min))
+        return sizes[-1]
+
+    monkeypatch.setattr(qfim, "k_grid_size", spy)
+    p = CoinParams(0.7, 0.3, -0.2)
+    for init in (initial_localized(), initial_entangled(0, 1)):
+        qfim.qfim_theorem1(p, init, 1)
+    assert sizes == [8, 16]
 
 
 @pytest.mark.parametrize("max_nodes", [64, 100])

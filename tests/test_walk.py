@@ -4,17 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, WalkerState,
                       evolve, initial_entangled, initial_gamma,
                       initial_localized)
-from qwfisher.walk import (SiteWindow, SU2Powers, quasi_energy_axis,
-                           spinors_at, theta_jet, uniform_k_grid)
+from qwfisher.estimation import _prob_derivatives
+from qwfisher.oracle import exact_matrices
+from qwfisher.walk import (SiteWindow, SU2Powers, evolve_spinors,
+                           quasi_energy_axis, spinors_at, theta_jet,
+                           uniform_k_grid)
 
 from oracles import (PAULI, coin_dense, dense_amps_at, dense_evolve,
-                     evolve_steps, spinors_dense)
+                     evolve_steps, on_doubled_nodes, spinors_dense)
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 mixing = st.floats(0.05, math.pi - 0.05)
@@ -330,11 +333,70 @@ def test_site_window_grows_by_t_and_returns_spinors_to_sites():
     window = SiteWindow.after(init, 4)
     assert (window.origin, window.width) == (-7, 13)
     assert np.array_equal(window.sites, np.arange(-7, 6))
-    assert window.nodes.size == 32         # smallest power of two above 26
+    assert window.nodes.size == 16         # smallest power of two >= 13
     # the input's own k-spinors come back as the input, zero-padded by t
     back = window.to_sites(spinors_at(init, window.nodes))
     assert np.abs(back[4:9] - init.amps).max() <= 1e-14
     assert np.abs(back[[0, 1, 2, 3, 9, 10, 11, 12]]).max() <= 1e-14
+
+
+@st.composite
+def sparse_windows(draw):
+    """(init, t) whose window is 2^p - 1, 2^p or 2^p + 1 sites wide."""
+    width = 2 ** draw(st.integers(1, 7)) + draw(st.sampled_from((-1, 0, 1)))
+    t = draw(st.integers(0, (width - 1) // 2))
+    n0 = width - 2 * t
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = rng.normal(size=(n0, 2)) + 1j * rng.normal(size=(n0, 2))
+    amps *= rng.random((n0, 2)) < 0.3
+    amps[rng.integers(n0), rng.integers(2)] = 1.0
+    return (WalkerState(origin=draw(st.integers(-20, 20)),
+                        amps=amps / np.linalg.norm(amps)), t)
+
+
+def assert_close(a, ref, scale=1.0):
+    """Within 1e-12 of the reference's own scale or ``scale``, whichever
+    is larger (a derivative of p can vanish, as at t = 0)."""
+    assert np.abs(a - ref).max() <= 1e-12 * max(scale, np.abs(ref).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_windows(), theta=st.floats(0.2, math.pi - 0.2),
+       alpha=angles, beta=angles)
+@example(case=(initial_entangled(0, 127), 0), theta=0.7, alpha=0.3,
+         beta=-0.2)
+@example(case=(initial_localized(5), 0), theta=0.7, alpha=0.3, beta=-0.2)
+def test_window_nodes_are_exact_on_sparse_inputs(case, theta, alpha, beta):
+    # n >= width sites: the inverse DFT returns each site once and the
+    # node-mean inner product is the site one, so every engine result
+    # is the one on twice the nodes
+    init, t = case
+    p = CoinParams(theta, alpha, beta)
+    window, _, phi = evolve_spinors(init, p, t)
+    assert window.width <= window.nodes.size < 2 * window.width
+    chi = spinors_at(init, window.nodes)
+    padded = np.zeros((window.width, 2), dtype=complex)
+    padded[t:t + init.n_sites] = init.amps
+    assert np.abs(window.to_sites(chi) - padded).max() <= 1e-14
+    assert abs(np.vdot(chi, phi) / window.nodes.size
+               - np.vdot(padded, window.to_sites(phi))) <= 1e-14
+
+    ours, ref = evolve(init, p, t), on_doubled_nodes(evolve, init, p, t)
+    assert ours.origin == ref.origin
+    assert_close(ours.amps, ref.amps)
+    # each derivative of p brings down a factor of at most t (theta) or
+    # the largest site frequency (alpha)
+    reach = 1 + t + np.abs(window.sites).max()
+    for order, (a, b) in enumerate(zip(
+            _prob_derivatives(p, init, t)[1:],
+            on_doubled_nodes(_prob_derivatives, p, init, t)[1:])):
+        assert_close(a, b, float(reach) ** order)
+    if t:
+        # the information matrix and the curvature as the one Gram
+        gram, ref = (info.entries + 1j * curv.entries for info, curv in (
+            exact_matrices(init, p, t),
+            on_doubled_nodes(exact_matrices, init, p, t)))
+        assert_close(gram, ref)
 
 
 def test_theta_jet_against_powers_and_differences():
