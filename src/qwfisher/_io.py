@@ -48,10 +48,6 @@ class DataTable:
         if len(set(lens.values())) > 1:
             raise ValueError(f"ragged columns: {lens}")
 
-    @property
-    def n_rows(self) -> int:
-        return len(next(iter(self.columns.values()))) if self.columns else 0
-
     def to_csv(self, path, comments=()) -> None:
         write_csv(path, self.columns, comments)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import IncompatibleModel, SingularFisher
 from .qfim import QFIMatrix
+from .walk import MIN_SIN_THETA
 
 EPS_COMPAT = 1e-6
 REL_DET_FLOOR = 1e-12
@@ -37,10 +38,6 @@ class WeightMatrix:
         if np.min(np.linalg.eigvalsh(0.5 * (w + w.T))) <= 0.0:
             raise ValueError("weight matrix must be positive definite")
         object.__setattr__(self, "entries", w)
-
-    @staticmethod
-    def identity(dim: int = 2) -> "WeightMatrix":
-        return WeightMatrix(entries=np.eye(dim))
 
 
 def _fisher_block(f) -> tuple[np.ndarray, tuple]:
@@ -105,10 +102,9 @@ def g_of_theta(theta: float) -> float:
     as cos^2 th / (1 + sin th), which does not cancel near pi/2.
     """
     s, c = np.sin(theta), np.cos(theta)
-    # the 1e-12 floors match the coin degeneracy gate: float pi lands at
-    # sin(theta) ~ 1.2e-16 and float pi/2 at cos(theta) ~ 6.1e-17, not
-    # exactly zero
-    if not s > 1e-12:
+    # the sin floor is the coin's gate (NaN fails it too); float pi/2
+    # lands at cos(theta) ~ 6.1e-17, not exactly zero
+    if not s >= MIN_SIN_THETA:
         raise SingularFisher(
             f"closed form needs sin(theta) > 0, got theta={theta!r}",
             parameter="theta")

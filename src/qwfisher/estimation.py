@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .walk import (CoinParams, SiteWindow, WalkerState, parity_empty_rows,
-                   theta_jet)
+from .walk import (MIN_SIN_THETA, CoinParams, SiteWindow, WalkerState,
+                   parity_empty_rows, theta_jet)
 
 MASS_THRESHOLD = 1e-12
 # a fit has converged when no component of its step exceeds this
@@ -342,16 +342,16 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     the grid's full size.  Each fit forms its own log-likelihood from
     them (:func:`_grid_loglik`).
 
-    The theta box must keep |sin theta| >= 1e-12, the gate of
-    :class:`walk.CoinParams`: the fits can reach any theta of the box,
-    and at sin theta = 0 the coin does not mix.
+    The theta box must keep |sin theta| >= ``walk.MIN_SIN_THETA``, the
+    gate of :class:`walk.CoinParams`: the fits can reach any theta of
+    the box, and at sin theta = 0 the coin does not mix.
     """
     grid = grid or GridSpec()
     lo, hi = grid.theta_min, grid.theta_max
     # |sin theta| on the box is 0 at a multiple of pi inside it and else
     # smallest at an end; below the CoinParams gate the coin does not mix
     if (math.ceil(lo / math.pi) * math.pi <= hi
-            or min(abs(math.sin(lo)), abs(math.sin(hi))) < 1e-12):
+            or min(abs(math.sin(lo)), abs(math.sin(hi))) < MIN_SIN_THETA):
         raise ValueError("grid touches a degenerate quasi-energy; "
                          "shrink the box or step explicitly")
     thetas, alphas = grid.axes()
@@ -535,21 +535,26 @@ def _parabolic_vertex(axis: np.ndarray, values: np.ndarray, i: int) -> float:
     return float(axis[i])
 
 
-def _step_on(free: np.ndarray, curvature: np.ndarray,
-             score: np.ndarray) -> np.ndarray:
-    """Solve curvature @ step = score on the ``free`` coordinates alone.
+def _pseudo_inverse(m: np.ndarray, free: np.ndarray):
+    """(inverse, null_weight, definite) of the symmetric ``m`` on ``free``.
 
-    The other coordinates get a zero step.  Directions of the free block
-    with curvature at or below 1e-10 of the full matrix's largest
-    eigenvalue (at least 1e-10) carry no information and get no step.
+    The free block is inverted off the directions with eigenvalue at or
+    below tol = 1e-10 max(lambda_max(m), 1); held coordinates get zero
+    rows and columns.  ``null_weight`` is each coordinate's squared
+    weight on the dropped directions, and ``definite`` says no block
+    eigenvalue lies below -tol.  All free costs one decomposition.
     """
-    tol = 1e-10 * max(float(np.linalg.eigvalsh(curvature).max()), 1.0)
-    evals, evecs = np.linalg.eigh(curvature[np.ix_(free, free)])
+    evals, evecs = np.linalg.eigh(m)
+    tol = 1e-10 * max(float(evals.max()), 1.0)
+    if not free.all():
+        evals, block = np.linalg.eigh(m[np.ix_(free, free)])
+        evecs = np.zeros((m.shape[0], evals.size))
+        evecs[free] = block
     good = evals > tol
-    step = np.zeros(score.size)
-    step[free] = (evecs * np.where(good, 1.0 / np.where(good, evals, 1.0),
-                                   0.0)) @ (evecs.T @ score[free])
-    return step
+    inverse = (evecs * np.where(good, 1.0 / np.where(good, evals, 1.0),
+                                0.0)) @ evecs.T
+    null_weight = (evecs[:, ~good] ** 2).sum(axis=1)
+    return inverse, null_weight, bool(evals.min(initial=0.0) >= -tol)
 
 
 def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
@@ -564,8 +569,12 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     log-likelihood through the argmax and its neighbours on each axis.
     Each step takes one engine run for the score and the observed
     information J = sum_x n_x [dp dp^T / p^2 - d2p / p] with exact
-    second derivatives; where J is not positive definite off its
-    information-free directions the step falls back to Fisher scoring.
+    second derivatives.  One rule inverts every curvature: the inverse
+    off the directions with eigenvalue at or below
+    1e-10 max(lambda_max, 1) (:func:`_pseudo_inverse`).  It gives the
+    Newton step, the Fisher-scoring step it falls back to where J has
+    an eigenvalue below minus that cutoff, the step retaken on the free
+    coordinate of an edge, and the covariance.
     A step longer than one grid cell on either axis is shortened to
     one, so the fit stays with the grid maximum even where the
     likelihood wiggles on the scale of a cell (few shots).  The fit
@@ -575,10 +584,10 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     (``on_edge``), and the step is retaken on the other coordinate
     alone, so a fit pinned by the box converges too.  One more run at
     the returned point gives the covariance estimate (the inverse of J
-    there) and the log-likelihood.  A direction the data carry no
-    information about (the position marginal can be exactly flat in
-    alpha for some inputs) gets an infinite diagonal entry.  ``table``
-    comes from :func:`make_likelihood_table` at the record's t.
+    there) and the log-likelihood.  A parameter weighing more than 1/2
+    on the dropped directions (the position marginal can be exactly
+    flat in alpha for some inputs) gets an infinite variance.
+    ``table`` comes from :func:`make_likelihood_table` at the record's t.
     """
     if rec.t != table.t:
         raise ValueError(f"record t={rec.t} disagrees with the table t={table.t}")
@@ -601,7 +610,8 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     converged = False
     iters = scoring_steps = 0
     last_step = np.inf
-    held = np.zeros(2, dtype=bool)
+    every = np.ones(2, dtype=bool)
+    held = ~every
     while True:
         _, probs, dprobs, d2probs = _derivatives(x[0], x[1], table.t,
                                                  *table.engine)
@@ -611,39 +621,31 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
         score = g @ n
         h = (d2probs[:, live] / probs[live]) @ n
         observed = (g * n) @ g.T - np.array([[h[0], h[1]], [h[1], h[2]]])
-        evals, evecs = np.linalg.eigh(observed)
-        tol = 1e-10 * max(float(evals.max(initial=0.0)), 1.0)
-        good = evals > tol
-        # inverse of J off its information-free directions
-        j_inv = (evecs * np.where(good, 1.0 / np.where(good, evals, 1.0),
-                                  0.0)) @ evecs.T
+        j_inv, null_weight, definite = _pseudo_inverse(observed, every)
         if converged or iters == max_refine:
             break
         iters += 1
-        if evals.min() >= -tol:
-            step = j_inv @ score
-            curvature = observed
-        else:
+        curvature, inverse = observed, j_inv
+        if not definite:
             scoring_steps += 1
             curvature = _information(probs, dprobs) * rec.shots
-            step = np.linalg.pinv(curvature, rcond=1e-10,
-                                  hermitian=True) @ score
+            inverse = _pseudo_inverse(curvature, every)[0]
+        step = inverse @ score
         # a coordinate on the box edge whose step points out of the box
         # by the tolerance or more stays there, and the step is retaken
         # on the others
         outward = np.where(x <= lower, -step, np.where(x >= upper, step, 0.0))
         held = outward >= STEP_TOL
         if held.any():
-            step = _step_on(~held, curvature, score)
+            step = _pseudo_inverse(curvature, ~held)[0] @ score
         step = step / max(1.0, float(np.max(np.abs(step) / cell)))
         x = np.clip(x + step, lower, upper)
         last_step = float(np.max(np.abs(step)))
         converged = last_step < STEP_TOL
 
     # a parameter living mostly in a zero-information direction has no
-    # finite variance; report inf there instead of the pinv zero
+    # finite variance; report inf there instead of the zero of the inverse
     cov = j_inv
-    null_weight = (evecs[:, ~good] ** 2).sum(axis=1)
     cov[np.diag_indices_from(cov)] = np.where(null_weight > 0.5, np.inf,
                                               np.diag(cov))
     ll_fit = float(np.sum(n * np.log(probs[live]))) \

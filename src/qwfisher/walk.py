@@ -33,6 +33,9 @@ import numpy as np
 from .errors import DegenerateWalk
 
 NORM_TOL = 1e-12
+# the coin mixes only where |sin theta| >= this; float pi lands at
+# sin ~ 1.2e-16, not 0, so the gate is a floor, not an equality
+MIN_SIN_THETA = 1e-12
 TWO_PI = 2.0 * np.pi
 
 
@@ -63,15 +66,10 @@ class CoinParams:
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, _wrap_angle(v))
-        if abs(math.sin(self.theta)) < 1e-12:
+        if abs(math.sin(self.theta)) < MIN_SIN_THETA:
             raise DegenerateWalk(
                 f"sin(theta) = 0 at theta={self.theta!r}: coin does not mix "
                 "the internal components")
-
-    def replace(self, **kw) -> "CoinParams":
-        d = {"theta": self.theta, "alpha": self.alpha, "beta": self.beta}
-        d.update(kw)
-        return CoinParams(**d)
 
 
 PARAM_NAMES = ("theta", "alpha", "beta")

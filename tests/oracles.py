@@ -5,6 +5,7 @@ explicit matrix elements and deliberately share no code with the
 package internals they are used to check.  Scalar constants were
 frozen from separate high-precision evaluations of the closed forms.
 """
+import dataclasses
 import os
 import subprocess
 import sys
@@ -290,10 +291,32 @@ def fd_loglik_hessian(counts, init, p, t, h=1e-5):
 
     hess = np.zeros((2, 2))
     for j, mu in enumerate(("theta", "alpha")):
-        up = p.replace(**{mu: getattr(p, mu) + h})
-        dn = p.replace(**{mu: getattr(p, mu) - h})
+        up = dataclasses.replace(p, **{mu: getattr(p, mu) + h})
+        dn = dataclasses.replace(p, **{mu: getattr(p, mu) - h})
         hess[:, j] = (score(up) - score(dn)) / (2.0 * h)
     return 0.5 * (hess + hess.T)
+
+
+def pseudo_inverse_dense(m, free):
+    """(inverse, null weights, block eigenvalues, cutoff) of the symmetric m
+    on the ``free`` coordinates, one eigenpair at a time.
+
+    Each eigenpair of the free block above the cutoff
+    1e-10 max(lambda_max(m), 1) adds v v^T / lambda to the inverse; each
+    other one adds v^2 to the null weights.  Held coordinates stay zero.
+    """
+    tol = 1e-10 * max(np.linalg.eigvalsh(m).max(), 1.0)
+    idx = np.flatnonzero(free)
+    inverse, null = np.zeros_like(m), np.zeros(m.shape[0])
+    evals, evecs = np.linalg.eigh(m[np.ix_(idx, idx)])
+    for lam, v in zip(evals, evecs.T):
+        full = np.zeros(m.shape[0])
+        full[idx] = v
+        if lam > tol:
+            inverse += np.outer(full, full) / lam
+        else:
+            null += full ** 2
+    return inverse, null, evals, tol
 
 
 def dilation_connected(mask, start):

@@ -20,8 +20,10 @@ def spd2(a, b, c):
 
 class TestWeightMatrix:
     def test_identity(self):
-        w = WeightMatrix.identity()
-        assert np.array_equal(w.entries, np.eye(2))
+        # the identity weight is the unweighted bound
+        f = spd2(3.0, 5.0, 1.0)
+        assert symmetric_bound(f, WeightMatrix(np.eye(2))) \
+            == symmetric_bound(f)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):

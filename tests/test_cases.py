@@ -295,7 +295,7 @@ class TestSweeps:
         out = sweep_fig1(theta, 40)
         curves = out["curves"]
         assert list(curves.columns) == ["t", "qfi_ry0", "qfi_ry1", "ratio"]
-        assert curves.n_rows == 40
+        assert len(curves.columns["t"]) == 40
         np.testing.assert_allclose(curves.columns["ratio"],
                                    1.0 + math.sin(theta), rtol=1e-12)
         # quadratic growth in t
@@ -313,7 +313,7 @@ class TestSweeps:
         thetas = [0.7853981633974483, 1.1]
         out = sweep_fig2(thetas, 30)
         curves = out["curves"]
-        assert curves.n_rows == 2 * 30
+        assert len(curves.columns["t"]) == 2 * 30
         th = np.asarray(curves.columns["theta"])
         t = np.asarray(curves.columns["t"], dtype=float)
         ch = np.asarray(curves.columns["c_h"])

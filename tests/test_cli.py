@@ -132,6 +132,20 @@ def test_exit_codes(workdir, capsys, argv, code):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "fig2", "--t-max", "5", "--theta-list"],
+    ["sweep", "fig1", "--t-max", "5", "--theta"],
+    ["evolve", "--t", "3", "--theta"],
+], ids=["fig2", "fig1", "evolve"])
+@pytest.mark.parametrize("theta,code", [("1e-12", 0), ("9e-13", 4)])
+def test_one_sin_theta_floor(workdir, capsys, argv, theta, code):
+    # every gate reads walk.MIN_SIN_THETA with the coin's comparison, and
+    # sin(1e-12) == 1e-12 sits on the floor
+    assert math.sin(1e-12) == 1e-12
+    assert main(argv + [theta]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_widest_input_window_runs(workdir, capsys):
     # no layer is quadratic in the span: the widest entangled pair the
     # site bound allows runs through both oracle-backed commands

@@ -1,10 +1,11 @@
 """Sampling, classical information and the likelihood-grid MLE."""
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwfisher import (CoinParams, GridSpec, MeasurementRecord, WalkerState,
@@ -14,12 +15,12 @@ from qwfisher import (CoinParams, GridSpec, MeasurementRecord, WalkerState,
 from qwfisher import estimation
 from qwfisher.estimation import (MASS_THRESHOLD, PositionDistribution,
                                  _connected_from_argmax, _grid_loglik,
-                                 _prob_derivatives)
+                                 _prob_derivatives, _pseudo_inverse)
 from qwfisher.walk import SiteWindow, SU2Powers, spinors_at, theta_jet
 
 from oracles import (dilation_connected, evolve_steps, fd_loglik_hessian,
-                     table_probs, three_run_prob_derivatives,
-                     whole_grid_table_b)
+                     pseudo_inverse_dense, table_probs,
+                     three_run_prob_derivatives, whole_grid_table_b)
 
 
 def random_amps(n_sites, seed):
@@ -206,7 +207,7 @@ class TestClassicalFisher:
         fd = {}
         for mu in ("theta", "alpha"):
             up, dn = (three_run_prob_derivatives(
-                init, p.replace(**{mu: getattr(p, mu) + s}), t,
+                init, dataclasses.replace(p, **{mu: getattr(p, mu) + s}), t,
                 ("theta", "alpha")) for s in (h, -h))
             assert np.array_equal(up[0], sites)
             fd[mu] = (up[2] - dn[2]) / (2.0 * h)
@@ -431,13 +432,17 @@ class TestLikelihoodTable:
         # end below the coin gate) is refused whatever its alpha nodes
         for theta_min, theta_max, n_alpha in [
                 (0.0, 0.3, 200), (0.0, 0.3, 201), (-0.2, 0.3, 200),
-                (1e-13, 0.3, 201), (3.0, 3.2, 200)]:
+                (1e-13, 0.3, 201), (9e-13, 0.3, 200), (3.0, 3.2, 200)]:
             grid = GridSpec(theta_min=theta_min, theta_max=theta_max,
                             n_theta=30, n_alpha=n_alpha)
             with pytest.raises(ValueError, match="degenerate"):
                 make_likelihood_table(initial_entangled(0, 1),
                                       CoinParams(math.pi / 4, 0.0, 0.0), 20,
                                       grid)
+        # sin(1e-12) == 1e-12: an end on the coin's floor itself passes
+        make_likelihood_table(initial_entangled(0, 1),
+                              CoinParams(math.pi / 4, 0.0, 0.0), 5,
+                              GridSpec(theta_min=1e-12, n_theta=30))
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError, match="empty"):
@@ -695,6 +700,56 @@ class TestNewtonFit:
                           table=table)
             assert res.converged
             assert 0 < len(runs) <= res.iterations + 1
+
+
+@st.composite
+def symmetric_2x2(draw):
+    """A symmetric 2 x 2 matrix R diag(lam) R^T of one of four kinds."""
+    kind = draw(st.sampled_from(["definite", "indefinite", "rank-one",
+                                 "below-one"]))
+    size = st.floats(1e-3, 1e6)
+    if kind == "definite":
+        lam = [draw(size), draw(size)]
+    elif kind == "indefinite":
+        lam = [draw(size), -draw(size)]
+    elif kind == "rank-one":
+        lam = [draw(size) * draw(st.sampled_from([1.0, -1.0])), 0.0]
+    else:
+        # lambda_max < 1: the cutoff is 1e-10, not 1e-10 lambda_max, so
+        # an eigenvalue of 3e-12 is dropped
+        lam = [draw(st.floats(1e-3, 0.99)),
+               draw(st.sampled_from([0.0, 3e-12, -3e-12])
+                    | st.floats(1e-8, 0.99) | st.floats(-0.99, -1e-8))]
+    phi = draw(st.floats(0.0, math.pi))
+    r = np.array([[math.cos(phi), -math.sin(phi)],
+                  [math.sin(phi), math.cos(phi)]])
+    m = (r * lam) @ r.T
+    return kind, 0.5 * (m + m.T)
+
+
+class TestPseudoInverse:
+    @settings(max_examples=300, deadline=None)
+    @given(case=symmetric_2x2(),
+           free=st.sampled_from([(True, True), (True, False),
+                                 (False, True), (False, False)]))
+    def test_matches_the_dense_reference(self, case, free):
+        kind, m = case
+        free = np.array(free)
+        inverse, null, definite = _pseudo_inverse(m, free)
+        ref, ref_null, evals, tol = pseudo_inverse_dense(m, free)
+        # no block eigenvalue within a factor 10 of the cutoff, where the
+        # two decompositions may round to opposite sides of it
+        assume(not np.any((np.abs(evals) > 0.1 * tol)
+                          & (np.abs(evals) < 10.0 * tol)))
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs(inverse - ref).max() <= 1e-12 * scale
+        assert not inverse[~free].any() and not inverse[:, ~free].any()
+        assert not null[~free].any()
+        assert np.abs(null - ref_null).max() <= 1e-12
+        assert definite == bool(evals.min(initial=0.0) >= -tol)
+        if kind == "definite" and free.all():
+            assert not null.any() and definite
+            assert np.abs(inverse @ m - np.eye(2)).max() <= 1e-6
 
 
 def spiral_mask(n):

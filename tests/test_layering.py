@@ -11,6 +11,9 @@ the site window after t steps and the SU(2) closed forms) live in
 module imports.  The engine-boundary ratchet below holds every other
 module in the package and in ``scripts/`` to that, with its exemptions
 listed by module, function and name.
+
+The fitter has one pseudo-inverse: no module calls ``pinv``, and
+``estimation`` decomposes a matrix only in ``_pseudo_inverse``.
 """
 import ast
 import builtins
@@ -87,14 +90,15 @@ def _imports_quadrature(node) -> bool:
         source == "" and any(a.name == "quadrature" for a in node.names))
 
 
-class _EngineRefs(ast.NodeVisitor):
-    """(function, name) for every engine reference outside ``walk``.
+class _Refs(ast.NodeVisitor):
+    """(function, name) for every reference to one of ``names``.
 
     The function is the dotted enclosing def, ``<module>`` at top level
     and ``<import>`` for a name brought in by an import.
     """
 
-    def __init__(self):
+    def __init__(self, names):
+        self.names = names
         self.scope = []
         self.hits = []
 
@@ -109,13 +113,26 @@ class _EngineRefs(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Name(self, node):
-        if node.id in ENGINE_NAMES:
+        if node.id in self.names:
             self._hit(node.id)
 
     def visit_Attribute(self, node):
-        if node.attr in ENGINE_NAMES:
+        if node.attr in self.names:
             self._hit(node.attr)
         self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            if alias.name in self.names:
+                self._hit(alias.name, "<import>")
+
+
+class _EngineRefs(_Refs):
+    """Every engine reference outside ``walk``: the engine names, calls of
+    the window class and imports of ``quadrature``."""
+
+    def __init__(self):
+        super().__init__(ENGINE_NAMES)
 
     def visit_Call(self, node):
         f = node.func
@@ -131,9 +148,7 @@ class _EngineRefs(ast.NodeVisitor):
     def visit_ImportFrom(self, node):
         if _imports_quadrature(node):
             self._hit("qwfisher.quadrature", "<import>")
-        for alias in node.names:
-            if alias.name in ENGINE_NAMES:
-                self._hit(alias.name, "<import>")
+        super().visit_ImportFrom(node)
 
 
 def _engine_refs():
@@ -165,6 +180,38 @@ def test_engine_exemptions_have_no_stale_entries():
     stale = set(ENGINE_EXEMPT) - _engine_refs()
     assert not stale, f"listed engine exemptions that no longer exist: " \
         f"{sorted(stale)}"
+
+
+# ---------------------------------------------------------------------------
+# one pseudo-inverse
+
+# the fitter inverts every curvature (Newton step, scoring step, edge
+# re-solve, covariance) with one helper, the only eigen-solver call it makes
+SOLVER = ("estimation", "_pseudo_inverse")
+EIGEN_NAMES = {"eigh", "eigvalsh"}
+
+
+def _linalg_refs():
+    """(module, function, name) for every pseudo-inverse or eigen-solver
+    reference in the package."""
+    hits = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        refs = _Refs(EIGEN_NAMES | {"pinv"})
+        refs.visit(ast.parse(path.read_text(), filename=str(path)))
+        hits |= {(path.stem, scope, name) for scope, name in refs.hits}
+    return hits
+
+
+def test_no_pinv_in_the_package():
+    pinv = sorted(hit for hit in _linalg_refs() if hit[2] == "pinv")
+    assert not pinv, f"pinv references in the package: {pinv}"
+
+
+def test_fitter_decomposes_only_in_its_helper():
+    calls = {(scope, name) for module, scope, name in _linalg_refs()
+             if module == SOLVER[0] and name in EIGEN_NAMES}
+    assert calls and {scope for scope, _ in calls} == {SOLVER[1]}, \
+        f"eigen-solver calls in {SOLVER[0]} outside {SOLVER[1]}: {calls}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Asymptotic information matrix: generator vectors, zone integrals, closed forms."""
+import dataclasses
 import math
 
 import numpy as np
@@ -47,8 +48,8 @@ def test_generator_matches_finite_difference_of_uk(mu):
     w = generator_spatial(p)[("theta", "alpha", "beta").index(mu)]
     o = 0.5j * np.einsum("i,iab->ab", w, PAULI[1:])
     h = 1e-6
-    up = p.replace(**{mu: getattr(p, mu) + h})
-    dn = p.replace(**{mu: getattr(p, mu) - h})
+    up = dataclasses.replace(p, **{mu: getattr(p, mu) + h})
+    dn = dataclasses.replace(p, **{mu: getattr(p, mu) - h})
     ks = [-2.0, 0.0, 1.3]
     u = u_dense(p.theta, p.alpha, p.beta, ks)
     du = (u_dense(up.theta, up.alpha, up.beta, ks)

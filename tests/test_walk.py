@@ -1,4 +1,5 @@
 """Walk core: coin algebra, stepping, initial states, k-space picture."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -81,10 +82,11 @@ def test_degenerate_mixing_angle_rejected(theta):
 
 def test_replace_rebuilds_with_validation():
     p = CoinParams(0.5, 0.1, 0.2)
-    q = p.replace(alpha=1.0)
+    q = dataclasses.replace(p, alpha=1.0)
     assert q.alpha == 1.0 and q.theta == p.theta
+    assert dataclasses.replace(p, alpha=4.0).alpha == 4.0 - 2.0 * math.pi
     with pytest.raises(DegenerateWalk):
-        p.replace(theta=0.0)
+        dataclasses.replace(p, theta=0.0)
 
 
 # ---------------------------------------------------------------------------
