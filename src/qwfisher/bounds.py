@@ -97,17 +97,17 @@ def symmetric_bound(f, w: WeightMatrix | None = None) -> float:
 def g_of_theta(theta: float) -> float:
     """Closed-form C^H t^2 for the optimal entangled input.
 
-    (sin th + cos^2 th) / (4 sin th (1 - sin th)); diverges at
-    theta = pi/2 where the alpha information dies.  1 - sin th is taken
-    as cos^2 th / (1 + sin th), which does not cancel near pi/2.
+    (s + cos^2 th) / (4 s (1 - s)) with s = |sin th|; diverges at
+    theta = pi/2 where the alpha information dies.  1 - s is taken as
+    cos^2 th / (1 + s), which does not cancel near pi/2.
     """
-    s, c = np.sin(theta), np.cos(theta)
+    s, c = abs(np.sin(theta)), np.cos(theta)
     # the sin floor is the coin's gate (NaN fails it too); float pi/2
     # lands at cos(theta) ~ 6.1e-17, not exactly zero
     if not s >= MIN_SIN_THETA:
         raise SingularFisher(
-            f"closed form needs sin(theta) > 0, got theta={theta!r}",
-            parameter="theta")
+            f"closed form needs |sin(theta)| >= {MIN_SIN_THETA}, "
+            f"got theta={theta!r}", parameter="theta")
     if not abs(c) >= 1e-12:
         raise SingularFisher(
             f"closed form needs cos(theta) != 0, got theta={theta!r}",
@@ -146,7 +146,6 @@ class HolevoResult:
     """Holevo bound evaluated in the compatible regime."""
 
     value: float
-    symmetric_value: float
     r: float
     certificate: str
 
@@ -175,5 +174,5 @@ def holevo_compatible(f, w: WeightMatrix | None = None, d=None,
             f"curvature norm {dnorm:.3e} exceeds {eps:.1e} * ||F||; "
             f"Holevo bound only bracketed: [{cs!r}, {cs * (1 + r)!r}]")
     return HolevoResult(
-        value=cs, symmetric_value=cs, r=dnorm / fnorm,
+        value=cs, r=dnorm / fnorm,
         certificate=f"||D||/||F|| = {dnorm / fnorm:.3e} <= {eps:.1e}")

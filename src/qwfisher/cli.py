@@ -13,9 +13,8 @@ passed with ``--config``; explicit command-line flags win on conflict.
 Outputs are CSV/JSON with the resolved configuration embedded, no
 timestamps, so a config reproduces its files byte for byte.
 
-Exit codes: 0 success, 2 configuration problem, 3 a numerical result
-that failed its own accuracy check (today only the case round trip),
-4 model-level failure.
+Exit codes and stderr labels: see ``qwfisher.errors``, where each
+error type carries its own.
 
 The environment variable QWF_THREADS caps BLAS/OpenMP parallelism; it
 is applied before numpy is first imported, which is why the heavy
@@ -30,9 +29,7 @@ import os
 import sys
 import warnings
 
-from .errors import (ChargeUnidentifiable, ConfigError, DegenerateWalk,
-                     IncompatibleModel, NoConvergence, OutOfWindow,
-                     SingularFisher, SingularJacobian)
+from .errors import ConfigError, IncompatibleModel, QwfError
 
 _UNSET = object()
 
@@ -81,14 +78,17 @@ class _Cmd:
     the file without any token juggling.
     """
 
-    def __init__(self, subparsers, name, help_text, func):
+    def __init__(self, subparsers, name, help_text, func, stem=None):
         self.name = name
         self.func = func
+        # default output prefix qwf_<stem>, formatted with the parsed flags
+        self.stem = stem or name
         self.registry = {}
         self.parser = subparsers.add_parser(name, help=help_text)
         self.parser.set_defaults(_cmd=self)
         self.parser.add_argument("--config", default=None, metavar="FILE",
                                  help="key = value file mirroring the flags")
+        self.add("out", default=None, help="output file prefix")
 
     def add(self, flag, *, type=str, default=None, help=None, aliases=(),
             choices=None, metavar=None):
@@ -101,24 +101,29 @@ class _Cmd:
             self.parser.add_argument(*names, dest=dest, type=type,
                                      default=_UNSET, choices=choices,
                                      help=help, metavar=metavar)
-        self.registry[dest] = (_parse_bool if type is bool else type, default)
+        self.registry[dest] = (_parse_bool if type is bool else type, default,
+                               choices)
 
     def add_positional(self, name, choices, help=None):
         self.parser.add_argument(name, choices=choices, help=help)
 
-    def resolve(self, ns) -> dict:
-        """Fill unset flags from config file and defaults; return the echo."""
+    def resolve(self, ns) -> _Sink:
+        """Fill unset flags from config file and defaults; return the
+        run's output sink, which carries the resolved config (its echo)."""
         cfg = _load_config(ns.config) if ns.config else {}
-        for dest, (conv, default) in self.registry.items():
+        for dest, (conv, default, choices) in self.registry.items():
             if getattr(ns, dest) is not _UNSET:
                 cfg.pop(dest, None)
                 continue
             if dest in cfg:
-                raw = cfg.pop(dest)
                 try:
-                    setattr(ns, dest, conv(raw))
+                    value = conv(cfg.pop(dest))
+                    if choices and value not in choices:
+                        raise ValueError(f"invalid choice {value!r} (choose "
+                                         f"from {', '.join(choices)})")
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"config key {dest!r}: {exc}")
+                setattr(ns, dest, value)
             else:
                 setattr(ns, dest, default)
         if cfg:
@@ -129,10 +134,9 @@ class _Cmd:
             echo["config_file"] = ns.config
         for dest in sorted(self.registry):
             echo[dest] = getattr(ns, dest)
-        for extra in ("which",):
-            if hasattr(ns, extra):
-                echo[extra] = getattr(ns, extra)
-        return echo
+        if hasattr(ns, "which"):
+            echo["which"] = ns.which
+        return _Sink(ns.out or "qwf_" + self.stem.format_map(vars(ns)), echo)
 
 
 def _load_config(path) -> dict:
@@ -177,6 +181,32 @@ def _add_init_flags(cmd, default="localized:0"):
             help="internal Bloch vector for localized input")
 
 
+def _items(raw, flag, conv=str, size=None, choices=None) -> list:
+    """The items of the comma list ``raw`` that ``flag`` was given.
+
+    Items are stripped and empty ones dropped; each is then checked
+    against ``choices`` and converted by ``conv``.  An empty list, an
+    unknown or unconvertible item, or a count other than ``size`` is a
+    ConfigError naming the flag.
+    """
+    items = [s.strip() for s in str(raw).split(",") if s.strip()]
+    if not items:
+        raise ConfigError(f"{flag} is empty")
+    for item in items:
+        if choices and item not in choices:
+            raise ConfigError(f"{flag}: unknown {item!r}; choose from "
+                              + ", ".join(choices))
+    try:
+        values = [conv(s) for s in items]
+    except ValueError:
+        values = None
+    if values is None or len(values) != (size or len(values)):
+        count = f"{size} " if size else ""
+        raise ConfigError(f"{flag} expects {count}comma-separated values, "
+                          f"got {raw!r}")
+    return values
+
+
 def _site(x: int) -> int:
     if abs(x) > MAX_SITE_POSITION:
         raise ConfigError(f"site {x} is beyond MAX_SITE_POSITION = "
@@ -204,19 +234,18 @@ def _parse_init(ns):
             if spinor and bloch:
                 raise ConfigError("give either --spinor or --bloch, not both")
             if spinor:
-                kw["spinor"] = np.array([complex(c.replace(" ", ""))
-                                         for c in str(spinor).split(",")])
+                kw["spinor"] = np.array(_items(
+                    spinor, "--spinor", lambda c: complex(c.replace(" ", "")),
+                    size=2))
             if bloch:
                 kw["bloch"] = CoinBlochState(
-                    np.array([float(x) for x in str(bloch).split(",")]))
+                    np.array(_items(bloch, "--bloch", float, size=3)))
             return initial_localized(**kw)
         if kind == "entangled":
-            x1, x2 = (int(x) for x in rest.split(",")) if rest else (0, 1)
+            x1, x2 = _items(rest, "--init", int, size=2) if rest else (0, 1)
             return initial_entangled(_site(x1), _site(x2))
         if kind == "gamma":
             return initial_gamma(float(rest) if rest else 0.0)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad initial state {text!r}: {exc}")
     raise ConfigError(f"unknown initial state kind {kind!r} "
@@ -235,66 +264,6 @@ def _check_t(t, minimum=1):
     return t
 
 
-def _prefix(ns, command):
-    return ns.out if ns.out else f"qwf_{command}"
-
-
-def _echo_comment(echo) -> list:
-    from ._io import SCHEMA_VERSION, jsonable
-    from . import __version__
-    return [
-        "config: " + json.dumps(jsonable(echo), sort_keys=True),
-        f"schema_version: {SCHEMA_VERSION}  qwfisher: {__version__}",
-    ]
-
-
-@contextlib.contextmanager
-def _output_errors():
-    """A write that the file system refuses becomes a ConfigError (exit 2)."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {exc.filename}: "
-                          f"{exc.strerror or exc}") from exc
-
-
-def _write_report(path, echo, body: dict) -> None:
-    from ._io import SCHEMA_VERSION, write_json
-    from . import __version__
-    payload = {"schema_version": SCHEMA_VERSION,
-               "qwfisher_version": __version__,
-               "config": echo}
-    payload.update(body)
-    with _output_errors():
-        write_json(path, payload)
-
-
-def _write_table(prefix, stem, table, echo) -> list:
-    csv_path = f"{prefix}_{stem}.csv"
-    json_path = f"{prefix}_{stem}.json"
-    from . import __version__
-    with _output_errors():
-        table.to_csv(csv_path, comments=_echo_comment(echo))
-        table.to_json(json_path, extra_meta={"config": echo,
-                                             "qwfisher_version": __version__})
-    return [csv_path, json_path]
-
-
-def _matrix_rows(labels, *mats):
-    rows = {"param_row": [], "param_col": []}
-    names = [name for name, _ in mats]
-    for name in names:
-        rows[name] = []
-    m = len(labels)
-    for i in range(m):
-        for j in range(m):
-            rows["param_row"].append(labels[i])
-            rows["param_col"].append(labels[j])
-            for name, mat in mats:
-                rows[name].append(float(mat[i, j]))
-    return rows
-
-
 class _StrColumnTable:
     """Columns whose first ones hold strings, written as one CSV table."""
 
@@ -306,11 +275,72 @@ class _StrColumnTable:
         write_csv(path, self.columns, comments)
 
 
+class _Sink:
+    """Every file one run writes, each named once under the run's prefix.
+
+    CSV files carry the config echo in their comments and JSON files in
+    their envelope; a write the file system refuses is a ConfigError;
+    ``files`` lists the paths written, in order, for the ``wrote`` line.
+    """
+
+    def __init__(self, prefix, echo):
+        from ._io import SCHEMA_VERSION, jsonable
+        from . import __version__
+        self.prefix, self.echo, self.files = prefix, echo, []
+        self.envelope = {"schema_version": SCHEMA_VERSION,
+                         "qwfisher_version": __version__, "config": echo}
+        self.comments = [
+            "config: " + json.dumps(jsonable(echo), sort_keys=True),
+            f"schema_version: {SCHEMA_VERSION}  qwfisher: {__version__}"]
+
+    @contextlib.contextmanager
+    def _path(self, name):
+        path = f"{self.prefix}_{name}"
+        try:
+            yield path
+        except OSError as exc:
+            raise ConfigError(f"cannot write {exc.filename}: "
+                              f"{exc.strerror or exc}") from exc
+        self.files.append(path)
+
+    def _csv(self, stem, table) -> None:
+        with self._path(stem + ".csv") as path:
+            table.to_csv(path, comments=self.comments)
+
+    def csv(self, stem, columns: dict) -> None:
+        """Columns, string ones allowed, as a CSV table alone."""
+        self._csv(stem, _StrColumnTable(columns))
+
+    def table(self, stem, table) -> None:
+        """A ``DataTable`` as a CSV table and its JSON twin."""
+        self._csv(stem, table)
+        with self._path(stem + ".json") as path:
+            table.to_json(path, extra_meta={
+                "config": self.echo,
+                "qwfisher_version": self.envelope["qwfisher_version"]})
+
+    def report(self, stem, body: dict) -> None:
+        from ._io import write_json
+        with self._path(stem + ".json") as path:
+            write_json(path, {**self.envelope, **body})
+
+
+def _matrix_rows(labels, mats: dict) -> dict:
+    """CSV columns of named square matrices, one row per (row, col) pair;
+    a column name has '_' where its matrix name has '-'."""
+    cols = {"param_row": [a for a in labels for _ in labels],
+            "param_col": [b for _ in labels for b in labels]}
+    for name, mat in mats.items():
+        cols[name.replace("-", "_")] = [float(x) for row in mat for x in row]
+    return cols
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_evolve(ns, echo) -> int:
+def cmd_evolve(ns, out) -> None:
+    from ._io import DataTable
     from .estimation import position_distribution
     from .walk import evolve
 
@@ -319,27 +349,15 @@ def cmd_evolve(ns, echo) -> int:
     init = _parse_init(ns)
     final = evolve(init, p, t)
     dist = position_distribution(final)
-
-    from ._io import DataTable
-    prefix = _prefix(ns, "evolve")
-    table = DataTable(columns={"site": dist.sites, "probability": dist.probs},
-                      meta={"t": t, "norm": final.norm})
-    files = _write_table(prefix, "distribution", table, echo)
-    state_path = f"{prefix}_state.json"
-    _write_report(state_path, echo, {"state": final.to_json_dict(),
-                                     "norm": final.norm})
-    files.append(state_path)
+    out.table("distribution", DataTable(
+        columns={"site": dist.sites, "probability": dist.probs},
+        meta={"t": t, "norm": final.norm}))
+    out.report("state", {"state": final.to_json_dict(), "norm": final.norm})
     print(f"evolved t={t}: window [{final.origin}, "
           f"{final.origin + final.n_sites - 1}], norm={final.norm:.15f}")
-    print("wrote " + ", ".join(files))
-    return 0
 
 
 _ROUTES = ("analytic", "localized-closed-form", "oracle")
-
-
-def _route_column(route: str) -> str:
-    return "f_" + route.replace("-", "_")
 
 
 def _qfim_by_route(route, p, init, t, params):
@@ -363,56 +381,37 @@ def _qfim_by_route(route, p, init, t, params):
         relabeled = QFIMatrix(entries=f.entries, labels=("theta", "alpha"),
                               t=t, asymptotic=True)
         return relabeled, uhlmann_analytic(p, init, t, params=params)
-    if route == "oracle":
-        return exact_matrices(init, p, t, params=params)
-    raise ConfigError(f"unknown route {route!r}; choose from {_ROUTES}")
+    # "oracle": the flags admit no other route
+    return exact_matrices(init, p, t, params=params)
 
 
-def cmd_qfim(ns, echo) -> int:
+def cmd_qfim(ns, out) -> None:
     import numpy as np
     from .qfim import beta_null_check
+    from .walk import PARAM_NAMES
 
     p = _coin(ns)
     t = _check_t(ns.t)
     init = _parse_init(ns)
-    params = tuple(s.strip() for s in str(ns.params).split(",") if s.strip())
-    if not params:
-        raise ConfigError("no parameters requested")
-    for name in params:
-        if name not in ("theta", "alpha", "beta"):
-            raise ConfigError(f"unknown parameter {name!r}")
-    routes = [r.strip() for r in str(ns.routes).split(",") if r.strip()]
-    if not routes:
-        raise ConfigError("no routes requested")
-
-    results = {}
-    for route in routes:
-        results[route] = _qfim_by_route(route, p, init, t, params)
+    params = tuple(_items(ns.params, "--params", choices=PARAM_NAMES))
+    routes = _items(ns.routes, "--routes", choices=_ROUTES)
+    results = {route: _qfim_by_route(route, p, init, t, params)
+               for route in routes}
 
     ref_route = routes[0]
     ref = results[ref_route][0].entries
     scale = max(1.0, float(np.max(np.abs(ref))))
-    deviations = {}
-    for route in routes[1:]:
-        dev = np.max(np.abs(results[route][0].entries - ref))
-        deviations[route] = {"max_abs": float(dev),
-                             "max_rel": float(dev) / scale,
-                             "reference": ref_route}
-
+    devs = {route: np.abs(results[route][0].entries - ref)
+            for route in routes[1:]}
+    deviations = {route: {"max_abs": float(np.max(dev)),
+                          "max_rel": float(np.max(dev)) / scale,
+                          "reference": ref_route}
+                  for route, dev in devs.items()}
     beta_null = beta_null_check(p)
-    cols = {"param_row": [], "param_col": []}
-    mats = [(_route_column(r), results[r][0].entries) for r in routes]
-    cols.update(_matrix_rows(params, *mats))
-    for route in routes[1:]:
-        cols["dev_" + route.replace("-", "_")] = [
-            abs(float(results[route][0].entries[i, j]) - float(ref[i, j]))
-            for i in range(len(params)) for j in range(len(params))]
-
-    prefix = _prefix(ns, "qfim")
-    csv_path = f"{prefix}_report.csv"
-    with _output_errors():
-        _StrColumnTable(cols).to_csv(csv_path, comments=_echo_comment(echo))
-    body = {
+    mats = {"f_" + r: results[r][0].entries for r in routes}
+    mats.update(("dev_" + r, dev) for r, dev in devs.items())
+    out.csv("report", _matrix_rows(params, mats))
+    out.report("report", {
         "params": list(params),
         "routes": {route: {
             "entries": results[route][0].entries,
@@ -422,9 +421,7 @@ def cmd_qfim(ns, echo) -> int:
         } for route in routes},
         "deviations": deviations,
         "beta_null_residual": beta_null,
-    }
-    json_path = f"{prefix}_report.json"
-    _write_report(json_path, echo, body)
+    })
 
     for route in routes:
         diag = np.diag(results[route][0].entries)
@@ -434,88 +431,66 @@ def cmd_qfim(ns, echo) -> int:
         print(f"deviation {route} vs {ref_route}: max_abs={dev['max_abs']:.3e} "
               f"max_rel={dev['max_rel']:.3e}")
     print(f"beta_null_residual = {beta_null:.3e}")
-    print(f"wrote {csv_path}, {json_path}")
-    return 0
 
 
-def cmd_bounds(ns, echo) -> int:
+def cmd_bounds(ns, out) -> None:
     import numpy as np
+    from ._io import DataTable
     from .bounds import (WeightMatrix, holevo_compatible, incompatibility_R,
-                         sandwich, symmetric_bound)
+                         symmetric_bound)
 
     p = _coin(ns)
     t = _check_t(ns.t)
     init = _parse_init(ns)
-    params = ("theta", "alpha")
-    f, d = _qfim_by_route(ns.route, p, init, t, params)
-
+    f, d = _qfim_by_route(ns.route, p, init, t, ("theta", "alpha"))
     w = None
     if ns.weight:
-        try:
-            w00, w01, w11 = (float(x) for x in str(ns.weight).split(","))
-        except ValueError:
-            raise ConfigError("--weight expects W00,W01,W11")
+        w00, w01, w11 = _items(ns.weight, "--weight", float, size=3)
         w = WeightMatrix(np.array([[w00, w01], [w01, w11]]))
 
     cs = symmetric_bound(f, w)
     r = incompatibility_R(f, d)
-    lo, hi = sandwich(f, w, d)
-    holevo_value = None
-    note = None
+    hi = cs * (1.0 + r)                    # the sandwich [C^S, (1+R) C^S]
     try:
         hres = holevo_compatible(f, w, d, eps=ns.eps_compat)
-        holevo_value = hres.value
-        note = hres.certificate
+        holevo, note = hres.value, hres.certificate
     except IncompatibleModel as exc:
         if ns.strict:
             raise
-        note = str(exc)
+        holevo, note = None, str(exc)
 
-    prefix = _prefix(ns, "bounds")
-    from ._io import DataTable
-    table = DataTable(columns={
-        "symmetric": [cs], "r": [r], "sandwich_lo": [lo], "sandwich_hi": [hi],
-        "holevo": [float("nan") if holevo_value is None else holevo_value]})
-    files = _write_table(prefix, "bounds", table, echo)
-    _write_report(f"{prefix}_bounds_report.json", echo, {
+    out.table("bounds", DataTable(columns={
+        "symmetric": [cs], "r": [r], "sandwich_lo": [cs], "sandwich_hi": [hi],
+        "holevo": [float("nan") if holevo is None else holevo]}))
+    out.report("bounds_report", {
         "fisher": f.entries, "uhlmann": d.entries, "route": ns.route,
-        "symmetric": cs, "r": r, "sandwich": [lo, hi],
-        "holevo": holevo_value, "note": note})
-    files.append(f"{prefix}_bounds_report.json")
+        "symmetric": cs, "r": r, "sandwich": [cs, hi],
+        "holevo": holevo, "note": note})
     print(f"symmetric bound C^S = {cs:.12g}")
-    print(f"incompatibility R  = {r:.3e}; sandwich = [{lo:.12g}, {hi:.12g}]")
-    if holevo_value is None:
+    print(f"incompatibility R  = {r:.3e}; sandwich = [{cs:.12g}, {hi:.12g}]")
+    if holevo is None:
         print(f"holevo: unavailable ({note})")
     else:
-        print(f"holevo bound C^H   = {holevo_value:.12g}")
-    print("wrote " + ", ".join(files))
-    return 0
+        print(f"holevo bound C^H   = {holevo:.12g}")
 
 
-def cmd_sweep(ns, echo) -> int:
+def cmd_sweep(ns, out) -> None:
     from .cases import sweep_fig1, sweep_fig2
 
-    prefix = _prefix(ns, "sweep")
     t_max = _check_t(ns.t_max)
     if ns.which == "fig1":
-        out = sweep_fig1(ns.theta, t_max)
+        tables = sweep_fig1(ns.theta, t_max)
     else:  # fig2
-        try:
-            thetas = [float(x) for x in str(ns.theta_list).split(",")
-                      if x.strip()]
-        except ValueError:
-            raise ConfigError(f"--theta-list expects comma-separated angles, "
-                              f"got {ns.theta_list!r}")
-        if not thetas:
-            raise ConfigError("--theta-list is empty")
-        out = sweep_fig2(thetas, t_max)
-    files = (_write_table(prefix, "curves", out["curves"], echo)
-             + _write_table(prefix, "inset", out["inset"], echo))
-    print("wrote " + ", ".join(files))
-    return 0
+        tables = sweep_fig2(_items(ns.theta_list, "--theta-list", float),
+                            t_max)
+    out.table("curves", tables["curves"])
+    out.table("inset", tables["inset"])
 
 
-def cmd_case(ns, echo) -> int:
+_CASE_FLAGS = {"magnetic": ("b2",), "dirac": ("m", "q", "ax", "eps")}
+
+
+def cmd_case(ns, out) -> None:
     import numpy as np
     from .bounds import symmetric_bound
     from .cases import (DiracParams, MagneticField, coin_from_dirac,
@@ -526,59 +501,48 @@ def cmd_case(ns, echo) -> int:
 
     t = _check_t(ns.t)
     init = _parse_init(ns)
-    body: dict = {}
-
+    missing = [f for f in _CASE_FLAGS[ns.which] if getattr(ns, f) is None]
+    if missing:
+        raise ConfigError(f"{ns.which} case needs --{missing[0]}")
     if ns.which == "magnetic":
-        if ns.b2 is None:
-            raise ConfigError("magnetic case needs --b2")
-        field = MagneticField(b2=ns.b2, b3=ns.b3)
-        p = coin_from_magnetic(field)
-        jac = magnetic_jacobian(field)
-        labels = ("b2", "b3")
-        truth = (field.b2, field.b3)
+        model, labels = MagneticField(b2=ns.b2, b3=ns.b3), ("b2", "b3")
+        to_coin, jacobian = coin_from_magnetic, magnetic_jacobian
+
+        def invert(p):
+            field, info = magnetic_from_coin(p, full_output=True)
+            return (field.b2, field.b3), info
     else:  # dirac
-        for flag in ("m", "q", "ax", "eps"):
-            if getattr(ns, flag) is None:
-                raise ConfigError(f"dirac case needs --{flag}")
-        dp = DiracParams(m=ns.m, q=ns.q, a_x=ns.ax, eps=ns.eps)
-        p = coin_from_dirac(dp)
-        jac = dirac_jacobian(dp)
+        model = DiracParams(m=ns.m, q=ns.q, a_x=ns.ax, eps=ns.eps)
         labels = ("m", "q")
-        truth = (dp.m, dp.q)
+        to_coin, jacobian = coin_from_dirac, dirac_jacobian
+
+        def invert(p):
+            return dirac_from_coin(p, model.a_x, model.eps, full_output=True)
+    p = to_coin(model)
+    jac = jacobian(model)
 
     f_coin = qfim_theorem1(p, init, t, params=("theta", "alpha"))
     f_phys = pullback_qfim(f_coin, jac, labels)
     cs = symmetric_bound(f_phys)
-
-    if ns.which == "magnetic":
-        recovered, info = magnetic_from_coin(p, full_output=True)
-        rec_pair = (recovered.b2, recovered.b3)
-    else:
-        rec_pair, info = dirac_from_coin(p, dp.a_x, dp.eps, full_output=True)
-        m1, q1 = dirac_first_order(p, dp.a_x, dp.eps)
-        body["first_order"] = {
-            "m": m1, "q": q1,
-            "abs_err_m": abs(m1 - dp.m), "abs_err_q": abs(q1 - dp.q)}
-
-    round_trip = {labels[i]: {"true": truth[i], "recovered": rec_pair[i],
-                              "abs_err": abs(rec_pair[i] - truth[i])}
-                  for i in range(2)}
-    body.update({
+    recovered, info = invert(p)
+    truth = [getattr(model, name) for name in labels]
+    round_trip = {name: {"true": x, "recovered": y, "abs_err": abs(y - x)}
+                  for name, x, y in zip(labels, truth, recovered)}
+    body = {
         "coin": {"theta": p.theta, "alpha": p.alpha, "beta": p.beta},
         "jacobian": jac, "jacobian_cond": float(np.linalg.cond(jac)),
         "fisher_coin": f_coin.entries, "fisher_physical": f_phys.entries,
         "labels": list(labels), "symmetric_bound": cs,
         "round_trip": round_trip, "inverse_map_info": info,
-    })
+    }
+    if ns.which == "dirac":
+        m1, q1 = dirac_first_order(p, model.a_x, model.eps)
+        body["first_order"] = {
+            "m": m1, "q": q1,
+            "abs_err_m": abs(m1 - model.m), "abs_err_q": abs(q1 - model.q)}
 
-    prefix = _prefix(ns, f"case_{ns.which}")
-    cols = _matrix_rows(labels, ("f_physical", f_phys.entries))
-    csv_path = f"{prefix}_report.csv"
-    with _output_errors():
-        _StrColumnTable(cols).to_csv(csv_path, comments=_echo_comment(echo))
-    json_path = f"{prefix}_report.json"
-    _write_report(json_path, echo, body)
-
+    out.csv("report", _matrix_rows(labels, {"f_physical": f_phys.entries}))
+    out.report("report", body)
     print(f"coin: theta={p.theta:.12g} alpha={p.alpha:.12g} beta={p.beta:.12g}")
     for name in labels:
         rt = round_trip[name]
@@ -590,12 +554,11 @@ def cmd_case(ns, echo) -> int:
               f"q={fo['q']:.12g} (err {fo['abs_err_q']:.3e})")
     print(f"jacobian cond = {body['jacobian_cond']:.6g}; "
           f"symmetric bound C^S = {cs:.12g}")
-    print(f"wrote {csv_path}, {json_path}")
-    return 0
 
 
-def cmd_estimate(ns, echo) -> int:
+def cmd_estimate(ns, out) -> None:
     import numpy as np
+    from ._io import DataTable
     from .estimation import (GridSpec, make_likelihood_table, mle_fit,
                              position_distribution, sample)
     from .walk import evolve
@@ -615,20 +578,16 @@ def cmd_estimate(ns, echo) -> int:
     table = make_likelihood_table(init, p_true, t, grid)
     result = mle_fit(rec, table=table)
 
-    prefix = _prefix(ns, "estimate")
-    from ._io import DataTable
     sites = sorted(rec.counts)
-    counts_table = DataTable(
+    out.table("counts", DataTable(
         columns={"site": sites, "count": [rec.counts[s] for s in sites]},
-        meta={"shots": shots, "seed": int(ns.seed), "t": t})
-    files = _write_table(prefix, "counts", counts_table, echo)
-    _write_report(f"{prefix}_record.json", echo,
-                  {"record": rec.to_json_dict()})
+        meta={"shots": shots, "seed": int(ns.seed), "t": t}))
+    out.report("record", {"record": rec.to_json_dict()})
     err = np.sqrt(np.clip(np.diag(result.cov), 0.0, None))
     alpha_known = bool(np.isfinite(err[1]))
     # a likelihood flat in alpha picks its alpha by rounding: quote none
     alpha_hat = result.alpha if alpha_known else None
-    _write_report(f"{prefix}_result.json", echo, {
+    out.report("result", {
         "theta_hat": result.theta, "alpha_hat": alpha_hat,
         "stderr_theta": float(err[0]), "stderr_alpha": float(err[1]),
         "identified": {"theta": bool(np.isfinite(err[0])),
@@ -647,7 +606,6 @@ def cmd_estimate(ns, echo) -> int:
             "last_step": result.last_step,
             "score_norm": result.score_norm,
             "on_edge": list(result.on_edge)}})
-    files += [f"{prefix}_record.json", f"{prefix}_result.json"]
 
     print(f"theta_hat = {result.theta:.12g} +/- {err[0]:.3g} "
           f"(true {p_true.theta:.12g})")
@@ -674,8 +632,6 @@ def cmd_estimate(ns, echo) -> int:
         flags.append("true (theta, alpha) outside the grid box")
     if flags:
         print("warning: " + ", ".join(flags))
-    print("wrote " + ", ".join(files))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +653,6 @@ def build_parser():
     _add_coin_flags(ev, quarter_pi)
     _add_init_flags(ev)
     ev.add("t", type=int, default=100, help="number of steps")
-    ev.add("out", default=None, help="output file prefix")
 
     qf = _Cmd(sub, "qfim", "information matrix by one or more routes", cmd_qfim)
     _add_coin_flags(qf, quarter_pi)
@@ -707,7 +662,6 @@ def build_parser():
            help="comma list from: " + ", ".join(_ROUTES))
     qf.add("params", default="theta,alpha",
            help="comma list of coin parameters")
-    qf.add("out", default=None, help="output file prefix")
 
     bd = _Cmd(sub, "bounds", "scalar precision bounds from the QFIm",
               cmd_bounds)
@@ -722,7 +676,6 @@ def build_parser():
            help="compatibility threshold ||D|| <= eps ||F||")
     bd.add("strict", type=bool, default=False,
            help="fail (exit 4) when the model is incompatible")
-    bd.add("out", default=None, help="output file prefix")
 
     sw = _Cmd(sub, "sweep", "figure-data tables", cmd_sweep)
     sw.add_positional("which", ["fig1", "fig2"])
@@ -731,10 +684,10 @@ def build_parser():
     sw.add("theta-list", default="0.7853981633974483,1.1780972450961724",
            help="comma list of angles for fig2")
     sw.add("t-max", type=int, default=100, help="largest step count")
-    sw.add("out", default=None, help="output file prefix")
 
-    cs = _Cmd(sub, "case", "physical encodings end to end", cmd_case)
-    cs.add_positional("which", ["magnetic", "dirac"])
+    cs = _Cmd(sub, "case", "physical encodings end to end", cmd_case,
+              stem="case_{which}")
+    cs.add_positional("which", list(_CASE_FLAGS))
     cs.add("b2", type=float, default=None, help="transverse field component")
     cs.add("b3", type=float, default=0.0, help="longitudinal field component")
     cs.add("m", type=float, default=None, help="mass parameter")
@@ -744,7 +697,6 @@ def build_parser():
     cs.add("eps", type=float, default=None, help="lattice spacing")
     _add_init_flags(cs, default="entangled:0,1")
     cs.add("t", type=int, default=100, help="number of steps")
-    cs.add("out", default=None, help="output file prefix")
 
     es = _Cmd(sub, "estimate", "sample counts and fit (theta, alpha)",
               cmd_estimate)
@@ -754,7 +706,6 @@ def build_parser():
     es.add("shots", type=int, default=100000, help="measurement repetitions")
     es.add("seed", type=int, default=0, help="RNG seed")
     es.add("grid-n", type=int, default=200, help="grid points per axis")
-    es.add("out", default=None, help="output file prefix")
 
     return parser
 
@@ -766,18 +717,15 @@ def main(argv=None) -> int:
             f"warning: {message}", file=sys.stderr)
         try:
             _apply_thread_cap()
-            parser = build_parser()
-            ns = parser.parse_args(argv)
-            echo = ns._cmd.resolve(ns)
-            return ns._cmd.func(ns, echo)
-        except (SingularFisher, IncompatibleModel, ChargeUnidentifiable,
-                SingularJacobian, DegenerateWalk, OutOfWindow) as exc:
-            print(f"model error: {exc}", file=sys.stderr)
-            return 4
-        except NoConvergence as exc:
-            print(f"numerical error: {exc}", file=sys.stderr)
-            return 3
-        except (ConfigError, ValueError) as exc:
+            ns = build_parser().parse_args(argv)
+            out = ns._cmd.resolve(ns)
+            ns._cmd.func(ns, out)
+            print("wrote " + ", ".join(out.files))
+            return 0
+        except QwfError as exc:
+            print(f"{exc.label} error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except ValueError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         except MemoryError:

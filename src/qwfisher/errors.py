@@ -1,25 +1,41 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, each with its exit code.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, a numerical result that failed its own accuracy check with 3,
-and model-level failures (singular information, unidentifiable
-parameters, degenerate dynamics) with 4.
+This is the one statement of the ``qwf`` exit codes.  Each subclass of
+:class:`QwfError` names its code where it is declared, and ``cli.main``
+prints ``<label> error: <message>`` on stderr and exits with that code
+(0 on success):
+
+    2  config     a bad flag value or config file, or a refused write;
+                  ``cli.main`` maps ValueError and MemoryError here too
+    3  numerical  a result that failed its own accuracy check
+    4  model      singular information, an unidentifiable parameter,
+                  degenerate dynamics or an out-of-window encoding
 """
+
+_LABELS = {2: "config", 3: "numerical", 4: "model"}
 
 
 class QwfError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.  A subclass states
+    its code as ``class X(QwfError, code=N)``; its label follows."""
+
+    exit_code = None
+    label = None
+
+    def __init_subclass__(cls, code=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.exit_code, cls.label = code, _LABELS.get(code)
 
 
-class ConfigError(QwfError):
+class ConfigError(QwfError, code=2):
     """Invalid run configuration (bad flag value, malformed config file)."""
 
 
-class QuadratureError(QwfError):
+class QuadratureError(QwfError, code=3):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-class NoConvergence(QwfError):
+class NoConvergence(QwfError, code=3):
     """A numerical result failed its own accuracy check.
 
     Today only the case inverses raise it, when the field run back
@@ -32,15 +48,15 @@ class NoConvergence(QwfError):
         self.residual = residual
 
 
-class DegenerateWalk(QwfError):
+class DegenerateWalk(QwfError, code=4):
     """Coin angles sit at a degenerate point (sin theta = 0)."""
 
 
-class OutOfWindow(QwfError):
+class OutOfWindow(QwfError, code=4):
     """Physical parameters outside the invertibility window of a coin map."""
 
 
-class SingularFisher(QwfError):
+class SingularFisher(QwfError, code=4):
     """Fisher information (block) is singular; names the flat direction."""
 
     def __init__(self, message, parameter=None):
@@ -48,13 +64,13 @@ class SingularFisher(QwfError):
         self.parameter = parameter
 
 
-class IncompatibleModel(QwfError):
+class IncompatibleModel(QwfError, code=4):
     """Holevo evaluation requested outside the compatible regime."""
 
 
-class ChargeUnidentifiable(QwfError):
+class ChargeUnidentifiable(QwfError, code=4):
     """Dirac coupling cannot be identified (vanishing vector potential)."""
 
 
-class SingularJacobian(QwfError):
+class SingularJacobian(QwfError, code=4):
     """Parameter-map Jacobian is singular at the requested point."""

@@ -34,9 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import (PARAM_NAMES, TWO_PI, CoinParams, WalkerState,
-                   generator_spatial, initial_localized, k_grid_size,
-                   quasi_energy_axis, rho_bloch, spinors_at, uniform_k_grid)
+from .errors import DegenerateWalk
+from .walk import (MIN_SIN_THETA, PARAM_NAMES, TWO_PI, CoinParams,
+                   WalkerState, generator_spatial, initial_localized,
+                   k_grid_size, quasi_energy_axis, rho_bloch, spinors_at,
+                   uniform_k_grid)
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -234,11 +236,14 @@ def uhlmann_analytic(p: CoinParams, init: WalkerState, t: int,
 # closed forms for distinguished inputs
 
 
-def _require_positive_sin(theta: float) -> float:
-    s = np.sin(theta)
-    if not s > 0.0:
-        raise ValueError(f"closed form needs sin(theta) > 0, got theta={theta!r}")
-    return float(s)
+def _abs_sin(theta: float) -> float:
+    """s = |sin theta|, which every closed form takes: they hold on the
+    coin's whole domain, down to its floor ``walk.MIN_SIN_THETA``."""
+    s = abs(float(np.sin(theta)))
+    if not s >= MIN_SIN_THETA:                   # NaN fails too
+        raise DegenerateWalk(f"closed form needs |sin(theta)| >= "
+                             f"{MIN_SIN_THETA}, got theta={theta!r}")
+    return s
 
 
 def qfim_max_diag(theta: float, t: int) -> tuple[float, float]:
@@ -249,7 +254,7 @@ def qfim_max_diag(theta: float, t: int) -> tuple[float, float]:
     cross terms vanish at the optima.  1 - s is taken as
     cos^2 th / (1+s), which does not cancel near theta = pi/2.
     """
-    s = _require_positive_sin(theta)
+    s = _abs_sin(theta)
     tt = float(t) ** 2
     c2 = float(np.cos(theta)) ** 2
     return 4.0 * tt * s / (1.0 + s), 4.0 * tt * c2 / (1.0 + s)
@@ -259,31 +264,32 @@ def qfim_localized(theta: float, phi: float, r, t: int) -> QFIMatrix:
     """Information matrix over (theta, phi) for a single-site input.
 
     ``phi`` is the phase difference alpha - beta and ``r`` the coin Bloch
-    vector of the input.  With n = (sin th cos phi, sin th sin phi, cos th):
+    vector of the input.  With n = (sin th cos phi, sin th sin phi, cos th)
+    and s = |sin th|:
 
         F_tt = (4 t^2/(1+s)) [ s - (n x r)_z^2 / (1+s) ]
         F_pp = 4 t^2 (1-s) [ 1 - (n.r)^2 / (1+s) ]
-        F_tp = -4 t^2 cos th (n.r) (n x r)_z / (1+s)^2
+        F_tp = -4 t^2 sign(sin th) cos th (n.r) (n x r)_z / (1+s)^2
 
     The cross term is written in its everywhere-regular form; it equals
     the -4 t^2 (1-s) (n.r)(n x r)_z / (cos th (1+s)) variant away from
     theta = pi/2 since (1-s)/cos th = cos th/(1+s).  F_pp likewise takes
     1 - s as cos^2 th / (1+s), which does not cancel near theta = pi/2.
     """
-    s = _require_positive_sin(theta)
+    s = _abs_sin(theta)
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"coin Bloch vector must have shape (3,), got {r.shape}")
     if not np.linalg.norm(r) <= 1.0 + 1e-12:     # NaN fails too
         raise ValueError("coin Bloch vector length exceeds 1")
-    ct = np.cos(theta)
-    n = np.array([s * np.cos(phi), s * np.sin(phi), ct])
+    ct, st = np.cos(theta), np.sin(theta)
+    n = np.array([st * np.cos(phi), st * np.sin(phi), ct])
     ndotr = float(n @ r)
     ncross = float(n[0] * r[1] - n[1] * r[0])
     tt = float(t) ** 2
     f_tt = 4.0 * tt / (1.0 + s) * (s - ncross ** 2 / (1.0 + s))
     f_pp = 4.0 * tt * ct ** 2 / (1.0 + s) * (1.0 - ndotr ** 2 / (1.0 + s))
-    f_tp = -4.0 * tt * ct * ndotr * ncross / (1.0 + s) ** 2
+    f_tp = -np.copysign(4.0, st) * tt * ct * ndotr * ncross / (1.0 + s) ** 2
     return QFIMatrix(entries=np.array([[f_tt, f_tp], [f_tp, f_pp]]),
                      labels=("theta", "phi"), t=int(t), asymptotic=True)
 
@@ -294,7 +300,7 @@ def single_param_qfi(theta: float, r_y: float, t: int) -> float:
     4 t^2 s [1 + s (1 - r_y^2)] / (1+s)^2: maximal on the equatorial
     circle r_y = 0 and minimal at the poles r_y = +-1, with ratio 1 + s.
     """
-    s = _require_positive_sin(theta)
+    s = _abs_sin(theta)
     if not abs(r_y) <= 1.0 + 1e-12:              # NaN fails too
         raise ValueError(f"|r_y| must not exceed 1, got {r_y!r}")
     return float(4.0 * float(t) ** 2 * s * (1.0 + s * (1.0 - r_y ** 2))

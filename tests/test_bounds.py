@@ -85,10 +85,19 @@ class TestGOfTheta:
     def test_diverges_toward_half_pi(self):
         assert g_of_theta(1.55) > g_of_theta(1.3) > g_of_theta(1.1)
 
-    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, -0.3])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi])
     def test_domain_edges_raise(self, theta):
         with pytest.raises(SingularFisher):
             g_of_theta(theta)
+
+    def test_negative_theta_mirrors_positive(self):
+        # the closed form takes |sin theta|, as the coin and the route do
+        assert g_of_theta(-0.3) == g_of_theta(0.3)
+        theta, t = -1.1, 200
+        f = qfim_theorem1(CoinParams(theta, 0.0, 0.0), initial_entangled(0, 1),
+                          t=t)
+        assert symmetric_bound(f) * t * t == pytest.approx(g_of_theta(theta),
+                                                           rel=1e-9)
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-8])
     def test_no_cancellation_near_half_pi(self, delta):
@@ -163,7 +172,7 @@ class TestSandwichAndHolevo:
         f = qfim_theorem1(p, init, t=t)
         d = uhlmann_analytic(p, init, t=t)
         res = holevo_compatible(f, d=d)
-        assert res.value == res.symmetric_value
+        assert res.value == symmetric_bound(f)
         assert res.value * t * t == pytest.approx(G_QUARTER_PI, rel=1e-9)
         assert "<=" in res.certificate
 

@@ -122,8 +122,21 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     # |b| = pi/2 - 1e-8: the closed-form inverse holds at the window edge
     (["case", "magnetic", "--b2", "-0.95838930278208434", "--b3",
       "1.2445445002768214"], 0),
+    # the commands writing a CSV table and a report refuse a write too
+    (["qfim", "--t", "5", "--out", "missing_dir/x"], 2),
+    (["case", "magnetic", "--b2", "0.4", "--t", "5",
+      "--out", "missing_dir/x"], 2),
+    # the closed forms hold for sin(theta) < 0, as the coin does
+    (["qfim", "--theta", "-0.5", "--init", "localized:0", "--t", "10",
+      "--routes", "analytic,localized-closed-form"], 0),
+    (["sweep", "fig1", "--theta", "-0.5", "--t-max", "10"], 0),
+    (["sweep", "fig2", "--theta-list", "-0.5", "--t-max", "10"], 0),
+    # a config file is held to a flag's choices as the command line is
+    (["bounds", "--config", "route.cfg"], 2),
 ])
 def test_exit_codes(workdir, capsys, argv, code):
+    (workdir / "route.cfg").write_text("route = localized-closed-form\n"
+                                       "init = localized:0\n")
     assert main(argv) == code
     err = capsys.readouterr().err
     expected = {0: "", 4: "model error", 3: "numerical error",
@@ -137,12 +150,13 @@ def test_exit_codes(workdir, capsys, argv, code):
     ["sweep", "fig1", "--t-max", "5", "--theta"],
     ["evolve", "--t", "3", "--theta"],
 ], ids=["fig2", "fig1", "evolve"])
-@pytest.mark.parametrize("theta,code", [("1e-12", 0), ("9e-13", 4)])
+@pytest.mark.parametrize("theta,code", [("1e-12", 0), ("9e-13", 4),
+                                        ("-1e-12", 0), ("-9e-13", 4)])
 def test_one_sin_theta_floor(workdir, capsys, argv, theta, code):
     # every gate reads walk.MIN_SIN_THETA with the coin's comparison, and
-    # sin(1e-12) == 1e-12 sits on the floor
+    # sin(1e-12) == 1e-12 sits on the floor, on either side of zero
     assert math.sin(1e-12) == 1e-12
-    assert main(argv + [theta]) == code
+    assert main(argv[:-1] + [f"{argv[-1]}={theta}"]) == code
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -212,7 +226,7 @@ def test_removed_options_are_gone(workdir, capsys):
 
 def test_empty_parameter_list_is_named(workdir, capsys):
     assert main(["qfim", "--params", ","]) == 2
-    assert "no parameters requested" in capsys.readouterr().err
+    assert "--params is empty" in capsys.readouterr().err
 
 
 def test_thread_cap_validation(workdir, capsys, monkeypatch):
@@ -237,12 +251,31 @@ def test_qfim_two_routes_and_deviation(workdir, capsys):
     assert abs(body["beta_null_residual"]) < 1e-10
 
 
+def test_qfim_repeated_route_keeps_one_column(workdir):
+    # a route named twice writes its matrix once, not interleaved with
+    # itself against the (row, col) labels
+    assert main(["qfim", "--t", "5", "--routes", "analytic,analytic"]) == 0
+    _, header, rows = csv_rows(workdir / "qwf_qfim_report.csv")
+    assert header == ["param_row", "param_col", "f_analytic", "dev_analytic"]
+    entries = read_json(workdir / "qwf_qfim_report.json")[
+        "routes"]["analytic"]["entries"]
+    assert [float(row.split(",")[2]) for row in rows] \
+        == [x for r in entries for x in r]
+
+
 def test_qfim_localized_closed_form_route(workdir):
     assert main(["qfim", "--routes", "localized-closed-form,oracle",
                  "--init", "localized:0", "--bloch", "0,0,1",
                  "--theta", "0.9", "--t", "80"]) == 0
     body = read_json(workdir / "qwf_qfim_report.json")
     assert body["deviations"]["oracle"]["max_rel"] < 0.05
+
+
+def test_closed_form_route_at_negative_theta(workdir):
+    assert main(["qfim", "--theta", "-0.5", "--init", "localized:0",
+                 "--routes", "analytic,localized-closed-form"]) == 0
+    body = read_json(workdir / "qwf_qfim_report.json")
+    assert body["deviations"]["localized-closed-form"]["max_rel"] <= 1e-12
 
 
 def test_bounds_compatible_fixture(workdir, capsys):
@@ -442,6 +475,29 @@ def test_estimate_identified_alpha_keeps_its_number(workdir, capsys):
     assert abs(result["alpha_hat"] - 0.3) < 5 * result["stderr_alpha"]
     assert isinstance(result["grid_argmax"]["alpha"], float)
     assert f"alpha_hat = {result['alpha_hat']:.12g} +/- " in out
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["evolve", "--t", "3"],
+     ["distribution.csv", "distribution.json", "state.json"]),
+    (["qfim", "--t", "3"], ["report.csv", "report.json"]),
+    (["bounds", "--t", "3"],
+     ["bounds.csv", "bounds.json", "bounds_report.json"]),
+    (["sweep", "fig1", "--t-max", "3"],
+     ["curves.csv", "curves.json", "inset.csv", "inset.json"]),
+    (["case", "magnetic", "--b2", "0.4", "--t", "3"],
+     ["report.csv", "report.json"]),
+    (["estimate", "--t", "5", "--shots", "10", "--grid-n", "8"],
+     ["counts.csv", "counts.json", "record.json", "result.json"]),
+], ids=["evolve", "qfim", "bounds", "sweep", "case", "estimate"])
+def test_out_prefix_names_every_file(workdir, capsys, argv, files):
+    # each command writes exactly its files under --out, and its last
+    # stdout line lists them in the order written
+    assert main(argv + ["--out", "run"]) == 0
+    names = ["run_" + name for name in files]
+    assert sorted(path.name for path in workdir.iterdir()) == sorted(names)
+    assert capsys.readouterr().out.splitlines()[-1] \
+        == "wrote " + ", ".join(names)
 
 
 def test_out_prefix_respected(workdir):

@@ -14,11 +14,19 @@ listed by module, function and name.
 
 The fitter has one pseudo-inverse: no module calls ``pinv``, and
 ``estimation`` decomposes a matrix only in ``_pseudo_inverse``.
+
+Every error type carries its exit code and stderr label, and ``cli.main``
+exits with them; no raised exception escapes ``main`` untyped.
 """
 import ast
 import builtins
 import importlib
 from pathlib import Path
+
+import pytest
+
+from qwfisher import cli
+from qwfisher.errors import QwfError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qwfisher"
@@ -267,9 +275,49 @@ def _caught_by_main():
     return tuple(caught)
 
 
+# the table the errors module documents, restated: a new error type
+# must be entered here with its code
+EXIT_CODES = {"ConfigError": 2, "QuadratureError": 3, "NoConvergence": 3,
+              "DegenerateWalk": 4, "OutOfWindow": 4, "SingularFisher": 4,
+              "IncompatibleModel": 4, "ChargeUnidentifiable": 4,
+              "SingularJacobian": 4}
+LABELS = {2: "config", 3: "numerical", 4: "model"}
+
+
+def _error_types():
+    """Every subclass of QwfError, however deep, by name."""
+    found, todo = {}, [QwfError]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found[cls.__name__] = cls
+            todo.append(cls)
+    return [found[name] for name in sorted(found)]
+
+
 def test_every_raised_exception_has_an_exit_code():
+    # main catches QwfError, whose subclasses carry their code, and maps
+    # the few builtin errors it names; anything else escapes as a traceback
     caught = _caught_by_main()
-    assert caught, "cli.main catches nothing"
+    assert QwfError in caught, "cli.main does not catch QwfError"
     untyped = sorted(key for key, cls in _raised_classes().items()
-                     if not issubclass(cls, caught))
+                     if not issubclass(cls, caught)
+                     or (issubclass(cls, QwfError)
+                         and cls.exit_code not in LABELS))
     assert not untyped, f"raised but not mapped to an exit code: {untyped}"
+
+
+def test_every_error_type_carries_its_code_and_label():
+    for cls in _error_types():
+        assert cls.exit_code in LABELS, f"{cls.__name__} has no exit code"
+        assert cls.label == LABELS[cls.exit_code], cls.__name__
+
+
+@pytest.mark.parametrize("cls", _error_types(), ids=lambda cls: cls.__name__)
+def test_main_exits_with_each_error_code(cls, monkeypatch, capsys):
+    def stub(ns, out):
+        raise cls("stub failure")
+
+    monkeypatch.setattr(cli, "cmd_evolve", stub)
+    code = EXIT_CODES[cls.__name__]
+    assert cli.main(["evolve"]) == code
+    assert capsys.readouterr().err == f"{LABELS[code]} error: stub failure\n"

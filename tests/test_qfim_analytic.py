@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwfisher import (CoinParams, QFIMatrix, WalkerState, beta_null_check,
+from qwfisher import (CoinParams, DegenerateWalk, QFIMatrix, SingularFisher,
+                      WalkerState, beta_null_check, g_of_theta,
                       initial_entangled, initial_gamma, initial_localized,
                       qfim_localized, qfim_max_diag, qfim_theorem1,
                       single_param_qfi, uhlmann_analytic)
 from qwfisher.qfim import a1_grid, qfim_first_term
 from qwfisher.quadrature import adaptive_mean_over_bz
-from qwfisher.walk import generator_spatial, spinors_at
+from qwfisher.walk import generator_spatial, rho_bloch, spinors_at
 
 from oracles import (F_AA_QUARTER_PI, F_TT_QUARTER_PI, GOLDEN_COMMON,
                      GOLDEN_THETA, PAULI, PREF_RY0_QUARTER_PI,
@@ -232,6 +233,44 @@ def test_closed_forms_do_not_cancel_near_half_pi(delta):
     f_pp = qfim_localized(theta, 0.0, r, 1).entries[1, 1]
     assert abs(f_pp / (4 * one_minus_s * (1 - ndotr ** 2 / (1 + s)))
                - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(theta=mixing_angles, alpha=st.floats(-math.pi, math.pi),
+       beta=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
+@example(theta=-0.5, alpha=0.3, beta=-1.2, seed=0)
+@example(theta=-1.2, alpha=2.0, beta=0.4, seed=1)
+@example(theta=-2.5, alpha=-0.6, beta=1.1, seed=2)
+@example(theta=-1e-9, alpha=0.7, beta=0.0, seed=3)
+def test_closed_forms_hold_on_the_whole_coin_domain(theta, alpha, beta, seed):
+    # s = |sin theta| in every closed form, and sign(sin theta) on the
+    # localized cross term, reproduce the route for theta in (-pi, 0) too
+    init = initial_localized(0, spinor=random_spinor(np.random.default_rng(seed)))
+    r = rho_bloch(init.amps[0])[1:]
+    ref = qfim_theorem1(CoinParams(theta, alpha, beta), init, t=10).entries
+    got = qfim_localized(theta, alpha - beta, r, 10).entries
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # single_param_qfi is the theta entry at phi = alpha - beta = 0
+    f_tt = qfim_theorem1(CoinParams(theta, beta, beta), init, t=10).entries[0, 0]
+    assert abs(single_param_qfi(theta, r[1], 10) - f_tt) <= 1e-12 * f_tt
+    assert qfim_max_diag(theta, 10) == qfim_max_diag(-theta, 10)
+
+
+@pytest.mark.parametrize("theta", [9e-13, -9e-13])
+def test_closed_forms_share_the_coin_floor(theta):
+    # |sin theta| = 9e-13 lies under walk.MIN_SIN_THETA = 1e-12
+    r = np.array([0.0, 0.0, 1.0])
+    for closed_form in (lambda: qfim_max_diag(theta, 3),
+                        lambda: qfim_localized(theta, 0.2, r, 3),
+                        lambda: single_param_qfi(theta, 0.5, 3)):
+        with pytest.raises(DegenerateWalk):
+            closed_form()
+    with pytest.raises(SingularFisher):
+        g_of_theta(theta)
+    edge = math.copysign(1e-12, theta)
+    assert qfim_max_diag(edge, 3)[0] > 0 and g_of_theta(edge) > 0
+    assert single_param_qfi(edge, 0.5, 3) > 0
+    assert qfim_localized(edge, 0.2, r, 3).entries[0, 0] > 0
 
 
 def test_localized_matches_quadrature_on_random_draws():
