@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import warnings
 
@@ -85,6 +86,8 @@ class _Cmd:
         self.stem = stem or name
         self.registry = {}
         self.parser = subparsers.add_parser(name, help=help_text)
+        # argparse would take "-1e-3" for a flag; none starts with a digit
+        self.parser._negative_number_matcher = re.compile(r"-\.?\d")
         self.parser.set_defaults(_cmd=self)
         self.parser.add_argument("--config", default=None, metavar="FILE",
                                  help="key = value file mirroring the flags")
@@ -186,16 +189,18 @@ def _items(raw, flag, conv=str, size=None, choices=None) -> list:
 
     Items are stripped and empty ones dropped; each is then checked
     against ``choices`` and converted by ``conv``.  An empty list, an
-    unknown or unconvertible item, or a count other than ``size`` is a
-    ConfigError naming the flag.
+    unknown, repeated (of ``choices``) or unconvertible item, or a count
+    other than ``size`` is a ConfigError naming the flag.
     """
     items = [s.strip() for s in str(raw).split(",") if s.strip()]
     if not items:
         raise ConfigError(f"{flag} is empty")
-    for item in items:
+    for i, item in enumerate(items):
         if choices and item not in choices:
             raise ConfigError(f"{flag}: unknown {item!r}; choose from "
                               + ", ".join(choices))
+        if choices and item in items[:i]:
+            raise ConfigError(f"{flag}: {item!r} is given twice")
     try:
         values = [conv(s) for s in items]
     except ValueError:

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .walk import (MIN_SIN_THETA, CoinParams, SiteWindow, WalkerState,
-                   parity_empty_rows, theta_jet)
+                   theta_jet)
 
 MASS_THRESHOLD = 1e-12
 # a fit has converged when no component of its step exceeds this
@@ -323,13 +323,14 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     p = B_0 + sum_{d > 0} [2 cos(alpha d) Re B_d - 2 sin(alpha d) Im B_d].
     (S R(theta))^t runs once per theta in closed form per momentum node
     (:func:`walk.theta_jet` at order 0) on the F <= n0 + 1 group
-    spinors, with one inverse FFT; B takes F^2 coin-summed products,
-    and p is the real product of the (n_alpha, 1 + 2D) cos/sin matrix
-    with B (n_theta, 1 + 2D, width) over the D positive frequencies d
-    that occur.  The cost is O(n_theta * n_nodes * F) for the powers
-    and O(n_theta * F^2 * width) for B; t enters only through the
-    window width.  The product itself, O(n_alpha * D) per theta row and
-    site, is left to the fits, which need it on few rows and sites.
+    spinors, with one inverse FFT that leaves p = 0 off the light cone;
+    B takes F^2 coin-summed products, and p is the real product of the
+    (n_alpha, 1 + 2D) cos/sin matrix with B (n_theta, 1 + 2D, width)
+    over the D positive frequencies d that occur.  The cost is
+    O(n_theta * n_nodes * F) for the powers and O(n_theta * F^2 * width)
+    for B; t enters only through the window width.  The product itself,
+    O(n_alpha * D) per theta row and site, is left to the fits, which
+    need it on few rows and sites.
 
     The engine, the FFT and the products run on blocks of theta rows,
     max(1, ``_BLOCK_SPINORS`` // (F * n_nodes)) at a time (64 rows for
@@ -369,7 +370,6 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
              for f1, f in zip(*np.nonzero(diffs > 0))]
     b = np.zeros((thetas.size, 1 + 2 * n_d, window.width))
     log_bound = np.empty((thetas.size, window.width))
-    empty = parity_empty_rows(init)
     height = max(1, _BLOCK_SPINORS // (freqs.size * window.nodes.size))
     for start in range(0, thetas.size, height):
         rows = slice(start, start + height)
@@ -382,7 +382,6 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
             prod = np.sum(phis[:, f1].conj() * phis[:, f], axis=-1)
             block[:, j] += prod.real
             block[:, j + n_d] += prod.imag
-        block[..., empty] = 0.0         # p = 0 exactly, log p the floor
         bound = block[:, 0] + 2.0 * np.hypot(block[:, 1:1 + n_d],
                                              block[:, 1 + n_d:]).sum(axis=1)
         log_bound[rows] = np.log(np.maximum(bound, 1e-300))

@@ -12,9 +12,9 @@ cos(om) and w = sin(om) n; the asymptotic route in :mod:`qwfisher.qfim`
 reads it too.  Every rule of the finite-t engine lives here, and the
 oracle and the estimator ask for evolved spinors instead of re-deriving
 them: the uniform grid and its size (:func:`uniform_k_grid`,
-:func:`k_grid_size`), the site window t steps from an input with its
-inverse FFT (:class:`SiteWindow`), and the SU(2) closed forms for u^t
-and the generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m
+:func:`k_grid_size`), the site window t steps from an input, its light
+cone and inverse FFT (:class:`SiteWindow`), and the SU(2) closed forms
+for u^t and the generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m
 (:class:`SU2Powers`, run on an input by :func:`evolve_spinors`; u^t and
 its theta derivatives for the estimator's family by :func:`theta_jet`).
 The coin generators O_mu = C^dag d_mu C = (i/2) w_mu.sigma come as the
@@ -335,23 +335,44 @@ class SiteWindow:
     :meth:`after` is the one rule: a step moves amplitude one site either
     way, so the input's window grows by t sites at each end, and its
     nodes are the :func:`k_grid_size` of the window width, where the
-    inverse DFT and node-mean inner products are exact.
+    inverse DFT and node-mean inner products are exact.  It keeps its
+    input for the one light-cone rule, :attr:`_unreachable`.
     """
 
     origin: int
     width: int
     nodes: np.ndarray
+    _source: WalkerState = field(repr=False)
 
     @classmethod
     def after(cls, init: WalkerState, t: int) -> "SiteWindow":
         t = int(t)
         width = init.n_sites + 2 * t
         return cls(origin=init.origin - t, width=width,
-                   nodes=uniform_k_grid(k_grid_size(width)))
+                   nodes=uniform_k_grid(k_grid_size(width)), _source=init)
 
     @property
     def sites(self) -> np.ndarray:
         return self.origin + np.arange(self.width)
+
+    @cached_property
+    def _unreachable(self) -> tuple:
+        """(rows, coins) of the cells the walk cannot reach from the input:
+        its zero cells at t = 0.  After t >= 1 steps a nonzero input row r
+        reaches coin 1 on window rows r, r + 2, .., r + 2t - 2 and coin 0
+        on rows r + 2, .., r + 2t, whatever the coin.  The runs are +-1
+        edges summed along each parity, O(width), formed on first use."""
+        src = self._source
+        t = (self.width - src.n_sites) // 2
+        if not t:
+            return np.nonzero(src.amps == 0.0)
+        edge = np.zeros(2 * (self.width // 2 + 2), dtype=int)
+        edge[src.support + 2] = 1
+        edge[src.support + 2 + 2 * t] -= 1      # another run may start there
+        # row y is reached on coin 0 if runs[y] > 0, coin 1 if runs[y + 2] > 0
+        runs = edge.reshape(-1, 2).cumsum(axis=0).reshape(-1)
+        return np.nonzero(np.stack([runs[:self.width],
+                                    runs[2:self.width + 2]], axis=1) == 0)
 
     def to_sites(self, spinors: np.ndarray) -> np.ndarray:
         """Site amplitudes on the window from spinors on its nodes.
@@ -362,11 +383,13 @@ class SiteWindow:
                 = e^{-i pi x} ifft(spinor)[x mod n],
 
         one FFT along the node axis (axis -2) for any leading batch shape.
+        Unreachable cells are assigned +0.0; a 0/1 mask would leave -0.0.
         """
         x = self.sites
-        sign = np.where(x % 2, -1.0, 1.0)[:, None]
-        return np.fft.ifft(spinors, axis=-2)[..., x % self.nodes.size, :] \
-            * sign
+        amps = np.fft.ifft(spinors, axis=-2)[..., x % self.nodes.size, :]
+        amps *= np.where(x % 2, -1.0, 1.0)[:, None]
+        amps[(..., *self._unreachable)] = 0.0
+        return amps
 
 
 def _pauli_step(cos_omega, w, phi) -> np.ndarray:
@@ -471,20 +494,6 @@ class SU2Powers:
         return out
 
 
-def parity_empty_rows(init: WalkerState) -> slice:
-    """Rows of the window :meth:`SiteWindow.after` ``init`` that the walk
-    leaves exactly empty, at any t.
-
-    A step moves every site by +-1 and grows the window by one site at
-    each end, so amplitude stays on rows of its input row's parity: an
-    input on one parity leaves the other exactly empty.
-    """
-    rows = init.support
-    if np.all(rows % 2 == rows[0] % 2):
-        return slice(1 - rows[0] % 2, None, 2)
-    return slice(0)
-
-
 def evolve_spinors(init: WalkerState, p: CoinParams, t: int):
     """(window, powers, phi): :meth:`SiteWindow.after`, the
     :class:`SU2Powers` of u(k) on its nodes and the evolved k-spinors
@@ -545,20 +554,14 @@ def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:
     u(k)^t comes in closed form from :class:`SU2Powers` and one inverse
     FFT returns to sites, so the cost is O(n log n) in the node count
     n of :meth:`SiteWindow.after`, the smallest power of two >= n0 + 2t
-    for an input of n0 sites, with no loop over t.
+    for an input of n0 sites, with no loop over t.  Cells off the
+    input's light cone are exact zeros (:meth:`SiteWindow.to_sites`).
     """
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")
     t = int(t)
     window, _, phi = evolve_spinors(s, p, t)
-    amps = window.to_sites(phi)
-    if t:
-        # the last shift leaves coin 0 off the two leftmost sites and
-        # coin 1 off the two rightmost: exact zeros, not FFT rounding
-        amps[:2, 0] = 0.0
-        amps[-2:, 1] = 0.0
-        amps[parity_empty_rows(s)] = 0.0
-    return WalkerState(origin=window.origin, amps=amps,
+    return WalkerState(origin=window.origin, amps=window.to_sites(phi),
                        steps_elapsed=s.steps_elapsed + t)
 
 

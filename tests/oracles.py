@@ -222,14 +222,29 @@ def on_doubled_nodes(fn, *args):
 
     def doubled(cls, init, t):
         w = rule.__func__(cls, init, t)
-        return cls(origin=w.origin, width=w.width,
-                   nodes=uniform_k_grid(2 * w.nodes.size))
+        return dataclasses.replace(w, nodes=uniform_k_grid(2 * w.nodes.size))
 
     SiteWindow.after = classmethod(doubled)
     try:
         return fn(*args)
     finally:
         SiteWindow.after = rule
+
+
+def light_cone(s, t):
+    """(n_sites + 2t, 2) bool: the cells t steps can reach from the
+    input's nonzero cells, one boolean step at a time.
+
+    A step lets a mixing coin fill both components of every reached
+    site, then moves coin 0 one site right and coin 1 one site left.
+    """
+    reach = np.asarray(s.amps) != 0
+    for _ in range(t):
+        site = reach.any(axis=1)
+        reach = np.zeros((reach.shape[0] + 2, 2), dtype=bool)
+        reach[2:, 0] = site
+        reach[:-2, 1] = site
+    return reach
 
 
 def evolve_steps(s, p, t):
@@ -362,7 +377,7 @@ def whole_grid_table_b(init, beta, t, thetas):
     blocks of theta rows, which must give this B to the last bit.
     """
     from qwfisher.estimation import _engine_inputs
-    from qwfisher.walk import parity_empty_rows, theta_jet
+    from qwfisher.walk import theta_jet
 
     window, freqs, spinors = _engine_inputs(init, beta, t)
     thetas = np.asarray(thetas, dtype=float)
@@ -379,7 +394,6 @@ def whole_grid_table_b(init, beta, t, thetas):
         j = 1 + np.searchsorted(ds, diffs[f1, f])
         b[:, j] += prod.real
         b[:, j + ds.size] += prod.imag
-    b[..., parity_empty_rows(init)] = 0.0
     return b
 
 

@@ -133,6 +133,9 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     (["sweep", "fig2", "--theta-list", "-0.5", "--t-max", "10"], 0),
     # a config file is held to a flag's choices as the command line is
     (["bounds", "--config", "route.cfg"], 2),
+    # a choice list names each item once
+    (["qfim", "--t", "5", "--routes", "analytic,analytic"], 2),
+    (["qfim", "--t", "5", "--params", "theta,theta"], 2),
 ])
 def test_exit_codes(workdir, capsys, argv, code):
     (workdir / "route.cfg").write_text("route = localized-closed-form\n"
@@ -251,16 +254,33 @@ def test_qfim_two_routes_and_deviation(workdir, capsys):
     assert abs(body["beta_null_residual"]) < 1e-10
 
 
-def test_qfim_repeated_route_keeps_one_column(workdir):
-    # a route named twice writes its matrix once, not interleaved with
-    # itself against the (row, col) labels
-    assert main(["qfim", "--t", "5", "--routes", "analytic,analytic"]) == 0
-    _, header, rows = csv_rows(workdir / "qwf_qfim_report.csv")
-    assert header == ["param_row", "param_col", "f_analytic", "dev_analytic"]
-    entries = read_json(workdir / "qwf_qfim_report.json")[
-        "routes"]["analytic"]["entries"]
-    assert [float(row.split(",")[2]) for row in rows] \
-        == [x for r in entries for x in r]
+def test_qfim_repeated_choice_is_refused(workdir, capsys):
+    # a route or parameter named twice is refused before anything runs,
+    # not computed twice against itself
+    for flag, items, item in (("--routes", "analytic,oracle,analytic",
+                               "analytic"),
+                              ("--params", "theta, theta", "theta")):
+        assert main(["qfim", "--t", "5", flag, items]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag}: {item!r} is given twice" in err
+    assert not list(workdir.iterdir())
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["evolve", "--t", "2"], "--theta", "-1e-3"),
+    (["sweep", "fig2", "--t-max", "5"], "--theta-list", "-1e-3,0.5"),
+])
+def test_negative_values_in_exponent_notation(tmp_path, monkeypatch, argv,
+                                              flag, value):
+    # a value after its flag runs as the --flag=value form does
+    written = []
+    for i, run in enumerate(([flag, value], [f"{flag}={value}"])):
+        out = tmp_path / str(i)
+        out.mkdir()
+        monkeypatch.chdir(out)
+        assert main(argv + run) == 0
+        written.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert written[0] and written[0] == written[1]
 
 
 def test_qfim_localized_closed_form_route(workdir):

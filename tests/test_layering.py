@@ -12,6 +12,12 @@ module imports.  The engine-boundary ratchet below holds every other
 module in the package and in ``scripts/`` to that, with its exemptions
 listed by module, function and name.
 
+``SiteWindow.after`` is also the one light-cone rule: the window keeps
+its input, and ``to_sites`` gives every cell the walk cannot reach from
+it an exact zero.  No module outside ``walk`` names the window's input
+or its unreachable cells, and ``parity_empty_rows``, one of the special
+cases that rule replaced, exists nowhere.
+
 The fitter has one pseudo-inverse: no module calls ``pinv``, and
 ``estimation`` decomposes a matrix only in ``_pseudo_inverse``.
 
@@ -188,6 +194,31 @@ def test_engine_exemptions_have_no_stale_entries():
     stale = set(ENGINE_EXEMPT) - _engine_refs()
     assert not stale, f"listed engine exemptions that no longer exist: " \
         f"{sorted(stale)}"
+
+
+# the window's input and unreachable cells, read by to_sites alone
+CONE_NAMES = {"_source", "_unreachable"}
+GONE_NAMES = {"parity_empty_rows"}
+
+
+def _identifiers(path: Path):
+    """Every identifier ``path`` names: names, attributes, definitions,
+    imports, arguments and keywords."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for key in ("id", "attr", "name", "arg"):
+            name = getattr(node, key, None)
+            if isinstance(name, str):
+                yield name
+
+
+def test_light_cone_stays_in_walk():
+    files = [path for folder in (PACKAGE, ROOT / "scripts", ROOT / "tests")
+             for path in sorted(folder.glob("*.py"))]
+    hits = sorted({(path.stem, name) for path in files
+                   for name in _identifiers(path)
+                   if name in GONE_NAMES
+                   or (name in CONE_NAMES and path.stem != "walk")})
+    assert not hits, f"light-cone rule stated outside SiteWindow: {hits}"
 
 
 # ---------------------------------------------------------------------------

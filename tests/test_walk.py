@@ -9,16 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, WalkerState,
-                      evolve, initial_entangled, initial_gamma,
-                      initial_localized)
+                      derivative_state, evolve, initial_entangled,
+                      initial_gamma, initial_localized)
 from qwfisher.estimation import _prob_derivatives
 from qwfisher.oracle import exact_matrices
-from qwfisher.walk import (SiteWindow, SU2Powers, evolve_spinors,
-                           quasi_energy_axis, spinors_at, theta_jet,
-                           uniform_k_grid)
+from qwfisher.walk import (PARAM_NAMES, SiteWindow, SU2Powers,
+                           evolve_spinors, quasi_energy_axis, spinors_at,
+                           theta_jet, uniform_k_grid)
 
 from oracles import (PAULI, coin_dense, dense_amps_at, dense_evolve,
-                     evolve_steps, on_doubled_nodes, spinors_dense)
+                     evolve_steps, light_cone, on_doubled_nodes,
+                     spinors_dense)
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 mixing = st.floats(0.05, math.pi - 0.05)
@@ -164,6 +165,47 @@ def test_mixed_parity_input_fills_both_parities():
     assert mass[b.sites % 2 == 0].sum() > 0.1
     assert mass[b.sites % 2 == 1].sum() > 0.1
     assert np.abs(b.amps - a.amps).max() <= 1e-12
+
+
+@st.composite
+def gapped_inputs(draw):
+    """Inputs whose nonzero rows leave gaps and sit on both parities,
+    some with one coin component zero."""
+    rows = draw(st.lists(st.integers(0, 30), min_size=2, max_size=6,
+                         unique=True).filter(
+        lambda r: len({x % 2 for x in r}) == 2
+        and max(r) - min(r) >= len(r)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = min(rows)
+    amps = np.zeros((max(rows) - lo + 1, 2), dtype=complex)
+    for r in rows:
+        amps[r - lo] = rng.uniform(0.5, 1.0, 2) * np.exp(
+            2j * np.pi * rng.random(2))
+        amps[r - lo, rng.integers(2)] *= rng.integers(2)
+    return WalkerState(origin=draw(st.integers(-20, 20)),
+                       amps=amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(init=gapped_inputs(), t=st.integers(0, 40),
+       theta=st.floats(0.2, math.pi / 2 - 0.2), alpha=angles, beta=angles)
+@example(init=initial_entangled(0, 3), t=5, theta=0.7, alpha=0.3, beta=-0.2)
+def test_cells_outside_the_light_cone_are_exact_zeros(init, t, theta, alpha,
+                                                      beta):
+    # a generic coin leaves no reachable cell at zero, so the step loop's
+    # exact zeros are the cells the walk cannot reach
+    p = CoinParams(theta, alpha, beta)
+    dark = evolve_steps(init, p, t).amps == 0.0
+    amps = evolve(init, p, t).amps
+    assert np.array_equal(amps == 0.0, dark)
+    assert not np.any(np.signbit(amps[dark].real))      # +0.0, not -0.0
+    for mu in PARAM_NAMES:
+        assert np.all(derivative_state(init, p, t, mu).amps[dark] == 0.0)
+    empty = dark.all(axis=1)
+    _, probs, dprobs, d2probs = _prob_derivatives(p, init, t)
+    assert np.all(probs[empty] == 0.0)
+    assert np.all(dprobs[:, empty] == 0.0)
+    assert np.all(d2probs[:, empty] == 0.0)
 
 
 def test_symmetric_distribution_for_unbiased_coin_start():
@@ -379,7 +421,16 @@ def test_window_nodes_are_exact_on_sparse_inputs(case, theta, alpha, beta):
     chi = spinors_at(init, window.nodes)
     padded = np.zeros((window.width, 2), dtype=complex)
     padded[t:t + init.n_sites] = init.amps
-    assert np.abs(window.to_sites(chi) - padded).max() <= 1e-14
+    # the bare inverse DFT returns the input on every cell; to_sites
+    # keeps it on the cells t steps can reach and zeroes the rest
+    x = window.sites
+    bare = np.fft.ifft(chi, axis=0)[x % window.nodes.size] \
+        * np.where(x % 2, -1.0, 1.0)[:, None]
+    assert np.abs(bare - padded).max() <= 1e-14
+    reach = light_cone(init, t)
+    back = window.to_sites(chi)
+    assert np.abs(back[reach] - padded[reach]).max(initial=0.0) <= 1e-14
+    assert np.all(back[~reach] == 0.0)
     assert abs(np.vdot(chi, phi) / window.nodes.size
                - np.vdot(padded, window.to_sites(phi))) <= 1e-14
 
