@@ -11,6 +11,7 @@ is invisible asymptotically), so callers restrict first.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,25 +34,51 @@ class WeightMatrix:
         w = np.asarray(self.entries, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weight must be square, got shape {w.shape}")
-        if np.max(np.abs(w - w.T)) > 1e-12 * max(1.0, np.max(np.abs(w))):
+        _finite(w, "weight matrix")
+        # each gate is written so that NaN fails it
+        if not np.max(np.abs(w - w.T)) <= 1e-12 * max(1.0, np.max(np.abs(w))):
             raise ValueError("weight matrix must be symmetric")
-        if np.min(np.linalg.eigvalsh(0.5 * (w + w.T))) <= 0.0:
+        if not np.min(np.linalg.eigvalsh(0.5 * (w + w.T))) > 0.0:
             raise ValueError("weight matrix must be positive definite")
         object.__setattr__(self, "entries", w)
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not all(map(math.isfinite, a.ravel().tolist())):
+        raise ValueError(f"{what} must have finite entries")
+    return a
+
+
 def _fisher_block(f) -> tuple[np.ndarray, tuple]:
-    """Accept a QFIMatrix or a plain array; insist on the identifiable block."""
+    """Accept a QFIMatrix or a plain array with finite entries; insist on
+    the identifiable block."""
     if isinstance(f, QFIMatrix):
         if "beta" in f.labels:
             raise ValueError(
                 "full matrix includes the unidentifiable beta direction; "
                 "restrict with .identifiable_block() first")
-        return f.entries, f.labels
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {arr.shape}")
-    return arr, ("theta", "alpha")[:arr.shape[0]]
+        arr, labels = f.entries, f.labels
+    else:
+        arr = np.asarray(f, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"need a square matrix, got shape {arr.shape}")
+        labels = ("theta", "alpha")[:arr.shape[0]]
+    return _finite(arr, "information matrix"), labels
+
+
+def _curvature(d, shape) -> np.ndarray:
+    """The curvature D as a finite array of the Fisher block's shape."""
+    dmat = d.entries if isinstance(d, QFIMatrix) else np.asarray(d, dtype=float)
+    if dmat.shape != shape:
+        raise ValueError(f"curvature shape {dmat.shape} does not match {shape}")
+    return _finite(dmat, "curvature matrix")
+
+
+# The small-block arithmetic runs on Python floats, in the order the numpy
+# forms took it, so every bound is bitwise what they gave.
+
+def _max_abs(a: np.ndarray) -> float:
+    return max(map(abs, a.ravel().tolist()), default=0.0)
 
 
 def _det_2x2(f: np.ndarray, labels) -> float:
@@ -60,27 +87,31 @@ def _det_2x2(f: np.ndarray, labels) -> float:
     The SingularFisher raised names the smaller diagonal entry as the
     flat direction.
     """
-    det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
-    scale = max(float(np.max(np.abs(f))), 1e-300)
-    if det <= REL_DET_FLOOR * scale ** 2:
-        flat = labels[int(f[1, 1] <= f[0, 0])]
+    (a, b), (c, d) = f.tolist()
+    det = a * d - b * c
+    scale = max(abs(a), abs(b), abs(c), abs(d), 1e-300)
+    if not det > REL_DET_FLOOR * scale ** 2:     # NaN fails too
+        flat = labels[int(d <= a)]
         raise SingularFisher(
             f"information matrix is singular (det/scale^2 = {det / scale**2:.3e}); "
             f"flat direction {flat!r}", parameter=flat)
     return det
 
 
-def _inverse_2x2(f: np.ndarray, labels) -> np.ndarray:
-    """Adjugate inverse of a 1x1 or 2x2 block, refusing singular ones."""
+def _inverse_2x2(f: np.ndarray, labels) -> list:
+    """Adjugate inverse of a 1x1 or 2x2 block as nested lists of floats,
+    refusing singular ones."""
     if f.shape == (1, 1):
-        if abs(f[0, 0]) <= REL_DET_FLOOR:
+        a = f.item()
+        if not abs(a) > REL_DET_FLOOR:
             raise SingularFisher(f"information for {labels[0]!r} vanishes",
                                  parameter=labels[0])
-        return np.array([[1.0 / f[0, 0]]])
+        return [[1.0 / a]]
     if f.shape != (2, 2):
         raise ValueError(f"bounds are defined on 1x1 or 2x2 blocks, got {f.shape}")
     det = _det_2x2(f, labels)
-    return np.array([[f[1, 1], -f[0, 1]], [-f[1, 0], f[0, 0]]]) / det
+    (a, b), (c, d) = f.tolist()
+    return [[d / det, -b / det], [-c / det, a / det]]
 
 
 def symmetric_bound(f, w: WeightMatrix | None = None) -> float:
@@ -88,10 +119,10 @@ def symmetric_bound(f, w: WeightMatrix | None = None) -> float:
     mat, labels = _fisher_block(f)
     inv = _inverse_2x2(mat, labels)
     if w is None:
-        return float(np.trace(inv))
+        return inv[0][0] + inv[1][1] if len(inv) == 2 else inv[0][0]
     if w.entries.shape != mat.shape:
         raise ValueError(f"weight shape {w.entries.shape} does not match {mat.shape}")
-    return float(np.trace(inv @ w.entries))
+    return float(np.trace(np.array(inv) @ w.entries))
 
 
 def g_of_theta(theta: float) -> float:
@@ -123,15 +154,13 @@ def incompatibility_R(f, d) -> float:
     input rather than physics).
     """
     mat, labels = _fisher_block(f)
-    dmat = d.entries if isinstance(d, QFIMatrix) else np.asarray(d, dtype=float)
-    if dmat.shape != mat.shape:
-        raise ValueError(f"curvature shape {dmat.shape} does not match {mat.shape}")
+    dmat = _curvature(d, mat.shape)
     if mat.shape == (1, 1):
         return 0.0
-    r = abs(dmat[0, 1]) / np.sqrt(_det_2x2(mat, labels))
+    r = abs(dmat[0, 1].item()) / math.sqrt(_det_2x2(mat, labels))
     if 1.0 < r < 1.0 + 1e-9:
         return 1.0
-    return float(r)
+    return r
 
 
 def sandwich(f, w: WeightMatrix | None = None, d=None) -> tuple[float, float]:
@@ -163,12 +192,11 @@ def holevo_compatible(f, w: WeightMatrix | None = None, d=None,
         raise ValueError(f"compatibility threshold must be finite and "
                          f">= 0, got {eps!r}")
     mat, _ = _fisher_block(f)
-    dmat = np.zeros_like(mat) if d is None else (
-        d.entries if isinstance(d, QFIMatrix) else np.asarray(d, dtype=float))
-    dnorm = float(np.max(np.abs(dmat)))
-    fnorm = max(float(np.max(np.abs(mat))), 1e-300)
+    dmat = np.zeros_like(mat) if d is None else _curvature(d, mat.shape)
+    dnorm = _max_abs(dmat)
+    fnorm = max(_max_abs(mat), 1e-300)
     cs = symmetric_bound(f, w)
-    if dnorm > eps * fnorm:
+    if not dnorm <= eps * fnorm:                   # NaN fails too
         r = incompatibility_R(f, dmat)
         raise IncompatibleModel(
             f"curvature norm {dnorm:.3e} exceeds {eps:.1e} * ||F||; "

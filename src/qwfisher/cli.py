@@ -40,6 +40,10 @@ _UNSET = object()
 # origin by 2.1e-13 at |x| = 1e4, 1.3e-12 at 6.6e4 and 2.4e-11 at 1e6,
 # so this bound keeps that error under 1e-12.
 MAX_SITE_POSITION = 10_000
+# Largest step count a command takes.  Every route reads t as a float (the
+# t^2 growth, the sweep's t grid), and above 2**53 a float no longer holds
+# each integer: t^2 overflows near 1.3e154 and the grid's int64 near 9.2e18.
+MAX_STEPS = 2 ** 53
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -262,10 +266,13 @@ def _coin(ns):
     return CoinParams(theta=ns.theta, alpha=ns.alpha, beta=ns.beta)
 
 
-def _check_t(t, minimum=1):
+def _check_t(t, minimum=1, flag="--t"):
     t = int(t)
     if t < minimum:
-        raise ConfigError(f"t must be >= {minimum}, got {t}")
+        raise ConfigError(f"{flag} must be >= {minimum}, got {t}")
+    if t > MAX_STEPS:
+        raise ConfigError(f"{flag} {t} is beyond MAX_STEPS = 2**53, above "
+                          "which a step count is not exact as a float")
     return t
 
 
@@ -447,11 +454,14 @@ def cmd_bounds(ns, out) -> None:
     p = _coin(ns)
     t = _check_t(ns.t)
     init = _parse_init(ns)
-    f, d = _qfim_by_route(ns.route, p, init, t, ("theta", "alpha"))
     w = None
     if ns.weight:
         w00, w01, w11 = _items(ns.weight, "--weight", float, size=3)
-        w = WeightMatrix(np.array([[w00, w01], [w01, w11]]))
+        try:
+            w = WeightMatrix(np.array([[w00, w01], [w01, w11]]))
+        except ValueError as exc:
+            raise ConfigError(f"--weight: {exc}") from None
+    f, d = _qfim_by_route(ns.route, p, init, t, ("theta", "alpha"))
 
     cs = symmetric_bound(f, w)
     r = incompatibility_R(f, d)
@@ -482,7 +492,7 @@ def cmd_bounds(ns, out) -> None:
 def cmd_sweep(ns, out) -> None:
     from .cases import sweep_fig1, sweep_fig2
 
-    t_max = _check_t(ns.t_max)
+    t_max = _check_t(ns.t_max, flag="--t-max")
     if ns.which == "fig1":
         tables = sweep_fig1(ns.theta, t_max)
     else:  # fig2

@@ -20,16 +20,17 @@ reads too), so every integrand is N(k) / sin^2 w with
     sin^2 w = 1 - cos^2 theta cos^2(k - alpha).
 
 N is a trigonometric polynomial of degree at most 1 + (input width),
-so its Fourier coefficients c_j come exactly from one FFT on a small
-uniform grid, and the zone mean of e^{ijx} / sin^2 w (x = k - alpha)
-is rho^{|j|/2} / s for even j and 0 for odd j, with s = |sin theta|
-and rho = cos^2 theta / (1 + s)^2.  The zone integrals are therefore
-exact up to roundoff at every mixing angle, with no tolerance and no
-node count.  The mixed-derivative (Uhlmann) curvature vanishes
-identically in this limit.
+and the zone mean of e^{ijx} / sin^2 w (x = k - alpha) is
+rho^{|j|/2} / s for even j and 0 for odd j, with s = |sin theta| and
+rho = cos^2 theta / (1 + s)^2.  So node weights L on a small uniform
+grid (one inverse FFT of the partial sums of rho^i) give each mean as
+sum_i L_i N(x_i), exact up to roundoff at every mixing angle, with no
+tolerance and no node count.  The mixed-derivative (Uhlmann) curvature
+vanishes identically in this limit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +52,10 @@ class QFIMatrix:
     ``entries`` holds the matrix itself (including any t^2 growth);
     symmetry (or antisymmetry, for mixed-derivative curvature matrices)
     and positive semidefiniteness are validated on the per-step-squared
-    scale so the gates do not depend on t.  ``asymptotic`` records
-    whether the entries came from the long-time formulas or from an
-    exact finite-t computation.
+    scale so the gates do not depend on t, by ndarray methods and one
+    ``eigvalsh``: on these small matrices per-call overhead is the cost.
+    ``asymptotic`` records whether the entries came from the long-time
+    formulas or from an exact finite-t computation.
     """
 
     entries: np.ndarray
@@ -70,16 +72,16 @@ class QFIMatrix:
         if self.t < 1:
             raise ValueError(f"step count must be >= 1, got {self.t}")
         scaled = e / float(self.t) ** 2
-        scale = max(1.0, float(np.max(np.abs(scaled))) if e.size else 1.0)
+        scale = max(1.0, abs(scaled).max())
         if self.antisymmetric:
-            defect = np.max(np.abs(scaled + scaled.T))
+            defect = abs(scaled + scaled.T).max()
             if not defect <= SYM_TOL * scale:       # NaN fails too
                 raise ValueError(f"antisymmetry defect {defect:.3e} beyond tolerance")
         else:
-            defect = np.max(np.abs(scaled - scaled.T))
+            defect = abs(scaled - scaled.T).max()
             if not defect <= SYM_TOL * scale:
                 raise ValueError(f"symmetry defect {defect:.3e} beyond tolerance")
-            lo = float(np.min(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))))
+            lo = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0]   # ascending
             if not lo >= -PSD_TOL * scale:
                 raise ValueError(f"matrix not positive semidefinite: min eig {lo:.3e}")
         object.__setattr__(self, "entries", e)
@@ -92,7 +94,7 @@ class QFIMatrix:
     def block(self, labels) -> "QFIMatrix":
         """Submatrix over a subset of the labels, order as given."""
         idx = [self.labels.index(l) for l in labels]
-        return QFIMatrix(entries=self.entries[np.ix_(idx, idx)],
+        return QFIMatrix(entries=self.entries[idx][:, idx],
                          labels=tuple(labels), t=self.t,
                          antisymmetric=self.antisymmetric,
                          asymptotic=self.asymptotic)
@@ -145,53 +147,47 @@ def beta_null_check(p: CoinParams) -> float:
 # the zone integrals
 
 
-def _mean_over_sin2(num: np.ndarray, theta: float) -> np.ndarray:
-    """Zone means of N(x) / (1 - cos^2 theta cos^2 x) from samples of N.
+def _node_weights(n: int, theta: float) -> np.ndarray:
+    """Weights L with sum_i L_i N(x_i) = <N(x) / (1 - cos^2 theta cos^2 x)>
+    for every trigonometric polynomial N of degree below n/2, x_i = 2 pi i / n.
 
-    ``num`` holds N at x_j = 2 pi j / n along axis 0, n even and more
-    than twice the degree of N.  The mean sum_{even j} c_j rho^{|j|/2} / s
-    is taken as
+    With P_m = sum_{i<m} rho^i, rho^m = 1 - (1 - rho) P_m and sum_{even j}
+    c_j = [N(0) + N(pi)] / 2 turn sum_{even j} c_j rho^{|j|/2} / s into
 
-        [N(0) + N(pi)] / (2 s) - (2 / (1 + s)) sum_{even j} c_j sum_{i<|j|/2} rho^i,
+        [N(0) + N(pi)] / (2 s) - (2 / (1 + s)) sum_{even j != 0} c_j P_{|j|/2}.
 
-    using rho^m = 1 - (1 - rho) sum_{i<m} rho^i and
-    sum_{even j} c_j = [N(0) + N(pi)] / 2, so no two terms of size 1/s
-    cancel as s -> 0.
+    Only nodes 0 and n/2 carry the 1/(2s) part, so no two terms of size
+    1/s cancel as s -> 0; the rest is one inverse real FFT of P.
     """
-    n = num.shape[0]
-    s = abs(np.sin(theta))
-    rho = np.cos(theta) ** 2 / (1.0 + s) ** 2
-    # c_j + c_-j for j = 2, 4, ... below the Nyquist index (N is real)
-    c = np.fft.rfft(num, axis=0)[2:n // 2:2].real * (2.0 / n)
-    partial = np.cumsum(rho ** np.arange(c.shape[0]))
-    return ((num[0] + num[n // 2]) / (2.0 * s)
-            - (2.0 / (1.0 + s)) * (partial @ c))
+    s = abs(math.sin(theta))
+    rho = math.cos(theta) ** 2 / (1.0 + s) ** 2
+    partial = np.zeros(n // 2 + 1)
+    partial[2:n // 2:2] = (rho ** np.arange((n // 2 - 1) // 2)).cumsum()
+    weights = np.fft.irfft(partial, n) * (-2.0 / (1.0 + s))
+    weights[::n // 2] += 0.5 / s                 # nodes 0 and n/2
+    return weights
 
 
 def _zone_means(p: CoinParams, init: WalkerState, params):
     """Zone means of N / sin^2 w for the selected parameters, per step squared.
 
-    Returns the symmetric state-independent matrix (the N_uv means) and
-    the vector of state-dependent scalars (the N_u means).
+    Returns the state-independent matrix a^T diag(L o0) a of the N_uv
+    means, exactly symmetric, and the vector a^T (L u.r) of the N_u
+    means, with a = u w^T and L the node weights of :func:`_node_weights`.
     """
     w = generator_spatial(p)[[PARAM_NAMES.index(l) for l in params]]
-    m = len(params)
-    iu = np.triu_indices(m)
-    # N has degree <= 1 + n_sites, and rfft needs more than twice that
-    # many nodes; the grid takes more than twice 2 + n_sites, one degree
-    # to spare, and starts at x = k - alpha = 0
+    # N has degree <= 1 + n_sites and the weights are exact below n/2;
+    # the grid takes more than twice 2 + n_sites, one degree to spare,
+    # and starts at x = k - alpha = 0
     n = k_grid_size(2 * (2 + init.n_sites) + 1)
     k = p.alpha + TWO_PI * np.arange(n) / n
     _, u = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
     rho = rho_bloch(spinors_at(init, k))
+    weights = _node_weights(n, p.theta)
     a = u @ w.T
-    num = np.concatenate(
-        [a[:, iu[0]] * a[:, iu[1]] * rho[:, :1],
-         a * np.einsum("ni,ni->n", u, rho[:, 1:])[:, None]], axis=1)
-    vals = _mean_over_sin2(num, p.theta)
-    first = np.zeros((m, m))
-    first[iu] = vals[:iu[0].size]
-    return first + first.T - np.diag(np.diag(first)), vals[iu[0].size:]
+    first = a.T @ (a * (weights * rho[:, 0])[:, None])
+    y = a.T @ (weights * (u * rho[:, 1:]).sum(axis=1))
+    return 0.5 * (first + first.T), y
 
 
 def qfim_theorem1(p: CoinParams, init: WalkerState, t: int,
@@ -204,7 +200,7 @@ def qfim_theorem1(p: CoinParams, init: WalkerState, t: int,
     module docstring), so there is nothing to tune.
     """
     first, y = _zone_means(p, init, params)
-    per_t2 = first - np.outer(y, y)
+    per_t2 = first - y[:, None] * y
     return QFIMatrix(entries=per_t2 * float(t) ** 2, labels=tuple(params),
                      t=int(t), asymptotic=True)
 

@@ -293,12 +293,13 @@ def spinors_at(s: WalkerState, k_nodes: np.ndarray) -> np.ndarray:
 def rho_bloch(phi: np.ndarray) -> np.ndarray:
     """Unnormalised Pauli 4-vector phi^dag sigma_i phi of spinors (..., 2)."""
     a, b = phi[..., 0], phi[..., 1]
+    aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
     out = np.empty(phi.shape[:-1] + (4,))
-    out[..., 0] = np.abs(a) ** 2 + np.abs(b) ** 2
+    out[..., 0] = aa + bb
     cross = a * np.conj(b)
     out[..., 1] = 2.0 * cross.real
     out[..., 2] = -2.0 * cross.imag
-    out[..., 3] = np.abs(a) ** 2 - np.abs(b) ** 2
+    out[..., 3] = aa - bb
     return out
 
 

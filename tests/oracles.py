@@ -397,6 +397,88 @@ def whole_grid_table_b(init, beta, t, thetas):
     return b
 
 
+def mean_over_sin2(num, theta):
+    """Zone means of N(x) / (1 - cos^2 theta cos^2 x) from samples of N,
+    read from the rfft coefficients of N.
+
+    ``num`` holds N at x_j = 2 pi j / n along axis 0, n even and more
+    than twice the degree of N.  The mean sum_{even j} c_j rho^{|j|/2} / s
+    is taken as [N(0) + N(pi)] / (2 s) - (2 / (1 + s)) sum_{even j} c_j
+    sum_{i<|j|/2} rho^i.  The form the package's node weights replaced:
+    the same sum, with the transform on N instead of on the weights.
+    """
+    n = num.shape[0]
+    s = abs(np.sin(theta))
+    rho = np.cos(theta) ** 2 / (1.0 + s) ** 2
+    # c_j + c_-j for j = 2, 4, ... below the Nyquist index (N is real)
+    c = np.fft.rfft(num, axis=0)[2:n // 2:2].real * (2.0 / n)
+    partial = np.cumsum(rho ** np.arange(c.shape[0]))
+    return ((num[0] + num[n // 2]) / (2.0 * s)
+            - (2.0 / (1.0 + s)) * (partial @ c))
+
+
+def zone_means_by_rfft(p, init, params):
+    """(first, y) of ``qfim._zone_means`` from :func:`mean_over_sin2`:
+    the upper triangle of the N_uv numerators and the N_u numerators
+    stacked as columns, transformed once, and the matrix reassembled."""
+    from qwfisher.walk import (PARAM_NAMES, generator_spatial, k_grid_size,
+                               quasi_energy_axis, rho_bloch, spinors_at)
+
+    w = generator_spatial(p)[[PARAM_NAMES.index(l) for l in params]]
+    m = len(params)
+    iu = np.triu_indices(m)
+    n = k_grid_size(2 * (2 + init.n_sites) + 1)
+    k = p.alpha + 2.0 * np.pi * np.arange(n) / n
+    _, u = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
+    rho = rho_bloch(spinors_at(init, k))
+    a = u @ w.T
+    num = np.concatenate(
+        [a[:, iu[0]] * a[:, iu[1]] * rho[:, :1],
+         a * np.einsum("ni,ni->n", u, rho[:, 1:])[:, None]], axis=1)
+    vals = mean_over_sin2(num, p.theta)
+    first = np.zeros((m, m))
+    first[iu] = vals[:iu[0].size]
+    return first + first.T - np.diag(np.diag(first)), vals[iu[0].size:]
+
+
+def qfimatrix_checks(entries, labels, t, antisymmetric):
+    """The gates ``QFIMatrix`` ran on construction, as first written with
+    numpy's module functions: the reference its leaner checks must match
+    in what they accept, the exception type and the message."""
+    sym_tol, psd_tol = 1e-12, 1e-9
+    e = np.asarray(entries, dtype=float)
+    m = len(labels)
+    if e.shape != (m, m):
+        raise ValueError(f"entries shape {e.shape} does not match labels {labels}")
+    if t < 1:
+        raise ValueError(f"step count must be >= 1, got {t}")
+    scaled = e / float(t) ** 2
+    scale = max(1.0, float(np.max(np.abs(scaled))) if e.size else 1.0)
+    if antisymmetric:
+        defect = np.max(np.abs(scaled + scaled.T))
+        if not defect <= sym_tol * scale:
+            raise ValueError(f"antisymmetry defect {defect:.3e} beyond tolerance")
+    else:
+        defect = np.max(np.abs(scaled - scaled.T))
+        if not defect <= sym_tol * scale:
+            raise ValueError(f"symmetry defect {defect:.3e} beyond tolerance")
+        lo = float(np.min(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))))
+        if not lo >= -psd_tol * scale:
+            raise ValueError(f"matrix not positive semidefinite: min eig {lo:.3e}")
+    return e
+
+
+def bounds_by_numpy(f, d):
+    """(det, F^-1, C^S, R, ||D|| / ||F||) of a nonsingular 2x2 block F and
+    curvature D, by the numpy expressions ``bounds`` first used: the
+    reference its float forms must equal bit for bit."""
+    det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
+    inv = np.array([[f[1, 1], -f[0, 1]], [-f[1, 0], f[0, 0]]]) / det
+    fnorm = max(float(np.max(np.abs(f))), 1e-300)
+    return (det, inv, float(np.trace(inv)), abs(d[0, 1]) / np.sqrt(det),
+            float(np.max(np.abs(d))) / fnorm)
+
+
 # Run from a bare interpreter: a child's ru_maxrss counts the memory of
 # the process it was spawned from, so the CLI must not be spawned from
 # the test process itself.

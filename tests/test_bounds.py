@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwfisher import (CoinParams, IncompatibleModel, SingularFisher,
                       WeightMatrix, g_of_theta, holevo_compatible,
                       incompatibility_R, initial_entangled, qfim_theorem1,
                       sandwich, symmetric_bound, uhlmann_analytic)
+from qwfisher.bounds import _det_2x2, _inverse_2x2
 
-from oracles import G_QUARTER_PI, G_THREE_EIGHTHS_PI
+from oracles import G_QUARTER_PI, G_THREE_EIGHTHS_PI, bounds_by_numpy
 
 
 def spd2(a, b, c):
@@ -141,6 +144,10 @@ class TestIncompatibility:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="curvature shape"):
             incompatibility_R(spd2(3.0, 5.0, 1.0), np.zeros((3, 3)))
+        # a zero curvature of the wrong shape certifies no compatibility
+        for d in (np.zeros((3, 3)), np.zeros(5)):
+            with pytest.raises(ValueError, match="curvature shape"):
+                holevo_compatible(spd2(3.0, 5.0, 1.0), None, d)
 
     def test_singular_fisher(self):
         with pytest.raises(SingularFisher):
@@ -197,3 +204,70 @@ class TestSandwichAndHolevo:
             holevo_compatible(f, d=d)
         res = holevo_compatible(f, d=d, eps=1e-3)
         assert res.r == pytest.approx(1e-4)
+
+
+class TestNonFiniteEntries:
+    """Every gate fails on NaN and inf, so none of them certifies one."""
+
+    F = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_weight_matrix(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            WeightMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fisher_block(self, bad):
+        f = np.array([[bad, 0.0], [0.0, 1.0]])
+        for bound in (symmetric_bound, lambda m: incompatibility_R(m, 0 * self.F),
+                      holevo_compatible, lambda m: sandwich(m, None, 0 * self.F)):
+            with pytest.raises(ValueError, match="finite"):
+                bound(f)
+        with pytest.raises(ValueError, match="finite"):
+            symmetric_bound(np.array([[bad]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_curvature(self, bad):
+        d = np.array([[0.0, bad], [-bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            incompatibility_R(self.F, d)
+        with pytest.raises(ValueError, match="finite"):
+            holevo_compatible(self.F, None, d)
+
+    def test_small_block_gates(self):
+        # the gates themselves, below the finite-entry check
+        nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(SingularFisher):
+            _det_2x2(nan, ("theta", "alpha"))
+        with pytest.raises(SingularFisher):
+            _inverse_2x2(np.array([[np.nan]]), ("theta",))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-8.0, 8.0),
+       log_cond=st.floats(0.0, 9.0), asym=st.booleans())
+def test_float_forms_equal_the_numpy_forms_bitwise(seed, log_scale, log_cond,
+                                                    asym):
+    # a random positive-definite 2x2 block, exactly symmetric or not,
+    # and a curvature inside the compatible and the clamped range
+    rng = np.random.default_rng(seed)
+    c, s = np.cos(phi := rng.uniform(0, np.pi)), np.sin(phi)
+    q = np.array([[c, -s], [s, c]])
+    lam = 10.0 ** log_scale * np.array([1.0, 10.0 ** -log_cond])
+    f = q @ np.diag(lam) @ q.T
+    if asym:
+        f[1, 0] *= 1.0 + 1e-13 * rng.normal()
+    x = rng.normal() * np.sqrt(lam[1] * lam[0]) * rng.uniform(0.0, 1.2)
+    d = np.array([[0.0, x], [-x, 0.0]])
+    det, inv, cs, r, ratio = bounds_by_numpy(f, d)
+    labels = ("theta", "alpha")
+    assert _det_2x2(f, labels) == det
+    assert np.array_equal(np.array(_inverse_2x2(f, labels)), inv)
+    assert symmetric_bound(f) == cs
+    assert sandwich(f)[0] == cs
+    if r <= 1.0:
+        assert incompatibility_R(f, d) == r
+    assert holevo_compatible(f, None, d, eps=1e300).r == ratio
+

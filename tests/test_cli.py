@@ -136,6 +136,17 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     # a choice list names each item once
     (["qfim", "--t", "5", "--routes", "analytic,analytic"], 2),
     (["qfim", "--t", "5", "--params", "theta,theta"], 2),
+    # a step count above 2**53 is not exact as a float: t^2 overflowed
+    # near 1.3e154 and the sweep grid's int64 near 9.2e18
+    (["qfim", "--t", str(2 * 10**154)], 2),
+    (["bounds", "--t", str(2 * 10**154)], 2),
+    (["case", "magnetic", "--b2", "0.4", "--t", str(2 * 10**154)], 2),
+    (["sweep", "fig1", "--t-max", str(10**19)], 2),
+    (["sweep", "fig1", "--t-max", str(10**20)], 2),
+    (["qfim", "--t", str(2**53)], 0),
+    # a weight with a non-finite entry certifies nothing
+    (["bounds", "--weight", "inf,0,1"], 2),
+    (["bounds", "--weight", "1,nan,1"], 2),
 ])
 def test_exit_codes(workdir, capsys, argv, code):
     (workdir / "route.cfg").write_text("route = localized-closed-form\n"
@@ -193,6 +204,27 @@ def test_even_separation_warning_is_one_line(workdir, capsys, pair):
         "warning: separation 2 is even: the k-spinor norm varies over the "
         "zone and the asymptotic formulas apply in their weighted form"]
     assert "UserWarning" not in err and "warn(" not in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["evolve", "--t"], "--t"), (["estimate", "--t"], "--t"),
+    (["sweep", "fig2", "--t-max"], "--t-max")])
+def test_step_count_bound_is_named(workdir, capsys, argv, flag):
+    assert main(argv + [str(2**53 + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {flag} {2**53 + 1} is beyond MAX_STEPS = 2**53" in err
+    assert main(argv + ["-1"]) == 2
+    assert f"config error: {flag} must be >= " in capsys.readouterr().err
+    assert not list(workdir.iterdir())
+
+
+@pytest.mark.parametrize("weight", ["inf,0,1", "1,-inf,1", "nan,0,1"])
+def test_non_finite_weight_is_named(workdir, capsys, weight):
+    assert main(["bounds", "--t", "5", "--weight", weight]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: --weight: weight matrix must have finite "
+                   "entries\n")
+    assert not list(workdir.iterdir())
 
 
 def test_site_position_bound_is_named(workdir, capsys):

@@ -12,13 +12,14 @@ from qwfisher import (CoinParams, DegenerateWalk, QFIMatrix, SingularFisher,
                       initial_entangled, initial_gamma, initial_localized,
                       qfim_localized, qfim_max_diag, qfim_theorem1,
                       single_param_qfi, uhlmann_analytic)
-from qwfisher.qfim import a1_grid, qfim_first_term
+from qwfisher.qfim import PSD_TOL, SYM_TOL, _zone_means, a1_grid, qfim_first_term
 from qwfisher.quadrature import adaptive_mean_over_bz
 from qwfisher.walk import generator_spatial, rho_bloch, spinors_at
 
 from oracles import (F_AA_QUARTER_PI, F_TT_QUARTER_PI, GOLDEN_COMMON,
                      GOLDEN_THETA, PAULI, PREF_RY0_QUARTER_PI,
-                     PREF_RY1_QUARTER_PI, random_spinor, u_dense)
+                     PREF_RY1_QUARTER_PI, qfimatrix_checks, random_spinor,
+                     u_dense, zone_means_by_rfft)
 
 QUARTER = math.pi / 4
 
@@ -214,6 +215,111 @@ def test_exact_route_diagonal_below_the_reference_range(theta):
                           (single[0, 0], local[0, 0]),
                           (single[1, 1], local[1, 1])):
             assert abs(got / want - 1.0) <= 1e-14
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# |theta| log-uniform in [1e-9, pi/2], or pi/2 - delta with delta
+# log-uniform, on either side of zero
+weight_angles = st.builds(
+    lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+    st.one_of(_log_uniform(1e-9, math.pi / 2),
+              _log_uniform(1e-9, 1.0).map(lambda d: math.pi / 2 - d)))
+
+
+@st.composite
+def dense_or_sparse_inputs(draw):
+    """Either up to 9 consecutive random sites, or 2 to 4 random sites
+    spread over a window up to 3,000 wide.  Returns (input, sparse)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        width = draw(st.integers(2, 3000))
+        rows = np.unique(np.concatenate(
+            ([0, width - 1], rng.integers(0, width, size=draw(st.integers(0, 2))))))
+        amps = np.zeros((width, 2), dtype=complex)
+        amps[rows] = rng.normal(size=(rows.size, 2)) + 1j * rng.normal(size=(rows.size, 2))
+        sparse = True
+    else:
+        amps = rng.normal(size=(draw(st.integers(1, 9)), 2)) * (1 + 0j)
+        amps += 1j * rng.normal(size=amps.shape)
+        sparse = False
+    origin = int(rng.integers(-50, 51))
+    return WalkerState(origin=origin, amps=amps / np.linalg.norm(amps)), sparse
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=weight_angles, alpha=st.floats(-math.pi, math.pi),
+       beta=st.floats(-math.pi, math.pi), drawn=dense_or_sparse_inputs())
+@example(theta=1e-9, alpha=0.3, beta=-1.2, drawn=(initial_entangled(0, 1), False))
+@example(theta=-(math.pi / 2 - 1e-9), alpha=2.9, beta=0.4,
+         drawn=(initial_entangled(-1500, 1499), True))
+def test_node_weights_match_the_rfft_means(theta, alpha, beta, drawn):
+    # the node weights against the transform of each numerator: the two
+    # forms differ by their summation order alone (up to 9e-13 seen at
+    # 3,000 sites), and each moves by up to 3e-11 relative when its own
+    # grid is doubled there, the rounding floor the sparse bound sits on
+    init, sparse = drawn
+    p = CoinParams(theta, alpha, beta)
+    params = ("theta", "alpha", "beta")
+    first, y = _zone_means(p, init, params)
+    ref_first, ref_y = zone_means_by_rfft(p, init, params)
+    f, ref = first - np.outer(y, y), ref_first - np.outer(ref_y, ref_y)
+    assert np.array_equal(first, first.T)
+    tol = 1e-10 if sparse else 1e-13
+    assert np.abs(f - ref).max() <= tol * max(1.0, np.abs(ref).max())
+
+
+@st.composite
+def candidate_matrices(draw):
+    """(entries, t, antisymmetric) near every gate of QFIMatrix: PSD
+    margins of +-PSD_TOL * scale * (1 +- 0.5), asymmetry of +-SYM_TOL *
+    scale, and NaN or +-inf entries."""
+    m = draw(st.integers(1, 3))
+    antisymmetric = draw(st.booleans())
+    t = draw(st.integers(1, 10**6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(m, m)) * 10.0 ** draw(st.floats(-3, 3))
+    if antisymmetric:
+        s = x - x.T
+    else:
+        s = x @ x.T
+        lam = np.linalg.eigvalsh(s)
+        scale = max(1.0, np.abs(s).max())
+        margin = draw(st.sampled_from([1.0, -1.0])) * PSD_TOL * scale \
+            * draw(st.floats(0.5, 1.5))
+        s = s + (margin - lam[0]) * np.eye(m)
+    if m > 1 and draw(st.booleans()):
+        s[0, 1] += draw(st.sampled_from([1.0, -1.0])) * SYM_TOL \
+            * max(1.0, np.abs(s).max()) * draw(st.floats(0.5, 1.5))
+    if draw(st.booleans()):
+        i, j = rng.integers(0, m, size=2)
+        s[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return s * float(t) ** 2, t, antisymmetric
+
+
+def _outcome(build):
+    try:
+        build()
+    except Exception as exc:                     # compared, not swallowed
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=candidate_matrices())
+@example(case=(np.array([[np.inf, 1.0], [0.0, 0.0]]), 1, True))
+@example(case=(np.array([[1.0, np.nan], [np.nan, 1.0]]), 3, False))
+def test_qfimatrix_accepts_and_rejects_as_before(case):
+    entries, t, antisymmetric = case
+    labels = ("theta", "alpha", "beta")[:entries.shape[0]]
+    with np.errstate(invalid="ignore"):          # inf - inf in the defects
+        new = _outcome(lambda: QFIMatrix(entries=entries, labels=labels, t=t,
+                                         antisymmetric=antisymmetric))
+        old = _outcome(lambda: qfimatrix_checks(entries, labels, t,
+                                                antisymmetric))
+    assert new == old
 
 
 # ---------------------------------------------------------------------------

@@ -26,3 +26,53 @@ def test_convergence_study_runs(tmp_path):
     m = re.search(r"decay exponent ([-+]?\d+\.\d+)", res.stdout)
     assert m is not None, res.stdout
     assert float(m.group(1)) < 0.0
+
+
+def _write(root, files):
+    root.mkdir()
+    for name, text in files.items():
+        (root / name).write_text(text)
+
+
+COMMENT = '# config: {"t": 5}\n'
+
+
+def test_compare_outputs_verdicts(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, {
+        "same.txt": "x\n",
+        "near.csv": COMMENT + "site,p\n0,0.25\n1,0.75\n",
+        "near.json": '{"f": [[2.0, 1e-17], [1e-17, 1.0]], "n": null, "s": "ok"}',
+        "far.csv": COMMENT + "site,p\n0,0.25\n1,0.75\n",
+        "text.csv": COMMENT + "name,v\nalpha,1\n",
+        "shape.json": '{"f": [1.0, 2.0]}',
+        "only_a.json": "{}"})
+    _write(b, {
+        "same.txt": "x\n",
+        # within 1e-14 of the column's and the matrix's scale
+        "near.csv": COMMENT + "site,p\n0,0.25000000000000006\n1,0.75\n",
+        "near.json": '{"f": [[2.0000000000000004, -3e-17], [-3e-17, 1.0]], '
+                     '"n": null, "s": "ok"}',
+        "far.csv": COMMENT + "site,p\n0,0.2500001\n1,0.75\n",
+        "text.csv": COMMENT + "name,v\nbeta,1\n",
+        "shape.json": '{"f": [1.0, 2.0, 3.0]}'})
+    res = run_script("compare_outputs.py", str(a), str(b), cwd=tmp_path)
+    assert res.returncode == 1, res.stderr
+    verdicts = dict(reversed(line.split()[:2]) for line in
+                    res.stdout.splitlines()[:-1])
+    assert verdicts == {"same.txt": "identical", "near.csv": "equal",
+                        "near.json": "equal", "far.csv": "different",
+                        "text.csv": "different", "shape.json": "different",
+                        "only_a.json": "different"}
+    assert "max rel dev 2.220e-16 at $.f[0][0]" in res.stdout
+    assert res.stdout.splitlines()[-1] == "1 identical, 2 equal, 4 different"
+    # equal files pass; a zero tolerance leaves only the identical ones
+    for name in ("far.csv", "text.csv", "shape.json", "only_a.json"):
+        (a / name).unlink(missing_ok=True)
+        (b / name).unlink(missing_ok=True)
+    assert run_script("compare_outputs.py", str(a), str(b),
+                      cwd=tmp_path).returncode == 0
+    strict = run_script("compare_outputs.py", str(a), str(b), "--rel-tol",
+                        "0", cwd=tmp_path)
+    assert strict.returncode == 1
+    assert strict.stdout.splitlines()[-1] == "1 identical, 0 equal, 2 different"
