@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Run a fixed matrix of ``qwf`` commands and keep everything they leave.
+
+Each run gets its own subdirectory of OUT_DIR, named by its number and
+command.  It holds the files the command wrote under its default output
+prefix, and ``stdout.txt``, ``stderr.txt`` and ``exit.txt``.  The runs
+go through ``cli.main`` in this process, with the package imported from
+this checkout's ``src``.  Two such directories, made from two checkouts,
+compare file by file with ``compare_outputs.py``:
+
+    python scripts/run_matrix.py OUT_DIR
+    python scripts/compare_outputs.py OUT_A OUT_B --rel-tol 0
+
+The matrix holds the README quick-start commands, runs on sparse, gamma
+and localized inputs, and refused runs that exit 2 and 4.
+"""
+import argparse
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qwfisher import cli  # noqa: E402  (after the path above)
+
+RUNS = tuple(tuple(line.split()) for line in """
+qfim --theta 0.7853981633974483 --t 200 --routes analytic,oracle
+bounds --t 100
+case dirac --m 1 --q 1 --ax 1 --eps 0.01 --t 100
+estimate --shots 100000 --seed 7
+sweep fig2 --t-max 1000
+evolve --t 1000
+evolve --t 7 --init localized:2 --bloch 1,0,0
+evolve --t 20 --init gamma:0.6
+estimate --shots 500 --seed 3 --t 20 --init gamma:0.6 --grid-n 40 --alpha 0.3
+estimate --shots 2000 --seed 5 --t 300 --grid-n 40
+sweep fig1 --t-max 300
+case magnetic --b2 0.4 --b3 -0.3 --t 20
+qfim --t 50 --init localized:0 --spinor 0.6,0.8j --routes analytic,localized-closed-form,oracle
+qfim --t 30 --params theta,alpha,beta --routes analytic,oracle
+bounds --t 10 --route oracle --weight 1,0.2,2
+estimate --shots 500 --seed 1 --t 30 --init localized:3 --grid-n 40
+qfim --t 9007199254740992
+qfim --t 9007199254740993
+evolve --t -1
+sweep fig2 --t-max 0
+estimate --t 0
+estimate --shots 0
+qfim --theta 0
+case magnetic --b2 0
+case dirac --m 1 --q 1 --ax 0 --eps 0.01
+""".strip().splitlines())
+
+
+def run_matrix(out_dir, runs=RUNS) -> list:
+    """Run each argv of ``runs`` through ``cli.main`` in its own new
+    subdirectory of ``out_dir``; return the exit codes in order."""
+    out_dir = Path(out_dir).resolve()
+    here = os.getcwd()
+    codes = []
+    for i, argv in enumerate(runs, 1):
+        run_dir = out_dir / f"{i:02d}_{argv[0]}"
+        run_dir.mkdir(parents=True)
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(run_dir)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(list(argv))
+        finally:
+            os.chdir(here)
+        (run_dir / "stdout.txt").write_text(out.getvalue())
+        (run_dir / "stderr.txt").write_text(err.getvalue())
+        (run_dir / "exit.txt").write_text(f"{code}\n")
+        codes.append(code)
+    return codes
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out_dir", type=Path, help="a new or empty directory")
+    args = ap.parse_args(argv)
+    codes = run_matrix(args.out_dir)
+    print(f"{len(codes)} runs; exit codes " + " ".join(map(str, codes)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,7 @@ from .bounds import g_of_theta
 from .errors import (ChargeUnidentifiable, DegenerateWalk, NoConvergence,
                      OutOfWindow, SingularJacobian)
 from .qfim import QFIMatrix, single_param_qfi
-from .walk import CoinParams
+from .walk import CoinParams, step_count
 
 WINDOW = math.pi / 2
 ROUND_TRIP_TOL = 1e-13
@@ -298,15 +298,15 @@ def pullback_qfim(f_coin: QFIMatrix, jacobian, labels) -> QFIMatrix:
                      t=block.t, asymptotic=block.asymptotic)
 
 
-def _t_grid(t_max: int) -> np.ndarray:
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+def _t_grid(t_max: int):
+    """(t_max by the step-count rule, the sweep's step counts up to it)."""
+    t_max = step_count(t_max, 1, "t_max")
     if t_max <= 256:
-        return np.arange(1, t_max + 1)
+        return t_max, np.arange(1, t_max + 1)
     # rounding a geometric sequence keeps it non-decreasing, so the
     # repeats sit next to each other
     ts = np.round(np.geomspace(1, t_max, 256)).astype(int)
-    return ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
+    return t_max, ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
 
 
 def sweep_fig1(theta: float, t_max: int) -> dict:
@@ -317,37 +317,36 @@ def sweep_fig1(theta: float, t_max: int) -> dict:
     (0, pi/2)}.
     """
     CoinParams(theta, 0.0, 0.0)      # the coin's NaN and sin(theta) = 0 gates
-    ts = _t_grid(t_max)
-    f0 = np.array([single_param_qfi(theta, 0.0, int(t)) for t in ts])
-    f1 = np.array([single_param_qfi(theta, 1.0, int(t)) for t in ts])
+    t_max, ts = _t_grid(t_max)
+    f0 = np.array([single_param_qfi(theta, 0.0, t) for t in ts])
+    f1 = np.array([single_param_qfi(theta, 1.0, t) for t in ts])
     curves = DataTable(
         columns={"t": ts, "qfi_ry0": f0, "qfi_ry1": f1, "ratio": f0 / f1},
-        meta={"theta": theta, "t_max": int(t_max)})
+        meta={"theta": theta, "t_max": t_max})
     thetas = np.linspace(0.0, math.pi / 2, 66)[1:-1]
     inset = DataTable(
         columns={"theta": thetas,
                  "prefactor_ry0": [single_param_qfi(th, 0.0, 1) for th in thetas],
                  "prefactor_ry1": [single_param_qfi(th, 1.0, 1) for th in thetas]},
-        meta={"t_max": int(t_max)})
+        meta={"t_max": t_max})
     return {"curves": curves, "inset": inset}
 
 
 def sweep_fig2(theta_list, t_max: int) -> dict:
     """Holevo-bound decay C^H = g(theta)/t^2 for each theta, plus g(theta) inset."""
-    ts = _t_grid(t_max)
-    th_col, t_col, ch_col = [], [], []
+    t_max, ts = _t_grid(t_max)
+    th_col, ch_col = [], []
     for th in theta_list:
         CoinParams(float(th), 0.0, 0.0)  # as in sweep_fig1
         g = g_of_theta(float(th))
-        for t in ts:
-            th_col.append(float(th))
-            t_col.append(int(t))
-            ch_col.append(g / float(t) ** 2)
+        th_col += [float(th)] * ts.size
+        ch_col += [g / float(t) ** 2 for t in ts]
     curves = DataTable(
-        columns={"theta": th_col, "t": np.array(t_col), "c_h": ch_col},
-        meta={"theta_list": [float(x) for x in theta_list], "t_max": int(t_max)})
+        columns={"theta": th_col, "t": np.tile(ts, len(theta_list)),
+                 "c_h": ch_col},
+        meta={"theta_list": [float(x) for x in theta_list], "t_max": t_max})
     thetas = np.linspace(0.0, math.pi / 2, 66)[1:-1]
     inset = DataTable(
         columns={"theta": thetas, "g": [g_of_theta(th) for th in thetas]},
-        meta={"t_max": int(t_max)})
+        meta={"t_max": t_max})
     return {"curves": curves, "inset": inset}

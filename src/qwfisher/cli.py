@@ -40,10 +40,6 @@ _UNSET = object()
 # origin by 2.1e-13 at |x| = 1e4, 1.3e-12 at 6.6e4 and 2.4e-11 at 1e6,
 # so this bound keeps that error under 1e-12.
 MAX_SITE_POSITION = 10_000
-# Largest step count a command takes.  Every route reads t as a float (the
-# t^2 growth, the sweep's t grid), and above 2**53 a float no longer holds
-# each integer: t^2 overflows near 1.3e154 and the grid's int64 near 9.2e18.
-MAX_STEPS = 2 ** 53
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -266,16 +262,6 @@ def _coin(ns):
     return CoinParams(theta=ns.theta, alpha=ns.alpha, beta=ns.beta)
 
 
-def _check_t(t, minimum=1, flag="--t"):
-    t = int(t)
-    if t < minimum:
-        raise ConfigError(f"{flag} must be >= {minimum}, got {t}")
-    if t > MAX_STEPS:
-        raise ConfigError(f"{flag} {t} is beyond MAX_STEPS = 2**53, above "
-                          "which a step count is not exact as a float")
-    return t
-
-
 class _StrColumnTable:
     """Columns whose first ones hold strings, written as one CSV table."""
 
@@ -354,10 +340,10 @@ def _matrix_rows(labels, mats: dict) -> dict:
 def cmd_evolve(ns, out) -> None:
     from ._io import DataTable
     from .estimation import position_distribution
-    from .walk import evolve
+    from .walk import evolve, step_count
 
     p = _coin(ns)
-    t = _check_t(ns.t, minimum=0)
+    t = step_count(ns.t, 0, "--t")
     init = _parse_init(ns)
     final = evolve(init, p, t)
     dist = position_distribution(final)
@@ -390,8 +376,7 @@ def _qfim_by_route(route, p, init, t, params):
                               "input; use --init localized:X")
         r = rho_bloch(init.amps[0])[1:]
         f = qfim_localized(p.theta, p.alpha - p.beta, r, t)
-        relabeled = QFIMatrix(entries=f.entries, labels=("theta", "alpha"),
-                              t=t, asymptotic=True)
+        relabeled = QFIMatrix(f.entries, ("theta", "alpha"), f.t, asymptotic=True)
         return relabeled, uhlmann_analytic(p, init, t, params=params)
     # "oracle": the flags admit no other route
     return exact_matrices(init, p, t, params=params)
@@ -400,10 +385,10 @@ def _qfim_by_route(route, p, init, t, params):
 def cmd_qfim(ns, out) -> None:
     import numpy as np
     from .qfim import beta_null_check
-    from .walk import PARAM_NAMES
+    from .walk import PARAM_NAMES, step_count
 
     p = _coin(ns)
-    t = _check_t(ns.t)
+    t = step_count(ns.t, 1, "--t")
     init = _parse_init(ns)
     params = tuple(_items(ns.params, "--params", choices=PARAM_NAMES))
     routes = _items(ns.routes, "--routes", choices=_ROUTES)
@@ -450,9 +435,10 @@ def cmd_bounds(ns, out) -> None:
     from ._io import DataTable
     from .bounds import (WeightMatrix, holevo_compatible, incompatibility_R,
                          symmetric_bound)
+    from .walk import step_count
 
     p = _coin(ns)
-    t = _check_t(ns.t)
+    t = step_count(ns.t, 1, "--t")
     init = _parse_init(ns)
     w = None
     if ns.weight:
@@ -491,8 +477,9 @@ def cmd_bounds(ns, out) -> None:
 
 def cmd_sweep(ns, out) -> None:
     from .cases import sweep_fig1, sweep_fig2
+    from .walk import step_count
 
-    t_max = _check_t(ns.t_max, flag="--t-max")
+    t_max = step_count(ns.t_max, 1, "--t-max")
     if ns.which == "fig1":
         tables = sweep_fig1(ns.theta, t_max)
     else:  # fig2
@@ -513,8 +500,9 @@ def cmd_case(ns, out) -> None:
                         dirac_from_coin, dirac_jacobian, magnetic_from_coin,
                         magnetic_jacobian, pullback_qfim)
     from .qfim import qfim_theorem1
+    from .walk import step_count
 
-    t = _check_t(ns.t)
+    t = step_count(ns.t, 1, "--t")
     init = _parse_init(ns)
     missing = [f for f in _CASE_FLAGS[ns.which] if getattr(ns, f) is None]
     if missing:
@@ -576,10 +564,10 @@ def cmd_estimate(ns, out) -> None:
     from ._io import DataTable
     from .estimation import (GridSpec, make_likelihood_table, mle_fit,
                              position_distribution, sample)
-    from .walk import evolve
+    from .walk import evolve, step_count
 
     p_true = _coin(ns)
-    t = _check_t(ns.t)
+    t = step_count(ns.t, 1, "--t")
     init = _parse_init(ns)
     shots = int(ns.shots)
     if shots < 1:

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .walk import (MIN_SIN_THETA, CoinParams, SiteWindow, WalkerState,
-                   theta_jet)
+                   step_count, theta_jet)
 
 MASS_THRESHOLD = 1e-12
 # a fit has converged when no component of its step exceeds this
@@ -83,6 +83,7 @@ class MeasurementRecord:
     params_true: CoinParams | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "t", step_count(self.t))
         counts = {int(x): int(c) for x, c in self.counts.items()}
         if any(c < 0 for c in counts.values()):
             raise ValueError("counts must be nonnegative")
@@ -103,26 +104,18 @@ class MeasurementRecord:
         return vec
 
     def to_json_dict(self) -> dict:
-        d = {
-            "t": int(self.t),
-            "shots": int(self.shots),
-            "seed": int(self.seed),
-            "counts": {str(x): int(c) for x, c in sorted(self.counts.items())},
-        }
-        if self.params_true is not None:
-            d["params_true"] = {"theta": self.params_true.theta,
-                                "alpha": self.params_true.alpha,
-                                "beta": self.params_true.beta}
-        else:
-            d["params_true"] = None
-        return d
+        pt = self.params_true
+        return {"t": self.t, "shots": int(self.shots), "seed": int(self.seed),
+                "counts": {str(x): int(c)
+                           for x, c in sorted(self.counts.items())},
+                "params_true": None if pt is None else {
+                    "theta": pt.theta, "alpha": pt.alpha, "beta": pt.beta}}
 
     @staticmethod
     def from_json_dict(d: dict) -> "MeasurementRecord":
         pt = d.get("params_true")
         return MeasurementRecord(
-            t=int(d["t"]), shots=int(d["shots"]),
-            counts={int(x): int(c) for x, c in d["counts"].items()},
+            t=d["t"], shots=int(d["shots"]), counts=d["counts"],
             seed=int(d["seed"]),
             params_true=None if pt is None else CoinParams(**pt))
 
@@ -130,11 +123,12 @@ class MeasurementRecord:
 def sample(dist: PositionDistribution, shots: int, seed: int,
            params_true: CoinParams | None = None, stream=()) -> MeasurementRecord:
     """Multinomial position draws; deterministic in (seed, stream)."""
-    if shots < 1:
-        raise ValueError(f"need at least one shot, got {shots}")
+    if (isinstance(shots, bool) or not isinstance(shots, (int, np.integer))
+            or shots < 1):
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
     rng = philox_rng(seed, *stream)
     p = dist.probs / dist.probs.sum()
-    draws = rng.multinomial(int(shots), p)
+    draws = rng.multinomial(shots, p)
     counts = {int(x): int(c) for x, c in zip(dist.sites, draws) if c}
     return MeasurementRecord(t=dist.t, shots=int(shots), counts=counts,
                              seed=int(seed), params_true=params_true)
@@ -172,16 +166,15 @@ def _engine_inputs(init: WalkerState, beta: float, t: int):
     return (window, *_frequency_groups(init, beta, window.nodes))
 
 
-def _derivatives(theta: float, alpha: float, t: int, window: SiteWindow,
+def _derivatives(theta: float, alpha: float, window: SiteWindow,
                  freqs: np.ndarray, spinors: np.ndarray):
     """(sites, probs, dprobs, d2probs) at (theta, alpha) from the engine
     inputs of :func:`_engine_inputs`; see :func:`_prob_derivatives`."""
-    t = int(t)
     phase = np.exp(-1j * alpha * freqs)
     # chi, d_alpha chi, d2_alpha chi: (3, n, 2)
     chis = np.tensordot(np.array([phase, -1j * freqs * phase,
                                   -(freqs ** 2) * phase]), spinors, axes=1)
-    jet = theta_jet(theta, window.nodes, chis, t, order=2)
+    jet = theta_jet(theta, window.nodes, chis, window.t, order=2)
     # psi, d_theta, d_alpha, d2_theta, d_theta d_alpha, d2_alpha
     amps = window.to_sites(jet[[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]])
     psi = amps[0]
@@ -206,8 +199,7 @@ def _prob_derivatives(p: CoinParams, init: WalkerState, t: int):
     spinor arrays to sites, where d_mu p = 2 Re conj(psi) d_mu psi and
     d_mu d_nu p = 2 Re [conj(d_mu psi) d_nu psi + conj(psi) d_mu d_nu psi].
     """
-    return _derivatives(p.theta, p.alpha, t,
-                        *_engine_inputs(init, p.beta, t))
+    return _derivatives(p.theta, p.alpha, *_engine_inputs(init, p.beta, t))
 
 
 def _information(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -266,14 +258,13 @@ class LikelihoodTable:
     (n_theta, n_sites) is log max(B_0 + 2 sum_d |B_d|, 1e-300), the
     per-site upper bound on log p over alpha that :func:`_grid_loglik`
     prunes theta rows by.  ``engine`` holds the inputs of the fits'
-    engine runs at the table's fixed (init, beta, t), from
-    :func:`_engine_inputs`.  Building it peaks at B plus one block of
-    theta rows of the engine (see :func:`make_likelihood_table`).
+    engine runs at the table's (init, beta) and its window's :attr:`t`,
+    from :func:`_engine_inputs`.  Building it peaks at B plus one block
+    of theta rows of the engine (see :func:`make_likelihood_table`).
     """
 
     grid: GridSpec
     beta: float
-    t: int
     trig: np.ndarray
     B: np.ndarray
     log_bound: np.ndarray
@@ -282,6 +273,10 @@ class LikelihoodTable:
     @property
     def sites(self) -> np.ndarray:
         return self.engine[0].sites
+
+    @property
+    def t(self) -> int:
+        return self.engine[0].t
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -356,7 +351,6 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
         raise ValueError("grid touches a degenerate quasi-energy; "
                          "shrink the box or step explicitly")
     thetas, alphas = grid.axes()
-    t = int(t)
     engine = _engine_inputs(init, p_true.beta, t)
     window, freqs, spinors = engine
 
@@ -375,7 +369,7 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
         rows = slice(start, start + height)
         # Phi_f on this block's thetas: (rows, F, width, 2)
         phis = window.to_sites(theta_jet(thetas[rows, None, None],
-                                         window.nodes, spinors, t)[0])
+                                         window.nodes, spinors, window.t)[0])
         block = b[rows]
         block[:, 0] = np.sum(phis.real ** 2 + phis.imag ** 2, axis=(1, 3))
         for f1, f, j in pairs:
@@ -388,8 +382,8 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     phase = np.outer(alphas, ds)
     trig = np.concatenate([np.ones((alphas.size, 1)), 2.0 * np.cos(phase),
                            -2.0 * np.sin(phase)], axis=1)
-    return LikelihoodTable(grid=grid, beta=p_true.beta, t=t, trig=trig,
-                           B=b, log_bound=log_bound, engine=engine)
+    return LikelihoodTable(grid=grid, beta=p_true.beta, trig=trig, B=b,
+                           log_bound=log_bound, engine=engine)
 
 
 def _grid_loglik(table: LikelihoodTable, counts: np.ndarray):
@@ -612,8 +606,7 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     every = np.ones(2, dtype=bool)
     held = ~every
     while True:
-        _, probs, dprobs, d2probs = _derivatives(x[0], x[1], table.t,
-                                                 *table.engine)
+        _, probs, dprobs, d2probs = _derivatives(x[0], x[1], *table.engine)
         live = probs > MASS_THRESHOLD
         n = counts[live]
         g = dprobs[:, live] / probs[live]

@@ -49,7 +49,7 @@ def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx):
     nodes, dphi[i] = G_mu(t) phi_t for mu = PARAM_NAMES[idx[i]]."""
     window, powers, phi = evolve_spinors(init, p, t)
     return window, phi, powers.generator_sums(
-        0.5j * generator_spatial(p)[idx], t, phi)
+        0.5j * generator_spatial(p)[idx], window.t, phi)
 
 
 def derivative_state(init: WalkerState, p: CoinParams, t: int,
@@ -89,10 +89,8 @@ def exact_matrices(init: WalkerState, p: CoinParams, t: int,
     of one complex Gram, so one engine run serves both."""
     gram = _gram(init, p, t, params)
     labels = tuple(params)
-    return (QFIMatrix(entries=gram.real, labels=labels, t=int(t),
-                      asymptotic=False),
-            QFIMatrix(entries=gram.imag, labels=labels, t=int(t),
-                      antisymmetric=True, asymptotic=False))
+    return (QFIMatrix(gram.real, labels, t),
+            QFIMatrix(gram.imag, labels, t, antisymmetric=True))
 
 
 def qfim_exact(init: WalkerState, p: CoinParams, t: int,

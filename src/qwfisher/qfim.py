@@ -39,7 +39,7 @@ from .errors import DegenerateWalk
 from .walk import (MIN_SIN_THETA, PARAM_NAMES, TWO_PI, CoinParams,
                    WalkerState, generator_spatial, initial_localized,
                    k_grid_size, quasi_energy_axis, rho_bloch, spinors_at,
-                   uniform_k_grid)
+                   step_count, uniform_k_grid)
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -49,11 +49,12 @@ PSD_TOL = 1e-9
 class QFIMatrix:
     """Information matrix with parameter labels and the step count it refers to.
 
-    ``entries`` holds the matrix itself (including any t^2 growth);
-    symmetry (or antisymmetry, for mixed-derivative curvature matrices)
-    and positive semidefiniteness are validated on the per-step-squared
-    scale so the gates do not depend on t, by ndarray methods and one
-    ``eigvalsh``: on these small matrices per-call overhead is the cost.
+    ``entries`` holds the finite matrix itself (including any t^2 growth)
+    and ``t`` the int :func:`walk.step_count` reads (>= 1); symmetry (or
+    antisymmetry, for mixed-derivative curvature matrices) and positive
+    semidefiniteness are validated on the per-step-squared scale so the
+    gates do not depend on t, by ndarray methods and one ``eigvalsh``:
+    on these small matrices per-call overhead is the cost.
     ``asymptotic`` records whether the entries came from the long-time
     formulas or from an exact finite-t computation.
     """
@@ -69,13 +70,15 @@ class QFIMatrix:
         m = len(self.labels)
         if e.shape != (m, m):
             raise ValueError(f"entries shape {e.shape} does not match labels {self.labels}")
-        if self.t < 1:
-            raise ValueError(f"step count must be >= 1, got {self.t}")
-        scaled = e / float(self.t) ** 2
-        scale = max(1.0, abs(scaled).max())
+        t = step_count(self.t, 1)
+        scaled = e / float(t) ** 2
+        top = abs(scaled).max()
+        if not top < math.inf:                  # NaN fails too
+            raise ValueError("entries must be finite")
+        scale = max(1.0, top)
         if self.antisymmetric:
             defect = abs(scaled + scaled.T).max()
-            if not defect <= SYM_TOL * scale:       # NaN fails too
+            if not defect <= SYM_TOL * scale:
                 raise ValueError(f"antisymmetry defect {defect:.3e} beyond tolerance")
         else:
             defect = abs(scaled - scaled.T).max()
@@ -86,6 +89,7 @@ class QFIMatrix:
                 raise ValueError(f"matrix not positive semidefinite: min eig {lo:.3e}")
         object.__setattr__(self, "entries", e)
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "t", t)
 
     @property
     def per_t2(self) -> np.ndarray:
@@ -199,10 +203,11 @@ def qfim_theorem1(p: CoinParams, init: WalkerState, t: int,
     projector annihilates O_beta.  The integrals are exact (see the
     module docstring), so there is nothing to tune.
     """
+    t = step_count(t, 1)
     first, y = _zone_means(p, init, params)
     per_t2 = first - y[:, None] * y
     return QFIMatrix(entries=per_t2 * float(t) ** 2, labels=tuple(params),
-                     t=int(t), asymptotic=True)
+                     t=t, asymptotic=True)
 
 
 def qfim_first_term(p: CoinParams, params=("theta", "alpha")) -> np.ndarray:
@@ -225,7 +230,7 @@ def uhlmann_analytic(p: CoinParams, init: WalkerState, t: int,
     """
     m = len(params)
     return QFIMatrix(entries=np.zeros((m, m)), labels=tuple(params),
-                     t=int(t), antisymmetric=True, asymptotic=True)
+                     t=step_count(t, 1), antisymmetric=True, asymptotic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +256,7 @@ def qfim_max_diag(theta: float, t: int) -> tuple[float, float]:
     cos^2 th / (1+s), which does not cancel near theta = pi/2.
     """
     s = _abs_sin(theta)
-    tt = float(t) ** 2
+    tt = float(step_count(t, 1)) ** 2
     c2 = float(np.cos(theta)) ** 2
     return 4.0 * tt * s / (1.0 + s), 4.0 * tt * c2 / (1.0 + s)
 
@@ -272,6 +277,7 @@ def qfim_localized(theta: float, phi: float, r, t: int) -> QFIMatrix:
     theta = pi/2 since (1-s)/cos th = cos th/(1+s).  F_pp likewise takes
     1 - s as cos^2 th / (1+s), which does not cancel near theta = pi/2.
     """
+    t = step_count(t, 1)
     s = _abs_sin(theta)
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
@@ -287,7 +293,7 @@ def qfim_localized(theta: float, phi: float, r, t: int) -> QFIMatrix:
     f_pp = 4.0 * tt * ct ** 2 / (1.0 + s) * (1.0 - ndotr ** 2 / (1.0 + s))
     f_tp = -np.copysign(4.0, st) * tt * ct * ndotr * ncross / (1.0 + s) ** 2
     return QFIMatrix(entries=np.array([[f_tt, f_tp], [f_tp, f_pp]]),
-                     labels=("theta", "phi"), t=int(t), asymptotic=True)
+                     labels=("theta", "phi"), t=t, asymptotic=True)
 
 
 def single_param_qfi(theta: float, r_y: float, t: int) -> float:
@@ -296,8 +302,9 @@ def single_param_qfi(theta: float, r_y: float, t: int) -> float:
     4 t^2 s [1 + s (1 - r_y^2)] / (1+s)^2: maximal on the equatorial
     circle r_y = 0 and minimal at the poles r_y = +-1, with ratio 1 + s.
     """
+    tt = float(step_count(t, 1)) ** 2
     s = _abs_sin(theta)
     if not abs(r_y) <= 1.0 + 1e-12:              # NaN fails too
         raise ValueError(f"|r_y| must not exceed 1, got {r_y!r}")
-    return float(4.0 * float(t) ** 2 * s * (1.0 + s * (1.0 - r_y ** 2))
+    return float(4.0 * tt * s * (1.0 + s * (1.0 - r_y ** 2))
                  / (1.0 + s) ** 2)

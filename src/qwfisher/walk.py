@@ -11,15 +11,17 @@ in SU(2), and :func:`quasi_energy_axis` is the one place that computes
 cos(om) and w = sin(om) n; the asymptotic route in :mod:`qwfisher.qfim`
 reads it too.  Every rule of the finite-t engine lives here, and the
 oracle and the estimator ask for evolved spinors instead of re-deriving
-them: the uniform grid and its size (:func:`uniform_k_grid`,
-:func:`k_grid_size`), the site window t steps from an input, its light
-cone and inverse FFT (:class:`SiteWindow`), and the SU(2) closed forms
-for u^t and the generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m
-(:class:`SU2Powers`, run on an input by :func:`evolve_spinors`; u^t and
-its theta derivatives for the estimator's family by :func:`theta_jet`).
-The coin generators O_mu = C^dag d_mu C = (i/2) w_mu.sigma come as the
-real Pauli vectors w_mu of :func:`generator_spatial`.  :func:`evolve`
-takes u(k)^t and one inverse FFT, with no loop over steps.
+them: the step count (:func:`step_count`, read by every command, route
+and closed form), the uniform grid and its size (:func:`uniform_k_grid`,
+:func:`k_grid_size`), the site window t steps from an input, which
+carries the checked t, its light cone and inverse FFT
+(:class:`SiteWindow`), and the SU(2) closed forms for u^t and the
+generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m (:class:`SU2Powers`,
+run on an input by :func:`evolve_spinors`; u^t and its theta derivatives
+for the estimator's family by :func:`theta_jet`).  The coin generators
+O_mu = C^dag d_mu C = (i/2) w_mu.sigma come as the real Pauli vectors
+w_mu of :func:`generator_spatial`.  :func:`evolve` takes u(k)^t and one
+inverse FFT, with no loop over steps.
 """
 from __future__ import annotations
 
@@ -37,6 +39,23 @@ NORM_TOL = 1e-12
 # sin ~ 1.2e-16, not 0, so the gate is a floor, not an equality
 MIN_SIN_THETA = 1e-12
 TWO_PI = 2.0 * np.pi
+# Largest step count the package takes.  Every route reads t as a float (the
+# t^2 growth, the sweep's t grid), and above 2**53 a float no longer holds
+# each integer: t^2 overflows near 1.3e154 and the grid's int64 near 9.2e18.
+MAX_STEPS = 2 ** 53
+
+
+def step_count(t, minimum: int = 0, name: str = "step count") -> int:
+    """t as an int if it is an integer (not a bool, nor a float even when
+    whole) in [minimum, MAX_STEPS], else ValueError naming ``name``."""
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {t!r}")
+    if t < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {t}")
+    if t > MAX_STEPS:
+        raise ValueError(f"{name} {t} is beyond MAX_STEPS = 2**53, above "
+                         "which a step count is not exact as a float")
+    return int(t)
 
 
 def _wrap_angle(a: float) -> float:
@@ -333,9 +352,10 @@ def k_grid_size(n_min: int) -> int:
 class SiteWindow:
     """The site window t steps from an input and the nodes resolving it.
 
-    :meth:`after` is the one rule: a step moves amplitude one site either
-    way, so the input's window grows by t sites at each end, and its
-    nodes are the :func:`k_grid_size` of the window width, where the
+    :meth:`after` is the one rule: it keeps t, read by :func:`step_count`,
+    for every engine run on the window; a step moves amplitude one site
+    either way, so the input's window grows by t sites at each end, and
+    its nodes are the :func:`k_grid_size` of the window width, where the
     inverse DFT and node-mean inner products are exact.  It keeps its
     input for the one light-cone rule, :attr:`_unreachable`.
     """
@@ -343,14 +363,15 @@ class SiteWindow:
     origin: int
     width: int
     nodes: np.ndarray
+    t: int
     _source: WalkerState = field(repr=False)
 
     @classmethod
     def after(cls, init: WalkerState, t: int) -> "SiteWindow":
-        t = int(t)
+        t = step_count(t)
         width = init.n_sites + 2 * t
-        return cls(origin=init.origin - t, width=width,
-                   nodes=uniform_k_grid(k_grid_size(width)), _source=init)
+        return cls(origin=init.origin - t, width=width, t=t, _source=init,
+                   nodes=uniform_k_grid(k_grid_size(width)))
 
     @property
     def sites(self) -> np.ndarray:
@@ -364,12 +385,11 @@ class SiteWindow:
         on rows r + 2, .., r + 2t, whatever the coin.  The runs are +-1
         edges summed along each parity, O(width), formed on first use."""
         src = self._source
-        t = (self.width - src.n_sites) // 2
-        if not t:
+        if not self.t:
             return np.nonzero(src.amps == 0.0)
         edge = np.zeros(2 * (self.width // 2 + 2), dtype=int)
         edge[src.support + 2] = 1
-        edge[src.support + 2 + 2 * t] -= 1      # another run may start there
+        edge[src.support + 2 + 2 * self.t] -= 1     # another run may start there
         # row y is reached on coin 0 if runs[y] > 0, coin 1 if runs[y + 2] > 0
         runs = edge.reshape(-1, 2).cumsum(axis=0).reshape(-1)
         return np.nonzero(np.stack([runs[:self.width],
@@ -454,7 +474,6 @@ class SU2Powers:
 
     def apply_power(self, phi: np.ndarray, t: int) -> np.ndarray:
         """u^t phi for spinors phi (..., 2) broadcasting against the stack."""
-        t = int(t)
         # u^t = sign^t (sign u)^t with sign u = cos(om) - i w.sigma
         sign_t = self.sign if t % 2 else 1.0
         a = sign_t * np.sin(t * self.omega) / self.sin_omega
@@ -474,7 +493,6 @@ class SU2Powers:
         (g_z phi_0 + (g_x - i g_y) phi_1, (g_x + i g_y) phi_0 - g_z phi_1),
         so no 2 x 2 matrix is formed.
         """
-        t = int(t)
         v = np.asarray(v)
         v = v.reshape(v.shape[:1] + (1,) * (self.w.ndim - 1) + (3,))
         vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
@@ -498,11 +516,12 @@ class SU2Powers:
 def evolve_spinors(init: WalkerState, p: CoinParams, t: int):
     """(window, powers, phi): :meth:`SiteWindow.after`, the
     :class:`SU2Powers` of u(k) on its nodes and the evolved k-spinors
-    phi = u(k)^t spinor(k), (n_nodes, 2)."""
+    phi = u(k)^t spinor(k), (n_nodes, 2), at the window's t."""
     window = SiteWindow.after(init, t)
     nodes = window.nodes
     powers = SU2Powers.of(*quasi_energy_axis(p.theta, p.alpha, p.beta, nodes))
-    return window, powers, powers.apply_power(spinors_at(init, nodes), t)
+    return window, powers, powers.apply_power(spinors_at(init, nodes),
+                                              window.t)
 
 
 def theta_jet(theta, nodes: np.ndarray, chi: np.ndarray, t: int,
@@ -523,7 +542,6 @@ def theta_jet(theta, nodes: np.ndarray, chi: np.ndarray, t: int,
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    t = int(t)
     powers = SU2Powers.of(*quasi_energy_axis(theta, 0.0, 0.0, nodes))
     if order == 0:
         return powers.apply_power(chi, t)[None]
@@ -558,12 +576,9 @@ def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:
     for an input of n0 sites, with no loop over t.  Cells off the
     input's light cone are exact zeros (:meth:`SiteWindow.to_sites`).
     """
-    if t < 0:
-        raise ValueError(f"step count must be nonnegative, got {t}")
-    t = int(t)
     window, _, phi = evolve_spinors(s, p, t)
     return WalkerState(origin=window.origin, amps=window.to_sites(phi),
-                       steps_elapsed=s.steps_elapsed + t)
+                       steps_elapsed=s.steps_elapsed + window.t)
 
 
 # old name of the engine path; perfbench routes-ladder is its only caller

@@ -441,6 +441,38 @@ def zone_means_by_rfft(p, init, params):
     return first + first.T - np.diag(np.diag(first)), vals[iu[0].size:]
 
 
+def asymptotic_linear_term(p, init, params, n=2 ** 16):
+    """F1 of the oracle's large-t expansion F(t) = t^2 F2 + t F1 + O(t^1/2).
+
+    F1 = -(y1 Y0^T + Y0 y1^T), with y1 the state-dependent zone means of
+    ``qfim._zone_means`` and Y0 the t-independent part of the overlap
+    <g(t).r> = t y1 + Y0 + (oscillating, decaying terms),
+
+        Y0 = 1/2 < v.r - (w.v)(w.r) / |w|^2 - cos om (w x v).r / |w|^2 >,
+
+    v the rows of ``generator_spatial``, (cos om, w) the quasi-energy
+    axis (|w| = sin om) and r the input's Bloch vector at k.  The mean is
+    taken plainly over n uniform nodes: the integrand is smooth, since
+    |w| >= |sin theta|.
+    """
+    from qwfisher.qfim import _zone_means
+    from qwfisher.walk import (PARAM_NAMES, generator_spatial,
+                               quasi_energy_axis, rho_bloch, spinors_at)
+
+    v = generator_spatial(p)[[PARAM_NAMES.index(l) for l in params]]
+    k = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    cos_omega, w = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
+    r = rho_bloch(spinors_at(init, k))[:, 1:]
+    w2 = np.einsum("ni,ni->n", w, w)[:, None]
+    wr = np.einsum("ni,ni->n", w, r)[:, None]
+    # (w x v).r = (r x w).v
+    y0 = 0.5 * np.mean(r @ v.T - (w @ v.T) * wr / w2
+                       - cos_omega[:, None] * (np.cross(r, w) @ v.T) / w2,
+                       axis=0)
+    y1 = _zone_means(p, init, params)[1]
+    return -(np.outer(y1, y0) + np.outer(y0, y1))
+
+
 def qfimatrix_checks(entries, labels, t, antisymmetric):
     """The gates ``QFIMatrix`` ran on construction, as first written with
     numpy's module functions: the reference its leaner checks must match

@@ -121,6 +121,16 @@ class TestSampling:
         assert sum(r1.counts.values()) == 5000
         assert sample(d, 5000, seed=10).counts != r1.counts
 
+    def test_shots_must_be_a_positive_integer(self):
+        # a fractional count once drew int(shots) and recorded that
+        d = PositionDistribution(sites=np.array([-1, 1]),
+                                 probs=np.array([0.5, 0.5]), t=1)
+        for shots in (2.5, 2.0, True, 0, -3):
+            with pytest.raises(ValueError, match="shots must be a positive "
+                               "integer"):
+                sample(d, shots, seed=1)
+        assert sample(d, np.int64(40), seed=1) == sample(d, 40, seed=1)
+
     def test_two_point_frequencies(self):
         d = PositionDistribution(sites=np.array([-1, 1]),
                                  probs=np.array([0.5, 0.5]), t=1)

@@ -18,6 +18,12 @@ it an exact zero.  No module outside ``walk`` names the window's input
 or its unreachable cells, and ``parity_empty_rows``, one of the special
 cases that rule replaced, exists nowhere.
 
+``walk.step_count`` is the one step-count rule: ``MAX_STEPS`` is
+assigned in ``walk`` alone, no package module calls ``int()`` on a ``t``
+or ``t_max`` outside ``step_count``, and no module outside ``walk``
+names ``MAX_STEPS`` or raises from a comparison of a step count of its
+own.
+
 The fitter has one pseudo-inverse: no module calls ``pinv``, and
 ``estimation`` decomposes a matrix only in ``_pseudo_inverse``.
 
@@ -219,6 +225,79 @@ def test_light_cone_stays_in_walk():
                    if name in GONE_NAMES
                    or (name in CONE_NAMES and path.stem != "walk")})
     assert not hits, f"light-cone rule stated outside SiteWindow: {hits}"
+
+
+# ---------------------------------------------------------------------------
+# one step-count rule
+
+STEP_NAMES = {"t", "t_max"}
+RULE = ("walk", "step_count")
+
+
+def _step_name(node) -> bool:
+    """Whether ``node`` is a name or attribute ``t`` or ``t_max``."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return name in STEP_NAMES
+
+
+def _step_rule_hits(module: str, source: str):
+    """(module, function, what) for every statement of a step-count rule
+    in ``source`` outside ``walk.step_count``: a name ``MAX_STEPS``
+    (assigned or read) outside ``walk``, an ``int()`` of a step count,
+    and an ``if`` that orders a step count and raises."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        here = (module, scope or "<module>")
+        exempt = (module, scope) == RULE
+        if (isinstance(node, ast.Name) and node.id == "MAX_STEPS"
+                and module != "walk"):
+            found.append(here + ("MAX_STEPS",))
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                == "int" and any(map(_step_name, node.args))
+                and not exempt):
+            found.append(here + ("int(t)",))
+        if (isinstance(node, ast.If) and not exempt
+                and any(isinstance(sub, ast.Raise) for stmt in node.body
+                        for sub in ast.walk(stmt))
+                and any(isinstance(cmp, ast.Compare)
+                        and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt,
+                                                ast.GtE)) for op in cmp.ops)
+                        and any(map(_step_name, [cmp.left, *cmp.comparators]))
+                        for cmp in ast.walk(node.test))):
+            found.append(here + ("check",))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_step_count_rule():
+    hits = [hit for path in sorted(PACKAGE.glob("*.py"))
+            for hit in _step_rule_hits(path.stem, path.read_text())]
+    assert not hits, f"step-count rules outside walk.step_count: {hits}"
+    assigned = [node for node in ast.walk(ast.parse(
+        (PACKAGE / "walk.py").read_text())) if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "MAX_STEPS" for t in node.targets)]
+    assert len(assigned) == 1
+
+
+@pytest.mark.parametrize("module,source,what", [
+    ("cli", "MAX_STEPS = 2 ** 53\n", "MAX_STEPS"),
+    ("cli", "def _check_t(t, minimum=1):\n    t = int(t)\n"
+            "    if t < minimum:\n        raise ValueError(t)\n", "int(t)"),
+    ("qfim", "def f(self):\n    if self.t < 1:\n        raise ValueError\n",
+     "check"),
+    ("cases", "def g(t_max):\n    if not t_max >= 1:\n        raise E\n",
+     "check"),
+    ("walk", "def evolve(s, t):\n    if t < 0:\n        raise ValueError\n",
+     "check"),
+])
+def test_step_count_ratchet_sees_a_second_rule(module, source, what):
+    assert what in {hit[2] for hit in _step_rule_hits(module, source)}
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qwfisher import (CoinParams, derivative_state, initial_entangled,
                       initial_gamma, initial_localized, qfim_exact,
                       uhlmann_exact)
+from qwfisher.qfim import _zone_means
 from qwfisher.walk import evolve
 
-from oracles import dense_amps_at, dense_evolve, random_spinor
+from oracles import (asymptotic_linear_term, dense_amps_at, dense_evolve,
+                     random_spinor)
 
 
 def overlap(a_window, b_window):
@@ -147,3 +151,63 @@ def test_oracle_accepts_random_spinors_and_stays_psd():
         f = qfim_exact(init, p, 12)
         evals = np.linalg.eigvalsh(f.per_t2)
         assert evals.min() >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# the t-linear term of the asymptotic matrix
+
+
+def _residuals(p, init, params, t, f2, f1):
+    """The largest of |F - t^2 F2 - t F1| / |F| and of |F - t^2 F2| / |F|
+    over t .. t + 3, F the oracle matrix and |.| the largest entry: the
+    few steps keep an oscillating remainder from passing near zero."""
+    with_f1 = without = 0.0
+    for s in range(t, t + 4):
+        f = qfim_exact(init, p, s, params=params).entries
+        scale = np.abs(f).max()
+        with_f1 = max(with_f1, np.abs(f - s * s * f2 - s * f1).max() / scale)
+        without = max(without, np.abs(f - s * s * f2).max() / scale)
+    return with_f1, without
+
+
+def test_linear_term_at_the_measured_gamma_point():
+    # gamma(0.6) at (0.7, 0.3, 0.1): 1.30e-5 with t F1 against 3.08e-4
+    # without at t = 1000, and 7.2e-8 against 2.0e-5 at t = 16000
+    p, init, params = CoinParams(0.7, 0.3, 0.1), initial_gamma(0.6), \
+        ("theta", "alpha")
+    first, y1 = _zone_means(p, init, params)
+    f2, f1 = first - np.outer(y1, y1), asymptotic_linear_term(p, init, params)
+    for t, bound, bound_without in ((1000, 1.4e-5, 3.2e-4),
+                                    (16000, 8e-8, 2.1e-5)):
+        f = qfim_exact(init, p, t, params=params).entries
+        scale = np.abs(f).max()
+        assert np.abs(f - t * t * f2 - t * f1).max() / scale <= bound
+        assert np.abs(f - t * t * f2).max() / scale <= bound_without
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(theta=st.floats(0.1, 1.5), sign=st.sampled_from([1.0, -1.0]),
+       alpha=st.floats(-math.pi, math.pi), beta=st.floats(-math.pi, math.pi),
+       input_seed=st.integers(0, 2 ** 32 - 1), gamma_input=st.booleans(),
+       triple=st.booleans())
+@example(theta=0.7, sign=1.0, alpha=0.3, beta=0.1, input_seed=0,
+         gamma_input=True, triple=True)
+def test_linear_term_makes_the_residual_fall_faster_than_one_over_t(
+        theta, sign, alpha, beta, input_seed, gamma_input, triple):
+    # without t F1 the residual falls as 1/t, so by 16 from t to 16 t;
+    # with it the remainder is O(t^1/2) against t^2, by 64
+    p = CoinParams(sign * theta, alpha, beta)
+    rng = np.random.default_rng(input_seed)
+    if gamma_input:
+        init = initial_gamma(rng.uniform(-math.pi, math.pi))
+    else:                                        # both coin components
+        init = initial_localized(int(rng.integers(-3, 4)),
+                                 spinor=random_spinor(rng))
+    params = ("theta", "alpha", "beta") if triple else ("theta", "alpha")
+    first, y1 = _zone_means(p, init, params)
+    assume(np.abs(y1).max() > 0.05)              # y1 = 0 has no t F1
+    f2, f1 = first - np.outer(y1, y1), asymptotic_linear_term(p, init, params)
+    early, early_without = _residuals(p, init, params, 250, f2, f1)
+    late, late_without = _residuals(p, init, params, 4000, f2, f1)
+    assert early < early_without and late < late_without
+    assert early > 16.0 * late

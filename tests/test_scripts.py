@@ -1,4 +1,5 @@
 """The runnable studies in scripts/, end to end at small sizes."""
+import importlib.util
 import os
 import re
 import subprocess
@@ -76,3 +77,41 @@ def test_compare_outputs_verdicts(tmp_path):
                         "0", cwd=tmp_path)
     assert strict.returncode == 1
     assert strict.stdout.splitlines()[-1] == "1 identical, 0 equal, 2 different"
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_matrix_keeps_each_runs_files_streams_and_exit(tmp_path):
+    matrix = _load_script("run_matrix.py")
+    runs = [argv for argv in matrix.RUNS
+            if argv in (("evolve", "--t", "7", "--init", "localized:2",
+                         "--bloch", "1,0,0"),
+                        ("qfim", "--t", "9007199254740993"))]
+    assert len(runs) == 2
+    assert matrix.run_matrix(tmp_path / "a", runs) == [0, 2]
+    ran, refused = tmp_path / "a" / "01_evolve", tmp_path / "a" / "02_qfim"
+    assert sorted(p.name for p in ran.iterdir()) == [
+        "exit.txt", "qwf_evolve_distribution.csv",
+        "qwf_evolve_distribution.json", "qwf_evolve_state.json",
+        "stderr.txt", "stdout.txt"]
+    assert (ran / "stdout.txt").read_text().startswith(
+        "evolved t=7: window [-5, 9]")
+    assert (ran / "exit.txt").read_text() == "0\n"
+    assert sorted(p.name for p in refused.iterdir()) == [
+        "exit.txt", "stderr.txt", "stdout.txt"]
+    assert (refused / "stderr.txt").read_text() == (
+        "config error: --t 9007199254740993 is beyond MAX_STEPS = 2**53, "
+        "above which a step count is not exact as a float\n")
+    assert (refused / "exit.txt").read_text() == "2\n"
+    # the same runs again give the same bytes, file by file
+    assert matrix.run_matrix(tmp_path / "b", runs) == [0, 2]
+    res = run_script("compare_outputs.py", str(tmp_path / "a"),
+                     str(tmp_path / "b"), "--rel-tol", "0", cwd=tmp_path)
+    assert res.returncode == 0, res.stdout
+    assert res.stdout.splitlines()[-1] == "9 identical, 0 equal, 0 different"

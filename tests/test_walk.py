@@ -8,14 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, WalkerState,
-                      derivative_state, evolve, initial_entangled,
-                      initial_gamma, initial_localized)
+from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, GridSpec,
+                      MeasurementRecord, QFIMatrix, WalkerState,
+                      classical_fi, derivative_state, evolve,
+                      initial_entangled, initial_gamma, initial_localized,
+                      make_likelihood_table, qfim_exact, qfim_localized,
+                      qfim_max_diag, qfim_theorem1, single_param_qfi,
+                      sweep_fig1, sweep_fig2, uhlmann_analytic,
+                      uhlmann_exact)
 from qwfisher.estimation import _prob_derivatives
 from qwfisher.oracle import exact_matrices
-from qwfisher.walk import (PARAM_NAMES, SiteWindow, SU2Powers,
+from qwfisher.walk import (MAX_STEPS, PARAM_NAMES, SiteWindow, SU2Powers,
                            evolve_spinors, quasi_energy_axis, spinors_at,
-                           theta_jet, uniform_k_grid)
+                           step_count, theta_jet, uniform_k_grid)
 
 from oracles import (PAULI, coin_dense, dense_amps_at, dense_evolve,
                      evolve_steps, light_cone, on_doubled_nodes,
@@ -479,3 +484,90 @@ def test_theta_jet_against_powers_and_differences():
 def test_walker_state_rejects_unnormalized():
     with pytest.raises(ValueError):
         WalkerState(origin=0, amps=np.array([[0.5 + 0j, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# the one step-count rule
+
+
+def test_step_count_takes_integers_in_range_only():
+    assert step_count(0) == 0 and type(step_count(np.int64(7))) is int
+    assert step_count(np.uint8(3), 1) == 3
+    assert step_count(MAX_STEPS) == MAX_STEPS == 2 ** 53
+    for bad in (2.5, 2.0, np.float64(3.0), True, np.True_, "3", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            step_count(bad)
+    with pytest.raises(ValueError, match=r"^--t must be >= 1, got 0$"):
+        step_count(0, 1, "--t")
+    with pytest.raises(ValueError, match=r"^step count 9007199254740993 is "
+                       r"beyond MAX_STEPS = 2\*\*53, above which a step "
+                       r"count is not exact as a float$"):
+        step_count(2 ** 53 + 1)
+
+
+_P = CoinParams(0.7, 0.3, 0.1)
+_PAIR = initial_entangled(0, 1)
+
+# every entry point that takes a step count: (its least t, a call at t)
+STEP_ENTRY_POINTS = {
+    "evolve": (0, lambda t: evolve(_PAIR, _P, t)),
+    "exact_matrices": (1, lambda t: exact_matrices(_PAIR, _P, t)),
+    "qfim_exact": (1, lambda t: qfim_exact(_PAIR, _P, t)),
+    "uhlmann_exact": (1, lambda t: uhlmann_exact(_PAIR, _P, t)),
+    "derivative_state": (0, lambda t: derivative_state(_PAIR, _P, t, "alpha")),
+    "qfim_theorem1": (1, lambda t: qfim_theorem1(_P, _PAIR, t)),
+    "uhlmann_analytic": (1, lambda t: uhlmann_analytic(_P, _PAIR, t)),
+    "qfim_localized": (1, lambda t: qfim_localized(0.7, 0.2, [0.6, 0, 0.8], t)),
+    "qfim_max_diag": (1, lambda t: qfim_max_diag(0.7, t)),
+    "single_param_qfi": (1, lambda t: single_param_qfi(0.7, 0.3, t)),
+    "classical_fi": (0, lambda t: classical_fi(_P, _PAIR, t)),
+    "make_likelihood_table": (0, lambda t: make_likelihood_table(
+        _PAIR, _P, t, GridSpec(n_theta=3, n_alpha=4))),
+    "MeasurementRecord": (0, lambda t: MeasurementRecord(
+        t=t, shots=3, counts={0: 3}, seed=1)),
+    "QFIMatrix": (1, lambda t: QFIMatrix(np.diag([8.0, 2.0]),
+                                         ("theta", "alpha"), t)),
+    "sweep_fig1": (1, lambda t: sweep_fig1(0.7, t)),
+    "sweep_fig2": (1, lambda t: sweep_fig2([0.7, 1.1], t)),
+}
+
+
+def _bitwise_same(a, b) -> bool:
+    """a and b of the same types throughout, arrays byte for byte."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_bitwise_same(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_bitwise_same(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_bitwise_same, a, b))
+    if isinstance(a, np.ndarray):
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return a == b or (a != a and b != b)
+
+
+@pytest.mark.parametrize("name", list(STEP_ENTRY_POINTS))
+def test_every_entry_point_reads_t_through_the_rule(name):
+    minimum, call = STEP_ENTRY_POINTS[name]
+    refused = [2.5, 2.0, True, -1, 2 ** 53 + 1] + [0] * (minimum == 1)
+    for t in refused:
+        with pytest.raises(ValueError):
+            call(t)
+    if minimum == 0:
+        call(0)
+    assert _bitwise_same(call(np.int64(3)), call(3))
+
+
+def test_a_non_integer_t_no_longer_runs_the_truncated_count():
+    # a fractional t once ran int(t) steps with t^2 from t itself: the
+    # matrix said t = 2 and carried 2.5^2
+    with pytest.raises(ValueError, match="must be an integer, got 2.5"):
+        qfim_theorem1(_P, _PAIR, 2.5)
+    with pytest.raises(ValueError, match="must be an integer, got 2.5"):
+        qfim_localized(0.7, 0.2, [0.6, 0.0, 0.8], 2.5)
+    window = SiteWindow.after(_PAIR, np.int64(4))
+    assert window.t == 4 and type(window.t) is int
