@@ -12,7 +12,8 @@ compare file by file with ``compare_outputs.py``:
     python scripts/compare_outputs.py OUT_A OUT_B --rel-tol 0
 
 The matrix holds the README quick-start commands, runs on sparse, gamma
-and localized inputs, and refused runs that exit 2 and 4.
+and localized inputs (among them estimates at an odd t with alpha
+identified and at t = 1000), and refused runs that exit 2 and 4.
 """
 import argparse
 import contextlib
@@ -42,6 +43,8 @@ qfim --t 50 --init localized:0 --spinor 0.6,0.8j --routes analytic,localized-clo
 qfim --t 30 --params theta,alpha,beta --routes analytic,oracle
 bounds --t 10 --route oracle --weight 1,0.2,2
 estimate --shots 500 --seed 1 --t 30 --init localized:3 --grid-n 40
+estimate --shots 4642 --seed 9 --t 51 --init gamma:0.6 --alpha -0.2 --beta 0.4 --grid-n 60
+estimate --shots 100000 --seed 2 --t 1000 --grid-n 60
 qfim --t 9007199254740992
 qfim --t 9007199254740993
 evolve --t -1

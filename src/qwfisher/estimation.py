@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .walk import (MIN_SIN_THETA, CoinParams, SiteWindow, WalkerState,
-                   step_count, theta_jet)
+from .walk import (MIN_SIN_THETA, CoinParams, SiteWindow, ThetaFamily,
+                   WalkerState, step_count)
 
 MASS_THRESHOLD = 1e-12
 # a fit has converged when no component of its step exceeds this
@@ -138,13 +138,16 @@ def sample(dist: PositionDistribution, shots: int, seed: int,
 # the position model with its derivatives, and classical information
 
 
-def _frequency_groups(init: WalkerState, beta: float, nodes: np.ndarray):
-    """The input's alpha-frequency groups: (f (F,), k-spinors chi_f (F, n, 2)).
+def _engine_inputs(init: WalkerState, beta: float, t: int):
+    """(family, freqs): the :class:`walk.ThetaFamily` of the input's
+    alpha-frequency groups on the window :meth:`SiteWindow.after`, and
+    their frequencies f (F,).
 
     Group f holds coin 0 of site f and coin 1 of site f - 1, beta
     phased, so alpha multiplies it by e^{-i alpha f} (up to a global
     phase).  See :func:`make_likelihood_table`.
     """
+    window = SiteWindow.after(init, t)
     amps = init.amps * np.exp(-0.5j * beta * np.array([1.0, -1.0]))
     rows, coins = np.nonzero(amps)
     present = np.zeros(init.n_sites + 1, dtype=bool)
@@ -154,36 +157,24 @@ def _frequency_groups(init: WalkerState, beta: float, nodes: np.ndarray):
     chi[np.searchsorted(offsets, rows + coins), coins] = amps[rows, coins]
     # chi_f(k) = sum_c chi[f, c] e^{-ik(f - c)} e_c
     freqs = init.origin + offsets
-    return freqs, chi[:, None, :] * np.exp(
-        -1j * nodes[:, None] * (freqs[:, None, None] - np.arange(2)))
+    return ThetaFamily.on(window, chi[:, :, None] * np.exp(
+        -1j * (freqs[:, None, None] - np.arange(2)[:, None]) * window.nodes)
+    ), freqs
 
 
-def _engine_inputs(init: WalkerState, beta: float, t: int):
-    """(window, freqs, spinors): what the model's engine runs need at
-    fixed (init, beta, t), the window :meth:`SiteWindow.after` and the
-    frequency groups of :func:`_frequency_groups` on its nodes."""
-    window = SiteWindow.after(init, t)
-    return (window, *_frequency_groups(init, beta, window.nodes))
-
-
-def _derivatives(theta: float, alpha: float, window: SiteWindow,
-                 freqs: np.ndarray, spinors: np.ndarray):
+def _derivatives(theta: float, alpha: float, family: ThetaFamily,
+                 freqs: np.ndarray):
     """(sites, probs, dprobs, d2probs) at (theta, alpha) from the engine
     inputs of :func:`_engine_inputs`; see :func:`_prob_derivatives`."""
     phase = np.exp(-1j * alpha * freqs)
-    # chi, d_alpha chi, d2_alpha chi: (3, n, 2)
-    chis = np.tensordot(np.array([phase, -1j * freqs * phase,
-                                  -(freqs ** 2) * phase]), spinors, axes=1)
-    jet = theta_jet(theta, window.nodes, chis, window.t, order=2)
-    # psi, d_theta, d_alpha, d2_theta, d_theta d_alpha, d2_alpha
-    amps = window.to_sites(jet[[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]])
-    psi = amps[0]
-    dprobs = 2.0 * np.einsum("xc,mxc->mx", psi.conj(), amps[1:3]).real
-    d2probs = 2.0 * (np.einsum("mxc,mxc->mx", amps[[1, 1, 2]].conj(),
-                               amps[[1, 2, 2]])
-                     + np.einsum("xc,mxc->mx", psi.conj(), amps[3:])).real
-    return (window.sites, np.sum(psi.real ** 2 + psi.imag ** 2, axis=1),
-            dprobs, d2probs)
+    jet = family.run(theta, 2, np.array([phase, -1j * freqs * phase,
+                                         -(freqs ** 2) * phase]))
+    window = family.window
+    # psi, d_theta, d_alpha, d2_theta, d_theta d_alpha, d2_alpha: (6, 2, width)
+    amps = window.to_sites(jet[[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]], -1)
+    r = (amps[0].conj() * amps).real.sum(axis=1)
+    q = (amps[[1, 1, 2]].conj() * amps[[1, 2, 2]]).real.sum(axis=1)
+    return window.sites, r[0], 2.0 * r[1:3], 2.0 * (q + r[3:])
 
 
 def _prob_derivatives(p: CoinParams, init: WalkerState, t: int):
@@ -194,9 +185,10 @@ def _prob_derivatives(p: CoinParams, init: WalkerState, t: int):
     fixed beta, from one engine run on the frequency groups of
     :func:`make_likelihood_table`.  alpha multiplies group f by
     e^{-i alpha f}, so d_alpha multiplies it by -i f and d2_alpha by
-    -f^2; :func:`walk.theta_jet` gives the theta derivatives of (S
-    R(theta))^t on those three spinors.  One inverse FFT takes the six
-    spinor arrays to sites, where d_mu p = 2 Re conj(psi) d_mu psi and
+    -f^2, as (3, F) weights on the groups; :meth:`walk.ThetaFamily.run`
+    gives the theta derivatives of (S R(theta))^t on those three sums.
+    One inverse FFT takes the six spinor arrays to sites, where d_mu p =
+    2 Re conj(psi) d_mu psi and
     d_mu d_nu p = 2 Re [conj(d_mu psi) d_nu psi + conj(psi) d_mu d_nu psi].
     """
     return _derivatives(p.theta, p.alpha, *_engine_inputs(init, p.beta, t))
@@ -238,6 +230,11 @@ class GridSpec:
     def __post_init__(self):
         if not (self.theta_min < self.theta_max and self.alpha_min < self.alpha_max):
             raise ValueError("grid box is empty")
+        for name in ("n_theta", "n_alpha"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
+            object.__setattr__(self, name, int(n))
         if min(self.n_theta, self.n_alpha) < 2:
             raise ValueError("grid needs at least 2 points per axis")
 
@@ -257,9 +254,9 @@ class LikelihoodTable:
     needs, and :attr:`probs` forms p on first use.  ``log_bound``
     (n_theta, n_sites) is log max(B_0 + 2 sum_d |B_d|, 1e-300), the
     per-site upper bound on log p over alpha that :func:`_grid_loglik`
-    prunes theta rows by.  ``engine`` holds the inputs of the fits'
-    engine runs at the table's (init, beta) and its window's :attr:`t`,
-    from :func:`_engine_inputs`.  Building it peaks at B plus one block
+    prunes theta rows by.  ``engine`` and ``freqs`` are the table's and
+    the fits' :class:`walk.ThetaFamily` and its group frequencies, from
+    :func:`_engine_inputs`.  Building it peaks at B plus one block
     of theta rows of the engine (see :func:`make_likelihood_table`).
     """
 
@@ -268,15 +265,16 @@ class LikelihoodTable:
     trig: np.ndarray
     B: np.ndarray
     log_bound: np.ndarray
-    engine: tuple
+    engine: ThetaFamily
+    freqs: np.ndarray
 
     @property
     def sites(self) -> np.ndarray:
-        return self.engine[0].sites
+        return self.engine.window.sites
 
     @property
     def t(self) -> int:
-        return self.engine[0].t
+        return self.engine.window.t
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -317,8 +315,9 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     with B_{-d} = conj(B_d): a real trigonometric polynomial in alpha,
     p = B_0 + sum_{d > 0} [2 cos(alpha d) Re B_d - 2 sin(alpha d) Im B_d].
     (S R(theta))^t runs once per theta in closed form per momentum node
-    (:func:`walk.theta_jet` at order 0) on the F <= n0 + 1 group
-    spinors, with one inverse FFT that leaves p = 0 off the light cone;
+    on the F <= n0 + 1 group spinors, from node factors formed once per
+    table (:class:`walk.ThetaFamily` at order 0), with one inverse FFT
+    along the contiguous node axis that leaves p = 0 off the light cone;
     B takes F^2 coin-summed products, and p is the real product of the
     (n_alpha, 1 + 2D) cos/sin matrix with B (n_theta, 1 + 2D, width)
     over the D positive frequencies d that occur.  The cost is
@@ -351,8 +350,8 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
         raise ValueError("grid touches a degenerate quasi-energy; "
                          "shrink the box or step explicitly")
     thetas, alphas = grid.axes()
-    engine = _engine_inputs(init, p_true.beta, t)
-    window, freqs, spinors = engine
+    engine, freqs = _engine_inputs(init, p_true.beta, t)
+    window = engine.window
 
     # B_d for d = 0 and each positive difference d = f' - f that occurs
     diffs = freqs[:, None] - freqs[None, :]
@@ -367,13 +366,12 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     height = max(1, _BLOCK_SPINORS // (freqs.size * window.nodes.size))
     for start in range(0, thetas.size, height):
         rows = slice(start, start + height)
-        # Phi_f on this block's thetas: (rows, F, width, 2)
-        phis = window.to_sites(theta_jet(thetas[rows, None, None],
-                                         window.nodes, spinors, window.t)[0])
+        # Phi_f on this block's thetas: (rows, F, 2, width)
+        phis = window.to_sites(engine.run(thetas[rows])[0], -1)
         block = b[rows]
-        block[:, 0] = np.sum(phis.real ** 2 + phis.imag ** 2, axis=(1, 3))
+        block[:, 0] = np.sum(phis.real ** 2 + phis.imag ** 2, axis=(1, 2))
         for f1, f, j in pairs:
-            prod = np.sum(phis[:, f1].conj() * phis[:, f], axis=-1)
+            prod = np.sum(phis[:, f1].conj() * phis[:, f], axis=-2)
             block[:, j] += prod.real
             block[:, j + n_d] += prod.imag
         bound = block[:, 0] + 2.0 * np.hypot(block[:, 1:1 + n_d],
@@ -383,7 +381,7 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     trig = np.concatenate([np.ones((alphas.size, 1)), 2.0 * np.cos(phase),
                            -2.0 * np.sin(phase)], axis=1)
     return LikelihoodTable(grid=grid, beta=p_true.beta, trig=trig, B=b,
-                           log_bound=log_bound, engine=engine)
+                           log_bound=log_bound, engine=engine, freqs=freqs)
 
 
 def _grid_loglik(table: LikelihoodTable, counts: np.ndarray):
@@ -606,7 +604,8 @@ def mle_fit(rec: MeasurementRecord, table: LikelihoodTable,
     every = np.ones(2, dtype=bool)
     held = ~every
     while True:
-        _, probs, dprobs, d2probs = _derivatives(x[0], x[1], *table.engine)
+        _, probs, dprobs, d2probs = _derivatives(x[0], x[1], table.engine,
+                                                 table.freqs)
         live = probs > MASS_THRESHOLD
         n = counts[live]
         g = dprobs[:, live] / probs[live]

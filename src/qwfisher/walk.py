@@ -18,7 +18,7 @@ carries the checked t, its light cone and inverse FFT
 (:class:`SiteWindow`), and the SU(2) closed forms for u^t and the
 generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m (:class:`SU2Powers`,
 run on an input by :func:`evolve_spinors`; u^t and its theta derivatives
-for the estimator's family by :func:`theta_jet`).  The coin generators
+for the estimator's family by :class:`ThetaFamily`).  The coin generators
 O_mu = C^dag d_mu C = (i/2) w_mu.sigma come as the real Pauli vectors
 w_mu of :func:`generator_spatial`.  :func:`evolve` takes u(k)^t and one
 inverse FFT, with no loop over steps.
@@ -154,6 +154,8 @@ class WalkerState:
     steps_elapsed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "steps_elapsed", step_count(
+            self.steps_elapsed, name="steps_elapsed"))
         a = np.ascontiguousarray(self.amps, dtype=complex)
         if a.ndim != 2 or a.shape[1] != 2:
             raise ValueError(f"amps must have shape (n, 2), got {a.shape}")
@@ -188,7 +190,7 @@ class WalkerState:
         flat = self.amps.reshape(-1)
         return {
             "origin": int(self.origin),
-            "steps_elapsed": int(self.steps_elapsed),
+            "steps_elapsed": self.steps_elapsed,
             "amps": [[float(z.real), float(z.imag)] for z in flat],
         }
 
@@ -200,7 +202,7 @@ class WalkerState:
         flat = pairs[:, 0] + 1j * pairs[:, 1]
         return WalkerState(origin=int(d["origin"]),
                            amps=flat.reshape(-1, 2),
-                           steps_elapsed=int(d["steps_elapsed"]))
+                           steps_elapsed=d["steps_elapsed"])
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +397,7 @@ class SiteWindow:
         return np.nonzero(np.stack([runs[:self.width],
                                     runs[2:self.width + 2]], axis=1) == 0)
 
-    def to_sites(self, spinors: np.ndarray) -> np.ndarray:
+    def to_sites(self, spinors: np.ndarray, axis: int = -2) -> np.ndarray:
         """Site amplitudes on the window from spinors on its nodes.
 
         On the nodes k_j = -pi + 2 pi j / n the zone integral is
@@ -403,23 +405,16 @@ class SiteWindow:
             c_x = (1/n) sum_j spinor(k_j) e^{i k_j x}
                 = e^{-i pi x} ifft(spinor)[x mod n],
 
-        one FFT along the node axis (axis -2) for any leading batch shape.
-        Unreachable cells are assigned +0.0; a 0/1 mask would leave -0.0.
+        one FFT along the node axis (-2, or -1 for coin-major (..., 2, n))
+        for any leading batch shape.  Unreachable cells are assigned +0.0;
+        a 0/1 mask would leave -0.0.
         """
-        x = self.sites
-        amps = np.fft.ifft(spinors, axis=-2)[..., x % self.nodes.size, :]
-        amps *= np.where(x % 2, -1.0, 1.0)[:, None]
-        amps[(..., *self._unreachable)] = 0.0
-        return amps
-
-
-def _pauli_step(cos_omega, w, phi) -> np.ndarray:
-    """(cos(om) - i w.sigma) phi for spinors phi (..., 2), no 2 x 2 matrix."""
-    p0, p1 = phi[..., 0], phi[..., 1]
-    return np.stack([(cos_omega - 1j * w[..., 2]) * p0
-                     - (w[..., 1] + 1j * w[..., 0]) * p1,
-                     (w[..., 1] - 1j * w[..., 0]) * p0
-                     + (cos_omega + 1j * w[..., 2]) * p1], axis=-1)
+        x, (rows, coins) = self.sites, self._unreachable
+        amps = np.fft.ifft(spinors, axis=axis).swapaxes(axis, -1)
+        amps = amps[..., x % self.nodes.size]
+        amps *= np.where(x % 2, -1.0, 1.0)
+        amps[..., coins, rows] = 0.0
+        return amps.swapaxes(axis, -1)
 
 
 @dataclass(frozen=True)
@@ -458,19 +453,22 @@ class SU2Powers:
     sin_omega: np.ndarray   # (...,), |w|, at least the smallest normal
     omega: np.ndarray       # (...,), folded angle om in [0, pi/2]
 
+    @staticmethod
+    def fold(cos_omega, sin_omega):
+        """(sign, cos(om), sin(om) floored, om) of the folded angle."""
+        sign = np.where(cos_omega < 0.0, -1.0, 1.0)
+        s, c = np.maximum(sin_omega, np.finfo(float).tiny), np.abs(cos_omega)
+        # atan2 keeps small angles accurate; arccos of cos(om) would
+        # lose half the digits there
+        return sign, c, s, np.arctan2(s, c)
+
     @classmethod
     def of(cls, cos_omega, w) -> "SU2Powers":
         """Fold u = cos(om) - i w.sigma, as :func:`quasi_energy_axis` gives it."""
-        c = np.asarray(cos_omega, dtype=float)
-        sign = np.where(c < 0.0, -1.0, 1.0)
-        w = w * sign[..., None]
-        s = np.maximum(np.sqrt(np.einsum("...i,...i->...", w, w)),
-                       np.finfo(float).tiny)
-        c = np.abs(c)
-        # atan2 keeps small angles accurate; arccos of cos(om) would
-        # lose half the digits there
-        return cls(sign=sign, cos_omega=c, w=w, sin_omega=s,
-                   omega=np.arctan2(s, c))
+        sign, c, s, om = cls.fold(
+            cos_omega, np.sqrt(np.einsum("...i,...i->...", w, w)))
+        return cls(sign=sign, cos_omega=c, w=w * sign[..., None],
+                   sin_omega=s, omega=om)
 
     def apply_power(self, phi: np.ndarray, t: int) -> np.ndarray:
         """u^t phi for spinors phi (..., 2) broadcasting against the stack."""
@@ -478,7 +476,12 @@ class SU2Powers:
         sign_t = self.sign if t % 2 else 1.0
         a = sign_t * np.sin(t * self.omega) / self.sin_omega
         b = sign_t * np.sin((t - 1) * self.omega) / self.sin_omega
-        out = _pauli_step(self.cos_omega, self.w, phi)
+        # (cos(om) - i w.sigma) phi, no 2 x 2 matrix
+        c, w, p0, p1 = self.cos_omega, self.w, phi[..., 0], phi[..., 1]
+        out = np.stack([(c - 1j * w[..., 2]) * p0
+                        - (w[..., 1] + 1j * w[..., 0]) * p1,
+                        (w[..., 1] - 1j * w[..., 0]) * p0
+                        + (c + 1j * w[..., 2]) * p1], axis=-1)
         out *= a[..., None]
         out -= b[..., None] * phi
         return out
@@ -524,47 +527,71 @@ def evolve_spinors(init: WalkerState, p: CoinParams, t: int):
                                               window.t)
 
 
-def theta_jet(theta, nodes: np.ndarray, chi: np.ndarray, t: int,
-              order: int = 0) -> np.ndarray:
-    """d^j/dtheta^j [u(k)^t chi] for j = 0 .. order, u(k) = S(k) R(theta).
+@dataclass(frozen=True)
+class ThetaFamily:
+    """u(k) = S(k) R(theta), the walk's u(k) at alpha = beta = 0, on a
+    window's nodes and spinors chi (F, 2, n), node axis last.
 
-    S(k) R(theta) is the walk's u(k) at alpha = beta = 0; ``theta``
-    broadcasts against ``nodes`` and that against the spinors ``chi``
-    (..., n_nodes, 2), and the derivatives stack on a new leading axis.
-    Order 0 is :meth:`SU2Powers.apply_power`.  Orders 1 and 2
-    differentiate u^t = a_t u - a_{t-1}, a_n = sin(n om) / sin(om), on
-    the folded angle and clamped |w| of :class:`SU2Powers`: d_theta u is
-    u at theta + pi/2, d2_theta u = -u, d_om a_n = (n cos(n om) - cos(om)
-    a_n) / sin(om), d2_om a_n = (1 - n^2) a_n - 2 cos(om) d_om a_n /
-    sin(om), d_theta om = -d_theta cos(om) / sin(om) and d2_theta om =
-    cos(om) (1 - (d_theta om)^2) / sin(om).  As theta -> 0 their
-    relative rounding grows like eps / sin(theta)^order.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    powers = SU2Powers.of(*quasi_energy_axis(theta, 0.0, 0.0, nodes))
-    if order == 0:
-        return powers.apply_power(chi, t)[None]
-    sign, c, s, om = (powers.sign, powers.cos_omega, powers.sin_omega,
-                      powers.omega)
-    dc, dw = quasi_energy_axis(theta + 0.5 * np.pi, 0.0, 0.0, nodes)
-    dc, dw = sign * dc, sign[..., None] * dw     # in the folded frame
-    om_1 = -dc / s
-    om_2 = c * (1.0 - om_1 ** 2) / s
-    sign_t = sign if t % 2 else 1.0
-    coef = []
-    for n in (t, t - 1):
-        a = np.sin(n * om) / s
-        a_om = (n * np.cos(n * om) - c * a) / s
-        a_omom = (1.0 - n * n) * a - 2.0 * c * a_om / s
-        coef.append((sign_t * np.array(
-            [a, a_om * om_1, a_omom * om_1 ** 2 + a_om * om_2]))[..., None])
-    (a, a1, a2), (b, b1, b2) = coef
-    u_chi = _pauli_step(c, powers.w, chi)
-    du_chi = _pauli_step(dc, dw, chi)
-    jet = [a * u_chi - b * chi, a1 * u_chi + a * du_chi - b1 * chi,
-           (a2 - a) * u_chi + 2.0 * a1 * du_chi - b2 * chi]
-    return np.stack(jet[:order + 1])
+    It keeps what does not depend on theta: cos k, sin k, chi, P = E chi
+    and Q = E (chi_1, -chi_0), E = diag(e^{-ik}, e^{ik}), so u chi =
+    cos theta P + sin theta Q and d_theta u = u(theta + pi/2); u^t =
+    a_t u - a_{t-1}, a_n = sin(n om) / sin(om), on the angle of
+    :meth:`SU2Powers.fold` with cos(om) = cos k cos theta and |w| of
+    :func:`quasi_energy_axis`.  No 2 x 2 matrix is formed."""
+
+    window: SiteWindow
+    cos_k: np.ndarray       # (n,)
+    sin_k: np.ndarray       # (n,)
+    factors: np.ndarray     # (F, 3 * 2 * n): chi, P, Q of each spinor
+
+    @classmethod
+    def on(cls, window: SiteWindow, spinors: np.ndarray) -> "ThetaFamily":
+        k, chi = window.nodes, np.asarray(spinors, dtype=complex)
+        e = np.exp(-1j * k)
+        shift = np.stack([e, e.conj()])     # the diagonal of E
+        q = shift * [[1.0], [-1.0]] * chi[:, ::-1]
+        return cls(window=window, cos_k=np.cos(k), sin_k=np.sin(k),
+                   factors=np.stack([chi, shift * chi, q], 1).reshape(
+                       len(chi), -1))
+
+    def run(self, theta, order: int = 0, weights=None) -> np.ndarray:
+        """d^j/dtheta^j [u^t chi], j = 0 .. order (at most 2), shaped
+        (order + 1,) + theta.shape + (F, 2, n), or with ``weights`` (m, F)
+        of the m sums weights @ chi.  Orders 1 and 2 take d_om a_n =
+        (n cos(n om) - cos(om) a_n) / sin(om), d2_om a_n = (1 - n^2) a_n
+        - 2 cos(om) d_om a_n / sin(om), d_theta om = -d_theta cos(om) /
+        sin(om) and d2_theta om = cos(om) (1 - (d_theta om)^2) / sin(om);
+        their relative rounding grows like eps / sin(theta)^order."""
+        th = np.asarray(theta, dtype=float)[..., None, None, None]
+        ct, st = np.cos(th), np.sin(th)
+        # |w|^2 summed in the order the einsum of SU2Powers.of sums it
+        sign, c, s, om = SU2Powers.fold(ct * self.cos_k, np.sqrt(
+            (st * self.sin_k) ** 2 + (ct * self.sin_k) ** 2
+            + (st * self.cos_k) ** 2))
+        t = self.window.t
+        n = np.array([t, t - 1.0]).reshape((2,) + (1,) * th.ndim)
+        jet = [np.sin(n * om) / s]          # d^j a_n for n = t, t - 1
+        # u^t = sign^t (a_t v - a_{t-1}) with v = sign u folded, and
+        # d^j (a_t v chi) is sign e^{i theta} pq_j on (P, Q) as (Re, Im)
+        pq = [jet[0][0] + 0j]
+        if order:
+            om_1 = sign * (st * self.cos_k) / s
+            a_om = (n * np.cos(n * om) - c * jet[0]) / s
+            jet.append(a_om * om_1)
+            pq.append(jet[1][0] + 1j * jet[0][0])
+            if order == 2:
+                jet.append(((1.0 - n * n) * jet[0] - 2.0 * c * a_om / s)
+                           * om_1 ** 2 + a_om * c * (1.0 - om_1 ** 2) / s)
+                pq.append(jet[2][0] - jet[0][0] + 2j * jet[1][0])
+        sign_t = sign if t % 2 else 1.0
+        pq = np.array(pq) * (sign_t * sign * (ct + 1j * st))
+        f = (self.factors if weights is None else weights @ self.factors
+             ).reshape(-1, 3, 2, self.cos_k.size)
+        # complex times complex is faster than real times complex
+        out = (-sign_t * np.array([d[1] for d in jet]) + 0j) * f[:, 0]
+        for cf, f_i in ((pq.real, f[:, 1]), (pq.imag, f[:, 2])):
+            out += (cf + 0j) * f_i
+        return out
 
 
 def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:

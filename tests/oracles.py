@@ -373,28 +373,79 @@ def whole_grid_table_b(init, beta, t, thetas):
 
     The build ``make_likelihood_table`` started from: one engine run,
     one inverse FFT and the F^2 coin-summed products over the whole
-    (n_theta, F, n_nodes) stack.  The package runs the same steps on
+    (n_theta, F, 2, n_nodes) stack.  The package runs the same steps on
     blocks of theta rows, which must give this B to the last bit.
     """
     from qwfisher.estimation import _engine_inputs
-    from qwfisher.walk import theta_jet
 
-    window, freqs, spinors = _engine_inputs(init, beta, t)
+    family, freqs = _engine_inputs(init, beta, t)
     thetas = np.asarray(thetas, dtype=float)
-    phis = window.to_sites(
-        theta_jet(thetas[:, None, None], window.nodes, spinors, t)[0])
+    phis = family.window.to_sites(family.run(thetas)[0], axis=-1)
     diffs = freqs[:, None] - freqs[None, :]
     occurs = np.zeros(init.n_sites + 1, dtype=bool)
     occurs[diffs[diffs > 0]] = True
     ds = np.flatnonzero(occurs)
-    b = np.zeros((thetas.size, 1 + 2 * ds.size, window.width))
-    b[:, 0] = np.sum(phis.real ** 2 + phis.imag ** 2, axis=(1, 3))
+    b = np.zeros((thetas.size, 1 + 2 * ds.size, family.window.width))
+    b[:, 0] = np.sum(phis.real ** 2 + phis.imag ** 2, axis=(1, 2))
     for f1, f in zip(*np.nonzero(diffs > 0)):
-        prod = np.sum(phis[:, f1].conj() * phis[:, f], axis=-1)
+        prod = np.sum(phis[:, f1].conj() * phis[:, f], axis=-2)
         j = 1 + np.searchsorted(ds, diffs[f1, f])
         b[:, j] += prod.real
         b[:, j + ds.size] += prod.imag
     return b
+
+
+def theta_jet(theta, nodes, chi, t, order=0):
+    """d^j/dtheta^j [u(k)^t chi] for j = 0 .. order, u(k) = S(k) R(theta).
+
+    The reference for ``walk.ThetaFamily.run``, built the other way: on
+    the walk's quasi-energy axis (``walk.quasi_energy_axis`` at alpha =
+    beta = 0) and ``walk.SU2Powers``, with chi (..., n_nodes, 2) coin
+    last and d_theta u formed as u at theta + pi/2.  ``theta``
+    broadcasts against ``nodes`` and that against ``chi``; the
+    derivatives stack on a new leading axis.  Order 0 is
+    ``SU2Powers.apply_power``.  Orders 1 and 2 differentiate
+    u^t = a_t u - a_{t-1}, a_n = sin(n om) / sin(om), on the folded
+    angle and clamped |w| of ``SU2Powers``: d_om a_n = (n cos(n om) -
+    cos(om) a_n) / sin(om), d2_om a_n = (1 - n^2) a_n - 2 cos(om)
+    d_om a_n / sin(om), d_theta om = -d_theta cos(om) / sin(om) and
+    d2_theta om = cos(om) (1 - (d_theta om)^2) / sin(om).
+    """
+    from qwfisher.walk import SU2Powers, quasi_energy_axis
+
+    def pauli_step(cos_omega, w, phi):
+        """(cos(om) - i w.sigma) phi for spinors phi (..., 2)."""
+        p0, p1 = phi[..., 0], phi[..., 1]
+        return np.stack([(cos_omega - 1j * w[..., 2]) * p0
+                         - (w[..., 1] + 1j * w[..., 0]) * p1,
+                         (w[..., 1] - 1j * w[..., 0]) * p0
+                         + (cos_omega + 1j * w[..., 2]) * p1], axis=-1)
+
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    powers = SU2Powers.of(*quasi_energy_axis(theta, 0.0, 0.0, nodes))
+    if order == 0:
+        return powers.apply_power(chi, t)[None]
+    sign, c, s, om = (powers.sign, powers.cos_omega, powers.sin_omega,
+                      powers.omega)
+    dc, dw = quasi_energy_axis(theta + 0.5 * np.pi, 0.0, 0.0, nodes)
+    dc, dw = sign * dc, sign[..., None] * dw     # in the folded frame
+    om_1 = -dc / s
+    om_2 = c * (1.0 - om_1 ** 2) / s
+    sign_t = sign if t % 2 else 1.0
+    coef = []
+    for n in (t, t - 1):
+        a = np.sin(n * om) / s
+        a_om = (n * np.cos(n * om) - c * a) / s
+        a_omom = (1.0 - n * n) * a - 2.0 * c * a_om / s
+        coef.append((sign_t * np.array(
+            [a, a_om * om_1, a_omom * om_1 ** 2 + a_om * om_2]))[..., None])
+    (a, a1, a2), (b, b1, b2) = coef
+    u_chi = pauli_step(c, powers.w, chi)
+    du_chi = pauli_step(dc, dw, chi)
+    jet = [a * u_chi - b * chi, a1 * u_chi + a * du_chi - b1 * chi,
+           (a2 - a) * u_chi + 2.0 * a1 * du_chi - b2 * chi]
+    return np.stack(jet[:order + 1])
 
 
 def mean_over_sin2(num, theta):

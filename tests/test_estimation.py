@@ -16,7 +16,7 @@ from qwfisher import estimation
 from qwfisher.estimation import (MASS_THRESHOLD, PositionDistribution,
                                  _connected_from_argmax, _grid_loglik,
                                  _prob_derivatives, _pseudo_inverse)
-from qwfisher.walk import SiteWindow, SU2Powers, spinors_at, theta_jet
+from qwfisher.walk import SiteWindow, ThetaFamily, spinors_at
 
 from oracles import (dilation_connected, evolve_steps, fd_loglik_hessian,
                      pseudo_inverse_dense, table_probs,
@@ -329,9 +329,9 @@ class TestLikelihoodTable:
         # refuses such a box, the engine it runs does not)
         init, t = initial_gamma(0.9), 20
         window = SiteWindow.after(init, t)
-        phi = theta_jet(0.0, window.nodes, spinors_at(init, window.nodes),
-                        t)[0]
-        probs = np.sum(np.abs(window.to_sites(phi)) ** 2, axis=1)
+        family = ThetaFamily.on(window, spinors_at(init, window.nodes).T[None])
+        phi = family.run(0.0)[0, 0]
+        probs = np.sum(np.abs(window.to_sites(phi, axis=-1)) ** 2, axis=0)
         shifted = np.zeros(window.width)
         shifted[window.sites == 20] = 0.5      # coin 0 hops right t times
         shifted[window.sites == -20] = 0.5     # coin 1 hops left
@@ -459,6 +459,18 @@ class TestLikelihoodTable:
             GridSpec(theta_min=1.0, theta_max=0.5)
         with pytest.raises(ValueError, match="2 points"):
             GridSpec(n_theta=1)
+
+    @pytest.mark.parametrize("field", ["n_theta", "n_alpha"])
+    @pytest.mark.parametrize("value", [4.5, 4.0, True, "40", None])
+    def test_grid_spec_refuses_a_non_integer_size(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            GridSpec(**{field: value})
+
+    def test_grid_spec_keeps_numpy_integer_sizes_as_int(self):
+        grid = GridSpec(n_theta=np.int64(5), n_alpha=np.int32(3))
+        assert (grid.n_theta, grid.n_alpha) == (5, 3)
+        assert type(grid.n_theta) is int and type(grid.n_alpha) is int
+        assert [a.size for a in grid.axes()] == [5, 3]
 
 
 PRUNING_INPUTS = {
@@ -701,9 +713,9 @@ class TestNewtonFit:
                                                          monkeypatch):
         table, dist = closure_point
         runs = []
-        engine = SU2Powers.of
-        monkeypatch.setattr(SU2Powers, "of", classmethod(
-            lambda cls, *args: runs.append(1) or engine(*args)))
+        engine = ThetaFamily.run
+        monkeypatch.setattr(ThetaFamily, "run", lambda self, *args, **kw:
+                            runs.append(1) or engine(self, *args, **kw))
         for seed in range(6):
             runs.clear()
             res = mle_fit(sample(dist, 1000, seed, stream=(1000,)),

@@ -1,5 +1,6 @@
 """The runnable studies in scripts/, end to end at small sizes."""
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -115,3 +116,26 @@ def test_run_matrix_keeps_each_runs_files_streams_and_exit(tmp_path):
                      str(tmp_path / "b"), "--rel-tol", "0", cwd=tmp_path)
     assert res.returncode == 0, res.stdout
     assert res.stdout.splitlines()[-1] == "9 identical, 0 equal, 0 different"
+
+
+def test_fit_equivalence_set_is_reproducible_and_gated(tmp_path):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for out in (a, b):
+        res = run_script("fit_equivalence.py", str(out), "--tiny",
+                         cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == f"12 fits written to {out}\n"
+    assert a.read_bytes() == b.read_bytes()
+    res = run_script("fit_equivalence.py", "--compare", str(a), str(b),
+                     cwd=tmp_path)
+    assert res.returncode == 0, res.stdout
+    assert res.stdout == "12 fits, 0 misses\n"
+    # a theta_hat off by more than 1e-10 and another iteration count miss
+    lines = [json.loads(line) for line in a.read_text().splitlines()]
+    lines[0]["theta_hat"] += 2e-10
+    lines[-1]["iterations"] += 1
+    b.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    res = run_script("fit_equivalence.py", "--compare", str(a), str(b),
+                     cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stdout.splitlines()[-1] == "12 fits, 2 misses"

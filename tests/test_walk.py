@@ -1,6 +1,7 @@
 """Walk core: coin algebra, stepping, initial states, k-space picture."""
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,15 +17,15 @@ from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, GridSpec,
                       qfim_max_diag, qfim_theorem1, single_param_qfi,
                       sweep_fig1, sweep_fig2, uhlmann_analytic,
                       uhlmann_exact)
-from qwfisher.estimation import _prob_derivatives
+from qwfisher.estimation import _engine_inputs, _prob_derivatives
 from qwfisher.oracle import exact_matrices
 from qwfisher.walk import (MAX_STEPS, PARAM_NAMES, SiteWindow, SU2Powers,
                            evolve_spinors, quasi_energy_axis, spinors_at,
-                           step_count, theta_jet, uniform_k_grid)
+                           step_count, uniform_k_grid)
 
 from oracles import (PAULI, coin_dense, dense_amps_at, dense_evolve,
                      evolve_steps, light_cone, on_doubled_nodes,
-                     spinors_dense)
+                     spinors_dense, theta_jet)
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 mixing = st.floats(0.05, math.pi - 0.05)
@@ -479,6 +480,61 @@ def test_theta_jet_against_powers_and_differences():
     assert np.abs(jet[2] - d2).max() <= 1e-4 * np.abs(d2).max()
     with pytest.raises(ValueError):
         theta_jet(theta, nodes, chi, t, order=3)
+
+
+# the default grid box's theta range, and theta within 1e-3 of its ends
+BOX = (GridSpec.theta_min, GridSpec.theta_max)
+box_thetas = st.one_of(st.floats(*BOX),
+                       *(st.floats(end - 1e-3, end + 1e-3) for end in BOX))
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=box_thetas, alpha=st.floats(-math.pi, math.pi),
+       t=st.integers(1, 300), order=st.integers(0, 2),
+       n_sites=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+@example(theta=BOX[0] - 1e-3, alpha=-math.pi, t=300, order=2, n_sites=5,
+         seed=0)
+@example(theta=BOX[1] + 1e-3, alpha=math.pi, t=299, order=2, n_sites=1,
+         seed=1)
+def test_theta_family_matches_the_reference_jet(theta, alpha, t, order,
+                                                n_sites, seed):
+    # inputs of 1-6 frequency groups with the alpha weights of the fits
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(n_sites, 2)) + 1j * rng.normal(size=(n_sites, 2))
+    amps[rng.random(amps.shape) < 0.3] = 0.0
+    amps.flat[rng.integers(amps.size)] = 1.0
+    init = WalkerState(origin=int(rng.integers(-3, 4)),
+                       amps=amps / np.linalg.norm(amps))
+    family, freqs = _engine_inputs(init, float(rng.uniform(-1.0, 1.0)), t)
+    assert 1 <= freqs.size <= 6
+    phase = np.exp(-1j * alpha * freqs)
+    weights = np.array([phase, -1j * freqs * phase, -(freqs ** 2) * phase])
+    jet = family.run(theta, order, weights)
+    assert jet.shape == (order + 1, 3, 2, family.window.nodes.size)
+    # the reference runs on the weighted sums of chi, coin axis last
+    chi = family.factors.reshape(freqs.size, 3, 2, -1)[:, 0]
+    ref = theta_jet(theta, family.window.nodes,
+                    np.tensordot(weights, chi.swapaxes(-1, -2), 1), t, order)
+    for j in range(order + 1):
+        scale = np.abs(ref[j]).max()
+        assert np.abs(jet[j] - ref[j].swapaxes(-1, -2)).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("steps,message", [
+    (2.5, "steps_elapsed must be an integer, got 2.5"),
+    (2.0, "steps_elapsed must be an integer, got 2.0"),
+    (True, "steps_elapsed must be an integer, got True"),
+    (-1, "steps_elapsed must be >= 0, got -1")])
+def test_walker_state_reads_steps_elapsed_by_the_step_rule(steps, message):
+    amps = np.array([[1.0, 0.0]])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WalkerState(origin=0, amps=amps, steps_elapsed=steps)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WalkerState.from_json_dict({"origin": 0, "steps_elapsed": steps,
+                                    "amps": [[1.0, 0.0], [0.0, 0.0]]})
+    s = WalkerState(origin=0, amps=amps, steps_elapsed=np.int64(3))
+    assert type(s.steps_elapsed) is int and s.steps_elapsed == 3
+    assert s.to_json_dict()["steps_elapsed"] == 3
 
 
 def test_walker_state_rejects_unnormalized():
