@@ -13,7 +13,8 @@ compare file by file with ``compare_outputs.py``:
 
 The matrix holds the README quick-start commands, runs on sparse, gamma
 and localized inputs (among them estimates at an odd t with alpha
-identified and at t = 1000), and refused runs that exit 2 and 4.
+identified and at t = 1000, and an evolution and an oracle run at
+nonzero alpha and beta), and refused runs that exit 2 and 4.
 """
 import argparse
 import contextlib
@@ -35,12 +36,14 @@ sweep fig2 --t-max 1000
 evolve --t 1000
 evolve --t 7 --init localized:2 --bloch 1,0,0
 evolve --t 20 --init gamma:0.6
+evolve --t 300 --alpha 0.7 --beta -0.4 --init gamma:0.6
 estimate --shots 500 --seed 3 --t 20 --init gamma:0.6 --grid-n 40 --alpha 0.3
 estimate --shots 2000 --seed 5 --t 300 --grid-n 40
 sweep fig1 --t-max 300
 case magnetic --b2 0.4 --b3 -0.3 --t 20
 qfim --t 50 --init localized:0 --spinor 0.6,0.8j --routes analytic,localized-closed-form,oracle
 qfim --t 30 --params theta,alpha,beta --routes analytic,oracle
+qfim --t 200 --alpha 0.7 --beta -0.4 --params theta,alpha,beta --routes analytic,oracle
 bounds --t 10 --route oracle --weight 1,0.2,2
 estimate --shots 500 --seed 1 --t 30 --init localized:3 --grid-n 40
 estimate --shots 4642 --seed 9 --t 51 --init gamma:0.6 --alpha -0.2 --beta 0.4 --grid-n 60
