@@ -360,9 +360,8 @@ _ROUTES = ("analytic", "localized-closed-form", "oracle")
 
 def _qfim_by_route(route, p, init, t, params):
     from .oracle import exact_matrices
-    from .qfim import (QFIMatrix, qfim_localized, qfim_theorem1,
+    from .qfim import (QFIMatrix, qfim_localized, qfim_theorem1, rho_bloch,
                        uhlmann_analytic)
-    from .walk import rho_bloch
 
     if route == "analytic":
         f = qfim_theorem1(p, init, t, params=params)
@@ -569,13 +568,10 @@ def cmd_estimate(ns, out) -> None:
     p_true = _coin(ns)
     t = step_count(ns.t, 1, "--t")
     init = _parse_init(ns)
-    shots = int(ns.shots)
-    if shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
 
     final = evolve(init, p_true, t)
     dist = position_distribution(final)
-    rec = sample(dist, shots, int(ns.seed), params_true=p_true)
+    rec = sample(dist, ns.shots, int(ns.seed), params_true=p_true)
 
     grid = GridSpec(n_theta=int(ns.grid_n), n_alpha=int(ns.grid_n))
     table = make_likelihood_table(init, p_true, t, grid)
@@ -584,7 +580,7 @@ def cmd_estimate(ns, out) -> None:
     sites = sorted(rec.counts)
     out.table("counts", DataTable(
         columns={"site": sites, "count": [rec.counts[s] for s in sites]},
-        meta={"shots": shots, "seed": int(ns.seed), "t": t}))
+        meta={"shots": ns.shots, "seed": int(ns.seed), "t": t}))
     out.report("record", {"record": rec.to_json_dict()})
     err = np.sqrt(np.clip(np.diag(result.cov), 0.0, None))
     alpha_known = bool(np.isfinite(err[1]))

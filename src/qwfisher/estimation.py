@@ -123,9 +123,10 @@ class MeasurementRecord:
 def sample(dist: PositionDistribution, shots: int, seed: int,
            params_true: CoinParams | None = None, stream=()) -> MeasurementRecord:
     """Multinomial position draws; deterministic in (seed, stream)."""
-    if (isinstance(shots, bool) or not isinstance(shots, (int, np.integer))
-            or shots < 1):
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     rng = philox_rng(seed, *stream)
     p = dist.probs / dist.probs.sum()
     draws = rng.multinomial(shots, p)
@@ -171,7 +172,7 @@ def _derivatives(theta: float, alpha: float, family: ThetaFamily,
                                          -(freqs ** 2) * phase]))
     window = family.window
     # psi, d_theta, d_alpha, d2_theta, d_theta d_alpha, d2_alpha: (6, 2, width)
-    amps = window.to_sites(jet[[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]], -1)
+    amps = window.to_sites(jet[[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]])
     r = (amps[0].conj() * amps).real.sum(axis=1)
     q = (amps[[1, 1, 2]].conj() * amps[[1, 2, 2]]).real.sum(axis=1)
     return window.sites, r[0], 2.0 * r[1:3], 2.0 * (q + r[3:])
@@ -367,7 +368,7 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     for start in range(0, thetas.size, height):
         rows = slice(start, start + height)
         # Phi_f on this block's thetas: (rows, F, 2, width)
-        phis = window.to_sites(engine.run(thetas[rows])[0], -1)
+        phis = window.to_sites(engine.run(thetas[rows])[0])
         block = b[rows]
         block[:, 0] = np.sum(phis.real ** 2 + phis.imag ** 2, axis=(1, 2))
         for f1, f, j in pairs:

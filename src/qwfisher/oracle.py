@@ -6,14 +6,16 @@ of the evolved state come from the generator sums in momentum space,
     d_mu |psi_t> = G_mu(t) |psi_t>,   G_mu(t) = sum_{m=1..t} u^m O_mu u^{-m},
 
 with O_mu = C^dag d_mu C = (i/2) w_mu.sigma (w_mu real, from
-:func:`walk.generator_spatial`).  :func:`walk.evolve_spinors` gives the
-evolved k-spinors on their window's nodes and the closed-form powers
-whose generator sums act on them; this module adds which generators and
-the Gram matrix of the derivative states.  Zone integrals are node
-averages, exact on that grid, and the position-space derivative state
-is the window's inverse FFT away.  The cost is O(n log n) in the node
-count n >= n0 + 2t of an n0-site input, with no loop over t; the route
-is the independent finite-t check of the asymptotic module.
+:func:`walk.generator_spatial`).  One call of the walk's kernel,
+:meth:`walk.ThetaFamily.generator_sums`, gives the evolved k-spinors and
+their generator sums in the coin's reduced frame u(k; theta, alpha,
+beta) = D(-a2) u(k - alpha; theta, 0, 0) D(a2), a2 = (alpha - beta)/2,
+with each generator's Pauli vector turned about z by beta - alpha.  The
+common D(-a2) leaves the Gram matrix of the derivative states as it is,
+so this module forms it in that frame and adds only which generators.
+Zone integrals are node averages, exact on that grid.  The cost is
+O(n log n) in the node count n >= n0 + 2t of an n0-site input, with no
+loop over t: the independent finite-t check of the asymptotic route.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qfim import QFIMatrix
-from .walk import (PARAM_NAMES, CoinParams, WalkerState, evolve_spinors,
+from .walk import (PARAM_NAMES, CoinParams, ThetaFamily, WalkerState,
                    generator_spatial)
 
 
@@ -45,11 +47,11 @@ class AmplitudeWindow:
 
 
 def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx):
-    """(window, phi_t (n, 2), dphi (len(idx), n, 2)) on the window's
-    nodes, dphi[i] = G_mu(t) phi_t for mu = PARAM_NAMES[idx[i]]."""
-    window, powers, phi = evolve_spinors(init, p, t)
-    return window, phi, powers.generator_sums(
-        0.5j * generator_spatial(p)[idx], window.t, phi)
+    """(family, phi_t (2, n), dphi (len(idx), 2, n)) in the family's frame,
+    dphi[i] = G_mu(t) phi_t for mu = PARAM_NAMES[idx[i]]."""
+    family = ThetaFamily.of_walk(init, p, t)
+    phi, dphi = family.generator_sums(p.theta, generator_spatial(p)[idx])
+    return family, phi[0], dphi[:, 0]
 
 
 def derivative_state(init: WalkerState, p: CoinParams, t: int,
@@ -57,10 +59,10 @@ def derivative_state(init: WalkerState, p: CoinParams, t: int,
     """Position-space d_mu |psi_t> from the closed-form generator sum."""
     if mu not in PARAM_NAMES:
         raise ValueError(f"unknown parameter {mu!r}; choose from {PARAM_NAMES}")
-    window, _, dphi = _evolve_with_generators(init, p, t,
+    family, _, dphi = _evolve_with_generators(init, p, t,
                                               [PARAM_NAMES.index(mu)])
-    return AmplitudeWindow(origin=window.origin,
-                           amps=window.to_sites(dphi[0]))
+    return AmplitudeWindow(origin=family.window.origin,
+                           amps=family.to_sites(dphi[0]))
 
 
 def _gram(init: WalkerState, p: CoinParams, t: int, params) -> np.ndarray:
@@ -71,7 +73,7 @@ def _gram(init: WalkerState, p: CoinParams, t: int, params) -> np.ndarray:
     """
     idx = [PARAM_NAMES.index(l) for l in params]
     _, phi, dphi = _evolve_with_generators(init, p, t, idx)
-    n = phi.shape[0]
+    n = phi.shape[-1]
     m = len(idx)
     gram = np.zeros((m, m), dtype=complex)
     for a in range(m):
@@ -79,7 +81,7 @@ def _gram(init: WalkerState, p: CoinParams, t: int, params) -> np.ndarray:
             gram[a, b] = np.vdot(dphi[a], dphi[b]) / n
             if b != a:
                 gram[b, a] = np.conj(gram[a, b])
-    overlap = np.einsum("na,mna->m", phi.conj(), dphi) / n
+    overlap = np.einsum("an,man->m", phi.conj(), dphi) / n
     return 4.0 * (gram - np.outer(np.conj(overlap), overlap))
 
 

@@ -10,11 +10,11 @@ between stationary projectors:
 
 with O_u = C^dag dC/du = (i/2) w_u.sigma (momentum independent, w_u
 from :func:`walk.generator_spatial`) and rho0(k) = (o0, r) the
-unnormalised Pauli 4-vector of the initial k-spinor, whose norm o0(k)
-is constant (=1) for the usual single-site and odd-separation inputs.
-A1 is rank 2 with spatial part u u^T / sin^2 w, u(k) the quasi-energy
-axis of :func:`walk.quasi_energy_axis` (the axis the finite-t engine
-reads too), so every integrand is N(k) / sin^2 w with
+unnormalised Pauli 4-vector of the initial k-spinor (:func:`rho_bloch`),
+whose norm o0(k) is constant (=1) for the usual single-site and
+odd-separation inputs.  A1 is rank 2 with spatial part u u^T / sin^2 w,
+u(k) the quasi-energy axis of :func:`walk.quasi_energy_axis`, so every
+integrand is N(k) / sin^2 w with
 
     N_uv = (u.w_u)(u.w_v) o0(k),    N_u = (u.w_u)(u.r(k)),
     sin^2 w = 1 - cos^2 theta cos^2(k - alpha).
@@ -38,11 +38,24 @@ import numpy as np
 from .errors import DegenerateWalk
 from .walk import (MIN_SIN_THETA, PARAM_NAMES, TWO_PI, CoinParams,
                    WalkerState, generator_spatial, initial_localized,
-                   k_grid_size, quasi_energy_axis, rho_bloch, spinors_at,
-                   step_count, uniform_k_grid)
+                   k_grid_size, quasi_energy_axis, spinors_at, step_count,
+                   uniform_k_grid)
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
+
+
+def rho_bloch(phi: np.ndarray) -> np.ndarray:
+    """Unnormalised Pauli 4-vector phi^dag sigma_i phi of spinors (..., 2)."""
+    a, b = phi[..., 0], phi[..., 1]
+    aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
+    out = np.empty(phi.shape[:-1] + (4,))
+    out[..., 0] = aa + bb
+    cross = a * np.conj(b)
+    out[..., 1] = 2.0 * cross.real
+    out[..., 2] = -2.0 * cross.imag
+    out[..., 3] = aa - bb
+    return out
 
 
 @dataclass(frozen=True)

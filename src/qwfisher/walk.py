@@ -7,21 +7,23 @@ spinor at site ``origin + i``.
 
 Momentum-space picture: with spinor(k) = sum_x c_x e^{-ikx}, one step is
 multiplication by u(k) = diag(e^{-ik}, e^{ik}) @ C = cos(om) - i w.sigma
-in SU(2), and :func:`quasi_energy_axis` is the one place that computes
-cos(om) and w = sin(om) n; the asymptotic route in :mod:`qwfisher.qfim`
-reads it too.  Every rule of the finite-t engine lives here, and the
-oracle and the estimator ask for evolved spinors instead of re-deriving
-them: the step count (:func:`step_count`, read by every command, route
-and closed form), the uniform grid and its size (:func:`uniform_k_grid`,
-:func:`k_grid_size`), the site window t steps from an input, which
-carries the checked t, its light cone and inverse FFT
-(:class:`SiteWindow`), and the SU(2) closed forms for u^t and the
-generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m (:class:`SU2Powers`,
-run on an input by :func:`evolve_spinors`; u^t and its theta derivatives
-for the estimator's family by :class:`ThetaFamily`).  The coin generators
-O_mu = C^dag d_mu C = (i/2) w_mu.sigma come as the real Pauli vectors
-w_mu of :func:`generator_spatial`.  :func:`evolve` takes u(k)^t and one
-inverse FFT, with no loop over steps.
+in SU(2), whose axis :func:`quasi_energy_axis` gives the asymptotic
+route in :mod:`qwfisher.qfim`.  Every rule of the finite-t engine lives
+here, and the oracle and the estimator ask for evolved spinors instead
+of re-deriving them: the step count (:func:`step_count`), the uniform
+grid and its size (:func:`uniform_k_grid`, :func:`k_grid_size`), the
+site window t steps from an input with its light cone and inverse FFT
+(:class:`SiteWindow`), and the one kernel, :class:`ThetaFamily`: u^t,
+its theta derivatives and the generator sums G_mu(t) = sum_{m=1..t}
+u^m O_mu u^-m in closed form at alpha = beta = 0.  The coin's reduced
+frame carries any coin onto it,
+
+    u(k; theta, alpha, beta) = D(-a2) u(k - alpha; theta, 0, 0) D(a2),
+
+D(a) = diag(e^{ia}, e^{-ia}), a2 = (alpha - beta)/2, which turns the
+generators' Pauli vectors (the real w_mu of O_mu = (i/2) w_mu.sigma,
+:func:`generator_spatial`) about z by beta - alpha.  :func:`evolve`
+takes u(k)^t and one inverse FFT, with no loop over steps.
 """
 from __future__ import annotations
 
@@ -311,19 +313,6 @@ def spinors_at(s: WalkerState, k_nodes: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.outer(k, s.origin + rows)) @ s.amps[rows]
 
 
-def rho_bloch(phi: np.ndarray) -> np.ndarray:
-    """Unnormalised Pauli 4-vector phi^dag sigma_i phi of spinors (..., 2)."""
-    a, b = phi[..., 0], phi[..., 1]
-    aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
-    out = np.empty(phi.shape[:-1] + (4,))
-    out[..., 0] = aa + bb
-    cross = a * np.conj(b)
-    out[..., 1] = 2.0 * cross.real
-    out[..., 2] = -2.0 * cross.imag
-    out[..., 3] = aa - bb
-    return out
-
-
 def uniform_k_grid(n: int) -> np.ndarray:
     """Uniform momentum nodes k_j = -pi + 2 pi j / n, j = 0 .. n - 1.
 
@@ -397,162 +386,122 @@ class SiteWindow:
         return np.nonzero(np.stack([runs[:self.width],
                                     runs[2:self.width + 2]], axis=1) == 0)
 
-    def to_sites(self, spinors: np.ndarray, axis: int = -2) -> np.ndarray:
-        """Site amplitudes on the window from spinors on its nodes.
+    def to_sites(self, spinors: np.ndarray) -> np.ndarray:
+        """Site amplitudes (..., 2, width) on the window from spinors
+        (..., 2, n) on its nodes, coin-major with the node axis last.
 
         On the nodes k_j = -pi + 2 pi j / n the zone integral is
 
             c_x = (1/n) sum_j spinor(k_j) e^{i k_j x}
                 = e^{-i pi x} ifft(spinor)[x mod n],
 
-        one FFT along the node axis (-2, or -1 for coin-major (..., 2, n))
-        for any leading batch shape.  Unreachable cells are assigned +0.0;
-        a 0/1 mask would leave -0.0.
+        one FFT along the node axis for any leading batch shape.
+        Unreachable cells are assigned +0.0; a 0/1 mask would leave -0.0.
         """
         x, (rows, coins) = self.sites, self._unreachable
-        amps = np.fft.ifft(spinors, axis=axis).swapaxes(axis, -1)
-        amps = amps[..., x % self.nodes.size]
+        amps = np.fft.ifft(spinors)[..., x % self.nodes.size]
         amps *= np.where(x % 2, -1.0, 1.0)
         amps[..., coins, rows] = 0.0
-        return amps.swapaxes(axis, -1)
+        return amps
+
+
+def _times_d(spinors: np.ndarray, a: float) -> None:
+    """spinors (..., 2, n) times D(a) = diag(e^{ia}, e^{-ia}), in place."""
+    d = complex(math.cos(a), math.sin(a))
+    spinors[..., 0, :] *= d
+    spinors[..., 1, :] *= d.conjugate()
 
 
 @dataclass(frozen=True)
-class SU2Powers:
-    """Closed forms in t for a stack of SU(2) matrices u(k).
+class ThetaFamily:
+    """The one finite-t kernel: u(k) = S(k) R(theta), the walk's u(k) at
+    alpha = beta = 0, on a window's nodes and spinors chi (F, 2, n),
+    node axis last, with u^t and the generator sums in closed form.
 
-    Write u = cos(om) - i sin(om) n.sigma.  Then
+    The coin factors as C(theta, alpha, beta) = D(a1) R(theta) D(a2),
+    a1 = (alpha + beta)/2, and S(k) = D(-k) commutes with D, which gives
+    the reduced frame of the module docstring: the walk is the family on
+    the nodes shifted by alpha, run on D(a2) chi and read back through
+    D(-a2) (:meth:`of_walk`, :meth:`to_sites`), and its generators turn
+    about z by -2 a2 (:meth:`generator_sums`).
 
-        u^t = [sin(t om) / sin(om)] u - [sin((t-1) om) / sin(om)] 1,
+    The family keeps what does not depend on theta: cos k, sin k, chi,
+    P = S chi and Q = S (chi_1, -chi_0), so u chi = cos theta P + sin
+    theta Q and d_theta u = u(theta + pi/2).  With u = cos(om) - i
+    w.sigma, w = (sin k sin theta, -cos k sin theta, sin k cos theta),
+    |w| = sin(om) >= |sin theta| and cos(om) = cos k cos theta,
+
+        u^t = a_t u - a_{t-1},   a_n = sin(n om) / sin(om),
 
     and conjugation by u turns the Pauli vector of a traceless matrix by
-    2 om about n, so for O = v.sigma the generator sum
+    2 om about n = w / |w|, so for O = v.sigma the generator sum
     G(t) = sum_{m=1..t} u^m O u^{-m} is g(t).sigma with
 
         g(t) = t (n.v) n + [sin(t om) cos((t+1) om) / sin(om)] v_perp
                          + [sin(t om) sin((t+1) om) / sin(om)] n x v.
 
-    Both cost O(1) per matrix whatever t is, and both act on spinors
-    straight from these coefficients, with no 2 x 2 matrix formed
-    (:meth:`apply_power`, :meth:`generator_sums`).  For a walk coin
-    sin(om) >= |sin theta| at every momentum.  At u = +-1 (w = 0) |w| is
-    raised to the smallest normal float, so the ratios take their limits
-    sin(m om) / sin(om) -> m there and G(t) = t O.
+    The angle is kept folded into [0, pi/2]: u = sign (cos(om) - i
+    w.sigma) with cos(om) >= 0 and om = atan2(|w|, cos(om)); near
+    om = pi an unfolded angle's absolute rounding is large against
+    sin(om).  Conjugation does not see the sign, and u^t picks up
+    sign^t.  At w = 0, |w| is raised to the smallest normal float, so
+    sin(m om) / sin(om) -> m and G(t) = t O.  A run costs O(1) per node
+    and spinor whatever t is."""
 
-    The angle is kept folded into [0, pi/2]: u = sign * (cos(om) - i
-    w.sigma) with cos(om) >= 0, w = sin(om) n, om = atan2(|w|, cos(om))
-    and sign = +-1.  Near om = pi an unfolded angle carries an absolute
-    rounding error that is large against sin(om); the folded one stays
-    accurate to relative rounding.  Conjugation does not see the sign,
-    and u^t picks up sign^t.
-    """
+    window: SiteWindow
+    cos_k: np.ndarray       # (n,), at the shifted nodes
+    sin_k: np.ndarray       # (n,)
+    factors: np.ndarray     # (F, 3 * 2 * n): chi, P, Q of each spinor
+    coin_phase: float = 0.0     # a2: the family runs on D(a2) chi
 
-    sign: np.ndarray        # (...,), +-1, the sign of cos(om) of u
-    cos_omega: np.ndarray   # (...,), cos(om) of sign * u, >= 0
-    w: np.ndarray           # (..., 3), sin(om) n of sign * u
-    sin_omega: np.ndarray   # (...,), |w|, at least the smallest normal
-    omega: np.ndarray       # (...,), folded angle om in [0, pi/2]
+    @classmethod
+    def on(cls, window: SiteWindow, spinors: np.ndarray,
+           shift: float = 0.0) -> "ThetaFamily":
+        """The family on ``spinors`` (F, 2, n) at the nodes k - shift."""
+        k, chi = window.nodes - shift, np.asarray(spinors, dtype=complex)
+        cos_k, sin_k = np.cos(k), np.sin(k)
+        e = np.empty(k.shape, dtype=complex)    # S = diag(e, conj(e))
+        e.real, e.imag = cos_k, -sin_k          # e^{-ik} from cos k, sin k
+        f = np.empty((len(chi), 3) + chi.shape[1:], dtype=complex)
+        f[:, 0] = chi
+        np.multiply(e, chi[:, 0], out=f[:, 1, 0])
+        np.multiply(e.conj(), chi[:, 1], out=f[:, 1, 1])
+        np.multiply(e, chi[:, 1], out=f[:, 2, 0])
+        np.multiply(-e.conj(), chi[:, 0], out=f[:, 2, 1])
+        return cls(window=window, cos_k=cos_k, sin_k=sin_k,
+                   factors=f.reshape(len(chi), -1))
 
-    @staticmethod
-    def fold(cos_omega, sin_omega):
-        """(sign, cos(om), sin(om) floored, om) of the folded angle."""
+    @classmethod
+    def of_walk(cls, init: WalkerState, p: CoinParams,
+                t: int) -> "ThetaFamily":
+        """The walk of ``init`` under ``p`` t steps on, in the coin's
+        reduced frame: the family on the nodes of :meth:`SiteWindow.after`
+        shifted by alpha, run on the input's k-spinors D(a2) chi (F = 1)."""
+        window = SiteWindow.after(init, t)
+        a2 = 0.5 * (p.alpha - p.beta)
+        chi = spinors_at(init, window.nodes).T
+        _times_d(chi, a2)
+        family = cls.on(window, chi[None], p.alpha)
+        return cls(window, family.cos_k, family.sin_k, family.factors, a2)
+
+    def to_sites(self, spinors: np.ndarray) -> np.ndarray:
+        """Site amplitudes (..., width, 2) of the walk from spinors (..., 2,
+        n) of the family's frame, turned by D(-a2) in place first."""
+        _times_d(spinors, -self.coin_phase)
+        return self.window.to_sites(spinors).swapaxes(-1, -2)
+
+    def _fold(self, theta):
+        """(cos theta, sin theta, sign, cos(om), sin(om), om), (..., 1, 1, n)."""
+        th = np.asarray(theta, dtype=float)[..., None, None, None]
+        ct, st = np.cos(th), np.sin(th)
+        cos_omega = ct * self.cos_k
+        sin_omega = np.sqrt((st * self.sin_k) ** 2 + (ct * self.sin_k) ** 2
+                            + (st * self.cos_k) ** 2)
         sign = np.where(cos_omega < 0.0, -1.0, 1.0)
         s, c = np.maximum(sin_omega, np.finfo(float).tiny), np.abs(cos_omega)
         # atan2 keeps small angles accurate; arccos of cos(om) would
         # lose half the digits there
-        return sign, c, s, np.arctan2(s, c)
-
-    @classmethod
-    def of(cls, cos_omega, w) -> "SU2Powers":
-        """Fold u = cos(om) - i w.sigma, as :func:`quasi_energy_axis` gives it."""
-        sign, c, s, om = cls.fold(
-            cos_omega, np.sqrt(np.einsum("...i,...i->...", w, w)))
-        return cls(sign=sign, cos_omega=c, w=w * sign[..., None],
-                   sin_omega=s, omega=om)
-
-    def apply_power(self, phi: np.ndarray, t: int) -> np.ndarray:
-        """u^t phi for spinors phi (..., 2) broadcasting against the stack."""
-        # u^t = sign^t (sign u)^t with sign u = cos(om) - i w.sigma
-        sign_t = self.sign if t % 2 else 1.0
-        a = sign_t * np.sin(t * self.omega) / self.sin_omega
-        b = sign_t * np.sin((t - 1) * self.omega) / self.sin_omega
-        # (cos(om) - i w.sigma) phi, no 2 x 2 matrix
-        c, w, p0, p1 = self.cos_omega, self.w, phi[..., 0], phi[..., 1]
-        out = np.stack([(c - 1j * w[..., 2]) * p0
-                        - (w[..., 1] + 1j * w[..., 0]) * p1,
-                        (w[..., 1] - 1j * w[..., 0]) * p0
-                        + (c + 1j * w[..., 2]) * p1], axis=-1)
-        out *= a[..., None]
-        out -= b[..., None] * phi
-        return out
-
-    def generator_sums(self, v: np.ndarray, t: int,
-                       phi: np.ndarray) -> np.ndarray:
-        """G(t) phi for generators O = v.sigma given by Pauli vectors v (m, 3).
-
-        phi (..., 2) broadcasts against the stack like in
-        :meth:`apply_power`; the result has shape (m, ..., 2).  The
-        components of g(t) act on phi directly, G phi =
-        (g_z phi_0 + (g_x - i g_y) phi_1, (g_x + i g_y) phi_0 - g_z phi_1),
-        so no 2 x 2 matrix is formed.
-        """
-        v = np.asarray(v)
-        v = v.reshape(v.shape[:1] + (1,) * (self.w.ndim - 1) + (3,))
-        vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
-        n_hat = self.w / self.sin_omega[..., None]
-        nx, ny, nz = n_hat[..., 0], n_hat[..., 1], n_hat[..., 2]
-        st = np.sin(t * self.omega) / self.sin_omega
-        c_perp = st * np.cos((t + 1) * self.omega)
-        c_cross = st * np.sin((t + 1) * self.omega)
-        along = (t - c_perp) * (nx * vx + ny * vy + nz * vz)
-        gx = c_perp * vx + along * nx + c_cross * (ny * vz - nz * vy)
-        gy = c_perp * vy + along * ny + c_cross * (nz * vx - nx * vz)
-        gz = c_perp * vz + along * nz + c_cross * (nx * vy - ny * vx)
-        p0, p1 = phi[..., 0], phi[..., 1]
-        out = np.empty(np.broadcast_shapes(gz.shape, p0.shape) + (2,),
-                       dtype=complex)
-        out[..., 0] = gz * p0 + (gx - 1j * gy) * p1
-        out[..., 1] = (gx + 1j * gy) * p0 - gz * p1
-        return out
-
-
-def evolve_spinors(init: WalkerState, p: CoinParams, t: int):
-    """(window, powers, phi): :meth:`SiteWindow.after`, the
-    :class:`SU2Powers` of u(k) on its nodes and the evolved k-spinors
-    phi = u(k)^t spinor(k), (n_nodes, 2), at the window's t."""
-    window = SiteWindow.after(init, t)
-    nodes = window.nodes
-    powers = SU2Powers.of(*quasi_energy_axis(p.theta, p.alpha, p.beta, nodes))
-    return window, powers, powers.apply_power(spinors_at(init, nodes),
-                                              window.t)
-
-
-@dataclass(frozen=True)
-class ThetaFamily:
-    """u(k) = S(k) R(theta), the walk's u(k) at alpha = beta = 0, on a
-    window's nodes and spinors chi (F, 2, n), node axis last.
-
-    It keeps what does not depend on theta: cos k, sin k, chi, P = E chi
-    and Q = E (chi_1, -chi_0), E = diag(e^{-ik}, e^{ik}), so u chi =
-    cos theta P + sin theta Q and d_theta u = u(theta + pi/2); u^t =
-    a_t u - a_{t-1}, a_n = sin(n om) / sin(om), on the angle of
-    :meth:`SU2Powers.fold` with cos(om) = cos k cos theta and |w| of
-    :func:`quasi_energy_axis`.  No 2 x 2 matrix is formed."""
-
-    window: SiteWindow
-    cos_k: np.ndarray       # (n,)
-    sin_k: np.ndarray       # (n,)
-    factors: np.ndarray     # (F, 3 * 2 * n): chi, P, Q of each spinor
-
-    @classmethod
-    def on(cls, window: SiteWindow, spinors: np.ndarray) -> "ThetaFamily":
-        k, chi = window.nodes, np.asarray(spinors, dtype=complex)
-        e = np.exp(-1j * k)
-        shift = np.stack([e, e.conj()])     # the diagonal of E
-        q = shift * [[1.0], [-1.0]] * chi[:, ::-1]
-        return cls(window=window, cos_k=np.cos(k), sin_k=np.sin(k),
-                   factors=np.stack([chi, shift * chi, q], 1).reshape(
-                       len(chi), -1))
+        return ct, st, sign, c, s, np.arctan2(s, c)
 
     def run(self, theta, order: int = 0, weights=None) -> np.ndarray:
         """d^j/dtheta^j [u^t chi], j = 0 .. order (at most 2), shaped
@@ -562,15 +511,18 @@ class ThetaFamily:
         - 2 cos(om) d_om a_n / sin(om), d_theta om = -d_theta cos(om) /
         sin(om) and d2_theta om = cos(om) (1 - (d_theta om)^2) / sin(om);
         their relative rounding grows like eps / sin(theta)^order."""
-        th = np.asarray(theta, dtype=float)[..., None, None, None]
-        ct, st = np.cos(th), np.sin(th)
-        # |w|^2 summed in the order the einsum of SU2Powers.of sums it
-        sign, c, s, om = SU2Powers.fold(ct * self.cos_k, np.sqrt(
-            (st * self.sin_k) ** 2 + (ct * self.sin_k) ** 2
-            + (st * self.cos_k) ** 2))
+        # the angle arrays go before the products, which peak in memory
+        return self._combine(*self._jet(self._fold(theta), order), weights)
+
+    def _jet(self, fold, order: int):
+        """The coefficients of chi and (P, Q) in d^j (u^t chi), j <= order."""
+        ct, st, sign, c, s, om = fold
         t = self.window.t
-        n = np.array([t, t - 1.0]).reshape((2,) + (1,) * th.ndim)
-        jet = [np.sin(n * om) / s]          # d^j a_n for n = t, t - 1
+        n = np.array([t, t - 1.0]).reshape((2,) + (1,) * om.ndim)
+        a_n = n * om
+        np.sin(a_n, out=a_n)
+        a_n /= s
+        jet = [a_n]                         # d^j a_n for n = t, t - 1
         # u^t = sign^t (a_t v - a_{t-1}) with v = sign u folded, and
         # d^j (a_t v chi) is sign e^{i theta} pq_j on (P, Q) as (Re, Im)
         pq = [jet[0][0] + 0j]
@@ -584,28 +536,63 @@ class ThetaFamily:
                            * om_1 ** 2 + a_om * c * (1.0 - om_1 ** 2) / s)
                 pq.append(jet[2][0] - jet[0][0] + 2j * jet[1][0])
         sign_t = sign if t % 2 else 1.0
-        pq = np.array(pq) * (sign_t * sign * (ct + 1j * st))
+        return (-sign_t * np.array([d[1] for d in jet]) + 0j,
+                np.array(pq) * (sign_t * sign * (ct + 1j * st)))
+
+    def _combine(self, c_chi, pq, weights=None) -> np.ndarray:
+        """c_chi chi + Re(pq) P + Im(pq) Q on the factors (or weights @ them)."""
         f = (self.factors if weights is None else weights @ self.factors
              ).reshape(-1, 3, 2, self.cos_k.size)
         # complex times complex is faster than real times complex
-        out = (-sign_t * np.array([d[1] for d in jet]) + 0j) * f[:, 0]
+        out = c_chi * f[:, 0]
         for cf, f_i in ((pq.real, f[:, 1]), (pq.imag, f[:, 2])):
             out += (cf + 0j) * f_i
         return out
+
+    def generator_sums(self, theta: float, w: np.ndarray):
+        """(u^t chi (F, 2, n), G(t) u^t chi (m, F, 2, n)) in the family's
+        frame on one folded angle, for O = (i/2) w.sigma with the real w
+        (m, 3) of :func:`generator_spatial`: G phi = i (g_z phi_0 + (g_x -
+        i g_y) phi_1, (g_x + i g_y) phi_0 - g_z phi_1) for g(t) of w / 2."""
+        fold = self._fold(theta)
+        ct, st, sign, _, s, om = fold
+        phi = self._combine(*self._jet(fold, 0))[0]
+        # w / 2 turned about z by beta - alpha = -2 a2, into the family's
+        # frame, and the folded axis n = sign w / sin(om) of u
+        w = 0.5 * np.asarray(w, dtype=float)[:, :, None, None]
+        a = 2.0 * self.coin_phase
+        turned = (w[:, 0] + 1j * w[:, 1]) * complex(math.cos(a), -math.sin(a))
+        vx, vy, vz = turned.real, turned.imag, w[:, 2]
+        nx, ny, nz = (sign / s) * [st * self.sin_k, -st * self.cos_k,
+                                   ct * self.sin_k]
+        t = self.window.t
+        a_t = np.sin(t * om) / s
+        c_perp = a_t * np.cos((t + 1) * om)
+        c_cross = a_t * np.sin((t + 1) * om)
+        along = (t - c_perp) * (nx * vx + ny * vy + nz * vz)
+        gx = c_perp * vx + along * nx + c_cross * (ny * vz - nz * vy)
+        gy = c_perp * vy + along * ny + c_cross * (nz * vx - nx * vz)
+        igz = 1j * (c_perp * vz + along * nz + c_cross * (nx * vy - ny * vx))
+        igx, p0, p1 = 1j * gx, phi[:, 0], phi[:, 1]
+        out = np.empty(igz.shape[:1] + phi.shape, dtype=complex)
+        out[:, :, 0] = igz * p0 + (gy + igx) * p1
+        out[:, :, 1] = (igx - gy) * p0 - igz * p1
+        return phi, out
 
 
 def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:
     """t steps of the walk, through the momentum picture.
 
-    u(k)^t comes in closed form from :class:`SU2Powers` and one inverse
-    FFT returns to sites, so the cost is O(n log n) in the node count
-    n of :meth:`SiteWindow.after`, the smallest power of two >= n0 + 2t
-    for an input of n0 sites, with no loop over t.  Cells off the
-    input's light cone are exact zeros (:meth:`SiteWindow.to_sites`).
+    u(k)^t comes in closed form from :meth:`ThetaFamily.of_walk` and one
+    inverse FFT returns to sites, so the cost is O(n log n) in the node
+    count n of :meth:`SiteWindow.after`, the smallest power of two
+    >= n0 + 2t for an input of n0 sites, with no loop over t.  Cells off
+    the input's light cone are exact zeros (:meth:`SiteWindow.to_sites`).
     """
-    window, _, phi = evolve_spinors(s, p, t)
-    return WalkerState(origin=window.origin, amps=window.to_sites(phi),
-                       steps_elapsed=s.steps_elapsed + window.t)
+    family = ThetaFamily.of_walk(s, p, t)
+    return WalkerState(origin=family.window.origin,
+                       amps=family.to_sites(family.run(p.theta)[0, 0]),
+                       steps_elapsed=s.steps_elapsed + family.window.t)
 
 
 # old name of the engine path; perfbench routes-ladder is its only caller

@@ -208,6 +208,25 @@ def recurrence_powers_and_generators(theta, alpha, beta, k, phi0, t):
     return phi, g
 
 
+def on_nodes(nodes, fn, *args):
+    """``fn(*args)`` with every window of ``SiteWindow.after`` sampled
+    by ``nodes(n)`` in place of its own n nodes: the same sites, origin
+    and t on other momenta."""
+    from qwfisher.walk import SiteWindow
+
+    rule = SiteWindow.__dict__["after"]
+
+    def moved(cls, init, t):
+        w = rule.__func__(cls, init, t)
+        return dataclasses.replace(w, nodes=nodes(w.nodes.size))
+
+    SiteWindow.after = classmethod(moved)
+    try:
+        return fn(*args)
+    finally:
+        SiteWindow.after = rule
+
+
 def on_doubled_nodes(fn, *args):
     """``fn(*args)`` with every window of ``SiteWindow.after`` on twice
     its node count.
@@ -216,19 +235,16 @@ def on_doubled_nodes(fn, *args):
     reference the package's own node count n must reproduce wherever it
     is exact.
     """
-    from qwfisher.walk import SiteWindow, uniform_k_grid
+    from qwfisher.walk import uniform_k_grid
 
-    rule = SiteWindow.__dict__["after"]
+    return on_nodes(lambda n: uniform_k_grid(2 * n), fn, *args)
 
-    def doubled(cls, init, t):
-        w = rule.__func__(cls, init, t)
-        return dataclasses.replace(w, nodes=uniform_k_grid(2 * w.nodes.size))
 
-    SiteWindow.after = classmethod(doubled)
-    try:
-        return fn(*args)
-    finally:
-        SiteWindow.after = rule
+def dense_powers(theta, alpha, beta, k, chi, t):
+    """u(k)^t chi from the dense one-step matrices raised to the t-th
+    power, chi (..., len(k), 2) coin last."""
+    u_t = np.linalg.matrix_power(u_dense(theta, alpha, beta, k), t)
+    return np.einsum("nab,...nb->...na", u_t, chi)
 
 
 def light_cone(s, t):
@@ -380,7 +396,7 @@ def whole_grid_table_b(init, beta, t, thetas):
 
     family, freqs = _engine_inputs(init, beta, t)
     thetas = np.asarray(thetas, dtype=float)
-    phis = family.window.to_sites(family.run(thetas)[0], axis=-1)
+    phis = family.window.to_sites(family.run(thetas)[0])
     diffs = freqs[:, None] - freqs[None, :]
     occurs = np.zeros(init.n_sites + 1, dtype=bool)
     occurs[diffs[diffs > 0]] = True
@@ -400,18 +416,19 @@ def theta_jet(theta, nodes, chi, t, order=0):
 
     The reference for ``walk.ThetaFamily.run``, built the other way: on
     the walk's quasi-energy axis (``walk.quasi_energy_axis`` at alpha =
-    beta = 0) and ``walk.SU2Powers``, with chi (..., n_nodes, 2) coin
-    last and d_theta u formed as u at theta + pi/2.  ``theta``
-    broadcasts against ``nodes`` and that against ``chi``; the
-    derivatives stack on a new leading axis.  Order 0 is
-    ``SU2Powers.apply_power``.  Orders 1 and 2 differentiate
-    u^t = a_t u - a_{t-1}, a_n = sin(n om) / sin(om), on the folded
-    angle and clamped |w| of ``SU2Powers``: d_om a_n = (n cos(n om) -
-    cos(om) a_n) / sin(om), d2_om a_n = (1 - n^2) a_n - 2 cos(om)
-    d_om a_n / sin(om), d_theta om = -d_theta cos(om) / sin(om) and
-    d2_theta om = cos(om) (1 - (d_theta om)^2) / sin(om).
+    beta = 0) and a Pauli step, with chi (..., n_nodes, 2) coin last and
+    d_theta u formed as u at theta + pi/2.  ``theta`` broadcasts against
+    ``nodes`` and that against ``chi``; the derivatives stack on a new
+    leading axis.  It differentiates u^t = a_t u - a_{t-1},
+    a_n = sin(n om) / sin(om), on the angle folded into [0, pi/2]
+    (u = sign (cos(om) - i w.sigma), cos(om) >= 0) with |w| raised to
+    the smallest normal float: d_om a_n = (n cos(n om) - cos(om) a_n) /
+    sin(om), d2_om a_n = (1 - n^2) a_n - 2 cos(om) d_om a_n / sin(om),
+    d_theta om = -d_theta cos(om) / sin(om) and d2_theta om = cos(om)
+    (1 - (d_theta om)^2) / sin(om).  Order 0 is checked against
+    :func:`dense_powers` in ``test_walk``.
     """
-    from qwfisher.walk import SU2Powers, quasi_energy_axis
+    from qwfisher.walk import quasi_energy_axis
 
     def pauli_step(cos_omega, w, phi):
         """(cos(om) - i w.sigma) phi for spinors phi (..., 2)."""
@@ -423,11 +440,12 @@ def theta_jet(theta, nodes, chi, t, order=0):
 
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    powers = SU2Powers.of(*quasi_energy_axis(theta, 0.0, 0.0, nodes))
-    if order == 0:
-        return powers.apply_power(chi, t)[None]
-    sign, c, s, om = (powers.sign, powers.cos_omega, powers.sin_omega,
-                      powers.omega)
+    c, w = quasi_energy_axis(theta, 0.0, 0.0, nodes)
+    sign = np.where(c < 0.0, -1.0, 1.0)
+    s = np.maximum(np.sqrt(np.einsum("...i,...i->...", w, w)),
+                   np.finfo(float).tiny)
+    c, w = np.abs(c), w * sign[..., None]
+    om = np.arctan2(s, c)
     dc, dw = quasi_energy_axis(theta + 0.5 * np.pi, 0.0, 0.0, nodes)
     dc, dw = sign * dc, sign[..., None] * dw     # in the folded frame
     om_1 = -dc / s
@@ -441,7 +459,7 @@ def theta_jet(theta, nodes, chi, t, order=0):
         coef.append((sign_t * np.array(
             [a, a_om * om_1, a_omom * om_1 ** 2 + a_om * om_2]))[..., None])
     (a, a1, a2), (b, b1, b2) = coef
-    u_chi = pauli_step(c, powers.w, chi)
+    u_chi = pauli_step(c, w, chi)
     du_chi = pauli_step(dc, dw, chi)
     jet = [a * u_chi - b * chi, a1 * u_chi + a * du_chi - b1 * chi,
            (a2 - a) * u_chi + 2.0 * a1 * du_chi - b2 * chi]
@@ -472,8 +490,9 @@ def zone_means_by_rfft(p, init, params):
     """(first, y) of ``qfim._zone_means`` from :func:`mean_over_sin2`:
     the upper triangle of the N_uv numerators and the N_u numerators
     stacked as columns, transformed once, and the matrix reassembled."""
+    from qwfisher.qfim import rho_bloch
     from qwfisher.walk import (PARAM_NAMES, generator_spatial, k_grid_size,
-                               quasi_energy_axis, rho_bloch, spinors_at)
+                               quasi_energy_axis, spinors_at)
 
     w = generator_spatial(p)[[PARAM_NAMES.index(l) for l in params]]
     m = len(params)
@@ -506,9 +525,9 @@ def asymptotic_linear_term(p, init, params, n=2 ** 16):
     taken plainly over n uniform nodes: the integrand is smooth, since
     |w| >= |sin theta|.
     """
-    from qwfisher.qfim import _zone_means
+    from qwfisher.qfim import _zone_means, rho_bloch
     from qwfisher.walk import (PARAM_NAMES, generator_spatial,
-                               quasi_energy_axis, rho_bloch, spinors_at)
+                               quasi_energy_axis, spinors_at)
 
     v = generator_spatial(p)[[PARAM_NAMES.index(l) for l in params]]
     k = -np.pi + 2.0 * np.pi * np.arange(n) / n

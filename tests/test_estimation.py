@@ -125,9 +125,13 @@ class TestSampling:
         # a fractional count once drew int(shots) and recorded that
         d = PositionDistribution(sites=np.array([-1, 1]),
                                  probs=np.array([0.5, 0.5]), t=1)
-        for shots in (2.5, 2.0, True, 0, -3):
-            with pytest.raises(ValueError, match="shots must be a positive "
-                               "integer"):
+        for shots in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="^shots must be an integer, "
+                               f"got {shots!r}$"):
+                sample(d, shots, seed=1)
+        for shots in (0, -3):
+            with pytest.raises(ValueError,
+                               match=f"^shots must be >= 1, got {shots}$"):
                 sample(d, shots, seed=1)
         assert sample(d, np.int64(40), seed=1) == sample(d, 40, seed=1)
 
@@ -331,7 +335,7 @@ class TestLikelihoodTable:
         window = SiteWindow.after(init, t)
         family = ThetaFamily.on(window, spinors_at(init, window.nodes).T[None])
         phi = family.run(0.0)[0, 0]
-        probs = np.sum(np.abs(window.to_sites(phi, axis=-1)) ** 2, axis=0)
+        probs = np.sum(np.abs(window.to_sites(phi)) ** 2, axis=0)
         shifted = np.zeros(window.width)
         shifted[window.sites == 20] = 0.5      # coin 0 hops right t times
         shifted[window.sites == -20] = 0.5     # coin 1 hops left

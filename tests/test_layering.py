@@ -6,11 +6,11 @@ be listed below with their reason (none do); any other fails here, and
 so does a listed one that is gone, so the list only shrinks.
 
 The finite-t engine's rules (the uniform grid, its size for a window,
-the site window after t steps and the SU(2) closed forms) live in
-``walk`` alone, and ``quadrature`` is a test reference no pipeline
-module imports.  The engine-boundary ratchet below holds every other
-module in the package and in ``scripts/`` to that, with its exemptions
-listed by module, function and name.
+the site window after t steps and the closed forms of the one kernel,
+``ThetaFamily``) live in ``walk`` alone, and ``quadrature`` is a test
+reference no pipeline module imports.  The engine-boundary ratchet
+below holds every other module in the package and in ``scripts/`` to
+that, with its exemptions listed by module, function and name.
 
 ``SiteWindow.after`` is also the one light-cone rule: the window keeps
 its input, and ``to_sites`` gives every cell the walk cannot reach from
@@ -45,7 +45,8 @@ PACKAGE = ROOT / "src" / "qwfisher"
 
 ALLOWED: dict = {}
 
-ENGINE_NAMES = {"SU2Powers", "uniform_k_grid", "k_grid_size"}
+# the kernel's closed forms: the folded angle and the powers' jet
+ENGINE_NAMES = {"_fold", "_jet", "uniform_k_grid", "k_grid_size"}
 # calling the class itself states the window rule again; SiteWindow.after
 # is the one place that states it
 WINDOW_CLASS = "SiteWindow"

@@ -12,9 +12,10 @@ from qwfisher import (CoinParams, DegenerateWalk, QFIMatrix, SingularFisher,
                       initial_entangled, initial_gamma, initial_localized,
                       qfim_localized, qfim_max_diag, qfim_theorem1,
                       single_param_qfi, uhlmann_analytic)
-from qwfisher.qfim import PSD_TOL, SYM_TOL, _zone_means, a1_grid, qfim_first_term
+from qwfisher.qfim import (PSD_TOL, SYM_TOL, _zone_means, a1_grid,
+                           qfim_first_term, rho_bloch)
 from qwfisher.quadrature import adaptive_mean_over_bz
-from qwfisher.walk import generator_spatial, rho_bloch, spinors_at
+from qwfisher.walk import generator_spatial, spinors_at
 
 from oracles import (F_AA_QUARTER_PI, F_TT_QUARTER_PI, GOLDEN_COMMON,
                      GOLDEN_THETA, PAULI, PREF_RY0_QUARTER_PI,

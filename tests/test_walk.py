@@ -19,13 +19,13 @@ from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, GridSpec,
                       uhlmann_exact)
 from qwfisher.estimation import _engine_inputs, _prob_derivatives
 from qwfisher.oracle import exact_matrices
-from qwfisher.walk import (MAX_STEPS, PARAM_NAMES, SiteWindow, SU2Powers,
-                           evolve_spinors, quasi_energy_axis, spinors_at,
-                           step_count, uniform_k_grid)
+from qwfisher.walk import (MAX_STEPS, PARAM_NAMES, SiteWindow,
+                           quasi_energy_axis, spinors_at, step_count,
+                           uniform_k_grid)
 
 from oracles import (PAULI, coin_dense, dense_amps_at, dense_evolve,
-                     evolve_steps, light_cone, on_doubled_nodes,
-                     spinors_dense, theta_jet)
+                     dense_powers, evolve_steps, light_cone,
+                     on_doubled_nodes, spinors_dense, theta_jet)
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 mixing = st.floats(0.05, math.pi - 0.05)
@@ -385,7 +385,7 @@ def test_site_window_grows_by_t_and_returns_spinors_to_sites():
     assert np.array_equal(window.sites, np.arange(-7, 6))
     assert window.nodes.size == 16         # smallest power of two >= 13
     # the input's own k-spinors come back as the input, zero-padded by t
-    back = window.to_sites(spinors_at(init, window.nodes))
+    back = window.to_sites(spinors_at(init, window.nodes).T).T
     assert np.abs(back[4:9] - init.amps).max() <= 1e-14
     assert np.abs(back[[0, 1, 2, 3, 9, 10, 11, 12]]).max() <= 1e-14
 
@@ -422,9 +422,10 @@ def test_window_nodes_are_exact_on_sparse_inputs(case, theta, alpha, beta):
     # is the one on twice the nodes
     init, t = case
     p = CoinParams(theta, alpha, beta)
-    window, _, phi = evolve_spinors(init, p, t)
+    window = SiteWindow.after(init, t)
     assert window.width <= window.nodes.size < 2 * window.width
     chi = spinors_at(init, window.nodes)
+    phi = dense_powers(p.theta, p.alpha, p.beta, window.nodes, chi, t)
     padded = np.zeros((window.width, 2), dtype=complex)
     padded[t:t + init.n_sites] = init.amps
     # the bare inverse DFT returns the input on every cell; to_sites
@@ -434,11 +435,11 @@ def test_window_nodes_are_exact_on_sparse_inputs(case, theta, alpha, beta):
         * np.where(x % 2, -1.0, 1.0)[:, None]
     assert np.abs(bare - padded).max() <= 1e-14
     reach = light_cone(init, t)
-    back = window.to_sites(chi)
+    back = window.to_sites(chi.T).T
     assert np.abs(back[reach] - padded[reach]).max(initial=0.0) <= 1e-14
     assert np.all(back[~reach] == 0.0)
     assert abs(np.vdot(chi, phi) / window.nodes.size
-               - np.vdot(padded, window.to_sites(phi))) <= 1e-14
+               - np.vdot(padded, window.to_sites(phi.T).T)) <= 1e-14
 
     ours, ref = evolve(init, p, t), on_doubled_nodes(evolve, init, p, t)
     assert ours.origin == ref.origin
@@ -465,12 +466,11 @@ def test_theta_jet_against_powers_and_differences():
     theta, t, h = 0.7, 9, 1e-4
 
     def power(th):
-        axis = quasi_energy_axis(th, 0.0, 0.0, nodes)
-        return SU2Powers.of(*axis).apply_power(chi, t)
+        return dense_powers(th, 0.0, 0.0, nodes, chi, t)
 
     jet = theta_jet(theta, nodes, chi, t, order=2)
     assert jet.shape == (3, 3, 64, 2)
-    assert np.array_equal(theta_jet(theta, nodes, chi, t)[0], power(theta))
+    assert np.array_equal(theta_jet(theta, nodes, chi, t), jet[:1])
     assert np.array_equal(theta_jet(theta, nodes, chi, t, order=1), jet[:2])
     assert np.abs(jet[0] - power(theta)).max() <= 1e-13
     lo, mid, hi = power(theta - h), power(theta), power(theta + h)
