@@ -19,8 +19,37 @@ other file only byte for byte.  Two numbers a != b deviate by
 they belong to, in either file: the outermost JSON list holding them,
 the CSV column, or the number itself.  An entry that is zero in theory,
 such as an off-diagonal of a diagonal matrix, is so held to the scale
-of its matrix and not to its own rounding.  NaN equals NaN.  Exits 1 if
-any file is different, else 0.
+of its matrix and not to its own rounding.  NaN equals NaN.
+
+That own-scale verdict still holds a quantity that is zero in theory,
+or a difference that cancels far below F, and has a list or column of
+its own to its own rounding.  So each line leads with a second verdict,
+the matrix-scaled one, which holds these quantities to the largest |F|
+of the information matrix of the report in the file's directory (the
+``entries``, ``per_t2`` or ``fisher`` of its ``*_report.json``, either
+side), in the quantity's own units:
+
+    beta_null_residual   qfim report and stdout: max |per_t2| (a
+                         projector on an O(1) generator vector)
+    uhlmann              qfim and bounds reports, the curvature D:
+                         max |entries|
+    dev_*, max_abs       qfim CSV, report and stdout, a route's deviation
+                         from the reference route (its off-diagonals
+                         are zero in theory): max |entries|
+    max_rel, r, R,       qfim and bounds outputs, bounds report note and
+    ||D||/||F||          stdout, ratios to F (R is D over F): 1
+    "diag =" lines       qfim stdout, the diagonals (the analytic
+                         route's beta entry is zero in theory):
+                         max |entries|
+
+Under it ``stdout.txt``, and the ``note`` string of a report, compare
+byte for byte but for the numbers that these labels name, which compare
+by the tolerance on their scale.  Every other text file, ``stderr.txt``
+and ``exit.txt`` among them, and every other string compare byte for
+byte under both verdicts.  The own-scale verdict is printed beside the
+matrix-scaled one where they differ; the summary line and the exit
+status (1 if any file is different, else 0) follow the matrix-scaled
+verdict.
 
     python scripts/compare_outputs.py DIR_A DIR_B [--rel-tol 1e-14]
 """
@@ -28,8 +57,27 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
+
+# zero-in-theory quantities by JSON key or CSV column, and which scale
+# of their report's information matrix holds them
+ZERO_IN_THEORY = {"beta_null_residual": "per_t2", "uhlmann": "entries",
+                  "max_abs": "entries", "max_rel": "ratio", "r": "ratio"}
+# the same in stdout and a report's note, by the text before the number
+LABELS = {"beta_null_residual = ": "per_t2", "max_abs=": "entries",
+          "max_rel=": "ratio", "incompatibility R  = ": "ratio",
+          "||D||/||F|| = ": "ratio"}
+NUMBER = r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|nan|inf))"
+LABELLED = re.compile("(" + "|".join(map(re.escape, LABELS)) + ")" + NUMBER)
+DIAG_LINE = re.compile(r"\S+: diag = ")
+DIAG_ENTRY = re.compile(r"(\w+=)" + NUMBER)
+
+
+def _unit(name: str):
+    """The scale that holds a JSON key or CSV column."""
+    return "entries" if name.startswith("dev_") else ZERO_IN_THEORY.get(name)
 
 
 class Different(Exception):
@@ -62,26 +110,65 @@ def _magnitudes(x):
             yield from _magnitudes(v)
 
 
-def json_devs(a, b, where="$", scale=None):
-    """(deviation, path) of every pair of numbers in two parsed JSON
-    values of the same structure; Different on any other mismatch."""
+def _pair(a, b, scale, zero):
+    """(own-scale, matrix-scaled) deviations of two numbers."""
+    own = rel_dev(a, b, scale)
+    return own, (own if zero is None else rel_dev(a, b, max(scale, zero)))
+
+
+def json_devs(a, b, scales, where="$", scale=None, zero=None):
+    """(own-scale deviation, matrix-scaled deviation, path) of every pair
+    of numbers in two parsed JSON values of the same structure, with
+    ``zero`` the matrix scale of a zero-in-theory key above them;
+    Different on any other mismatch, or under the own-scale verdict
+    alone (deviation inf) for a report note that differs in labelled
+    numbers only."""
     na, nb = _number(a), _number(b)
     if na is not None and nb is not None:
-        yield (0.0 if a == b else rel_dev(na, nb, scale or 0.0)), where
+        own, scaled = ((0.0, 0.0) if a == b
+                       else _pair(na, nb, scale or 0.0, zero))
+        yield own, scaled, where
     elif isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             raise Different(f"{where}: keys {sorted(a)} vs {sorted(b)}")
         for key in a:
-            yield from json_devs(a[key], b[key], f"{where}.{key}", scale)
+            z = scales.get(_unit(key), zero)
+            yield from json_devs(a[key], b[key], scales, f"{where}.{key}",
+                                 scale, z)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise Different(f"{where}: lengths {len(a)} vs {len(b)}")
         if scale is None:                   # the outermost list: one quantity
             scale = max(_magnitudes([a, b]), default=0.0)
         for i, (x, y) in enumerate(zip(a, b)):
-            yield from json_devs(x, y, f"{where}[{i}]", scale)
+            yield from json_devs(x, y, scales, f"{where}[{i}]", scale, zero)
+    elif (isinstance(a, str) and isinstance(b, str) and a != b
+          and where.endswith(".note")):
+        try:
+            devs = list(text_devs(a, b, scales))
+        except Different:
+            raise Different(f"{where}: {a!r} vs {b!r}") from None
+        for dev, place in devs:
+            yield math.inf, dev, f"{where} {place}"
     elif type(a) is not type(b) or a != b:
         raise Different(f"{where}: {a!r} vs {b!r}")
+
+
+def text_devs(text_a: str, text_b: str, scales: dict):
+    """(matrix-scaled deviation, place) of every labelled number in two
+    texts that match byte for byte elsewhere; Different otherwise."""
+    lines_a, lines_b = text_a.split("\n"), text_b.split("\n")
+    if len(lines_a) != len(lines_b):
+        raise Different("line count differs")
+    for i, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
+        diag = DIAG_LINE.match(la) is not None
+        pattern = DIAG_ENTRY if diag else LABELLED
+        if pattern.sub(r"\1", la) != pattern.sub(r"\1", lb):
+            raise Different(f"line {i}: text differs")
+        for (label, x), (_, y) in zip(pattern.findall(la), pattern.findall(lb)):
+            unit = "entries" if diag else LABELS[label]
+            yield (rel_dev(float(x), float(y), scales.get(unit, 0.0)),
+                   f"line {i} {label.strip(' =')}")
 
 
 def _cell(text: str):
@@ -91,9 +178,10 @@ def _cell(text: str):
         return None
 
 
-def csv_devs(text_a: str, text_b: str):
-    """(deviation, place) of every pair of numeric cells of two CSV
-    texts; Different if a comment, the header or a text cell differs."""
+def csv_devs(text_a: str, text_b: str, scales: dict):
+    """(own-scale deviation, matrix-scaled deviation, place) of every
+    pair of numeric cells of two CSV texts; Different if a comment, the
+    header or a text cell differs."""
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
     comments_a = [line for line in lines_a if line.startswith("#")]
     comments_b = [line for line in lines_b if line.startswith("#")]
@@ -106,9 +194,10 @@ def csv_devs(text_a: str, text_b: str):
     header, body = rows_a[0] if rows_a else [], rows_a[1:] + rows_b[1:]
     if any(len(row) != len(header) for row in body):
         raise Different("a row's cell count differs from the header's")
-    scales = [max((abs(v) for row in body if (v := _cell(row[j])) is not None
-                   and math.isfinite(v)), default=0.0)
-              for j in range(len(header))]
+    col_scales = [max((abs(v) for row in body if (v := _cell(row[j])) is not None
+                       and math.isfinite(v)), default=0.0)
+                  for j in range(len(header))]
+    zeros = [scales.get(_unit(name)) for name in header]
     for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
         for j, (x, y) in enumerate(zip(ra, rb)):
             fx, fy = _cell(x), _cell(y)
@@ -116,29 +205,70 @@ def csv_devs(text_a: str, text_b: str):
                 if x != y:
                     raise Different(f"row {i} column {header[j]}: {x!r} vs {y!r}")
             else:
-                yield rel_dev(fx, fy, scales[j]), f"row {i} column {header[j]}"
+                yield (*_pair(fx, fy, col_scales[j], zeros[j]),
+                       f"row {i} column {header[j]}")
 
 
-def compare_file(path_a: Path, path_b: Path, rel_tol: float) -> tuple[str, str]:
-    """(verdict, detail) for one pair of files."""
+def report_scales(*dirs) -> dict:
+    """The largest |F| of the information matrix of the ``*_report.json``
+    in each of ``dirs``, by unit: the matrix's ``entries`` (or a bounds
+    report's ``fisher``), its ``per_t2``, and 1 for a ratio to F."""
+    scales = {"ratio": 1.0}
+
+    def visit(x):
+        if isinstance(x, dict):
+            for key, v in x.items():
+                unit = {"entries": "entries", "fisher": "entries",
+                        "per_t2": "per_t2"}.get(key)
+                if unit:
+                    scales[unit] = max(scales.get(unit, 0.0),
+                                       max(_magnitudes(v), default=0.0))
+                else:
+                    visit(v)
+
+    for d in dirs:
+        for path in sorted(d.glob("*_report.json")):
+            try:
+                visit(json.loads(path.read_text()))
+            except ValueError:
+                pass
+    return scales
+
+
+def _verdict(worst, where, rel_tol):
+    return (("equal" if worst <= rel_tol else "different"),
+            f"max rel dev {worst:.3e} at {where}")
+
+
+def compare_file(path_a: Path, path_b: Path, rel_tol: float):
+    """((verdict, detail) matrix-scaled, (verdict, detail) on own scale)
+    for one pair of files."""
     if not (path_a.is_file() and path_b.is_file()):
         side = "first" if not path_a.is_file() else "second"
-        return "different", f"missing in the {side} directory"
+        missing = ("different", f"missing in the {side} directory")
+        return missing, missing
     raw_a, raw_b = path_a.read_bytes(), path_b.read_bytes()
     if raw_a == raw_b:
-        return "identical", ""
+        return ("identical", ""), ("identical", "")
+    scales = report_scales(path_a.parent, path_b.parent)
     try:
         if path_a.suffix == ".json":
-            devs = json_devs(json.loads(raw_a), json.loads(raw_b))
+            devs = json_devs(json.loads(raw_a), json.loads(raw_b), scales)
         elif path_a.suffix == ".csv":
-            devs = csv_devs(raw_a.decode(), raw_b.decode())
+            devs = csv_devs(raw_a.decode(), raw_b.decode(), scales)
+        elif path_a.name == "stdout.txt":
+            devs = ((math.inf, dev, where) for dev, where in
+                    text_devs(raw_a.decode(), raw_b.decode(), scales))
         else:
             raise Different("bytes differ")
-        worst, where = max(devs, default=(0.0, "no numbers"))
+        devs = list(devs) or [(0.0, 0.0, "no numbers")]
     except (Different, ValueError) as exc:
-        return "different", str(exc)
-    detail = f"max rel dev {worst:.3e} at {where}"
-    return ("equal" if worst <= rel_tol else "different"), detail
+        return ("different", str(exc)), ("different", str(exc))
+    own = max((d[0], d[2]) for d in devs)
+    scaled = max((d[1], d[2]) for d in devs)
+    if math.isinf(own[0]) and path_a.suffix not in (".json", ".csv"):
+        return _verdict(*scaled, rel_tol), ("different", "bytes differ")
+    return _verdict(*scaled, rel_tol), _verdict(*own, rel_tol)
 
 
 def main(argv=None) -> int:
@@ -157,9 +287,11 @@ def main(argv=None) -> int:
                     for p in d.rglob("*") if p.is_file()})
     verdicts = []
     for name in names:
-        verdict, detail = compare_file(args.dir_a / name, args.dir_b / name,
-                                       args.rel_tol)
+        (verdict, detail), own = compare_file(
+            args.dir_a / name, args.dir_b / name, args.rel_tol)
         verdicts.append(verdict)
+        if own != (verdict, detail):
+            detail += f"; on its own scale {own[0]}, {own[1]}"
         print(f"{verdict:<10} {name}" + (f"  ({detail})" if detail else ""))
     counts = {v: verdicts.count(v) for v in ("identical", "equal", "different")}
     print(", ".join(f"{n} {v}" for v, n in counts.items()))

@@ -5,12 +5,11 @@ of the evolved state come from the generator sums in momentum space,
 
     d_mu |psi_t> = G_mu(t) |psi_t>,   G_mu(t) = sum_{m=1..t} u^m O_mu u^{-m},
 
-with O_mu = C^dag d_mu C = (i/2) w_mu.sigma (w_mu real, from
-:func:`walk.generator_spatial`).  One call of the walk's kernel,
-:meth:`walk.ThetaFamily.generator_sums`, gives the evolved k-spinors and
-their generator sums in the coin's reduced frame u(k; theta, alpha,
-beta) = D(-a2) u(k - alpha; theta, 0, 0) D(a2), a2 = (alpha - beta)/2,
-with each generator's Pauli vector turned about z by beta - alpha.  The
+with O_mu = C^dag d_mu C = (i/2) w_mu.sigma.  One call of the walk's
+kernel, :meth:`walk.ThetaFamily.generator_sums`, gives the evolved
+k-spinors and their generator sums in the coin's reduced frame u(k;
+theta, alpha, beta) = D(-a2) u(k - alpha; theta, 0, 0) D(a2), a2 =
+(alpha - beta)/2, from that frame's :func:`walk.generator_spatial`.  The
 common D(-a2) leaves the Gram matrix of the derivative states as it is,
 so this module forms it in that frame and adds only which generators.
 Zone integrals are node averages, exact on that grid.  The cost is
@@ -50,7 +49,7 @@ def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx):
     """(family, phi_t (2, n), dphi (len(idx), 2, n)) in the family's frame,
     dphi[i] = G_mu(t) phi_t for mu = PARAM_NAMES[idx[i]]."""
     family = ThetaFamily.of_walk(init, p, t)
-    phi, dphi = family.generator_sums(p.theta, generator_spatial(p)[idx])
+    phi, dphi = family.generator_sums(p.theta, generator_spatial(p.theta)[idx])
     return family, phi[0], dphi[:, 0]
 
 

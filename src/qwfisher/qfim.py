@@ -8,16 +8,16 @@ between stationary projectors:
                - [(1/2pi) Int dk (O_u | A1_k | rho0(k))]
                * [(1/2pi) Int dk (rho0(k) | A1_k | O_v)]
 
-with O_u = C^dag dC/du = (i/2) w_u.sigma (momentum independent, w_u
-from :func:`walk.generator_spatial`) and rho0(k) = (o0, r) the
+with O_u = C^dag dC/du = (i/2) w_u.sigma and rho0(k) = (o0, r) the
 unnormalised Pauli 4-vector of the initial k-spinor (:func:`rho_bloch`),
 whose norm o0(k) is constant (=1) for the usual single-site and
 odd-separation inputs.  A1 is rank 2 with spatial part u u^T / sin^2 w,
-u(k) the quasi-energy axis of :func:`walk.quasi_energy_axis`, so every
-integrand is N(k) / sin^2 w with
+u the quasi-energy axis.  The brackets are dot products, taken in the
+coin's reduced frame of :mod:`qwfisher.walk` at x = k - alpha, so every
+integrand is N(x) / sin^2 w with
 
-    N_uv = (u.w_u)(u.w_v) o0(k),    N_u = (u.w_u)(u.r(k)),
-    sin^2 w = 1 - cos^2 theta cos^2(k - alpha).
+    N_uv = (u.w_u)(u.w_v) o0,    N_u = (u.w_u)(u.r),
+    sin^2 w = 1 - cos^2 theta cos^2 x.
 
 N is a trigonometric polynomial of degree at most 1 + (input width),
 and the zone mean of e^{ijx} / sin^2 w (x = k - alpha) is
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DegenerateWalk
 from .walk import (MIN_SIN_THETA, PARAM_NAMES, TWO_PI, CoinParams,
                    WalkerState, generator_spatial, initial_localized,
-                   k_grid_size, quasi_energy_axis, spinors_at, step_count,
+                   k_grid_size, reduced_axis, reduced_spinors, step_count,
                    uniform_k_grid)
 
 SYM_TOL = 1e-12
@@ -125,22 +125,26 @@ class QFIMatrix:
 
 # ---------------------------------------------------------------------------
 # stationary projector
-#
-# Conjugation by u(k) acts on Pauli 4-vectors o_i = Tr(O sigma_i),
-# sigma = (1, sx, sy, sz), as a rotation of the spatial part by 2w about
-# the quasi-energy axis u(k) / sin w of :func:`walk.quasi_energy_axis`.
-# Its unit-eigenvalue subspace carries everything that survives long
-# times.
+
+
+def _axis(theta: float, x):
+    """(cos w, u) of :func:`walk.reduced_axis` at x, u on a trailing axis."""
+    c, w = reduced_axis(math.cos(theta), math.sin(theta), np.cos(x), np.sin(x))
+    u = np.empty(c.shape + (3,))
+    u[..., 0], u[..., 1], u[..., 2] = w
+    return c, u
 
 
 def a1_grid(p: CoinParams, k: np.ndarray) -> np.ndarray:
-    """Stationary projectors over momenta, shape k + (4, 4).
-
-    Closed form: identity on the trace component plus u u^T / sin^2 w on
-    the spatial block; rank 2, trace 2, well defined at every momentum
-    once sin theta != 0.
+    """Stationary projectors over momenta, shape k + (4, 4), in the coin's
+    reduced frame at x = k - alpha (the lab frame's turned about z by
+    beta - alpha): onto the unit-eigenvalue subspace of conjugation by u
+    on Pauli 4-vectors (1, sx, sy, sz), which carries everything that
+    survives long times.  Closed form: identity on the trace component
+    plus u u^T / sin^2 w on the spatial block; rank 2, trace 2, well
+    defined at every momentum once sin theta != 0.
     """
-    c, u = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
+    c, u = _axis(p.theta, np.asarray(k, dtype=float) - p.alpha)
     m = np.zeros(c.shape + (4, 4))
     m[..., 0, 0] = 1.0
     m[..., 1:, 1:] = (u[..., :, None] * u[..., None, :]
@@ -156,7 +160,7 @@ def beta_null_check(p: CoinParams) -> float:
     """
     nodes = uniform_k_grid(512)
     a1 = a1_grid(p, nodes)
-    ob = np.concatenate(([0.0], generator_spatial(p)[2]))
+    ob = np.concatenate(([0.0], generator_spatial(p.theta)[2]))
     return float(np.max(np.linalg.norm(a1 @ ob, axis=-1)))
 
 
@@ -192,14 +196,14 @@ def _zone_means(p: CoinParams, init: WalkerState, params):
     means, exactly symmetric, and the vector a^T (L u.r) of the N_u
     means, with a = u w^T and L the node weights of :func:`_node_weights`.
     """
-    w = generator_spatial(p)[[PARAM_NAMES.index(l) for l in params]]
+    w = generator_spatial(p.theta)[[PARAM_NAMES.index(l) for l in params]]
     # N has degree <= 1 + n_sites and the weights are exact below n/2;
     # the grid takes more than twice 2 + n_sites, one degree to spare,
     # and starts at x = k - alpha = 0
     n = k_grid_size(2 * (2 + init.n_sites) + 1)
-    k = p.alpha + TWO_PI * np.arange(n) / n
-    _, u = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
-    rho = rho_bloch(spinors_at(init, k))
+    x = TWO_PI * np.arange(n) / n
+    _, u = _axis(p.theta, x)
+    rho = rho_bloch(reduced_spinors(init, p, x + p.alpha).T)
     weights = _node_weights(n, p.theta)
     a = u @ w.T
     first = a.T @ (a * (weights * rho[:, 0])[:, None])

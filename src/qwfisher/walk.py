@@ -6,24 +6,21 @@ the light cone: an (n, 2) complex amplitude array whose row i is the
 spinor at site ``origin + i``.
 
 Momentum-space picture: with spinor(k) = sum_x c_x e^{-ikx}, one step is
-multiplication by u(k) = diag(e^{-ik}, e^{ik}) @ C = cos(om) - i w.sigma
-in SU(2), whose axis :func:`quasi_energy_axis` gives the asymptotic
-route in :mod:`qwfisher.qfim`.  Every rule of the finite-t engine lives
-here, and the oracle and the estimator ask for evolved spinors instead
-of re-deriving them: the step count (:func:`step_count`), the uniform
-grid and its size (:func:`uniform_k_grid`, :func:`k_grid_size`), the
-site window t steps from an input with its light cone and inverse FFT
-(:class:`SiteWindow`), and the one kernel, :class:`ThetaFamily`: u^t,
-its theta derivatives and the generator sums G_mu(t) = sum_{m=1..t}
-u^m O_mu u^-m in closed form at alpha = beta = 0.  The coin's reduced
-frame carries any coin onto it,
+multiplication by u(k) = diag(e^{-ik}, e^{ik}) @ C in SU(2), which every
+route reads in the coin's reduced frame,
 
     u(k; theta, alpha, beta) = D(-a2) u(k - alpha; theta, 0, 0) D(a2),
 
-D(a) = diag(e^{ia}, e^{-ia}), a2 = (alpha - beta)/2, which turns the
-generators' Pauli vectors (the real w_mu of O_mu = (i/2) w_mu.sigma,
-:func:`generator_spatial`) about z by beta - alpha.  :func:`evolve`
-takes u(k)^t and one inverse FFT, with no loop over steps.
+D(a) = diag(e^{ia}, e^{-ia}), a2 = (alpha - beta)/2: the axis
+(:func:`reduced_axis`) and the generators' Pauli vectors
+(:func:`generator_spatial`) depend on theta alone, and the input enters
+as :func:`reduced_spinors`.  Every rule of the finite-t engine lives
+here: the step count (:func:`step_count`), the uniform grid and its size
+(:func:`uniform_k_grid`, :func:`k_grid_size`), the site window t steps
+from an input with its light cone and inverse FFT (:class:`SiteWindow`),
+and the one kernel, :class:`ThetaFamily`: u^t, its theta derivatives and
+the generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m in closed form.
+:func:`evolve` takes u(k)^t and one inverse FFT, with no loop over steps.
 """
 from __future__ import annotations
 
@@ -96,47 +93,23 @@ class CoinParams:
 PARAM_NAMES = ("theta", "alpha", "beta")
 
 
-def generator_spatial(p: CoinParams) -> np.ndarray:
-    """Pauli vectors w_mu of the coin generators, rows (theta, alpha, beta).
-
-    O_mu = C^dag dC/dmu = (i/2) w_mu.sigma, momentum independent since
-    the shift phases commute out of u^dag d_mu u.  With phi = alpha - beta:
-        w_theta = 2 (-sin phi, cos phi, 0)
-        w_alpha = (cos phi sin 2th, sin phi sin 2th,  2 cos^2 th)
-        w_beta  = (cos phi sin 2th, sin phi sin 2th, -2 sin^2 th)
-    """
-    phi = p.alpha - p.beta
-    sp, cp = np.sin(phi), np.cos(phi)
-    s2t = np.sin(2 * p.theta)
-    return np.array([
-        [-2.0 * sp, 2.0 * cp, 0.0],
-        [cp * s2t, sp * s2t, 2.0 * np.cos(p.theta) ** 2],
-        [cp * s2t, sp * s2t, -2.0 * np.sin(p.theta) ** 2],
-    ])
+def generator_spatial(theta: float) -> np.ndarray:
+    """Pauli vectors w_mu of O_mu = C^dag dC/dmu = (i/2) w_mu.sigma in the
+    reduced frame (the lab frame's turned about z by beta - alpha), rows
+    (theta, alpha, beta): w_theta = (0, 2, 0), w_alpha = (sin 2th, 0,
+    2 cos^2 th) and w_beta = (sin 2th, 0, -2 sin^2 th)."""
+    s2t = np.sin(2 * theta)
+    return np.array([[0.0, 2.0, 0.0],
+                     [s2t, 0.0, 2.0 * np.cos(theta) ** 2],
+                     [s2t, 0.0, -2.0 * np.sin(theta) ** 2]])
 
 
-def quasi_energy_axis(theta, alpha, beta, k):
-    """Quasi-energy axis of the one-step unitary u(k) = diag(e^{-ik}, e^{ik}) C.
-
-    u(k) = cos(om) - i w.sigma with
-
-        cos(om) = cos(k - alpha) cos(theta),
-        w = (sin(k - beta) sin(theta), -cos(k - beta) sin(theta),
-             sin(k - alpha) cos(theta)),
-
-    |w| = sin(om) >= |sin(theta)|.  Raw angles with no domain
-    validation; theta and alpha broadcast against k, and beta must fit
-    the shape they give together.  Returns (cos(om), w), w with a
-    trailing axis of 3.
-    """
-    k = np.asarray(k, dtype=float)
-    st, ct = np.sin(theta), np.cos(theta)
-    cos_omega = np.cos(k - alpha) * ct
-    w = np.empty(cos_omega.shape + (3,))
-    w[..., 0] = np.sin(k - beta) * st
-    w[..., 1] = -np.cos(k - beta) * st
-    w[..., 2] = np.sin(k - alpha) * ct
-    return cos_omega, w
+def reduced_axis(ct, st, cos_x, sin_x):
+    """The reduced frame's one step u = cos(om) - i w.sigma at x = k - alpha
+    from cos theta, sin theta, cos x and sin x, which broadcast: (cos(om),
+    (w_x, w_y, w_z)) with cos(om) = cos x cos theta and |w| = sin(om),
+        w = (sin x sin theta, -cos x sin theta, sin x cos theta)."""
+    return ct * cos_x, (st * sin_x, -st * cos_x, ct * sin_x)
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +385,29 @@ def _times_d(spinors: np.ndarray, a: float) -> None:
     spinors[..., 1, :] *= d.conjugate()
 
 
+def reduced_spinors(init: WalkerState, p: CoinParams, k) -> np.ndarray:
+    """The input's k-spinors D(a2) chi(k) in the reduced frame, (2, n)."""
+    chi = spinors_at(init, k).T
+    _times_d(chi, 0.5 * (p.alpha - p.beta))
+    return chi
+
+
 @dataclass(frozen=True)
 class ThetaFamily:
     """The one finite-t kernel: u(k) = S(k) R(theta), the walk's u(k) at
     alpha = beta = 0, on a window's nodes and spinors chi (F, 2, n),
     node axis last, with u^t and the generator sums in closed form.
 
-    The coin factors as C(theta, alpha, beta) = D(a1) R(theta) D(a2),
-    a1 = (alpha + beta)/2, and S(k) = D(-k) commutes with D, which gives
-    the reduced frame of the module docstring: the walk is the family on
-    the nodes shifted by alpha, run on D(a2) chi and read back through
-    D(-a2) (:meth:`of_walk`, :meth:`to_sites`), and its generators turn
-    about z by -2 a2 (:meth:`generator_sums`).
+    C(theta, alpha, beta) = D(a1) R(theta) D(a2), a1 = (alpha + beta)/2,
+    and S(k) = D(-k) commutes with D, which gives the module's reduced
+    frame: the walk is the family on the nodes shifted by alpha, run on
+    :func:`reduced_spinors` and read back through D(-a2) (:meth:`of_walk`,
+    :meth:`to_sites`).
 
     The family keeps what does not depend on theta: cos k, sin k, chi,
     P = S chi and Q = S (chi_1, -chi_0), so u chi = cos theta P + sin
     theta Q and d_theta u = u(theta + pi/2).  With u = cos(om) - i
-    w.sigma, w = (sin k sin theta, -cos k sin theta, sin k cos theta),
-    |w| = sin(om) >= |sin theta| and cos(om) = cos k cos theta,
+    w.sigma, (cos(om), w) from :func:`reduced_axis` on the family's nodes,
 
         u^t = a_t u - a_{t-1},   a_n = sin(n om) / sin(om),
 
@@ -476,13 +454,12 @@ class ThetaFamily:
                 t: int) -> "ThetaFamily":
         """The walk of ``init`` under ``p`` t steps on, in the coin's
         reduced frame: the family on the nodes of :meth:`SiteWindow.after`
-        shifted by alpha, run on the input's k-spinors D(a2) chi (F = 1)."""
+        shifted by alpha, run on :func:`reduced_spinors` (F = 1)."""
         window = SiteWindow.after(init, t)
-        a2 = 0.5 * (p.alpha - p.beta)
-        chi = spinors_at(init, window.nodes).T
-        _times_d(chi, a2)
-        family = cls.on(window, chi[None], p.alpha)
-        return cls(window, family.cos_k, family.sin_k, family.factors, a2)
+        family = cls.on(window, reduced_spinors(init, p, window.nodes)[None],
+                        p.alpha)
+        return cls(window, family.cos_k, family.sin_k, family.factors,
+                   0.5 * (p.alpha - p.beta))
 
     def to_sites(self, spinors: np.ndarray) -> np.ndarray:
         """Site amplitudes (..., width, 2) of the walk from spinors (..., 2,
@@ -494,9 +471,8 @@ class ThetaFamily:
         """(cos theta, sin theta, sign, cos(om), sin(om), om), (..., 1, 1, n)."""
         th = np.asarray(theta, dtype=float)[..., None, None, None]
         ct, st = np.cos(th), np.sin(th)
-        cos_omega = ct * self.cos_k
-        sin_omega = np.sqrt((st * self.sin_k) ** 2 + (ct * self.sin_k) ** 2
-                            + (st * self.cos_k) ** 2)
+        cos_omega, (wx, wy, wz) = reduced_axis(ct, st, self.cos_k, self.sin_k)
+        sin_omega = np.sqrt(wx ** 2 + wz ** 2 + wy ** 2)
         sign = np.where(cos_omega < 0.0, -1.0, 1.0)
         s, c = np.maximum(sin_omega, np.finfo(float).tiny), np.abs(cos_omega)
         # atan2 keeps small angles accurate; arccos of cos(om) would
@@ -557,14 +533,10 @@ class ThetaFamily:
         fold = self._fold(theta)
         ct, st, sign, _, s, om = fold
         phi = self._combine(*self._jet(fold, 0))[0]
-        # w / 2 turned about z by beta - alpha = -2 a2, into the family's
-        # frame, and the folded axis n = sign w / sin(om) of u
-        w = 0.5 * np.asarray(w, dtype=float)[:, :, None, None]
-        a = 2.0 * self.coin_phase
-        turned = (w[:, 0] + 1j * w[:, 1]) * complex(math.cos(a), -math.sin(a))
-        vx, vy, vz = turned.real, turned.imag, w[:, 2]
-        nx, ny, nz = (sign / s) * [st * self.sin_k, -st * self.cos_k,
-                                   ct * self.sin_k]
+        # v = w / 2 and the folded axis n = sign w / sin(om) of u
+        vx, vy, vz = 0.5 * np.asarray(w, dtype=float).T[:, :, None, None]
+        nx, ny, nz = (sign / s) * reduced_axis(ct, st, self.cos_k,
+                                               self.sin_k)[1]
         t = self.window.t
         a_t = np.sin(t * om) / s
         c_perp = a_t * np.cos((t + 1) * om)

@@ -44,6 +44,58 @@ def coin_dense(theta, alpha, beta):
     ])
 
 
+def generator_spatial(p):
+    """Lab-frame Pauli vectors w_mu of the coin generators, rows (theta,
+    alpha, beta): O_mu = C^dag dC/dmu = (i/2) w_mu.sigma.  The package
+    states them in the coin's reduced frame, turned about z by
+    beta - alpha.  With phi = alpha - beta:
+        w_theta = 2 (-sin phi, cos phi, 0)
+        w_alpha = (cos phi sin 2th, sin phi sin 2th,  2 cos^2 th)
+        w_beta  = (cos phi sin 2th, sin phi sin 2th, -2 sin^2 th)
+    """
+    phi = p.alpha - p.beta
+    sp, cp = np.sin(phi), np.cos(phi)
+    s2t = np.sin(2 * p.theta)
+    return np.array([
+        [-2.0 * sp, 2.0 * cp, 0.0],
+        [cp * s2t, sp * s2t, 2.0 * np.cos(p.theta) ** 2],
+        [cp * s2t, sp * s2t, -2.0 * np.sin(p.theta) ** 2],
+    ])
+
+
+def quasi_energy_axis(theta, alpha, beta, k):
+    """Lab-frame quasi-energy axis of u(k) = diag(e^{-ik}, e^{ik}) C:
+    u(k) = cos(om) - i w.sigma with
+
+        cos(om) = cos(k - alpha) cos(theta),
+        w = (sin(k - beta) sin(theta), -cos(k - beta) sin(theta),
+             sin(k - alpha) cos(theta)),
+
+    |w| = sin(om) >= |sin(theta)|.  The package states the axis in the
+    coin's reduced frame, at x = k - alpha and turned about z by
+    beta - alpha.  Theta and alpha broadcast against k, and beta must
+    fit the shape they give together.  Returns (cos(om), w), w with a
+    trailing axis of 3.
+    """
+    k = np.asarray(k, dtype=float)
+    st, ct = np.sin(theta), np.cos(theta)
+    cos_omega = np.cos(k - alpha) * ct
+    w = np.empty(cos_omega.shape + (3,))
+    w[..., 0] = np.sin(k - beta) * st
+    w[..., 1] = -np.cos(k - beta) * st
+    w[..., 2] = np.sin(k - alpha) * ct
+    return cos_omega, w
+
+
+def z_turn(angle):
+    """The 4x4 turn of Pauli 4-vectors (1, sx, sy, sz) by ``angle`` about
+    z: D(-angle/2) O D(angle/2) has the Pauli vector z_turn(angle) @ o,
+    D(a) = diag(e^{ia}, e^{-ia})."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, c, -s, 0.0],
+                     [0.0, s, c, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
+
 def _even_series_exact(x2, term, n_terms=40):
     """sum_{n < n_terms} term(n) x2^n in exact rationals."""
     return sum(term(n) * x2 ** n for n in range(n_terms))
@@ -415,7 +467,7 @@ def theta_jet(theta, nodes, chi, t, order=0):
     """d^j/dtheta^j [u(k)^t chi] for j = 0 .. order, u(k) = S(k) R(theta).
 
     The reference for ``walk.ThetaFamily.run``, built the other way: on
-    the walk's quasi-energy axis (``walk.quasi_energy_axis`` at alpha =
+    the walk's quasi-energy axis (:func:`quasi_energy_axis` at alpha =
     beta = 0) and a Pauli step, with chi (..., n_nodes, 2) coin last and
     d_theta u formed as u at theta + pi/2.  ``theta`` broadcasts against
     ``nodes`` and that against ``chi``; the derivatives stack on a new
@@ -428,8 +480,6 @@ def theta_jet(theta, nodes, chi, t, order=0):
     (1 - (d_theta om)^2) / sin(om).  Order 0 is checked against
     :func:`dense_powers` in ``test_walk``.
     """
-    from qwfisher.walk import quasi_energy_axis
-
     def pauli_step(cos_omega, w, phi):
         """(cos(om) - i w.sigma) phi for spinors phi (..., 2)."""
         p0, p1 = phi[..., 0], phi[..., 1]
@@ -487,12 +537,13 @@ def mean_over_sin2(num, theta):
 
 
 def zone_means_by_rfft(p, init, params):
-    """(first, y) of ``qfim._zone_means`` from :func:`mean_over_sin2`:
-    the upper triangle of the N_uv numerators and the N_u numerators
-    stacked as columns, transformed once, and the matrix reassembled."""
+    """(first, y) of ``qfim._zone_means`` from :func:`mean_over_sin2`,
+    in the lab frame (:func:`quasi_energy_axis`, :func:`generator_spatial`
+    and the input's own k-spinors): the upper triangle of the N_uv
+    numerators and the N_u numerators stacked as columns, transformed
+    once, and the matrix reassembled."""
     from qwfisher.qfim import rho_bloch
-    from qwfisher.walk import (PARAM_NAMES, generator_spatial, k_grid_size,
-                               quasi_energy_axis, spinors_at)
+    from qwfisher.walk import PARAM_NAMES, k_grid_size, spinors_at
 
     w = generator_spatial(p)[[PARAM_NAMES.index(l) for l in params]]
     m = len(params)
@@ -520,14 +571,13 @@ def asymptotic_linear_term(p, init, params, n=2 ** 16):
 
         Y0 = 1/2 < v.r - (w.v)(w.r) / |w|^2 - cos om (w x v).r / |w|^2 >,
 
-    v the rows of ``generator_spatial``, (cos om, w) the quasi-energy
+    v the rows of :func:`generator_spatial`, (cos om, w) the quasi-energy
     axis (|w| = sin om) and r the input's Bloch vector at k.  The mean is
     taken plainly over n uniform nodes: the integrand is smooth, since
     |w| >= |sin theta|.
     """
     from qwfisher.qfim import _zone_means, rho_bloch
-    from qwfisher.walk import (PARAM_NAMES, generator_spatial,
-                               quasi_energy_axis, spinors_at)
+    from qwfisher.walk import PARAM_NAMES, spinors_at
 
     v = generator_spatial(p)[[PARAM_NAMES.index(l) for l in params]]
     k = -np.pi + 2.0 * np.pi * np.arange(n) / n

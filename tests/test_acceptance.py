@@ -26,7 +26,7 @@ from qwfisher.walk import uniform_k_grid
 
 from oracles import (G_QUARTER_PI, G_THREE_EIGHTHS_PI, GOLDEN_COMMON,
                      GOLDEN_THETA, evolve_steps, pauli_conjugation_dense,
-                     random_coin_angles, random_spinor)
+                     random_coin_angles, random_spinor, z_turn)
 
 QUARTER_PI = math.pi / 4
 
@@ -78,7 +78,9 @@ def test_criterion_03_projector_algebra():
     for th, al, be in random_coin_angles(rng, 100):
         p = CoinParams(th, al, be)
         a1 = a1_grid(p, nodes)
-        m4 = pauli_conjugation_dense(p.theta, p.alpha, p.beta, nodes)
+        # the lab map in the reduced frame of a1_grid
+        r = z_turn(p.beta - p.alpha)
+        m4 = r @ pauli_conjugation_dense(p.theta, p.alpha, p.beta, nodes) @ r.T
         worst_idem = max(worst_idem, float(np.abs(a1 @ a1 - a1).max()))
         worst_abs = max(worst_abs, float(np.abs(m4 @ a1 - a1).max()))
         tr = np.einsum("nii->n", a1)

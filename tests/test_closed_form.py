@@ -14,6 +14,7 @@ from qwfisher.walk import ThetaFamily, generator_spatial, spinors_at
 from oracles import (PAULI, dense_powers, evolve_steps, on_nodes,
                      pauli_conjugation_dense, random_spinor,
                      recurrence_powers_and_generators, u_dense)
+from oracles import generator_spatial as lab_generators
 
 THETA_MIN, THETA_MAX = 1e-6, math.pi / 2 - 1e-9
 thetas = st.one_of(st.sampled_from([THETA_MIN, THETA_MAX]),
@@ -50,7 +51,7 @@ def test_closed_form_matches_recurrence(theta, alpha, beta, t, kind, seed):
     init = _initial(kind, np.random.default_rng(seed))
     phi_ref, g_ref = recurrence_powers_and_generators(
         p.theta, p.alpha, p.beta, k, spinors_at(init, k), t)
-    w = generator_spatial(p)
+    w = generator_spatial(p.theta)
 
     def kernel(s):
         """(u^t chi, G(t) u^t chi) of the input s on the momenta k, back
@@ -92,13 +93,13 @@ def test_the_family_frame_is_the_walks_own(theta, alpha, beta, t, seed):
     phi_ref = dense_powers(p.theta, p.alpha, p.beta, k, chi, t)
     # the Pauli vectors of G(t) = sum_m u^m O u^-m: sum_m M^m v
     conj_map = pauli_conjugation_dense(p.theta, p.alpha, p.beta, k)[:, 1:, 1:]
-    v = generator_spatial(p)
+    v = lab_generators(p)
     g, m_v = np.zeros((k.size, 3, 3)), np.broadcast_to(v, (k.size, 3, 3))
     for _ in range(t):
         m_v = np.einsum("nij,nmj->nmi", conj_map, m_v)
         g += m_v
     g_phi_ref = np.einsum("nmi,iab,nb->mna", 0.5j * g, PAULI[1:], phi_ref)
-    phi, g_phi = family.generator_sums(p.theta, v)
+    phi, g_phi = family.generator_sums(p.theta, generator_spatial(p.theta))
     assert np.abs(phi[0].T - d * phi_ref).max() <= 1e-13
     assert np.abs(g_phi[:, 0].swapaxes(-1, -2) - d * g_phi_ref).max() \
         <= 1e-13 * np.abs(g_phi_ref).max()

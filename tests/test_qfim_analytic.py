@@ -17,23 +17,25 @@ from qwfisher.qfim import (PSD_TOL, SYM_TOL, _zone_means, a1_grid,
 from qwfisher.quadrature import adaptive_mean_over_bz
 from qwfisher.walk import generator_spatial, spinors_at
 
+import oracles
 from oracles import (F_AA_QUARTER_PI, F_TT_QUARTER_PI, GOLDEN_COMMON,
                      GOLDEN_THETA, PAULI, PREF_RY0_QUARTER_PI,
-                     PREF_RY1_QUARTER_PI, qfimatrix_checks, random_spinor,
-                     u_dense, zone_means_by_rfft)
+                     PREF_RY1_QUARTER_PI, qfimatrix_checks,
+                     random_coin_angles, random_spinor, u_dense, z_turn,
+                     zone_means_by_rfft)
 
 QUARTER = math.pi / 4
 
 
 # ---------------------------------------------------------------------------
-# generator Pauli vectors
+# generator Pauli vectors and the coin's reduced frame
 
 
 def test_theta_generator_components():
     p = CoinParams(0.8, 0.5, 0.1)
     phi = 0.5 - 0.1
     expected = 2 * np.array([-math.sin(phi), math.cos(phi), 0.0])
-    assert np.abs(generator_spatial(p)[0] - expected).max() <= 1e-14
+    assert np.abs(oracles.generator_spatial(p)[0] - expected).max() <= 1e-14
 
 
 def test_beta_generator_components():
@@ -41,15 +43,28 @@ def test_beta_generator_components():
     phi, s2 = 0.4, math.sin(1.6)
     expected = np.array([math.cos(phi) * s2, math.sin(phi) * s2,
                          -2 * math.sin(0.8) ** 2])
-    assert np.abs(generator_spatial(p)[2] - expected).max() <= 1e-14
+    assert np.abs(oracles.generator_spatial(p)[2] - expected).max() <= 1e-14
+
+
+def test_reduced_generators_are_the_lab_ones_turned():
+    # the frame u(k; theta, alpha, beta) = D(-a2) u(k - alpha; theta, 0,
+    # 0) D(a2) itself is checked on the dense u(k) in test_closed_form;
+    # D(a2) turns the lab generator vectors about z by beta - alpha
+    rng = np.random.default_rng(26)
+    for th, al, be in random_coin_angles(rng, 200):
+        p = CoinParams(th, al, be)
+        turned = oracles.generator_spatial(p) @ z_turn(p.beta - p.alpha)[1:, 1:].T
+        assert np.abs(generator_spatial(p.theta) - turned).max() <= 1e-14
 
 
 @pytest.mark.parametrize("mu", ["theta", "alpha", "beta"])
 def test_generator_matches_finite_difference_of_uk(mu):
-    # O_mu = u^dag d_mu u = (i/2) w_mu.sigma is momentum independent
+    # O_mu = u^dag d_mu u = (i/2) w_mu.sigma is momentum independent;
+    # the package's w_mu is the reduced frame's, D(a2) O_mu D(-a2)
     p = CoinParams(1.1, -0.7, 0.3)
-    w = generator_spatial(p)[("theta", "alpha", "beta").index(mu)]
-    o = 0.5j * np.einsum("i,iab->ab", w, PAULI[1:])
+    w = generator_spatial(p.theta)[("theta", "alpha", "beta").index(mu)]
+    d = np.diag(np.exp(0.5j * (p.alpha - p.beta) * np.array([1.0, -1.0])))
+    o = d.conj() @ (0.5j * np.einsum("i,iab->ab", w, PAULI[1:])) @ d
     h = 1e-6
     up = dataclasses.replace(p, **{mu: getattr(p, mu) + h})
     dn = dataclasses.replace(p, **{mu: getattr(p, mu) - h})
@@ -156,13 +171,15 @@ def _projector_reference(p, init):
     adaptive Gauss-Legendre doubling at rel_tol = 1e-12.
     """
     o = np.zeros((3, 4))
-    o[:, 1:] = generator_spatial(p)
+    o[:, 1:] = oracles.generator_spatial(p)
     iu = np.triu_indices(3)
+    # a1_grid is the reduced frame's: turned back into the lab frame
+    r = z_turn(p.beta - p.alpha)
 
     def f(k):
         phi = spinors_at(init, k)
         rho0 = np.einsum("na,iab,nb->ni", phi.conj(), PAULI, phi).real
-        oa = np.einsum("mi,nij->nmj", o, a1_grid(p, k))
+        oa = np.einsum("mi,nij->nmj", o, r.T @ a1_grid(p, k) @ r)
         first = np.einsum("nmj,lj->nml", oa, o)[:, iu[0], iu[1]] * rho0[:, :1]
         return np.concatenate([first, np.einsum("nmj,nj->nm", oa, rho0)],
                               axis=1)
@@ -270,6 +287,44 @@ def test_node_weights_match_the_rfft_means(theta, alpha, beta, drawn):
     assert np.array_equal(first, first.T)
     tol = 1e-10 if sparse else 1e-13
     assert np.abs(f - ref).max() <= tol * max(1.0, np.abs(ref).max())
+
+
+@st.composite
+def lab_frame_inputs(draw):
+    """A gamma input, the entangled pair, a single site with a complex
+    spinor, or 2 to 8 consecutive random sites."""
+    kind = draw(st.sampled_from(["gamma", "entangled", "localized", "sites"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gamma":
+        return initial_gamma(rng.uniform(-math.pi, math.pi))
+    if kind == "entangled":
+        return initial_entangled(0, 1)
+    if kind == "localized":
+        return initial_localized(int(rng.integers(-3, 4)),
+                                 spinor=random_spinor(rng))
+    shape = (int(rng.integers(2, 9)), 2)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return WalkerState(origin=int(rng.integers(-4, 5)),
+                       amps=z / np.linalg.norm(z))
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=st.one_of(_log_uniform(1e-9, 0.1),
+                       _log_uniform(1e-7, 1e-5).map(lambda d: math.pi / 2 - d)),
+       alpha=st.floats(-math.pi, math.pi), beta=st.floats(-math.pi, math.pi),
+       init=lab_frame_inputs())
+@example(theta=1e-9, alpha=2.9, beta=-1.3, init=initial_gamma(0.6))
+@example(theta=math.pi / 2 - 1e-6, alpha=-0.4, beta=2.2,
+         init=initial_entangled(0, 1))
+def test_zone_means_match_the_lab_frame_reference(theta, alpha, beta, init):
+    # the package takes the zone means in the coin's reduced frame; the
+    # reference samples the lab-frame axis and generators at k itself
+    p = CoinParams(theta, alpha, beta)
+    params = ("theta", "alpha", "beta")
+    first, y = _zone_means(p, init, params)
+    ref_first, ref_y = zone_means_by_rfft(p, init, params)
+    f, ref = first - np.outer(y, y), ref_first - np.outer(ref_y, ref_y)
+    assert np.abs(f - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @st.composite

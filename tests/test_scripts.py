@@ -80,6 +80,64 @@ def test_compare_outputs_verdicts(tmp_path):
     assert strict.stdout.splitlines()[-1] == "1 identical, 0 equal, 2 different"
 
 
+def _qfim_report(beta_null, f_tt):
+    """A qfim report with one route, as ``qwf qfim`` writes it."""
+    per_t2 = [[f_tt, 2.6e-16], [2.6e-16, 1.17]]
+    return json.dumps({"beta_null_residual": beta_null, "routes": {
+        "analytic": {"entries": [[4e4 * x for x in row] for row in per_t2],
+                     "per_t2": per_t2, "uhlmann": [[0.0, 0.0], [0.0, 0.0]]}}})
+
+
+def test_compare_outputs_scales_zero_in_theory_quantities(tmp_path):
+    # beta_null_residual is zero in theory: a 1e-16 change is rounding
+    # against max |per_t2| (an 18% change on its own scale, and different
+    # bytes in stdout); a 1e-6 relative change to an F entry stays a
+    # difference under both verdicts, and so does any other changed
+    # text: an unlabelled number, a diag entry beyond the tolerance on
+    # max |entries|, stderr, or a trailing newline
+    a, b = tmp_path / "a", tmp_path / "b"
+    null_line = "beta_null_residual = {:.3e}\n".format
+    cases = {  # name: (report args of b, {file: (text of a, text of b)})
+        "null": ((4.6e-16, 1.66),
+                 {"stdout.txt": (null_line(5.6e-16), null_line(4.6e-16))}),
+        "entry": ((5.6e-16, 1.66 * (1 + 1e-6)),
+                  {"stdout.txt": (null_line(5.6e-16),) * 2}),
+        "diag": ((5.6e-16, 1.66), {"stdout.txt": (
+            "analytic: diag = theta=0.5, alpha=46800\n",
+            "analytic: diag = theta=0.6, alpha=46800\n")}),
+        "sandwich": ((5.6e-16, 1.66), {"stdout.txt": (
+            "incompatibility R  = 1.000e-17; sandwich = [0.5, 0.5]\n",
+            "incompatibility R  = 1.000e-17; sandwich = [0.5, 0.6]\n")}),
+        "stderr": ((5.6e-16, 1.66), {"stderr.txt": (
+            "error: --t must be <= 9007199254740992\n",
+            "error: --t must be <= 9007199254740993\n")}),
+        "newline": ((5.6e-16, 1.66),
+                    {"stdout.txt": (null_line(5.6e-16),
+                                    null_line(5.6e-16) + "\n")}),
+    }
+    for name, (args_b, files) in cases.items():
+        for root, args, side in ((a, (5.6e-16, 1.66), 0), (b, args_b, 1)):
+            (root / name).mkdir(parents=True)
+            (root / name / "qwf_qfim_report.json").write_text(_qfim_report(*args))
+            for file, texts in files.items():
+                (root / name / file).write_text(texts[side])
+    res = run_script("compare_outputs.py", str(a), str(b), "--rel-tol",
+                     "1e-13", cwd=tmp_path)
+    lines = {line.split()[1]: line for line in res.stdout.splitlines()[:-1]}
+    null = lines["null/qwf_qfim_report.json"]
+    assert null.startswith("equal ") and "on its own scale different" in null
+    out = lines["null/stdout.txt"]
+    assert out.startswith("equal ") and "on its own scale different, bytes differ" in out
+    entry = lines["entry/qwf_qfim_report.json"]
+    assert entry.startswith("different ") and "at $.routes.analytic" in entry
+    assert lines["entry/stdout.txt"].startswith("identical ")
+    for name in ("diag/stdout.txt", "sandwich/stdout.txt", "stderr/stderr.txt",
+                 "newline/stdout.txt"):
+        assert lines[name].startswith("different "), lines[name]
+    assert res.stdout.splitlines()[-1] == "5 identical, 2 equal, 5 different"
+    assert res.returncode == 1
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(
         name.removesuffix(".py"), ROOT / "scripts" / name)

@@ -1,9 +1,10 @@
 """The one-step conjugation superoperator: quasi-energy axis and projector.
 
 The reference is the dense Pauli conjugation map
-M_ij = (1/2) Tr(sigma_i u sigma_j u^dag) from tests/oracles.py; the code
-under test is the quasi-energy axis in qwfisher.walk and the projector
-built from it in qwfisher.qfim.
+M_ij = (1/2) Tr(sigma_i u sigma_j u^dag) from tests/oracles.py, turned
+into the coin's reduced frame; the code under test is the reduced-frame
+quasi-energy axis in qwfisher.walk and the projector built from it in
+qwfisher.qfim.
 """
 import math
 
@@ -11,22 +12,25 @@ import numpy as np
 import pytest
 
 from qwfisher import CoinParams
+from qwfisher import qfim
 from qwfisher.qfim import a1_grid
-from qwfisher.walk import quasi_energy_axis
 
-from oracles import pauli_conjugation_dense
+from oracles import pauli_conjugation_dense, z_turn
 
 
 def dense_map(p, k):
-    return pauli_conjugation_dense(p.theta, p.alpha, p.beta, k)
+    """The dense lab map conjugated by the z-turn by beta - alpha: the
+    map of u(k - alpha; theta, 0, 0) in the coin's reduced frame."""
+    r = z_turn(p.beta - p.alpha)
+    return r @ pauli_conjugation_dense(p.theta, p.alpha, p.beta, k) @ r.T
 
 
 def cos_omega(p, k):
-    return quasi_energy_axis(p.theta, p.alpha, p.beta, k)[0]
+    return qfim._axis(p.theta, k - p.alpha)[0]
 
 
 def invariant_vector(p, k):
-    return quasi_energy_axis(p.theta, p.alpha, p.beta, k)[1]
+    return qfim._axis(p.theta, k - p.alpha)[1]
 
 
 def random_point(rng):

@@ -17,11 +17,11 @@ from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, GridSpec,
                       qfim_max_diag, qfim_theorem1, single_param_qfi,
                       sweep_fig1, sweep_fig2, uhlmann_analytic,
                       uhlmann_exact)
+from qwfisher import qfim
 from qwfisher.estimation import _engine_inputs, _prob_derivatives
 from qwfisher.oracle import exact_matrices
-from qwfisher.walk import (MAX_STEPS, PARAM_NAMES, SiteWindow,
-                           quasi_energy_axis, spinors_at, step_count,
-                           uniform_k_grid)
+from qwfisher.walk import (MAX_STEPS, PARAM_NAMES, SiteWindow, reduced_axis,
+                           spinors_at, step_count, uniform_k_grid)
 
 from oracles import (PAULI, coin_dense, dense_amps_at, dense_evolve,
                      dense_powers, evolve_steps, light_cone,
@@ -286,20 +286,23 @@ def test_state_json_round_trip():
 
 
 def test_uk_defining_relation():
-    # cos(om) - i w.sigma is the one-step unitary diag(e^{-ik}, e^{ik}) C
+    # cos(om) - i w.sigma at x = k - alpha is the one-step unitary
+    # diag(e^{-ik}, e^{ik}) C in the coin's reduced frame:
+    # D(a2) u(k) D(-a2), a2 = (alpha - beta)/2
     p = CoinParams(math.pi / 4, 0.1, 0.9)
+    d = np.diag(np.exp(0.5j * (p.alpha - p.beta) * np.array([1.0, -1.0])))
     for k in (math.pi / 3, 0.0):
-        c, w = quasi_energy_axis(p.theta, p.alpha, p.beta, k)
+        c, w = qfim._axis(p.theta, k - p.alpha)
         u = c * np.eye(2) - 1j * np.einsum("i,iab->ab", w, PAULI[1:])
-        expected = np.diag([np.exp(-1j * k), np.exp(1j * k)]) \
-            @ coin_dense(p.theta, p.alpha, p.beta)
+        expected = d @ np.diag([np.exp(-1j * k), np.exp(1j * k)]) \
+            @ coin_dense(p.theta, p.alpha, p.beta) @ d.conj()
         assert np.allclose(u, expected, atol=1e-15)
 
 
 @given(theta=mixing, k=st.floats(-math.pi, math.pi))
 def test_uk_unitary_unit_determinant(theta, k):
     # for real cos(om) and w, u u^dag = det u = cos^2(om) + |w|^2
-    c, w = quasi_energy_axis(theta, 0.3, 0.3, k)
+    c, w = qfim._axis(theta, k - 0.3)
     assert abs(c ** 2 + w @ w - 1.0) <= 1e-14
 
 
@@ -308,12 +311,13 @@ def test_axis_theta_array_matches_scalar_calls():
     # against the momentum nodes in one call
     thetas = np.array([0.0, 0.3, math.pi / 2])
     k = np.linspace(-math.pi, math.pi, 9)
-    c, w = quasi_energy_axis(thetas[:, None], 0.0, 0.0, k)
-    assert c.shape == (3, 9) and w.shape == (3, 9, 3)
+    c, w = reduced_axis(np.cos(thetas[:, None]), np.sin(thetas[:, None]),
+                        np.cos(k), np.sin(k))
+    assert c.shape == (3, 9) and [wi.shape for wi in w] == [(3, 9)] * 3
     for i, theta in enumerate(thetas):
-        c_i, w_i = quasi_energy_axis(theta, 0.0, 0.0, k)
+        c_i, w_i = qfim._axis(theta, k)
         assert np.abs(c[i] - c_i).max() <= 1e-15
-        assert np.abs(w[i] - w_i).max() <= 1e-15
+        assert np.abs(np.stack([wi[i] for wi in w], axis=-1) - w_i).max() <= 1e-15
 
 
 def test_localized_k_spinor_phase():
