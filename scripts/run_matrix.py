@@ -15,10 +15,12 @@ The matrix holds the README quick-start commands, runs on sparse, gamma
 and localized inputs (among them estimates at an odd t with alpha
 identified and at t = 1000, and an evolution and an oracle run at
 nonzero alpha and beta), and refused runs that exit 2 and 4.  The last
-three, at nonzero alpha and beta, check the analytic route against the
-localized closed form on a gamma input, run it over all three
-parameters, and run ``bounds`` on the oracle route; they come last so
-that the runs before them keep their numbers.
+four, at nonzero alpha and beta, check the analytic route against the
+localized closed form on a gamma input, run the analytic route over all
+three parameters, run ``bounds`` on the oracle route, and check the
+closed form's three-parameter matrix (a zero beta row and column)
+against the analytic route; they come last so that the runs before
+them keep their numbers.
 """
 import argparse
 import contextlib
@@ -64,6 +66,7 @@ case dirac --m 1 --q 1 --ax 0 --eps 0.01
 qfim --t 200 --alpha 0.5 --beta -0.9 --init gamma:0.6 --routes analytic,localized-closed-form
 qfim --t 200 --alpha 0.5 --beta -0.9 --init gamma:0.6 --params theta,alpha,beta --routes analytic
 bounds --t 10 --alpha 0.5 --beta -0.9 --route oracle --weight 1,0.2,2
+qfim --params theta,alpha,beta --routes analytic,localized-closed-form --init gamma:0.6 --alpha 0.5 --beta -0.9
 """.strip().splitlines())
 
 

@@ -31,12 +31,11 @@ _EXPORTS = {
     "estimation": ["GridSpec", "LikelihoodTable", "MLEResult",
                    "MeasurementRecord", "PositionDistribution",
                    "classical_fi", "make_likelihood_table", "mle_fit",
-                   "philox_rng", "position_distribution", "sample"],
+                   "position_distribution", "sample"],
     "oracle": ["AmplitudeWindow", "derivative_state", "exact_matrices",
                "qfim_exact", "uhlmann_exact"],
-    "qfim": ["QFIMatrix", "beta_null_check", "qfim_first_term",
-             "qfim_localized", "qfim_max_diag", "qfim_theorem1",
-             "single_param_qfi", "uhlmann_analytic"],
+    "qfim": ["QFIMatrix", "beta_null_check", "qfim_localized",
+             "qfim_theorem1", "single_param_qfi", "uhlmann_analytic"],
     "walk": ["CoinBlochState", "CoinParams", "WalkerState", "evolve",
              "initial_entangled", "initial_gamma", "initial_localized"],
 }

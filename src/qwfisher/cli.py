@@ -359,24 +359,26 @@ _ROUTES = ("analytic", "localized-closed-form", "oracle")
 
 
 def _qfim_by_route(route, p, init, t, params):
+    import numpy as np
     from .oracle import exact_matrices
     from .qfim import (QFIMatrix, qfim_localized, qfim_theorem1, rho_bloch,
                        uhlmann_analytic)
+    from .walk import PARAM_NAMES
 
     if route == "analytic":
         f = qfim_theorem1(p, init, t, params=params)
         return f, uhlmann_analytic(p, init, t, params=params)
     if route == "localized-closed-form":
-        if params != ("theta", "alpha"):
-            raise ConfigError("the localized closed form covers exactly "
-                              "(theta, alpha)")
         if init.n_sites != 1:
             raise ConfigError("the localized closed form needs a single-site "
                               "input; use --init localized:X")
         r = rho_bloch(init.amps[0])[1:]
         f = qfim_localized(p.theta, p.alpha - p.beta, r, t)
-        relabeled = QFIMatrix(f.entries, ("theta", "alpha"), f.t, asymptotic=True)
-        return relabeled, uhlmann_analytic(p, init, t, params=params)
+        # its (theta, phi) block is the (theta, alpha) block, and beta's
+        # row and column are zero: beta never enters the information
+        full = QFIMatrix(np.pad(f.entries, (0, 1)), PARAM_NAMES, f.t,
+                         asymptotic=True)
+        return full.block(params), uhlmann_analytic(p, init, t, params=params)
     # "oracle": the flags admit no other route
     return exact_matrices(init, p, t, params=params)
 

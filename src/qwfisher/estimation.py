@@ -5,11 +5,12 @@ multinomial with a counter-based generator so every record is a pure
 function of (seed, config).  The likelihood over a (theta, alpha) grid
 is evaluated per record from a shared table of trigonometric
 coefficients, only on the theta rows whose upper bound can reach the
-maximum; fits refine the grid argmax by
-Newton steps on the exact observed information, with Fisher scoring as
-the fall back.  One run of the closed-form engine gives p, its first
-and its second derivatives in (theta, alpha), and the table, the fits
-and the classical Fisher information all read that one model.
+maximum; fits refine the grid argmax by Newton steps on the exact
+observed information, with Fisher scoring as the fall back.  One run of
+the closed-form engine on the input's alpha-frequency groups, formed
+with the walk's own phases, gives p and its first and second
+derivatives in (theta, alpha) (:func:`_derivatives`); the table, the
+fits and the classical Fisher information all read that one model.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .walk import (MIN_SIN_THETA, CoinParams, SiteWindow, ThetaFamily,
-                   WalkerState, step_count)
+                   WalkerState, plane_waves, step_count, times_d)
 
 MASS_THRESHOLD = 1e-12
 # a fit has converged when no component of its step exceeds this
@@ -140,33 +141,45 @@ def sample(dist: PositionDistribution, shots: int, seed: int,
 
 
 def _engine_inputs(init: WalkerState, beta: float, t: int):
-    """(family, freqs): the :class:`walk.ThetaFamily` of the input's
-    alpha-frequency groups on the window :meth:`SiteWindow.after`, and
-    their frequencies f (F,).
-
-    Group f holds coin 0 of site f and coin 1 of site f - 1, beta
-    phased, so alpha multiplies it by e^{-i alpha f} (up to a global
-    phase).  See :func:`make_likelihood_table`.
+    """(family, freqs): the :class:`walk.ThetaFamily` on the window
+    :meth:`SiteWindow.after` of the input's alpha-frequency groups, and
+    their frequencies f (F,).  Group f holds coin 0 of site f and coin 1
+    of site f - 1, turned by D(-beta/2), so alpha multiplies it by
+    e^{-i alpha f} up to a global phase (:func:`make_likelihood_table`).
     """
     window = SiteWindow.after(init, t)
-    amps = init.amps * np.exp(-0.5j * beta * np.array([1.0, -1.0]))
+    # D(-beta/2) multiplies in as a row of per-coin factors and chi as the
+    # left factor below: in place or swapped, a vectorised complex product
+    # can round differently
+    coin_phases = np.ones((2, 1), dtype=complex)
+    times_d(coin_phases, -0.5 * beta)
+    amps = init.amps * coin_phases.T
     rows, coins = np.nonzero(amps)
-    present = np.zeros(init.n_sites + 1, dtype=bool)
-    present[rows + coins] = True
-    offsets = np.flatnonzero(present)
+    offsets, group = np.unique(rows + coins, return_inverse=True)
     chi = np.zeros((offsets.size, 2), dtype=complex)
-    chi[np.searchsorted(offsets, rows + coins), coins] = amps[rows, coins]
-    # chi_f(k) = sum_c chi[f, c] e^{-ik(f - c)} e_c
+    chi[group, coins] = amps[rows, coins]
     freqs = init.origin + offsets
-    return ThetaFamily.on(window, chi[:, :, None] * np.exp(
-        -1j * (freqs[:, None, None] - np.arange(2)[:, None]) * window.nodes)
-    ), freqs
+    # chi_f(k) = sum_c chi[f, c] e^{-ik(f - c)} e_c
+    waves = chi * plane_waves(window.nodes, freqs[:, None] - np.arange(2))
+    return ThetaFamily.on(window, waves.transpose(1, 2, 0)), freqs
 
 
 def _derivatives(theta: float, alpha: float, family: ThetaFamily,
                  freqs: np.ndarray):
-    """(sites, probs, dprobs, d2probs) at (theta, alpha) from the engine
-    inputs of :func:`_engine_inputs`; see :func:`_prob_derivatives`."""
+    """(sites, probs, dprobs, d2probs): p(x) and its exact derivatives at
+    (theta, alpha) from the engine inputs of :func:`_engine_inputs`.
+
+    dprobs (2, width) holds d_theta p, d_alpha p and d2probs (3, width)
+    the second derivatives (theta theta, theta alpha, alpha alpha), at
+    the family's fixed beta, from one engine run on the frequency groups
+    of :func:`make_likelihood_table`.  alpha multiplies group f by
+    e^{-i alpha f}, so d_alpha multiplies it by -i f and d2_alpha by
+    -f^2, as (3, F) weights on the groups; :meth:`walk.ThetaFamily.run`
+    gives the theta derivatives of (S R(theta))^t on those three sums.
+    One inverse FFT takes the six spinor arrays to sites, where d_mu p =
+    2 Re conj(psi) d_mu psi and
+    d_mu d_nu p = 2 Re [conj(d_mu psi) d_nu psi + conj(psi) d_mu d_nu psi].
+    """
     phase = np.exp(-1j * alpha * freqs)
     jet = family.run(theta, 2, np.array([phase, -1j * freqs * phase,
                                          -(freqs ** 2) * phase]))
@@ -176,23 +189,6 @@ def _derivatives(theta: float, alpha: float, family: ThetaFamily,
     r = (amps[0].conj() * amps).real.sum(axis=1)
     q = (amps[[1, 1, 2]].conj() * amps[[1, 2, 2]]).real.sum(axis=1)
     return window.sites, r[0], 2.0 * r[1:3], 2.0 * (q + r[3:])
-
-
-def _prob_derivatives(p: CoinParams, init: WalkerState, t: int):
-    """(sites, probs, dprobs, d2probs): p(x) and its exact derivatives.
-
-    dprobs (2, width) holds d_theta p, d_alpha p and d2probs (3, width)
-    the second derivatives (theta theta, theta alpha, alpha alpha), at
-    fixed beta, from one engine run on the frequency groups of
-    :func:`make_likelihood_table`.  alpha multiplies group f by
-    e^{-i alpha f}, so d_alpha multiplies it by -i f and d2_alpha by
-    -f^2, as (3, F) weights on the groups; :meth:`walk.ThetaFamily.run`
-    gives the theta derivatives of (S R(theta))^t on those three sums.
-    One inverse FFT takes the six spinor arrays to sites, where d_mu p =
-    2 Re conj(psi) d_mu psi and
-    d_mu d_nu p = 2 Re [conj(d_mu psi) d_nu psi + conj(psi) d_mu d_nu psi].
-    """
-    return _derivatives(p.theta, p.alpha, *_engine_inputs(init, p.beta, t))
 
 
 def _information(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -209,7 +205,8 @@ def classical_fi(p: CoinParams, init: WalkerState, t: int) -> np.ndarray:
     For special inputs the alpha sensitivity of the marginal can vanish;
     the zero rows are reported as computed.
     """
-    _, probs, dprobs, _ = _prob_derivatives(p, init, t)
+    _, probs, dprobs, _ = _derivatives(p.theta, p.alpha,
+                                       *_engine_inputs(init, p.beta, t))
     return _information(probs, dprobs)
 
 
@@ -356,9 +353,7 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
 
     # B_d for d = 0 and each positive difference d = f' - f that occurs
     diffs = freqs[:, None] - freqs[None, :]
-    occurs = np.zeros(init.n_sites + 1, dtype=bool)
-    occurs[diffs[diffs > 0]] = True
-    ds = np.flatnonzero(occurs)
+    ds = np.unique(diffs[diffs > 0])
     n_d = ds.size
     pairs = [(f1, f, 1 + np.searchsorted(ds, diffs[f1, f]))
              for f1, f in zip(*np.nonzero(diffs > 0))]

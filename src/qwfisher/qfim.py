@@ -22,11 +22,15 @@ integrand is N(x) / sin^2 w with
 N is a trigonometric polynomial of degree at most 1 + (input width),
 and the zone mean of e^{ijx} / sin^2 w (x = k - alpha) is
 rho^{|j|/2} / s for even j and 0 for odd j, with s = |sin theta| and
-rho = cos^2 theta / (1 + s)^2.  So node weights L on a small uniform
-grid (one inverse FFT of the partial sums of rho^i) give each mean as
-sum_i L_i N(x_i), exact up to roundoff at every mixing angle, with no
-tolerance and no node count.  The mixed-derivative (Uhlmann) curvature
-vanishes identically in this limit.
+rho = cos^2 theta / (1 + s)^2.  So node weights L on a small grid of
+:func:`walk.uniform_k_grid` (one inverse FFT of the partial sums of
+rho^i) give each mean as sum_i L_i N(x_i), exact up to roundoff at
+every mixing angle, with no tolerance and no node count.  The
+mixed-derivative (Uhlmann) curvature vanishes identically in this limit.
+
+A single-site input's matrix has one closed form in theta, its coin
+Bloch vector and phi = alpha - beta (:func:`_localized_per_t2`), which
+:func:`qfim_localized` and :func:`single_param_qfi` read.
 """
 from __future__ import annotations
 
@@ -36,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWalk
-from .walk import (MIN_SIN_THETA, PARAM_NAMES, TWO_PI, CoinParams,
-                   WalkerState, generator_spatial, initial_localized,
-                   k_grid_size, reduced_axis, reduced_spinors, step_count,
-                   uniform_k_grid)
+from .walk import (MIN_SIN_THETA, PARAM_NAMES, CoinBlochState, CoinParams,
+                   WalkerState, generator_spatial, k_grid_size, reduced_axis,
+                   reduced_spinors, step_count, uniform_k_grid)
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -158,8 +161,7 @@ def beta_null_check(p: CoinParams) -> float:
     The spatial direction u(k) is orthogonal to w_beta at every momentum,
     so this is a pure roundoff diagnostic.
     """
-    nodes = uniform_k_grid(512)
-    a1 = a1_grid(p, nodes)
+    a1 = a1_grid(p, uniform_k_grid(512))
     ob = np.concatenate(([0.0], generator_spatial(p.theta)[2]))
     return float(np.max(np.linalg.norm(a1 @ ob, axis=-1)))
 
@@ -197,11 +199,11 @@ def _zone_means(p: CoinParams, init: WalkerState, params):
     means, with a = u w^T and L the node weights of :func:`_node_weights`.
     """
     w = generator_spatial(p.theta)[[PARAM_NAMES.index(l) for l in params]]
-    # N has degree <= 1 + n_sites and the weights are exact below n/2;
-    # the grid takes more than twice 2 + n_sites, one degree to spare,
-    # and starts at x = k - alpha = 0
+    # N has degree <= 1 + n_sites and the weights, pi-periodic and exact
+    # below n/2, hold on the walk's grid at x = k - alpha: it takes more
+    # than twice 2 + n_sites nodes, one degree to spare
     n = k_grid_size(2 * (2 + init.n_sites) + 1)
-    x = TWO_PI * np.arange(n) / n
+    x = uniform_k_grid(n)
     _, u = _axis(p.theta, x)
     rho = rho_bloch(reduced_spinors(init, p, x + p.alpha).T)
     weights = _node_weights(n, p.theta)
@@ -227,16 +229,6 @@ def qfim_theorem1(p: CoinParams, init: WalkerState, t: int,
                      t=t, asymptotic=True)
 
 
-def qfim_first_term(p: CoinParams, params=("theta", "alpha")) -> np.ndarray:
-    """State-independent part of the asymptotic matrix, per step squared.
-
-    Equals the full coefficient whenever the state-dependent integrals
-    vanish; its diagonal is what the optimal-input closed forms quote.
-    """
-    # coin |0> at the origin has the k-spinor (1, 0): o0 = 1 at every node
-    return _zone_means(p, initial_localized(), params)[0]
-
-
 def uhlmann_analytic(p: CoinParams, init: WalkerState, t: int,
                      params=("theta", "alpha")) -> QFIMatrix:
     """Mixed-derivative curvature in the long-time limit: identically zero.
@@ -254,74 +246,49 @@ def uhlmann_analytic(p: CoinParams, init: WalkerState, t: int,
 # closed forms for distinguished inputs
 
 
-def _abs_sin(theta: float) -> float:
-    """s = |sin theta|, which every closed form takes: they hold on the
-    coin's whole domain, down to its floor ``walk.MIN_SIN_THETA``."""
+def _localized_per_t2(theta: float, phi: float, r) -> np.ndarray:
+    """The (theta, phi) matrix per step squared of a single-site input
+    with coin Bloch vector r at the phase difference phi = alpha - beta.
+
+    With n = (sin th cos phi, sin th sin phi, cos th) and s = |sin th|:
+
+        F_tt / t^2 = (4/(1+s)) [ s - (n x r)_z^2 / (1+s) ]
+        F_pp / t^2 = 4 (1-s) [ 1 - (n.r)^2 / (1+s) ]
+        F_tp / t^2 = -4 sign(sin th) cos th (n.r) (n x r)_z / (1+s)^2
+
+    The cross term is written in its everywhere-regular form; it equals
+    the -4 (1-s) (n.r)(n x r)_z / (cos th (1+s)) variant away from
+    theta = pi/2 since (1-s)/cos th = cos th/(1+s).  F_pp likewise takes
+    1 - s as cos^2 th / (1+s), which does not cancel near theta = pi/2.
+    """
     s = abs(float(np.sin(theta)))
     if not s >= MIN_SIN_THETA:                   # NaN fails too
         raise DegenerateWalk(f"closed form needs |sin(theta)| >= "
                              f"{MIN_SIN_THETA}, got theta={theta!r}")
-    return s
-
-
-def qfim_max_diag(theta: float, t: int) -> tuple[float, float]:
-    """Optimal-input diagonal (F_theta, F_alpha) = 4 t^2 (s/(1+s), 1-s).
-
-    The theta optimum is reached by equatorial coin states orthogonal to
-    the coin plane and the alpha optimum by the complementary family;
-    cross terms vanish at the optima.  1 - s is taken as
-    cos^2 th / (1+s), which does not cancel near theta = pi/2.
-    """
-    s = _abs_sin(theta)
-    tt = float(step_count(t, 1)) ** 2
-    c2 = float(np.cos(theta)) ** 2
-    return 4.0 * tt * s / (1.0 + s), 4.0 * tt * c2 / (1.0 + s)
-
-
-def qfim_localized(theta: float, phi: float, r, t: int) -> QFIMatrix:
-    """Information matrix over (theta, phi) for a single-site input.
-
-    ``phi`` is the phase difference alpha - beta and ``r`` the coin Bloch
-    vector of the input.  With n = (sin th cos phi, sin th sin phi, cos th)
-    and s = |sin th|:
-
-        F_tt = (4 t^2/(1+s)) [ s - (n x r)_z^2 / (1+s) ]
-        F_pp = 4 t^2 (1-s) [ 1 - (n.r)^2 / (1+s) ]
-        F_tp = -4 t^2 sign(sin th) cos th (n.r) (n x r)_z / (1+s)^2
-
-    The cross term is written in its everywhere-regular form; it equals
-    the -4 t^2 (1-s) (n.r)(n x r)_z / (cos th (1+s)) variant away from
-    theta = pi/2 since (1-s)/cos th = cos th/(1+s).  F_pp likewise takes
-    1 - s as cos^2 th / (1+s), which does not cancel near theta = pi/2.
-    """
-    t = step_count(t, 1)
-    s = _abs_sin(theta)
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"coin Bloch vector must have shape (3,), got {r.shape}")
-    if not np.linalg.norm(r) <= 1.0 + 1e-12:     # NaN fails too
-        raise ValueError("coin Bloch vector length exceeds 1")
+    r = CoinBlochState(r).r
     ct, st = np.cos(theta), np.sin(theta)
     n = np.array([st * np.cos(phi), st * np.sin(phi), ct])
     ndotr = float(n @ r)
     ncross = float(n[0] * r[1] - n[1] * r[0])
-    tt = float(t) ** 2
-    f_tt = 4.0 * tt / (1.0 + s) * (s - ncross ** 2 / (1.0 + s))
-    f_pp = 4.0 * tt * ct ** 2 / (1.0 + s) * (1.0 - ndotr ** 2 / (1.0 + s))
-    f_tp = -np.copysign(4.0, st) * tt * ct * ndotr * ncross / (1.0 + s) ** 2
-    return QFIMatrix(entries=np.array([[f_tt, f_tp], [f_tp, f_pp]]),
+    f_tt = 4.0 / (1.0 + s) * (s - ncross ** 2 / (1.0 + s))
+    f_pp = 4.0 * ct ** 2 / (1.0 + s) * (1.0 - ndotr ** 2 / (1.0 + s))
+    f_tp = -np.copysign(4.0, st) * ct * ndotr * ncross / (1.0 + s) ** 2
+    return np.array([[f_tt, f_tp], [f_tp, f_pp]])
+
+
+def qfim_localized(theta: float, phi: float, r, t: int) -> QFIMatrix:
+    """Information matrix over (theta, phi = alpha - beta) of a single-site
+    input with coin Bloch vector ``r``: t^2 :func:`_localized_per_t2`."""
+    t = step_count(t, 1)
+    return QFIMatrix(entries=float(t) ** 2 * _localized_per_t2(theta, phi, r),
                      labels=("theta", "phi"), t=t, asymptotic=True)
 
 
 def single_param_qfi(theta: float, r_y: float, t: int) -> float:
-    """Theta information for a single-site input with coin component r_y.
-
-    4 t^2 s [1 + s (1 - r_y^2)] / (1+s)^2: maximal on the equatorial
+    """Theta information for a single-site input with coin component r_y,
+    the theta entry of :func:`qfim_localized` at phi = 0, r = (0, r_y, 0):
+    4 t^2 s [1 + s (1 - r_y^2)] / (1+s)^2, maximal on the equatorial
     circle r_y = 0 and minimal at the poles r_y = +-1, with ratio 1 + s.
     """
     tt = float(step_count(t, 1)) ** 2
-    s = _abs_sin(theta)
-    if not abs(r_y) <= 1.0 + 1e-12:              # NaN fails too
-        raise ValueError(f"|r_y| must not exceed 1, got {r_y!r}")
-    return float(4.0 * tt * s * (1.0 + s * (1.0 - r_y ** 2))
-                 / (1.0 + s) ** 2)
+    return float(tt * _localized_per_t2(theta, 0.0, (0.0, r_y, 0.0))[0, 0])

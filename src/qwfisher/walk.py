@@ -16,10 +16,12 @@ D(a) = diag(e^{ia}, e^{-ia}), a2 = (alpha - beta)/2: the axis
 (:func:`generator_spatial`) depend on theta alone, and the input enters
 as :func:`reduced_spinors`.  Every rule of the finite-t engine lives
 here: the step count (:func:`step_count`), the uniform grid and its size
-(:func:`uniform_k_grid`, :func:`k_grid_size`), the site window t steps
-from an input with its light cone and inverse FFT (:class:`SiteWindow`),
-and the one kernel, :class:`ThetaFamily`: u^t, its theta derivatives and
-the generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m in closed form.
+(:func:`uniform_k_grid`, :func:`k_grid_size`), the input's phases
+e^{-ikx} (:func:`plane_waves`), the coin phase D(a) (:func:`times_d`),
+the site window t steps from an input with its light cone and inverse
+FFT (:class:`SiteWindow`), and the one kernel, :class:`ThetaFamily`:
+u^t, its theta derivatives and the generator sums
+G_mu(t) = sum_{m=1..t} u^m O_mu u^-m in closed form.
 :func:`evolve` takes u(k)^t and one inverse FFT, with no loop over steps.
 """
 from __future__ import annotations
@@ -277,13 +279,18 @@ def initial_entangled(x1: int = 0, x2: int = 1) -> WalkerState:
 # momentum-space picture
 
 
+def plane_waves(k, x) -> np.ndarray:
+    """e^{-ikx} on every pair of momenta k and sites x, shaped k.shape +
+    x.shape: the one statement of the input transform's phases."""
+    return np.exp(-1j * np.multiply.outer(k, x))
+
+
 def spinors_at(s: WalkerState, k_nodes: np.ndarray) -> np.ndarray:
-    """spinor(k) = sum_x c_x e^{-ikx} at arbitrary momenta, (n, 2), summed
-    over the nonzero rows (:attr:`WalkerState.support`) alone: the one
-    place the input's phases are formed, O(n) per row whatever the span."""
-    k = np.asarray(k_nodes, dtype=float)
+    """spinor(k) = sum_x c_x e^{-ikx} at momenta k (n,), (n, 2), summed
+    over the nonzero rows (:attr:`WalkerState.support`) alone, O(n) per
+    row whatever the span."""
     rows = s.support
-    return np.exp(-1j * np.outer(k, s.origin + rows)) @ s.amps[rows]
+    return plane_waves(k_nodes, s.origin + rows) @ s.amps[rows]
 
 
 def uniform_k_grid(n: int) -> np.ndarray:
@@ -378,7 +385,7 @@ class SiteWindow:
         return amps
 
 
-def _times_d(spinors: np.ndarray, a: float) -> None:
+def times_d(spinors: np.ndarray, a: float) -> None:
     """spinors (..., 2, n) times D(a) = diag(e^{ia}, e^{-ia}), in place."""
     d = complex(math.cos(a), math.sin(a))
     spinors[..., 0, :] *= d
@@ -388,7 +395,7 @@ def _times_d(spinors: np.ndarray, a: float) -> None:
 def reduced_spinors(init: WalkerState, p: CoinParams, k) -> np.ndarray:
     """The input's k-spinors D(a2) chi(k) in the reduced frame, (2, n)."""
     chi = spinors_at(init, k).T
-    _times_d(chi, 0.5 * (p.alpha - p.beta))
+    times_d(chi, 0.5 * (p.alpha - p.beta))
     return chi
 
 
@@ -464,7 +471,7 @@ class ThetaFamily:
     def to_sites(self, spinors: np.ndarray) -> np.ndarray:
         """Site amplitudes (..., width, 2) of the walk from spinors (..., 2,
         n) of the family's frame, turned by D(-a2) in place first."""
-        _times_d(spinors, -self.coin_phase)
+        times_d(spinors, -self.coin_phase)
         return self.window.to_sites(spinors).swapaxes(-1, -2)
 
     def _fold(self, theta):

@@ -337,6 +337,15 @@ def evolve_steps(s, p, t):
                        steps_elapsed=s.steps_elapsed + int(t))
 
 
+def prob_derivatives(p, init, t):
+    """(sites, probs, dprobs, d2probs) of the estimator at p: one engine
+    run, ``estimation._derivatives`` on ``estimation._engine_inputs``, as
+    ``classical_fi`` takes it."""
+    from qwfisher.estimation import _derivatives, _engine_inputs
+
+    return _derivatives(p.theta, p.alpha, *_engine_inputs(init, p.beta, t))
+
+
 def three_run_prob_derivatives(init, p, t, params):
     """Position probabilities and their derivatives from separate runs.
 
@@ -344,7 +353,7 @@ def three_run_prob_derivatives(init, p, t, params):
     each d_mu psi from its own ``derivative_state`` call, so the fused
     single-run score of the estimator is checked against independently
     evolved states.  Returns (sites, probs, dprobs) like
-    ``_prob_derivatives``.
+    :func:`prob_derivatives`.
     """
     from qwfisher import derivative_state
 
@@ -591,6 +600,42 @@ def asymptotic_linear_term(p, init, params, n=2 ** 16):
                        axis=0)
     y1 = _zone_means(p, init, params)[1]
     return -(np.outer(y1, y0) + np.outer(y0, y1))
+
+
+def qfim_first_term(p, params=("theta", "alpha")):
+    """State-independent part of the asymptotic matrix, per step squared:
+    the N_uv means of ``qfim._zone_means`` for coin |0> at the origin,
+    whose k-spinor (1, 0) has o0 = 1 at every node.
+
+    It equals the full coefficient whenever the state-dependent
+    integrals vanish; its diagonal is what :func:`qfim_max_diag` quotes.
+    """
+    from qwfisher import initial_localized
+    from qwfisher.qfim import _zone_means
+
+    return _zone_means(p, initial_localized(), params)[0]
+
+
+def qfim_max_diag(theta, t):
+    """Optimal-input diagonal (F_theta, F_alpha) = 4 t^2 (s/(1+s), 1-s).
+
+    s = |sin theta|, refused below the coin's floor ``walk.MIN_SIN_THETA``
+    and t read through ``walk.step_count``.  The theta optimum is reached
+    by equatorial coin states orthogonal to the coin plane and the alpha
+    optimum by the complementary family; cross terms vanish at the
+    optima.  1 - s is taken as cos^2 th / (1+s), which does not cancel
+    near theta = pi/2.
+    """
+    from qwfisher import DegenerateWalk
+    from qwfisher.walk import MIN_SIN_THETA, step_count
+
+    s = abs(float(np.sin(theta)))
+    if not s >= MIN_SIN_THETA:
+        raise DegenerateWalk(f"closed form needs |sin(theta)| >= "
+                             f"{MIN_SIN_THETA}, got theta={theta!r}")
+    tt = float(step_count(t, 1)) ** 2
+    c2 = float(np.cos(theta)) ** 2
+    return 4.0 * tt * s / (1.0 + s), 4.0 * tt * c2 / (1.0 + s)
 
 
 def qfimatrix_checks(entries, labels, t, antisymmetric):

@@ -15,9 +15,9 @@ from qwfisher import (CoinParams, GridSpec, beta_null_check, classical_fi,
                       evolve, g_of_theta, incompatibility_R,
                       initial_entangled, initial_gamma, initial_localized,
                       make_likelihood_table, mle_fit, position_distribution,
-                      qfim_exact, qfim_first_term, qfim_localized,
-                      qfim_theorem1, sample, single_param_qfi, sweep_fig2,
-                      symmetric_bound, uhlmann_analytic, uhlmann_exact)
+                      qfim_exact, qfim_localized, qfim_theorem1, sample,
+                      single_param_qfi, sweep_fig2, symmetric_bound,
+                      uhlmann_analytic, uhlmann_exact)
 from qwfisher.cases import (DiracParams, MagneticField, coin_from_dirac,
                             coin_from_magnetic, dirac_first_order,
                             dirac_from_coin, magnetic_from_coin)
@@ -26,7 +26,8 @@ from qwfisher.walk import uniform_k_grid
 
 from oracles import (G_QUARTER_PI, G_THREE_EIGHTHS_PI, GOLDEN_COMMON,
                      GOLDEN_THETA, evolve_steps, pauli_conjugation_dense,
-                     random_coin_angles, random_spinor, z_turn)
+                     qfim_first_term, random_coin_angles, random_spinor,
+                     z_turn)
 
 QUARTER_PI = math.pi / 4
 

@@ -330,6 +330,18 @@ def test_closed_form_route_at_negative_theta(workdir):
     assert body["deviations"]["localized-closed-form"]["max_rel"] <= 1e-12
 
 
+@pytest.mark.parametrize("params", ["theta,alpha,beta", "alpha"])
+def test_closed_form_route_serves_any_params(workdir, params):
+    # the closed form's (theta, alpha) entries in the order asked, with
+    # beta's row and column zero, against the analytic route
+    assert main(["qfim", "--params", params,
+                 "--routes", "analytic,localized-closed-form",
+                 "--init", "gamma:0.6", "--alpha", "0.5",
+                 "--beta", "-0.9"]) == 0
+    body = read_json(workdir / "qwf_qfim_report.json")
+    assert body["deviations"]["localized-closed-form"]["max_rel"] <= 1e-12
+
+
 def test_bounds_compatible_fixture(workdir, capsys):
     assert main(["bounds", "--t", "100"]) == 0
     out = capsys.readouterr().out

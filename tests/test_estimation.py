@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 from qwfisher import (CoinParams, GridSpec, MeasurementRecord, WalkerState,
                       classical_fi, evolve, initial_entangled, initial_gamma,
                       initial_localized, make_likelihood_table, mle_fit,
-                      philox_rng, position_distribution, qfim_exact, sample)
+                      position_distribution, qfim_exact, sample)
 from qwfisher import estimation
 from qwfisher.estimation import (MASS_THRESHOLD, PositionDistribution,
                                  _connected_from_argmax, _grid_loglik,
-                                 _prob_derivatives, _pseudo_inverse)
+                                 _pseudo_inverse, philox_rng)
 from qwfisher.walk import SiteWindow, ThetaFamily, spinors_at
 
 from oracles import (dilation_connected, evolve_steps, fd_loglik_hessian,
-                     pseudo_inverse_dense, table_probs,
+                     prob_derivatives, pseudo_inverse_dense, table_probs,
                      three_run_prob_derivatives, whole_grid_table_b)
 
 
@@ -202,7 +202,7 @@ class TestClassicalFisher:
     def test_one_run_score_matches_three_runs(self, t):
         p = CoinParams(0.85, 0.6, -0.3)
         init = initial_entangled(-3, 2)
-        sites, probs, dprobs, _ = _prob_derivatives(p, init, t)
+        sites, probs, dprobs, _ = prob_derivatives(p, init, t)
         ref_sites, ref_probs, ref_dprobs = three_run_prob_derivatives(
             init, p, t, ("theta", "alpha"))
         assert np.array_equal(sites, ref_sites)
@@ -217,7 +217,7 @@ class TestClassicalFisher:
         # derivatives; h^2 truncation stays far below the gate
         p = CoinParams(0.7, 0.3, 0.4)
         t, h = 20, 1e-5
-        sites, _, _, d2probs = _prob_derivatives(p, init, t)
+        sites, _, _, d2probs = prob_derivatives(p, init, t)
         fd = {}
         for mu in ("theta", "alpha"):
             up, dn = (three_run_prob_derivatives(
@@ -573,7 +573,7 @@ class TestMLE:
                                   + np.arange(init.n_sites + 2 * t))
         x = np.array([res.grid_theta, res.grid_alpha])
         for _ in range(30):
-            _, probs, d1, d2 = _prob_derivatives(
+            _, probs, d1, d2 = prob_derivatives(
                 CoinParams(x[0], x[1], p_true.beta), init, t)
             live = probs > MASS_THRESHOLD
             n = counts[live]

@@ -24,6 +24,12 @@ or ``t_max`` outside ``step_count``, and no module outside ``walk``
 names ``MAX_STEPS`` or raises from a comparison of a step count of its
 own.
 
+Each walk rule is stated once.  ``qfim`` and ``estimation`` build no
+node array of their own (``walk.uniform_k_grid`` is the grid), no
+e^{-ikx} or D(a) phase of their own (``walk.plane_waves`` and
+``walk.times_d`` are), and no closed form checks a Bloch length itself
+(``walk.CoinBlochState`` is the gate).
+
 The fitter has one pseudo-inverse: no module calls ``pinv``, and
 ``estimation`` decomposes a matrix only in ``_pseudo_inverse``.
 
@@ -54,6 +60,8 @@ ENGINE_EXEMPT = {
     ("qfim", "_zone_means", "k_grid_size"):
         "the asymptotic zone mean samples a numerator of degree "
         "1 + n_sites, not an evolved window",
+    ("qfim", "_zone_means", "uniform_k_grid"):
+        "the same numerator on the walk's own nodes, x = k - alpha",
     ("qfim", "beta_null_check", "uniform_k_grid"):
         "a fixed 512-node diagnostic grid for the stationary projector, "
         "not an evolved window",
@@ -299,6 +307,87 @@ def test_one_step_count_rule():
 ])
 def test_step_count_ratchet_sees_a_second_rule(module, source, what):
     assert what in {hit[2] for hit in _step_rule_hits(module, source)}
+
+
+# ---------------------------------------------------------------------------
+# one statement of each walk rule
+
+RULE_MODULES = ("qfim", "estimation")
+# the fits' own parameter: alpha weights the frequency groups by
+# e^{-i alpha f}, a phase no walk rule states
+PHASE_EXEMPT = {("estimation", "_derivatives")}
+
+
+def _calls(node, name) -> bool:
+    """Whether ``node`` calls a function or method named ``name``."""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _walk_rule_hits(module: str, source: str):
+    """(module, function, what) for every walk rule ``source`` states
+    itself: a node array (an ``arange`` divided by something), a phase
+    (``exp`` of an imaginary argument) and a Bloch-length gate (an ``if``
+    that raises on a ``norm`` or on a bound 1 + eps)."""
+    found = []
+
+    def gate(cmp) -> bool:
+        sides = [cmp.left, *cmp.comparators]
+        return (any(_calls(side, "norm") for side in sides)
+                or any(isinstance(side, ast.BinOp)
+                       and isinstance(side.op, ast.Add)
+                       and isinstance(side.left, ast.Constant)
+                       and side.left.value == 1
+                       and isinstance(side.right, ast.Constant)
+                       for side in sides))
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        here = (module, scope or "<module>")
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and any(_calls(sub, "arange") for sub in ast.walk(node.left))):
+            found.append(here + ("grid",))
+        if (_calls(node, "exp") and here not in PHASE_EXEMPT
+                and any(isinstance(sub, ast.Constant)
+                        and isinstance(sub.value, complex)
+                        for arg in node.args for sub in ast.walk(arg))):
+            found.append(here + ("phase",))
+        if (isinstance(node, ast.If)
+                and any(isinstance(sub, ast.Raise) for stmt in node.body
+                        for sub in ast.walk(stmt))
+                and any(isinstance(cmp, ast.Compare) and gate(cmp)
+                        for cmp in ast.walk(node.test))):
+            found.append(here + ("bloch",))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_each_walk_rule_is_stated_once():
+    hits = [hit for module in RULE_MODULES
+            for hit in _walk_rule_hits(module, (PACKAGE / f"{module}.py")
+                                       .read_text())]
+    assert not hits, f"walk rules stated outside walk: {hits}"
+
+
+@pytest.mark.parametrize("module,source,what", [
+    ("qfim", "def _zone_means(n):\n    x = TWO_PI * np.arange(n) / n\n",
+     "grid"),
+    ("estimation", "def _engine_inputs(beta, m, nodes):\n"
+                   "    a = np.exp(-0.5j * beta * np.array([1.0, -1.0]))\n"
+                   "    b = np.exp(-1j * m * nodes)\n", "phase"),
+    ("qfim", "def qfim_localized(r):\n"
+             "    if not np.linalg.norm(r) <= 1.0 + 1e-12:\n"
+             "        raise ValueError\n", "bloch"),
+    ("qfim", "def single_param_qfi(r_y):\n"
+             "    if not abs(r_y) <= 1.0 + 1e-12:\n"
+             "        raise ValueError\n", "bloch"),
+])
+def test_walk_rule_ratchet_sees_a_second_statement(module, source, what):
+    assert what in {hit[2] for hit in _walk_rule_hits(module, source)}
 
 
 # ---------------------------------------------------------------------------

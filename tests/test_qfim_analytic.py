@@ -10,19 +10,19 @@ from hypothesis import strategies as st
 from qwfisher import (CoinParams, DegenerateWalk, QFIMatrix, SingularFisher,
                       WalkerState, beta_null_check, g_of_theta,
                       initial_entangled, initial_gamma, initial_localized,
-                      qfim_localized, qfim_max_diag, qfim_theorem1,
-                      single_param_qfi, uhlmann_analytic)
-from qwfisher.qfim import (PSD_TOL, SYM_TOL, _zone_means, a1_grid,
-                           qfim_first_term, rho_bloch)
+                      qfim_localized, qfim_theorem1, single_param_qfi,
+                      uhlmann_analytic)
+from qwfisher import cli
+from qwfisher.qfim import PSD_TOL, SYM_TOL, _zone_means, a1_grid, rho_bloch
 from qwfisher.quadrature import adaptive_mean_over_bz
 from qwfisher.walk import generator_spatial, spinors_at
 
 import oracles
 from oracles import (F_AA_QUARTER_PI, F_TT_QUARTER_PI, GOLDEN_COMMON,
                      GOLDEN_THETA, PAULI, PREF_RY0_QUARTER_PI,
-                     PREF_RY1_QUARTER_PI, qfimatrix_checks,
-                     random_coin_angles, random_spinor, u_dense, z_turn,
-                     zone_means_by_rfft)
+                     PREF_RY1_QUARTER_PI, qfim_first_term, qfim_max_diag,
+                     qfimatrix_checks, random_coin_angles, random_spinor,
+                     u_dense, z_turn, zone_means_by_rfft)
 
 QUARTER = math.pi / 4
 
@@ -194,6 +194,8 @@ def _projector_reference(p, init):
 EDGE = 1e-3
 mixing_angles = st.one_of(st.floats(EDGE, math.pi - EDGE),
                           st.floats(-math.pi + EDGE, -EDGE))
+# alpha and beta away from zero
+phases = st.one_of(st.floats(1e-3, math.pi), st.floats(-math.pi, -1e-3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -419,6 +421,20 @@ def test_closed_forms_hold_on_the_whole_coin_domain(theta, alpha, beta, seed):
     f_tt = qfim_theorem1(CoinParams(theta, beta, beta), init, t=10).entries[0, 0]
     assert abs(single_param_qfi(theta, r[1], 10) - f_tt) <= 1e-12 * f_tt
     assert qfim_max_diag(theta, 10) == qfim_max_diag(-theta, 10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(theta=mixing_angles, alpha=phases, beta=phases,
+       seed=st.integers(0, 2**32 - 1))
+def test_localized_route_has_the_beta_row(theta, alpha, beta, seed):
+    # the route's three-parameter matrix: the closed form on (theta,
+    # alpha) and zeros where the stationary projector annihilates O_beta
+    init = initial_localized(0, spinor=random_spinor(np.random.default_rng(seed)))
+    p, params = CoinParams(theta, alpha, beta), ("theta", "alpha", "beta")
+    ref = qfim_theorem1(p, init, t=10, params=params).entries
+    got = cli._qfim_by_route("localized-closed-form", p, init, 10,
+                             params)[0].entries
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("theta", [9e-13, -9e-13])

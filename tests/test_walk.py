@@ -14,18 +14,18 @@ from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, GridSpec,
                       classical_fi, derivative_state, evolve,
                       initial_entangled, initial_gamma, initial_localized,
                       make_likelihood_table, qfim_exact, qfim_localized,
-                      qfim_max_diag, qfim_theorem1, single_param_qfi,
-                      sweep_fig1, sweep_fig2, uhlmann_analytic,
-                      uhlmann_exact)
+                      qfim_theorem1, single_param_qfi, sweep_fig1,
+                      sweep_fig2, uhlmann_analytic, uhlmann_exact)
 from qwfisher import qfim
-from qwfisher.estimation import _engine_inputs, _prob_derivatives
+from qwfisher.estimation import _engine_inputs
 from qwfisher.oracle import exact_matrices
 from qwfisher.walk import (MAX_STEPS, PARAM_NAMES, SiteWindow, reduced_axis,
                            spinors_at, step_count, uniform_k_grid)
 
 from oracles import (PAULI, coin_dense, dense_amps_at, dense_evolve,
                      dense_powers, evolve_steps, light_cone,
-                     on_doubled_nodes, spinors_dense, theta_jet)
+                     on_doubled_nodes, prob_derivatives, qfim_max_diag,
+                     spinors_dense, theta_jet)
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 mixing = st.floats(0.05, math.pi - 0.05)
@@ -208,7 +208,7 @@ def test_cells_outside_the_light_cone_are_exact_zeros(init, t, theta, alpha,
     for mu in PARAM_NAMES:
         assert np.all(derivative_state(init, p, t, mu).amps[dark] == 0.0)
     empty = dark.all(axis=1)
-    _, probs, dprobs, d2probs = _prob_derivatives(p, init, t)
+    _, probs, dprobs, d2probs = prob_derivatives(p, init, t)
     assert np.all(probs[empty] == 0.0)
     assert np.all(dprobs[:, empty] == 0.0)
     assert np.all(d2probs[:, empty] == 0.0)
@@ -452,8 +452,8 @@ def test_window_nodes_are_exact_on_sparse_inputs(case, theta, alpha, beta):
     # the largest site frequency (alpha)
     reach = 1 + t + np.abs(window.sites).max()
     for order, (a, b) in enumerate(zip(
-            _prob_derivatives(p, init, t)[1:],
-            on_doubled_nodes(_prob_derivatives, p, init, t)[1:])):
+            prob_derivatives(p, init, t)[1:],
+            on_doubled_nodes(prob_derivatives, p, init, t)[1:])):
         assert_close(a, b, float(reach) ** order)
     if t:
         # the information matrix and the curvature as the one Gram
@@ -578,6 +578,7 @@ STEP_ENTRY_POINTS = {
     "qfim_theorem1": (1, lambda t: qfim_theorem1(_P, _PAIR, t)),
     "uhlmann_analytic": (1, lambda t: uhlmann_analytic(_P, _PAIR, t)),
     "qfim_localized": (1, lambda t: qfim_localized(0.7, 0.2, [0.6, 0, 0.8], t)),
+    # a test reference, which still reads t through the rule
     "qfim_max_diag": (1, lambda t: qfim_max_diag(0.7, t)),
     "single_param_qfi": (1, lambda t: single_param_qfi(0.7, 0.3, t)),
     "classical_fi": (0, lambda t: classical_fi(_P, _PAIR, t)),
