@@ -14,13 +14,17 @@ compare file by file with ``compare_outputs.py``:
 The matrix holds the README quick-start commands, runs on sparse, gamma
 and localized inputs (among them estimates at an odd t with alpha
 identified and at t = 1000, and an evolution and an oracle run at
-nonzero alpha and beta), and refused runs that exit 2 and 4.  The last
-four, at nonzero alpha and beta, check the analytic route against the
+nonzero alpha and beta), and refused runs that exit 2 and 4.  Runs 30-33,
+at nonzero alpha and beta, check the analytic route against the
 localized closed form on a gamma input, run the analytic route over all
 three parameters, run ``bounds`` on the oracle route, and check the
 closed form's three-parameter matrix (a zero beta row and column)
-against the analytic route; they come last so that the runs before
-them keep their numbers.
+against the analytic route.  Runs 34-37 reach the bounds paths the rest
+never do: the closed form on a single-site spinor whose norm is 1 +
+9e-13, an oracle ``bounds`` run whose Holevo bound is unavailable (the
+bracket goes into the note), the same run with --strict (exit 4), and a
+singular block at theta = pi/2 (exit 4).  New runs go at the end so
+that the runs before them keep their numbers.
 """
 import argparse
 import contextlib
@@ -67,6 +71,10 @@ qfim --t 200 --alpha 0.5 --beta -0.9 --init gamma:0.6 --routes analytic,localize
 qfim --t 200 --alpha 0.5 --beta -0.9 --init gamma:0.6 --params theta,alpha,beta --routes analytic
 bounds --t 10 --alpha 0.5 --beta -0.9 --route oracle --weight 1,0.2,2
 qfim --params theta,alpha,beta --routes analytic,localized-closed-form --init gamma:0.6 --alpha 0.5 --beta -0.9
+qfim --t 10 --routes analytic,localized-closed-form --init localized:0 --spinor 1.0000000000009,0
+bounds --t 10 --route oracle --init gamma:0.6 --alpha 0.5 --beta -0.9
+bounds --t 10 --route oracle --init gamma:0.6 --alpha 0.5 --beta -0.9 --strict
+bounds --t 10 --theta 1.5707963267948966
 """.strip().splitlines())
 
 

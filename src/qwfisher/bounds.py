@@ -7,7 +7,11 @@ C^S <= C^H <= (1 + R) C^S brackets everything else.
 
 All of it acts on the identifiable (theta, alpha) block: the full
 three-parameter matrix is singular by construction (the beta direction
-is invisible asymptotically), so callers restrict first.
+is invisible asymptotically), so callers restrict first.  Every bound
+takes F as a symmetric 2x2 :class:`qfim.QFIMatrix` without beta and D as
+an antisymmetric one, and refuses anything else; QFIMatrix has checked
+their entries (finite, symmetric or antisymmetric, F positive
+semidefinite) and keeps them read-only, so the bounds check none again.
 """
 from __future__ import annotations
 
@@ -26,16 +30,17 @@ REL_DET_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric positive-definite weight for scalarizing the matrix bound."""
+    """Symmetric positive-definite 2x2 weight for scalarizing the matrix bound."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.entries, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"weight must be square, got shape {w.shape}")
-        _finite(w, "weight matrix")
+        if w.shape != (2, 2):
+            raise ValueError(f"weight must be square 2x2, got shape {w.shape}")
         # each gate is written so that NaN fails it
+        if not all(map(math.isfinite, w.ravel().tolist())):
+            raise ValueError("weight matrix must have finite entries")
         if not np.max(np.abs(w - w.T)) <= 1e-12 * max(1.0, np.max(np.abs(w))):
             raise ValueError("weight matrix must be symmetric")
         if not np.min(np.linalg.eigvalsh(0.5 * (w + w.T))) > 0.0:
@@ -43,42 +48,28 @@ class WeightMatrix:
         object.__setattr__(self, "entries", w)
 
 
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    if not all(map(math.isfinite, a.ravel().tolist())):
-        raise ValueError(f"{what} must have finite entries")
-    return a
-
-
-def _fisher_block(f) -> tuple[np.ndarray, tuple]:
-    """Accept a QFIMatrix or a plain array with finite entries; insist on
-    the identifiable block."""
-    if isinstance(f, QFIMatrix):
-        if "beta" in f.labels:
+def _entries(m, antisymmetric: bool) -> np.ndarray:
+    """The entries of m, a 2x2 QFIMatrix without beta: symmetric for F,
+    antisymmetric for the curvature D.  QFIMatrix has checked them."""
+    got = type(m).__name__
+    if isinstance(m, QFIMatrix):
+        if "beta" in m.labels:
             raise ValueError(
-                "full matrix includes the unidentifiable beta direction; "
+                "matrix includes the unidentifiable beta direction; "
                 "restrict with .identifiable_block() first")
-        arr, labels = f.entries, f.labels
-    else:
-        arr = np.asarray(f, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {arr.shape}")
-        labels = ("theta", "alpha")[:arr.shape[0]]
-    return _finite(arr, "information matrix"), labels
-
-
-def _curvature(d, shape) -> np.ndarray:
-    """The curvature D as a finite array of the Fisher block's shape."""
-    dmat = d.entries if isinstance(d, QFIMatrix) else np.asarray(d, dtype=float)
-    if dmat.shape != shape:
-        raise ValueError(f"curvature shape {dmat.shape} does not match {shape}")
-    return _finite(dmat, "curvature matrix")
+        if m.entries.shape == (2, 2) and m.antisymmetric == antisymmetric:
+            return m.entries
+        n = len(m.labels)
+        got = f"a {n}x{n} {'anti' * m.antisymmetric}symmetric {got}"
+    want = "D an antisymmetric" if antisymmetric else "F a symmetric"
+    raise ValueError(f"bounds take {want} 2x2 QFIMatrix, got {got}")
 
 
 # The small-block arithmetic runs on Python floats, in the order the numpy
 # forms took it, so every bound is bitwise what they gave.
 
 def _max_abs(a: np.ndarray) -> float:
-    return max(map(abs, a.ravel().tolist()), default=0.0)
+    return max(map(abs, a.ravel().tolist()))
 
 
 def _det_2x2(f: np.ndarray, labels) -> float:
@@ -99,29 +90,18 @@ def _det_2x2(f: np.ndarray, labels) -> float:
 
 
 def _inverse_2x2(f: np.ndarray, labels) -> list:
-    """Adjugate inverse of a 1x1 or 2x2 block as nested lists of floats,
-    refusing singular ones."""
-    if f.shape == (1, 1):
-        a = f.item()
-        if not abs(a) > REL_DET_FLOOR:
-            raise SingularFisher(f"information for {labels[0]!r} vanishes",
-                                 parameter=labels[0])
-        return [[1.0 / a]]
-    if f.shape != (2, 2):
-        raise ValueError(f"bounds are defined on 1x1 or 2x2 blocks, got {f.shape}")
+    """Adjugate inverse of a 2x2 block as nested lists of floats, refusing
+    singular ones."""
     det = _det_2x2(f, labels)
     (a, b), (c, d) = f.tolist()
     return [[d / det, -b / det], [-c / det, a / det]]
 
 
-def symmetric_bound(f, w: WeightMatrix | None = None) -> float:
+def symmetric_bound(f: QFIMatrix, w: WeightMatrix | None = None) -> float:
     """C^S = Tr(F^-1 W) on the identifiable block."""
-    mat, labels = _fisher_block(f)
-    inv = _inverse_2x2(mat, labels)
+    inv = _inverse_2x2(_entries(f, False), f.labels)
     if w is None:
-        return inv[0][0] + inv[1][1] if len(inv) == 2 else inv[0][0]
-    if w.entries.shape != mat.shape:
-        raise ValueError(f"weight shape {w.entries.shape} does not match {mat.shape}")
+        return inv[0][0] + inv[1][1]
     return float(np.trace(np.array(inv) @ w.entries))
 
 
@@ -146,24 +126,22 @@ def g_of_theta(theta: float) -> float:
     return float((s + c ** 2) * (1.0 + s) / (4.0 * s * c ** 2))
 
 
-def incompatibility_R(f, d) -> float:
+def incompatibility_R(f: QFIMatrix, d: QFIMatrix) -> float:
     """R = || i F^-1 D ||_inf on the identifiable block, clamped into [0, 1].
 
     For 2x2 antisymmetric D = [[0, d], [-d, 0]] this is |d| / sqrt(det F);
     exceeding 1 by more than 1e-9 is reported as is (it signals a broken
     input rather than physics).
     """
-    mat, labels = _fisher_block(f)
-    dmat = _curvature(d, mat.shape)
-    if mat.shape == (1, 1):
-        return 0.0
-    r = abs(dmat[0, 1].item()) / math.sqrt(_det_2x2(mat, labels))
+    mat, dmat = _entries(f, False), _entries(d, True)
+    r = abs(dmat[0, 1].item()) / math.sqrt(_det_2x2(mat, f.labels))
     if 1.0 < r < 1.0 + 1e-9:
         return 1.0
     return r
 
 
-def sandwich(f, w: WeightMatrix | None = None, d=None) -> tuple[float, float]:
+def sandwich(f: QFIMatrix, w: WeightMatrix | None = None,
+             d: QFIMatrix | None = None) -> tuple[float, float]:
     """(C^S, (1+R) C^S): the bracket containing the Holevo bound."""
     cs = symmetric_bound(f, w)
     r = 0.0 if d is None else incompatibility_R(f, d)
@@ -179,7 +157,8 @@ class HolevoResult:
     certificate: str
 
 
-def holevo_compatible(f, w: WeightMatrix | None = None, d=None,
+def holevo_compatible(f: QFIMatrix, w: WeightMatrix | None = None,
+                      d: QFIMatrix | None = None,
                       eps: float = EPS_COMPAT) -> HolevoResult:
     """C^H when the model is compatible (curvature D vanishes).
 
@@ -191,16 +170,14 @@ def holevo_compatible(f, w: WeightMatrix | None = None, d=None,
     if not (0.0 <= eps < np.inf):                  # NaN fails too
         raise ValueError(f"compatibility threshold must be finite and "
                          f">= 0, got {eps!r}")
-    mat, _ = _fisher_block(f)
-    dmat = np.zeros_like(mat) if d is None else _curvature(d, mat.shape)
-    dnorm = _max_abs(dmat)
-    fnorm = max(_max_abs(mat), 1e-300)
+    fnorm = max(_max_abs(_entries(f, False)), 1e-300)
+    dnorm = 0.0 if d is None else _max_abs(_entries(d, True))
     cs = symmetric_bound(f, w)
     if not dnorm <= eps * fnorm:                   # NaN fails too
-        r = incompatibility_R(f, dmat)
+        lo, hi = sandwich(f, w, d)
         raise IncompatibleModel(
             f"curvature norm {dnorm:.3e} exceeds {eps:.1e} * ||F||; "
-            f"Holevo bound only bracketed: [{cs!r}, {cs * (1 + r)!r}]")
+            f"Holevo bound only bracketed: [{lo!r}, {hi!r}]")
     return HolevoResult(
         value=cs, r=dnorm / fnorm,
         certificate=f"||D||/||F|| = {dnorm / fnorm:.3e} <= {eps:.1e}")

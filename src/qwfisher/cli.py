@@ -372,7 +372,10 @@ def _qfim_by_route(route, p, init, t, params):
         if init.n_sites != 1:
             raise ConfigError("the localized closed form needs a single-site "
                               "input; use --init localized:X")
-        r = rho_bloch(init.amps[0])[1:]
+        # the normalised coin state's Bloch vector: the walk takes a norm
+        # within 1e-12 of 1, which would put |r| above CoinBlochState's gate
+        bloch = rho_bloch(init.amps[0])
+        r = bloch[1:] / bloch[0]
         f = qfim_localized(p.theta, p.alpha - p.beta, r, t)
         # its (theta, phi) block is the (theta, alpha) block, and beta's
         # row and column are zero: beta never enters the information
@@ -435,7 +438,7 @@ def cmd_bounds(ns, out) -> None:
     import numpy as np
     from ._io import DataTable
     from .bounds import (WeightMatrix, holevo_compatible, incompatibility_R,
-                         symmetric_bound)
+                         sandwich)
     from .walk import step_count
 
     p = _coin(ns)
@@ -450,9 +453,8 @@ def cmd_bounds(ns, out) -> None:
             raise ConfigError(f"--weight: {exc}") from None
     f, d = _qfim_by_route(ns.route, p, init, t, ("theta", "alpha"))
 
-    cs = symmetric_bound(f, w)
+    cs, hi = sandwich(f, w, d)
     r = incompatibility_R(f, d)
-    hi = cs * (1.0 + r)                    # the sandwich [C^S, (1+R) C^S]
     try:
         hres = holevo_compatible(f, w, d, eps=ns.eps_compat)
         holevo, note = hres.value, hres.certificate

@@ -353,7 +353,9 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
 
     # B_d for d = 0 and each positive difference d = f' - f that occurs
     diffs = freqs[:, None] - freqs[None, :]
-    ds = np.unique(diffs[diffs > 0])
+    # sorted with its repeats dropped: np.unique would import numpy.ma
+    ds = np.sort(diffs[diffs > 0])
+    ds = ds[np.diff(ds, prepend=0) != 0]
     n_d = ds.size
     pairs = [(f1, f, 1 + np.searchsorted(ds, diffs[f1, f]))
              for f1, f in zip(*np.nonzero(diffs > 0))]

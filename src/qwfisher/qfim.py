@@ -70,7 +70,9 @@ class QFIMatrix:
     antisymmetry, for mixed-derivative curvature matrices) and positive
     semidefiniteness are validated on the per-step-squared scale so the
     gates do not depend on t, by ndarray methods and one ``eigvalsh``:
-    on these small matrices per-call overhead is the cost.
+    on these small matrices per-call overhead is the cost.  ``entries``
+    is a read-only copy of the input, so nothing changes it after the
+    gates have run and :mod:`bounds` reads it unchecked.
     ``asymptotic`` records whether the entries came from the long-time
     formulas or from an exact finite-t computation.
     """
@@ -82,7 +84,8 @@ class QFIMatrix:
     asymptotic: bool = False
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        e = np.array(self.entries, dtype=float)
+        e.flags.writeable = False
         m = len(self.labels)
         if e.shape != (m, m):
             raise ValueError(f"entries shape {e.shape} does not match labels {self.labels}")

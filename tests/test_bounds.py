@@ -1,24 +1,39 @@
 """Scalar bounds: symmetric, incompatibility measure, Holevo pinching."""
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwfisher import (CoinParams, IncompatibleModel, SingularFisher,
-                      WeightMatrix, g_of_theta, holevo_compatible,
-                      incompatibility_R, initial_entangled, qfim_theorem1,
-                      sandwich, symmetric_bound, uhlmann_analytic)
+from qwfisher import (CoinParams, IncompatibleModel, QFIMatrix,
+                      SingularFisher, WeightMatrix, g_of_theta,
+                      holevo_compatible, incompatibility_R, initial_entangled,
+                      qfim_theorem1, sandwich, symmetric_bound,
+                      uhlmann_analytic)
 from qwfisher.bounds import _det_2x2, _inverse_2x2
 
 from oracles import G_QUARTER_PI, G_THREE_EIGHTHS_PI, bounds_by_numpy
+
+LABELS = ("theta", "alpha")
+
+
+def fisher(m):
+    """F as the bounds take it: a symmetric 2x2 QFIMatrix."""
+    return QFIMatrix(np.array(m, dtype=float), LABELS)
+
+
+def curvature(x):
+    """D = [[0, x], [-x, 0]] as the bounds take it."""
+    return QFIMatrix(np.array([[0.0, x], [-x, 0.0]]), LABELS,
+                     antisymmetric=True)
 
 
 def spd2(a, b, c):
     m = np.array([[a, c], [c, b]], dtype=float)
     assert np.linalg.eigvalsh(m).min() > 0
-    return m
+    return fisher(m)
 
 
 class TestWeightMatrix:
@@ -44,22 +59,24 @@ class TestWeightMatrix:
 class TestSymmetricBound:
     def test_matches_manual_inverse(self):
         f = spd2(3.0, 5.0, 1.0)
-        inv = np.linalg.inv(f)
+        inv = np.linalg.inv(f.entries)
         assert symmetric_bound(f) == pytest.approx(np.trace(inv), rel=1e-14)
-        w = WeightMatrix(entries=spd2(2.0, 1.0, 0.25))
+        w = WeightMatrix(entries=spd2(2.0, 1.0, 0.25).entries)
         assert symmetric_bound(f, w) == pytest.approx(
             np.trace(inv @ w.entries), rel=1e-14)
 
     def test_scalar_block(self):
-        assert symmetric_bound(np.array([[4.0]])) == pytest.approx(0.25)
+        # a 1x1 block is refused, not inverted as a scalar
+        with pytest.raises(ValueError, match="got a 1x1 symmetric QFIMatrix"):
+            symmetric_bound(QFIMatrix(np.array([[4.0]]), ("theta",)))
 
     def test_weight_shape_mismatch(self):
-        with pytest.raises(ValueError, match="weight shape"):
-            symmetric_bound(spd2(3.0, 5.0, 1.0),
-                            WeightMatrix(entries=np.eye(3)))
+        # a weight that is not 2x2 is refused before any bound reads it
+        with pytest.raises(ValueError, match="2x2"):
+            WeightMatrix(entries=np.eye(3))
 
     def test_singular_names_the_flat_direction(self):
-        f = np.array([[4.0, 0.0], [0.0, 0.0]])
+        f = fisher([[4.0, 0.0], [0.0, 0.0]])
         with pytest.raises(SingularFisher) as err:
             symmetric_bound(f)
         assert err.value.parameter == "alpha"
@@ -123,39 +140,44 @@ class TestGOfTheta:
 
 class TestIncompatibility:
     def test_zero_curvature(self):
-        assert incompatibility_R(spd2(3.0, 5.0, 1.0), np.zeros((2, 2))) == 0.0
+        assert incompatibility_R(spd2(3.0, 5.0, 1.0), curvature(0.0)) == 0.0
 
     def test_antisymmetric_formula(self):
         f = spd2(3.0, 5.0, 1.0)
-        d = np.array([[0.0, 0.7], [-0.7, 0.0]])
-        expected = 0.7 / math.sqrt(np.linalg.det(f))
+        d = curvature(0.7)
+        expected = 0.7 / math.sqrt(np.linalg.det(f.entries))
         assert incompatibility_R(f, d) == pytest.approx(expected, rel=1e-14)
 
     def test_clamps_tiny_overshoot(self):
-        f = np.eye(2)
-        d = np.array([[0.0, 1.0 + 1e-10], [-1.0 - 1e-10, 0.0]])
+        f = fisher(np.eye(2))
+        d = curvature(1.0 + 1e-10)
         assert incompatibility_R(f, d) == 1.0
 
     def test_large_overshoot_reported_as_is(self):
-        f = np.eye(2)
-        d = np.array([[0.0, 2.0], [-2.0, 0.0]])
+        f = fisher(np.eye(2))
+        d = curvature(2.0)
         assert incompatibility_R(f, d) == pytest.approx(2.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="curvature shape"):
-            incompatibility_R(spd2(3.0, 5.0, 1.0), np.zeros((3, 3)))
-        # a zero curvature of the wrong shape certifies no compatibility
-        for d in (np.zeros((3, 3)), np.zeros(5)):
-            with pytest.raises(ValueError, match="curvature shape"):
+        zero3 = QFIMatrix(np.zeros((3, 3)), ("theta", "alpha", "x"),
+                          antisymmetric=True)
+        with pytest.raises(ValueError, match="got a 3x3 antisymmetric"):
+            incompatibility_R(spd2(3.0, 5.0, 1.0), zero3)
+        # a zero curvature of the wrong shape or type certifies no
+        # compatibility
+        for d in (zero3, np.zeros((2, 2)), np.zeros(5)):
+            with pytest.raises(ValueError, match="antisymmetric 2x2"):
                 holevo_compatible(spd2(3.0, 5.0, 1.0), None, d)
 
     def test_singular_fisher(self):
         with pytest.raises(SingularFisher):
-            incompatibility_R(np.array([[1.0, 0.0], [0.0, 0.0]]),
-                              np.zeros((2, 2)))
+            incompatibility_R(fisher([[1.0, 0.0], [0.0, 0.0]]),
+                              curvature(0.0))
 
-    def test_scalar_block_is_compatible(self):
-        assert incompatibility_R(np.array([[2.0]]), np.array([[0.0]])) == 0.0
+    def test_scalar_block_is_refused(self):
+        with pytest.raises(ValueError, match="got a 1x1 symmetric QFIMatrix"):
+            incompatibility_R(QFIMatrix(np.array([[2.0]]), ("theta",)),
+                              curvature(0.0))
 
 
 class TestSandwichAndHolevo:
@@ -166,7 +188,7 @@ class TestSandwichAndHolevo:
 
     def test_sandwich_widens_with_curvature(self):
         f = spd2(3.0, 5.0, 1.0)
-        d = np.array([[0.0, 0.5], [-0.5, 0.0]])
+        d = curvature(0.5)
         lo, hi = sandwich(f, d=d)
         r = incompatibility_R(f, d)
         assert hi == pytest.approx(lo * (1.0 + r), rel=1e-14)
@@ -185,21 +207,23 @@ class TestSandwichAndHolevo:
 
     def test_holevo_rejects_incompatible(self):
         f = spd2(3.0, 5.0, 1.0)
-        d = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        with pytest.raises(IncompatibleModel, match="bracketed"):
+        d = curvature(1.0)
+        # the bracket in the message is the sandwich's
+        with pytest.raises(IncompatibleModel,
+                           match=re.escape("bracketed: [%r, %r]"
+                                           % sandwich(f, None, d))):
             holevo_compatible(f, d=d)
 
     @pytest.mark.parametrize("eps", [math.nan, -1.0, math.inf])
     def test_bad_eps_rejected(self, eps):
         # R = 0.25 here; a threshold every comparison passes or fails
         # must not certify the model compatible
-        d = np.array([[0.0, 0.25], [-0.25, 0.0]])
         with pytest.raises(ValueError, match="threshold"):
-            holevo_compatible(np.eye(2), d=d, eps=eps)
+            holevo_compatible(fisher(np.eye(2)), d=curvature(0.25), eps=eps)
 
     def test_eps_override(self):
-        f = np.eye(2)
-        d = np.array([[0.0, 1e-4], [-1e-4, 0.0]])
+        f = fisher(np.eye(2))
+        d = curvature(1e-4)
         with pytest.raises(IncompatibleModel):
             holevo_compatible(f, d=d)
         res = holevo_compatible(f, d=d, eps=1e-3)
@@ -209,7 +233,7 @@ class TestSandwichAndHolevo:
 class TestNonFiniteEntries:
     """Every gate fails on NaN and inf, so none of them certifies one."""
 
-    F = np.array([[2.0, 0.3], [0.3, 1.0]])
+    F = fisher([[2.0, 0.3], [0.3, 1.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_weight_matrix(self, bad):
@@ -220,29 +244,73 @@ class TestNonFiniteEntries:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_fisher_block(self, bad):
+        # QFIMatrix refuses the entries, and no bound takes the array
         f = np.array([[bad, 0.0], [0.0, 1.0]])
-        for bound in (symmetric_bound, lambda m: incompatibility_R(m, 0 * self.F),
-                      holevo_compatible, lambda m: sandwich(m, None, 0 * self.F)):
-            with pytest.raises(ValueError, match="finite"):
-                bound(f)
         with pytest.raises(ValueError, match="finite"):
-            symmetric_bound(np.array([[bad]]))
+            QFIMatrix(f, LABELS)
+        with pytest.raises(ValueError, match="finite"):
+            QFIMatrix(np.array([[bad]]), ("theta",))
+        zero = curvature(0.0)
+        for bound in (symmetric_bound, lambda m: incompatibility_R(m, zero),
+                      holevo_compatible, lambda m: sandwich(m, None, zero)):
+            with pytest.raises(ValueError, match="got ndarray"):
+                bound(f)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_curvature(self, bad):
         d = np.array([[0.0, bad], [-bad, 0.0]])
         with pytest.raises(ValueError, match="finite"):
+            QFIMatrix(d, LABELS, antisymmetric=True)
+        with pytest.raises(ValueError, match="got ndarray"):
             incompatibility_R(self.F, d)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="got ndarray"):
             holevo_compatible(self.F, None, d)
 
     def test_small_block_gates(self):
-        # the gates themselves, below the finite-entry check
+        # the gates themselves, below QFIMatrix's finite-entry check
         nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(SingularFisher):
-            _det_2x2(nan, ("theta", "alpha"))
+            _det_2x2(nan, LABELS)
         with pytest.raises(SingularFisher):
-            _inverse_2x2(np.array([[np.nan]]), ("theta",))
+            _inverse_2x2(nan, LABELS)
+
+
+class TestInputType:
+    """The bounds take F and D as 2x2 QFIMatrix objects and nothing else."""
+
+    F = spd2(3.0, 5.0, 1.0)
+
+    @pytest.mark.parametrize("bound", [
+        symmetric_bound, sandwich, holevo_compatible,
+        lambda f: incompatibility_R(f, curvature(0.0))])
+    def test_refuses_an_ndarray_and_a_1x1_block(self, bound):
+        with pytest.raises(ValueError, match="got ndarray"):
+            bound(self.F.entries.copy())
+        with pytest.raises(ValueError, match="got a 1x1 symmetric QFIMatrix"):
+            bound(QFIMatrix(np.array([[4.0]]), ("theta",)))
+
+    def test_refuses_a_symmetric_curvature(self):
+        d = fisher(np.zeros((2, 2)))
+        for bound in (incompatibility_R, lambda f, d: sandwich(f, None, d),
+                      lambda f, d: holevo_compatible(f, None, d)):
+            with pytest.raises(ValueError,
+                               match="got a 2x2 symmetric QFIMatrix"):
+                bound(self.F, d)
+
+    def test_refuses_an_antisymmetric_fisher_block(self):
+        with pytest.raises(ValueError, match="got a 2x2 antisymmetric"):
+            symmetric_bound(curvature(0.0))
+
+    def test_entries_are_a_read_only_copy(self):
+        src = np.array([[3.0, 1.0], [1.0, 5.0]])
+        f = QFIMatrix(src, LABELS)
+        cs = symmetric_bound(f)
+        src[0, 1] = src[1, 0] = 100.0
+        assert np.array_equal(f.entries, [[3.0, 1.0], [1.0, 5.0]])
+        assert not f.entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f.entries[0, 0] = -1.0
+        assert symmetric_bound(f) == cs
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,12 +330,12 @@ def test_float_forms_equal_the_numpy_forms_bitwise(seed, log_scale, log_cond,
     x = rng.normal() * np.sqrt(lam[1] * lam[0]) * rng.uniform(0.0, 1.2)
     d = np.array([[0.0, x], [-x, 0.0]])
     det, inv, cs, r, ratio = bounds_by_numpy(f, d)
-    labels = ("theta", "alpha")
-    assert _det_2x2(f, labels) == det
-    assert np.array_equal(np.array(_inverse_2x2(f, labels)), inv)
-    assert symmetric_bound(f) == cs
-    assert sandwich(f)[0] == cs
+    assert _det_2x2(f, LABELS) == det
+    assert np.array_equal(np.array(_inverse_2x2(f, LABELS)), inv)
+    fm, dm = fisher(f), curvature(x)
+    assert np.array_equal(fm.entries, f) and np.array_equal(dm.entries, d)
+    assert symmetric_bound(fm) == cs
+    assert sandwich(fm)[0] == cs
     if r <= 1.0:
-        assert incompatibility_R(f, d) == r
-    assert holevo_compatible(f, None, d, eps=1e300).r == ratio
-
+        assert incompatibility_R(fm, dm) == r
+    assert holevo_compatible(fm, None, dm, eps=1e300).r == ratio

@@ -342,6 +342,17 @@ def test_closed_form_route_serves_any_params(workdir, params):
     assert body["deviations"]["localized-closed-form"]["max_rel"] <= 1e-12
 
 
+def test_closed_form_route_takes_every_single_site_input(workdir):
+    # a spinor whose norm the walk accepts (within 1e-12 of 1) has a
+    # Bloch length |chi|^2 above 1 + 1e-12; the route reads the
+    # normalised coin state's Bloch vector
+    assert main(["qfim", "--t", "10", "--init", "localized:0",
+                 "--spinor", "1.0000000000009,0",
+                 "--routes", "analytic,localized-closed-form"]) == 0
+    body = read_json(workdir / "qwf_qfim_report.json")
+    assert body["deviations"]["localized-closed-form"]["max_rel"] <= 1e-11
+
+
 def test_bounds_compatible_fixture(workdir, capsys):
     assert main(["bounds", "--t", "100"]) == 0
     out = capsys.readouterr().out

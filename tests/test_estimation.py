@@ -16,7 +16,7 @@ from qwfisher import estimation
 from qwfisher.estimation import (MASS_THRESHOLD, PositionDistribution,
                                  _connected_from_argmax, _grid_loglik,
                                  _pseudo_inverse, philox_rng)
-from qwfisher.walk import SiteWindow, ThetaFamily, spinors_at
+from qwfisher.walk import SiteWindow, ThetaFamily, plane_waves, spinors_at
 
 from oracles import (dilation_connected, evolve_steps, fd_loglik_hessian,
                      prob_derivatives, pseudo_inverse_dense, table_probs,
@@ -263,6 +263,29 @@ class TestLikelihoodTable:
                         n_alpha=5)
         assert_rows_match_direct_evolution(
             make_likelihood_table(init, p_true, t, grid), init, p_true, t)
+
+    @pytest.mark.parametrize("init,beta,t", [
+        (initial_gamma(0.6), -0.9, 51),
+        (initial_gamma(0.6), 0.4, 10),
+        (WalkerState(origin=-4, amps=random_amps(9, seed=5)), -0.9, 30),
+    ], ids=["gamma-neg-beta", "gamma-pos-beta", "random-9-sites"])
+    def test_engine_inputs_keep_their_phase_product_order(self, init, beta,
+                                                          t):
+        # a vectorised complex product can round differently with its
+        # operands swapped or applied in place, so the group spinors are
+        # pinned to one order: D(-beta/2) as a row of per-coin factors
+        # on the right of the amplitudes, chi on the left of the waves
+        family, freqs = estimation._engine_inputs(init, beta, t)
+        a = -0.5 * beta
+        d = complex(math.cos(a), math.sin(a))
+        amps = init.amps * np.array([d, d.conjugate()])
+        chi = np.zeros((freqs.size, 2), dtype=complex)
+        for x, c in zip(*np.nonzero(amps)):
+            chi[np.searchsorted(freqs, init.origin + x + c), c] = amps[x, c]
+        waves = chi * plane_waves(family.window.nodes,
+                                  freqs[:, None] - np.arange(2))
+        rebuilt = ThetaFamily.on(family.window, waves.transpose(1, 2, 0))
+        assert np.array_equal(rebuilt.factors, family.factors)
 
     def test_multimodal_record_rows_match_direct_evolution(self):
         # a 100-shot record with two modes: the grid stage forms 15 of
