@@ -21,13 +21,11 @@ the CSV column, or the number itself.  An entry that is zero in theory,
 such as an off-diagonal of a diagonal matrix, is so held to the scale
 of its matrix and not to its own rounding.  NaN equals NaN.
 
-That own-scale verdict still holds a quantity that is zero in theory,
-or a difference that cancels far below F, and has a list or column of
-its own to its own rounding.  So each line leads with a second verdict,
-the matrix-scaled one, which holds these quantities to the largest |F|
-of the information matrix of the report in the file's directory (the
-``entries``, ``per_t2`` or ``fisher`` of its ``*_report.json``, either
-side), in the quantity's own units:
+A quantity that is zero in theory, or a difference that cancels far
+below F, may have a list or column of its own.  Its S is then also at
+least the largest |F| of the information matrix of the report in the
+file's directory (the ``entries``, ``per_t2`` or ``fisher`` of its
+``*_report.json``, either side), in the quantity's own units:
 
     beta_null_residual   qfim report and stdout: max |per_t2| (a
                          projector on an O(1) generator vector)
@@ -36,20 +34,18 @@ side), in the quantity's own units:
     dev_*, max_abs       qfim CSV, report and stdout, a route's deviation
                          from the reference route (its off-diagonals
                          are zero in theory): max |entries|
-    max_rel, r, R,       qfim and bounds outputs, bounds report note and
-    ||D||/||F||          stdout, ratios to F (R is D over F): 1
+    max_rel, r, R        qfim and bounds outputs, bounds report note and
+                         stdout, ratios to F (R is D over F): 1
     "diag =" lines       qfim stdout, the diagonals (the analytic
                          route's beta entry is zero in theory):
                          max |entries|
 
-Under it ``stdout.txt``, and the ``note`` string of a report, compare
-byte for byte but for the numbers that these labels name, which compare
-by the tolerance on their scale.  Every other text file, ``stderr.txt``
-and ``exit.txt`` among them, and every other string compare byte for
-byte under both verdicts.  The own-scale verdict is printed beside the
-matrix-scaled one where they differ; the summary line and the exit
-status (1 if any file is different, else 0) follow the matrix-scaled
-verdict.
+``stdout.txt``, and the ``note`` string of a report, compare byte for
+byte but for the numbers that these labels name, which compare by the
+tolerance on their scale.  Every other text file, ``stderr.txt`` and
+``exit.txt`` among them, and every other string compare byte for byte.
+A summary line follows, and the exit status is 1 if any file is
+different, else 0.
 
     python scripts/compare_outputs.py DIR_A DIR_B [--rel-tol 1e-14]
 """
@@ -68,7 +64,7 @@ ZERO_IN_THEORY = {"beta_null_residual": "per_t2", "uhlmann": "entries",
 # the same in stdout and a report's note, by the text before the number
 LABELS = {"beta_null_residual = ": "per_t2", "max_abs=": "entries",
           "max_rel=": "ratio", "incompatibility R  = ": "ratio",
-          "||D||/||F|| = ": "ratio"}
+          "R = ": "ratio"}
 NUMBER = r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|nan|inf))"
 LABELLED = re.compile("(" + "|".join(map(re.escape, LABELS)) + ")" + NUMBER)
 DIAG_LINE = re.compile(r"\S+: diag = ")
@@ -110,24 +106,14 @@ def _magnitudes(x):
             yield from _magnitudes(v)
 
 
-def _pair(a, b, scale, zero):
-    """(own-scale, matrix-scaled) deviations of two numbers."""
-    own = rel_dev(a, b, scale)
-    return own, (own if zero is None else rel_dev(a, b, max(scale, zero)))
-
-
-def json_devs(a, b, scales, where="$", scale=None, zero=None):
-    """(own-scale deviation, matrix-scaled deviation, path) of every pair
-    of numbers in two parsed JSON values of the same structure, with
-    ``zero`` the matrix scale of a zero-in-theory key above them;
-    Different on any other mismatch, or under the own-scale verdict
-    alone (deviation inf) for a report note that differs in labelled
-    numbers only."""
+def json_devs(a, b, scales, where="$", scale=None, zero=0.0):
+    """(deviation, path) of every pair of numbers in two parsed JSON
+    values of the same structure, with ``zero`` the matrix scale of a
+    zero-in-theory key above them, and of every labelled number of a
+    report note; Different on any other mismatch."""
     na, nb = _number(a), _number(b)
     if na is not None and nb is not None:
-        own, scaled = ((0.0, 0.0) if a == b
-                       else _pair(na, nb, scale or 0.0, zero))
-        yield own, scaled, where
+        yield rel_dev(na, nb, max(scale or 0.0, zero)), where
     elif isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             raise Different(f"{where}: keys {sorted(a)} vs {sorted(b)}")
@@ -149,14 +135,14 @@ def json_devs(a, b, scales, where="$", scale=None, zero=None):
         except Different:
             raise Different(f"{where}: {a!r} vs {b!r}") from None
         for dev, place in devs:
-            yield math.inf, dev, f"{where} {place}"
+            yield dev, f"{where} {place}"
     elif type(a) is not type(b) or a != b:
         raise Different(f"{where}: {a!r} vs {b!r}")
 
 
 def text_devs(text_a: str, text_b: str, scales: dict):
-    """(matrix-scaled deviation, place) of every labelled number in two
-    texts that match byte for byte elsewhere; Different otherwise."""
+    """(deviation, place) of every labelled number in two texts that
+    match byte for byte elsewhere; Different otherwise."""
     lines_a, lines_b = text_a.split("\n"), text_b.split("\n")
     if len(lines_a) != len(lines_b):
         raise Different("line count differs")
@@ -179,9 +165,8 @@ def _cell(text: str):
 
 
 def csv_devs(text_a: str, text_b: str, scales: dict):
-    """(own-scale deviation, matrix-scaled deviation, place) of every
-    pair of numeric cells of two CSV texts; Different if a comment, the
-    header or a text cell differs."""
+    """(deviation, place) of every pair of numeric cells of two CSV
+    texts; Different if a comment, the header or a text cell differs."""
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
     comments_a = [line for line in lines_a if line.startswith("#")]
     comments_b = [line for line in lines_b if line.startswith("#")]
@@ -197,7 +182,7 @@ def csv_devs(text_a: str, text_b: str, scales: dict):
     col_scales = [max((abs(v) for row in body if (v := _cell(row[j])) is not None
                        and math.isfinite(v)), default=0.0)
                   for j in range(len(header))]
-    zeros = [scales.get(_unit(name)) for name in header]
+    zeros = [scales.get(_unit(name), 0.0) for name in header]
     for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
         for j, (x, y) in enumerate(zip(ra, rb)):
             fx, fy = _cell(x), _cell(y)
@@ -205,7 +190,7 @@ def csv_devs(text_a: str, text_b: str, scales: dict):
                 if x != y:
                     raise Different(f"row {i} column {header[j]}: {x!r} vs {y!r}")
             else:
-                yield (*_pair(fx, fy, col_scales[j], zeros[j]),
+                yield (rel_dev(fx, fy, max(col_scales[j], zeros[j])),
                        f"row {i} column {header[j]}")
 
 
@@ -235,21 +220,14 @@ def report_scales(*dirs) -> dict:
     return scales
 
 
-def _verdict(worst, where, rel_tol):
-    return (("equal" if worst <= rel_tol else "different"),
-            f"max rel dev {worst:.3e} at {where}")
-
-
 def compare_file(path_a: Path, path_b: Path, rel_tol: float):
-    """((verdict, detail) matrix-scaled, (verdict, detail) on own scale)
-    for one pair of files."""
+    """(verdict, detail) for one pair of files."""
     if not (path_a.is_file() and path_b.is_file()):
         side = "first" if not path_a.is_file() else "second"
-        missing = ("different", f"missing in the {side} directory")
-        return missing, missing
+        return "different", f"missing in the {side} directory"
     raw_a, raw_b = path_a.read_bytes(), path_b.read_bytes()
     if raw_a == raw_b:
-        return ("identical", ""), ("identical", "")
+        return "identical", ""
     scales = report_scales(path_a.parent, path_b.parent)
     try:
         if path_a.suffix == ".json":
@@ -257,18 +235,14 @@ def compare_file(path_a: Path, path_b: Path, rel_tol: float):
         elif path_a.suffix == ".csv":
             devs = csv_devs(raw_a.decode(), raw_b.decode(), scales)
         elif path_a.name == "stdout.txt":
-            devs = ((math.inf, dev, where) for dev, where in
-                    text_devs(raw_a.decode(), raw_b.decode(), scales))
+            devs = text_devs(raw_a.decode(), raw_b.decode(), scales)
         else:
             raise Different("bytes differ")
-        devs = list(devs) or [(0.0, 0.0, "no numbers")]
+        worst, where = max(devs, default=(0.0, "no numbers"))
     except (Different, ValueError) as exc:
-        return ("different", str(exc)), ("different", str(exc))
-    own = max((d[0], d[2]) for d in devs)
-    scaled = max((d[1], d[2]) for d in devs)
-    if math.isinf(own[0]) and path_a.suffix not in (".json", ".csv"):
-        return _verdict(*scaled, rel_tol), ("different", "bytes differ")
-    return _verdict(*scaled, rel_tol), _verdict(*own, rel_tol)
+        return "different", str(exc)
+    return (("equal" if worst <= rel_tol else "different"),
+            f"max rel dev {worst:.3e} at {where}")
 
 
 def main(argv=None) -> int:
@@ -287,11 +261,9 @@ def main(argv=None) -> int:
                     for p in d.rglob("*") if p.is_file()})
     verdicts = []
     for name in names:
-        (verdict, detail), own = compare_file(
-            args.dir_a / name, args.dir_b / name, args.rel_tol)
+        verdict, detail = compare_file(args.dir_a / name, args.dir_b / name,
+                                       args.rel_tol)
         verdicts.append(verdict)
-        if own != (verdict, detail):
-            detail += f"; on its own scale {own[0]}, {own[1]}"
         print(f"{verdict:<10} {name}" + (f"  ({detail})" if detail else ""))
     counts = {v: verdicts.count(v) for v in ("identical", "equal", "different")}
     print(", ".join(f"{n} {v}" for v, n in counts.items()))

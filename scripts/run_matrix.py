@@ -23,8 +23,11 @@ against the analytic route.  Runs 34-37 reach the bounds paths the rest
 never do: the closed form on a single-site spinor whose norm is 1 +
 9e-13, an oracle ``bounds`` run whose Holevo bound is unavailable (the
 bracket goes into the note), the same run with --strict (exit 4), and a
-singular block at theta = pi/2 (exit 4).  New runs go at the end so
-that the runs before them keep their numbers.
+singular block at theta = pi/2 (exit 4).  Run 38 is an oracle ``bounds``
+run near theta = pi/2 whose incompatibility R = 9.5e-05 is above the
+default threshold although max |D| / max |F| is below it: its Holevo
+bound is unavailable.  New runs go at the end so that the runs before
+them keep their numbers.
 """
 import argparse
 import contextlib
@@ -75,6 +78,7 @@ qfim --t 10 --routes analytic,localized-closed-form --init localized:0 --spinor 
 bounds --t 10 --route oracle --init gamma:0.6 --alpha 0.5 --beta -0.9
 bounds --t 10 --route oracle --init gamma:0.6 --alpha 0.5 --beta -0.9 --strict
 bounds --t 10 --theta 1.5707963267948966
+bounds --route oracle --t 10 --theta 1.5707 --init gamma:0.6 --alpha 0.5 --beta -0.9
 """.strip().splitlines())
 
 

@@ -68,10 +68,6 @@ def _entries(m, antisymmetric: bool) -> np.ndarray:
 # The small-block arithmetic runs on Python floats, in the order the numpy
 # forms took it, so every bound is bitwise what they gave.
 
-def _max_abs(a: np.ndarray) -> float:
-    return max(map(abs, a.ravel().tolist()))
-
-
 def _det_2x2(f: np.ndarray, labels) -> float:
     """Determinant of a 2x2 block behind a relative-determinant singularity gate.
 
@@ -150,7 +146,7 @@ def sandwich(f: QFIMatrix, w: WeightMatrix | None = None,
 
 @dataclass(frozen=True)
 class HolevoResult:
-    """Holevo bound evaluated in the compatible regime."""
+    """Holevo bound in the compatible regime and the R that certified it."""
 
     value: float
     r: float
@@ -162,22 +158,20 @@ def holevo_compatible(f: QFIMatrix, w: WeightMatrix | None = None,
                       eps: float = EPS_COMPAT) -> HolevoResult:
     """C^H when the model is compatible (curvature D vanishes).
 
-    The compatibility test is ||D|| <= eps * ||F||; then the sandwich
-    pinches and C^H = C^S exactly.  Outside that regime the scalar bound
-    is not available in closed form here and IncompatibleModel is raised
-    carrying the sandwich.
+    The compatibility test is R <= eps, with R from
+    :func:`incompatibility_R`; then the sandwich pinches to within a
+    relative eps and C^H = C^S.  Outside that regime the scalar bound is
+    not available in closed form here and IncompatibleModel is raised
+    carrying R and the sandwich.
     """
     if not (0.0 <= eps < np.inf):                  # NaN fails too
         raise ValueError(f"compatibility threshold must be finite and "
                          f">= 0, got {eps!r}")
-    fnorm = max(_max_abs(_entries(f, False)), 1e-300)
-    dnorm = 0.0 if d is None else _max_abs(_entries(d, True))
-    cs = symmetric_bound(f, w)
-    if not dnorm <= eps * fnorm:                   # NaN fails too
+    r = 0.0 if d is None else incompatibility_R(f, d)
+    if not r <= eps:
         lo, hi = sandwich(f, w, d)
         raise IncompatibleModel(
-            f"curvature norm {dnorm:.3e} exceeds {eps:.1e} * ||F||; "
+            f"incompatibility R = {r:.3e} exceeds {eps:.1e}; "
             f"Holevo bound only bracketed: [{lo!r}, {hi!r}]")
-    return HolevoResult(
-        value=cs, r=dnorm / fnorm,
-        certificate=f"||D||/||F|| = {dnorm / fnorm:.3e} <= {eps:.1e}")
+    return HolevoResult(value=symmetric_bound(f, w), r=r,
+                        certificate=f"R = {r:.3e} <= {eps:.1e}")

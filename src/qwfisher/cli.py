@@ -676,7 +676,7 @@ def build_parser():
     bd.add("weight", default=None, metavar="W00,W01,W11",
            help="weight matrix entries (default identity)")
     bd.add("eps-compat", type=float, default=1e-6,
-           help="compatibility threshold ||D|| <= eps ||F||")
+           help="compatibility threshold: R <= eps certifies C^H = C^S")
     bd.add("strict", type=bool, default=False,
            help="fail (exit 4) when the model is incompatible")
 

@@ -124,10 +124,11 @@ class MeasurementRecord:
 def sample(dist: PositionDistribution, shots: int, seed: int,
            params_true: CoinParams | None = None, stream=()) -> MeasurementRecord:
     """Multinomial position draws; deterministic in (seed, stream)."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    for name, n, least in (("shots", shots, 1), ("seed", seed, 0)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+        if n < least:
+            raise ValueError(f"{name} must be >= {least}, got {n}")
     rng = philox_rng(seed, *stream)
     p = dist.probs / dist.probs.sum()
     draws = rng.multinomial(shots, p)
@@ -226,6 +227,10 @@ class GridSpec:
     n_alpha: int = 200
 
     def __post_init__(self):
+        for name in ("theta_min", "theta_max", "alpha_min", "alpha_max"):
+            if not math.isfinite(edge := getattr(self, name)):
+                raise ValueError(f"grid edge {name} must be finite, "
+                                 f"got {edge!r}")
         if not (self.theta_min < self.theta_max and self.alpha_min < self.alpha_max):
             raise ValueError("grid box is empty")
         for name in ("n_theta", "n_alpha"):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -465,8 +465,7 @@ class ThetaFamily:
         window = SiteWindow.after(init, t)
         family = cls.on(window, reduced_spinors(init, p, window.nodes)[None],
                         p.alpha)
-        return cls(window, family.cos_k, family.sin_k, family.factors,
-                   0.5 * (p.alpha - p.beta))
+        return replace(family, coin_phase=0.5 * (p.alpha - p.beta))
 
     def to_sites(self, spinors: np.ndarray) -> np.ndarray:
         """Site amplitudes (..., width, 2) of the walk from spinors (..., 2,

@@ -666,14 +666,12 @@ def qfimatrix_checks(entries, labels, t, antisymmetric):
 
 
 def bounds_by_numpy(f, d):
-    """(det, F^-1, C^S, R, ||D|| / ||F||) of a nonsingular 2x2 block F and
-    curvature D, by the numpy expressions ``bounds`` first used: the
-    reference its float forms must equal bit for bit."""
+    """(det, F^-1, C^S, R) of a nonsingular 2x2 block F and curvature D,
+    by the numpy expressions ``bounds`` first used: the reference its
+    float forms must equal bit for bit."""
     det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
     inv = np.array([[f[1, 1], -f[0, 1]], [-f[1, 0], f[0, 0]]]) / det
-    fnorm = max(float(np.max(np.abs(f))), 1e-300)
-    return (det, inv, float(np.trace(inv)), abs(d[0, 1]) / np.sqrt(det),
-            float(np.max(np.abs(d))) / fnorm)
+    return det, inv, float(np.trace(inv)), abs(d[0, 1]) / np.sqrt(det)
 
 
 # Run from a bare interpreter: a child's ru_maxrss counts the memory of

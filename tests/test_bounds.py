@@ -221,6 +221,22 @@ class TestSandwichAndHolevo:
         with pytest.raises(ValueError, match="threshold"):
             holevo_compatible(fisher(np.eye(2)), d=curvature(0.25), eps=eps)
 
+    def test_ill_conditioned_block_is_refused(self):
+        # max |D| / max |F| = 2.5e-7 is below eps; R = 5e-4 is not
+        f, d = fisher(np.diag([4.0, 1e-6])), curvature(1e-6)
+        assert incompatibility_R(f, d) == pytest.approx(5e-4, rel=1e-15)
+        with pytest.raises(IncompatibleModel, match=re.escape(
+                "incompatibility R = 5.000e-04 exceeds 1.0e-06; Holevo bound "
+                "only bracketed: [%r, %r]" % sandwich(f, None, d))):
+            holevo_compatible(f, d=d)
+
+    def test_certificate_reads_R(self):
+        f, d = spd2(3.0, 5.0, 1.0), curvature(1e-7)
+        r = incompatibility_R(f, d)
+        res = holevo_compatible(f, d=d)
+        assert res.r == r
+        assert res.certificate == f"R = {r:.3e} <= 1.0e-06"
+
     def test_eps_override(self):
         f = fisher(np.eye(2))
         d = curvature(1e-4)
@@ -329,7 +345,7 @@ def test_float_forms_equal_the_numpy_forms_bitwise(seed, log_scale, log_cond,
         f[1, 0] *= 1.0 + 1e-13 * rng.normal()
     x = rng.normal() * np.sqrt(lam[1] * lam[0]) * rng.uniform(0.0, 1.2)
     d = np.array([[0.0, x], [-x, 0.0]])
-    det, inv, cs, r, ratio = bounds_by_numpy(f, d)
+    det, inv, cs, r = bounds_by_numpy(f, d)
     assert _det_2x2(f, LABELS) == det
     assert np.array_equal(np.array(_inverse_2x2(f, LABELS)), inv)
     fm, dm = fisher(f), curvature(x)
@@ -338,4 +354,5 @@ def test_float_forms_equal_the_numpy_forms_bitwise(seed, log_scale, log_cond,
     assert sandwich(fm)[0] == cs
     if r <= 1.0:
         assert incompatibility_R(fm, dm) == r
-    assert holevo_compatible(fm, None, dm, eps=1e300).r == ratio
+    assert holevo_compatible(fm, None, dm, eps=1e300).r \
+        == incompatibility_R(fm, dm)

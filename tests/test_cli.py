@@ -218,6 +218,13 @@ def test_step_count_bound_is_named(workdir, capsys, argv, flag):
     assert not list(workdir.iterdir())
 
 
+def test_negative_seed_is_named(workdir, capsys):
+    assert main(["estimate", "--t", "5", "--shots", "10", "--grid-n", "8",
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: seed must be >= 0, got -1\n")
+
+
 @pytest.mark.parametrize("weight", ["inf,0,1", "1,-inf,1", "nan,0,1"])
 def test_non_finite_weight_is_named(workdir, capsys, weight):
     assert main(["bounds", "--t", "5", "--weight", weight]) == 2
@@ -363,6 +370,7 @@ def test_bounds_compatible_fixture(workdir, capsys):
     g = (math.sin(math.pi / 4) + 0.5) / (4 * math.sin(math.pi / 4)
                                          * (1 - math.sin(math.pi / 4)))
     assert cs * t * t == pytest.approx(g, rel=1e-6)
+    assert report["note"] == f"R = {report['r']:.3e} <= 1.0e-06"
     _, header, rows = csv_rows(workdir / "qwf_bounds_bounds.csv")
     assert "holevo" in header
     assert len(rows) == 1
@@ -387,6 +395,22 @@ def test_bounds_incompatible_note_and_strict(workdir, capsys):
     assert report["holevo"] is None
     assert main(args + ["--strict"]) == 4
     assert "model error" in capsys.readouterr().err
+
+
+def test_bounds_gate_reads_R(workdir, capsys):
+    # max |D| / max |F| is below eps = 1e-6 here; R = 9.491e-05 is not
+    args = ["bounds", "--route", "oracle", "--t", "10", "--theta", "1.5707",
+            "--init", "gamma:0.6", "--alpha", "0.5", "--beta", "-0.9"]
+    assert main(args) == 0
+    assert "holevo: unavailable (incompatibility R = 9.491e-05 exceeds " \
+        "1.0e-06; " in capsys.readouterr().out
+    report = read_json(workdir / "qwf_bounds_bounds_report.json")
+    assert report["holevo"] is None
+    assert report["note"].startswith(
+        f"incompatibility R = {report['r']:.3e} exceeds 1.0e-06; ")
+    assert main(args + ["--strict"]) == 4
+    assert capsys.readouterr().err.startswith(
+        "model error: incompatibility R = 9.491e-05 exceeds 1.0e-06; ")
 
 
 def test_sweep_file_sets(workdir):

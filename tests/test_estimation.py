@@ -135,6 +135,18 @@ class TestSampling:
                 sample(d, shots, seed=1)
         assert sample(d, np.int64(40), seed=1) == sample(d, 40, seed=1)
 
+    def test_seed_must_be_a_non_negative_integer(self):
+        # a fractional seed once drew as int(seed), and True as 1
+        d = PositionDistribution(sites=np.array([-1, 1]),
+                                 probs=np.array([0.5, 0.5]), t=1)
+        for seed in (1.5, 1.0, True):
+            with pytest.raises(ValueError, match="^seed must be an integer, "
+                               f"got {seed!r}$"):
+                sample(d, 100, seed)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            sample(d, 100, -1)
+        assert sample(d, 100, np.int64(7)) == sample(d, 100, 7)
+
     def test_two_point_frequencies(self):
         d = PositionDistribution(sites=np.array([-1, 1]),
                                  probs=np.array([0.5, 0.5]), t=1)
@@ -486,6 +498,16 @@ class TestLikelihoodTable:
             GridSpec(theta_min=1.0, theta_max=0.5)
         with pytest.raises(ValueError, match="2 points"):
             GridSpec(n_theta=1)
+
+    @pytest.mark.parametrize("field", ["theta_min", "theta_max", "alpha_min",
+                                       "alpha_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_grid_spec_refuses_a_non_finite_edge(self, field, value):
+        # an infinite edge once built a table of NaN rows whose fit
+        # reported converged
+        with pytest.raises(ValueError, match=f"^grid edge {field} must be "
+                           f"finite, got {value!r}$"):
+            GridSpec(**{field: value})
 
     @pytest.mark.parametrize("field", ["n_theta", "n_alpha"])
     @pytest.mark.parametrize("value", [4.5, 4.0, True, "40", None])

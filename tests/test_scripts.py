@@ -90,11 +90,12 @@ def _qfim_report(beta_null, f_tt):
 
 def test_compare_outputs_scales_zero_in_theory_quantities(tmp_path):
     # beta_null_residual is zero in theory: a 1e-16 change is rounding
-    # against max |per_t2| (an 18% change on its own scale, and different
-    # bytes in stdout); a 1e-6 relative change to an F entry stays a
-    # difference under both verdicts, and so does any other changed
-    # text: an unlabelled number, a diag entry beyond the tolerance on
-    # max |entries|, stderr, or a trailing newline
+    # against max |per_t2| (an 18% change on its own scale), in the
+    # report and in stdout, and so is a 1e-17 change to a bounds note's
+    # R against 1; a 1e-6 relative change to an F entry stays a
+    # difference, and so does any other changed text: an unlabelled
+    # number, a diag entry beyond the tolerance on max |entries|, stderr,
+    # or a trailing newline
     a, b = tmp_path / "a", tmp_path / "b"
     null_line = "beta_null_residual = {:.3e}\n".format
     cases = {  # name: (report args of b, {file: (text of a, text of b)})
@@ -105,6 +106,9 @@ def test_compare_outputs_scales_zero_in_theory_quantities(tmp_path):
         "diag": ((5.6e-16, 1.66), {"stdout.txt": (
             "analytic: diag = theta=0.5, alpha=46800\n",
             "analytic: diag = theta=0.6, alpha=46800\n")}),
+        "note": ((5.6e-16, 1.66), {"qwf_bounds_report.json": (
+            '{"note": "R = 1.000e-17 <= 1.0e-06"}',
+            '{"note": "R = 2.000e-17 <= 1.0e-06"}')}),
         "sandwich": ((5.6e-16, 1.66), {"stdout.txt": (
             "incompatibility R  = 1.000e-17; sandwich = [0.5, 0.5]\n",
             "incompatibility R  = 1.000e-17; sandwich = [0.5, 0.6]\n")}),
@@ -124,17 +128,19 @@ def test_compare_outputs_scales_zero_in_theory_quantities(tmp_path):
     res = run_script("compare_outputs.py", str(a), str(b), "--rel-tol",
                      "1e-13", cwd=tmp_path)
     lines = {line.split()[1]: line for line in res.stdout.splitlines()[:-1]}
-    null = lines["null/qwf_qfim_report.json"]
-    assert null.startswith("equal ") and "on its own scale different" in null
-    out = lines["null/stdout.txt"]
-    assert out.startswith("equal ") and "on its own scale different, bytes differ" in out
+    assert lines["null/qwf_qfim_report.json"].split(None, 2)[::2] == [
+        "equal", "(max rel dev 6.024e-17 at $.beta_null_residual)"]
+    assert lines["null/stdout.txt"].split(None, 2)[::2] == [
+        "equal", "(max rel dev 6.024e-17 at line 1 beta_null_residual)"]
+    assert lines["note/qwf_bounds_report.json"].split(None, 2)[::2] == [
+        "equal", "(max rel dev 1.000e-17 at $.note line 1 R)"]
     entry = lines["entry/qwf_qfim_report.json"]
     assert entry.startswith("different ") and "at $.routes.analytic" in entry
     assert lines["entry/stdout.txt"].startswith("identical ")
     for name in ("diag/stdout.txt", "sandwich/stdout.txt", "stderr/stderr.txt",
                  "newline/stdout.txt"):
         assert lines[name].startswith("different "), lines[name]
-    assert res.stdout.splitlines()[-1] == "5 identical, 2 equal, 5 different"
+    assert res.stdout.splitlines()[-1] == "6 identical, 3 equal, 5 different"
     assert res.returncode == 1
 
 
