@@ -144,6 +144,13 @@ def sandwich(f: QFIMatrix, w: WeightMatrix | None = None,
     return cs, cs * (1.0 + r)
 
 
+def check_eps_compat(eps: float) -> None:
+    """The rule a compatibility threshold keeps: finite and >= 0."""
+    if not (0.0 <= eps < np.inf):                  # NaN fails too
+        raise ValueError(f"compatibility threshold must be finite and "
+                         f">= 0, got {eps!r}")
+
+
 @dataclass(frozen=True)
 class HolevoResult:
     """Holevo bound in the compatible regime and the R that certified it."""
@@ -164,9 +171,7 @@ def holevo_compatible(f: QFIMatrix, w: WeightMatrix | None = None,
     not available in closed form here and IncompatibleModel is raised
     carrying R and the sandwich.
     """
-    if not (0.0 <= eps < np.inf):                  # NaN fails too
-        raise ValueError(f"compatibility threshold must be finite and "
-                         f">= 0, got {eps!r}")
+    check_eps_compat(eps)
     r = 0.0 if d is None else incompatibility_R(f, d)
     if not r <= eps:
         lo, hi = sandwich(f, w, d)

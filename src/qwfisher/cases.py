@@ -197,11 +197,10 @@ class DiracParams:
     eps: float
 
     def __post_init__(self):
-        for name in ("m", "q", "a_x", "eps"):
+        for name in ("m", "q"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps!r}")
+        _dirac_scale(self.a_x, self.eps)
         if self.eps * self.omega >= WINDOW:
             raise OutOfWindow(
                 f"eps * Omega = {self.eps * self.omega!r} >= pi/2: coin "
@@ -219,9 +218,6 @@ def coin_from_dirac(d: DiracParams) -> CoinParams:
     degenerates to pure phase accumulation with alpha = -atan(tan(eps W))
     * sign(q A_x); estimation of (m, q) needs the mass to mix the coin.
     """
-    if d.a_x == 0.0:
-        raise ChargeUnidentifiable(
-            "A_x = 0: the charge never enters the coin and cannot be estimated")
     if d.omega == 0.0:
         raise DegenerateWalk("m = q = 0 gives the identity coin")
     if d.m == 0.0:
@@ -241,12 +237,13 @@ def dirac_jacobian(d: DiracParams) -> np.ndarray:
 
 
 def _dirac_scale(a_x: float, eps: float) -> tuple[float, float]:
-    """(eps, eps A_x), the field per unit (m, q), after the gates both
-    Dirac inverses share."""
+    """(eps, eps A_x), the field per unit (m, q), after the gates that
+    :class:`DiracParams` and both Dirac inverses share."""
     if not (math.isfinite(a_x) and math.isfinite(eps)):
         raise ValueError(f"A_x and eps must be finite, got {a_x!r}, {eps!r}")
     if a_x == 0.0:
-        raise ChargeUnidentifiable("A_x = 0: charge not identifiable")
+        raise ChargeUnidentifiable(
+            "A_x = 0: the charge never enters the coin and cannot be estimated")
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     if not 0.0 < abs(eps * a_x) < math.inf:
@@ -316,7 +313,6 @@ def sweep_fig1(theta: float, t_max: int) -> dict:
     ratio, "inset": prefactor curves f_r(theta) over the open interval
     (0, pi/2)}.
     """
-    CoinParams(theta, 0.0, 0.0)      # the coin's NaN and sin(theta) = 0 gates
     t_max, ts = _t_grid(t_max)
     f0 = np.array([single_param_qfi(theta, 0.0, t) for t in ts])
     f1 = np.array([single_param_qfi(theta, 1.0, t) for t in ts])
@@ -337,7 +333,7 @@ def sweep_fig2(theta_list, t_max: int) -> dict:
     t_max, ts = _t_grid(t_max)
     th_col, ch_col = [], []
     for th in theta_list:
-        CoinParams(float(th), 0.0, 0.0)  # as in sweep_fig1
+        CoinParams(float(th), 0.0, 0.0)  # the coin's NaN and sin = 0 gates
         g = g_of_theta(float(th))
         th_col += [float(th)] * ts.size
         ch_col += [g / float(t) ** 2 for t in ts]

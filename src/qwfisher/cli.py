@@ -8,17 +8,16 @@ Subcommands
     case       physical encodings end to end (magnetic | dirac)
     estimate   sample a measurement record and fit (theta, alpha)
 
-Every flag can also be given in a plain ``key = value`` config file
-passed with ``--config``; explicit command-line flags win on conflict.
+Every flag can also be given in a ``key = value`` config file passed
+with ``--config``; explicit command-line flags win on conflict.  Every
+refused value, flag or subcommand is a ConfigError (exit 2), and each
+command validates all of its input before its first engine run.
 Outputs are CSV/JSON with the resolved configuration embedded, no
 timestamps, so a config reproduces its files byte for byte.
 
 Exit codes and stderr labels: see ``qwfisher.errors``, where each
-error type carries its own.
-
-The environment variable QWF_THREADS caps BLAS/OpenMP parallelism; it
-is applied before numpy is first imported, which is why the heavy
-imports here live inside the command functions.
+error type carries its own.  The heavy imports live inside the command
+functions, so importing this module stays cheap.
 """
 from __future__ import annotations
 
@@ -41,24 +40,6 @@ _UNSET = object()
 # so this bound keeps that error under 1e-12.
 MAX_SITE_POSITION = 10_000
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("QWF_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"QWF_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"QWF_THREADS must be >= 1, got {n}")
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
-
-
 def _parse_bool(raw) -> bool:
     if isinstance(raw, bool):
         return raw
@@ -68,6 +49,13 @@ def _parse_bool(raw) -> bool:
     if val in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {raw!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose every refusal is a ConfigError (exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 class _Cmd:
@@ -85,7 +73,9 @@ class _Cmd:
         # default output prefix qwf_<stem>, formatted with the parsed flags
         self.stem = stem or name
         self.registry = {}
-        self.parser = subparsers.add_parser(name, help=help_text)
+        # a flag is named in full, as its config key is
+        self.parser = subparsers.add_parser(name, help=help_text,
+                                            allow_abbrev=False)
         # argparse would take "-1e-3" for a flag; none starts with a digit
         self.parser._negative_number_matcher = re.compile(r"-\.?\d")
         self.parser.set_defaults(_cmd=self)
@@ -101,9 +91,9 @@ class _Cmd:
             self.parser.add_argument(*names, dest=dest, action="store_true",
                                      default=_UNSET, help=help)
         else:
-            self.parser.add_argument(*names, dest=dest, type=type,
-                                     default=_UNSET, choices=choices,
-                                     help=help, metavar=metavar)
+            self.parser.add_argument(
+                *names, dest=dest, default=_UNSET, help=help,
+                metavar="{" + ",".join(choices) + "}" if choices else metavar)
         self.registry[dest] = (_parse_bool if type is bool else type, default,
                                choices)
 
@@ -111,24 +101,25 @@ class _Cmd:
         self.parser.add_argument(name, choices=choices, help=help)
 
     def resolve(self, ns) -> _Sink:
-        """Fill unset flags from config file and defaults; return the
-        run's output sink, which carries the resolved config (its echo)."""
+        """Convert each flag given on the command line or in the config
+        file and fill the rest from the defaults; return the run's output
+        sink, which carries the resolved config (its echo)."""
         cfg = _load_config(ns.config) if ns.config else {}
         for dest, (conv, default, choices) in self.registry.items():
-            if getattr(ns, dest) is not _UNSET:
-                cfg.pop(dest, None)
-                continue
-            if dest in cfg:
-                try:
-                    value = conv(cfg.pop(dest))
-                    if choices and value not in choices:
-                        raise ValueError(f"invalid choice {value!r} (choose "
-                                         f"from {', '.join(choices)})")
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"config key {dest!r}: {exc}")
-                setattr(ns, dest, value)
-            else:
+            raw, source = cfg.pop(dest, _UNSET), f"config key {dest!r}"
+            if getattr(ns, dest) is not _UNSET:     # the command line wins
+                raw, source = getattr(ns, dest), "--" + dest.replace("_", "-")
+            if raw is _UNSET:
                 setattr(ns, dest, default)
+                continue
+            try:
+                value = conv(raw)
+                if choices and value not in choices:
+                    raise ValueError(f"invalid choice {value!r} (choose "
+                                     f"from {', '.join(choices)})")
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{source}: {exc}")
+            setattr(ns, dest, value)
         if cfg:
             raise ConfigError(f"unknown config keys for {self.name!r}: "
                               + ", ".join(sorted(cfg)))
@@ -153,11 +144,10 @@ def _load_config(path) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-        else:
-            parts = line.split(None, 1)
-            key, val = parts[0], parts[1] if len(parts) > 1 else ""
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, "
+                              f"got {line!r}")
         key = key.strip().lower().replace("-", "_")
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
@@ -277,13 +267,17 @@ class _Sink:
     """Every file one run writes, each named once under the run's prefix.
 
     CSV files carry the config echo in their comments and JSON files in
-    their envelope; a write the file system refuses is a ConfigError;
+    their envelope; an unwritable directory or write is a ConfigError;
     ``files`` lists the paths written, in order, for the ``wrote`` line.
     """
 
     def __init__(self, prefix, echo):
         from ._io import SCHEMA_VERSION, jsonable
         from . import __version__
+        directory = os.path.dirname(prefix) or os.curdir
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise ConfigError(f"cannot write in {directory!r}: not a "
+                              "writable directory")
         self.prefix, self.echo, self.files = prefix, echo, []
         self.envelope = {"schema_version": SCHEMA_VERSION,
                          "qwfisher_version": __version__, "config": echo}
@@ -369,11 +363,9 @@ def _qfim_by_route(route, p, init, t, params):
         f = qfim_theorem1(p, init, t, params=params)
         return f, uhlmann_analytic(p, init, t, params=params)
     if route == "localized-closed-form":
-        if init.n_sites != 1:
-            raise ConfigError("the localized closed form needs a single-site "
-                              "input; use --init localized:X")
-        # the normalised coin state's Bloch vector: the walk takes a norm
-        # within 1e-12 of 1, which would put |r| above CoinBlochState's gate
+        # one site (cmd_qfim's gate), by its normalised coin state's Bloch
+        # vector: a norm the walk takes, within 1e-12 of 1, can put |r|
+        # above CoinBlochState's gate
         bloch = rho_bloch(init.amps[0])
         r = bloch[1:] / bloch[0]
         f = qfim_localized(p.theta, p.alpha - p.beta, r, t)
@@ -396,6 +388,9 @@ def cmd_qfim(ns, out) -> None:
     init = _parse_init(ns)
     params = tuple(_items(ns.params, "--params", choices=PARAM_NAMES))
     routes = _items(ns.routes, "--routes", choices=_ROUTES)
+    if "localized-closed-form" in routes and init.n_sites != 1:
+        raise ConfigError("the localized closed form needs a single-site "
+                          "input; use --init localized:X")
     results = {route: _qfim_by_route(route, p, init, t, params)
                for route in routes}
 
@@ -437,8 +432,8 @@ def cmd_qfim(ns, out) -> None:
 def cmd_bounds(ns, out) -> None:
     import numpy as np
     from ._io import DataTable
-    from .bounds import (WeightMatrix, holevo_compatible, incompatibility_R,
-                         sandwich)
+    from .bounds import (WeightMatrix, check_eps_compat, holevo_compatible,
+                         incompatibility_R, sandwich)
     from .walk import step_count
 
     p = _coin(ns)
@@ -451,6 +446,7 @@ def cmd_bounds(ns, out) -> None:
             w = WeightMatrix(np.array([[w00, w01], [w01, w11]]))
         except ValueError as exc:
             raise ConfigError(f"--weight: {exc}") from None
+    check_eps_compat(ns.eps_compat)
     f, d = _qfim_by_route(ns.route, p, init, t, ("theta", "alpha"))
 
     cs, hi = sandwich(f, w, d)
@@ -483,11 +479,10 @@ def cmd_sweep(ns, out) -> None:
     from .walk import step_count
 
     t_max = step_count(ns.t_max, 1, "--t-max")
-    if ns.which == "fig1":
-        tables = sweep_fig1(ns.theta, t_max)
-    else:  # fig2
-        tables = sweep_fig2(_items(ns.theta_list, "--theta-list", float),
-                            t_max)
+    if ns.which == "fig2":
+        thetas = _items(ns.theta_list, "--theta-list", float)
+    tables = (sweep_fig1(ns.theta, t_max) if ns.which == "fig1"
+              else sweep_fig2(thetas, t_max))
     out.table("curves", tables["curves"])
     out.table("inset", tables["inset"])
 
@@ -565,26 +560,27 @@ def cmd_case(ns, out) -> None:
 def cmd_estimate(ns, out) -> None:
     import numpy as np
     from ._io import DataTable
-    from .estimation import (GridSpec, make_likelihood_table, mle_fit,
+    from .estimation import (GridSpec, check_shots_and_seed,
+                             make_likelihood_table, mle_fit,
                              position_distribution, sample)
     from .walk import evolve, step_count
 
     p_true = _coin(ns)
     t = step_count(ns.t, 1, "--t")
     init = _parse_init(ns)
+    check_shots_and_seed(ns.shots, ns.seed)
+    grid = GridSpec(n_theta=ns.grid_n, n_alpha=ns.grid_n)
 
     final = evolve(init, p_true, t)
     dist = position_distribution(final)
-    rec = sample(dist, ns.shots, int(ns.seed), params_true=p_true)
-
-    grid = GridSpec(n_theta=int(ns.grid_n), n_alpha=int(ns.grid_n))
+    rec = sample(dist, ns.shots, ns.seed, params_true=p_true)
     table = make_likelihood_table(init, p_true, t, grid)
     result = mle_fit(rec, table=table)
 
     sites = sorted(rec.counts)
     out.table("counts", DataTable(
         columns={"site": sites, "count": [rec.counts[s] for s in sites]},
-        meta={"shots": ns.shots, "seed": int(ns.seed), "t": t}))
+        meta={"shots": ns.shots, "seed": ns.seed, "t": t}))
     out.report("record", {"record": rec.to_json_dict()})
     err = np.sqrt(np.clip(np.diag(result.cov), 0.0, None))
     alpha_known = bool(np.isfinite(err[1]))
@@ -642,7 +638,7 @@ def cmd_estimate(ns, out) -> None:
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qwf",
         description="Fisher information and estimation for coined quantum walks")
     from . import __version__
@@ -719,7 +715,6 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(
             f"warning: {message}", file=sys.stderr)
         try:
-            _apply_thread_cap()
             ns = build_parser().parse_args(argv)
             out = ns._cmd.resolve(ns)
             ns._cmd.func(ns, out)

@@ -5,7 +5,7 @@ This is the one statement of the ``qwf`` exit codes.  Each subclass of
 prints ``<label> error: <message>`` on stderr and exits with that code
 (0 on success):
 
-    2  config     a bad flag value or config file, or a refused write;
+    2  config     a bad value, config file or write, or an argparse refusal;
                   ``cli.main`` maps ValueError and MemoryError here too
     3  numerical  a result that failed its own accuracy check
     4  model      singular information, an unidentifiable parameter,
@@ -28,7 +28,7 @@ class QwfError(Exception):
 
 
 class ConfigError(QwfError, code=2):
-    """Invalid run configuration (bad flag value, malformed config file)."""
+    """Invalid run configuration (bad flag, flag value or config file)."""
 
 
 class QuadratureError(QwfError, code=3):

@@ -121,14 +121,19 @@ class MeasurementRecord:
             params_true=None if pt is None else CoinParams(**pt))
 
 
-def sample(dist: PositionDistribution, shots: int, seed: int,
-           params_true: CoinParams | None = None, stream=()) -> MeasurementRecord:
-    """Multinomial position draws; deterministic in (seed, stream)."""
+def check_shots_and_seed(shots: int, seed: int) -> None:
+    """The rule of :func:`sample`: integer shots >= 1 and seed >= 0."""
     for name, n, least in (("shots", shots, 1), ("seed", seed, 0)):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {n!r}")
         if n < least:
             raise ValueError(f"{name} must be >= {least}, got {n}")
+
+
+def sample(dist: PositionDistribution, shots: int, seed: int,
+           params_true: CoinParams | None = None, stream=()) -> MeasurementRecord:
+    """Multinomial position draws; deterministic in (seed, stream)."""
+    check_shots_and_seed(shots, seed)
     rng = philox_rng(seed, *stream)
     p = dist.probs / dist.probs.sum()
     draws = rng.multinomial(shots, p)

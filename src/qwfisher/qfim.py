@@ -39,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWalk
-from .walk import (MIN_SIN_THETA, PARAM_NAMES, CoinBlochState, CoinParams,
-                   WalkerState, generator_spatial, k_grid_size, reduced_axis,
+from .walk import (PARAM_NAMES, CoinBlochState, CoinParams, WalkerState,
+                   generator_spatial, k_grid_size, reduced_axis,
                    reduced_spinors, step_count, uniform_k_grid)
 
 SYM_TOL = 1e-12
@@ -264,10 +263,8 @@ def _localized_per_t2(theta: float, phi: float, r) -> np.ndarray:
     theta = pi/2 since (1-s)/cos th = cos th/(1+s).  F_pp likewise takes
     1 - s as cos^2 th / (1+s), which does not cancel near theta = pi/2.
     """
+    CoinParams(theta, phi, 0.0)      # the coin's NaN and sin(theta) = 0 gates
     s = abs(float(np.sin(theta)))
-    if not s >= MIN_SIN_THETA:                   # NaN fails too
-        raise DegenerateWalk(f"closed form needs |sin(theta)| >= "
-                             f"{MIN_SIN_THETA}, got theta={theta!r}")
     r = CoinBlochState(r).r
     ct, st = np.cos(theta), np.sin(theta)
     n = np.array([st * np.cos(phi), st * np.sin(phi), ct])

@@ -674,6 +674,9 @@ def bounds_by_numpy(f, d):
     return det, inv, float(np.trace(inv)), abs(d[0, 1]) / np.sqrt(det)
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
 # Run from a bare interpreter: a child's ru_maxrss counts the memory of
 # the process it was spawned from, so the CLI must not be spawned from
 # the test process itself.
@@ -696,11 +699,12 @@ def cli_peak_rss(argv, cwd):
     child waited for.  Fork and exec carry the spawning process's
     resident set into the child's peak, so the CLI is spawned from a
     stdlib-only interpreter (about 10 MB), not from the caller.  The
-    CLI runs with ``QWF_THREADS=1``, one BLAS thread, as the README's
-    memory figures were measured.
+    CLI runs with one BLAS thread, set through the standard thread
+    variables, as the README's memory figures were measured.
     """
-    env = dict(os.environ, QWF_THREADS="1", PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     probe = subprocess.run([sys.executable, "-c", _RSS_PROBE, *argv],
                            cwd=cwd, env=env, capture_output=True, text=True)
     code, kib = probe.stdout.split()

@@ -196,6 +196,29 @@ def test_cli_peak_memory(tmp_path, argv, limit_mb):
     assert peak_mb <= limit_mb
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["estimate", "--seed", "-1", "--shots", "10", "--grid-n", "8"],
+     "seed must be >= 0, got -1"),
+    (["estimate", "--grid-n", "1"], "grid needs at least 2 points per axis"),
+    (["bounds", "--route", "oracle", "--eps-compat", "-1"],
+     "compatibility threshold must be finite and >= 0, got -1.0"),
+    (["qfim", "--routes", "oracle,localized-closed-form"],
+     "the localized closed form needs a single-site input; "
+     "use --init localized:X"),
+    (["qfim", "--routes", "oracle", "--out", "missing/x"],
+     "cannot write in 'missing': not a writable directory"),
+], ids=["seed", "grid", "eps-compat", "closed-form", "sink"])
+def test_refused_run_costs_nothing(tmp_path, argv, message):
+    # each input is refused before the first engine run, so at t = 1e6,
+    # where the engine alone takes 575-945 MB, the run peaks as at t = 10
+    peaks = []
+    for t in ("10", "1000000"):
+        code, peak_mb, err = cli_peak_rss(argv + ["--t", t], tmp_path)
+        assert (code, err) == (2, f"config error: {message}\n")
+        peaks.append(peak_mb)
+    assert peaks[1] <= peaks[0] + 5
+
+
 @pytest.mark.parametrize("pair", ["0,2", "2,0"])
 def test_even_separation_warning_is_one_line(workdir, capsys, pair):
     assert main(["evolve", "--t", "2", "--init", f"entangled:{pair}"]) == 0
@@ -244,9 +267,8 @@ def test_site_position_bound_is_named(workdir, capsys):
                                      ["case", "magnetic", "--b2", "1"]])
 @pytest.mark.parametrize("flag", ["--rel-tol=1e-9", "--n-nodes=64"])
 def test_quadrature_flags_are_gone(workdir, capsys, command, flag):
-    with pytest.raises(SystemExit) as exc:
-        main(command + [flag])
-    assert exc.value.code == 2
+    assert main(command + [flag]) == 2
+    assert "config error: unrecognized arguments" in capsys.readouterr().err
     key = flag[2:].split("=")[0]
     cfg = workdir / "old.cfg"
     cfg.write_text(key + " = 1\n")
@@ -257,24 +279,60 @@ def test_quadrature_flags_are_gone(workdir, capsys, command, flag):
 def test_removed_options_are_gone(workdir, capsys):
     estimate = ["estimate", "--t", "5", "--shots", "10", "--grid-n", "8"]
     for argv in (estimate + ["--no-refine"], ["sweep", "prefactor-insets"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
+        assert "config error: " in capsys.readouterr().err
     cfg = workdir / "old.cfg"
     cfg.write_text("no_refine = 1\n")
     assert main(estimate + ["--config", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["evolve", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    (["evolve", "--t"], "argument --t: expected one argument"),
+    # no prefix of a flag stands for it, as no prefix of a config key does
+    (["qfim", "--route", "oracle"], "unrecognized arguments: --route oracle"),
+    (["bounds", "--eps", "2"], "unrecognized arguments: --eps 2"),
+    (["case"], "the following arguments are required: which"),
+    (["sweep", "fig3"], "argument which: invalid choice: 'fig3' "
+                        "(choose from 'fig1', 'fig2')"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown-flag", "missing-value", "prefix-route",
+        "prefix-eps", "missing-which", "bad-which", "missing-command"])
+def test_argparse_refusals_exit_2(workdir, capsys, argv, message):
+    # every refusal returns from main, none exits through argparse
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,key,value,message", [
+    (["evolve"], "t", "x", "invalid literal for int() with base 10: 'x'"),
+    (["bounds", "--t", "5"], "route", "exact",
+     "invalid choice 'exact' (choose from analytic, oracle)"),
+], ids=["literal", "choice"])
+def test_one_conversion_for_both_sources(workdir, capsys, argv, key, value,
+                                         message):
+    # a value is converted and checked by its one registry entry, from
+    # the command line or a config file; only its source is named apart
+    assert main(argv + ["--" + key, value]) == 2
+    assert capsys.readouterr().err == f"config error: --{key}: {message}\n"
+    (workdir / "run.cfg").write_text(f"{key} = {value}\n")
+    assert main(argv + ["--config", "run.cfg"]) == 2
+    assert capsys.readouterr().err \
+        == f"config error: config key {key!r}: {message}\n"
+
+
+def test_config_line_needs_an_equals_sign(workdir, capsys):
+    (workdir / "run.cfg").write_text("theta = 0.9\n\nt 5  # no '='\n")
+    assert main(["evolve", "--config", "run.cfg"]) == 2
+    assert capsys.readouterr().err \
+        == "config error: run.cfg:3: expected key = value, got 't 5'\n"
+    assert not list(workdir.glob("qwf_*"))
+
+
 def test_empty_parameter_list_is_named(workdir, capsys):
     assert main(["qfim", "--params", ","]) == 2
     assert "--params is empty" in capsys.readouterr().err
-
-
-def test_thread_cap_validation(workdir, capsys, monkeypatch):
-    monkeypatch.setenv("QWF_THREADS", "abc")
-    assert main(["evolve", "--t", "2"]) == 2
-    assert "QWF_THREADS" in capsys.readouterr().err
 
 
 def test_qfim_two_routes_and_deviation(workdir, capsys):
@@ -751,10 +809,7 @@ def _exit_code(work, argv, config):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        try:
-            code = main(argv + ["--out", str(work / "run")])
-        except SystemExit as exc:       # argparse rejects a value
-            code = exc.code
+        code = main(argv + ["--out", str(work / "run")])
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     return code

@@ -35,6 +35,9 @@ The fitter has one pseudo-inverse: no module calls ``pinv``, and
 
 Every error type carries its exit code and stderr label, and ``cli.main``
 exits with them; no raised exception escapes ``main`` untyped.
+
+A refused run costs nothing: in each ``cli.cmd_*`` every call that
+validates the input comes before the first engine run.
 """
 import ast
 import builtins
@@ -420,6 +423,53 @@ def test_fitter_decomposes_only_in_its_helper():
              if module == SOLVER[0] and name in EIGEN_NAMES}
     assert calls and {scope for scope, _ in calls} == {SOLVER[1]}, \
         f"eigen-solver calls in {SOLVER[0]} outside {SOLVER[1]}: {calls}"
+
+
+# ---------------------------------------------------------------------------
+# validate before compute
+
+ENGINE_ENTRIES = {"evolve", "exact_matrices", "qfim_theorem1",
+                  "make_likelihood_table", "_qfim_by_route", "sweep_fig1",
+                  "sweep_fig2"}
+VALIDATORS = {"_coin", "step_count", "_parse_init", "_items", "ConfigError",
+              "WeightMatrix", "check_eps_compat", "check_shots_and_seed",
+              "GridSpec", "MagneticField", "DiracParams"}
+
+
+def _late_validations(source: str):
+    """{command: (the validating calls after its first engine call, its
+    number of engine calls)} for each ``cmd_*`` function of ``source``.
+    A call runs when its arguments are done, so calls are ordered by
+    where they end."""
+    found = {}
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("cmd_")):
+            continue
+        calls = sorted(((node.end_lineno, node.end_col_offset), name)
+                       for node in ast.walk(fn) if isinstance(node, ast.Call)
+                       for name in [getattr(node.func, "id", None)
+                                    or getattr(node.func, "attr", None)])
+        engine = [at for at, name in calls if name in ENGINE_ENTRIES]
+        late = [name for at, name in calls
+                if name in VALIDATORS and engine and at > engine[0]]
+        found[fn.name] = (late, len(engine))
+    return found
+
+
+def test_commands_validate_before_compute():
+    found = _late_validations((PACKAGE / "cli.py").read_text())
+    assert len(found) == 6
+    assert all(n_engine for _, n_engine in found.values()), found
+    late = {cmd: names for cmd, (names, _) in found.items() if names}
+    assert not late, f"validation after the first engine run: {late}"
+
+
+def test_validation_ratchet_sees_a_late_check():
+    source = ("def cmd_estimate(ns, out):\n"
+              "    final = evolve(init, p, t)\n"
+              "    grid = GridSpec(n_theta=ns.grid_n, n_alpha=ns.grid_n)\n")
+    assert _late_validations(source) == {"cmd_estimate": (["GridSpec"], 1)}
 
 
 # ---------------------------------------------------------------------------
