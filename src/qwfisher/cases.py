@@ -314,8 +314,10 @@ def sweep_fig1(theta: float, t_max: int) -> dict:
     (0, pi/2)}.
     """
     t_max, ts = _t_grid(t_max)
-    f0 = np.array([single_param_qfi(theta, 0.0, t) for t in ts])
-    f1 = np.array([single_param_qfi(theta, 1.0, t) for t in ts])
+    # t^2 times the t = 1 value is the product single_param_qfi forms
+    c0, c1 = single_param_qfi(theta, 0.0, 1), single_param_qfi(theta, 1.0, 1)
+    f0 = np.array([float(t) ** 2 * c0 for t in ts])
+    f1 = np.array([float(t) ** 2 * c1 for t in ts])
     curves = DataTable(
         columns={"t": ts, "qfi_ry0": f0, "qfi_ry1": f1, "ratio": f0 / f1},
         meta={"theta": theta, "t_max": t_max})

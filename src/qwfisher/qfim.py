@@ -60,20 +60,44 @@ def rho_bloch(phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ldl_pivots_positive(a: list, m: int, shift: float) -> bool:
+    """Whether the symmetric m x m matrix ``a`` (row-major; its lower
+    triangle is read, and overwritten) plus shift I factors as L D L^T
+    without pivoting with every pivot > 0 (a NaN pivot is not).  Each
+    pivot's column, L_ik d_k below it, updates the trailing block."""
+    for k in range(m):
+        d = a[k * m + k] + shift
+        if not d > 0.0:
+            return False
+        for i in range(k + 1, m):
+            l = a[i * m + k] / d             # L_ik
+            for j in range(k + 1, i + 1):
+                a[i * m + j] -= l * a[j * m + k]
+    return True
+
+
 @dataclass(frozen=True)
 class QFIMatrix:
     """Information matrix with parameter labels and the step count it refers to.
 
-    ``entries`` holds the finite matrix itself (including any t^2 growth)
-    and ``t`` the int :func:`walk.step_count` reads (>= 1); symmetry (or
-    antisymmetry, for mixed-derivative curvature matrices) and positive
-    semidefiniteness are validated on the per-step-squared scale so the
-    gates do not depend on t, by ndarray methods and one ``eigvalsh``:
-    on these small matrices per-call overhead is the cost.  ``entries``
-    is a read-only copy of the input, so nothing changes it after the
-    gates have run and :mod:`bounds` reads it unchecked.
-    ``asymptotic`` records whether the entries came from the long-time
-    formulas or from an exact finite-t computation.
+    ``labels`` are distinct and at least one; ``entries`` holds the
+    finite matrix itself (including any t^2 growth) and ``t`` the int
+    :func:`walk.step_count` reads (>= 1).  The gates run on the
+    per-step-squared scale, so they do not depend on t, and on Python
+    floats, as the matrices are 2x2 or 3x3 and numpy's per-call overhead
+    would be their whole cost.  Finiteness, the scale max(1, max |s_ij|)
+    and the (anti)symmetry defect max |s_ij -+ s_ji|, diagonal included,
+    come from the scaled entries s.  Positive semidefiniteness is first
+    certified: with S the symmetric part and tau = PSD_TOL * scale, an
+    L D L^T factorisation of S + tau/2 I with every pivot > 0 is
+    backward stable, so lambda_min(S) > -tau/2 - O(m eps |S|) > -tau and
+    ``eigvalsh`` would accept S too.  Any matrix the certificate does
+    not accept goes to ``eigvalsh``, whose smallest eigenvalue decides
+    and is the one a refusal reports.  ``entries`` is a read-only copy
+    of the input, so nothing changes it after the gates have run and
+    :mod:`bounds` reads it unchecked.  ``asymptotic`` records whether
+    the entries came from the long-time formulas or from an exact
+    finite-t computation.
     """
 
     entries: np.ndarray
@@ -84,29 +108,36 @@ class QFIMatrix:
 
     def __post_init__(self):
         e = np.array(self.entries, dtype=float)
-        e.flags.writeable = False
-        m = len(self.labels)
+        e.setflags(write=False)
+        labels = tuple(self.labels)
+        m = len(labels)
+        if not m or len(set(labels)) < m:
+            raise ValueError(f"labels must be distinct and at least one, got {labels}")
         if e.shape != (m, m):
             raise ValueError(f"entries shape {e.shape} does not match labels {self.labels}")
         t = step_count(self.t, 1)
-        scaled = e / float(t) ** 2
-        top = abs(scaled).max()
-        if not top < math.inf:                  # NaN fails too
+        tt = float(t) ** 2
+        s = [x / tt for x in e.ravel().tolist()]          # s_ij, row-major
+        if not all(map(math.isfinite, s)):
             raise ValueError("entries must be finite")
-        scale = max(1.0, top)
+        scale = max(1.0, *map(abs, s))
+        st = [x for j in range(m) for x in s[j::m]]        # s_ji
         if self.antisymmetric:
-            defect = abs(scaled + scaled.T).max()
+            defect = max([abs(x + y) for x, y in zip(s, st)])
             if not defect <= SYM_TOL * scale:
                 raise ValueError(f"antisymmetry defect {defect:.3e} beyond tolerance")
         else:
-            defect = abs(scaled - scaled.T).max()
+            defect = max([abs(x - y) for x, y in zip(s, st)])
             if not defect <= SYM_TOL * scale:
                 raise ValueError(f"symmetry defect {defect:.3e} beyond tolerance")
-            lo = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0]   # ascending
-            if not lo >= -PSD_TOL * scale:
-                raise ValueError(f"matrix not positive semidefinite: min eig {lo:.3e}")
+            if not _ldl_pivots_positive([0.5 * (x + y) for x, y in zip(s, st)],
+                                        m, 0.5 * PSD_TOL * scale):
+                scaled = e / tt
+                lo = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0]   # ascending
+                if not lo >= -PSD_TOL * scale:
+                    raise ValueError(f"matrix not positive semidefinite: min eig {lo:.3e}")
         object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "t", t)
 
     @property
@@ -115,8 +146,11 @@ class QFIMatrix:
 
     def block(self, labels) -> "QFIMatrix":
         """Submatrix over a subset of the labels, order as given."""
+        unknown = [l for l in labels if l not in self.labels]
+        if unknown:
+            raise ValueError(f"labels {unknown} are not among {self.labels}")
         idx = [self.labels.index(l) for l in labels]
-        return QFIMatrix(entries=self.entries[idx][:, idx],
+        return QFIMatrix(entries=self.entries.take(idx, 0).take(idx, 1),
                          labels=tuple(labels), t=self.t,
                          antisymmetric=self.antisymmetric,
                          asymptotic=self.asymptotic)

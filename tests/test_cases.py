@@ -15,7 +15,7 @@ from qwfisher import (ChargeUnidentifiable, CoinParams, DegenerateWalk,
                       dirac_first_order, dirac_from_coin, dirac_jacobian,
                       g_of_theta, initial_entangled, magnetic_from_coin,
                       magnetic_jacobian, pullback_qfim, qfim_theorem1,
-                      sweep_fig1, sweep_fig2)
+                      single_param_qfi, sweep_fig1, sweep_fig2)
 from qwfisher.cases import _w_sinc, _w_tanc
 
 from oracles import coin_dense, w_sinc_series, w_tanc_series
@@ -302,6 +302,14 @@ class TestSweeps:
         f0 = np.asarray(curves.columns["qfi_ry0"])
         ts = np.asarray(curves.columns["t"], dtype=float)
         np.testing.assert_allclose(f0 / ts ** 2, f0[0], rtol=1e-12)
+
+    def test_fig1_curves_are_the_closed_form_at_each_t(self):
+        # t_max = 300 takes the geometric grid; each entry is the value
+        # single_param_qfi gives at that t, bit for bit
+        curves = sweep_fig1(0.8, 300)["curves"].columns
+        for r_y, col in ((0.0, "qfi_ry0"), (1.0, "qfi_ry1")):
+            ref = [single_param_qfi(0.8, r_y, int(t)) for t in curves["t"]]
+            assert np.array_equal(curves[col], ref)
 
     def test_fig1_inset_open_interval(self):
         inset = sweep_fig1(0.9, 5)["inset"]

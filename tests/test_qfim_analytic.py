@@ -1,6 +1,7 @@
 """Asymptotic information matrix: generator vectors, zone integrals, closed forms."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qwfisher import (CoinParams, DegenerateWalk, QFIMatrix, SingularFisher,
                       qfim_localized, qfim_theorem1, single_param_qfi,
                       uhlmann_analytic)
 from qwfisher import cli
+from qwfisher.oracle import exact_matrices
 from qwfisher.qfim import PSD_TOL, SYM_TOL, _zone_means, a1_grid, rho_bloch
 from qwfisher.quadrature import adaptive_mean_over_bz
 from qwfisher.walk import generator_spatial, spinors_at
@@ -332,8 +334,12 @@ def test_zone_means_match_the_lab_frame_reference(theta, alpha, beta, init):
 @st.composite
 def candidate_matrices(draw):
     """(entries, t, antisymmetric) near every gate of QFIMatrix: PSD
-    margins of +-PSD_TOL * scale * (1 +- 0.5), asymmetry of +-SYM_TOL *
-    scale, and NaN or +-inf entries."""
+    margins of +-PSD_TOL * scale * (1 +- 0.5), margins on both sides of
+    -PSD_TOL * scale / 2, where the L D L^T certificate hands over to
+    eigvalsh, rank-deficient x x^T (the zero matrix among them),
+    asymmetry of +-SYM_TOL * scale, a diagonal entry of an
+    antisymmetric candidate at +-SYM_TOL * scale / 2, and NaN or +-inf
+    entries."""
     m = draw(st.integers(1, 3))
     antisymmetric = draw(st.booleans())
     t = draw(st.integers(1, 10**6))
@@ -341,13 +347,26 @@ def candidate_matrices(draw):
     x = rng.normal(size=(m, m)) * 10.0 ** draw(st.floats(-3, 3))
     if antisymmetric:
         s = x - x.T
+        if draw(st.booleans()):
+            i = rng.integers(0, m)
+            s[i, i] = draw(st.sampled_from([1.0, -1.0])) * 0.5 * SYM_TOL \
+                * max(1.0, np.abs(s).max()) * draw(st.floats(0.5, 1.5))
     else:
-        s = x @ x.T
-        lam = np.linalg.eigvalsh(s)
-        scale = max(1.0, np.abs(s).max())
-        margin = draw(st.sampled_from([1.0, -1.0])) * PSD_TOL * scale \
-            * draw(st.floats(0.5, 1.5))
-        s = s + (margin - lam[0]) * np.eye(m)
+        kind = draw(st.sampled_from(["margin", "handover", "rank"]))
+        if kind == "rank":
+            x = x[:, :draw(st.integers(0, m - 1))]
+            s = x @ x.T
+        else:
+            s = x @ x.T
+            lam = np.linalg.eigvalsh(s)
+            tau = PSD_TOL * max(1.0, np.abs(s).max())
+            if kind == "margin":
+                margin = draw(st.sampled_from([1.0, -1.0])) * tau \
+                    * draw(st.floats(0.5, 1.5))
+            else:
+                margin = -0.5 * tau * (1.0 + draw(st.sampled_from([1.0, -1.0]))
+                                       * 10.0 ** -draw(st.floats(1, 8)))
+            s = s + (margin - lam[0]) * np.eye(m)
     if m > 1 and draw(st.booleans()):
         s[0, 1] += draw(st.sampled_from([1.0, -1.0])) * SYM_TOL \
             * max(1.0, np.abs(s).max()) * draw(st.floats(0.5, 1.5))
@@ -369,6 +388,17 @@ def _outcome(build):
 @given(case=candidate_matrices())
 @example(case=(np.array([[np.inf, 1.0], [0.0, 0.0]]), 1, True))
 @example(case=(np.array([[1.0, np.nan], [np.nan, 1.0]]), 3, False))
+# an antisymmetric candidate refused for its diagonal alone
+@example(case=(np.array([[2e-12, 1.0], [-1.0, 0.0]]) * 25.0, 5, True))
+# lambda_min at -0.4 tau and -0.6 tau, tau = PSD_TOL: the certificate
+# accepts the first and hands the second to eigvalsh, which accepts it;
+# at -1.2 tau both refuse, with eigvalsh's min eig
+@example(case=(np.array([[1.0, 0.0], [0.0, -0.4e-9]]), 1, False))
+@example(case=(np.array([[1.0, 0.0], [0.0, -0.6e-9]]), 1, False))
+@example(case=(np.array([[1.0, 0.0], [0.0, -1.2e-9]]), 1, False))
+# rank-deficient: the zero matrix and a rank-one x x^T
+@example(case=(np.zeros((3, 3)), 7, False))
+@example(case=(np.outer([1e3, -2e-3, 5.0], [1e3, -2e-3, 5.0]), 2, False))
 def test_qfimatrix_accepts_and_rejects_as_before(case):
     # a non-finite entry is refused before the symmetry and PSD gates;
     # on finite entries the outcome is the reference's
@@ -381,6 +411,31 @@ def test_qfimatrix_accepts_and_rejects_as_before(case):
         return
     assert new == _outcome(lambda: qfimatrix_checks(entries, labels, t,
                                                     antisymmetric))
+
+
+def test_route_matrices_need_no_eigvalsh(monkeypatch):
+    # the L D L^T certificate accepts every matrix the routes build, the
+    # nearly singular ones at theta = pi/2 - 1e-6 and 1e-6 among them,
+    # and rank-deficient ones; only a matrix the PSD gate refuses reaches
+    # eigvalsh, once, and its message still reads eigvalsh's min eig
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a) or eigvalsh(a))
+    triple = ("theta", "alpha", "beta")
+    for theta in (math.pi / 2 - 1e-6, 1e-6, 0.7, -2.0):
+        p = CoinParams(theta, 0.4, -1.1)
+        for init in (initial_localized(0), initial_entangled(0, 1),
+                     initial_gamma(0.3)):
+            qfim_theorem1(p, init, 100, params=triple).block(("theta", "alpha"))
+            exact_matrices(init, p, 40)
+        qfim_localized(theta, 1.5, [0.6, 0.0, 0.8], 100)
+    QFIMatrix(np.zeros((2, 2)), ("theta", "alpha"), 3)
+    QFIMatrix(np.outer([2.0, -1.0, 0.5], [2.0, -1.0, 0.5]), triple, 3)
+    assert not calls
+    with pytest.raises(ValueError, match=r"min eig -1\.000e\+00$"):
+        QFIMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), ("theta", "alpha"))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +620,20 @@ def test_qfimatrix_validation():
     with pytest.raises(ValueError):
         QFIMatrix(entries=np.array([[0.0, np.nan], [np.nan, 0.0]]),
                   labels=("theta", "alpha"), t=1, antisymmetric=True)
+    with pytest.raises(ValueError, match="antisymmetry defect"):
+        QFIMatrix(entries=np.array([[1e-11, 1.0], [-1.0, 0.0]]),
+                  labels=("theta", "alpha"), t=1, antisymmetric=True)
+    for labels in [(), ("theta", "theta")]:
+        m = len(labels)
+        with pytest.raises(ValueError, match=re.escape(f"got {labels}")):
+            QFIMatrix(entries=np.zeros((m, m)), labels=labels, t=1)
     f = QFIMatrix(entries=np.array([[4.0, 0.0], [0.0, 1.0]]),
                   labels=("theta", "alpha"), t=2)
     assert np.allclose(f.per_t2, [[1.0, 0.0], [0.0, 0.25]])
+    with pytest.raises(ValueError, match=re.escape("('theta', 'theta')")):
+        f.block(("theta", "theta"))
+    with pytest.raises(ValueError, match="'gamma'"):
+        f.block(("gamma",))
 
 
 def test_closed_form_inputs_validated():
