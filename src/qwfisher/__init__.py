@@ -5,8 +5,8 @@ quantum Fisher information matrices, precision bounds, physical coin
 encodings (magnetic field, Dirac mass/charge), and a seeded
 measurement/estimation pipeline with a CLI front end (``qwf``).
 
-Submodules load lazily so that ``import qwfisher`` stays cheap and the
-CLI can cap thread counts before numpy comes in.
+Submodules load lazily so that ``import qwfisher`` stays cheap and
+``import qwfisher.cli`` does not import numpy.
 """
 from __future__ import annotations
 

@@ -85,9 +85,13 @@ class MeasurementRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "t", step_count(self.t))
-        counts = {int(x): int(c) for x, c in self.counts.items()}
-        if any(c < 0 for c in counts.values()):
-            raise ValueError("counts must be nonnegative")
+        counts = {}
+        for x, c in self.counts.items():
+            if (isinstance(c, bool) or not isinstance(c, (int, np.integer))
+                    or c < 0):
+                raise ValueError(f"count {c!r} at site {x} is not a nonnegative integer")
+            counts[int(x)] = int(c)         # site keys: JSON's are strings
+        check_shots_and_seed(self.shots, self.seed)
         total = sum(counts.values())
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected shots={self.shots}")
@@ -116,8 +120,7 @@ class MeasurementRecord:
     def from_json_dict(d: dict) -> "MeasurementRecord":
         pt = d.get("params_true")
         return MeasurementRecord(
-            t=d["t"], shots=int(d["shots"]), counts=d["counts"],
-            seed=int(d["seed"]),
+            t=d["t"], shots=d["shots"], counts=d["counts"], seed=d["seed"],
             params_true=None if pt is None else CoinParams(**pt))
 
 
@@ -263,13 +266,12 @@ class LikelihoodTable:
     (n_theta, n_sites) is log max(B_0 + 2 sum_d |B_d|, 1e-300), the
     per-site upper bound on log p over alpha that :func:`_grid_loglik`
     prunes theta rows by.  ``engine`` and ``freqs`` are the table's and
-    the fits' :class:`walk.ThetaFamily` and its group frequencies, from
-    :func:`_engine_inputs`.  Building it peaks at B plus one block
-    of theta rows of the engine (see :func:`make_likelihood_table`).
+    the fits' :class:`walk.ThetaFamily`, whose factors hold beta, and its
+    group frequencies, from :func:`_engine_inputs`.  Building it peaks at
+    B plus one block of theta rows of the engine.
     """
 
     grid: GridSpec
-    beta: float
     trig: np.ndarray
     B: np.ndarray
     log_bound: np.ndarray
@@ -388,7 +390,7 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     phase = np.outer(alphas, ds)
     trig = np.concatenate([np.ones((alphas.size, 1)), 2.0 * np.cos(phase),
                            -2.0 * np.sin(phase)], axis=1)
-    return LikelihoodTable(grid=grid, beta=p_true.beta, trig=trig, B=b,
+    return LikelihoodTable(grid=grid, trig=trig, B=b,
                            log_bound=log_bound, engine=engine, freqs=freqs)
 
 

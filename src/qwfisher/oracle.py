@@ -9,9 +9,9 @@ with O_mu = C^dag d_mu C = (i/2) w_mu.sigma.  One call of the walk's
 kernel, :meth:`walk.ThetaFamily.generator_sums`, gives the evolved
 k-spinors and their generator sums in the coin's reduced frame u(k;
 theta, alpha, beta) = D(-a2) u(k - alpha; theta, 0, 0) D(a2), a2 =
-(alpha - beta)/2, from that frame's :func:`walk.generator_spatial`.  The
-common D(-a2) leaves the Gram matrix of the derivative states as it is,
-so this module forms it in that frame and adds only which generators.
+(alpha - beta)/2, from that frame's :func:`walk.generator_spatial`, the
+one rule from parameter names to generators.  The common D(-a2) leaves
+the Gram matrix of the derivative states as it is: it is formed there.
 Zone integrals are node averages, exact on that grid.  The cost is
 O(n log n) in the node count n >= n0 + 2t of an n0-site input, with no
 loop over t: the independent finite-t check of the asymptotic route.
@@ -45,35 +45,33 @@ class AmplitudeWindow:
         return self.origin + np.arange(self.amps.shape[0])
 
 
-def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, idx):
-    """(family, phi_t (2, n), dphi (len(idx), 2, n)) in the family's frame,
-    dphi[i] = G_mu(t) phi_t for mu = PARAM_NAMES[idx[i]]."""
+def _evolve_with_generators(init: WalkerState, p: CoinParams, t: int, names):
+    """(family, phi_t (2, n), dphi (m, 2, n)) in the family's frame with
+    dphi[i] = G_mu(t) phi_t, mu the i-th of the m ``names``, which
+    :func:`walk.generator_spatial` checks before the engine runs."""
+    w = generator_spatial(p.theta, names)
     family = ThetaFamily.of_walk(init, p, t)
-    phi, dphi = family.generator_sums(p.theta, generator_spatial(p.theta)[idx])
+    phi, dphi = family.generator_sums(p.theta, w)
     return family, phi[0], dphi[:, 0]
 
 
 def derivative_state(init: WalkerState, p: CoinParams, t: int,
                      mu: str) -> AmplitudeWindow:
     """Position-space d_mu |psi_t> from the closed-form generator sum."""
-    if mu not in PARAM_NAMES:
-        raise ValueError(f"unknown parameter {mu!r}; choose from {PARAM_NAMES}")
-    family, _, dphi = _evolve_with_generators(init, p, t,
-                                              [PARAM_NAMES.index(mu)])
+    family, _, dphi = _evolve_with_generators(init, p, t, (mu,))
     return AmplitudeWindow(origin=family.window.origin,
                            amps=family.to_sites(dphi[0]))
 
 
-def _gram(init: WalkerState, p: CoinParams, t: int, params) -> np.ndarray:
-    """4 (<d_u psi|d_v psi> - <d_u psi|psi><psi|d_v psi>) as a complex matrix.
-
-    Its real part is the information matrix and its imaginary part the
-    mixed-derivative curvature.
-    """
-    idx = [PARAM_NAMES.index(l) for l in params]
-    _, phi, dphi = _evolve_with_generators(init, p, t, idx)
+def exact_matrices(init: WalkerState, p: CoinParams, t: int,
+                   params=PARAM_NAMES):
+    """(information matrix, curvature): the real and imaginary parts of
+    the complex Gram 4 (<d_u psi|d_v psi> - <d_u psi|psi><psi|d_v psi>),
+    so one engine run serves both."""
+    labels = tuple(params)
+    _, phi, dphi = _evolve_with_generators(init, p, t, labels)
     n = phi.shape[-1]
-    m = len(idx)
+    m = len(labels)
     gram = np.zeros((m, m), dtype=complex)
     for a in range(m):
         for b in range(a, m):
@@ -81,15 +79,7 @@ def _gram(init: WalkerState, p: CoinParams, t: int, params) -> np.ndarray:
             if b != a:
                 gram[b, a] = np.conj(gram[a, b])
     overlap = np.einsum("an,man->m", phi.conj(), dphi) / n
-    return 4.0 * (gram - np.outer(np.conj(overlap), overlap))
-
-
-def exact_matrices(init: WalkerState, p: CoinParams, t: int,
-                   params=PARAM_NAMES):
-    """(information matrix, curvature) from the real and imaginary parts
-    of one complex Gram, so one engine run serves both."""
-    gram = _gram(init, p, t, params)
-    labels = tuple(params)
+    gram = 4.0 * (gram - np.outer(np.conj(overlap), overlap))
     return (QFIMatrix(gram.real, labels, t),
             QFIMatrix(gram.imag, labels, t, antisymmetric=True))
 

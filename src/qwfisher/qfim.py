@@ -39,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import (PARAM_NAMES, CoinBlochState, CoinParams, WalkerState,
-                   generator_spatial, k_grid_size, reduced_axis,
-                   reduced_spinors, step_count, uniform_k_grid)
+from .walk import (CoinBlochState, CoinParams, WalkerState, generator_spatial,
+                   k_grid_size, reduced_axis, reduced_spinors, step_count,
+                   uniform_k_grid)
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -198,7 +198,7 @@ def beta_null_check(p: CoinParams) -> float:
     so this is a pure roundoff diagnostic.
     """
     a1 = a1_grid(p, uniform_k_grid(512))
-    ob = np.concatenate(([0.0], generator_spatial(p.theta)[2]))
+    ob = np.concatenate(([0.0], generator_spatial(p.theta, ("beta",))[0]))
     return float(np.max(np.linalg.norm(a1 @ ob, axis=-1)))
 
 
@@ -234,7 +234,7 @@ def _zone_means(p: CoinParams, init: WalkerState, params):
     means, exactly symmetric, and the vector a^T (L u.r) of the N_u
     means, with a = u w^T and L the node weights of :func:`_node_weights`.
     """
-    w = generator_spatial(p.theta)[[PARAM_NAMES.index(l) for l in params]]
+    w = generator_spatial(p.theta, params)
     # N has degree <= 1 + n_sites and the weights, pi-periodic and exact
     # below n/2, hold on the walk's grid at x = k - alpha: it takes more
     # than twice 2 + n_sites nodes, one degree to spare
@@ -253,8 +253,8 @@ def qfim_theorem1(p: CoinParams, init: WalkerState, t: int,
                   params=("theta", "alpha")) -> QFIMatrix:
     """Asymptotic information matrix at step count t from the zone integrals.
 
-    params may be ("theta", "alpha") or the full triple; the beta row of
-    the full matrix comes out at machine zero because the stationary
+    params are names for :func:`walk.generator_spatial`, the one name
+    rule; a beta row comes out at machine zero because the stationary
     projector annihilates O_beta.  The integrals are exact (see the
     module docstring), so there is nothing to tune.
     """
@@ -273,7 +273,7 @@ def uhlmann_analytic(p: CoinParams, init: WalkerState, t: int,
     projector is a real matrix and the generator components are purely
     imaginary), so no imaginary part survives.
     """
-    m = len(params)
+    m = len(generator_spatial(p.theta, params))
     return QFIMatrix(entries=np.zeros((m, m)), labels=tuple(params),
                      t=step_count(t, 1), antisymmetric=True, asymptotic=True)
 

@@ -95,15 +95,23 @@ class CoinParams:
 PARAM_NAMES = ("theta", "alpha", "beta")
 
 
-def generator_spatial(theta: float) -> np.ndarray:
+def generator_spatial(theta: float, params=PARAM_NAMES) -> np.ndarray:
     """Pauli vectors w_mu of O_mu = C^dag dC/dmu = (i/2) w_mu.sigma in the
-    reduced frame (the lab frame's turned about z by beta - alpha), rows
-    (theta, alpha, beta): w_theta = (0, 2, 0), w_alpha = (sin 2th, 0,
-    2 cos^2 th) and w_beta = (sin 2th, 0, -2 sin^2 th)."""
+    reduced frame (the lab frame's turned about z by beta - alpha), a row
+    per name of ``params`` in its order: w_theta = (0, 2, 0), w_alpha =
+    (sin 2th, 0, 2 cos^2 th), w_beta = (sin 2th, 0, -2 sin^2 th).  The one
+    rule from names to rows, which refuses an empty or repeated list and
+    an unknown name before any row is formed."""
+    names = tuple(params)
+    if not names or any(n not in PARAM_NAMES or names.count(n) > 1
+                        for n in names):
+        raise ValueError(f"params must be distinct names from {PARAM_NAMES}, "
+                         f"at least one, got {names}")
     s2t = np.sin(2 * theta)
-    return np.array([[0.0, 2.0, 0.0],
-                     [s2t, 0.0, 2.0 * np.cos(theta) ** 2],
-                     [s2t, 0.0, -2.0 * np.sin(theta) ** 2]])
+    rows = {"theta": (0.0, 2.0, 0.0),
+            "alpha": (s2t, 0.0, 2.0 * np.cos(theta) ** 2),
+            "beta": (s2t, 0.0, -2.0 * np.sin(theta) ** 2)}
+    return np.array([rows[n] for n in names])
 
 
 def reduced_axis(ct, st, cos_x, sin_x):

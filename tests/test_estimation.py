@@ -1,6 +1,7 @@
 """Sampling, classical information and the likelihood-grid MLE."""
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -176,12 +177,29 @@ class TestMeasurementRecord:
         assert back == rec
         bare = MeasurementRecord(t=5, shots=1, counts={1: 1}, seed=0)
         assert MeasurementRecord.from_json_dict(bare.to_json_dict()) == bare
+        # numpy integers are integers; JSON's site keys are strings
+        wide = MeasurementRecord(t=np.int64(5), shots=np.int64(2),
+                                 counts={"1": np.uint8(2)}, seed=np.int32(3))
+        assert wide == MeasurementRecord(t=5, shots=2, counts={1: 2}, seed=3)
 
     def test_count_total_enforced(self):
         with pytest.raises(ValueError, match="shots"):
             MeasurementRecord(t=1, shots=5, counts={0: 4}, seed=0)
         with pytest.raises(ValueError, match="nonnegative"):
             MeasurementRecord(t=1, shots=0, counts={0: 2, 1: -2}, seed=0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", -5, "seed must be >= 0, got -5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("shots", 2.0, "shots must be an integer, got 2.0"),
+        ("shots", True, "shots must be an integer, got True"),
+        ("counts", {0: 2.7}, "count 2.7 at site 0 is not a nonnegative integer"),
+    ])
+    def test_integers_follow_the_sampling_rule(self, field, value, message):
+        # each of these was taken, the count 2.7 truncated to 2 first
+        kwargs = {"t": 1, "shots": 2, "counts": {0: 2}, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MeasurementRecord(**kwargs)
 
     def test_count_vector_alignment_and_window_check(self):
         rec = MeasurementRecord(t=2, shots=7, counts={-2: 3, 0: 4}, seed=0)

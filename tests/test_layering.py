@@ -30,6 +30,11 @@ e^{-ikx} or D(a) phase of their own (``walk.plane_waves`` and
 ``walk.times_d`` are), and no closed form checks a Bloch length itself
 (``walk.CoinBlochState`` is the gate).
 
+``walk.generator_spatial`` is the one rule from parameter names to
+generator rows: outside ``walk``, no module in the package or in
+``scripts/`` calls ``PARAM_NAMES.index``, and every ``generator_spatial``
+call passes its parameter names.
+
 The fitter has one pseudo-inverse: no module calls ``pinv``, and
 ``estimation`` decomposes a matrix only in ``_pseudo_inverse``.
 
@@ -391,6 +396,60 @@ def test_each_walk_rule_is_stated_once():
 ])
 def test_walk_rule_ratchet_sees_a_second_statement(module, source, what):
     assert what in {hit[2] for hit in _walk_rule_hits(module, source)}
+
+
+# ---------------------------------------------------------------------------
+# one parameter-name rule
+
+
+def _name_rule_hits(module: str, source: str):
+    """(module, function, what) for every name-to-row rule ``source``
+    states itself: a ``PARAM_NAMES.index`` call ("index") and a
+    ``generator_spatial`` call without parameter names ("all rows")."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        here = (module, scope or "<module>")
+        if (_calls(node, "index") and isinstance(node.func, ast.Attribute)
+                and "PARAM_NAMES" in (getattr(node.func.value, "id", None),
+                                      getattr(node.func.value, "attr", None))):
+            found.append(here + ("index",))
+        if (_calls(node, "generator_spatial") and len(node.args) < 2
+                and not any(k.arg == "params" for k in node.keywords)):
+            found.append(here + ("all rows",))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_parameter_names_become_rows_in_walk_alone():
+    files = [path for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "walk"] + sorted((ROOT / "scripts").glob("*.py"))
+    hits = [hit for path in files
+            for hit in _name_rule_hits(path.stem, path.read_text())]
+    assert not hits, f"parameter names turned into rows outside walk: {hits}"
+
+
+_ZONE_MEANS = ("def _zone_means(p, init, params):\n"
+               "    w = generator_spatial(p.theta)[[PARAM_NAMES.index(l)\n"
+               "                                    for l in params]]\n")
+
+
+@pytest.mark.parametrize("module,source,what", [
+    ("qfim", _ZONE_MEANS, "index"),
+    ("qfim", _ZONE_MEANS, "all rows"),
+    ("oracle", "def _gram(params):\n"
+               "    idx = [walk.PARAM_NAMES.index(l) for l in params]\n",
+     "index"),
+    ("qfim", "def beta_null_check(p):\n"
+             "    ob = walk.generator_spatial(p.theta)[2]\n", "all rows"),
+])
+def test_name_rule_ratchet_sees_a_second_statement(module, source, what):
+    assert what in {hit[2] for hit in _name_rule_hits(module, source)}
 
 
 # ---------------------------------------------------------------------------

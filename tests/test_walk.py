@@ -1,5 +1,6 @@
 """Walk core: coin algebra, stepping, initial states, k-space picture."""
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -16,11 +17,12 @@ from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, GridSpec,
                       make_likelihood_table, qfim_exact, qfim_localized,
                       qfim_theorem1, single_param_qfi, sweep_fig1,
                       sweep_fig2, uhlmann_analytic, uhlmann_exact)
-from qwfisher import qfim
+from qwfisher import qfim, walk
 from qwfisher.estimation import _engine_inputs
 from qwfisher.oracle import exact_matrices
-from qwfisher.walk import (MAX_STEPS, PARAM_NAMES, SiteWindow, reduced_axis,
-                           spinors_at, step_count, uniform_k_grid)
+from qwfisher.walk import (MAX_STEPS, PARAM_NAMES, SiteWindow, ThetaFamily,
+                           generator_spatial, reduced_axis, spinors_at,
+                           step_count, uniform_k_grid)
 
 from oracles import (PAULI, coin_dense, dense_amps_at, dense_evolve,
                      dense_powers, evolve_steps, light_cone,
@@ -632,3 +634,52 @@ def test_a_non_integer_t_no_longer_runs_the_truncated_count():
         qfim_localized(0.7, 0.2, [0.6, 0.0, 0.8], 2.5)
     window = SiteWindow.after(_PAIR, np.int64(4))
     assert window.t == 4 and type(window.t) is int
+
+
+# ---------------------------------------------------------------------------
+# the one parameter-name rule
+
+NAME_ROUTES = {
+    "qfim_theorem1": lambda names: qfim_theorem1(_P, _PAIR, 3, params=names),
+    "uhlmann_analytic": lambda names: uhlmann_analytic(_P, _PAIR, 3,
+                                                       params=names),
+    "exact_matrices": lambda names: exact_matrices(_PAIR, _P, 3, params=names),
+    "qfim_exact": lambda names: qfim_exact(_PAIR, _P, 3, params=names),
+    "uhlmann_exact": lambda names: uhlmann_exact(_PAIR, _P, 3, params=names),
+    "derivative_state": lambda names: derivative_state(_PAIR, _P, 3, *names),
+}
+BAD_NAMES = [("theta", "gamma"), ("theta", "theta"), ()]
+
+
+@pytest.mark.parametrize("route", list(NAME_ROUTES))
+def test_every_route_refuses_bad_names_before_its_engine(route, monkeypatch):
+    # one message from walk.generator_spatial, and no engine run: neither
+    # the oracle's family nor the input transform every route starts with
+    runs = []
+    of_walk, transform = ThetaFamily.of_walk, walk.spinors_at
+    monkeypatch.setattr(ThetaFamily, "of_walk",
+                        lambda *a: runs.append("of_walk") or of_walk(*a))
+    monkeypatch.setattr(walk, "spinors_at",
+                        lambda *a: runs.append("spinors_at") or transform(*a))
+    bad = ([("gamma",), ("",)] if route == "derivative_state"
+           else BAD_NAMES)
+    for names in bad:
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"params must be distinct names from {PARAM_NAMES}, at "
+                f"least one, got {names}") + "$"):
+            NAME_ROUTES[route](names)
+    assert runs == []
+    NAME_ROUTES[route](("alpha",))
+    assert runs or route == "uhlmann_analytic"
+
+
+def test_named_generator_rows_are_the_triple_rows():
+    for theta in (0.7, -2.0, 1e-6, math.pi / 2):
+        full = generator_spatial(theta)
+        for m in (1, 2, 3):
+            for names in itertools.permutations(PARAM_NAMES, m):
+                rows = full[[PARAM_NAMES.index(n) for n in names]]
+                for given_as in (names, list(names)):
+                    w = generator_spatial(theta, given_as)
+                    assert w.shape == rows.shape and w.dtype == rows.dtype
+                    assert w.tobytes() == rows.tobytes()
