@@ -26,8 +26,10 @@ bracket goes into the note), the same run with --strict (exit 4), and a
 singular block at theta = pi/2 (exit 4).  Run 38 is an oracle ``bounds``
 run near theta = pi/2 whose incompatibility R = 9.5e-05 is above the
 default threshold although max |D| / max |F| is below it: its Holevo
-bound is unavailable.  New runs go at the end so that the runs before
-them keep their numbers.
+bound is unavailable.  Runs 39 and 40 evolve and estimate on run 34's
+spinor: its probabilities sum to 1 + 1.8e-12, and the position
+distribution takes every state the walk's norm rule takes.  New runs go
+at the end so that the runs before them keep their numbers.
 """
 import argparse
 import contextlib
@@ -79,6 +81,8 @@ bounds --t 10 --route oracle --init gamma:0.6 --alpha 0.5 --beta -0.9
 bounds --t 10 --route oracle --init gamma:0.6 --alpha 0.5 --beta -0.9 --strict
 bounds --t 10 --theta 1.5707963267948966
 bounds --route oracle --t 10 --theta 1.5707 --init gamma:0.6 --alpha 0.5 --beta -0.9
+evolve --t 10 --init localized:0 --spinor 1.0000000000009,0
+estimate --t 10 --init localized:0 --spinor 1.0000000000009,0 --shots 100 --grid-n 8
 """.strip().splitlines())
 
 

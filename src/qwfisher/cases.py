@@ -333,16 +333,17 @@ def sweep_fig1(theta: float, t_max: int) -> dict:
 def sweep_fig2(theta_list, t_max: int) -> dict:
     """Holevo-bound decay C^H = g(theta)/t^2 for each theta, plus g(theta) inset."""
     t_max, ts = _t_grid(t_max)
+    theta_list = [float(th) for th in theta_list]
     th_col, ch_col = [], []
     for th in theta_list:
-        CoinParams(float(th), 0.0, 0.0)  # the coin's NaN and sin = 0 gates
-        g = g_of_theta(float(th))
-        th_col += [float(th)] * ts.size
+        CoinParams(th, 0.0, 0.0)  # the coin's NaN and sin = 0 gates
+        g = g_of_theta(th)
+        th_col += [th] * ts.size
         ch_col += [g / float(t) ** 2 for t in ts]
     curves = DataTable(
         columns={"theta": th_col, "t": np.tile(ts, len(theta_list)),
                  "c_h": ch_col},
-        meta={"theta_list": [float(x) for x in theta_list], "t_max": t_max})
+        meta={"theta_list": theta_list, "t_max": t_max})
     thetas = np.linspace(0.0, math.pi / 2, 66)[1:-1]
     inset = DataTable(
         columns={"theta": thetas, "g": [g_of_theta(th) for th in thetas]},

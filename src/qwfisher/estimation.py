@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .walk import (MIN_SIN_THETA, CoinParams, SiteWindow, ThetaFamily,
-                   WalkerState, plane_waves, step_count, times_d)
+from .walk import (MIN_SIN_THETA, NORM_TOL, CoinParams, SiteWindow,
+                   ThetaFamily, WalkerState, plane_waves, step_count, times_d)
 
 MASS_THRESHOLD = 1e-12
 # a fit has converged when no component of its step exceeds this
@@ -48,7 +48,8 @@ def philox_rng(seed: int, *stream) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PositionDistribution:
-    """Probability vector over the dense site window of a walker state."""
+    """Probability vector over the dense site window of a walker state; its
+    norm sqrt(sum p) meets the walk's rule |norm - 1| <= NORM_TOL."""
 
     sites: np.ndarray
     probs: np.ndarray
@@ -60,9 +61,11 @@ class PositionDistribution:
         if sites.shape != probs.shape or probs.ndim != 1:
             raise ValueError("sites and probs must be matching 1D arrays")
         if not probs.min() >= -1e-15:              # NaN fails too
-            raise ValueError(f"negative probability {probs.min()!r}")
-        if not abs(probs.sum() - 1.0) <= 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise ValueError(f"negative probability {float(probs.min())}")
+        total = float(probs.sum())
+        if not abs(math.sqrt(max(total, 0.0)) - 1.0) <= NORM_TOL:
+            raise ValueError(f"probabilities sum to {total}: their norm "
+                             f"deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "probs", probs)
 

@@ -146,12 +146,13 @@ class QFIMatrix:
 
     def block(self, labels) -> "QFIMatrix":
         """Submatrix over a subset of the labels, order as given."""
+        labels = tuple(labels)
         unknown = [l for l in labels if l not in self.labels]
         if unknown:
             raise ValueError(f"labels {unknown} are not among {self.labels}")
         idx = [self.labels.index(l) for l in labels]
         return QFIMatrix(entries=self.entries.take(idx, 0).take(idx, 1),
-                         labels=tuple(labels), t=self.t,
+                         labels=labels, t=self.t,
                          antisymmetric=self.antisymmetric,
                          asymptotic=self.asymptotic)
 
@@ -258,10 +259,10 @@ def qfim_theorem1(p: CoinParams, init: WalkerState, t: int,
     projector annihilates O_beta.  The integrals are exact (see the
     module docstring), so there is nothing to tune.
     """
-    t = step_count(t, 1)
+    t, params = step_count(t, 1), tuple(params)
     first, y = _zone_means(p, init, params)
     per_t2 = first - y[:, None] * y
-    return QFIMatrix(entries=per_t2 * float(t) ** 2, labels=tuple(params),
+    return QFIMatrix(entries=per_t2 * float(t) ** 2, labels=params,
                      t=t, asymptotic=True)
 
 
@@ -273,8 +274,9 @@ def uhlmann_analytic(p: CoinParams, init: WalkerState, t: int,
     projector is a real matrix and the generator components are purely
     imaginary), so no imaginary part survives.
     """
+    params = tuple(params)
     m = len(generator_spatial(p.theta, params))
-    return QFIMatrix(entries=np.zeros((m, m)), labels=tuple(params),
+    return QFIMatrix(entries=np.zeros((m, m)), labels=params,
                      t=step_count(t, 1), antisymmetric=True, asymptotic=True)
 
 

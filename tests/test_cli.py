@@ -418,6 +418,27 @@ def test_closed_form_route_takes_every_single_site_input(workdir):
     assert body["deviations"]["localized-closed-form"]["max_rel"] <= 1e-11
 
 
+@pytest.mark.parametrize("argv,files", [
+    (["evolve"], ["qwf_evolve_distribution.csv", "qwf_evolve_state.json"]),
+    (["estimate", "--shots", "100", "--grid-n", "8"],
+     ["qwf_estimate_counts.csv", "qwf_estimate_result.json"]),
+])
+def test_every_command_takes_a_state_the_walk_accepts(workdir, argv, files):
+    # the same spinor as above: its probabilities sum to 1 + 1.8e-12, and
+    # the position distribution reads the walk's norm rule on their root
+    assert main(argv + ["--t", "10", "--init", "localized:0",
+                        "--spinor", "1.0000000000009,0"]) == 0
+    assert all((workdir / name).stat().st_size for name in files)
+
+
+def test_norm_refusal_prints_a_plain_number(workdir, capsys):
+    assert main(["evolve", "--t", "3", "--init", "localized:0",
+                 "--spinor", "1.5,0"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: bad initial state 'localized:0': state norm 1.5 "
+        "deviates from 1 beyond 1e-12\n")
+
+
 def test_bounds_compatible_fixture(workdir, capsys):
     assert main(["bounds", "--t", "100"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qwfisher import (CoinParams, GridSpec, MeasurementRecord, WalkerState,
@@ -17,7 +17,8 @@ from qwfisher import estimation
 from qwfisher.estimation import (MASS_THRESHOLD, PositionDistribution,
                                  _connected_from_argmax, _grid_loglik,
                                  _pseudo_inverse, philox_rng)
-from qwfisher.walk import SiteWindow, ThetaFamily, plane_waves, spinors_at
+from qwfisher.walk import (NORM_TOL, SiteWindow, ThetaFamily, plane_waves,
+                           spinors_at)
 
 from oracles import (dilation_connected, evolve_steps, fd_loglik_hessian,
                      prob_derivatives, pseudo_inverse_dense, table_probs,
@@ -97,12 +98,40 @@ class TestPositionDistribution:
         assert np.abs(d.probs - d.probs[::-1]).max() <= 1e-13
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="negative"):
+        # whole messages, with plain numbers, not numpy reprs
+        with pytest.raises(ValueError, match="^negative probability -0.5$"):
             PositionDistribution(sites=np.array([0, 1]),
                                  probs=np.array([1.5, -0.5]))
-        with pytest.raises(ValueError, match="sum"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "probabilities sum to 0.8: their norm deviates from 1 "
+                "beyond 1e-12") + "$"):
             PositionDistribution(sites=np.array([0, 1]),
                                  probs=np.array([0.4, 0.4]))
+
+    # the draws stay 0.9 NORM_TOL from the rule's edge: rounding and the
+    # engine's norm drift (below 1e-14 at t <= 50) fit in the rest
+    @settings(max_examples=80, deadline=None)
+    @given(n_sites=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
+           defect=st.floats(-0.9 * NORM_TOL, 0.9 * NORM_TOL),
+           t=st.sampled_from([0, 1, 7, 50]),
+           theta=st.floats(0.05, math.pi - 0.05),
+           alpha=st.floats(-math.pi, math.pi))
+    @example(n_sites=1, seed=0, defect=0.9 * NORM_TOL, t=50, theta=0.7,
+             alpha=0.3)
+    @example(n_sites=1, seed=0, defect=-0.9 * NORM_TOL, t=50, theta=0.7,
+             alpha=0.3)
+    @example(n_sites=2, seed=1, defect=0.9 * NORM_TOL, t=50, theta=0.7,
+             alpha=0.3)
+    @example(n_sites=2, seed=1, defect=-0.9 * NORM_TOL, t=50, theta=0.7,
+             alpha=0.3)
+    def test_every_state_the_walk_accepts_gives_a_distribution(
+            self, n_sites, seed, defect, t, theta, alpha):
+        amps = random_amps(n_sites, seed) * (1.0 + defect)
+        init = (initial_localized(0, spinor=amps[0]) if n_sites == 1
+                else WalkerState(origin=0, amps=amps))
+        d = position_distribution(evolve(init, CoinParams(theta, alpha, 0.2),
+                                         t))
+        assert sum(sample(d, 100, seed=seed).counts.values()) == 100
 
 
 class TestSampling:

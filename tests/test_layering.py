@@ -320,7 +320,8 @@ def test_step_count_ratchet_sees_a_second_rule(module, source, what):
 # ---------------------------------------------------------------------------
 # one statement of each walk rule
 
-RULE_MODULES = ("qfim", "estimation")
+RULE_MODULES = tuple(sorted(path.stem for path in PACKAGE.glob("*.py")
+                           if path.stem != "walk"))
 # the fits' own parameter: alpha weights the frequency groups by
 # e^{-i alpha f}, a phase no walk rule states
 PHASE_EXEMPT = {("estimation", "_derivatives")}
@@ -335,9 +336,22 @@ def _calls(node, name) -> bool:
 def _walk_rule_hits(module: str, source: str):
     """(module, function, what) for every walk rule ``source`` states
     itself: a node array (an ``arange`` divided by something), a phase
-    (``exp`` of an imaginary argument) and a Bloch-length gate (an ``if``
-    that raises on a ``norm`` or on a bound 1 + eps)."""
+    (``exp`` of an imaginary argument), a Bloch-length gate (an ``if``
+    that raises on a ``norm`` or on a bound 1 + eps) and a normalisation
+    gate with its own tolerance (an ``if`` that raises on ``abs(x - 1)``
+    compared with a number, where ``walk.NORM_TOL`` is the one)."""
     found = []
+
+    def number(node) -> bool:
+        return isinstance(node, ast.Constant) and isinstance(
+            node.value, (int, float))
+
+    def off_one(node) -> bool:
+        return (_calls(node, "abs") and len(node.args) == 1
+                and isinstance(node.args[0], ast.BinOp)
+                and isinstance(node.args[0].op, ast.Sub)
+                and isinstance(node.args[0].right, ast.Constant)
+                and node.args[0].right.value == 1)
 
     def gate(cmp) -> bool:
         sides = [cmp.left, *cmp.comparators]
@@ -361,12 +375,16 @@ def _walk_rule_hits(module: str, source: str):
                         and isinstance(sub.value, complex)
                         for arg in node.args for sub in ast.walk(arg))):
             found.append(here + ("phase",))
-        if (isinstance(node, ast.If)
-                and any(isinstance(sub, ast.Raise) for stmt in node.body
-                        for sub in ast.walk(stmt))
-                and any(isinstance(cmp, ast.Compare) and gate(cmp)
-                        for cmp in ast.walk(node.test))):
-            found.append(here + ("bloch",))
+        if isinstance(node, ast.If) and any(
+                isinstance(sub, ast.Raise) for stmt in node.body
+                for sub in ast.walk(stmt)):
+            cmps = [cmp for cmp in ast.walk(node.test)
+                    if isinstance(cmp, ast.Compare)]
+            if any(map(gate, cmps)):
+                found.append(here + ("bloch",))
+            if any(any(map(off_one, sides)) and any(map(number, sides))
+                   for sides in ([c.left, *c.comparators] for c in cmps)):
+                found.append(here + ("norm",))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -393,6 +411,10 @@ def test_each_walk_rule_is_stated_once():
     ("qfim", "def single_param_qfi(r_y):\n"
              "    if not abs(r_y) <= 1.0 + 1e-12:\n"
              "        raise ValueError\n", "bloch"),
+    # PositionDistribution's own gate, which refused what the walk took
+    ("estimation", "def __post_init__(self):\n"
+                   "    if not abs(probs.sum() - 1.0) <= 1e-12:\n"
+                   "        raise ValueError\n", "norm"),
 ])
 def test_walk_rule_ratchet_sees_a_second_statement(module, source, what):
     assert what in {hit[2] for hit in _walk_rule_hits(module, source)}

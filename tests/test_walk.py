@@ -673,6 +673,24 @@ def test_every_route_refuses_bad_names_before_its_engine(route, monkeypatch):
     assert runs or route == "uhlmann_analytic"
 
 
+# entries whose sequence argument is read once, so an iterator serves
+ONE_READ_ENTRIES = {
+    "qfim_theorem1": lambda seq: qfim_theorem1(_P, _PAIR, 3, params=seq),
+    "uhlmann_analytic": lambda seq: uhlmann_analytic(_P, _PAIR, 3,
+                                                     params=seq),
+    "QFIMatrix.block": lambda seq: QFIMatrix(
+        np.diag([8.0, 2.0, 0.5]), PARAM_NAMES, 3).block(seq),
+    "sweep_fig2": lambda seq: sweep_fig2(seq, 30),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_READ_ENTRIES))
+def test_every_sequence_argument_is_read_once(name):
+    seq = (0.7, 1.1) if name == "sweep_fig2" else ("alpha", "theta")
+    call = ONE_READ_ENTRIES[name]
+    assert _bitwise_same(call(iter(seq)), call(seq))
+
+
 def test_named_generator_rows_are_the_triple_rows():
     for theta in (0.7, -2.0, 1e-6, math.pi / 2):
         full = generator_spatial(theta)
