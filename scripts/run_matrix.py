@@ -28,8 +28,11 @@ run near theta = pi/2 whose incompatibility R = 9.5e-05 is above the
 default threshold although max |D| / max |F| is below it: its Holevo
 bound is unavailable.  Runs 39 and 40 evolve and estimate on run 34's
 spinor: its probabilities sum to 1 + 1.8e-12, and the position
-distribution takes every state the walk's norm rule takes.  New runs go
-at the end so that the runs before them keep their numbers.
+distribution takes every state the walk's norm rule takes.  Runs 41-44
+give a non-finite field component, Dirac mass, vector potential and
+compatibility threshold: each exits 2 with the one real-number rule's
+wording, "<name> must be finite, got <value>".  New runs go at the end
+so that the runs before them keep their numbers.
 """
 import argparse
 import contextlib
@@ -83,6 +86,10 @@ bounds --t 10 --theta 1.5707963267948966
 bounds --route oracle --t 10 --theta 1.5707 --init gamma:0.6 --alpha 0.5 --beta -0.9
 evolve --t 10 --init localized:0 --spinor 1.0000000000009,0
 estimate --t 10 --init localized:0 --spinor 1.0000000000009,0 --shots 100 --grid-n 8
+case magnetic --b2 nan
+case dirac --m nan --q 1 --ax 1 --eps 0.01
+case dirac --m 1 --q 1 --ax nan --eps 0.01
+bounds --eps-compat inf
 """.strip().splitlines())
 
 

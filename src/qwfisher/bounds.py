@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IncompatibleModel, SingularFisher
 from .qfim import QFIMatrix
-from .walk import MIN_SIN_THETA
+from .walk import MIN_SIN_THETA, as_real
 
 EPS_COMPAT = 1e-6
 REL_DET_FLOOR = 1e-12
@@ -108,8 +108,9 @@ def g_of_theta(theta: float) -> float:
     theta = pi/2 where the alpha information dies.  1 - s is taken as
     cos^2 th / (1 + s), which does not cancel near pi/2.
     """
+    theta = as_real(theta, "theta")
     s, c = abs(np.sin(theta)), np.cos(theta)
-    # the sin floor is the coin's gate (NaN fails it too); float pi/2
+    # the sin floor is the coin's gate; float pi/2
     # lands at cos(theta) ~ 6.1e-17, not exactly zero
     if not s >= MIN_SIN_THETA:
         raise SingularFisher(
@@ -145,8 +146,8 @@ def sandwich(f: QFIMatrix, w: WeightMatrix | None = None,
 
 
 def check_eps_compat(eps: float) -> None:
-    """The rule a compatibility threshold keeps: finite and >= 0."""
-    if not (0.0 <= eps < np.inf):                  # NaN fails too
+    """The rule a compatibility threshold keeps: a real number >= 0."""
+    if not as_real(eps, "compatibility threshold") >= 0.0:
         raise ValueError(f"compatibility threshold must be finite and "
                          f">= 0, got {eps!r}")
 

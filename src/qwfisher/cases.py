@@ -28,7 +28,7 @@ from .bounds import g_of_theta
 from .errors import (ChargeUnidentifiable, DegenerateWalk, NoConvergence,
                      OutOfWindow, SingularJacobian)
 from .qfim import QFIMatrix, single_param_qfi
-from .walk import CoinParams, step_count
+from .walk import CoinParams, as_real, step_count
 
 WINDOW = math.pi / 2
 ROUND_TRIP_TOL = 1e-13
@@ -84,8 +84,8 @@ class MagneticField:
     b3: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.b2) and np.isfinite(self.b3)):
-            raise ValueError("field components must be finite")
+        for name in ("b2", "b3"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         if self.B >= WINDOW:
             raise OutOfWindow(
                 f"|B| = {self.B!r} >= pi/2: coin encoding not invertible")
@@ -197,9 +197,8 @@ class DiracParams:
     eps: float
 
     def __post_init__(self):
-        for name in ("m", "q"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for name in ("m", "q", "a_x", "eps"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         _dirac_scale(self.a_x, self.eps)
         if self.eps * self.omega >= WINDOW:
             raise OutOfWindow(
@@ -239,8 +238,7 @@ def dirac_jacobian(d: DiracParams) -> np.ndarray:
 def _dirac_scale(a_x: float, eps: float) -> tuple[float, float]:
     """(eps, eps A_x), the field per unit (m, q), after the gates that
     :class:`DiracParams` and both Dirac inverses share."""
-    if not (math.isfinite(a_x) and math.isfinite(eps)):
-        raise ValueError(f"A_x and eps must be finite, got {a_x!r}, {eps!r}")
+    a_x, eps = as_real(a_x, "a_x"), as_real(eps, "eps")
     if a_x == 0.0:
         raise ChargeUnidentifiable(
             "A_x = 0: the charge never enters the coin and cannot be estimated")
@@ -333,10 +331,10 @@ def sweep_fig1(theta: float, t_max: int) -> dict:
 def sweep_fig2(theta_list, t_max: int) -> dict:
     """Holevo-bound decay C^H = g(theta)/t^2 for each theta, plus g(theta) inset."""
     t_max, ts = _t_grid(t_max)
-    theta_list = [float(th) for th in theta_list]
+    theta_list = [as_real(th, "theta") for th in theta_list]
     th_col, ch_col = [], []
     for th in theta_list:
-        CoinParams(th, 0.0, 0.0)  # the coin's NaN and sin = 0 gates
+        CoinParams(th, 0.0, 0.0)  # the coin's sin = 0 gate
         g = g_of_theta(th)
         th_col += [th] * ts.size
         ch_col += [g / float(t) ** 2 for t in ts]

@@ -14,6 +14,7 @@ fits and the classical Fisher information all read that one model.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -22,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .walk import (MIN_SIN_THETA, NORM_TOL, CoinParams, SiteWindow,
-                   ThetaFamily, WalkerState, plane_waves, step_count, times_d)
+                   ThetaFamily, WalkerState, as_int, as_real, plane_waves,
+                   step_count, times_d)
 
 MASS_THRESHOLD = 1e-12
 # a fit has converged when no component of its step exceeds this
@@ -48,25 +50,29 @@ def philox_rng(seed: int, *stream) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PositionDistribution:
-    """Probability vector over the dense site window of a walker state; its
-    norm sqrt(sum p) meets the walk's rule |norm - 1| <= NORM_TOL."""
+    """Probability vector over integer sites, at least one, after t steps;
+    its norm sqrt(sum p) meets the walk's rule |norm - 1| <= NORM_TOL."""
 
     sites: np.ndarray
     probs: np.ndarray
     t: int = 0
 
     def __post_init__(self):
-        sites = np.asarray(self.sites, dtype=int)
-        probs = np.asarray(self.probs, dtype=float)
+        object.__setattr__(self, "t", step_count(self.t))
+        sites, probs = np.asarray(self.sites), np.asarray(self.probs, float)
         if sites.shape != probs.shape or probs.ndim != 1:
             raise ValueError("sites and probs must be matching 1D arrays")
+        if not probs.size:
+            raise ValueError("sites and probs are empty")
+        if sites.dtype.kind not in "iu":
+            raise ValueError(f"sites must be integers, got {sites.dtype}")
         if not probs.min() >= -1e-15:              # NaN fails too
             raise ValueError(f"negative probability {float(probs.min())}")
         total = float(probs.sum())
         if not abs(math.sqrt(max(total, 0.0)) - 1.0) <= NORM_TOL:
             raise ValueError(f"probabilities sum to {total}: their norm "
                              f"deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "sites", sites.astype(int, copy=False))
         object.__setattr__(self, "probs", probs)
 
 
@@ -90,10 +96,11 @@ class MeasurementRecord:
         object.__setattr__(self, "t", step_count(self.t))
         counts = {}
         for x, c in self.counts.items():
-            if (isinstance(c, bool) or not isinstance(c, (int, np.integer))
-                    or c < 0):
-                raise ValueError(f"count {c!r} at site {x} is not a nonnegative integer")
-            counts[int(x)] = int(c)         # site keys: JSON's are strings
+            if isinstance(x, str):          # JSON's keys: their decimal text
+                with contextlib.suppress(ValueError):
+                    x = int(x)
+            x = as_int(x, "site")
+            counts[x] = as_int(c, f"count at site {x}", 0)
         check_shots_and_seed(self.shots, self.seed)
         total = sum(counts.values())
         if total != self.shots:
@@ -129,11 +136,8 @@ class MeasurementRecord:
 
 def check_shots_and_seed(shots: int, seed: int) -> None:
     """The rule of :func:`sample`: integer shots >= 1 and seed >= 0."""
-    for name, n, least in (("shots", shots, 1), ("seed", seed, 0)):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
-        if n < least:
-            raise ValueError(f"{name} must be >= {least}, got {n}")
+    as_int(shots, "shots", 1)
+    as_int(seed, "seed", 0)
 
 
 def sample(dist: PositionDistribution, shots: int, seed: int,
@@ -239,16 +243,12 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("theta_min", "theta_max", "alpha_min", "alpha_max"):
-            if not math.isfinite(edge := getattr(self, name)):
-                raise ValueError(f"grid edge {name} must be finite, "
-                                 f"got {edge!r}")
+            object.__setattr__(self, name, as_real(getattr(self, name),
+                                                   f"grid edge {name}"))
         if not (self.theta_min < self.theta_max and self.alpha_min < self.alpha_max):
             raise ValueError("grid box is empty")
         for name in ("n_theta", "n_alpha"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {n!r}")
-            object.__setattr__(self, name, int(n))
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if min(self.n_theta, self.n_alpha) < 2:
             raise ValueError("grid needs at least 2 points per axis")
 

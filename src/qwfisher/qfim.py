@@ -39,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import (CoinBlochState, CoinParams, WalkerState, generator_spatial,
-                   k_grid_size, reduced_axis, reduced_spinors, step_count,
-                   uniform_k_grid)
+from .walk import (CoinBlochState, CoinParams, WalkerState, as_real,
+                   generator_spatial, k_grid_size, reduced_axis,
+                   reduced_spinors, step_count, uniform_k_grid)
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -299,7 +299,7 @@ def _localized_per_t2(theta: float, phi: float, r) -> np.ndarray:
     theta = pi/2 since (1-s)/cos th = cos th/(1+s).  F_pp likewise takes
     1 - s as cos^2 th / (1+s), which does not cancel near theta = pi/2.
     """
-    CoinParams(theta, phi, 0.0)      # the coin's NaN and sin(theta) = 0 gates
+    CoinParams(theta, phi := as_real(phi, "phi"), 0.0)  # the coin gates theta
     s = abs(float(np.sin(theta)))
     r = CoinBlochState(r).r
     ct, st = np.cos(theta), np.sin(theta)
@@ -326,5 +326,5 @@ def single_param_qfi(theta: float, r_y: float, t: int) -> float:
     4 t^2 s [1 + s (1 - r_y^2)] / (1+s)^2, maximal on the equatorial
     circle r_y = 0 and minimal at the poles r_y = +-1, with ratio 1 + s.
     """
-    tt = float(step_count(t, 1)) ** 2
-    return float(tt * _localized_per_t2(theta, 0.0, (0.0, r_y, 0.0))[0, 0])
+    tt, r = float(step_count(t, 1)) ** 2, (0.0, as_real(r_y, "r_y"), 0.0)
+    return float(tt * _localized_per_t2(theta, 0.0, r)[0, 0])

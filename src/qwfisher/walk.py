@@ -14,14 +14,15 @@ route reads in the coin's reduced frame,
 D(a) = diag(e^{ia}, e^{-ia}), a2 = (alpha - beta)/2: the axis
 (:func:`reduced_axis`) and the generators' Pauli vectors
 (:func:`generator_spatial`) depend on theta alone, and the input enters
-as :func:`reduced_spinors`.  Every rule of the finite-t engine lives
-here: the step count (:func:`step_count`), the uniform grid and its size
-(:func:`uniform_k_grid`, :func:`k_grid_size`), the input's phases
-e^{-ikx} (:func:`plane_waves`), the coin phase D(a) (:func:`times_d`),
-the site window t steps from an input with its light cone and inverse
-FFT (:class:`SiteWindow`), and the one kernel, :class:`ThetaFamily`:
-u^t, its theta derivatives and the generator sums
-G_mu(t) = sum_{m=1..t} u^m O_mu u^-m in closed form.
+as :func:`reduced_spinors`.  The package's two number rules live here,
+:func:`as_int` for every integer it takes and :func:`as_real` for every
+real, and so does every rule of the finite-t engine: the step count
+(:func:`step_count`), the uniform grid and its size (:func:`uniform_k_grid`,
+:func:`k_grid_size`), the input's phases e^{-ikx} (:func:`plane_waves`),
+the coin phase D(a) (:func:`times_d`), the site window t steps from an
+input with its light cone and inverse FFT (:class:`SiteWindow`), and the
+one kernel, :class:`ThetaFamily`: u^t, its theta derivatives and the
+generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m in closed form.
 :func:`evolve` takes u(k)^t and one inverse FFT, with no loop over steps.
 """
 from __future__ import annotations
@@ -46,25 +47,38 @@ TWO_PI = 2.0 * np.pi
 MAX_STEPS = 2 ** 53
 
 
+def as_int(n, name: str, minimum: int | None = None) -> int:
+    """The integer rule: an int or numpy integer (not a bool, nor a float
+    even when whole) >= ``minimum``, as an int; else ValueError."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if minimum is not None and n < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {n}")
+    return int(n)
+
+
+def as_real(x, name: str) -> float:
+    """The real-number rule: a finite int, float or numpy real (not a
+    bool), as a Python float; else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer,
+                                                 np.floating)):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    try:
+        x = float(x)
+    except OverflowError:           # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 def step_count(t, minimum: int = 0, name: str = "step count") -> int:
-    """t as an int if it is an integer (not a bool, nor a float even when
-    whole) in [minimum, MAX_STEPS], else ValueError naming ``name``."""
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {t!r}")
-    if t < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {t}")
+    """t by :func:`as_int` with ``minimum``, at most MAX_STEPS."""
+    t = as_int(t, name, minimum)
     if t > MAX_STEPS:
         raise ValueError(f"{name} {t} is beyond MAX_STEPS = 2**53, above "
                          "which a step count is not exact as a float")
-    return int(t)
-
-
-def _wrap_angle(a: float) -> float:
-    """Map an angle to [-pi, pi)."""
-    a = math.remainder(float(a), TWO_PI)
-    if a >= np.pi:          # remainder returns (-pi, pi], fold the endpoint
-        a -= TWO_PI
-    return a
+    return t
 
 
 @dataclass(frozen=True)
@@ -82,10 +96,9 @@ class CoinParams:
 
     def __post_init__(self):
         for name in ("theta", "alpha", "beta"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, _wrap_angle(v))
+            a = math.remainder(as_real(getattr(self, name), name), TWO_PI)
+            # remainder returns (-pi, pi], fold the endpoint
+            object.__setattr__(self, name, a - TWO_PI if a >= np.pi else a)
         if abs(math.sin(self.theta)) < MIN_SIN_THETA:
             raise DegenerateWalk(
                 f"sin(theta) = 0 at theta={self.theta!r}: coin does not mix "
@@ -139,6 +152,7 @@ class WalkerState:
     steps_elapsed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "origin", as_int(self.origin, "origin"))
         object.__setattr__(self, "steps_elapsed", step_count(
             self.steps_elapsed, name="steps_elapsed"))
         a = np.ascontiguousarray(self.amps, dtype=complex)
@@ -185,8 +199,7 @@ class WalkerState:
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] % 2:
             raise ValueError("amps must be an even-length list of [re, im] pairs")
         flat = pairs[:, 0] + 1j * pairs[:, 1]
-        return WalkerState(origin=int(d["origin"]),
-                           amps=flat.reshape(-1, 2),
+        return WalkerState(origin=d["origin"], amps=flat.reshape(-1, 2),
                            steps_elapsed=d["steps_elapsed"])
 
 
@@ -242,7 +255,7 @@ def initial_localized(x0: int = 0, spinor=None, bloch: CoinBlochState | None = N
             raise ValueError(f"spinor must have shape (2,), got {chi.shape}")
     else:
         chi = np.array([1.0, 0.0], dtype=complex)
-    return WalkerState(origin=int(x0), amps=chi[None, :].copy())
+    return WalkerState(origin=as_int(x0, "x0"), amps=chi[None, :].copy())
 
 
 def initial_gamma(gamma: float) -> WalkerState:
@@ -251,9 +264,7 @@ def initial_gamma(gamma: float) -> WalkerState:
     Coin Bloch vector (cos gamma, sin gamma, 0): the equatorial family
     used throughout the localized-input closed forms.
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma!r}")
+    gamma = as_real(gamma, "gamma")
     chi = np.array([1.0, np.exp(1j * gamma)]) / np.sqrt(2.0)
     return WalkerState(origin=0, amps=chi[None, :])
 
@@ -265,7 +276,7 @@ def initial_entangled(x1: int = 0, x2: int = 1) -> WalkerState:
     zone; even separations are accepted with a warning since the
     asymptotic information then picks up a k-dependent weight.
     """
-    x1, x2 = int(x1), int(x2)
+    x1, x2 = as_int(x1, "x1"), as_int(x2, "x2")
     if x1 == x2:
         raise ValueError("entangled input needs two distinct sites")
     if (x1 - x2) % 2 == 0:

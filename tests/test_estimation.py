@@ -108,6 +108,25 @@ class TestPositionDistribution:
             PositionDistribution(sites=np.array([0, 1]),
                                  probs=np.array([0.4, 0.4]))
 
+    def test_refuses_what_it_would_misread(self):
+        # an empty pair once raised numpy's "zero-size array to reduction
+        # operation minimum", and sites [0.5, 1.5] were filed at 0 and 1
+        with pytest.raises(ValueError, match="^sites and probs are empty$"):
+            PositionDistribution(sites=np.array([], dtype=int),
+                                 probs=np.array([]))
+        with pytest.raises(ValueError, match="^sites and probs are empty$"):
+            PositionDistribution(sites=[], probs=[])
+        for sites in ([0.5, 1.5], [0.0, 1.0], [True, False], ["0", "1"]):
+            with pytest.raises(ValueError, match="^sites must be integers"):
+                PositionDistribution(sites=sites, probs=[0.5, 0.5])
+        for t in (2.5, 2.0, True, -1, None):
+            with pytest.raises(ValueError, match="^step count must be "):
+                PositionDistribution(sites=[0], probs=[1.0], t=t)
+        d = PositionDistribution(sites=np.array([3, 4], dtype=np.uint8),
+                                 probs=[0.5, 0.5], t=np.int64(2))
+        assert d.sites.dtype == int and d.sites.tolist() == [3, 4]
+        assert type(d.t) is int and d.t == 2
+
     # the draws stay 0.9 NORM_TOL from the rule's edge: rounding and the
     # engine's norm drift (below 1e-14 at t <= 50) fit in the rest
     @settings(max_examples=80, deadline=None)
@@ -214,7 +233,8 @@ class TestMeasurementRecord:
     def test_count_total_enforced(self):
         with pytest.raises(ValueError, match="shots"):
             MeasurementRecord(t=1, shots=5, counts={0: 4}, seed=0)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError,
+                           match="^count at site 1 must be >= 0, got -2$"):
             MeasurementRecord(t=1, shots=0, counts={0: 2, 1: -2}, seed=0)
 
     @pytest.mark.parametrize("field,value,message", [
@@ -222,7 +242,7 @@ class TestMeasurementRecord:
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("shots", 2.0, "shots must be an integer, got 2.0"),
         ("shots", True, "shots must be an integer, got True"),
-        ("counts", {0: 2.7}, "count 2.7 at site 0 is not a nonnegative integer"),
+        ("counts", {0: 2.7}, "count at site 0 must be an integer, got 2.7"),
     ])
     def test_integers_follow_the_sampling_rule(self, field, value, message):
         # each of these was taken, the count 2.7 truncated to 2 first

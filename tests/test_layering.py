@@ -30,6 +30,11 @@ e^{-ikx} or D(a) phase of their own (``walk.plane_waves`` and
 ``walk.times_d`` are), and no closed form checks a Bloch length itself
 (``walk.CoinBlochState`` is the gate).
 
+``walk.as_int`` and ``walk.as_real`` are the one integer rule and the
+one real-number rule: outside them, no ``if`` in the package raises on
+an ``isfinite`` call or on an ``isinstance`` test about ``bool``.  The
+array gates, ``all(map(math.isfinite, ...))``, are a rule of their own.
+
 ``walk.generator_spatial`` is the one rule from parameter names to
 generator rows: outside ``walk``, no module in the package or in
 ``scripts/`` calls ``PARAM_NAMES.index``, and every ``generator_spatial``
@@ -418,6 +423,92 @@ def test_each_walk_rule_is_stated_once():
 ])
 def test_walk_rule_ratchet_sees_a_second_statement(module, source, what):
     assert what in {hit[2] for hit in _walk_rule_hits(module, source)}
+
+
+# ---------------------------------------------------------------------------
+# one rule per kind of number
+
+NUMBER_RULES = {("walk", "as_int"), ("walk", "as_real")}
+
+
+def _number_rule_hits(module: str, source: str):
+    """(module, function, what) for every raising ``if`` in ``source``
+    outside ``walk.as_int`` and ``walk.as_real`` that states a number rule
+    itself: one that calls ``isfinite`` ("finite") or asks ``isinstance``
+    about ``bool`` ("bool").  ``map(math.isfinite, ...)`` calls nothing
+    here: it is an array gate."""
+    found = []
+
+    def about_bool(node) -> bool:
+        return _calls(node, "isinstance") and len(node.args) == 2 and any(
+            getattr(sub, "id", None) == "bool"
+            for sub in ast.walk(node.args[1]))
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        here = (module, scope or "<module>")
+        if (isinstance(node, ast.If) and here not in NUMBER_RULES
+                and any(isinstance(sub, ast.Raise) for stmt in node.body
+                        for sub in ast.walk(stmt))):
+            calls = list(ast.walk(node.test))
+            if any(_calls(sub, "isfinite") for sub in calls):
+                found.append(here + ("finite",))
+            if any(map(about_bool, calls)):
+                found.append(here + ("bool",))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_rule_per_kind_of_number():
+    hits = [hit for path in sorted(PACKAGE.glob("*.py"))
+            for hit in _number_rule_hits(path.stem, path.read_text())]
+    assert not hits, f"number rules outside walk.as_int/as_real: {hits}"
+
+
+@pytest.mark.parametrize("module,source,what", [
+    # the gates MagneticField, GridSpec and check_shots_and_seed once had
+    ("cases", "def __post_init__(self):\n"
+              "    if not (np.isfinite(self.b2) and np.isfinite(self.b3)):\n"
+              "        raise ValueError('field components must be finite')\n",
+     "finite"),
+    ("estimation", "def __post_init__(self):\n"
+                   "    for name in ('theta_min', 'theta_max'):\n"
+                   "        edge = getattr(self, name)\n"
+                   "        if not math.isfinite(edge):\n"
+                   "            raise ValueError(edge)\n", "finite"),
+    ("estimation", "def __post_init__(self):\n"
+                   "    for name in ('n_theta', 'n_alpha'):\n"
+                   "        n = getattr(self, name)\n"
+                   "        if isinstance(n, bool) or not isinstance(\n"
+                   "                n, (int, np.integer)):\n"
+                   "            raise ValueError(n)\n", "bool"),
+    ("estimation", "def check_shots_and_seed(shots, seed):\n"
+                   "    for name, n, least in (('shots', shots, 1),\n"
+                   "                           ('seed', seed, 0)):\n"
+                   "        if isinstance(n, (bool, float)):\n"
+                   "            raise ValueError(name)\n", "bool"),
+    # a second statement inside walk counts too
+    ("walk", "def initial_gamma(gamma):\n"
+             "    if not math.isfinite(gamma):\n"
+             "        raise ValueError(gamma)\n", "finite"),
+])
+def test_number_rule_ratchet_sees_a_second_statement(module, source, what):
+    assert what in {hit[2] for hit in _number_rule_hits(module, source)}
+
+
+def test_number_rule_ratchet_passes_array_gates_and_the_rules():
+    array_gate = ("def __post_init__(self):\n"
+                  "    if not all(map(math.isfinite, s)):\n"
+                  "        raise ValueError('entries must be finite')\n")
+    rules = (PACKAGE / "walk.py").read_text()
+    assert _number_rule_hits("qfim", array_gate) == []
+    assert _number_rule_hits("walk", rules) == []
+    assert {"finite", "bool"} <= {hit[2] for hit in _number_rule_hits(
+        "cli", rules)}
 
 
 # ---------------------------------------------------------------------------

@@ -4,25 +4,28 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, GridSpec,
-                      MeasurementRecord, QFIMatrix, WalkerState,
-                      classical_fi, derivative_state, evolve,
-                      initial_entangled, initial_gamma, initial_localized,
-                      make_likelihood_table, qfim_exact, qfim_localized,
-                      qfim_theorem1, single_param_qfi, sweep_fig1,
+from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk,
+                      DiracParams, GridSpec, MagneticField, MeasurementRecord,
+                      QFIMatrix, WalkerState, classical_fi, derivative_state,
+                      dirac_first_order, evolve, g_of_theta,
+                      holevo_compatible, initial_entangled, initial_gamma,
+                      initial_localized, make_likelihood_table,
+                      position_distribution, qfim_exact, qfim_localized,
+                      qfim_theorem1, sample, single_param_qfi, sweep_fig1,
                       sweep_fig2, uhlmann_analytic, uhlmann_exact)
 from qwfisher import qfim, walk
 from qwfisher.estimation import _engine_inputs
 from qwfisher.oracle import exact_matrices
 from qwfisher.walk import (MAX_STEPS, PARAM_NAMES, SiteWindow, ThetaFamily,
-                           generator_spatial, reduced_axis, spinors_at,
-                           step_count, uniform_k_grid)
+                           as_int, as_real, generator_spatial, reduced_axis,
+                           spinors_at, step_count, uniform_k_grid)
 
 from oracles import (PAULI, coin_dense, dense_amps_at, dense_evolve,
                      dense_powers, evolve_steps, light_cone,
@@ -610,7 +613,9 @@ def _bitwise_same(a, b) -> bool:
     if isinstance(a, np.ndarray):
         return (a.dtype == b.dtype and a.shape == b.shape
                 and a.tobytes() == b.tobytes())
-    return a == b or (a != a and b != b)
+    if isinstance(a, float):        # -0.0 is not 0.0, and NaN is NaN
+        return a.hex() == b.hex()
+    return a == b
 
 
 @pytest.mark.parametrize("name", list(STEP_ENTRY_POINTS))
@@ -634,6 +639,148 @@ def test_a_non_integer_t_no_longer_runs_the_truncated_count():
         qfim_localized(0.7, 0.2, [0.6, 0.0, 0.8], 2.5)
     window = SiteWindow.after(_PAIR, np.int64(4))
     assert window.t == 4 and type(window.t) is int
+
+
+# ---------------------------------------------------------------------------
+# the two number rules
+
+
+def test_the_integer_rule():
+    assert as_int(np.int32(-4), "n") == -4
+    assert type(as_int(np.uint8(3), "n")) is int
+    assert as_int(0, "n", 0) == 0 and as_int(2 ** 80, "n") == 2 ** 80
+    for bad in (2.0, 2.5, np.float64(2.0), True, np.True_, "2", None, 2j):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"n must be an integer, got {bad!r}") + "$"):
+            as_int(bad, "n")
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        as_int(np.int64(0), "n", 1)
+
+
+def test_the_real_number_rule():
+    assert as_real(3, "x") == 3.0 and as_real(np.int64(-2), "x") == -2.0
+    assert type(as_real(np.float32(0.5), "x")) is float
+    assert as_real(-0.0, "x").hex() == "-0x0.0p+0"
+    for bad in (True, np.True_, "0.7", None, 0.7j, np.complex128(1), [0.7],
+                np.array(0.7)):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"x must be a real number, got {bad!r}") + "$"):
+            as_real(bad, "x")
+    # each refusal prints a plain float, numpy scalars and huge ints too
+    for bad, shown in ((math.nan, "nan"), (np.float64(-math.inf), "-inf"),
+                       (np.float32(math.inf), "inf"), (10 ** 400, "inf")):
+        with pytest.raises(ValueError,
+                           match=f"^x must be finite, got {shown}$"):
+            as_real(bad, "x")
+
+
+def _entangled(x1, x2):
+    with warnings.catch_warnings():     # even separations warn
+        warnings.simplefilter("ignore")
+        return initial_entangled(x1, x2)
+
+
+_ONE_SITE = position_distribution(initial_localized(0))
+_F = QFIMatrix(np.diag([8.0, 2.0]), ("theta", "alpha"), 3)
+
+# every scalar entry that reads a number: (the name its refusal gives,
+# "int" or "real", a call at the value, the (lo, hi) of its valid values)
+NUMBER_ENTRIES = {
+    "CoinParams.theta": ("theta", "real", lambda v: CoinParams(v, 0.3, 0.1),
+                         (0.2, 3.0)),
+    "CoinParams.alpha": ("alpha", "real", lambda v: CoinParams(0.7, v, 0.1),
+                         (-9.0, 9.0)),
+    "CoinParams.beta": ("beta", "real", lambda v: CoinParams(0.7, 0.3, v),
+                        (-9.0, 9.0)),
+    "initial_gamma": ("gamma", "real", initial_gamma, (-9.0, 9.0)),
+    "WalkerState.origin": ("origin", "int", lambda v: WalkerState(
+        origin=v, amps=np.array([[0.6, 0.8j]])), (-10 ** 4, 10 ** 4)),
+    "initial_localized": ("x0", "int", initial_localized, (-10 ** 4, 10 ** 4)),
+    "initial_entangled.x1": ("x1", "int", lambda v: _entangled(v, 101),
+                             (-100, 100)),
+    "initial_entangled.x2": ("x2", "int", lambda v: _entangled(-101, v),
+                             (-100, 100)),
+    "step_count": ("step count", "int", step_count, (0, 10 ** 6)),
+    "sample.shots": ("shots", "int", lambda v: sample(_ONE_SITE, v, 0),
+                     (1, 10 ** 6)),
+    "sample.seed": ("seed", "int", lambda v: sample(_ONE_SITE, 5, v),
+                    (0, 2 ** 31 - 1)),
+    "MeasurementRecord.count": ("count at site 0", "int",
+                                lambda v: MeasurementRecord(
+                                    t=1, shots=4, counts={0: v, 1: 2}, seed=0),
+                                (2, 2)),
+    "MeasurementRecord.site": ("site", "int", lambda v: MeasurementRecord(
+        t=1, shots=2, counts={v: 2}, seed=0), (-50, 50)),
+    "GridSpec.theta_min": ("grid edge theta_min", "real",
+                           lambda v: GridSpec(theta_min=v), (-3.0, 1.4)),
+    "GridSpec.theta_max": ("grid edge theta_max", "real",
+                           lambda v: GridSpec(theta_max=v), (0.2, 3.0)),
+    "GridSpec.alpha_min": ("grid edge alpha_min", "real",
+                           lambda v: GridSpec(alpha_min=v), (-3.0, 1.4)),
+    "GridSpec.alpha_max": ("grid edge alpha_max", "real",
+                           lambda v: GridSpec(alpha_max=v), (-1.4, 3.0)),
+    "GridSpec.n_theta": ("n_theta", "int", lambda v: GridSpec(n_theta=v),
+                         (2, 500)),
+    "GridSpec.n_alpha": ("n_alpha", "int", lambda v: GridSpec(n_alpha=v),
+                         (2, 500)),
+    "MagneticField.b2": ("b2", "real", lambda v: MagneticField(v, 0.2),
+                         (-1.0, 1.0)),
+    "MagneticField.b3": ("b3", "real", lambda v: MagneticField(0.2, v),
+                         (-1.0, 1.0)),
+    "DiracParams.m": ("m", "real", lambda v: DiracParams(v, 1.0, 1.0, 0.01),
+                      (-100.0, 100.0)),
+    "DiracParams.q": ("q", "real", lambda v: DiracParams(1.0, v, 1.0, 0.01),
+                      (-100.0, 100.0)),
+    "DiracParams.a_x": ("a_x", "real",
+                        lambda v: DiracParams(1.0, 1.0, v, 0.01), (1.0, 100.0)),
+    "DiracParams.eps": ("eps", "real", lambda v: DiracParams(1.0, 1.0, 1.0, v),
+                        (0.001, 1.0)),
+    "dirac_first_order.a_x": ("a_x", "real", lambda v: dirac_first_order(
+        _P, v, 0.01), (1.0, 100.0)),
+    "dirac_first_order.eps": ("eps", "real", lambda v: dirac_first_order(
+        _P, 1.0, v), (0.001, 1.0)),
+    "holevo_compatible.eps": ("compatibility threshold", "real",
+                              lambda v: holevo_compatible(_F, eps=v),
+                              (0.0, 5.0)),
+    "g_of_theta": ("theta", "real", g_of_theta, (0.2, 3.0)),
+    "qfim_localized.phi": ("phi", "real", lambda v: qfim_localized(
+        0.7, v, [0.6, 0.0, 0.8], 3), (-9.0, 9.0)),
+    "single_param_qfi.r_y": ("r_y", "real", lambda v: single_param_qfi(
+        0.7, v, 3), (-1.0, 1.0)),
+    "sweep_fig2.theta_list": ("theta", "real",
+                              lambda v: sweep_fig2([0.7, v], 3), (0.2, 3.0)),
+}
+# what no entry takes, and for an integer, a float even when whole
+NOT_A_NUMBER = [True, False, np.True_, "0.7", None, 0.7j, math.nan, math.inf,
+                -math.inf, np.float64(math.nan)]
+NOT_AN_INTEGER = NOT_A_NUMBER + [2.0, 2.7, np.float64(2.0), np.float32(3.0)]
+
+
+@pytest.mark.parametrize("entry", list(NUMBER_ENTRIES))
+def test_every_number_is_read_by_one_of_the_two_rules(entry):
+    name, kind, call, _ = NUMBER_ENTRIES[entry]
+    for bad in NOT_AN_INTEGER if kind == "int" else NOT_A_NUMBER:
+        # a ValueError that names the argument: never a TypeError or an
+        # IndexError, and never a run at a truncated value
+        with pytest.raises(ValueError) as refusal:
+            call(bad)
+        assert type(refusal.value) is ValueError
+        assert str(refusal.value).startswith(f"{name} must be "), bad
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("entry", list(NUMBER_ENTRIES))
+def test_numpy_scalars_read_as_their_python_values(entry, data):
+    _, kind, call, (lo, hi) = NUMBER_ENTRIES[entry]
+    ints = st.integers(math.ceil(lo), math.floor(hi))
+    v = data.draw(ints if kind == "int" else ints | st.floats(lo, hi))
+    pairs = [(np.int32(v), v), (np.int64(v), v)] if type(v) is int else []
+    if kind == "real":
+        pairs += [(np.float64(v), float(v)),
+                  (np.float32(v), float(np.float32(v)))]
+    for scalar, value in pairs:
+        assert _bitwise_same(call(scalar), call(value)), (scalar, value)
 
 
 # ---------------------------------------------------------------------------
