@@ -67,7 +67,9 @@ def exact_matrices(init: WalkerState, p: CoinParams, t: int,
                    params=PARAM_NAMES):
     """(information matrix, curvature): the real and imaginary parts of
     the complex Gram 4 (<d_u psi|d_v psi> - <d_u psi|psi><psi|d_v psi>),
-    so one engine run serves both."""
+    so one engine run serves both.  The Gram is Hermitian by
+    construction, formed on and above the diagonal and mirrored below it
+    with a real diagonal, so the curvature is exactly antisymmetric."""
     labels = tuple(params)
     _, phi, dphi = _evolve_with_generators(init, p, t, labels)
     n = phi.shape[-1]
@@ -76,10 +78,12 @@ def exact_matrices(init: WalkerState, p: CoinParams, t: int,
     for a in range(m):
         for b in range(a, m):
             gram[a, b] = np.vdot(dphi[a], dphi[b]) / n
-            if b != a:
-                gram[b, a] = np.conj(gram[a, b])
     overlap = np.einsum("an,man->m", phi.conj(), dphi) / n
     gram = 4.0 * (gram - np.outer(np.conj(overlap), overlap))
+    diagonal = gram.diagonal().real
+    gram = np.triu(gram, 1)
+    gram += gram.conj().T
+    gram[np.diag_indices(m)] = diagonal
     return (QFIMatrix(gram.real, labels, t),
             QFIMatrix(gram.imag, labels, t, antisymmetric=True))
 

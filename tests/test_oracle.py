@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qwfisher import (CoinParams, derivative_state, initial_entangled,
-                      initial_gamma, initial_localized, qfim_exact,
-                      uhlmann_exact)
+from qwfisher import (CoinParams, WalkerState, derivative_state,
+                      initial_entangled, initial_gamma, initial_localized,
+                      qfim_exact, uhlmann_exact)
+from qwfisher.oracle import exact_matrices
 from qwfisher.qfim import _zone_means
 from qwfisher.walk import evolve
 
@@ -140,6 +141,25 @@ def test_uhlmann_exact_antisymmetric_and_small_for_fixture():
     assert np.abs(d.entries + d.entries.T).max() == 0.0
     f = qfim_exact(init, p, 50, params=("theta", "alpha"))
     assert np.abs(d.entries[0, 1]) <= 1e-9 * f.entries[0, 0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(theta=st.floats(0.05, 1.55), sign=st.sampled_from([1.0, -1.0]),
+       alpha=st.floats(-math.pi, math.pi), beta=st.floats(-math.pi, math.pi),
+       input_seed=st.integers(0, 2 ** 32 - 1), n_sites=st.integers(1, 4),
+       t=st.integers(1, 300))
+def test_exact_curvature_is_exactly_antisymmetric(theta, sign, alpha, beta,
+                                                  input_seed, n_sites, t):
+    # D = -D^T bit for bit, with a zero diagonal, on any coin and input:
+    # the Gram is Hermitian by construction, not by its rounding
+    rng = np.random.default_rng(input_seed)
+    amps = rng.normal(size=(n_sites, 2)) + 1j * rng.normal(size=(n_sites, 2))
+    init = WalkerState(origin=int(rng.integers(-3, 4)),
+                       amps=amps / np.linalg.norm(amps))
+    f, d = exact_matrices(init, CoinParams(sign * theta, alpha, beta), t)
+    assert np.array_equal(d.entries, -d.entries.T)
+    assert not np.diagonal(d.entries).any()
+    assert np.array_equal(f.entries, f.entries.T)
 
 
 def test_oracle_accepts_random_spinors_and_stays_psd():
