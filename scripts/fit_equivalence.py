@@ -7,13 +7,18 @@ grid boxes (the default box, a narrow one around the true point, and one
 whose upper theta edge lies below the true theta, so the edge holds the
 fit), t = 10, 50 and 51, seven shot levels from 30 to 100000 and three
 fixed seeds: 756 fits on 36 likelihood tables.  Each line names its
-record (input, box, t, shots, seed) and holds what ``mle_fit`` returned:
-theta_hat, alpha_hat, the grid argmax, the iterations, the converged,
-multimodal and scoring flags, on_edge, rows_evaluated and whether alpha
-is identified (a finite variance, the rule ``qwf estimate`` uses).
+record (input, box, t, shots, seed) and its counts, and holds what
+``mle_fit`` returned: theta_hat, alpha_hat, the grid argmax, the
+iterations, the converged, multimodal and scoring flags, on_edge,
+rows_evaluated and whether alpha is identified (a finite variance, the
+rule ``qwf estimate`` uses).
 
-Two such files, made from two checkouts, are compared with --compare,
-which prints each miss and exits 1 on any of them.  The gates:
+Two such files, made from two checkouts, are compared with --compare.
+A record whose counts differ between the two is reported once as
+"record moved" and its fits are not compared: the sampler drew another
+record, so a different fit says nothing about the fitter.  Every other
+fit is held to the gates, and each miss is printed.  The exit status is
+1 on a moved record or a miss.  The gates:
 
 - the same records in the same order;
 - theta_hat within 1e-10;
@@ -106,6 +111,7 @@ def fit_lines(tiny: bool = False):
                     yield {
                         "input": name, "box": box, "t": steps_t,
                         "shots": rec.shots, "seed": rec.seed,
+                        "counts": rec.to_json_dict()["counts"],
                         "theta_hat": fit.theta, "alpha_hat": fit.alpha,
                         "grid_theta": fit.grid_theta,
                         "grid_alpha": fit.grid_alpha,
@@ -119,16 +125,21 @@ def fit_lines(tiny: bool = False):
                     }
 
 
-def compare(lines_a, lines_b) -> list:
-    """The misses of the gates between two lists of fit lines."""
+def compare(lines_a, lines_b):
+    """(moved, misses): the records whose counts differ, once each, and
+    the misses of the gates on the fits of every other record."""
     if len(lines_a) != len(lines_b):
-        return [f"{len(lines_a)} fits against {len(lines_b)}"]
-    misses = []
+        return [], [f"{len(lines_a)} fits against {len(lines_b)}"]
+    moved, misses = {}, []
     for a, b in zip(lines_a, lines_b):
         key = " ".join(str(a[f]) for f in RECORD_FIELDS)
         if any(a[f] != b[f] for f in RECORD_FIELDS):
             misses.append(f"{key}: another record, "
                           + " ".join(str(b[f]) for f in RECORD_FIELDS))
+            continue
+        if a["counts"] != b["counts"]:
+            record = " ".join(str(a[f]) for f in RECORD_FIELDS if f != "box")
+            moved[record] = moved.get(record, 0) + 1
             continue
         fields = [f for f in EQUAL_FIELDS if a[f] != b[f]]
         if abs(a["theta_hat"] - b["theta_hat"]) > THETA_TOL:
@@ -139,7 +150,8 @@ def compare(lines_a, lines_b) -> list:
             if a["grid_alpha"] != b["grid_alpha"]:
                 fields.append("grid_alpha")
         misses += [f"{key}: {f} {a[f]!r} against {b[f]!r}" for f in fields]
-    return misses
+    return [f"{record}: record moved ({fits} fits not compared)"
+            for record, fits in moved.items()], misses
 
 
 def _read(path):
@@ -157,11 +169,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.compare:
         a, b = map(_read, args.compare)
-        misses = compare(a, b)
-        for miss in misses:
-            print(miss)
-        print(f"{len(a)} fits, {len(misses)} misses")
-        return 1 if misses else 0
+        moved, misses = compare(a, b)
+        for line in moved + misses:
+            print(line)
+        print(f"{len(a)} fits, {len(misses)} misses"
+              + (f", {len(moved)} records moved" if moved else ""))
+        return 1 if moved or misses else 0
     if args.out is None:
         ap.error("give an output file or --compare A B")
     lines = [json.dumps(line) for line in fit_lines(args.tiny)]

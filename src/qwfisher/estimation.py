@@ -50,8 +50,9 @@ def philox_rng(seed: int, *stream) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PositionDistribution:
-    """Probability vector over integer sites, at least one, after t steps;
-    its norm sqrt(sum p) meets the walk's rule |norm - 1| <= NORM_TOL."""
+    """Probability vector over distinct integer sites, at least one, after
+    t steps; its norm sqrt(sum p) meets the walk's rule |norm - 1| <=
+    NORM_TOL."""
 
     sites: np.ndarray
     probs: np.ndarray
@@ -66,6 +67,9 @@ class PositionDistribution:
             raise ValueError("sites and probs are empty")
         if sites.dtype.kind not in "iu":
             raise ValueError(f"sites must be integers, got {sites.dtype}")
+        distinct, repeats = np.unique(sites, return_counts=True)
+        if repeats.max() > 1:
+            raise ValueError(f"site {distinct[repeats > 1][0]} is given twice")
         if not probs.min() >= -1e-15:              # NaN fails too
             raise ValueError(f"negative probability {float(probs.min())}")
         total = float(probs.sum())
@@ -100,6 +104,8 @@ class MeasurementRecord:
                 with contextlib.suppress(ValueError):
                     x = int(x)
             x = as_int(x, "site")
+            if x in counts:                 # as an int and as its text
+                raise ValueError(f"site {x} is given twice")
             counts[x] = as_int(c, f"count at site {x}", 0)
         check_shots_and_seed(self.shots, self.seed)
         total = sum(counts.values())
@@ -340,9 +346,10 @@ def make_likelihood_table(init: WalkerState, p_true: CoinParams, t: int,
     need it on few rows and sites.
 
     The engine, the FFT and the products run on blocks of theta rows,
-    max(1, ``_BLOCK_SPINORS`` // (F * n_nodes)) at a time (64 rows for
-    the entangled input at t = 50, 4 at t = 1000), and each block writes
-    its rows of B and of the row bound ``log_bound`` in place.  Every
+    max(1, ``_BLOCK_SPINORS`` // (F * n_nodes)) at a time (75 rows on
+    the 108 nodes of the entangled input at t = 50, 4 on 2048 at t =
+    1000), and each block writes its rows of B and of the row bound
+    ``log_bound`` in place.  Every
     row takes the same FFT and elementwise products whatever the block
     height, so B does not depend on it to the last bit, and the build
     peaks at B plus one block's O(_BLOCK_SPINORS) arrays.  The table

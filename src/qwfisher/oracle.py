@@ -83,7 +83,7 @@ def exact_matrices(init: WalkerState, p: CoinParams, t: int,
     diagonal = gram.diagonal().real
     gram = np.triu(gram, 1)
     gram += gram.conj().T
-    gram[np.diag_indices(m)] = diagonal
+    np.fill_diagonal(gram, diagonal)
     return (QFIMatrix(gram.real, labels, t),
             QFIMatrix(gram.imag, labels, t, antisymmetric=True))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -319,20 +319,34 @@ def uniform_k_grid(n: int) -> np.ndarray:
     return -np.pi + TWO_PI * np.arange(n) / n
 
 
+@lru_cache(maxsize=1024)
 def k_grid_size(n_min: int) -> int:
-    """The smallest power of two >= ``n_min``, a uniform-grid node count.
+    """The smallest even 5-smooth n = 2^a 3^b 5^c >= ``n_min`` (a >= 1),
+    or 1 for n_min <= 1: a uniform-grid node count at one of the FFT's
+    fast sizes, at most the power of two >= n_min.
 
     Each caller states its exactness condition.  A window of w sites
     needs n >= w: the residues x mod n are then distinct, the inverse
     DFT returns each c_x and the node mean of conj(a(k)) b(k) is the
     site sum of conj(a_x) b_x (every lag |y - x| < w <= n).  The
     ``rfft`` coefficients of a trigonometric polynomial of degree d
-    need n > 2d.
+    need n > 2d, and the zone means' node weights an even n.  Each odd
+    part m = 3^b 5^c below n_min takes the least power of two that
+    lifts it to n_min, in integer arithmetic; a run asks for the same
+    few sizes over and over, so the answers are kept.
     """
-    n = 1
-    while n < n_min:
-        n *= 2
-    return n
+    n_min = as_int(n_min, "n_min")
+    if n_min <= 1:
+        return 1
+    sizes = []
+    five = 1
+    while five < n_min:
+        m = five
+        while m < n_min:
+            sizes.append(m << (-(-n_min // m) - 1).bit_length())
+            m *= 3
+        five *= 5
+    return min(sizes)
 
 
 @dataclass(frozen=True)
@@ -342,9 +356,10 @@ class SiteWindow:
     :meth:`after` is the one rule: it keeps t, read by :func:`step_count`,
     for every engine run on the window; a step moves amplitude one site
     either way, so the input's window grows by t sites at each end, and
-    its nodes are the :func:`k_grid_size` of the window width, where the
-    inverse DFT and node-mean inner products are exact.  It keeps its
-    input for the one light-cone rule, :attr:`_unreachable`.
+    its nodes are the :func:`k_grid_size` of the window width (the
+    smallest even 5-smooth count >= width), where the inverse DFT and
+    node-mean inner products are exact.  It keeps its input for the one
+    light-cone rule, :attr:`_unreachable`.
     """
 
     origin: int
@@ -579,9 +594,10 @@ def evolve(s: WalkerState, p: CoinParams, t: int) -> WalkerState:
 
     u(k)^t comes in closed form from :meth:`ThetaFamily.of_walk` and one
     inverse FFT returns to sites, so the cost is O(n log n) in the node
-    count n of :meth:`SiteWindow.after`, the smallest power of two
-    >= n0 + 2t for an input of n0 sites, with no loop over t.  Cells off
-    the input's light cone are exact zeros (:meth:`SiteWindow.to_sites`).
+    count n of :meth:`SiteWindow.after`, the :func:`k_grid_size` of the
+    n0 + 2t sites t steps reach from an input of n0 sites (the smallest
+    even 5-smooth n >= n0 + 2t), with no loop over t.  Cells off the
+    input's light cone are exact zeros (:meth:`SiteWindow.to_sites`).
     """
     family = ThetaFamily.of_walk(s, p, t)
     return WalkerState(origin=family.window.origin,

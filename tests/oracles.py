@@ -5,6 +5,7 @@ explicit matrix elements and deliberately share no code with the
 package internals they are used to check.  Scalar constants were
 frozen from separate high-precision evaluations of the closed forms.
 """
+import bisect
 import dataclasses
 import os
 import subprocess
@@ -290,6 +291,29 @@ def on_doubled_nodes(fn, *args):
     from qwfisher.walk import uniform_k_grid
 
     return on_nodes(lambda n: uniform_k_grid(2 * n), fn, *args)
+
+
+def even_smooth_sizes(limit):
+    """Every n = 2^a 3^b 5^c <= ``limit`` with a >= 1, ascending, by
+    enumerating the exponents: the node counts ``walk.k_grid_size`` may
+    return."""
+    sizes = []
+    two = 2
+    while two <= limit:
+        three = two
+        while three <= limit:
+            n = three
+            while n <= limit:
+                sizes.append(n)
+                n *= 5
+            three *= 3
+        two *= 2
+    return sorted(sizes)
+
+
+def least_size_at_least(n_min, sizes):
+    """1 for n_min <= 1, else the first of the ascending ``sizes`` >= n_min."""
+    return 1 if n_min <= 1 else sizes[bisect.bisect_left(sizes, n_min)]
 
 
 def dense_powers(theta, alpha, beta, k, chi, t):
@@ -672,6 +696,178 @@ def bounds_by_numpy(f, d):
     det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
     inv = np.array([[f[1, 1], -f[0, 1]], [-f[1, 0], f[0, 0]]]) / det
     return det, inv, float(np.trace(inv)), abs(d[0, 1]) / np.sqrt(det)
+
+
+# ---------------------------------------------------------------------------
+# double-double reference: hi + lo on float arrays, from two-sum and
+# two-product alone, so it gives the same digits on every platform
+
+
+def two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fast_two_sum(a, b):
+    """two_sum for |a| >= |b| (Dekker)."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    """a = hi + lo with each half on 26 bits (Veltkamp)."""
+    c = 134217729.0 * a                 # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+class DD:
+    """A double-double array hi + lo, |lo| <= ulp(hi) / 2: about 106
+    bits, with +, -, * and division by an int."""
+
+    def __init__(self, hi, lo=0.0):
+        self.hi = np.asarray(hi, dtype=float)
+        self.lo = np.broadcast_to(np.asarray(lo, dtype=float),
+                                  self.hi.shape)
+
+    def __add__(self, other):
+        other = other if isinstance(other, DD) else DD(other)
+        s, e = two_sum(self.hi, other.hi)
+        t, f = two_sum(self.lo, other.lo)
+        s, e = _fast_two_sum(s, e + t)
+        return DD(*_fast_two_sum(s, e + f))
+
+    def __neg__(self):
+        return DD(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        return self + -(other if isinstance(other, DD) else DD(other))
+
+    def __mul__(self, other):
+        other = other if isinstance(other, DD) else DD(other)
+        p, e = two_prod(self.hi, other.hi)
+        return DD(*_fast_two_sum(p, e + (self.hi * other.lo
+                                         + self.lo * other.hi)))
+
+    def __truediv__(self, n: int):
+        q = self.hi / n
+        r = self - DD(*two_prod(q, float(n)))
+        return DD(*_fast_two_sum(q, r.hi / n))
+
+    def value(self):
+        return self.hi + self.lo
+
+
+def dd_cos_sin(x, terms=50):
+    """(cos x, sin x) as DD for float arrays |x| <= 4, by their Taylor
+    series at the exact double x: the last term is below 4^50 / 50!,
+    about 4e-35."""
+    x = DD(x)
+    term, cos, sin = DD(np.ones(x.hi.shape)), DD(1.0), DD(0.0)
+    for n in range(1, terms + 1):
+        term = term * x / n
+        if n % 2:
+            sin = sin + (term if n % 4 == 1 else -term)
+        else:
+            cos = cos + (term if n % 4 == 0 else -term)
+    return cos, sin
+
+
+class DDComplex:
+    """re + i im with DD parts; a missing im is zero."""
+
+    def __init__(self, re, im=None):
+        self.re = re
+        self.im = DD(np.zeros(re.hi.shape)) if im is None else im
+
+    @classmethod
+    def of(cls, z):
+        z = np.asarray(z, dtype=complex)
+        return cls(DD(z.real), DD(z.imag))
+
+    def __add__(self, other):
+        return DDComplex(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other):
+        return DDComplex(self.re * other.re - self.im * other.im,
+                         self.re * other.im + self.im * other.re)
+
+    def conj(self):
+        return DDComplex(self.re, -self.im)
+
+    def value(self):
+        return self.re.value() + 1j * self.im.value()
+
+
+def _dd_matmul(a, b):
+    """2x2 products of nested lists of DDComplex, elementwise over nodes."""
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
+            for i in range(2)]
+
+
+def _dd_dagger(a):
+    return [[a[j][i].conj() for j in range(2)] for i in range(2)]
+
+
+def dd_power_and_generator_sums(theta, nodes, chi, w, t):
+    """(u^t chi (n, 2), G(t) u^t chi (m, n, 2)) in double-double for the
+    family's u(k) = S(k) R(theta), S = diag(e^{-ik}, e^{ik}), R = [[c, s],
+    [-s, c]], at the exact double theta and nodes, for spinors chi (n, 2)
+    and generators O = (i/2) w.sigma, w (m, 3).  G(t) = sum_{m=1..t} u^m
+    O u^-m comes by binary powering from U_{a+b} = U_a U_b and G_{a+b} =
+    G_a + U_a G_b U_a^dag, O(log t) products of 2x2 matrices per node:
+    an independent route to the kernel's closed forms."""
+    nodes = np.asarray(nodes, dtype=float)
+    (c, s), (ck, sk) = dd_cos_sin(np.full(nodes.shape, float(theta))), \
+        dd_cos_sin(nodes)
+    e_minus, e_plus = DDComplex(ck, -sk), DDComplex(ck, sk)
+    zero = DD(np.zeros(nodes.shape))
+    u = [[e_minus * DDComplex(c), e_minus * DDComplex(s)],
+         [e_plus * DDComplex(-s), e_plus * DDComplex(c)]]
+    ones = DDComplex(DD(np.ones(nodes.shape)))
+    eye = [[ones, DDComplex(zero)], [DDComplex(zero), ones]]
+
+    def o_matrix(wx, wy, wz):
+        hx, hy, hz = (DD(np.full(nodes.shape, 0.5 * v)) for v in (wx, wy, wz))
+        return [[DDComplex(zero, hz), DDComplex(hy, hx)],
+                [DDComplex(-hy, hx), DDComplex(zero, -hz)]]
+
+    def add(a, b):
+        return [[a[i][j] + b[i][j] for j in range(2)] for i in range(2)]
+
+    def compose(first, second):
+        """(U_{a+b}, G_{a+b}) from (U_a, G_a) and (U_b, G_b)."""
+        (ua, ga), (ub, gb) = first, second
+        return (_dd_matmul(ua, ub),
+                [add(g_a, _dd_matmul(_dd_matmul(ua, g_b), _dd_dagger(ua)))
+                 for g_a, g_b in zip(ga, gb)])
+
+    step = (u, [_dd_matmul(_dd_matmul(u, o_matrix(*row)), _dd_dagger(u))
+                for row in np.asarray(w, dtype=float)])
+    acc = (eye, [[[DDComplex(zero)] * 2 for _ in range(2)] for _ in w])
+    while t:
+        if t & 1:
+            acc = compose(acc, step)
+        t >>= 1
+        if t:
+            step = compose(step, step)
+    chi = [DDComplex.of(chi[:, 0]), DDComplex.of(chi[:, 1])]
+    phi = [acc[0][i][0] * chi[0] + acc[0][i][1] * chi[1] for i in range(2)]
+    dphi = [[g[i][0] * phi[0] + g[i][1] * phi[1] for i in range(2)]
+            for g in acc[1]]
+    return (np.stack([z.value() for z in phi], axis=-1),
+            np.array([np.stack([z.value() for z in row], axis=-1)
+                      for row in dphi]))
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -127,6 +127,16 @@ class TestPositionDistribution:
         assert d.sites.dtype == int and d.sites.tolist() == [3, 4]
         assert type(d.t) is int and d.t == 2
 
+    @pytest.mark.parametrize("sites,repeated", [([0, 0], 0),
+                                                 ([3, -1, 2, -1], -1)])
+    def test_repeated_sites_are_refused(self, sites, repeated):
+        # sample would file the draws of both under one key and then
+        # refuse its own record
+        probs = np.full(len(sites), 1.0 / len(sites))
+        with pytest.raises(ValueError,
+                           match=f"^site {repeated} is given twice$"):
+            PositionDistribution(sites=sites, probs=probs)
+
     # the draws stay 0.9 NORM_TOL from the rule's edge: rounding and the
     # engine's norm drift (below 1e-14 at t <= 50) fit in the rest
     @settings(max_examples=80, deadline=None)
@@ -249,6 +259,16 @@ class TestMeasurementRecord:
         kwargs = {"t": 1, "shots": 2, "counts": {0: 2}, "seed": 0, field: value}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MeasurementRecord(**kwargs)
+
+    @pytest.mark.parametrize("counts", [{2: 3, "2": 1}, {"2": 1, 2: 3},
+                                        {np.int64(2): 3, "2": 1}])
+    def test_a_site_given_twice_is_refused(self, counts):
+        # one site as an int and as its decimal text: one count or the
+        # other would be dropped without a word
+        with pytest.raises(ValueError, match="^site 2 is given twice$"):
+            MeasurementRecord(t=1, shots=1, counts=counts, seed=0)
+        with pytest.raises(ValueError, match="^site 2 is given twice$"):
+            MeasurementRecord(t=1, shots=4, counts=counts, seed=0)
 
     def test_count_vector_alignment_and_window_check(self):
         rec = MeasurementRecord(t=2, shots=7, counts={-2: 3, 0: 4}, seed=0)

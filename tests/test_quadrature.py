@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qwfisher import qfim
 from qwfisher.errors import QuadratureError
 from qwfisher.quadrature import (adaptive_mean_over_bz, gauss_k_grid,
                                  mean_over_bz)
-from qwfisher.walk import (CoinParams, initial_entangled, initial_localized,
-                           k_grid_size, uniform_k_grid)
+from qwfisher.walk import (MAX_STEPS, CoinParams, initial_entangled,
+                           initial_localized, k_grid_size, uniform_k_grid)
+
+from oracles import even_smooth_sizes, least_size_at_least
 
 
 def test_uniform_grid_integrates_trig_polynomials_exactly():
@@ -50,9 +54,9 @@ def test_adaptive_mean_raises_when_budget_exhausted():
 
 
 def test_dft_exact_nodes_covers_degree(monkeypatch):
-    # the smallest power of two >= n_min
+    # the smallest even 5-smooth count >= n_min
     assert [k_grid_size(n) for n in (1, 2, 3, 4, 5, 13, 50, 128, 129)] \
-        == [1, 2, 4, 4, 8, 16, 64, 128, 256]
+        == [1, 2, 4, 4, 6, 16, 50, 128, 144]
     rng = np.random.default_rng(7)
     # a window of w sites needs n >= w: the inverse DFT returns every
     # amplitude and the node mean of conj(a) b is the site sum
@@ -75,7 +79,7 @@ def test_dft_exact_nodes_covers_degree(monkeypatch):
         coef[0] /= 2.0
         assert np.abs(coef[:d + 1] - c).max() <= 1e-14
     # the zone means read a numerator of degree 1 + n_sites on 8 nodes
-    # for one input site and 16 for two
+    # for one input site and 10 for two
     sizes = []
 
     def spy(n_min):
@@ -86,7 +90,26 @@ def test_dft_exact_nodes_covers_degree(monkeypatch):
     p = CoinParams(0.7, 0.3, -0.2)
     for init in (initial_localized(), initial_entangled(0, 1)):
         qfim.qfim_theorem1(p, init, 1)
-    assert sizes == [8, 16]
+    assert sizes == [8, 10]
+
+
+def test_grid_size_is_the_least_even_smooth_count_for_small_sizes():
+    sizes = even_smooth_sizes(2 * 10 ** 4)
+    for n_min in range(-3, 10 ** 4 + 1):
+        assert k_grid_size(n_min) == least_size_at_least(n_min, sizes)
+
+
+LARGE_SIZES = even_smooth_sizes(4 * MAX_STEPS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n_min=st.integers(10 ** 4, 2 * MAX_STEPS))
+@example(n_min=2 * MAX_STEPS)
+@example(n_min=2 * MAX_STEPS - 1)
+def test_grid_size_is_the_least_even_smooth_count(n_min):
+    # up to the widest window: MAX_STEPS steps either way
+    assert k_grid_size(n_min) == least_size_at_least(n_min, LARGE_SIZES)
+    assert k_grid_size(np.int64(n_min)) == k_grid_size(n_min)
 
 
 @pytest.mark.parametrize("max_nodes", [64, 100])

@@ -203,3 +203,18 @@ def test_fit_equivalence_set_is_reproducible_and_gated(tmp_path):
                      cwd=tmp_path)
     assert res.returncode == 1
     assert res.stdout.splitlines()[-1] == "12 fits, 2 misses"
+    # a record drawn with other counts moved: its fits are not compared
+    lines = [json.loads(line) for line in a.read_text().splitlines()]
+    moved = lines[0]
+    sites = sorted(moved["counts"], key=int)
+    moved["counts"][sites[0]] -= 1
+    moved["counts"][sites[-1]] += 1
+    moved["theta_hat"] += 1.0
+    b.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    res = run_script("fit_equivalence.py", "--compare", str(a), str(b),
+                     cwd=tmp_path)
+    assert res.returncode == 1
+    record = " ".join(str(moved[f]) for f in ("input", "t", "shots", "seed"))
+    assert res.stdout.splitlines() == [
+        f"{record}: record moved (1 fits not compared)",
+        "12 fits, 0 misses, 1 records moved"]
