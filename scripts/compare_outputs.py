@@ -39,10 +39,13 @@ file's directory (the ``entries``, ``per_t2`` or ``fisher`` of its
     "diag =" lines       qfim stdout, the diagonals (the analytic
                          route's beta entry is zero in theory):
                          max |entries|
+    "bracketed: [lo, hi]"  bounds report note, stdout and a --strict
+                         run's stderr, the Holevo bracket [C^S,
+                         (1 + R) C^S]: each number on its own scale
 
-``stdout.txt``, and the ``note`` string of a report, compare byte for
-byte but for the numbers that these labels name, which compare by the
-tolerance on their scale.  Every other text file, ``stderr.txt`` and
+``stdout.txt`` and ``stderr.txt``, and the ``note`` string of a report,
+compare byte for byte but for the numbers that these labels name, which
+compare by the tolerance on their scale.  Every other text file,
 ``exit.txt`` among them, and every other string compare byte for byte.
 A summary line follows, and the exit status is 1 if any file is
 different, else 0.
@@ -69,6 +72,7 @@ NUMBER = r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|nan|inf))"
 LABELLED = re.compile("(" + "|".join(map(re.escape, LABELS)) + ")" + NUMBER)
 DIAG_LINE = re.compile(r"\S+: diag = ")
 DIAG_ENTRY = re.compile(r"(\w+=)" + NUMBER)
+BRACKET = re.compile(r"(bracketed: \[)" + NUMBER + "(, )" + NUMBER)
 
 
 def _unit(name: str):
@@ -147,14 +151,26 @@ def text_devs(text_a: str, text_b: str, scales: dict):
     if len(lines_a) != len(lines_b):
         raise Different("line count differs")
     for i, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
-        diag = DIAG_LINE.match(la) is not None
-        pattern = DIAG_ENTRY if diag else LABELLED
-        if pattern.sub(r"\1", la) != pattern.sub(r"\1", lb):
+        (text, numbers_a), (text_b, numbers_b) = _labelled(la), _labelled(lb)
+        if text != text_b:
             raise Different(f"line {i}: text differs")
-        for (label, x), (_, y) in zip(pattern.findall(la), pattern.findall(lb)):
-            unit = "entries" if diag else LABELS[label]
+        for (label, unit, x), (_, _, y) in zip(numbers_a, numbers_b):
             yield (rel_dev(float(x), float(y), scales.get(unit, 0.0)),
-                   f"line {i} {label.strip(' =')}")
+                   f"line {i} {label}")
+
+
+def _labelled(line: str):
+    """(the line without its labelled numbers, [(label, unit, number)])."""
+    if DIAG_LINE.match(line):
+        return DIAG_ENTRY.sub(r"\1", line), [
+            (label.strip("="), "entries", x)
+            for label, x in DIAG_ENTRY.findall(line)]
+    numbers = [(label.strip(" ="), LABELS[label], x)
+               for label, x in LABELLED.findall(line)]
+    numbers += [(f"bracketed {end}", None, x)
+                for _, lo, _, hi in BRACKET.findall(line)
+                for end, x in (("lo", lo), ("hi", hi))]
+    return BRACKET.sub(r"\1\3", LABELLED.sub(r"\1", line)), numbers
 
 
 def _cell(text: str):
@@ -234,7 +250,7 @@ def compare_file(path_a: Path, path_b: Path, rel_tol: float):
             devs = json_devs(json.loads(raw_a), json.loads(raw_b), scales)
         elif path_a.suffix == ".csv":
             devs = csv_devs(raw_a.decode(), raw_b.decode(), scales)
-        elif path_a.name == "stdout.txt":
+        elif path_a.name in ("stdout.txt", "stderr.txt"):
             devs = text_devs(raw_a.decode(), raw_b.decode(), scales)
         else:
             raise Different("bytes differ")

@@ -363,12 +363,10 @@ def _qfim_by_route(route, p, init, t, params):
         f = qfim_theorem1(p, init, t, params=params)
         return f, uhlmann_analytic(p, init, t, params=params)
     if route == "localized-closed-form":
-        # one site (cmd_qfim's gate), by its normalised coin state's Bloch
-        # vector: a norm the walk takes, within 1e-12 of 1, can put |r|
-        # above CoinBlochState's gate
-        bloch = rho_bloch(init.amps[0])
-        r = bloch[1:] / bloch[0]
-        f = qfim_localized(p.theta, p.alpha - p.beta, r, t)
+        # one site (cmd_qfim's gate), by its coin state's Bloch vector,
+        # which the closed form reads as the normalised state's
+        f = qfim_localized(p.theta, p.alpha - p.beta,
+                           rho_bloch(init.amps[0])[1:], t)
         # its (theta, phi) block is the (theta, alpha) block, and beta's
         # row and column are zero: beta never enters the information
         full = QFIMatrix(np.pad(f.entries, (0, 1)), PARAM_NAMES, f.t,

@@ -314,7 +314,10 @@ def _localized_per_t2(theta: float, phi: float, r) -> np.ndarray:
 
 def qfim_localized(theta: float, phi: float, r, t: int) -> QFIMatrix:
     """Information matrix over (theta, phi = alpha - beta) of a single-site
-    input with coin Bloch vector ``r``: t^2 :func:`_localized_per_t2`."""
+    input with coin Bloch vector ``r``: t^2 :func:`_localized_per_t2`.
+    ``r`` is read by :class:`walk.CoinBlochState`, which takes a pure
+    state's vector to unit length, so the Bloch vector of any coin spinor
+    the walk takes serves as it is."""
     t = step_count(t, 1)
     return QFIMatrix(entries=float(t) ** 2 * _localized_per_t2(theta, phi, r),
                      labels=("theta", "phi"), t=t, asymptotic=True)

@@ -20,8 +20,9 @@ real, and so does every rule of the finite-t engine: the step count
 (:func:`step_count`), the uniform grid and its size (:func:`uniform_k_grid`,
 :func:`k_grid_size`), the input's phases e^{-ikx} (:func:`plane_waves`),
 the coin phase D(a) (:func:`times_d`), the site window t steps from an
-input with its light cone and inverse FFT (:class:`SiteWindow`), and the
-one kernel, :class:`ThetaFamily`: u^t, its theta derivatives and the
+input with its light cone and inverse FFT (:class:`SiteWindow`), a step's
+folded angle (:func:`folded_angle`), and the one kernel,
+:class:`ThetaFamily`: u^t, its theta derivatives and the
 generator sums G_mu(t) = sum_{m=1..t} u^m O_mu u^-m in closed form.
 :func:`evolve` takes u(k)^t and one inverse FFT, with no loop over steps.
 """
@@ -37,6 +38,8 @@ import numpy as np
 from .errors import DegenerateWalk
 
 NORM_TOL = 1e-12
+# a coin Bloch vector this close to unit length is a pure state's
+PURE_TOL = 1e-10
 # the coin mixes only where |sin theta| >= this; float pi lands at
 # sin ~ 1.2e-16, not 0, so the gate is a floor, not an equality
 MIN_SIN_THETA = 1e-12
@@ -135,6 +138,23 @@ def reduced_axis(ct, st, cos_x, sin_x):
     return ct * cos_x, (st * sin_x, -st * cos_x, ct * sin_x)
 
 
+def folded_angle(cos_omega, w):
+    """(sign, cos(om), sin(om), om) of the step u = cos_omega - i w.sigma
+    of :func:`reduced_axis`, folded: u = sign (cos(om) - i sin(om) n.sigma)
+    with cos(om) = |cos_omega| >= 0, the folded axis n = sign w / sin(om)
+    and om = atan2(sin(om), cos(om)) in [0, pi/2].  Near om = pi an
+    unfolded angle's absolute rounding is large against sin(om); atan2
+    keeps small angles accurate, where arccos of cos(om) would lose half
+    the digits.  At w = 0, sin(om) is raised to the smallest normal float,
+    so sin(m om) / sin(om) -> m.  The one rule for the angle, which the
+    kernel and the oracle read."""
+    wx, wy, wz = w
+    sin_omega = np.sqrt(wx ** 2 + wz ** 2 + wy ** 2)
+    sign = np.where(cos_omega < 0.0, -1.0, 1.0)
+    s, c = np.maximum(sin_omega, np.finfo(float).tiny), np.abs(cos_omega)
+    return sign, c, s, np.arctan2(s, c)
+
+
 # ---------------------------------------------------------------------------
 # position-space states
 
@@ -209,7 +229,14 @@ class WalkerState:
 
 @dataclass(frozen=True)
 class CoinBlochState:
-    """Internal qubit state given by a Bloch vector, ||r|| <= 1."""
+    """Internal qubit state given by a Bloch vector, ||r|| <= 1.
+
+    The one Bloch rule: a vector within PURE_TOL of unit length is a pure
+    state's and is kept at unit length, so the Bloch vector phi^dag sigma
+    phi of any coin spinor the walk takes (norm within NORM_TOL of 1, so
+    length |phi|^2 within about 2 NORM_TOL of 1) is read as that of the
+    normalised state; a longer vector is refused.
+    """
 
     r: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
@@ -217,9 +244,11 @@ class CoinBlochState:
         r = np.asarray(self.r, dtype=float)
         if r.shape != (3,):
             raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
-        if not np.linalg.norm(r) <= 1.0 + 1e-12:     # NaN fails too
-            raise ValueError(f"Bloch vector length {np.linalg.norm(r)} exceeds 1")
-        object.__setattr__(self, "r", r)
+        length = np.linalg.norm(r)
+        if not length <= 1.0 + PURE_TOL:     # NaN fails too
+            raise ValueError(f"Bloch vector length {length} exceeds 1")
+        object.__setattr__(self, "r",
+                           r / length if 1.0 - length <= PURE_TOL else r)
 
     @property
     def purity_defect(self) -> float:
@@ -227,11 +256,11 @@ class CoinBlochState:
 
     def spinor(self) -> np.ndarray:
         """Spinor of a pure state (up to global phase); rejects mixed input."""
-        if self.purity_defect > 1e-10:
+        if self.purity_defect > PURE_TOL:
             raise ValueError(
                 f"Bloch vector has length {np.linalg.norm(self.r)}; only pure "
                 "states have a spinor")
-        x, y, z = self.r / np.linalg.norm(self.r)
+        x, y, z = self.r
         th = math.acos(np.clip(z, -1.0, 1.0))
         ph = math.atan2(y, x)
         return np.array([math.cos(th / 2.0),
@@ -456,13 +485,11 @@ class ThetaFamily:
         g(t) = t (n.v) n + [sin(t om) cos((t+1) om) / sin(om)] v_perp
                          + [sin(t om) sin((t+1) om) / sin(om)] n x v.
 
-    The angle is kept folded into [0, pi/2]: u = sign (cos(om) - i
-    w.sigma) with cos(om) >= 0 and om = atan2(|w|, cos(om)); near
-    om = pi an unfolded angle's absolute rounding is large against
-    sin(om).  Conjugation does not see the sign, and u^t picks up
-    sign^t.  At w = 0, |w| is raised to the smallest normal float, so
-    sin(m om) / sin(om) -> m and G(t) = t O.  A run costs O(1) per node
-    and spinor whatever t is."""
+    The angle is kept folded into [0, pi/2] by :func:`folded_angle`:
+    u = sign (cos(om) - i sin(om) n.sigma) with cos(om) >= 0.
+    Conjugation does not see the sign, and u^t picks up sign^t.  At
+    w = 0, sin(m om) / sin(om) -> m and G(t) = t O.  A run costs O(1)
+    per node and spinor whatever t is."""
 
     window: SiteWindow
     cos_k: np.ndarray       # (n,), at the shifted nodes
@@ -508,13 +535,8 @@ class ThetaFamily:
         """(cos theta, sin theta, sign, cos(om), sin(om), om), (..., 1, 1, n)."""
         th = np.asarray(theta, dtype=float)[..., None, None, None]
         ct, st = np.cos(th), np.sin(th)
-        cos_omega, (wx, wy, wz) = reduced_axis(ct, st, self.cos_k, self.sin_k)
-        sin_omega = np.sqrt(wx ** 2 + wz ** 2 + wy ** 2)
-        sign = np.where(cos_omega < 0.0, -1.0, 1.0)
-        s, c = np.maximum(sin_omega, np.finfo(float).tiny), np.abs(cos_omega)
-        # atan2 keeps small angles accurate; arccos of cos(om) would
-        # lose half the digits there
-        return ct, st, sign, c, s, np.arctan2(s, c)
+        return (ct, st) + folded_angle(*reduced_axis(ct, st, self.cos_k,
+                                                     self.sin_k))
 
     def run(self, theta, order: int = 0, weights=None) -> np.ndarray:
         """d^j/dtheta^j [u^t chi], j = 0 .. order (at most 2), shaped

@@ -905,3 +905,31 @@ def cli_peak_rss(argv, cwd):
                            cwd=cwd, env=env, capture_output=True, text=True)
     code, kib = probe.stdout.split()
     return int(code), int(kib) / 1024.0, probe.stderr      # KiB on Linux
+
+
+def spinor_gram_matrices(init, p, t, params):
+    """(F, D) as arrays: the real and imaginary parts of the complex Gram
+    4 (<d_u psi|d_v psi> - <d_u psi|psi><psi|d_v psi>) of the derivative
+    spinors G_mu(t) u^t chi from ``walk.ThetaFamily.generator_sums``, as
+    node means on the window's own grid: the reference for
+    ``oracle.exact_matrices``, which forms the same node means from real
+    Bloch fields without the spinors."""
+    from qwfisher.walk import ThetaFamily, generator_spatial
+
+    w = generator_spatial(p.theta, params)
+    family = ThetaFamily.of_walk(init, p, t)
+    phi, dphi = family.generator_sums(p.theta, w)
+    phi, dphi = phi[0], dphi[:, 0]
+    n = phi.shape[-1]
+    m = len(w)
+    gram = np.zeros((m, m), dtype=complex)
+    for a in range(m):
+        for b in range(a, m):
+            gram[a, b] = np.vdot(dphi[a], dphi[b]) / n
+    overlap = np.einsum("an,man->m", phi.conj(), dphi) / n
+    gram = 4.0 * (gram - np.outer(np.conj(overlap), overlap))
+    diagonal = gram.diagonal().real
+    gram = np.triu(gram, 1)
+    gram += gram.conj().T
+    np.fill_diagonal(gram, diagonal)
+    return gram.real, gram.imag

@@ -189,6 +189,9 @@ def test_widest_input_window_runs(workdir, capsys):
       "entangled:-10000,9999", "--t", "1"], 90),
     # the README estimate config, documented at 40 MB
     (["estimate", "--shots", "100000", "--seed", "7"], 60),
+    # the oracle at t = 1e5 on real node fields: 96 MB measured, 132 MB
+    # when it formed the derivative spinors
+    (["qfim", "--routes", "oracle", "--t", "100000"], 120),
 ])
 def test_cli_peak_memory(tmp_path, argv, limit_mb):
     code, peak_mb, err = cli_peak_rss(argv + ["--out", "run"], tmp_path)

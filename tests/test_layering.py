@@ -35,6 +35,10 @@ one real-number rule: outside them, no ``if`` in the package raises on
 an ``isfinite`` call or on an ``isinstance`` test about ``bool``.  The
 array gates, ``all(map(math.isfinite, ...))``, are a rule of their own.
 
+``walk.folded_angle`` is the one folded-angle rule: ``arctan2`` is
+called in the package in that function alone, which the kernel and the
+oracle both read.
+
 ``walk.generator_spatial`` is the one rule from parameter names to
 generator rows: outside ``walk``, no module in the package or in
 ``scripts/`` calls ``PARAM_NAMES.index``, and every ``generator_spatial``
@@ -595,6 +599,45 @@ def test_fitter_decomposes_only_in_its_helper():
              if module == SOLVER[0] and name in EIGEN_NAMES}
     assert calls and {scope for scope, _ in calls} == {SOLVER[1]}, \
         f"eigen-solver calls in {SOLVER[0]} outside {SOLVER[1]}: {calls}"
+
+
+# ---------------------------------------------------------------------------
+# one folded angle
+
+FOLD = ("walk", "folded_angle")
+
+
+def _arctan2_calls(module: str, source: str):
+    """(module, function) of every ``arctan2`` call in ``source``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if _calls(node, "arctan2"):
+            found.append((module, scope or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_folded_angle_rule():
+    calls = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in _arctan2_calls(path.stem, path.read_text())]
+    assert calls == [FOLD], f"arctan2 called outside the one fold: {calls}"
+
+
+def test_fold_ratchet_sees_a_second_angle():
+    # the kernel's fold as it stood before the rule moved into walk
+    source = ("class ThetaFamily:\n"
+              "    def _fold(self, theta):\n"
+              "        return ct, st, sign, c, s, np.arctan2(s, c)\n")
+    assert _arctan2_calls("walk", source) == [("walk", "_fold")]
+    rules = (PACKAGE / "walk.py").read_text()
+    assert _arctan2_calls("walk", rules + source) == [
+        FOLD, ("walk", "_fold")]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwfisher import (CoinParams, DegenerateWalk, QFIMatrix, SingularFisher,
-                      WalkerState, beta_null_check, g_of_theta,
+from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, QFIMatrix,
+                      SingularFisher, WalkerState, beta_null_check, g_of_theta,
                       initial_entangled, initial_gamma, initial_localized,
                       qfim_localized, qfim_theorem1, single_param_qfi,
                       uhlmann_analytic)
@@ -645,6 +645,22 @@ def test_closed_form_inputs_validated():
         single_param_qfi(0.7, 1.5, 10)
     with pytest.raises(ValueError):
         single_param_qfi(0.7, np.nan, 10)
+
+
+def test_closed_form_takes_the_bloch_vector_of_every_state_the_walk_takes():
+    # a spinor of norm 1 + 9e-13, which the walk's norm rule takes, has
+    # Bloch length 1 + 1.8e-12: read as the normalised state's vector
+    bloch = rho_bloch(initial_localized(
+        0, spinor=[1.0000000000009, 0]).amps[0])
+    assert np.linalg.norm(bloch[1:]) > 1.0 + 1e-12
+    got = qfim_localized(0.7, 0.3, bloch[1:], 10).entries
+    assert got.tobytes() == qfim_localized(0.7, 0.3, bloch[1:] / bloch[0],
+                                           10).entries.tobytes()
+    assert single_param_qfi(0.7, 1.0000000000018, 10) == \
+        single_param_qfi(0.7, 1.0, 10)
+    # a mixed state's vector is kept as it is
+    mixed = np.array([0.0, 0.6, 0.0])
+    assert CoinBlochState(mixed).r.tobytes() == mixed.tobytes()
 
 
 def test_uhlmann_analytic_is_exactly_zero():

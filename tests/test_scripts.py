@@ -144,6 +144,41 @@ def test_compare_outputs_scales_zero_in_theory_quantities(tmp_path):
     assert res.returncode == 1
 
 
+def _bracket(lo, hi):
+    return (f"incompatibility R = 9.491e-05 exceeds 1.0e-06; Holevo bound "
+            f"only bracketed: [{lo!r}, {hi!r}]")
+
+
+def test_compare_outputs_reads_the_holevo_bracket_by_tolerance(tmp_path):
+    # the bracket [C^S, (1 + R) C^S] of a refused Holevo bound, in a
+    # bounds report's note, in stdout and in a --strict run's stderr:
+    # a change in its 16th digit is rounding, a 1e-6 change is not
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    lo, hi = 800422.5308734868, 800498.4989641787
+    for name, (b_lo, b_hi) in {"near": (800422.5308734865, 800498.4989641785),
+                               "far": (lo, hi * (1 + 1e-6))}.items():
+        for root, bracket in ((a, _bracket(lo, hi)),
+                              (b, _bracket(b_lo, b_hi))):
+            _write(root / name, {
+                "qwf_bounds_report.json": json.dumps({"note": bracket}),
+                "stdout.txt": f"holevo: unavailable ({bracket})\n",
+                "stderr.txt": f"model error: {bracket}\n"})
+    res = run_script("compare_outputs.py", str(a), str(b), "--rel-tol",
+                     "1e-12", cwd=tmp_path)
+    lines = {line.split()[1]: line for line in res.stdout.splitlines()[:-1]}
+    where = {"qwf_bounds_report.json": "$.note line 1 bracketed lo",
+             "stdout.txt": "line 1 bracketed lo",
+             "stderr.txt": "line 1 bracketed lo"}
+    for file, place in where.items():
+        assert lines[f"near/{file}"].split(None, 2)[::2] == [
+            "equal", f"(max rel dev 2.909e-16 at {place})"]
+        assert lines[f"far/{file}"].startswith("different "), lines
+        assert "bracketed hi" in lines[f"far/{file}"]
+    assert res.stdout.splitlines()[-1] == "0 identical, 3 equal, 3 different"
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(
         name.removesuffix(".py"), ROOT / "scripts" / name)
