@@ -25,7 +25,8 @@ A quantity that is zero in theory, or a difference that cancels far
 below F, may have a list or column of its own.  Its S is then also at
 least the largest |F| of the information matrix of the report in the
 file's directory (the ``entries``, ``per_t2`` or ``fisher`` of its
-``*_report.json``, either side), in the quantity's own units:
+``*_report.json``, either side), in the quantity's own units, or for a
+fit's score the scale of its log-likelihood:
 
     beta_null_residual   qfim report and stdout: max |per_t2| (a
                          projector on an O(1) generator vector)
@@ -42,6 +43,12 @@ file's directory (the ``entries``, ``per_t2`` or ``fisher`` of its
     "bracketed: [lo, hi]"  bounds report note, stdout and a --strict
                          run's stderr, the Holevo bracket [C^S,
                          (1 + R) C^S]: each number on its own scale
+    score_norm           estimate result, the norm of the score at the
+                         fit: shots + |loglik| of the same result file
+                         (either side).  The score sums the counts
+                         times d log p, so it rounds on the scale of
+                         the log-likelihood's sums, the scale the fit's
+                         grid stage takes for its rounding margin
 
 ``stdout.txt`` and ``stderr.txt``, and the ``note`` string of a report,
 compare byte for byte but for the numbers that these labels name, which
@@ -63,7 +70,8 @@ from pathlib import Path
 # zero-in-theory quantities by JSON key or CSV column, and which scale
 # of their report's information matrix holds them
 ZERO_IN_THEORY = {"beta_null_residual": "per_t2", "uhlmann": "entries",
-                  "max_abs": "entries", "max_rel": "ratio", "r": "ratio"}
+                  "max_abs": "entries", "max_rel": "ratio", "r": "ratio",
+                  "score_norm": "fit"}
 # the same in stdout and a report's note, by the text before the number
 LABELS = {"beta_null_residual = ": "per_t2", "max_abs=": "entries",
           "max_rel=": "ratio", "incompatibility R  = ": "ratio",
@@ -236,6 +244,15 @@ def report_scales(*dirs) -> dict:
     return scales
 
 
+def fit_scale(body) -> float:
+    """shots + |loglik| of a parsed estimate result, else 0."""
+    try:
+        scale = float(body["config"]["shots"]) + abs(float(body["loglik"]))
+    except (KeyError, TypeError, ValueError):
+        return 0.0
+    return scale if math.isfinite(scale) else 0.0
+
+
 def compare_file(path_a: Path, path_b: Path, rel_tol: float):
     """(verdict, detail) for one pair of files."""
     if not (path_a.is_file() and path_b.is_file()):
@@ -247,7 +264,9 @@ def compare_file(path_a: Path, path_b: Path, rel_tol: float):
     scales = report_scales(path_a.parent, path_b.parent)
     try:
         if path_a.suffix == ".json":
-            devs = json_devs(json.loads(raw_a), json.loads(raw_b), scales)
+            body_a, body_b = json.loads(raw_a), json.loads(raw_b)
+            scales["fit"] = max(fit_scale(body_a), fit_scale(body_b))
+            devs = json_devs(body_a, body_b, scales)
         elif path_a.suffix == ".csv":
             devs = csv_devs(raw_a.decode(), raw_b.decode(), scales)
         elif path_a.name in ("stdout.txt", "stderr.txt"):

@@ -8,9 +8,10 @@ log-log decay exponent.  The neglected fast-oscillation terms are first
 order in 1/t in general; at the symmetric default point the first-order
 piece cancels and the fit comes out near -2.
 
-The exact matrix costs O(n log n) in the node count n >= 2 + 2t with no
-loop over t, so the default ladder doubles from t = 25 to t = 25600 and runs
-in seconds; the deviations there reach about 1e-9.
+The exact matrix is formed from node means of real fields on the even
+5-smooth grid of ``walk.SiteWindow.after`` (at least 2 + 2t nodes), with
+no FFT and no loop over t, so the default ladder doubles from t = 25 to
+t = 25600 and runs in seconds; the deviations there reach about 1e-9.
 """
 import argparse
 

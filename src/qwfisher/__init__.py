@@ -32,8 +32,8 @@ _EXPORTS = {
                    "MeasurementRecord", "PositionDistribution",
                    "classical_fi", "make_likelihood_table", "mle_fit",
                    "position_distribution", "sample"],
-    "oracle": ["AmplitudeWindow", "derivative_state", "exact_matrices",
-               "qfim_exact", "uhlmann_exact"],
+    "oracle": ["derivative_state", "exact_matrices", "qfim_exact",
+               "uhlmann_exact"],
     "qfim": ["QFIMatrix", "beta_null_check", "qfim_localized",
              "qfim_theorem1", "single_param_qfi", "uhlmann_analytic"],
     "walk": ["CoinBlochState", "CoinParams", "WalkerState", "evolve",

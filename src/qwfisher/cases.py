@@ -290,7 +290,7 @@ def pullback_qfim(f_coin: QFIMatrix, jacobian, labels) -> QFIMatrix:
     if abs(det) <= 1e-12 * max(1.0, float(np.max(np.abs(j))) ** 2):
         raise SingularJacobian(f"Jacobian is singular (det = {det!r})")
     return QFIMatrix(entries=j.T @ block.entries @ j, labels=tuple(labels),
-                     t=block.t, asymptotic=block.asymptotic)
+                     t=block.t)
 
 
 def _t_grid(t_max: int):

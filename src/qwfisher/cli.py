@@ -83,16 +83,15 @@ class _Cmd:
                                  help="key = value file mirroring the flags")
         self.add("out", default=None, help="output file prefix")
 
-    def add(self, flag, *, type=str, default=None, help=None, aliases=(),
-            choices=None, metavar=None):
-        dest = flag.replace("-", "_")
-        names = ["--" + flag] + ["--" + a for a in aliases]
+    def add(self, flag, *, type=str, default=None, help=None, choices=None,
+            metavar=None):
+        dest, name = flag.replace("-", "_"), "--" + flag
         if type is bool:
-            self.parser.add_argument(*names, dest=dest, action="store_true",
+            self.parser.add_argument(name, dest=dest, action="store_true",
                                      default=_UNSET, help=help)
         else:
             self.parser.add_argument(
-                *names, dest=dest, default=_UNSET, help=help,
+                name, dest=dest, default=_UNSET, help=help,
                 metavar="{" + ",".join(choices) + "}" if choices else metavar)
         self.registry[dest] = (_parse_bool if type is bool else type, default,
                                choices)
@@ -369,8 +368,7 @@ def _qfim_by_route(route, p, init, t, params):
                            rho_bloch(init.amps[0])[1:], t)
         # its (theta, phi) block is the (theta, alpha) block, and beta's
         # row and column are zero: beta never enters the information
-        full = QFIMatrix(np.pad(f.entries, (0, 1)), PARAM_NAMES, f.t,
-                         asymptotic=True)
+        full = QFIMatrix(np.pad(f.entries, (0, 1)), PARAM_NAMES, f.t)
         return full.block(params), uhlmann_analytic(p, init, t, params=params)
     # "oracle": the flags admit no other route
     return exact_matrices(init, p, t, params=params)
@@ -410,7 +408,7 @@ def cmd_qfim(ns, out) -> None:
         "routes": {route: {
             "entries": results[route][0].entries,
             "per_t2": results[route][0].per_t2,
-            "asymptotic": results[route][0].asymptotic,
+            "asymptotic": route != "oracle",
             "uhlmann": results[route][1].entries,
         } for route in routes},
         "deviations": deviations,
@@ -495,7 +493,6 @@ def cmd_case(ns, out) -> None:
                         coin_from_magnetic, dirac_first_order,
                         dirac_from_coin, dirac_jacobian, magnetic_from_coin,
                         magnetic_jacobian, pullback_qfim)
-    from .qfim import qfim_theorem1
     from .walk import step_count
 
     t = step_count(ns.t, 1, "--t")
@@ -520,7 +517,7 @@ def cmd_case(ns, out) -> None:
     p = to_coin(model)
     jac = jacobian(model)
 
-    f_coin = qfim_theorem1(p, init, t, params=("theta", "alpha"))
+    f_coin = _qfim_by_route("analytic", p, init, t, ("theta", "alpha"))[0]
     f_phys = pullback_qfim(f_coin, jac, labels)
     cs = symmetric_bound(f_phys)
     recovered, info = invert(p)
@@ -689,7 +686,7 @@ def build_parser():
     cs.add("b3", type=float, default=0.0, help="longitudinal field component")
     cs.add("m", type=float, default=None, help="mass parameter")
     cs.add("q", type=float, default=None, help="charge parameter")
-    cs.add("ax", type=float, default=None, aliases=("Ax",),
+    cs.add("ax", type=float, default=None,
            help="vector potential (must be nonzero for charge)")
     cs.add("eps", type=float, default=None, help="lattice spacing")
     _add_init_flags(cs, default="entangled:0,1")

@@ -52,7 +52,8 @@ def philox_rng(seed: int, *stream) -> np.random.Generator:
 class PositionDistribution:
     """Probability vector over distinct integer sites, at least one, after
     t steps; its norm sqrt(sum p) meets the walk's rule |norm - 1| <=
-    NORM_TOL."""
+    NORM_TOL.  Entries down to -1e-15 pass the gate as rounding and are
+    stored clipped at 0, so every reader sees a non-negative vector."""
 
     sites: np.ndarray
     probs: np.ndarray
@@ -77,7 +78,7 @@ class PositionDistribution:
             raise ValueError(f"probabilities sum to {total}: their norm "
                              f"deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "sites", sites.astype(int, copy=False))
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", np.maximum(probs, 0.0))
 
 
 def position_distribution(s: WalkerState) -> PositionDistribution:
@@ -131,13 +132,6 @@ class MeasurementRecord:
                            for x, c in sorted(self.counts.items())},
                 "params_true": None if pt is None else {
                     "theta": pt.theta, "alpha": pt.alpha, "beta": pt.beta}}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "MeasurementRecord":
-        pt = d.get("params_true")
-        return MeasurementRecord(
-            t=d["t"], shots=d["shots"], counts=d["counts"], seed=d["seed"],
-            params_true=None if pt is None else CoinParams(**pt))
 
 
 def check_shots_and_seed(shots: int, seed: int) -> None:

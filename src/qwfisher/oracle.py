@@ -41,12 +41,11 @@ independent finite-t check of the asymptotic route: the t^2 terms,
 4 <o alpha_a alpha_b> - 4 <alpha_a nu> <alpha_b nu> as zone means, are
 that route's coefficient (:mod:`qfim`, with u.w_a / sin(om) = 2
 alpha_a).  :func:`derivative_state` returns the derivative states
-themselves.
+themselves, on the sites of :meth:`walk.SiteWindow.after`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,34 +55,16 @@ from .walk import (PARAM_NAMES, CoinParams, SiteWindow, ThetaFamily,
                    reduced_axis, reduced_spinors)
 
 
-@dataclass(frozen=True)
-class AmplitudeWindow:
-    """Dense amplitude window without a norm constraint (derivative states)."""
-
-    origin: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        a = np.ascontiguousarray(self.amps, dtype=complex)
-        if a.ndim != 2 or a.shape[1] != 2:
-            raise ValueError(f"amps must have shape (n, 2), got {a.shape}")
-        object.__setattr__(self, "amps", a)
-
-    @property
-    def sites(self) -> np.ndarray:
-        return self.origin + np.arange(self.amps.shape[0])
-
-
 def derivative_state(init: WalkerState, p: CoinParams, t: int,
-                     mu: str) -> AmplitudeWindow:
-    """Position-space d_mu |psi_t> from the closed-form generator sum
+                     mu: str) -> np.ndarray:
+    """Position-space d_mu |psi_t>, (width, 2) on the sites of
+    :meth:`walk.SiteWindow.after`, from the closed-form generator sum
     G_mu(t) u^t chi of :meth:`walk.ThetaFamily.generator_sums`, the name
     checked by :func:`walk.generator_spatial` before the engine runs."""
     w = generator_spatial(p.theta, (mu,))
     family = ThetaFamily.of_walk(init, p, t)
     _, dphi = family.generator_sums(p.theta, w)
-    return AmplitudeWindow(origin=family.window.origin,
-                           amps=family.to_sites(dphi[0, 0]))
+    return family.to_sites(dphi[0, 0])
 
 
 def exact_matrices(init: WalkerState, p: CoinParams, t: int,

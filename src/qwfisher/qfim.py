@@ -11,10 +11,13 @@ between stationary projectors:
 with O_u = C^dag dC/du = (i/2) w_u.sigma and rho0(k) = (o0, r) the
 unnormalised Pauli 4-vector of the initial k-spinor (:func:`rho_bloch`),
 whose norm o0(k) is constant (=1) for the usual single-site and
-odd-separation inputs.  A1 is rank 2 with spatial part u u^T / sin^2 w,
-u the quasi-energy axis.  The brackets are dot products, taken in the
-coin's reduced frame of :mod:`qwfisher.walk` at x = k - alpha, so every
-integrand is N(x) / sin^2 w with
+odd-separation inputs.  A1, the stationary projector, is the identity
+on the trace component plus u u^T / sin^2 w on the spatial block, u
+the quasi-energy axis, so only its closed form is used here (the 4 x 4
+matrices are a test reference), in :func:`beta_null_check` too.  The
+brackets are dot products, taken in the coin's reduced frame of
+:mod:`qwfisher.walk` at x = k - alpha, so every integrand is
+N(x) / sin^2 w with
 
     N_uv = (u.w_u)(u.w_v) o0,    N_u = (u.w_u)(u.r),
     sin^2 w = 1 - cos^2 theta cos^2 x.
@@ -95,16 +98,13 @@ class QFIMatrix:
     not accept goes to ``eigvalsh``, whose smallest eigenvalue decides
     and is the one a refusal reports.  ``entries`` is a read-only copy
     of the input, so nothing changes it after the gates have run and
-    :mod:`bounds` reads it unchecked.  ``asymptotic`` records whether
-    the entries came from the long-time formulas or from an exact
-    finite-t computation.
+    :mod:`bounds` reads it unchecked.
     """
 
     entries: np.ndarray
     labels: tuple
     t: int = 1
     antisymmetric: bool = False
-    asymptotic: bool = False
 
     def __post_init__(self):
         e = np.array(self.entries, dtype=float)
@@ -153,8 +153,7 @@ class QFIMatrix:
         idx = [self.labels.index(l) for l in labels]
         return QFIMatrix(entries=self.entries.take(idx, 0).take(idx, 1),
                          labels=labels, t=self.t,
-                         antisymmetric=self.antisymmetric,
-                         asymptotic=self.asymptotic)
+                         antisymmetric=self.antisymmetric)
 
     def identifiable_block(self) -> "QFIMatrix":
         """Restriction to (theta, alpha) when a beta row is present."""
@@ -175,32 +174,17 @@ def _axis(theta: float, x):
     return c, u
 
 
-def a1_grid(p: CoinParams, k: np.ndarray) -> np.ndarray:
-    """Stationary projectors over momenta, shape k + (4, 4), in the coin's
-    reduced frame at x = k - alpha (the lab frame's turned about z by
-    beta - alpha): onto the unit-eigenvalue subspace of conjugation by u
-    on Pauli 4-vectors (1, sx, sy, sz), which carries everything that
-    survives long times.  Closed form: identity on the trace component
-    plus u u^T / sin^2 w on the spatial block; rank 2, trace 2, well
-    defined at every momentum once sin theta != 0.
-    """
-    c, u = _axis(p.theta, np.asarray(k, dtype=float) - p.alpha)
-    m = np.zeros(c.shape + (4, 4))
-    m[..., 0, 0] = 1.0
-    m[..., 1:, 1:] = (u[..., :, None] * u[..., None, :]
-                      / (1.0 - c ** 2)[..., None, None])
-    return m
-
-
 def beta_null_check(p: CoinParams) -> float:
     """max_k || A1_k |O_beta) || on a 512-node uniform grid; zero in theory.
 
-    The spatial direction u(k) is orthogonal to w_beta at every momentum,
-    so this is a pure roundoff diagnostic.
+    A1 is the identity on the trace and u u^T / sin^2 w on the spatial
+    block, so the norm is |u.w_beta| / |u|.  The spatial direction u(k)
+    is orthogonal to w_beta at every momentum, so this is a pure
+    roundoff diagnostic.
     """
-    a1 = a1_grid(p, uniform_k_grid(512))
-    ob = np.concatenate(([0.0], generator_spatial(p.theta, ("beta",))[0]))
-    return float(np.max(np.linalg.norm(a1 @ ob, axis=-1)))
+    _, u = _axis(p.theta, uniform_k_grid(512) - p.alpha)
+    w_beta = generator_spatial(p.theta, ("beta",))[0]
+    return float(np.max(np.abs(u @ w_beta) / np.linalg.norm(u, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +246,7 @@ def qfim_theorem1(p: CoinParams, init: WalkerState, t: int,
     t, params = step_count(t, 1), tuple(params)
     first, y = _zone_means(p, init, params)
     per_t2 = first - y[:, None] * y
-    return QFIMatrix(entries=per_t2 * float(t) ** 2, labels=params,
-                     t=t, asymptotic=True)
+    return QFIMatrix(entries=per_t2 * float(t) ** 2, labels=params, t=t)
 
 
 def uhlmann_analytic(p: CoinParams, init: WalkerState, t: int,
@@ -277,7 +260,7 @@ def uhlmann_analytic(p: CoinParams, init: WalkerState, t: int,
     params = tuple(params)
     m = len(generator_spatial(p.theta, params))
     return QFIMatrix(entries=np.zeros((m, m)), labels=params,
-                     t=step_count(t, 1), antisymmetric=True, asymptotic=True)
+                     t=step_count(t, 1), antisymmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +303,7 @@ def qfim_localized(theta: float, phi: float, r, t: int) -> QFIMatrix:
     the walk takes serves as it is."""
     t = step_count(t, 1)
     return QFIMatrix(entries=float(t) ** 2 * _localized_per_t2(theta, phi, r),
-                     labels=("theta", "phi"), t=t, asymptotic=True)
+                     labels=("theta", "phi"), t=t)
 
 
 def single_param_qfi(theta: float, r_y: float, t: int) -> float:

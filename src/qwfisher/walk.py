@@ -213,15 +213,6 @@ class WalkerState:
             "amps": [[float(z.real), float(z.imag)] for z in flat],
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "WalkerState":
-        pairs = np.asarray(d["amps"], dtype=float)
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] % 2:
-            raise ValueError("amps must be an even-length list of [re, im] pairs")
-        flat = pairs[:, 0] + 1j * pairs[:, 1]
-        return WalkerState(origin=d["origin"], amps=flat.reshape(-1, 2),
-                           steps_elapsed=d["steps_elapsed"])
-
 
 # ---------------------------------------------------------------------------
 # initial states

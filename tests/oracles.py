@@ -88,6 +88,27 @@ def quasi_energy_axis(theta, alpha, beta, k):
     return cos_omega, w
 
 
+def a1_grid(p, k):
+    """Stationary projectors over momenta, shape k + (4, 4), in the coin's
+    reduced frame at x = k - alpha (the lab frame's turned about z by
+    beta - alpha): onto the unit-eigenvalue subspace of conjugation by u
+    on Pauli 4-vectors (1, sx, sy, sz), which carries everything that
+    survives long times.  Closed form: identity on the trace component
+    plus u u^T / sin^2 w on the spatial block, with the reduced axis
+    u = (sin x sin th, -cos x sin th, sin x cos th) and sin^2 w =
+    1 - cos^2 x cos^2 th; rank 2, trace 2, well defined at every
+    momentum once sin theta != 0.
+    """
+    x = np.asarray(k, dtype=float) - p.alpha
+    st, ct = np.sin(p.theta), np.cos(p.theta)
+    u = np.stack([np.sin(x) * st, -np.cos(x) * st, np.sin(x) * ct], axis=-1)
+    m = np.zeros(x.shape + (4, 4))
+    m[..., 0, 0] = 1.0
+    m[..., 1:, 1:] = (u[..., :, None] * u[..., None, :]
+                      / (1.0 - (np.cos(x) * ct) ** 2)[..., None, None])
+    return m
+
+
 def z_turn(angle):
     """The 4x4 turn of Pauli 4-vectors (1, sx, sy, sz) by ``angle`` about
     z: D(-angle/2) O D(angle/2) has the Pauli vector z_turn(angle) @ o,
@@ -323,6 +344,28 @@ def dense_powers(theta, alpha, beta, k, chi, t):
     return np.einsum("nab,...nb->...na", u_t, chi)
 
 
+def walker_state_from_json(d):
+    """The state :meth:`WalkerState.to_json_dict` wrote: the writer's
+    round-trip reference, [re, im] pairs site-major with the coin inner."""
+    from qwfisher import WalkerState
+
+    pairs = np.asarray(d["amps"], dtype=float)
+    amps = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(-1, 2)
+    return WalkerState(origin=d["origin"], amps=amps,
+                       steps_elapsed=d["steps_elapsed"])
+
+
+def measurement_record_from_json(d):
+    """The record :meth:`MeasurementRecord.to_json_dict` wrote: the
+    writer's round-trip reference."""
+    from qwfisher import CoinParams, MeasurementRecord
+
+    pt = d["params_true"]
+    return MeasurementRecord(
+        t=d["t"], shots=d["shots"], counts=d["counts"], seed=d["seed"],
+        params_true=None if pt is None else CoinParams(**pt))
+
+
 def light_cone(s, t):
     """(n_sites + 2t, 2) bool: the cells t steps can reach from the
     input's nonzero cells, one boolean step at a time.
@@ -380,13 +423,15 @@ def three_run_prob_derivatives(init, p, t, params):
     :func:`prob_derivatives`.
     """
     from qwfisher import derivative_state
+    from qwfisher.walk import SiteWindow
 
     psi = evolve_steps(init, p, t)
+    window = SiteWindow.after(init, t)
     dprobs = []
     for mu in params:
         d = derivative_state(init, p, t, mu)
-        assert d.origin == psi.origin and d.amps.shape == psi.amps.shape
-        dprobs.append(2.0 * np.sum((psi.amps.conj() * d.amps).real, axis=1))
+        assert (window.origin, d.shape) == (psi.origin, psi.amps.shape)
+        dprobs.append(2.0 * np.sum((psi.amps.conj() * d).real, axis=1))
     return psi.sites, np.sum(np.abs(psi.amps) ** 2, axis=1), np.array(dprobs)
 
 

@@ -21,11 +21,11 @@ from qwfisher import (CoinParams, GridSpec, beta_null_check, classical_fi,
 from qwfisher.cases import (DiracParams, MagneticField, coin_from_dirac,
                             coin_from_magnetic, dirac_first_order,
                             dirac_from_coin, magnetic_from_coin)
-from qwfisher.qfim import a1_grid
 from qwfisher.walk import uniform_k_grid
 
 from oracles import (G_QUARTER_PI, G_THREE_EIGHTHS_PI, GOLDEN_COMMON,
-                     GOLDEN_THETA, evolve_steps, pauli_conjugation_dense,
+                     GOLDEN_THETA, a1_grid, evolve_steps,
+                     pauli_conjugation_dense,
                      qfim_first_term, random_coin_angles, random_spinor,
                      z_turn)
 

@@ -569,18 +569,6 @@ def test_case_dirac_first_order(workdir):
     assert body["round_trip"]["m"]["abs_err"] <= 1e-10
 
 
-def test_case_dirac_ax_alias(workdir):
-    args = ["case", "dirac", "--m", "1.2", "--q", "0.7", "--eps", "0.01",
-            "--t", "50"]
-    assert main(args + ["--Ax", "0.8", "--out", "alias"]) == 0
-    assert main(args + ["--ax", "0.8", "--out", "plain"]) == 0
-    alias = read_json(workdir / "alias_report.json")
-    plain = read_json(workdir / "plain_report.json")
-    assert alias["config"]["ax"] == 0.8
-    assert alias["coin"] == plain["coin"]
-    assert alias["fisher_physical"] == plain["fisher_physical"]
-
-
 def test_estimate_deterministic_and_honest(workdir, capsys):
     args = ["estimate", "--t", "30", "--shots", "5000", "--seed", "7",
             "--grid-n", "60"]

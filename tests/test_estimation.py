@@ -21,7 +21,8 @@ from qwfisher.walk import (NORM_TOL, SiteWindow, ThetaFamily, plane_waves,
                            spinors_at)
 
 from oracles import (dilation_connected, evolve_steps, fd_loglik_hessian,
-                     prob_derivatives, pseudo_inverse_dense, table_probs,
+                     measurement_record_from_json, prob_derivatives,
+                     pseudo_inverse_dense, table_probs,
                      three_run_prob_derivatives, whole_grid_table_b)
 
 
@@ -206,6 +207,14 @@ class TestSampling:
             sample(d, 100, -1)
         assert sample(d, 100, np.int64(7)) == sample(d, 100, 7)
 
+    def test_a_rounding_level_negative_probability_is_drawn_as_zero(self):
+        # the gate admits -1e-15, which numpy's multinomial refused with
+        # its untyped "pvals < 0, pvals > 1 or pvals contains NaNs"
+        d = PositionDistribution(sites=[0, 1, 2], probs=[0.5, 0.5, -1e-16])
+        assert d.probs.tolist() == [0.5, 0.5, 0.0]
+        rec = sample(d, 10, 0)
+        assert sum(rec.counts.values()) == 10 and 2 not in rec.counts
+
     def test_two_point_frequencies(self):
         d = PositionDistribution(sites=np.array([-1, 1]),
                                  probs=np.array([0.5, 0.5]), t=1)
@@ -231,10 +240,10 @@ class TestMeasurementRecord:
         p = CoinParams(0.7, -0.1, 0.4)
         rec = MeasurementRecord(t=5, shots=10, counts={-3: 4, 1: 6}, seed=2,
                                 params_true=p)
-        back = MeasurementRecord.from_json_dict(rec.to_json_dict())
+        back = measurement_record_from_json(rec.to_json_dict())
         assert back == rec
         bare = MeasurementRecord(t=5, shots=1, counts={1: 1}, seed=0)
-        assert MeasurementRecord.from_json_dict(bare.to_json_dict()) == bare
+        assert measurement_record_from_json(bare.to_json_dict()) == bare
         # numpy integers are integers; JSON's site keys are strings
         wide = MeasurementRecord(t=np.int64(5), shots=np.int64(2),
                                  counts={"1": np.uint8(2)}, seed=np.int32(3))

@@ -52,10 +52,17 @@ exits with them; no raised exception escapes ``main`` untyped.
 
 A refused run costs nothing: in each ``cli.cmd_*`` every call that
 validates the input comes before the first engine run.
+
+``src/`` holds only what the pipeline reads: every function, class and
+method defined there, dunders aside, is named (as a name, an attribute
+or a string) somewhere in ``src/`` outside its own definition, in
+``scripts/`` or in ``perfbench/``.  What only tests read belongs in
+``tests/oracles.py``.
 """
 import ast
 import builtins
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -638,6 +645,78 @@ def test_fold_ratchet_sees_a_second_angle():
     rules = (PACKAGE / "walk.py").read_text()
     assert _arctan2_calls("walk", rules + source) == [
         FOLD, ("walk", "_fold")]
+
+
+# ---------------------------------------------------------------------------
+# every definition in src has a pipeline reader
+
+READER_DIRS = ("scripts", "perfbench")
+
+
+def _name_of(node):
+    """The name a node names: a name, an attribute or a string."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _named(tree) -> Counter:
+    return Counter(filter(None, map(_name_of, ast.walk(tree))))
+
+
+def _definitions(node, scope=""):
+    """(dotted name, node) of every def and class below ``node``, dunders
+    aside."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            dotted = f"{scope}.{child.name}" if scope else child.name
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield dotted, child
+            yield from _definitions(child, dotted)
+        else:
+            yield from _definitions(child, scope)
+
+
+def _unread_definitions(package: dict, readers: list):
+    """(module, dotted name) of every definition in ``package`` ({module:
+    source}) that no source names outside the definition itself: the
+    package's and ``readers``'."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    named = sum(map(_named, [*trees.values(), *map(ast.parse, readers)]),
+                Counter())
+    return sorted((module, scope) for module, tree in trees.items()
+                  for scope, node in _definitions(tree)
+                  if named[node.name] <= _named(node)[node.name])
+
+
+def _pipeline_sources():
+    package = {path.stem: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    readers = [path.read_text() for folder in READER_DIRS
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    return package, readers
+
+
+def test_every_src_name_has_a_pipeline_reader():
+    unread = _unread_definitions(*_pipeline_sources())
+    assert not unread, f"defined in src but read only by tests: {unread}"
+
+
+def test_reader_ratchet_sees_an_unread_def():
+    package, readers = _pipeline_sources()
+    before = _unread_definitions(package, readers)
+    # a use inside its own definition does not count
+    package["walk"] += ("\n\ndef unread_rule(n):\n"
+                        "    return unread_rule(n - 1) if n else 'unread_rule'\n")
+    after = _unread_definitions(package, readers)
+    assert set(after) - set(before) == {("walk", "unread_rule")}
+    readers.append("walk.unread_rule(3)\n")
+    assert _unread_definitions(package, readers) == before
 
 
 # ---------------------------------------------------------------------------

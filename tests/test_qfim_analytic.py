@@ -15,13 +15,13 @@ from qwfisher import (CoinBlochState, CoinParams, DegenerateWalk, QFIMatrix,
                       uhlmann_analytic)
 from qwfisher import cli
 from qwfisher.oracle import exact_matrices
-from qwfisher.qfim import PSD_TOL, SYM_TOL, _zone_means, a1_grid, rho_bloch
+from qwfisher.qfim import PSD_TOL, SYM_TOL, _zone_means, rho_bloch
 from qwfisher.quadrature import adaptive_mean_over_bz
-from qwfisher.walk import generator_spatial, spinors_at
+from qwfisher.walk import generator_spatial, spinors_at, uniform_k_grid
 
 import oracles
 from oracles import (F_AA_QUARTER_PI, F_TT_QUARTER_PI, GOLDEN_COMMON,
-                     GOLDEN_THETA, PAULI, PREF_RY0_QUARTER_PI,
+                     GOLDEN_THETA, PAULI, PREF_RY0_QUARTER_PI, a1_grid,
                      PREF_RY1_QUARTER_PI, qfim_first_term, qfim_max_diag,
                      qfimatrix_checks, random_coin_angles, random_spinor,
                      u_dense, z_turn, zone_means_by_rfft)
@@ -97,6 +97,20 @@ def test_beta_null_for_random_parameters():
     assert worst <= 1e-11
 
 
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.01, math.pi - 0.01), alpha=st.floats(-4.0, 4.0),
+       beta=st.floats(-4.0, 4.0))
+@example(theta=math.pi / 2 - 1e-6, alpha=0.0, beta=2.0)
+def test_beta_null_check_is_the_projector_norm(theta, alpha, beta):
+    # the closed form |u.w_beta| / |u| against ||A1 (0, w_beta)|| from the
+    # 4 x 4 projectors; both are roundoff, so the bound is absolute
+    p = CoinParams(theta, alpha, beta)
+    a1 = a1_grid(p, uniform_k_grid(512))
+    o_beta = np.concatenate(([0.0], generator_spatial(theta, ("beta",))[0]))
+    ref = np.linalg.norm(a1 @ o_beta, axis=-1).max()
+    assert abs(beta_null_check(p) - ref) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # entangled fixture and the diagonal maxima
 
@@ -104,7 +118,6 @@ def test_beta_null_for_random_parameters():
 def test_entangled_fixture_reproduces_closed_form_diagonal():
     p = CoinParams(QUARTER, 0.0, 0.0)
     f = qfim_theorem1(p, initial_entangled(0, 1), t=100)
-    assert f.asymptotic
     assert f.labels == ("theta", "alpha")
     per = f.per_t2
     assert per[0, 0] == pytest.approx(F_TT_QUARTER_PI, abs=1e-6)

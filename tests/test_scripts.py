@@ -179,6 +179,44 @@ def test_compare_outputs_reads_the_holevo_bracket_by_tolerance(tmp_path):
     assert res.stdout.splitlines()[-1] == "0 identical, 3 equal, 3 different"
 
 
+def _estimate_result(theta_hat, score_norm):
+    """An estimate result as ``qwf estimate`` writes it (run 11 of
+    ``run_matrix.py``), cut to the keys the comparison reads."""
+    return json.dumps({"config": {"shots": 2000}, "loglik": -10981.649417106799,
+                       "theta_hat": theta_hat,
+                       "diagnostics": {"score_norm": score_norm}})
+
+
+def test_compare_outputs_holds_score_norm_to_the_fit_scale(tmp_path):
+    # score_norm is zero in theory: a move of 0.81 of its own size, as
+    # the 5-smooth node counts gave, is rounding against shots + |loglik|;
+    # a move of 1e-6 of that scale is not, and theta_hat keeps its own
+    # scale, so a 1e-10 change to it stays a difference
+    theta, score = 0.7855435054218465, 4.844367333469783e-09
+    scale = 2000 + 10981.649417106799
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    for name, moved in {"near": (theta, 0.19 * score),
+                        "far": (theta, score + 1e-6 * scale),
+                        "theta": (theta * (1 + 1e-10), score)}.items():
+        _write(a / name, {"qwf_estimate_result.json":
+                          _estimate_result(theta, score)})
+        _write(b / name, {"qwf_estimate_result.json":
+                          _estimate_result(*moved)})
+    res = run_script("compare_outputs.py", str(a), str(b), "--rel-tol",
+                     "1e-12", cwd=tmp_path)
+    lines = {line.split()[1].split("/")[0]: line
+             for line in res.stdout.splitlines()[:-1]}
+    assert lines["near"].split(None, 2)[::2] == [
+        "equal", "(max rel dev 3.023e-13 at $.diagnostics.score_norm)"]
+    assert lines["far"].startswith("different "), lines["far"]
+    assert "at $.diagnostics.score_norm" in lines["far"]
+    assert lines["theta"].startswith("different "), lines["theta"]
+    assert "at $.theta_hat" in lines["theta"]
+    assert res.stdout.splitlines()[-1] == "0 identical, 1 equal, 2 different"
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(
         name.removesuffix(".py"), ROOT / "scripts" / name)

@@ -13,9 +13,8 @@ import pytest
 
 from qwfisher import CoinParams
 from qwfisher import qfim
-from qwfisher.qfim import a1_grid
 
-from oracles import pauli_conjugation_dense, z_turn
+from oracles import a1_grid, pauli_conjugation_dense, z_turn
 
 
 def dense_map(p, k):
